@@ -70,8 +70,10 @@ func BenchmarkTable3(b *testing.B) { runExperiment(b, "table3") }
 func BenchmarkCXLPoolPointRead(b *testing.B) {
 	store := storage.New(storage.Config{})
 	clk := simclock.New()
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(512) + 4096})
-	host := sw.AttachHost("h")
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(512) + 4096}).AttachHost("h", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	region, err := host.Allocate(clk, "db", core.RegionSizeFor(512))
 	if err != nil {
 		b.Fatal(err)

@@ -72,7 +72,7 @@ func main() {
 	perOp := float64(inst.Clock().Now()-qStart) / queries / 1000
 	fmt.Printf("%d point reads: %.1f us/op virtual (single worker)\n", queries, perOp)
 
-	st := cluster.Switch().FabricStats()
+	st := cluster.Topology().Leaf(0).Fabric().Stats()
 	fmt.Printf("CXL fabric traffic: %.1f MB over the run\n", float64(st.Units)/1e6)
 
 	if !*crash {

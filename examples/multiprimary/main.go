@@ -22,25 +22,21 @@ import (
 func main() {
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: 256*page.Size + 1<<20})
-	fhost := sw.AttachHost("fusion")
-	dbp, err := fhost.Allocate(clk, "dbp", 192*page.Size)
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 256*page.Size + 1<<20})
+	dep, err := sharing.NewDeployment(clk, topo, "fusion", 192, store)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fusion := sharing.NewFusion(fhost, dbp, store)
 	logStream := wal.Attach(wal.NewStore(0, 0)) // one global log stream
 
 	// Two database nodes, each a full engine over the shared pool.
 	engines := make([]*txn.Engine, 2)
 	for i := range engines {
-		name := fmt.Sprintf("primary-%d", i)
-		host := sw.AttachHost(name)
-		flags, err := host.Allocate(clk, name+"-flags", 1<<16)
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf("primary-%d", i), 0, 1<<16, 4<<20)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pool := sharing.NewSharedPool(name, fusion, host.NewCache(name, 4<<20), flags)
+		pool := sharing.NewSharedPool(p.Name, dep.Fusion, p.Cache, p.Flags)
 		if i == 0 {
 			engines[i], err = txn.Bootstrap(clk, pool, logStream, store)
 		} else {
@@ -104,5 +100,5 @@ func main() {
 	}
 	fmt.Printf("tree valid from both nodes; checkpoint flushed %d shared pages to storage\n", store.PageCount())
 	fmt.Printf("fusion served %d page-address RPCs; total virtual time %.2f ms\n",
-		fusion.GetCalls(), clk.Seconds()*1000)
+		dep.Fusion.GetCalls(), clk.Seconds()*1000)
 }

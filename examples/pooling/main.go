@@ -75,8 +75,10 @@ func main() {
 	})
 
 	cxlDemand := buildAndMeasure("PolarCXLMem", func(store *storage.Store, clk *simclock.Clock) (buffer.Pool, func() int64) {
-		sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(4096)})
-		host := sw.AttachHost("host0")
+		host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(4096)}).AttachHost("host0", 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		region, err := host.Allocate(clk, "db0", core.RegionSizeFor(2048))
 		if err != nil {
 			log.Fatal(err)

@@ -93,8 +93,11 @@ func main() {
 		store := storage.New(storage.Config{})
 		ws := wal.NewStore(0, 0)
 		clk := simclock.New()
-		sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(2048) + 4096})
-		host := sw.AttachHost("h0")
+		topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(2048) + 4096})
+		host, err := topo.AttachHost("h0", 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		region, err := host.Allocate(clk, "db0", core.RegionSizeFor(2048))
 		if err != nil {
 			log.Fatal(err)
@@ -136,7 +139,10 @@ func main() {
 		pool.Crash()
 
 		clk2 := simclock.NewAt(clk.Now())
-		host2 := sw.AttachHost("h0")
+		host2, err := topo.AttachHost("h0", 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		region2, err := host2.Reattach(clk2, "db0")
 		if err != nil {
 			log.Fatal(err)

@@ -224,8 +224,10 @@ func runAblateTier(cfg Config) ([]*Table, error) {
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
 	pages := estimatePages(1, rows)
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: int64(pages*4+64) * page.Size})
-	host := sw.AttachHost("h0")
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(pages*4+64) * page.Size}).AttachHost("h0", 0)
+	if err != nil {
+		return nil, err
+	}
 	region, err := host.Allocate(clk, "tier", int64(pages*4+64)*page.Size)
 	if err != nil {
 		return nil, err
@@ -308,7 +310,7 @@ func runAblateMeta(cfg Config) ([]*Table, error) {
 		tx.Commit()
 		rig.cpool.Crash()
 		clk2 := simclock.NewAt(rig.clk.Now())
-		host2 := rig.sw.AttachHost("host0")
+		host2 := rig.host // the restarted process reconnects the surviving port
 		region2, err := host2.Reattach(clk2, "db0")
 		if err != nil {
 			return nil, err

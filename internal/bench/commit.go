@@ -71,9 +71,12 @@ func runCommitPoint(cfg Config, committers int, group bool) (CommitPoint, error)
 	blocks := int64(estimatePages(1, rows)*2 + 64)
 
 	clk := simclock.New()
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(blocks) + 4096})
-	sw.SetObserver(observer())
-	host := sw.AttachHost("host0")
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(blocks) + 4096})
+	topo.SetObserver(observer())
+	host, err := topo.AttachHost("host0", 0)
+	if err != nil {
+		return CommitPoint{}, err
+	}
 	region, err := host.Allocate(clk, "db0", core.RegionSizeFor(blocks))
 	if err != nil {
 		return CommitPoint{}, err

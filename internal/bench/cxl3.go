@@ -21,35 +21,30 @@ func init() {
 // hwSharingRig builds a CXL 3.0 deployment whose node caches share a
 // coherency domain.
 type hwSharingRig struct {
-	sw     *cxl.Switch
-	fusion *sharing.Fusion
-	nodes  []*sharing.HWNode
-	store  *storage.Store
-	clk    *simclock.Clock
+	dep   *sharing.Deployment
+	nodes []*sharing.HWNode
+	store *storage.Store
+	clk   *simclock.Clock
 }
 
 func newHWSharingRig(store *storage.Store, clk *simclock.Clock, dbpPages, nnodes int) (*hwSharingRig, error) {
 	r := &hwSharingRig{store: store, clk: clk}
-	r.sw = cxl.NewSwitch(cxl.Config{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17)})
-	fhost := r.sw.AttachHost("fusion")
-	dbp, err := fhost.Allocate(clk, "dbp", int64(dbpPages)*page.Size)
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17)})
+	dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		return nil, err
 	}
-	r.fusion = sharing.NewFusion(fhost, dbp, store)
-	r.sw.SetObserver(observer())
-	r.fusion.SetObserver(observer())
+	r.dep = dep
+	topo.SetObserver(observer())
+	dep.Fusion.SetObserver(observer())
 	dom := simcpu.NewDomain(0)
 	for i := 0; i < nnodes; i++ {
-		name := fmt.Sprintf("hw-%d", i)
-		h := r.sw.AttachHost(name)
-		flags, err := h.Allocate(clk, name+"-flags", 1<<17)
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf("hw-%d", i), 0, 1<<17, 2<<20)
 		if err != nil {
 			return nil, err
 		}
-		cache := h.NewCache(name, 2<<20)
-		dom.Attach(cache)
-		r.nodes = append(r.nodes, sharing.NewHWNode(name, r.fusion, cache, flags))
+		dom.Attach(p.Cache)
+		r.nodes = append(r.nodes, sharing.NewHWNode(p.Name, dep.Fusion, p.Cache, p.Flags))
 	}
 	return r, nil
 }
@@ -73,7 +68,7 @@ func measureHW(cfg Config, r *hwSharingRig, layout *workload.Layout, wl sharingW
 	if err := runRound(warm); err != nil {
 		return perf.Demands{}, err
 	}
-	startClk, startQ, startFabric := r.clk.Now(), w.Queries, r.sw.FabricStats().Units
+	startClk, startQ, startFabric := r.clk.Now(), w.Queries, r.dep.Host.Leaf().Fabric().Stats().Units
 	if err := runRound(meas); err != nil {
 		return perf.Demands{}, err
 	}
@@ -83,7 +78,7 @@ func measureHW(cfg Config, r *hwSharingRig, layout *workload.Layout, wl sharingW
 	if cpu < 1000 {
 		cpu = 1000
 	}
-	fb := float64(r.sw.FabricStats().Units-startFabric) / q
+	fb := float64(r.dep.Host.Leaf().Fabric().Stats().Units-startFabric) / q
 	d := perf.Demands{
 		Ops:          int64(q),
 		CPUNs:        cpu,

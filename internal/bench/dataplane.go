@@ -50,9 +50,12 @@ type dpRig struct {
 func newDPRig() (*dpRig, error) {
 	blocks := int64(estimatePages(1, dpRows)*2 + 64)
 	clk := simclock.New()
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(blocks) + 4096})
-	sw.SetObserver(observer())
-	host := sw.AttachHost("host0")
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(blocks) + 4096})
+	topo.SetObserver(observer())
+	host, err := topo.AttachHost("host0", 0)
+	if err != nil {
+		return nil, err
+	}
 	region, err := host.Allocate(clk, "db0", core.RegionSizeFor(blocks))
 	if err != nil {
 		return nil, err

@@ -35,8 +35,10 @@ func runDoorbell(cfg Config) ([]*Table, error) {
 	}
 	verbNs := float64(clk.Now()) / probes
 
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: 1 << 22})
-	host := sw.AttachHost("h")
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 1 << 22}).AttachHost("h", 0)
+	if err != nil {
+		return nil, err
+	}
 	clk2 := simclock.New()
 	region, err := host.Allocate(clk2, "probe", 1<<21)
 	if err != nil {

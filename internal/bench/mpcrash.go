@@ -31,16 +31,15 @@ func runMPCrash(cfg Config) ([]*Table, error) {
 	// Rig: fusion server with a CXL-durable lock table and an RPC retry
 	// policy — the full robustness configuration.
 	dbpPages := hotPages + 8
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17) + int64(dbpPages)*8 + 4096})
-	fhost := sw.AttachHost("fusion")
-	dbp, err := fhost.Allocate(clk, "dbp", int64(dbpPages)*page.Size)
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17) + int64(dbpPages)*8 + 4096})
+	dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		return nil, err
 	}
-	fusion := sharing.NewFusion(fhost, dbp, store)
-	sw.SetObserver(observer())
+	fusion := dep.Fusion
+	topo.SetObserver(observer())
 	fusion.SetObserver(observer())
-	lockTab, err := fhost.Allocate(clk, "lock-table", int64(dbpPages)*8)
+	lockTab, err := dep.Host.Allocate(clk, "lock-table", int64(dbpPages)*8)
 	if err != nil {
 		return nil, err
 	}
@@ -52,13 +51,12 @@ func runMPCrash(cfg Config) ([]*Table, error) {
 	nodes := make([]*sharing.Node, nnodes)
 	hosts := make([]*cxl.HostPort, nnodes)
 	for i := range nodes {
-		name := fmt.Sprintf("node-%d", i)
-		hosts[i] = sw.AttachHost(name)
-		fr, err := hosts[i].Allocate(clk, name+"-flags", 1<<17)
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf("node-%d", i), 0, 1<<17, 2<<20)
 		if err != nil {
 			return nil, err
 		}
-		nodes[i] = sharing.NewNode(name, fusion, hosts[i].NewCache(name, 2<<20), fr)
+		hosts[i] = p.Host
+		nodes[i] = sharing.NewNode(p.Name, fusion, p.Cache, p.Flags)
 	}
 
 	// Seed the shared hot set.

@@ -26,7 +26,7 @@ func init() {
 // (CXL) or RDMASharedPool.
 type mpEngineRig struct {
 	isCXL   bool
-	sw      *cxl.Switch
+	dep     *sharing.Deployment
 	rfusion *sharing.RDMAFusion
 	nics    []*rdma.NIC
 	engines []*txn.Engine
@@ -43,15 +43,13 @@ func newMPEngineRig(cfg Config, isCXL bool, nodes int, rowsPerTable int64) (*mpE
 	log := wal.Attach(wal.NewStore(0, 0))
 	dbpPages := int(rowsPerTable/40+64) * (nodes + 1)
 
-	var cxlFusion *sharing.Fusion
 	if isCXL {
-		r.sw = cxl.NewSwitch(cxl.Config{PoolBytes: int64(dbpPages)*page.Size + int64(nodes+1)*(1<<18)})
-		fhost := r.sw.AttachHost("fusion")
-		dbp, err := fhost.Allocate(clk, "dbp", int64(dbpPages)*page.Size)
+		topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nodes+1)*(1<<18)})
+		dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 		if err != nil {
 			return nil, err
 		}
-		cxlFusion = sharing.NewFusion(fhost, dbp, store)
+		r.dep = dep
 	} else {
 		r.rfusion = sharing.NewRDMAFusion(dbpPages, store)
 	}
@@ -60,12 +58,11 @@ func newMPEngineRig(cfg Config, isCXL bool, nodes int, rowsPerTable int64) (*mpE
 		var eng *txn.Engine
 		var err error
 		if isCXL {
-			host := r.sw.AttachHost(name)
-			flags, aerr := host.Allocate(clk, name+"-flags", 1<<18)
+			p, aerr := r.dep.AttachPrimary(clk, name, 0, 1<<18, 2<<20)
 			if aerr != nil {
 				return nil, aerr
 			}
-			pool := sharing.NewSharedPool(name, cxlFusion, host.NewCache(name, 2<<20), flags)
+			pool := sharing.NewSharedPool(name, r.dep.Fusion, p.Cache, p.Flags)
 			if i == 0 {
 				eng, err = txn.Bootstrap(clk, pool, log, store)
 			} else {
@@ -146,10 +143,10 @@ func (r *mpEngineRig) nicBytes() int64 {
 }
 
 func (r *mpEngineRig) fabricBytes() int64 {
-	if r.sw == nil {
+	if r.dep == nil {
 		return 0
 	}
-	return r.sw.FabricStats().Units
+	return r.dep.Host.Leaf().Fabric().Stats().Units
 }
 
 // pointUpdateTxn runs one 10-update transaction on node idx, routing each

@@ -70,8 +70,10 @@ func runTable2(cfg Config) ([]*Table, error) {
 	t := &Table{ID: "table2", Title: "Data transfer latency (us): write = local->remote, read = remote->local",
 		Headers: []string{"size", "RDMA write", "CXL write", "RDMA read", "CXL read"}}
 	pool := rdma.NewPool("probe", 1<<20)
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: 1 << 20})
-	host := sw.AttachHost("probe")
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 1 << 20}).AttachHost("probe", 0)
+	if err != nil {
+		return nil, err
+	}
 	sizes := []int64{64, 512, 1024, 4096, 16384}
 	for _, sz := range sizes {
 		buf := make([]byte, sz)

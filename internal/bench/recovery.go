@@ -112,7 +112,7 @@ func runTimeline(cfg Config, kind PoolKind, wl string) (*fig10Run, error) {
 	switch kind {
 	case PoolCXL:
 		rig.cpool.Crash()
-		host2 := rig.sw.AttachHost("host0")
+		host2 := rig.host // the restarted process reconnects the surviving port
 		region2, rerr := host2.Reattach(clk2, "db0")
 		if rerr != nil {
 			return nil, rerr

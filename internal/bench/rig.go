@@ -42,7 +42,6 @@ func (k PoolKind) String() string {
 // sysbench tables.
 type poolingRig struct {
 	kind  PoolKind
-	sw    *cxl.Switch
 	host  *cxl.HostPort
 	store *storage.Store
 	ws    *wal.Store
@@ -91,9 +90,13 @@ func newPoolingRig(kind PoolKind, tables int, rows int64, lbpFrac float64) (*poo
 		p.SetObserver(observer())
 		r.pool = p
 	case PoolCXL:
-		r.sw = cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(int64(capPages)) + 4096})
-		r.sw.SetObserver(observer())
-		r.host = r.sw.AttachHost("host0")
+		topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(int64(capPages)) + 4096})
+		topo.SetObserver(observer())
+		host, err := topo.AttachHost("host0", 0)
+		if err != nil {
+			return nil, err
+		}
+		r.host = host
 		region, err := r.host.Allocate(r.clk, "db0", core.RegionSizeFor(int64(capPages)))
 		if err != nil {
 			return nil, err
@@ -146,9 +149,7 @@ func (r *poolingRig) snap() snapshot {
 	}
 	if r.host != nil {
 		s.linkB = r.host.Link().Stats().Units
-	}
-	if r.sw != nil {
-		s.fabricB = r.sw.FabricStats().Units
+		s.fabricB = r.host.Leaf().Fabric().Stats().Units
 	}
 	s.storageB = r.store.Device().Stats().Units
 	s.logB = r.ws.Device().Stats().Units

@@ -27,8 +27,7 @@ const sharingThreadsPerNode = 32
 // server, or RDMA-MP nodes with LBPs.
 type shRig struct {
 	isCXL  bool
-	sw     *cxl.Switch
-	fusion *sharing.Fusion
+	dep    *sharing.Deployment
 	rfus   *sharing.RDMAFusion
 	cnodes []*sharing.Node
 	rnodes []*sharing.RDMANode
@@ -56,23 +55,20 @@ func (r *shRig) nodes() int {
 // DBP of dbpPages.
 func newCXLSharingRig(store *storage.Store, clk *simclock.Clock, dbpPages, nnodes int) (*shRig, error) {
 	r := &shRig{isCXL: true, store: store, clk: clk}
-	r.sw = cxl.NewSwitch(cxl.Config{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17)})
-	fhost := r.sw.AttachHost("fusion")
-	dbp, err := fhost.Allocate(clk, "dbp", int64(dbpPages)*page.Size)
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17)})
+	dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		return nil, err
 	}
-	r.fusion = sharing.NewFusion(fhost, dbp, store)
-	r.sw.SetObserver(observer())
-	r.fusion.SetObserver(observer())
+	r.dep = dep
+	topo.SetObserver(observer())
+	dep.Fusion.SetObserver(observer())
 	for i := 0; i < nnodes; i++ {
-		name := fmt.Sprintf("node-%d", i)
-		h := r.sw.AttachHost(name)
-		flags, err := h.Allocate(clk, name+"-flags", 1<<17)
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf("node-%d", i), 0, 1<<17, 2<<20)
 		if err != nil {
 			return nil, err
 		}
-		r.cnodes = append(r.cnodes, sharing.NewNode(name, r.fusion, h.NewCache(name, 2<<20), flags))
+		r.cnodes = append(r.cnodes, sharing.NewNode(p.Name, dep.Fusion, p.Cache, p.Flags))
 	}
 	return r, nil
 }
@@ -109,10 +105,10 @@ func (r *shRig) verbs() int64 {
 }
 
 func (r *shRig) fabricBytes() int64 {
-	if r.sw == nil {
+	if r.dep == nil {
 		return 0
 	}
-	return r.sw.FabricStats().Units
+	return r.dep.Host.Leaf().Fabric().Stats().Units
 }
 
 // sharingWorkload abstracts which adapted-sysbench transaction runs.

@@ -87,8 +87,10 @@ func BenchmarkPoolParallelGet(b *testing.B) {
 		clk := simclock.New()
 		store := storage.New(storage.Config{})
 		ids := seed(store)
-		sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(poolPages) + 4096})
-		host := sw.AttachHost("h0")
+		host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(poolPages) + 4096}).AttachHost("h0", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		region, err := host.Allocate(clk, "db0", core.RegionSizeFor(poolPages))
 		if err != nil {
 			b.Fatal(err)

@@ -75,8 +75,10 @@ func buildCXL(t *testing.T) *rig {
 	t.Helper()
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(capacity) + 4096})
-	host := sw.AttachHost("h0")
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(capacity) + 4096}).AttachHost("h0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	region, err := host.Allocate(clk, "db0", core.RegionSizeFor(capacity))
 	if err != nil {
 		t.Fatal(err)
@@ -93,20 +95,18 @@ func buildShared(t *testing.T) *rig {
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
 	const dbpPages = 64
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: dbpPages*page.Size + 1<<17})
-	fhost := sw.AttachHost("fusion")
-	dbp, err := fhost.Allocate(clk, "dbp", dbpPages*page.Size)
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: dbpPages*page.Size + 1<<17})
+	dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fusion := sharing.NewFusion(fhost, dbp, store)
-	host := sw.AttachHost("n0")
+	fusion := dep.Fusion
 	// 16 bytes of flag words per slot: capacity slots.
-	flags, err := host.Allocate(clk, "n0-flags", capacity*16)
+	n0, err := dep.AttachPrimary(clk, "n0", 0, capacity*16, 4<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := sharing.NewSharedPool("n0", fusion, host.NewCache("n0", 4<<20), flags)
+	p := sharing.NewSharedPool("n0", fusion, n0.Cache, n0.Flags)
 	setObs := func(reg *obs.Registry) {
 		fusion.SetObserver(reg)
 		p.SetObserver(reg)

@@ -89,9 +89,6 @@ func New(area *Area, tgt flusher.Target, log *wal.Log, pol Policy) *Checkpointer
 	return &Checkpointer{area: area, tgt: tgt, log: log, pol: pol}
 }
 
-// Policy reports the effective (defaulted) policy.
-func (c *Checkpointer) Policy() Policy { return c.pol }
-
 // Area exposes the durable record (recovery rigs reattach it).
 func (c *Checkpointer) Area() *Area { return c.area }
 

@@ -139,7 +139,7 @@ func TestFsckDetectsCrashResidueAndRecoveryClearsIt(t *testing.T) {
 	}
 	// Recovery (core.Open) must leave an fsck-clean pool.
 	r.pool.Crash()
-	host2 := r.sw.AttachHost("host0")
+	host2 := r.reconnect(t)
 	clk2 := simclock.NewAt(r.clk.Now())
 	region2, err := host2.Reattach(clk2, "db0")
 	if err != nil {

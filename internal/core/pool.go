@@ -140,9 +140,6 @@ func (p *CXLPool) step(name string) error {
 	return nil
 }
 
-// NBlocks reports the pool's block count.
-func (p *CXLPool) NBlocks() int64 { return p.nblocks }
-
 // Region exposes the pool's CXL region (recovery, diagnostics).
 func (p *CXLPool) Region() *simmem.Region { return p.region }
 

@@ -15,7 +15,7 @@ import (
 )
 
 type rig struct {
-	sw    *cxl.Switch
+	topo  *cxl.Topology
 	host  *cxl.HostPort
 	cache *simcpu.Cache
 	store *storage.Store
@@ -25,8 +25,11 @@ type rig struct {
 
 func newRig(t *testing.T, nblocks int64) *rig {
 	t.Helper()
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: RegionSizeFor(nblocks) + 4096})
-	host := sw.AttachHost("host0")
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: RegionSizeFor(nblocks) + 4096})
+	host, err := topo.AttachHost("host0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clk := simclock.New()
 	region, err := host.Allocate(clk, "db0", RegionSizeFor(nblocks))
 	if err != nil {
@@ -38,7 +41,18 @@ func newRig(t *testing.T, nblocks int64) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{sw: sw, host: host, cache: cache, store: store, pool: pool, clk: clk}
+	return &rig{topo: topo, host: host, cache: cache, store: store, pool: pool, clk: clk}
+}
+
+// reconnect re-attaches host0 after a crash: the restarted process gets
+// the surviving port back.
+func (r *rig) reconnect(t *testing.T) *cxl.HostPort {
+	t.Helper()
+	h, err := r.topo.AttachHost("host0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // seed stores an initialized one-record page and returns its id.
@@ -231,7 +245,7 @@ func TestCrashMidUpdateLeavesLockedBlock(t *testing.T) {
 	r.pool.Crash()
 
 	clk2 := simclock.New()
-	host2 := r.sw.AttachHost("host0")
+	host2 := r.reconnect(t)
 	region2, err := host2.Reattach(clk2, "db0")
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +285,7 @@ func TestCrashAfterReleaseIsClean(t *testing.T) {
 	r.pool.Crash()
 
 	clk2 := simclock.New()
-	host2 := r.sw.AttachHost("host0")
+	host2 := r.reconnect(t)
 	region2, _ := host2.Reattach(clk2, "db0")
 	pool2, rep, err := Open(clk2, host2, region2, host2.NewCache("db0", 1<<20), r.store)
 	if err != nil {
@@ -328,7 +342,7 @@ func TestCrashMidLRUSpliceDetectedAndRebuilt(t *testing.T) {
 	r.pool.Crash()
 
 	clk2 := simclock.New()
-	host2 := r.sw.AttachHost("host0")
+	host2 := r.reconnect(t)
 	region2, _ := host2.Reattach(clk2, "db0")
 	pool2, rep, err := Open(clk2, host2, region2, host2.NewCache("db0", 1<<20), r.store)
 	if err != nil {
@@ -361,7 +375,7 @@ func TestOpenCleanRestartKeepsList(t *testing.T) {
 	f.Release()
 	r.pool.Crash()
 	clk2 := simclock.New()
-	host2 := r.sw.AttachHost("host0")
+	host2 := r.reconnect(t)
 	region2, _ := host2.Reattach(clk2, "db0")
 	_, rep, err := Open(clk2, host2, region2, host2.NewCache("db0", 1<<20), r.store)
 	if err != nil {
@@ -380,7 +394,7 @@ func TestRepairAndDropPage(t *testing.T) {
 	r.pool.Crash() // locked crash
 
 	clk2 := simclock.New()
-	host2 := r.sw.AttachHost("host0")
+	host2 := r.reconnect(t)
 	region2, _ := host2.Reattach(clk2, "db0")
 	pool2, rep, err := Open(clk2, host2, region2, host2.NewCache("db0", 1<<20), r.store)
 	if err != nil {
@@ -427,8 +441,10 @@ func TestRepairAndDropPage(t *testing.T) {
 }
 
 func TestOpenRejectsUnformattedRegion(t *testing.T) {
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: RegionSizeFor(2) + 4096})
-	host := sw.AttachHost("h")
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: RegionSizeFor(2) + 4096}).AttachHost("h", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clk := simclock.New()
 	region, _ := host.Allocate(clk, "x", RegionSizeFor(2))
 	if _, _, err := Open(clk, host, region, host.NewCache("x", 1<<20), storage.New(storage.Config{})); err == nil {
@@ -481,8 +497,10 @@ func TestPoolRandomWorkloadProperty(t *testing.T) {
 }
 
 func TestFormatTooSmall(t *testing.T) {
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: 1 << 16})
-	host := sw.AttachHost("h")
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 1 << 16}).AttachHost("h", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clk := simclock.New()
 	region, _ := host.Allocate(clk, "x", 64)
 	if _, err := Format(host, region, host.NewCache("x", 1<<20), storage.New(storage.Config{})); err == nil {

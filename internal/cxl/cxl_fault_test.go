@@ -8,12 +8,12 @@ import (
 )
 
 func TestHostAttachInjection(t *testing.T) {
-	sw := NewSwitch(Config{PoolBytes: 1 << 20})
-	host := sw.AttachHost("h0")
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	host := attach(t, topo, "h0")
 	clk := simclock.New()
 
 	plan := fault.NewPlan(5).CrashAt(fault.OpHostAttach, 2)
-	sw.SetInjector(plan)
+	topo.SetInjector(plan)
 	region, err := host.Allocate(clk, "db0", 4096) // attach #1
 	if err != nil {
 		t.Fatalf("allocate under unfired plan: %v", err)
@@ -30,7 +30,7 @@ func TestHostAttachInjection(t *testing.T) {
 	}
 	// The lease itself survived on the switch controller — clearing the
 	// injector models the replacement host coming up, and recovery works.
-	sw.SetInjector(nil)
+	topo.SetInjector(nil)
 	r2, err := host.Reattach(clk, "db0")
 	if err != nil {
 		t.Fatalf("reattach after recovery: %v", err)
@@ -42,18 +42,18 @@ func TestHostAttachInjection(t *testing.T) {
 }
 
 func TestHostDetachInjection(t *testing.T) {
-	sw := NewSwitch(Config{PoolBytes: 1 << 20})
-	host := sw.AttachHost("h0")
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	host := attach(t, topo, "h0")
 	clk := simclock.New()
 	if _, err := host.Allocate(clk, "db0", 4096); err != nil {
 		t.Fatal(err)
 	}
 	plan := fault.NewPlan(6).CrashAt(fault.OpHostDetach, 1)
-	sw.SetInjector(plan)
+	topo.SetInjector(plan)
 	if err := host.Release(clk, "db0"); !fault.IsCrash(err) {
 		t.Fatalf("release at crash point: want crash, got %v", err)
 	}
-	sw.SetInjector(nil)
+	topo.SetInjector(nil)
 	// The failed detach must not have freed the lease: it is still
 	// reattachable, and a clean release then succeeds.
 	if _, err := host.Reattach(clk, "db0"); err != nil {

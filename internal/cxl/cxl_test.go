@@ -54,9 +54,19 @@ func TestCalibrationTable2Echo(t *testing.T) {
 	}
 }
 
+// attach connects name to leaf 0 of topo, failing the test on error.
+func attach(t *testing.T, topo *Topology, name string) *HostPort {
+	t.Helper()
+	h, err := topo.AttachHost(name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestAllocateIsolatesClients(t *testing.T) {
-	s := NewSwitch(Config{PoolBytes: 1 << 20})
-	h := s.AttachHost("host0")
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	h := attach(t, topo, "host0")
 	clk := simclock.New()
 	a, err := h.Allocate(clk, "node-a", 1000)
 	if err != nil {
@@ -84,8 +94,8 @@ func TestAllocateIsolatesClients(t *testing.T) {
 func TestAllocationNonOverlapProperty(t *testing.T) {
 	// Property: any sequence of alloc/free keeps all live leases disjoint.
 	f := func(sizes []uint16, frees []uint8) bool {
-		s := NewSwitch(Config{PoolBytes: 1 << 22})
-		m := s.Manager()
+		topo := NewTopology(TopologyConfig{PoolBytes: 1 << 22})
+		m := topo.Leaf(0).Box().Manager()
 		names := []string{}
 		for i, sz := range sizes {
 			n := len(names)
@@ -125,9 +135,9 @@ func TestAllocationNonOverlapProperty(t *testing.T) {
 }
 
 func TestReattachAfterCrash(t *testing.T) {
-	s := NewSwitch(Config{PoolBytes: 1 << 20})
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
 	clk := simclock.New()
-	h := s.AttachHost("host0")
+	h := attach(t, topo, "host0")
 	r, err := h.Allocate(clk, "db1", 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +147,7 @@ func TestReattachAfterCrash(t *testing.T) {
 	}
 	// Crash: the host object and region view are dropped; the process
 	// restarts, reattaches the same host port and lease.
-	h2 := s.AttachHost("host0")
+	h2 := attach(t, topo, "host0")
 	r2, err := h2.Reattach(clk, "db1")
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +165,8 @@ func TestReattachAfterCrash(t *testing.T) {
 }
 
 func TestAllocateErrors(t *testing.T) {
-	s := NewSwitch(Config{PoolBytes: 4096})
-	m := s.Manager()
+	topo := NewTopology(TopologyConfig{PoolBytes: 4096})
+	m := topo.Leaf(0).Box().Manager()
 	if _, err := m.Allocate("x", 0); err == nil {
 		t.Fatal("zero-size allocation accepted")
 	}
@@ -178,8 +188,8 @@ func TestAllocateErrors(t *testing.T) {
 }
 
 func TestFirstFitReusesFreedGap(t *testing.T) {
-	s := NewSwitch(Config{PoolBytes: 3000})
-	m := s.Manager()
+	topo := NewTopology(TopologyConfig{PoolBytes: 3000})
+	m := topo.Leaf(0).Box().Manager()
 	if _, err := m.Allocate("a", 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +215,8 @@ func TestFirstFitReusesFreedGap(t *testing.T) {
 }
 
 func TestTransferChargesLinkAndFabric(t *testing.T) {
-	s := NewSwitch(Config{PoolBytes: 1 << 20})
-	h := s.AttachHost("h")
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	h := attach(t, topo, "h")
 	clk := simclock.New()
 	h.TransferRead(clk, 16384)
 	if clk.Now() < ReadTransfer.Cost(16384) {
@@ -215,19 +225,19 @@ func TestTransferChargesLinkAndFabric(t *testing.T) {
 	if h.Link().Stats().Units != 16384 {
 		t.Fatalf("link saw %d bytes", h.Link().Stats().Units)
 	}
-	if s.FabricStats().Units != 16384 {
-		t.Fatalf("fabric saw %d bytes", s.FabricStats().Units)
+	if topo.Leaf(0).Fabric().Stats().Units != 16384 {
+		t.Fatalf("fabric saw %d bytes", topo.Leaf(0).Fabric().Stats().Units)
 	}
-	s.ResetStats()
-	if s.FabricStats().Units != 0 || h.Link().Stats().Units != 0 {
+	topo.ResetStats()
+	if topo.Leaf(0).Fabric().Stats().Units != 0 || h.Link().Stats().Units != 0 {
 		t.Fatal("ResetStats did not clear")
 	}
 }
 
 func TestAttachHostIdempotent(t *testing.T) {
-	s := NewSwitch(Config{PoolBytes: 1 << 16})
-	a := s.AttachHost("h1")
-	b := s.AttachHost("h1")
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 16})
+	a := attach(t, topo, "h1")
+	b := attach(t, topo, "h1")
 	if a != b {
 		t.Fatal("re-attach created a new port")
 	}
@@ -237,8 +247,8 @@ func TestAttachHostIdempotent(t *testing.T) {
 }
 
 func TestHostCacheWiredToLink(t *testing.T) {
-	s := NewSwitch(Config{PoolBytes: 1 << 20})
-	h := s.AttachHost("h")
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	h := attach(t, topo, "h")
 	clk := simclock.New()
 	reg, err := h.Allocate(clk, "db", 4096)
 	if err != nil {

@@ -388,6 +388,57 @@ func TestInjectedRouteFaults(t *testing.T) {
 	}
 }
 
+// TestLeafXbarFaults drives a leaf crossbar's health machine through the
+// leaf-xbar fault op (the only way to fault a crossbar): ErrDegrade slows an
+// intra-leaf transfer by exactly (DegradeFactor-1) crossbar service times,
+// ErrLinkFlap makes the route unreachable until the crossbar self-repairs,
+// and ErrLinkDown keeps it unreachable for good.
+func TestLeafXbarFaults(t *testing.T) {
+	const n = int64(1 << 20)
+	_, h0, c0 := threeLeaf(t, 0)
+	start := c0.Now()
+	if err := h0.TransferWrite(c0, n); err != nil {
+		t.Fatal(err)
+	}
+	base := c0.Now() - start
+
+	topo, h, clk := threeLeaf(t, 0)
+	topo.SetInjector(fault.NewPlan(50).DegradeAt(fault.OpLeafXbar, 1))
+	start = clk.Now()
+	if err := h.TransferWrite(clk, n); err != nil {
+		t.Fatalf("degrade-injected transfer should still complete: %v", err)
+	}
+	want := topo.Leaf(0).Fabric().ServiceTime(n) * (DefaultDegradeFactor - 1)
+	if extra := clk.Now() - start - base; extra != want {
+		t.Fatalf("degraded crossbar extra = %d ns, want %d", extra, want)
+	}
+	if st := topo.Leaf(0).health.observe(clk.Now()); st != Degraded {
+		t.Fatalf("crossbar after ErrDegrade: %v", st)
+	}
+
+	topo, h, clk = threeLeaf(t, 0)
+	topo.SetInjector(fault.NewPlan(51).FlapAt(fault.OpLeafXbar, 1))
+	err := h.TransferWrite(clk, 4096)
+	var ue *UnreachableError
+	if !errors.As(err, &ue) || ue.Component != "cxl-fabric/leaf0" {
+		t.Fatalf("transfer through flapped crossbar: %v", err)
+	}
+	clk.Advance(DefaultRepairNanos)
+	if err := h.TransferWrite(clk, 4096); err != nil {
+		t.Fatalf("transfer after crossbar repair: %v", err)
+	}
+
+	topo, h, clk = threeLeaf(t, 0)
+	topo.SetInjector(fault.NewPlan(52).FailAt(fault.OpLeafXbar, 1, fault.ErrLinkDown))
+	if err := h.TransferWrite(clk, 4096); !errors.Is(err, ErrFabricUnreachable) {
+		t.Fatalf("transfer through downed crossbar: %v", err)
+	}
+	clk.Advance(100 * (DefaultRepairNanos + DefaultProbationNanos))
+	if err := h.TransferWrite(clk, 4096); !errors.Is(err, ErrFabricUnreachable) {
+		t.Fatalf("persistently downed crossbar self-repaired: %v", err)
+	}
+}
+
 func TestBoxPowerLoss(t *testing.T) {
 	topo, h, clk := threeLeaf(t, 1)
 	dev := topo.Leaf(1).Box().Device()

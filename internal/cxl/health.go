@@ -9,11 +9,12 @@ package cxl
 //	   ^________________________________|
 //
 // driven by injected faults (fault.ErrDegrade / ErrLinkFlap / ErrLinkDown at
-// the route-resolution ops) or by the Topology chaos APIs. Transitions are
-// purely virtual-time: a flapped component self-repairs RepairNanos after
-// the failure, then runs a ProbationNanos observation window before being
-// trusted as Healthy again; a component downed persistently (ErrLinkDown,
-// FailTrunk/FailLeaf) stays Failed until an explicit Restore. Degraded
+// the route-resolution ops) or, for trunks, by the Topology chaos APIs.
+// Transitions are purely virtual-time: a flapped component self-repairs
+// RepairNanos after the failure, then runs a ProbationNanos observation
+// window before being trusted as Healthy again; a component downed
+// persistently (ErrLinkDown, FailTrunk) stays Failed until an explicit
+// RestoreTrunk (a leaf crossbar has no restore API). Degraded
 // components stay reachable but serve at 1/DegradeFactor of their bandwidth
 // (extra fixed occupancy on the queueing resource), and every degraded
 // traversal increments the per-tier cxl.fabric.degraded.* counters.

@@ -6,85 +6,10 @@ import (
 	"sync"
 
 	"polarcxlmem/internal/fault"
-	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/simcpu"
 	"polarcxlmem/internal/simmem"
 )
-
-// Config parameterizes a single-switch deployment: one leaf, one memory box,
-// no spine. Multi-switch deployments use TopologyConfig directly.
-type Config struct {
-	PoolBytes  int64   // memory-box capacity; 0 = DefaultPoolBytes
-	FabricBW   float64 // switch fabric bytes/s; 0 = FabricBandwidth
-	HostLinkBW float64 // per-host link bytes/s; 0 = HostLinkBandwidth
-	RPCNanos   int64   // manager RPC round trip; 0 = ManagerRPCNanos
-	Profile    simmem.Profile
-}
-
-// Switch is the single-switch view over one leaf of a Topology: the legacy
-// API every single-fabric deployment uses. The leaf's memory device and the
-// manager's allocation state live on the topology, powered independently of
-// any host: a host crash never disturbs them (§3.2).
-type Switch struct {
-	leaf *Leaf
-}
-
-// NewSwitch builds a one-leaf topology with cfg (zero fields get calibrated
-// defaults) and returns its switch view.
-func NewSwitch(cfg Config) *Switch {
-	t := NewTopology(TopologyConfig{
-		Leaves:     1,
-		PoolBytes:  cfg.PoolBytes,
-		LeafBW:     cfg.FabricBW,
-		HostLinkBW: cfg.HostLinkBW,
-		RPCNanos:   cfg.RPCNanos,
-		Profile:    cfg.Profile,
-	})
-	return t.Switch(0)
-}
-
-// Topology exposes the fabric this switch is a leaf of.
-func (s *Switch) Topology() *Topology { return s.leaf.topo }
-
-// Leaf exposes the underlying leaf.
-func (s *Switch) Leaf() *Leaf { return s.leaf }
-
-// Device exposes the pooled memory device (diagnostics, recovery scans).
-func (s *Switch) Device() *simmem.Device { return s.leaf.box.dev }
-
-// FabricStats reports traffic through this leaf's switch fabric.
-func (s *Switch) FabricStats() simclock.ResourceStats { return s.leaf.fabric.Stats() }
-
-// ResetStats clears accounting between experiment phases: this topology's
-// fabrics, trunks, host links, and the manager RPC fabrics.
-func (s *Switch) ResetStats() { s.leaf.topo.ResetStats() }
-
-// Manager exposes the memory manager (direct, non-RPC access for tools).
-func (s *Switch) Manager() *Manager { return s.leaf.box.mgr }
-
-// SetInjector installs (or, with nil, removes) the fault injector consulted
-// at the topology's host attach/detach points (HostPort Allocate, Reattach,
-// Release). Injection on the pooled memory itself is installed separately
-// via Device().SetInjector, so recovery code can keep the region healthy
-// while region-mapping RPCs fail, or vice versa.
-func (s *Switch) SetInjector(inj fault.Injector) { s.leaf.topo.SetInjector(inj) }
-
-// SetObserver threads reg through the topology's substrates; see
-// Topology.SetObserver for the metric inventory.
-func (s *Switch) SetObserver(reg *obs.Registry) { s.leaf.topo.SetObserver(reg) }
-
-// AttachHost connects a host to this leaf, creating its x16 link. Attaching
-// an already-attached name returns the existing port (reconnect after
-// crash). It panics on a misconfigured topology (port capacity exhausted);
-// capacity-aware callers use Topology.AttachHost, which returns the error.
-func (s *Switch) AttachHost(name string) *HostPort {
-	h, err := s.leaf.topo.AttachHost(name, s.leaf.idx)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
 
 // HostPort is one host's attachment to a leaf switch. Its allocations live
 // on a home memory box — its own leaf's box by default, or another leaf's

@@ -13,8 +13,8 @@ import (
 )
 
 // TopologyConfig declares a leaf/spine CXL fabric. The zero value (or
-// Leaves <= 1) is a single-switch deployment identical to the pre-topology
-// Switch: one leaf, one memory box, no spine, no inter-switch links.
+// Leaves <= 1) is a single-switch deployment: one leaf, one memory box, no
+// spine, no inter-switch links.
 type TopologyConfig struct {
 	// Leaves is the number of leaf switches, each with its own memory box.
 	// 0 or 1 = single switch (no spine tier is built).
@@ -270,10 +270,6 @@ func (t *Topology) Leaf(i int) *Leaf { return t.leaves[i] }
 // Spine exposes the spine crossbar resource (nil for single-leaf).
 func (t *Topology) Spine() *simclock.Resource { return t.spine }
 
-// Switch returns the single-switch view over leaf i: the legacy API
-// (Device, Manager, AttachHost, FabricStats) scoped to that leaf.
-func (t *Topology) Switch(i int) *Switch { return &Switch{leaf: t.leaves[i]} }
-
 // AttachHost connects a host to leaf switch leaf, creating its x16 link.
 // Attaching an already-attached name returns the existing port regardless of
 // leaf (reconnect after crash). It fails when leaf is out of range or the
@@ -445,31 +441,6 @@ func (t *Topology) RestoreTrunk(now int64, leaf int) {
 // TrunkState reports leaf's trunk health at now.
 func (t *Topology) TrunkState(now int64, leaf int) HealthState {
 	return t.trunk(leaf).health.observe(now)
-}
-
-// FailLeaf downs leaf's crossbar persistently: every data route through the
-// leaf — hosts attached to it and allocations homed on it — is unreachable
-// until RestoreLeaf.
-func (t *Topology) FailLeaf(now int64, leaf int) {
-	t.armChaos()
-	t.leaves[leaf].health.fail(now, true)
-}
-
-// DegradeLeaf reduces leaf's crossbar to 1/DegradeFactor of its bandwidth.
-func (t *Topology) DegradeLeaf(now int64, leaf int) {
-	t.armChaos()
-	t.leaves[leaf].health.degrade(now)
-}
-
-// RestoreLeaf repairs leaf's crossbar into probation.
-func (t *Topology) RestoreLeaf(now int64, leaf int) {
-	t.armChaos()
-	t.leaves[leaf].health.restore(now)
-}
-
-// LeafState reports leaf's crossbar health at now.
-func (t *Topology) LeafState(now int64, leaf int) HealthState {
-	return t.leaves[leaf].health.observe(now)
 }
 
 // FailBox power-fails leaf's memory box: device contents become unreachable

@@ -110,9 +110,6 @@ func New(tgt Target, pol Policy, redoBytes func() int64) *Flusher {
 	return &Flusher{tgt: tgt, pol: pol, redo: redoBytes}
 }
 
-// Policy reports the effective (defaulted) policy.
-func (f *Flusher) Policy() Policy { return f.pol }
-
 // Runs reports how many flush runs have executed.
 func (f *Flusher) Runs() int64 { return f.runs.Load() }
 

@@ -24,7 +24,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -308,21 +307,6 @@ func (r *Registry) WriteTrace(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// CounterNames lists the registered counter names, sorted (test helper).
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // mix64 is a splitmix64 finalizer: the deterministic sampling hash.

@@ -62,8 +62,11 @@ var checkpointSweepPolicy = checkpoint.Policy{
 // checkpointSweepRun is one (seed, crashIndex) experiment with fuzzy
 // checkpointing enabled end to end.
 func checkpointSweepRun(plan *fault.Plan) error {
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096})
-	host := sw.AttachHost("h0")
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096})
+	host, err := topo.AttachHost("h0", 0)
+	if err != nil {
+		return err
+	}
 	clk := simclock.New()
 	region, err := host.Allocate(clk, "db0", core.RegionSizeFor(sweepBlocks))
 	if err != nil {
@@ -123,7 +126,7 @@ func checkpointSweepRun(plan *fault.Plan) error {
 	// No explicit Engine.Checkpoint anywhere: the fuzzy checkpointer owns
 	// checkpointing AND log truncation for this rig, start to finish.
 
-	sw.Device().SetInjector(plan)
+	topo.Leaf(0).Box().Device().SetInjector(plan)
 	workErr := func() (retErr error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -184,7 +187,7 @@ func checkpointSweepRun(plan *fault.Plan) error {
 		return nil
 	}()
 	plan.Disarm()
-	sw.Device().SetInjector(nil)
+	topo.Leaf(0).Box().Device().SetInjector(nil)
 	if workErr != nil {
 		return workErr
 	}
@@ -201,7 +204,10 @@ func checkpointSweepRun(plan *fault.Plan) error {
 
 	_ = pool
 	clk2 := simclock.NewAt(clk.Now())
-	host2 := sw.AttachHost("h0")
+	host2, err := topo.AttachHost("h0", 0)
+	if err != nil {
+		return err
+	}
 	region2, err := host2.Reattach(clk2, "db0")
 	if err != nil {
 		return err

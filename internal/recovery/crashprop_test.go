@@ -207,7 +207,10 @@ func TestRecoveryIsRepeatable(t *testing.T) {
 	// Immediately crash again without any new work.
 	pool2.Crash()
 	clk3 := simclock.NewAt(res1.DoneNanos)
-	host3 := r.sw.AttachHost("h0")
+	host3, err := r.topo.AttachHost("h0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	region3, err := host3.Reattach(clk3, "db0")
 	if err != nil {
 		t.Fatal(err)

@@ -43,8 +43,11 @@ var batchedPipelinePolicy = flusher.Policy{
 // batchedPipelineSweepRun is one (seed, crashIndex) experiment with the
 // commit pipeline enabled end to end.
 func batchedPipelineSweepRun(plan *fault.Plan) error {
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096})
-	host := sw.AttachHost("h0")
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096})
+	host, err := topo.AttachHost("h0", 0)
+	if err != nil {
+		return err
+	}
 	clk := simclock.New()
 	region, err := host.Allocate(clk, "db0", core.RegionSizeFor(sweepBlocks))
 	if err != nil {
@@ -94,7 +97,7 @@ func batchedPipelineSweepRun(plan *fault.Plan) error {
 		return err
 	}
 
-	sw.Device().SetInjector(plan)
+	topo.Leaf(0).Box().Device().SetInjector(plan)
 	workErr := func() (retErr error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -165,14 +168,17 @@ func batchedPipelineSweepRun(plan *fault.Plan) error {
 		return nil
 	}()
 	plan.Disarm()
-	sw.Device().SetInjector(nil)
+	topo.Leaf(0).Box().Device().SetInjector(nil)
 	if workErr != nil {
 		return workErr
 	}
 
 	_ = pool
 	clk2 := simclock.NewAt(clk.Now())
-	host2 := sw.AttachHost("h0")
+	host2, err := topo.AttachHost("h0", 0)
+	if err != nil {
+		return err
+	}
 	region2, err := host2.Reattach(clk2, "db0")
 	if err != nil {
 		return err

@@ -34,7 +34,7 @@ func checkRedo(t *testing.T, res *Result) {
 // --- CXL rig ---------------------------------------------------------------
 
 type cxlRig struct {
-	sw     *cxl.Switch
+	topo   *cxl.Topology
 	host   *cxl.HostPort
 	region *simmem.Region
 	cache  *simcpu.Cache
@@ -47,8 +47,11 @@ type cxlRig struct {
 
 func newCXLRig(t *testing.T, nblocks int64) *cxlRig {
 	t.Helper()
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(nblocks) + 4096})
-	host := sw.AttachHost("h0")
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(nblocks) + 4096})
+	host, err := topo.AttachHost("h0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clk := simclock.New()
 	region, err := host.Allocate(clk, "db0", core.RegionSizeFor(nblocks))
 	if err != nil {
@@ -65,7 +68,7 @@ func newCXLRig(t *testing.T, nblocks int64) *cxlRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &cxlRig{sw: sw, host: host, region: region, cache: cache, store: store, ws: ws, pool: pool, eng: eng, clk: clk}
+	return &cxlRig{topo: topo, host: host, region: region, cache: cache, store: store, ws: ws, pool: pool, eng: eng, clk: clk}
 }
 
 // crashAndRecover simulates the host failure and runs PolarRecv.
@@ -75,7 +78,10 @@ func (r *cxlRig) crashAndRecover(t *testing.T) (*core.CXLPool, *txn.Engine, *Res
 	// Virtual time is global: the restarted instance continues the timeline
 	// from the crash instant (shared devices keep their queue state).
 	clk2 := simclock.NewAt(r.clk.Now())
-	host2 := r.sw.AttachHost("h0")
+	host2, err := r.topo.AttachHost("h0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	region2, err := host2.Reattach(clk2, "db0")
 	if err != nil {
 		t.Fatal(err)

@@ -53,9 +53,6 @@ func ScanRedo(clk *simclock.Clock, ws *wal.Store) (*RedoSet, error) {
 	return &RedoSet{a: a, durable: ws.DurableLSN()}, nil
 }
 
-// Records reports how many page records the scan indexed.
-func (rs *RedoSet) Records() int { return rs.a.records }
-
 // RebuildPage reconstructs page id's last committed image: storage base
 // (when present) plus every committed, durable log record for the page, in
 // LSN order. known=false means the page has no durable history at all — it

@@ -28,8 +28,11 @@ import (
 func sloRun(t *testing.T, rounds int, withCkpt bool) (redoRecords int, walBytes int64) {
 	t.Helper()
 	const nblocks = 192
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(nblocks) + 4096})
-	host := sw.AttachHost("h0")
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(nblocks) + 4096})
+	host, err := topo.AttachHost("h0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clk := simclock.New()
 	region, err := host.Allocate(clk, "db0", core.RegionSizeFor(nblocks))
 	if err != nil {
@@ -97,7 +100,10 @@ func sloRun(t *testing.T, rounds int, withCkpt bool) (redoRecords int, walBytes 
 
 	pool.Crash()
 	clk2 := simclock.NewAt(clk.Now())
-	host2 := sw.AttachHost("h0")
+	host2, err := topo.AttachHost("h0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	region2, err := host2.Reattach(clk2, "db0")
 	if err != nil {
 		t.Fatal(err)

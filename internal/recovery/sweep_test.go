@@ -38,8 +38,11 @@ const (
 // workload under the plan, host death, PolarRecv, invariant checks. It
 // returns an error (never t.Fatal) so the harness can attach the repro pair.
 func polarRecvSweepRun(plan *fault.Plan) error {
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096})
-	host := sw.AttachHost("h0")
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096})
+	host, err := topo.AttachHost("h0", 0)
+	if err != nil {
+		return err
+	}
 	clk := simclock.New()
 	region, err := host.Allocate(clk, "db0", core.RegionSizeFor(sweepBlocks))
 	if err != nil {
@@ -87,7 +90,7 @@ func polarRecvSweepRun(plan *fault.Plan) error {
 		return err
 	}
 
-	sw.Device().SetInjector(plan)
+	topo.Leaf(0).Box().Device().SetInjector(plan)
 	workErr := func() (retErr error) {
 		defer func() {
 			// Pool metadata accessors panic on device errors; an injected
@@ -155,7 +158,7 @@ func polarRecvSweepRun(plan *fault.Plan) error {
 		return nil
 	}()
 	plan.Disarm()
-	sw.Device().SetInjector(nil)
+	topo.Leaf(0).Box().Device().SetInjector(nil)
 	if workErr != nil {
 		return workErr
 	}
@@ -166,7 +169,10 @@ func polarRecvSweepRun(plan *fault.Plan) error {
 	// through its mutexes — and only the CXL region and the WAL survive.
 	_ = pool
 	clk2 := simclock.NewAt(clk.Now())
-	host2 := sw.AttachHost("h0")
+	host2, err := topo.AttachHost("h0", 0)
+	if err != nil {
+		return err
+	}
 	region2, err := host2.Reattach(clk2, "db0")
 	if err != nil {
 		return err

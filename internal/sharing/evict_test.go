@@ -7,24 +7,33 @@ import (
 	"testing"
 
 	"polarcxlmem/internal/buffer"
+	"polarcxlmem/internal/cxl"
 	"polarcxlmem/internal/fault"
 	"polarcxlmem/internal/page"
+	"polarcxlmem/internal/simclock"
+	"polarcxlmem/internal/simmem"
 	"polarcxlmem/internal/txn"
 )
 
 // Eviction of a crashed primary: lock reclamation, PolarRecv-style frame
 // rebuild, and the crash-point sweep over EvictNode itself.
 
-// attachLockTable gives a rig's fusion server its CXL-durable lock table.
-func attachLockTable(t *testing.T, r *rig) {
+// attachLockTable gives fusion its CXL-durable lock table, allocated by a
+// separate host on leaf 0 of topo, and returns the table's region.
+func attachLockTable(t *testing.T, clk *simclock.Clock, topo *cxl.Topology, fusion *Fusion) *simmem.Region {
 	t.Helper()
-	lt, err := r.sw.AttachHost("lt-host").Allocate(r.clk, "lock-table", int64(r.fusion.CapacityPages())*8)
+	h, err := topo.AttachHost("lt-host", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.fusion.AttachLockTable(lt); err != nil {
+	lt, err := h.Allocate(clk, "lock-table", int64(fusion.CapacityPages())*8)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := fusion.AttachLockTable(lt); err != nil {
+		t.Fatal(err)
+	}
+	return lt
 }
 
 // TestEnginesSurvivePrimaryCrashMidWriteLock is the end-to-end acceptance
@@ -36,13 +45,7 @@ func attachLockTable(t *testing.T, r *rig) {
 func TestEnginesSurvivePrimaryCrashMidWriteLock(t *testing.T) {
 	r := newMPRig(t, 2, 256)
 	r.fusion.SetRecoverySource(r.ws)
-	lt, err := r.sw.AttachHost("lt-host").Allocate(r.clk, "lock-table", int64(r.fusion.CapacityPages())*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.fusion.AttachLockTable(lt); err != nil {
-		t.Fatal(err)
-	}
+	lt := attachLockTable(t, r.clk, r.topo, r.fusion)
 
 	tr0, err := r.engines[0].CreateTable(r.clk, "shared")
 	if err != nil {
@@ -181,7 +184,7 @@ type evictSweepState struct {
 func newEvictSweepState(t *testing.T) *evictSweepState {
 	t.Helper()
 	r := newRig(t, 8, 2, 16)
-	attachLockTable(t, r)
+	attachLockTable(t, r.clk, r.topo, r.fusion)
 	st := &evictSweepState{r: r}
 	for i := 0; i < 3; i++ {
 		pid := r.seedPage(t, byte(0x11*(i+1)))
@@ -263,12 +266,12 @@ func TestEvictNodeCrashPointSweep(t *testing.T) {
 	// Clean pass, counting the CXL writes of a full eviction.
 	st := newEvictSweepState(t)
 	counter := fault.NewPlan(evictSweepSeed)
-	st.r.sw.Device().SetInjector(counter)
+	st.r.topo.Leaf(0).Box().Device().SetInjector(counter)
 	if err := st.r.fusion.EvictNode(st.r.clk, "node-1"); err != nil {
 		t.Fatalf("clean eviction: %v", err)
 	}
 	total := counter.Count(fault.OpMemWrite)
-	st.r.sw.Device().SetInjector(nil)
+	st.r.topo.Leaf(0).Box().Device().SetInjector(nil)
 	st.verify(t, "clean")
 	if total == 0 {
 		t.Fatal("eviction performed no CXL writes; the sweep would be vacuous")
@@ -278,7 +281,7 @@ func TestEvictNodeCrashPointSweep(t *testing.T) {
 	for i := int64(1); i <= total; i++ {
 		st := newEvictSweepState(t)
 		plan := fault.NewPlan(evictSweepSeed).CrashAt(fault.OpMemWrite, i)
-		dev := st.r.sw.Device()
+		dev := st.r.topo.Leaf(0).Box().Device()
 		dev.SetInjector(plan)
 		err := st.r.fusion.EvictNode(st.r.clk, "node-1")
 		if plan.Crashed() == nil {

@@ -155,10 +155,11 @@ func (f *Fusion) SetObserver(reg *obs.Registry) {
 // protocol code emits through this so the whole cluster shares one stream.
 func (f *Fusion) obsState() *fusionObs { return f.obsP.Load() }
 
-// NewFusion builds a fusion server over a CXL region, backed by store for
+// newFusion builds a fusion server over a CXL region, backed by store for
 // page load and recycle write-back. host is the fusion server's own switch
-// attachment, charged for its bulk page staging.
-func NewFusion(host *cxl.HostPort, region *simmem.Region, store *storage.Store) *Fusion {
+// attachment, charged for its bulk page staging. NewDeployment is its one
+// caller.
+func newFusion(host *cxl.HostPort, region *simmem.Region, store *storage.Store) *Fusion {
 	return &Fusion{
 		host:    host,
 		region:  region,

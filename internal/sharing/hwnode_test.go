@@ -16,7 +16,7 @@ import (
 // hwRig builds a CXL 3.0 deployment: all node caches share one coherency
 // domain.
 type hwRig struct {
-	sw     *cxl.Switch
+	topo   *cxl.Topology
 	fusion *Fusion
 	nodes  []*HWNode
 	store  *storage.Store
@@ -27,27 +27,22 @@ func newHWRig(t *testing.T, dbpPages, nnodes int) *hwRig {
 	t.Helper()
 	dbpBytes := int64(dbpPages) * page.Size
 	flagBytes := int64(64) * flagEntrySize
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: dbpBytes + int64(nnodes)*flagBytes + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: dbpBytes + int64(nnodes)*flagBytes + 4096})
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
-	fhost := sw.AttachHost("fusion-host")
-	dbp, err := fhost.Allocate(clk, "dbp", dbpBytes)
+	dep, err := NewDeployment(clk, topo, "fusion-host", dbpPages, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fusion := NewFusion(fhost, dbp, store)
 	dom := simcpu.NewDomain(0)
-	r := &hwRig{sw: sw, fusion: fusion, store: store, clk: clk}
+	r := &hwRig{topo: topo, fusion: dep.Fusion, store: store, clk: clk}
 	for i := 0; i < nnodes; i++ {
-		name := fmt.Sprintf("hw-%d", i)
-		host := sw.AttachHost(name)
-		flags, err := host.Allocate(clk, name+"-flags", flagBytes)
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf("hw-%d", i), 0, flagBytes, 4<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache := host.NewCache(name, 4<<20)
-		dom.Attach(cache)
-		r.nodes = append(r.nodes, NewHWNode(name, fusion, cache, flags))
+		dom.Attach(p.Cache)
+		r.nodes = append(r.nodes, NewHWNode(p.Name, dep.Fusion, p.Cache, p.Flags))
 	}
 	return r
 }

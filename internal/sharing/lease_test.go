@@ -136,13 +136,7 @@ func TestCrossedPagePairDeadlock(t *testing.T) {
 // rejoins.
 func TestLeaseReclaimWithinInterval(t *testing.T) {
 	r := newRig(t, 4, 2, 16)
-	lt, err := r.sw.AttachHost("lt-host").Allocate(r.clk, "lock-table", int64(r.fusion.CapacityPages())*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.fusion.AttachLockTable(lt); err != nil {
-		t.Fatal(err)
-	}
+	attachLockTable(t, r.clk, r.topo, r.fusion)
 	pid := r.seedPage(t, 0x01)
 	buf := make([]byte, 8)
 	for _, n := range r.nodes {

@@ -17,7 +17,7 @@ import (
 // mpRig is a full multi-primary deployment: N transaction engines over one
 // shared DBP, one shared storage volume, one global log stream.
 type mpRig struct {
-	sw      *cxl.Switch
+	topo    *cxl.Topology
 	fusion  *Fusion
 	store   *storage.Store
 	ws      *wal.Store
@@ -31,24 +31,20 @@ func newMPRig(t *testing.T, nodes, dbpPages int) *mpRig {
 	t.Helper()
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: int64(dbpPages)*page.Size + int64(nodes+1)*(1<<17)})
-	fhost := sw.AttachHost("fusion")
-	dbp, err := fhost.Allocate(clk, "dbp", int64(dbpPages)*page.Size)
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nodes+1)*(1<<17)})
+	dep, err := NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fusion := NewFusion(fhost, dbp, store)
 	ws := wal.NewStore(0, 0)
 	log := wal.Attach(ws)
-	r := &mpRig{sw: sw, fusion: fusion, store: store, ws: ws, log: log, clk: clk}
+	r := &mpRig{topo: topo, fusion: dep.Fusion, store: store, ws: ws, log: log, clk: clk}
 	for i := 0; i < nodes; i++ {
-		name := fmt.Sprintf("mp-%d", i)
-		host := sw.AttachHost(name)
-		flags, err := host.Allocate(clk, name+"-flags", 1<<17)
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf("mp-%d", i), 0, 1<<17, 4<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := NewSharedPool(name, fusion, host.NewCache(name, 4<<20), flags)
+		pool := NewSharedPool(p.Name, dep.Fusion, p.Cache, p.Flags)
 		var eng *txn.Engine
 		if i == 0 {
 			eng, err = txn.Bootstrap(clk, pool, log, store)

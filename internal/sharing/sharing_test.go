@@ -15,7 +15,7 @@ import (
 
 // rig builds a fusion server with DBP capacity frames and n CXL nodes.
 type rig struct {
-	sw     *cxl.Switch
+	topo   *cxl.Topology
 	fusion *Fusion
 	nodes  []*Node
 	store  *storage.Store
@@ -26,27 +26,21 @@ func newRig(t *testing.T, dbpPages, nnodes, slots int) *rig {
 	t.Helper()
 	dbpBytes := int64(dbpPages) * page.Size
 	flagBytes := int64(slots) * flagEntrySize
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: dbpBytes + int64(nnodes)*flagBytes + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: dbpBytes + int64(nnodes)*flagBytes + 4096})
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
 
-	fhost := sw.AttachHost("fusion-host")
-	dbpRegion, err := fhost.Allocate(clk, "dbp", dbpBytes)
+	dep, err := NewDeployment(clk, topo, "fusion-host", dbpPages, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fusion := NewFusion(fhost, dbpRegion, store)
-
-	r := &rig{sw: sw, fusion: fusion, store: store, clk: clk}
+	r := &rig{topo: topo, fusion: dep.Fusion, store: store, clk: clk}
 	for i := 0; i < nnodes; i++ {
-		name := fmt.Sprintf("node-%d", i)
-		host := sw.AttachHost(name)
-		flagRegion, err := host.Allocate(clk, name+"-flags", flagBytes)
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf("node-%d", i), 0, flagBytes, 4<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache := host.NewCache(name, 4<<20)
-		r.nodes = append(r.nodes, NewNode(name, fusion, cache, flagRegion))
+		r.nodes = append(r.nodes, NewNode(p.Name, dep.Fusion, p.Cache, p.Flags))
 	}
 	return r
 }
@@ -330,11 +324,11 @@ func TestSyncGranularityAmplification(t *testing.T) {
 	buf := make([]byte, 8)
 	rc.nodes[0].Read(rc.clk, pid, 4096, buf)
 	rc.nodes[1].Read(rc.clk, pid, 4096, buf)
-	linkBefore := rc.sw.FabricStats().Units
+	linkBefore := rc.topo.Leaf(0).Fabric().Stats().Units
 	if err := rc.nodes[0].Write(rc.clk, pid, 4096, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	cxlBytes := rc.sw.FabricStats().Units - linkBefore
+	cxlBytes := rc.topo.Leaf(0).Fabric().Stats().Units - linkBefore
 
 	rr := newRDMARig(t, 8, 2, 4)
 	rpid := rr.seedPage(t, 0)

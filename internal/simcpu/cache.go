@@ -99,20 +99,10 @@ type Interconnect interface {
 	Use(clk *simclock.Clock, units int64)
 }
 
-// SetLink attaches a shared interconnect resource (e.g., the host's x16 CXL
-// link) that is charged one line of traffic on every fill and write-back.
-// Must be called before the cache is shared across goroutines.
-func (c *Cache) SetLink(link *simclock.Resource) {
-	if link == nil {
-		c.link = nil // avoid a typed-nil Interconnect that would be "!= nil"
-		return
-	}
-	c.link = link
-}
-
-// SetInterconnect attaches a composed interconnect (e.g., a cross-switch
-// route) charged like SetLink's resource. ic must not be a typed nil.
-// Must be called before the cache is shared across goroutines.
+// SetInterconnect attaches the host's interconnect (e.g., its CXL link plus
+// any cross-switch route), charged one line of traffic on every fill and
+// write-back. ic must not be a typed nil. Must be called before the cache is
+// shared across goroutines.
 func (c *Cache) SetInterconnect(ic Interconnect) { c.link = ic }
 
 // SetInjector installs (or, with nil, removes) the fault injector consulted
@@ -127,9 +117,6 @@ func (c *Cache) SetInjector(inj fault.Injector) {
 
 // Name reports the cache name.
 func (c *Cache) Name() string { return c.name }
-
-// CapacityLines reports the capacity in lines.
-func (c *Cache) CapacityLines() int { return c.capacity }
 
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats {

@@ -91,9 +91,6 @@ func NewDaemon(heat *Heat, mover Mover, cfg Config) *Daemon {
 	return &Daemon{cfg: cfg.withDefaults(), heat: heat, mover: mover}
 }
 
-// Config reports the effective (defaulted) config.
-func (d *Daemon) Config() Config { return d.cfg }
-
 // Heat returns the daemon's heat map (the facade wires it to dataplane
 // tenant binding).
 func (d *Daemon) Heat() *Heat { return d.heat }

@@ -148,14 +148,6 @@ func (h *Heat) Tenant(id uint64) int {
 	return 0
 }
 
-// Forget drops page id's heat entry (pool teardown hygiene).
-func (h *Heat) Forget(id uint64) {
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	delete(sh.entries, id)
-	sh.mu.Unlock()
-}
-
 // Len reports how many pages are tracked.
 func (h *Heat) Len() int {
 	n := 0

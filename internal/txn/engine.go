@@ -200,10 +200,6 @@ func (e *Engine) Checkpointer() *checkpoint.Checkpointer { return e.cp.Load() }
 // facade's hands. Call once at setup.
 func (e *Engine) EnableTiering(d *tier.Daemon) { e.td.Store(d) }
 
-// Tiering reports the engine's placement daemon, or nil when page placement
-// is static.
-func (e *Engine) Tiering() *tier.Daemon { return e.td.Load() }
-
 // commitUnit makes unit durable: tick the background flusher, the fuzzy
 // checkpointer, and the tier placement daemon (when enabled), then append
 // the commit marker and force it — through the group committer when enabled,

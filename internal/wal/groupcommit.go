@@ -103,9 +103,6 @@ func NewGroupCommitter(log *Log, pol GroupPolicy) *GroupCommitter {
 	return &GroupCommitter{log: log, pol: pol}
 }
 
-// Policy reports the effective (defaulted) policy.
-func (g *GroupCommitter) Policy() GroupPolicy { return g.pol }
-
 // Batches reports how many leader flushes have completed.
 func (g *GroupCommitter) Batches() int64 { return g.batches.Load() }
 

@@ -76,9 +76,6 @@ func NewSessions(cfg SessionConfig) *Sessions {
 // Open reports the number of open sessions.
 func (s *Sessions) Open() int { return len(s.tenant) }
 
-// Tenants reports the tenant count.
-func (s *Sessions) Tenants() int { return s.cfg.Tenants }
-
 // Tenant reports which tenant owns session i.
 func (s *Sessions) Tenant(i int) int { return int(s.tenant[i]) }
 

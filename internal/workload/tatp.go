@@ -17,11 +17,6 @@ type TATPConfig struct {
 	Subscribers int // per node
 }
 
-// DefaultTATPConfig returns a simulation-scaled configuration.
-func DefaultTATPConfig(nodes int) TATPConfig {
-	return TATPConfig{Nodes: nodes, Subscribers: 20000}
-}
-
 // TATP lays out subscriber/access-info/special-facility/call-forwarding
 // ranges per node and runs the standard 80/20 read/write mix:
 //

@@ -22,18 +22,6 @@ type TPCCConfig struct {
 	OrderPages int // per-warehouse insert ring
 }
 
-// DefaultTPCCConfig returns a simulation-scaled configuration.
-func DefaultTPCCConfig(warehouses int) TPCCConfig {
-	return TPCCConfig{
-		Warehouses: warehouses,
-		Districts:  10,
-		Customers:  3000,
-		Stock:      10000,
-		Items:      10000,
-		OrderPages: 64,
-	}
-}
-
 // TPCC lays the schema out over shared pages and runs the standard mix.
 type TPCC struct {
 	cfg TPCCConfig

@@ -105,22 +105,18 @@ func TestSysbenchCPUAccounting(t *testing.T) {
 func sharedRig(t *testing.T, store *storage.Store, dbpPages, nnodes int) []*sharing.Node {
 	t.Helper()
 	clk := simclock.New()
-	sw := cxl.NewSwitch(cxl.Config{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes)*(1<<16) + 4096})
-	fhost := sw.AttachHost("fusion")
-	dbp, err := fhost.Allocate(clk, "dbp", int64(dbpPages)*page.Size)
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes)*(1<<16) + 4096})
+	dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fusion := sharing.NewFusion(fhost, dbp, store)
 	var nodes []*sharing.Node
 	for i := 0; i < nnodes; i++ {
-		name := fmt.Sprintf("n%d", i)
-		h := sw.AttachHost(name)
-		flags, err := h.Allocate(clk, name+"-flags", 1<<16)
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf("n%d", i), 0, 1<<16, 4<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, sharing.NewNode(name, fusion, h.NewCache(name, 4<<20), flags))
+		nodes = append(nodes, sharing.NewNode(p.Name, dep.Fusion, p.Cache, p.Flags))
 	}
 	return nodes
 }

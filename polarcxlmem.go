@@ -731,19 +731,6 @@ func (c *Cluster) Failover(name string) (*Instance, *recovery.Result, error) {
 // wiring, per-tier congestion metrics).
 func (c *Cluster) Topology() *cxl.Topology { return c.topo }
 
-// Switch exposes the first leaf's single-switch view (stats, advanced
-// wiring).
-func (c *Cluster) Switch() *cxl.Switch { return c.topo.Switch(0) }
-
-// Switches exposes a single-switch view per leaf in the fabric.
-func (c *Cluster) Switches() []*cxl.Switch {
-	out := make([]*cxl.Switch, c.topo.Leaves())
-	for i := range out {
-		out[i] = c.topo.Switch(i)
-	}
-	return out
-}
-
 // Observer returns the registry installed with WithObserver (nil if none).
 func (c *Cluster) Observer() *obs.Registry { return c.reg }
 

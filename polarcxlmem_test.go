@@ -228,7 +228,7 @@ func TestMultiPoolPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cluster.Switches()) != 2 {
+	if cluster.Topology().Leaves() != 2 {
 		t.Fatal("rack has wrong domain count")
 	}
 	// Each instance needs ~48 blocks; one pool holds one such instance.

@@ -7,7 +7,6 @@ import (
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/sharing"
 	"polarcxlmem/internal/simclock"
-	"polarcxlmem/internal/simmem"
 	"polarcxlmem/internal/storage"
 )
 
@@ -37,8 +36,7 @@ type SharingCluster struct {
 	topo   *cxl.Topology
 	fusion *sharing.Fusion
 	nodes  []*sharing.Node
-	hosts  []*cxl.HostPort
-	flags  []*simmem.Region
+	prims  []*sharing.Primary
 	store  *storage.Store
 	clk    *simclock.Clock
 }
@@ -83,15 +81,11 @@ func NewSharingCluster(cfg SharingConfig, opts ...Option) (*SharingCluster, erro
 	// The fusion server and all shared CXL state — the DBP and every node's
 	// flag words — live on leaf 0's memory box; remote-leaf nodes reach them
 	// over the trunk+spine route.
-	fhost, err := topo.AttachHost("fusion-host", 0)
+	dep, err := sharing.NewDeployment(clk, topo, "fusion-host", cfg.DBPPages, store)
 	if err != nil {
 		return nil, err
 	}
-	dbp, err := fhost.Allocate(clk, "dbp", int64(cfg.DBPPages)*page.Size)
-	if err != nil {
-		return nil, err
-	}
-	fusion := sharing.NewFusion(fhost, dbp, store)
+	fusion := dep.Fusion
 	if o.reg != nil {
 		fusion.SetObserver(o.reg)
 	}
@@ -100,24 +94,18 @@ func NewSharingCluster(cfg SharingConfig, opts ...Option) (*SharingCluster, erro
 	}
 	sc := &SharingCluster{topo: topo, fusion: fusion, store: store, clk: clk}
 	for i := 0; i < cfg.Nodes; i++ {
-		name := fmt.Sprintf("node-%d", i)
 		leaf := 0
 		if i < len(cfg.NodeLeaves) {
 			leaf = cfg.NodeLeaves[i]
 		}
-		host, err := topo.AttachHost(name, leaf)
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf("node-%d", i), leaf, flagBytes, 8<<20)
 		if err != nil {
 			return nil, err
 		}
-		flags, err := host.AllocateOn(clk, 0, name+"-flags", flagBytes)
-		if err != nil {
-			return nil, err
-		}
-		node := sharing.NewNode(name, fusion, host.NewCache(name, 8<<20), flags)
-		node.SetInterconnect(host.FabricPath())
+		node := sharing.NewNode(p.Name, fusion, p.Cache, p.Flags)
+		node.SetInterconnect(p.Host.FabricPath())
 		sc.nodes = append(sc.nodes, node)
-		sc.hosts = append(sc.hosts, host)
-		sc.flags = append(sc.flags, flags)
+		sc.prims = append(sc.prims, p)
 	}
 	return sc, nil
 }
@@ -145,8 +133,10 @@ func (s *SharingCluster) RejoinPrimary(i int) error {
 	if err := s.fusion.RejoinNode(s.clk, name); err != nil {
 		return err
 	}
-	node := sharing.NewNode(name, s.fusion, s.hosts[i].NewCache(name, 8<<20), s.flags[i])
-	node.SetInterconnect(s.hosts[i].FabricPath())
+	p := s.prims[i]
+	p.Cache = p.Host.NewCache(name, 8<<20) // fresh LLC slice; the dead one is freed
+	node := sharing.NewNode(name, s.fusion, p.Cache, p.Flags)
+	node.SetInterconnect(p.Host.FabricPath())
 	s.nodes[i] = node
 	return nil
 }
