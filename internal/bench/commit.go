@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
 
 	"polarcxlmem/internal/core"
 	"polarcxlmem/internal/cxl"
@@ -129,15 +128,19 @@ func runCommitPoint(cfg Config, committers int, group bool) (CommitPoint, error)
 		gc.SetObserver(waitReg)
 	}
 
+	// Committers run as workers of one virtual-time scheduler, lowest clock
+	// first, so which commits share a batch — and every number below — is
+	// a function of the inputs, not of the OS scheduler.
+	sched := simclock.NewSched()
+	if gc != nil {
+		gc.SetScheduler(sched)
+	}
 	start := clk.Now()
 	finals := make([]int64, committers)
 	errs := make([]error, committers)
-	var wg sync.WaitGroup
 	for w := 0; w < committers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wclk := simclock.NewAt(start)
+		sched.Go(simclock.NewAt(start), func(sw *simclock.Worker) {
+			wclk := sw.Clock()
 			rng := rand.New(rand.NewSource(int64(w)*7919 + 17))
 			base := int64(w * commitKeysPerWorker)
 			v := make([]byte, commitValBytes)
@@ -153,11 +156,14 @@ func runCommitPoint(cfg Config, committers int, group bool) (CommitPoint, error)
 					errs[w] = fmt.Errorf("worker %d commit %d: %w", w, i, err)
 					return
 				}
+				sw.Yield()
 			}
 			finals[w] = wclk.Now()
-		}(w)
+		})
 	}
-	wg.Wait()
+	if err := sched.Run(); err != nil {
+		return CommitPoint{}, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return CommitPoint{}, err

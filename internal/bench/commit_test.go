@@ -45,3 +45,21 @@ func TestCommitScalingGroupBeatsPerTxn(t *testing.T) {
 		t.Fatalf("invariant checker violations: %v", v)
 	}
 }
+
+// TestCommitPointReproducible: committers run on a virtual-time scheduler,
+// so the same commit cell measured twice gives the same numbers, batch
+// formation included.
+func TestCommitPointReproducible(t *testing.T) {
+	cfg := Config{Quick: true}
+	a, err := runCommitPoint(cfg, 8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := runCommitPoint(cfg, 8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatalf("two runs of one commit cell differ:\n  %+v\n  %+v", a, b)
+	}
+}

@@ -12,9 +12,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the current code")
 
 // goldenIDs are the quick-mode experiments whose printed tables are pinned
-// byte for byte. Every one is deterministic in virtual time; "commit" is
-// left out because its committer goroutines make the result depend on the
-// scheduler.
+// byte for byte. Every one is deterministic in virtual time. "commit" is
+// left out because it writes BENCH_commit.json into the working directory;
+// TestCommitPointReproducible pins its determinism instead.
 var goldenIDs = []string{
 	"ablate-meta", "ablate-tier", "cxl3", "doorbell", "fig7", "fig11", "fig13",
 	"mp-crash", "mp-engine", "table1", "table2", "table3",

@@ -47,8 +47,9 @@ type batch struct {
 	latestV int64 // latest member arrival seen so far
 	bytes   int64 // encoded size of the members' records
 	members int
-	doneV   int64         // virtual completion time; valid once done is closed
-	done    chan struct{} // closed after the leader's persist completes
+	doneV   int64              // virtual completion time; valid once done is closed
+	done    chan struct{}      // closed after the leader's persist completes
+	parked  []*simclock.Worker // scheduled followers to wake at doneV
 }
 
 // GroupCommitter batches concurrent committers onto shared leader-driven WAL
@@ -71,6 +72,9 @@ type GroupCommitter struct {
 
 	mu  sync.Mutex // guards cur and the fields of the open batch
 	cur *batch
+
+	// sched, when set, forms batches in virtual time: see SetScheduler.
+	sched *simclock.Sched
 
 	// flushMu serializes leader persists. While one leader's flush is in
 	// flight, the next leader queues here and its batch soaks up arrivals —
@@ -125,6 +129,15 @@ func (g *GroupCommitter) SetObserver(reg *obs.Registry) {
 	})
 }
 
+// SetScheduler makes committers that run as workers of s form batches by
+// virtual arrival time alone: the leader sleeps until every other runnable
+// worker has passed openedV+MaxWaitNanos, so exactly the committers arriving
+// inside the window join, and followers park on s instead of blocking. Batch
+// membership, and with it every virtual-time result, then no longer depends
+// on the OS scheduler. Committers outside a Run of s keep the wall-clock
+// collection loop. Call before committers start.
+func (g *GroupCommitter) SetScheduler(s *simclock.Sched) { g.sched = s }
+
 // Commit appends rec (a commit marker, typically) and returns its LSN once
 // it is durable, either by leading a batch flush or by piggybacking on one.
 // Safe for concurrent committers, each with its own clock; single-threaded
@@ -135,6 +148,10 @@ func (g *GroupCommitter) Commit(clk *simclock.Clock, rec Record) uint64 {
 	arrival := clk.Now()
 	size := rec.EncodedSize()
 	g.commits.Add(1)
+	var w *simclock.Worker
+	if g.sched != nil {
+		w = g.sched.Current()
+	}
 
 	g.mu.Lock()
 	if b := g.cur; b != nil &&
@@ -147,8 +164,15 @@ func (g *GroupCommitter) Commit(clk *simclock.Clock, rec Record) uint64 {
 		if arrival > b.latestV {
 			b.latestV = arrival
 		}
+		if w != nil {
+			b.parked = append(b.parked, w)
+		}
 		g.mu.Unlock()
-		<-b.done
+		if w != nil {
+			w.Park()
+		} else {
+			<-b.done
+		}
 		clk.AdvanceTo(b.doneV)
 		if o := g.obsP.Load(); o != nil {
 			o.commitsC.Inc()
@@ -160,25 +184,15 @@ func (g *GroupCommitter) Commit(clk *simclock.Clock, rec Record) uint64 {
 	g.cur = b
 	g.mu.Unlock()
 
-	// Leader: queue behind any in-flight persist, then hold the collection
-	// window open while joiners keep arriving (cooperative yields; no
-	// virtual cost — the virtual window is bounded by MaxWaitNanos at join
-	// time).
-	g.flushMu.Lock()
-	last, quiet := 1, 0
-	for spins := 0; quiet < collectQuietRounds && spins < collectMaxRounds; spins++ {
-		runtime.Gosched()
-		g.mu.Lock()
-		m, bytes := b.members, b.bytes
-		g.mu.Unlock()
-		if bytes >= g.pol.MaxBatchBytes {
-			break
-		}
-		if m == last {
-			quiet++
-		} else {
-			last, quiet = m, 0
-		}
+	if w != nil {
+		// Leader under a scheduler: every committer that can still arrive
+		// inside the window, its last nanosecond included, runs before this
+		// one resumes. No virtual cost.
+		w.SleepUntil(b.openedV + g.pol.MaxWaitNanos + 1)
+		g.flushMu.Lock()
+	} else {
+		g.flushMu.Lock()
+		g.collect(b)
 	}
 	// Close the batch; later arrivals lead the next one.
 	g.mu.Lock()
@@ -204,5 +218,30 @@ func (g *GroupCommitter) Commit(clk *simclock.Clock, rec Record) uint64 {
 		o.commitWait.Observe(b.doneV - arrival)
 	}
 	close(b.done)
+	for _, p := range b.parked {
+		p.Wake(b.doneV)
+	}
 	return lsn
+}
+
+// collect holds a leader's collection window open while joiners keep
+// arriving (cooperative yields; no virtual cost — the virtual window is
+// bounded by MaxWaitNanos at join time). The caller holds flushMu, so the
+// window also soaks up arrivals while a previous persist is in flight.
+func (g *GroupCommitter) collect(b *batch) {
+	last, quiet := 1, 0
+	for spins := 0; quiet < collectQuietRounds && spins < collectMaxRounds; spins++ {
+		runtime.Gosched()
+		g.mu.Lock()
+		m, bytes := b.members, b.bytes
+		g.mu.Unlock()
+		if bytes >= g.pol.MaxBatchBytes {
+			break
+		}
+		if m == last {
+			quiet++
+		} else {
+			last, quiet = m, 0
+		}
+	}
 }

@@ -176,3 +176,37 @@ func TestFsyncOccupiesLogDevice(t *testing.T) {
 		t.Fatalf("second flush completed at %d ns, want >= two fsyncs (%d)", b.Now(), 2*DefaultFsyncNanos)
 	}
 }
+
+// TestGroupCommitSchedulerBatchesByArrival: under a simclock.Sched, batch
+// membership follows virtual arrival times alone — the committers arriving
+// within MaxWaitNanos of the leader share its flush and finish together, a
+// later one leads its own batch.
+func TestGroupCommitSchedulerBatchesByArrival(t *testing.T) {
+	ws := NewStore(0, 0)
+	gc := NewGroupCommitter(Attach(ws), GroupPolicy{})
+	s := simclock.NewSched()
+	gc.SetScheduler(s)
+	arrivals := []int64{0, 10_000, DefaultMaxWaitNanos, DefaultMaxWaitNanos + 30_000}
+	finish := make([]int64, len(arrivals))
+	for i, at := range arrivals {
+		s.Go(simclock.NewAt(at), func(w *simclock.Worker) {
+			lsn := gc.Commit(w.Clock(), Record{Kind: KTxnCommit, Txn: uint64(i + 1)})
+			if ws.DurableLSN() < lsn {
+				t.Errorf("committer %d returned before LSN %d was durable", i, lsn)
+			}
+			finish[i] = w.Clock().Now()
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if gc.Batches() != 2 || gc.Commits() != 4 {
+		t.Fatalf("batches = %d, commits = %d, want 2 batches for 4 commits", gc.Batches(), gc.Commits())
+	}
+	if finish[0] != finish[1] || finish[1] != finish[2] {
+		t.Fatalf("window members finished at %v, want one shared completion", finish[:3])
+	}
+	if finish[2] < arrivals[2]+DefaultFsyncNanos || finish[3] <= finish[2] {
+		t.Fatalf("finish times %v: the batch must flush after its latest member, the late committer after it", finish)
+	}
+}
