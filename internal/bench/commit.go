@@ -132,9 +132,6 @@ func runCommitPoint(cfg Config, committers int, group bool) (CommitPoint, error)
 	// first, so which commits share a batch — and every number below — is
 	// a function of the inputs, not of the OS scheduler.
 	sched := simclock.NewSched()
-	if gc != nil {
-		gc.SetScheduler(sched)
-	}
 	start := clk.Now()
 	finals := make([]int64, committers)
 	errs := make([]error, committers)

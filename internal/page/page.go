@@ -79,9 +79,6 @@ type Page struct {
 // Wrap returns a Page over a.
 func Wrap(a Accessor) Page { return Page{a: a} }
 
-// Accessor returns the underlying accessor.
-func (p Page) Accessor() Accessor { return p.a }
-
 func (p Page) u16(off int) (uint16, error) {
 	var b [2]byte
 	if err := p.a.ReadAt(off, b[:]); err != nil {

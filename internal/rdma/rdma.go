@@ -110,9 +110,6 @@ func NewPool(name string, size int64) *Pool {
 // Size reports the pool capacity.
 func (p *Pool) Size() int64 { return p.dev.Size() }
 
-// Device exposes the backing device (for survival-across-crash tests).
-func (p *Pool) Device() *simmem.Device { return p.dev }
-
 // Read performs a one-sided RDMA read of len(buf) bytes at off through nic.
 func (p *Pool) Read(clk *simclock.Clock, nic *NIC, off int64, buf []byte) error {
 	if nic == nil {

@@ -67,14 +67,6 @@ func NewRDMAFusion(capacityPages int, store *storage.Store) *RDMAFusion {
 	}
 }
 
-// SetLockPolicy overrides the lease / bounded-wait parameters.
-func (f *RDMAFusion) SetLockPolicy(pol LockPolicy) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.pol = pol.withDefaults()
-	f.leases.setLease(f.pol.LeaseNanos)
-}
-
 // rpcGate rejects traffic from an evicted node and renews the caller's
 // lease (any served RPC is proof of life).
 func (f *RDMAFusion) rpcGate(clk *simclock.Clock, node string) error {
@@ -287,9 +279,6 @@ func (f *RDMAFusion) UnlockWrite(clk *simclock.Clock, node string, pageID uint64
 func (f *RDMAFusion) CrashNode(node string) {
 	f.leases.markDead(node)
 }
-
-// NodeDead reports whether node has been marked crashed/evicted.
-func (f *RDMAFusion) NodeDead(node string) bool { return f.leases.isDead(node) }
 
 // RejoinNode re-admits a previously crashed node: finish (or run) its
 // eviction so no stale state survives, then revive its lease. The caller

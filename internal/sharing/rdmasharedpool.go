@@ -106,9 +106,6 @@ func (p *RDMASharedPool) SetObserver(reg *obs.Registry) {
 	p.tab.SetObserver(reg, "rdma/"+p.node)
 }
 
-// Crashed reports whether this primary is currently down.
-func (p *RDMASharedPool) Crashed() bool { return p.crashed.Load() }
-
 func (p *RDMASharedPool) checkAlive() error {
 	if p.crashed.Load() {
 		return fmt.Errorf("sharing: primary %s crashed: %w", p.node, ErrNodeEvicted)

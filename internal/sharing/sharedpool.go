@@ -151,9 +151,6 @@ func (p *SharedPool) SetObserver(reg *obs.Registry) {
 	p.tab.SetObserver(reg, "shared/"+p.node)
 }
 
-// Crashed reports whether the node is currently down.
-func (p *SharedPool) Crashed() bool { return p.crashed.Load() }
-
 func (p *SharedPool) checkAlive() error {
 	if p.crashed.Load() {
 		return fmt.Errorf("sharing: node %s is crashed: %w", p.node, ErrNodeEvicted)

@@ -15,11 +15,14 @@ import "fmt"
 // that only another worker of the same Sched can release, except through
 // Park and Wake.
 //
+// While a worker runs, its clock's Worker reports it, so code deep in a
+// call chain (a group committer, say) can tell a scheduled caller from a
+// free goroutine by the clock it was handed.
+//
 // Scheduler state is touched only by the running worker; the hand-off
 // channels order those accesses, so Sched needs no lock.
 type Sched struct {
 	ws   []*Worker
-	cur  *Worker
 	live int
 	done chan error
 }
@@ -51,21 +54,17 @@ func (s *Sched) Run() error {
 	for _, w := range s.ws {
 		go func(w *Worker) {
 			<-w.run
+			w.clk.w = w
 			w.fn(w)
+			w.clk.w = nil
 			w.finished = true
 			w.s.live--
 			w.s.dispatch()
 		}(w)
 	}
 	s.dispatch()
-	err := <-s.done
-	s.cur = nil
-	return err
+	return <-s.done
 }
-
-// Current reports the running worker, or nil when no Run is in progress.
-// Only the running worker may call it while Run is in progress.
-func (s *Sched) Current() *Worker { return s.cur }
 
 // dispatch hands the CPU to the runnable worker with the smallest wake
 // time, or ends Run when none is left.
@@ -79,7 +78,6 @@ func (s *Sched) dispatch() {
 			next = w
 		}
 	}
-	s.cur = next
 	switch {
 	case next != nil:
 		next.run <- struct{}{}

@@ -7,14 +7,18 @@ import (
 
 // TestSchedLowestClockFirst: workers interleave strictly by virtual time,
 // ties going to the worker added first, however long each step takes in
-// wall time.
+// wall time. A worker's clock reports it only while the worker runs.
 func TestSchedLowestClockFirst(t *testing.T) {
 	s := NewSched()
 	var order []int
 	step := []int64{30, 20, 50}
+	clocks := []*Clock{New(), New(), New()}
 	for id := range step {
-		s.Go(New(), func(w *Worker) {
+		s.Go(clocks[id], func(w *Worker) {
 			for i := 0; i < 3; i++ {
+				if w.Clock().Worker() != w {
+					t.Errorf("worker %d: its clock does not report it", id)
+				}
 				order = append(order, id)
 				w.Clock().Advance(step[id])
 				w.Yield()
@@ -29,8 +33,10 @@ func TestSchedLowestClockFirst(t *testing.T) {
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("run order %v, want %v", order, want)
 	}
-	if s.Current() != nil {
-		t.Fatal("Current is set after Run returned")
+	for id, c := range clocks {
+		if c.Worker() != nil {
+			t.Fatalf("clock %d still reports a worker after Run returned", id)
+		}
 	}
 }
 

@@ -34,6 +34,7 @@ const (
 // shared state lives in Resource.
 type Clock struct {
 	now int64
+	w   *Worker // the Sched worker running on this clock, if any
 }
 
 // New returns a Clock positioned at virtual time zero.
@@ -60,6 +61,10 @@ func (c *Clock) AdvanceTo(t int64) {
 		c.now = t
 	}
 }
+
+// Worker reports the Sched worker currently running on this clock, or nil
+// when the clock's context is a free goroutine.
+func (c *Clock) Worker() *Worker { return c.w }
 
 // Seconds reports the clock position as floating-point seconds.
 func (c *Clock) Seconds() float64 { return float64(c.now) / float64(Second) }

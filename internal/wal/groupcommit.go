@@ -73,9 +73,6 @@ type GroupCommitter struct {
 	mu  sync.Mutex // guards cur and the fields of the open batch
 	cur *batch
 
-	// sched, when set, forms batches in virtual time: see SetScheduler.
-	sched *simclock.Sched
-
 	// flushMu serializes leader persists. While one leader's flush is in
 	// flight, the next leader queues here and its batch soaks up arrivals —
 	// that queueing is where batches come from under load.
@@ -129,29 +126,26 @@ func (g *GroupCommitter) SetObserver(reg *obs.Registry) {
 	})
 }
 
-// SetScheduler makes committers that run as workers of s form batches by
-// virtual arrival time alone: the leader sleeps until every other runnable
-// worker has passed openedV+MaxWaitNanos, so exactly the committers arriving
-// inside the window join, and followers park on s instead of blocking. Batch
-// membership, and with it every virtual-time result, then no longer depends
-// on the OS scheduler. Committers outside a Run of s keep the wall-clock
-// collection loop. Call before committers start.
-func (g *GroupCommitter) SetScheduler(s *simclock.Sched) { g.sched = s }
-
 // Commit appends rec (a commit marker, typically) and returns its LSN once
 // it is durable, either by leading a batch flush or by piggybacking on one.
 // Safe for concurrent committers, each with its own clock; single-threaded
 // callers see one flush per commit, exactly like Append+Flush, so
 // deterministic fault-sweep runs are unaffected by enabling group commit.
+//
+// Committers that run as workers of a simclock.Sched (clk.Worker() is set)
+// form batches by virtual arrival time alone: the leader sleeps until every
+// other runnable worker has passed openedV+MaxWaitNanos, so exactly the
+// committers arriving inside the window join, and followers park on the
+// scheduler instead of blocking. Batch membership then does not depend on
+// the OS scheduler. Free goroutines keep the wall-clock collection loop. One
+// committer's callers must be all workers of one Sched or all free
+// goroutines: a free leader cannot wake a parked worker.
 func (g *GroupCommitter) Commit(clk *simclock.Clock, rec Record) uint64 {
 	lsn := g.log.Append(rec)
 	arrival := clk.Now()
 	size := rec.EncodedSize()
 	g.commits.Add(1)
-	var w *simclock.Worker
-	if g.sched != nil {
-		w = g.sched.Current()
-	}
+	w := clk.Worker()
 
 	g.mu.Lock()
 	if b := g.cur; b != nil &&

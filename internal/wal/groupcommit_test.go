@@ -185,7 +185,6 @@ func TestGroupCommitSchedulerBatchesByArrival(t *testing.T) {
 	ws := NewStore(0, 0)
 	gc := NewGroupCommitter(Attach(ws), GroupPolicy{})
 	s := simclock.NewSched()
-	gc.SetScheduler(s)
 	arrivals := []int64{0, 10_000, DefaultMaxWaitNanos, DefaultMaxWaitNanos + 30_000}
 	finish := make([]int64, len(arrivals))
 	for i, at := range arrivals {
@@ -208,5 +207,41 @@ func TestGroupCommitSchedulerBatchesByArrival(t *testing.T) {
 	}
 	if finish[2] < arrivals[2]+DefaultFsyncNanos || finish[3] <= finish[2] {
 		t.Fatalf("finish times %v: the batch must flush after its latest member, the late committer after it", finish)
+	}
+}
+
+// TestGroupCommitFreeCommitterDuringRun: a free goroutine committing while a
+// Sched runs is not mistaken for a worker. Its clock carries no worker, so it
+// takes the wall-clock path and neither parks nor sleeps on the scheduler.
+func TestGroupCommitFreeCommitterDuringRun(t *testing.T) {
+	sched := NewGroupCommitter(Attach(NewStore(0, 0)), GroupPolicy{})
+	free := NewGroupCommitter(Attach(NewStore(0, 0)), GroupPolicy{})
+	s := simclock.NewSched()
+	for i := 0; i < 4; i++ {
+		s.Go(simclock.NewAt(int64(i)*1_000), func(w *simclock.Worker) {
+			for j := 0; j < 20; j++ {
+				sched.Commit(w.Clock(), Record{Kind: KTxnCommit, Txn: uint64(i*100 + j + 1)})
+				w.Yield()
+			}
+		})
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		clk := simclock.New()
+		for j := 0; j < 20; j++ {
+			if clk.Worker() != nil {
+				t.Error("a free goroutine's clock reports a worker")
+			}
+			free.Commit(clk, Record{Kind: KTxnCommit, Txn: uint64(j + 1)})
+		}
+	}()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if sched.Commits() != 80 || free.Commits() != 20 || free.Batches() != 20 {
+		t.Fatalf("scheduled commits %d, free commits %d in %d batches; want 80, 20 in 20",
+			sched.Commits(), free.Commits(), free.Batches())
 	}
 }
