@@ -372,7 +372,7 @@ func runAblateSync(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rig, err := newCXLSharingRig(store, clk, 16, 2)
+		rig, err := newCXLSharingRig(store, clk, 16, 2, false)
 		if err != nil {
 			return nil, err
 		}

@@ -247,12 +247,6 @@ func TestCXL3ShapeHardwareAtLeastAsGood(t *testing.T) {
 	}
 }
 
-func TestFig8Fig9Fig12RunClean(t *testing.T) {
-	run(t, "fig8")
-	run(t, "fig9")
-	run(t, "fig12")
-}
-
 func TestDoorbellShape(t *testing.T) {
 	tb := run(t, "doorbell")[0]
 	last := len(tb.Rows) - 1

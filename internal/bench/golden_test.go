@@ -16,8 +16,9 @@ var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the 
 // left out because it writes BENCH_commit.json into the working directory;
 // TestCommitPointReproducible pins its determinism instead.
 var goldenIDs = []string{
-	"ablate-meta", "ablate-tier", "cxl3", "doorbell", "fig7", "fig11", "fig13",
-	"mp-crash", "mp-engine", "table1", "table2", "table3",
+	"ablate-meta", "ablate-tier", "cxl3", "doorbell", "fig7", "fig8", "fig9",
+	"fig11", "fig12", "fig13", "mp-crash", "mp-engine", "table1", "table2",
+	"table3",
 }
 
 // TestQuickGolden runs the goldenIDs experiments in quick mode and compares

@@ -10,6 +10,7 @@ import (
 	"polarcxlmem/internal/rdma"
 	"polarcxlmem/internal/sharing"
 	"polarcxlmem/internal/simclock"
+	"polarcxlmem/internal/simcpu"
 	"polarcxlmem/internal/storage"
 	"polarcxlmem/internal/workload"
 )
@@ -52,8 +53,9 @@ func (r *shRig) nodes() int {
 }
 
 // newCXLSharingRig builds nnodes CXL nodes over one fusion server with a
-// DBP of dbpPages.
-func newCXLSharingRig(store *storage.Store, clk *simclock.Clock, dbpPages, nnodes int) (*shRig, error) {
+// DBP of dbpPages. coherent puts every node cache in one simcpu.Domain —
+// the CXL 3.0 projection, where the nodes run the hardware-coherent regime.
+func newCXLSharingRig(store *storage.Store, clk *simclock.Clock, dbpPages, nnodes int, coherent bool) (*shRig, error) {
 	r := &shRig{isCXL: true, store: store, clk: clk}
 	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17)})
 	dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
@@ -63,10 +65,18 @@ func newCXLSharingRig(store *storage.Store, clk *simclock.Clock, dbpPages, nnode
 	r.dep = dep
 	topo.SetObserver(observer())
 	dep.Fusion.SetObserver(observer())
+	var dom *simcpu.Domain
+	name := "node-%d"
+	if coherent {
+		dom, name = simcpu.NewDomain(0), "hw-%d"
+	}
 	for i := 0; i < nnodes; i++ {
-		p, err := dep.AttachPrimary(clk, fmt.Sprintf("node-%d", i), 0, 1<<17, 2<<20)
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf(name, i), 0, 1<<17, 2<<20)
 		if err != nil {
 			return nil, err
+		}
+		if dom != nil {
+			dom.Attach(p.Cache)
 		}
 		r.cnodes = append(r.cnodes, sharing.NewNode(p.Name, dep.Fusion, p.Cache, p.Flags))
 	}
@@ -227,7 +237,8 @@ func solveSharing(d perf.Demands, nodes int) perf.Result {
 	return perf.SolveContended(build, nodes*sharingThreadsPerNode)
 }
 
-// sharingPoint measures and solves one (system, pct) combination.
+// sharingPoint measures and solves one (system, pct) combination; system is
+// "rdma", "cxl" (software coherency) or "cxl3" (hardware coherency).
 func sharingPoint(cfg Config, system string, nodes, pagesPerGroup, sharedPct int, wl sharingWorkload, lbpFrac float64) (perf.Result, perf.Demands, error) {
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
@@ -237,8 +248,8 @@ func sharingPoint(cfg Config, system string, nodes, pagesPerGroup, sharedPct int
 	}
 	totalPages := (nodes + 1) * pagesPerGroup
 	var rig *shRig
-	if system == "cxl" {
-		rig, err = newCXLSharingRig(store, clk, totalPages+8, nodes)
+	if system != "rdma" {
+		rig, err = newCXLSharingRig(store, clk, totalPages+8, nodes, system == "cxl3")
 	} else {
 		accessed := 2 * pagesPerGroup // private group + shared group
 		lbp := int(float64(accessed) * lbpFrac)
@@ -358,7 +369,7 @@ func runTable3(cfg Config) ([]*Table, error) {
 		var err error
 		build := func(dbpPages, lbpPages int) error {
 			if system == "cxl" {
-				rig, err = newCXLSharingRig(store, clk, dbpPages, nodes)
+				rig, err = newCXLSharingRig(store, clk, dbpPages, nodes, false)
 			} else {
 				rig, err = newRDMASharingRig(store, clk, dbpPages, nodes, lbpPages)
 			}

@@ -34,7 +34,8 @@ func NewDeployment(clk *simclock.Clock, topo *cxl.Topology, host string, dbpPage
 }
 
 // Primary is one primary's attachment to a Deployment. Callers wrap it as a
-// Node, HWNode or SharedPool over the deployment's Fusion.
+// Node or a SharedPool over the deployment's Fusion; attaching Cache to a
+// simcpu.Domain first selects the hardware-coherent regime.
 type Primary struct {
 	Name  string
 	Host  *cxl.HostPort

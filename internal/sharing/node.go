@@ -30,8 +30,16 @@ type Interconnect interface {
 
 // Node is one CXL multi-primary database node. It holds NO page data
 // locally: records are read and written in place in the shared DBP through
-// the node's CPU cache, with the software coherency protocol keeping cached
-// lines honest.
+// the node's CPU cache.
+//
+// The node runs in one of two regimes, chosen by its cache. Without a
+// simcpu.Domain (CXL 2.0) the §3.3 software protocol keeps cached lines
+// honest: invalid flags checked under the page lock, an install-time flush,
+// and a clflush publish on write-unlock. With the cache attached to a Domain
+// (the CXL 3.0 projection) the hardware does that work, so the node keeps
+// only the transactional machinery that survives into CXL 3.0: distributed
+// page locks for isolation and removal flags for DBP frame recycling
+// (capacity management is not a coherency problem).
 type Node struct {
 	name   string
 	fusion *Fusion
@@ -63,7 +71,8 @@ type NodeStats struct {
 
 // NewNode builds a node over the fusion server's DBP. flagRegion is the
 // node's own CXL allocation for flag words; its capacity bounds the page
-// metadata buffer.
+// metadata buffer. A cache attached to a simcpu.Domain selects the
+// hardware-coherent regime.
 func NewNode(name string, fusion *Fusion, cache *simcpu.Cache, flagRegion *simmem.Region) *Node {
 	n := &Node{
 		name:   name,
@@ -74,11 +83,21 @@ func NewNode(name string, fusion *Fusion, cache *simcpu.Cache, flagRegion *simme
 		meta:   make(map[uint64]*pmeta),
 		nslots: int(flagRegion.Size() / flagEntrySize),
 	}
+	n.resetSlots()
+	return n
+}
+
+// resetSlots frees every flag slot, slot 0 first in line. Caller holds n.mu
+// or owns n exclusively.
+func (n *Node) resetSlots() {
+	n.freeSlots = n.freeSlots[:0]
 	for i := n.nslots - 1; i >= 0; i-- {
 		n.freeSlots = append(n.freeSlots, i)
 	}
-	return n
 }
+
+// coherent reports whether the node runs the hardware-coherent regime.
+func (n *Node) coherent() bool { return n.cache.Domain() != nil }
 
 // Name reports the node's cluster-wide identity.
 func (n *Node) Name() string { return n.name }
@@ -134,6 +153,13 @@ func (n *Node) flagOffsets(slot int) flagAddrs {
 	return flagAddrs{invalid: base, removal: base + 8}
 }
 
+// removed reports whether the fusion server has recycled m's DBP frame,
+// i.e. set this node's removal flag for it.
+func (n *Node) removed(clk *simclock.Clock, m *pmeta) (bool, error) {
+	v, err := n.loadFlag(clk, n.flagOffsets(m.slot).removal)
+	return v != 0, err
+}
+
 // ensurePage returns the local metadata for pageID, fetching the CXL
 // address from the fusion server on first use or after a removal.
 func (n *Node) ensurePage(clk *simclock.Clock, pageID uint64) (*pmeta, error) {
@@ -143,12 +169,11 @@ func (n *Node) ensurePage(clk *simclock.Clock, pageID uint64) (*pmeta, error) {
 	if ok {
 		// Check the removal flag: the fusion server may have recycled the
 		// frame.
-		fa := n.flagOffsets(m.slot)
-		removed, err := n.loadFlag(clk, fa.removal)
+		removed, err := n.removed(clk, m)
 		if err != nil {
 			return nil, err
 		}
-		if removed == 0 {
+		if !removed {
 			return m, nil
 		}
 		n.mu.Lock()
@@ -157,80 +182,103 @@ func (n *Node) ensurePage(clk *simclock.Clock, pageID uint64) (*pmeta, error) {
 		n.freeSlots = append(n.freeSlots, m.slot)
 		n.mu.Unlock()
 	}
-	n.mu.Lock()
-	if len(n.freeSlots) == 0 {
-		// Reclaim: scan (in page-id order, for deterministic replay) for an
-		// entry whose removal flag is set — the paper's background metadata
-		// recycler, run inline here.
-		reclaimed := false
-		for _, id := range n.sortedMetaIDs() {
-			om := n.meta[id]
-			fa := n.flagOffsets(om.slot)
-			if rm, _ := n.fusion.dev.Load64Raw(fa.removal); rm != 0 {
-				delete(n.meta, id)
-				n.freeSlots = append(n.freeSlots, om.slot)
-				reclaimed = true
-				break
-			}
-		}
-		// Still full: evict the lowest-id entry. Dropping local metadata is
-		// always safe — the mapping is re-fetched on next use, and the
-		// install-time invalidation below discards any stale cached lines.
-		if !reclaimed {
-			for _, id := range n.sortedMetaIDs() {
-				om := n.meta[id]
-				delete(n.meta, id)
-				n.freeSlots = append(n.freeSlots, om.slot)
-				break
-			}
-		}
-		if len(n.freeSlots) == 0 {
-			n.mu.Unlock()
-			return nil, fmt.Errorf("sharing: node %s metadata buffer full (%d slots)", n.name, n.nslots)
-		}
-	}
-	slot := n.freeSlots[len(n.freeSlots)-1]
-	n.freeSlots = n.freeSlots[:len(n.freeSlots)-1]
-	n.stats.GetPageRPCs++
-	n.mu.Unlock()
-	fa := n.flagOffsets(slot)
-	// Reset our flag words before registering them.
-	if err := n.storeFlag(clk, fa.invalid, 0); err != nil {
-		return nil, err
-	}
-	if err := n.storeFlag(clk, fa.removal, 0); err != nil {
-		return nil, err
-	}
-	off, err := n.fusion.GetPage(clk, n.name, pageID, fa)
+	m, err := n.install(clk, pageID, false)
 	if err != nil {
-		n.mu.Lock()
-		n.freeSlots = append(n.freeSlots, slot)
-		n.mu.Unlock()
 		return nil, err
 	}
-	// Install-time invalidation: the frame may previously have held another
-	// page (fusion recycle) whose lines are still in this node's cache.
-	// They are clean by protocol, so the flush just discards them.
-	if err := n.cache.Flush(clk, n.dbp, off, page.Size); err != nil {
-		return nil, err
-	}
-	// The install flush discharges any invalidation this node owed on the
-	// page; Aux carries the lines that survived (nonzero only when the flush
-	// itself was fault-dropped, i.e. the copy is still suspect).
-	resident, _ := n.cache.LinesInRange(n.dbp, off, page.Size)
-	n.fusion.obsState().emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
-	m = &pmeta{slot: slot, dataOff: off}
 	n.mu.Lock()
 	n.meta[pageID] = m
 	n.mu.Unlock()
 	return m, nil
 }
 
+// reclaimLocked frees one metadata slot when the buffer is full: first an
+// entry whose removal flag is set — the paper's background metadata
+// recycler, run inline — else the lowest page id. The scan goes in page-id
+// order for deterministic replay. Dropping local metadata is always safe:
+// the mapping is re-fetched on next use, and the install-time flush
+// discards any stale cached lines. Caller holds n.mu.
+func (n *Node) reclaimLocked() {
+	ids := n.sortedMetaIDs()
+	if len(ids) == 0 {
+		return
+	}
+	victim := ids[0]
+	for _, id := range ids {
+		if rm, _ := n.fusion.dev.Load64Raw(n.flagOffsets(n.meta[id].slot).removal); rm != 0 {
+			victim = id
+			break
+		}
+	}
+	n.freeSlots = append(n.freeSlots, n.meta[victim].slot)
+	delete(n.meta, victim)
+}
+
+// install claims a flag slot for pageID and registers it with the fusion
+// server — GetPage, or CreatePage for a globally fresh page — then flushes
+// the frame's range: the frame may previously have held another page whose
+// lines are still in this node's cache (clean by protocol, so the flush just
+// discards them; under hardware coherency the fusion server's raw frame
+// copies bypass the domain, so the same flush is needed). The software
+// regime also zeroes the invalid flag and acks the install; the coherent
+// regime resets only the removal flag.
+func (n *Node) install(clk *simclock.Clock, pageID uint64, create bool) (*pmeta, error) {
+	n.mu.Lock()
+	if len(n.freeSlots) == 0 {
+		n.reclaimLocked()
+	}
+	if len(n.freeSlots) == 0 {
+		n.mu.Unlock()
+		return nil, fmt.Errorf("sharing: node %s metadata buffer full (%d slots)", n.name, n.nslots)
+	}
+	slot := n.freeSlots[len(n.freeSlots)-1]
+	n.freeSlots = n.freeSlots[:len(n.freeSlots)-1]
+	n.stats.GetPageRPCs++
+	n.mu.Unlock()
+	coherent := n.coherent()
+	fa := n.flagOffsets(slot)
+	// Reset our flag words before registering them.
+	if !coherent {
+		if err := n.storeFlag(clk, fa.invalid, 0); err != nil {
+			return nil, err
+		}
+	}
+	if err := n.storeFlag(clk, fa.removal, 0); err != nil {
+		return nil, err
+	}
+	var off int64
+	var err error
+	if create {
+		off, err = n.fusion.CreatePage(clk, n.name, pageID, fa)
+	} else {
+		off, err = n.fusion.GetPage(clk, n.name, pageID, fa)
+	}
+	if err != nil {
+		n.mu.Lock()
+		n.freeSlots = append(n.freeSlots, slot)
+		n.mu.Unlock()
+		return nil, err
+	}
+	if err := n.cache.Flush(clk, n.dbp, off, page.Size); err != nil {
+		return nil, err
+	}
+	if !coherent {
+		// The install flush discharges any invalidation this node owed on
+		// the page; Aux carries the lines that survived (nonzero only when
+		// the flush itself was fault-dropped, i.e. the copy is still
+		// suspect).
+		resident, _ := n.cache.LinesInRange(n.dbp, off, page.Size)
+		n.fusion.obsState().emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
+	}
+	return &pmeta{slot: slot, dataOff: off}, nil
+}
+
 // honourInvalid checks this node's invalid flag under the page lock and, if
 // set, clflushes the page range (invalidating the clean cached lines) and
-// clears the flag. Subsequent reads fetch the writer's lines from CXL.
+// clears the flag. Subsequent reads fetch the writer's lines from CXL. The
+// coherent regime has no invalid flags to honour.
 func (n *Node) honourInvalid(clk *simclock.Clock, pageID uint64, m *pmeta) error {
-	if n.DisableCoherency {
+	if n.DisableCoherency || n.coherent() {
 		return nil
 	}
 	fa := n.flagOffsets(m.slot)
@@ -258,6 +306,39 @@ func (n *Node) honourInvalid(clk *simclock.Clock, pageID uint64, m *pmeta) error
 	return nil
 }
 
+// emitRead traces a read of shared bytes for the stale-read checker. The
+// coherent regime has no software coherency state to check and emits
+// nothing.
+func (n *Node) emitRead(clk *simclock.Clock, pageID uint64) {
+	if !n.coherent() {
+		n.fusion.obsState().emit(clk.Now(), obs.EvSharedRead, n.name, pageID, 0)
+	}
+}
+
+// publish releases pageID's write lock after a write. The software regime
+// first clflushes the page's dirty lines to CXL (publication, cache-line
+// granular) and the unlock makes the fusion server invalidate the other
+// active nodes; a failed flush still releases the lock. The coherent regime
+// releases the lock with no flush and no flag fan-out: the domain
+// back-invalidated the peers at store time.
+func (n *Node) publish(clk *simclock.Clock, pageID uint64, m *pmeta) error {
+	if n.coherent() {
+		return n.fusion.unlockWriteHW(clk, n.name, pageID)
+	}
+	if err := n.cache.Flush(clk, n.dbp, m.dataOff, page.Size); err != nil {
+		n.fusion.UnlockWrite(clk, n.name, pageID)
+		return err
+	}
+	if o := n.fusion.obsState(); o != nil {
+		// Aux = dirty lines that survived the flush: nonzero means the
+		// publication was torn (fault-dropped), so peers that fetch the
+		// page may see pre-write bytes.
+		_, dirty := n.cache.LinesInRange(n.dbp, m.dataOff, page.Size)
+		o.emit(clk.Now(), obs.EvPublish, n.name, pageID, int64(dirty))
+	}
+	return n.fusion.UnlockWrite(clk, n.name, pageID)
+}
+
 // Read copies len(buf) bytes at off within the shared page, under the
 // page's read lock, through this node's CPU cache.
 func (n *Node) Read(clk *simclock.Clock, pageID uint64, off int64, buf []byte) error {
@@ -278,57 +359,35 @@ func (n *Node) Read(clk *simclock.Clock, pageID uint64, off int64, buf []byte) e
 	if err := n.cache.Read(clk, n.dbp, m.dataOff+off, buf); err != nil {
 		return err
 	}
-	n.fusion.obsState().emit(clk.Now(), obs.EvSharedRead, n.name, pageID, 0)
+	n.emitRead(clk, pageID)
 	return nil
 }
 
 // Write stores data at off within the shared page under the page's write
-// lock: update in place through the cache, clflush the page's dirty lines
-// (publication, cache-line granular), then release — which makes the fusion
-// server invalidate the other active nodes.
+// lock: update in place through the cache, then publish.
 func (n *Node) Write(clk *simclock.Clock, pageID uint64, off int64, data []byte) error {
-	m, err := n.ensurePage(clk, pageID)
-	if err != nil {
-		return err
-	}
-	if err := n.fusion.Lock(clk, n.name, pageID, true); err != nil {
-		return err
-	}
-	if err := n.honourInvalid(clk, pageID, m); err != nil {
-		n.fusion.UnlockWrite(clk, n.name, pageID)
-		return err
-	}
-	if err := n.cache.Write(clk, n.dbp, m.dataOff+off, data); err != nil {
-		n.fusion.UnlockWrite(clk, n.name, pageID)
-		return err
-	}
-	n.mu.Lock()
-	n.stats.Writes++
-	n.mu.Unlock()
-	// clflush: only this page's resident (dirty) lines move to CXL.
-	if err := n.cache.Flush(clk, n.dbp, m.dataOff, page.Size); err != nil {
-		n.fusion.UnlockWrite(clk, n.name, pageID)
-		return err
-	}
-	n.emitPublish(clk, pageID, m)
-	return n.fusion.UnlockWrite(clk, n.name, pageID)
-}
-
-// emitPublish traces a publication clflush. Aux = dirty lines that survived
-// the flush: nonzero means the publication was torn (fault-dropped), so
-// peers that fetch the page may see pre-write bytes.
-func (n *Node) emitPublish(clk *simclock.Clock, pageID uint64, m *pmeta) {
-	o := n.fusion.obsState()
-	if o == nil {
-		return
-	}
-	_, dirty := n.cache.LinesInRange(n.dbp, m.dataOff, page.Size)
-	o.emit(clk.Now(), obs.EvPublish, n.name, pageID, int64(dirty))
+	return n.update(clk, pageID, func(m *pmeta) error {
+		return n.cache.Write(clk, n.dbp, m.dataOff+off, data)
+	})
 }
 
 // ReadModifyWrite applies fn to len bytes at off under one write lock —
 // the shape of a sysbench point-update (read the column, compute, store).
 func (n *Node) ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64, length int, fn func([]byte)) error {
+	return n.update(clk, pageID, func(m *pmeta) error {
+		buf := make([]byte, length)
+		if err := n.cache.Read(clk, n.dbp, m.dataOff+off, buf); err != nil {
+			return err
+		}
+		n.emitRead(clk, pageID)
+		fn(buf)
+		return n.cache.Write(clk, n.dbp, m.dataOff+off, buf)
+	})
+}
+
+// update runs access on pageID under its write lock and publishes the
+// result; a failed access releases the lock unpublished.
+func (n *Node) update(clk *simclock.Clock, pageID uint64, access func(m *pmeta) error) error {
 	m, err := n.ensurePage(clk, pageID)
 	if err != nil {
 		return err
@@ -340,24 +399,12 @@ func (n *Node) ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64, le
 		n.fusion.UnlockWrite(clk, n.name, pageID)
 		return err
 	}
-	buf := make([]byte, length)
-	if err := n.cache.Read(clk, n.dbp, m.dataOff+off, buf); err != nil {
-		n.fusion.UnlockWrite(clk, n.name, pageID)
-		return err
-	}
-	n.fusion.obsState().emit(clk.Now(), obs.EvSharedRead, n.name, pageID, 0)
-	fn(buf)
-	if err := n.cache.Write(clk, n.dbp, m.dataOff+off, buf); err != nil {
+	if err := access(m); err != nil {
 		n.fusion.UnlockWrite(clk, n.name, pageID)
 		return err
 	}
 	n.mu.Lock()
 	n.stats.Writes++
 	n.mu.Unlock()
-	if err := n.cache.Flush(clk, n.dbp, m.dataOff, page.Size); err != nil {
-		n.fusion.UnlockWrite(clk, n.name, pageID)
-		return err
-	}
-	n.emitPublish(clk, pageID, m)
-	return n.fusion.UnlockWrite(clk, n.name, pageID)
+	return n.publish(clk, pageID, m)
 }

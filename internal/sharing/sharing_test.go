@@ -10,6 +10,7 @@ import (
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/rdma"
 	"polarcxlmem/internal/simclock"
+	"polarcxlmem/internal/simcpu"
 	"polarcxlmem/internal/storage"
 )
 
@@ -23,6 +24,19 @@ type rig struct {
 }
 
 func newRig(t *testing.T, dbpPages, nnodes, slots int) *rig {
+	t.Helper()
+	return buildRig(t, dbpPages, nnodes, slots, nil)
+}
+
+// newCoherentRig is newRig with every node cache in one simcpu.Domain, so
+// the nodes run the hardware-coherent (CXL 3.0) regime.
+func newCoherentRig(t *testing.T, dbpPages, nnodes int) *rig {
+	t.Helper()
+	return buildRig(t, dbpPages, nnodes, 64, simcpu.NewDomain(0))
+}
+
+// buildRig builds the rig; a non-nil dom gets every node cache.
+func buildRig(t *testing.T, dbpPages, nnodes, slots int, dom *simcpu.Domain) *rig {
 	t.Helper()
 	dbpBytes := int64(dbpPages) * page.Size
 	flagBytes := int64(slots) * flagEntrySize
@@ -39,6 +53,9 @@ func newRig(t *testing.T, dbpPages, nnodes, slots int) *rig {
 		p, err := dep.AttachPrimary(clk, fmt.Sprintf("node-%d", i), 0, flagBytes, 4<<20)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if dom != nil {
+			dom.Attach(p.Cache)
 		}
 		r.nodes = append(r.nodes, NewNode(p.Name, dep.Fusion, p.Cache, p.Flags))
 	}
@@ -227,20 +244,74 @@ func TestRecycleWritesDirtyPageToStorage(t *testing.T) {
 	}
 }
 
+// TestMetadataBufferReclaim: a node with 2 metadata slots touching 3 pages
+// must free a slot deterministically, in both regimes — an entry whose
+// removal flag is set goes first, otherwise the lowest page id.
 func TestMetadataBufferReclaim(t *testing.T) {
-	// A node with 2 metadata slots touching 3 pages must reclaim slots of
-	// recycled pages.
-	r := newRig(t, 2, 1, 2)
-	n := r.nodes[0]
-	pids := []uint64{r.seedPage(t, 1), r.seedPage(t, 2), r.seedPage(t, 3)}
-	buf := make([]byte, 1)
-	for _, pid := range pids {
-		if err := n.Read(r.clk, pid, 4096, buf); err != nil {
-			t.Fatal(err)
+	for _, regime := range []struct {
+		name     string
+		coherent bool
+	}{{"software", false}, {"coherent", true}} {
+		for _, recycle := range []bool{true, false} {
+			name := regime.name + "/lowest-id"
+			if recycle {
+				name = regime.name + "/removal-first"
+			}
+			t.Run(name, func(t *testing.T) {
+				// run touches pages 1, 0, 2 of pids, checks which two stay
+				// mapped, then probes every page; it returns the page of each
+				// GetPage RPC in issue order.
+				run := func() []uint64 {
+					dbp := 4
+					if recycle {
+						dbp = 2
+					}
+					var dom *simcpu.Domain
+					if regime.coherent {
+						dom = simcpu.NewDomain(0)
+					}
+					r := buildRig(t, dbp, 1, 2, dom)
+					n := r.nodes[0]
+					pids := []uint64{r.seedPage(t, 1), r.seedPage(t, 2), r.seedPage(t, 3)}
+					var gets []uint64
+					buf := make([]byte, 1)
+					read := func(pid uint64) {
+						before := n.Stats().GetPageRPCs
+						if err := n.Read(r.clk, pid, 4096, buf); err != nil {
+							t.Fatal(err)
+						}
+						if n.Stats().GetPageRPCs > before {
+							gets = append(gets, pid)
+						}
+					}
+					read(pids[1])
+					read(pids[0])
+					want := []uint64{pids[1], pids[2]} // pids[0] is the lowest id
+					if recycle {
+						// The LRU victim is pids[1]: its removal flag is set
+						// while its metadata entry is still mapped.
+						if err := r.fusion.Recycle(r.clk); err != nil {
+							t.Fatal(err)
+						}
+						want = []uint64{pids[0], pids[2]}
+					}
+					read(pids[2])
+					n.mu.Lock()
+					kept := n.sortedMetaIDs()
+					n.mu.Unlock()
+					if fmt.Sprint(kept) != fmt.Sprint(want) {
+						t.Fatalf("mapped after reclaim = %v, want %v (pages %v)", kept, want, pids)
+					}
+					for _, pid := range pids {
+						read(pid)
+					}
+					return gets
+				}
+				if a, b := run(), run(); fmt.Sprint(a) != fmt.Sprint(b) {
+					t.Fatalf("GetPage sequence differs between runs: %v vs %v", a, b)
+				}
+			})
 		}
-	}
-	if n.Stats().GetPageRPCs < 3 {
-		t.Fatalf("getpage rpcs = %d", n.Stats().GetPageRPCs)
 	}
 }
 

@@ -118,6 +118,10 @@ func (c *Cache) SetInjector(inj fault.Injector) {
 // Name reports the cache name.
 func (c *Cache) Name() string { return c.name }
 
+// Domain reports the coherency domain c is attached to, or nil when the
+// cache has no inter-host coherency (CXL 2.0).
+func (c *Cache) Domain() *Domain { return c.domain }
+
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats {
 	c.lock()

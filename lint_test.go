@@ -94,3 +94,74 @@ func TestNoDeadDiscards(t *testing.T) {
 		t.Fatalf("%d dead discard(s); delete the vestige (or, for a call whose error is deliberately ignored, keep the call expression)", len(bad))
 	}
 }
+
+// TestNoWallClockInProduct is the wall-clock gate: virtual time is the
+// model's answer, so non-test product code must not read the wall clock or
+// yield to the Go scheduler — either would let the host machine decide a
+// simulated result. It fails on any reference to time.Now, time.Since or
+// runtime.Gosched outside the allowed callers: cmd/ (the stderr progress
+// line) and the free-goroutine collect loop in internal/wal/groupcommit.go.
+// perfbench/ is its own module, measuring wall time on purpose.
+func TestNoWallClockInProduct(t *testing.T) {
+	banned := map[string]map[string]bool{
+		"time":    {"Now": true, "Since": true},
+		"runtime": {"Gosched": true},
+	}
+	allowed := func(path string) bool {
+		return strings.HasPrefix(path, "cmd"+string(filepath.Separator)) ||
+			path == filepath.Join("internal", "wal", "groupcommit.go")
+	}
+	fset := token.NewFileSet()
+	var bad []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "perfbench" || name == "testdata" || strings.HasPrefix(name, ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || allowed(path) {
+			return nil
+		}
+		f, perr := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if perr != nil {
+			return fmt.Errorf("parsing %s: %w", path, perr)
+		}
+		// Local import names of the watched packages (aliases included).
+		local := map[string]map[string]bool{}
+		for _, imp := range f.Imports {
+			pkg := strings.Trim(imp.Path.Value, `"`)
+			if names, ok := banned[pkg]; ok {
+				name := pkg
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				local[name] = names
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && local[x.Name][sel.Sel.Name] {
+				bad = append(bad, fmt.Sprintf("%s: %s.%s", fset.Position(sel.Pos()), x.Name, sel.Sel.Name))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		t.Error(b)
+	}
+	if len(bad) > 0 {
+		t.Fatalf("%d wall-clock reference(s) in product code; charge a simclock.Clock instead", len(bad))
+	}
+}
