@@ -319,6 +319,7 @@ func runAblateMeta(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.Publish(observer())
 		t.AddRow("metadata in CXL (PolarRecv)", f2(float64(res.Nanos())/1e6),
 			fmt.Sprintf("%d", res.PagesTrusted), fmt.Sprintf("%d", res.PagesRebuilt),
 			fmt.Sprintf("%d", res.WarmPages))
@@ -347,6 +348,7 @@ func runAblateMeta(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.Publish(observer())
 		t.AddRow("metadata in DRAM (full redo)", f2(float64(res.Nanos())/1e6),
 			"0", fmt.Sprintf("%d", res.PagesRebuilt), fmt.Sprintf("%d", res.WarmPages))
 	}

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"polarcxlmem/internal/obs"
-	"polarcxlmem/internal/recovery"
 )
 
 // obsReg, when set, is threaded through every rig an experiment builds:
@@ -25,11 +24,9 @@ import (
 var obsReg atomic.Pointer[obs.Registry]
 
 // SetObserver installs (or, with nil, removes) the registry every
-// subsequently built rig reports into.
-func SetObserver(reg *obs.Registry) {
-	obsReg.Store(reg)
-	recovery.SetObserver(reg)
-}
+// subsequently built rig reports into; the experiments publish each
+// recovery pass's Result there too.
+func SetObserver(reg *obs.Registry) { obsReg.Store(reg) }
 
 // observer reads the installed registry (nil when unset).
 func observer() *obs.Registry { return obsReg.Load() }

@@ -145,6 +145,7 @@ func runTimeline(cfg Config, kind PoolKind, wl string) (*fig10Run, error) {
 		rig.pool = pool2
 		eng2, res = e, r
 	}
+	res.Publish(observer())
 	run.recoverySec = float64(res.Nanos()) / 1e9
 	run.points = append(run.points, timelinePoint{t: float64(clk2.Now()-start) / 1e9, x: 0})
 

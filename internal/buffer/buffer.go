@@ -12,16 +12,18 @@
 // internal/core and satisfies the same Pool interface, so the identical
 // B+tree and transaction engine run on all three.
 //
-// Since the frametab refactor, every pool in the repo is a thin FrameStore
-// backend over internal/frametab: the sharded page index, pin/latch/clock
-// machinery, atomic statistics, and the generic Get / Create / GetOrCreate
-// flows live there once; a pool contributes only its medium's data movement
-// (DRAM slab, RDMA remote tier, CXL block, shared DBP slot). Mode and Stats
-// below are aliases of the frametab types so the engine-facing API is
-// unchanged. The frame-table shard count is a frametab.Config knob; its
-// default suits the test workloads, and the sorted-iteration rule that
-// keeps fault-sweep replay deterministic is documented in the frametab
-// package comment.
+// Every pool in the repo embeds one TablePool (tablepool.go): the frametab
+// table, page-id source, flush barrier and observer registration, and the
+// generic Get / NewPage / GetOrCreate that wrap a latched frametab frame in
+// the pool's own Frame type. A pool contributes only its medium — a
+// frametab.FrameStore that moves pages (DRAM slab, RDMA remote tier, CXL
+// block, shared DBP slot) and that frame type. Pools whose store writes
+// pages back itself embed a WritebackPool, which adds the checkpoint walk
+// (FlushAll) and the flusher.Target methods. Mode and Stats below are
+// aliases of the frametab types so the engine-facing API is unchanged. The
+// frame-table shard count is a frametab.Config knob; the sorted-iteration
+// rule that keeps fault-sweep replay deterministic is documented in the
+// frametab package comment.
 //
 // Latching: frames carry a page latch for functional mutual exclusion among
 // a node's worker goroutines. Latch *wait time* in the performance figures
@@ -85,3 +87,17 @@ type Pool interface {
 	// (memory-overhead accounting for the cost comparisons).
 	Resident() int
 }
+
+// Creator is the optional pool capability recovery relies on: GetOrCreate
+// write-latches a page, materializing a zeroed frame when the page has no
+// durable image yet (recovery redo of pages created after the last
+// checkpoint: their PageInit record is in the log, not on storage).
+type Creator interface {
+	Pool
+	GetOrCreate(clk *simclock.Clock, id uint64) (Frame, error)
+}
+
+var (
+	_ Creator = (*DRAMPool)(nil)
+	_ Creator = (*TieredPool)(nil)
+)

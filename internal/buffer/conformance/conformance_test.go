@@ -32,8 +32,10 @@ const capacity = 8
 // rig is one pool under test. All five pools implement buffer.Creator and
 // expose PinnedFrames, but neither is part of buffer.Pool, so the rig
 // carries them explicitly. setObs attaches (or, with nil, detaches) an
-// observability registry to every instrumented component in the rig.
+// observability registry to every instrumented component in the rig;
+// metric is the pool's frame-table metric name (frametab.<metric>.*).
 type rig struct {
+	metric  string
 	pool    buffer.Creator
 	store   *storage.Store
 	pinned  func() int
@@ -60,7 +62,7 @@ func buildDRAM(t *testing.T) *rig {
 	t.Helper()
 	store := storage.New(storage.Config{})
 	p := buffer.NewDRAMPool(store, capacity, cxl.DRAMProfile())
-	return &rig{pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
+	return &rig{metric: "dram", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
 }
 
 func buildTiered(t *testing.T) *rig {
@@ -68,7 +70,7 @@ func buildTiered(t *testing.T) *rig {
 	store := storage.New(storage.Config{})
 	remote := buffer.NewRemoteMemory("rm", 256)
 	p := buffer.NewTieredPool(store, remote, rdma.NewNIC("nic", 0, 0), capacity, cxl.DRAMProfile())
-	return &rig{pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
+	return &rig{metric: "tiered", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
 }
 
 func buildCXL(t *testing.T) *rig {
@@ -87,7 +89,7 @@ func buildCXL(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
+	return &rig{metric: "cxl", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
 }
 
 func buildShared(t *testing.T) *rig {
@@ -111,7 +113,7 @@ func buildShared(t *testing.T) *rig {
 		fusion.SetObserver(reg)
 		p.SetObserver(reg)
 	}
-	return &rig{pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: setObs}
+	return &rig{metric: "shared/n0", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: setObs}
 }
 
 func buildRDMAShared(t *testing.T) *rig {
@@ -119,7 +121,7 @@ func buildRDMAShared(t *testing.T) *rig {
 	store := storage.New(storage.Config{})
 	fusion := sharing.NewRDMAFusion(64, store)
 	p := sharing.NewRDMASharedPool("n0", fusion, rdma.NewNIC("nic", 0, 0), capacity)
-	return &rig{pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
+	return &rig{metric: "rdma/n0", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
 }
 
 // seedPage writes a raw page image with lsn and a payload byte to storage.
@@ -194,6 +196,54 @@ func TestGetReadAndHitAccounting(t *testing.T) {
 			t.Fatalf("stats after miss+hit: %+v", st)
 		}
 	})
+}
+
+// TestPoolMetricNames: an observed pool reports a miss and then a hit under
+// frametab.<name>.misses / .hits with its established name (dram, tiered,
+// cxl, shared/<node>, rdma/<node>), and the shared pools keep reporting
+// there after CrashPrimary + RejoinPrimary rebuild their table.
+func TestPoolMetricNames(t *testing.T) {
+	for _, b := range builders {
+		t.Run(b.name, func(t *testing.T) {
+			r := b.build(t)
+			reg := obs.New(obs.Options{})
+			r.setObs(reg)
+			clk := simclock.New()
+			misses, hits := "frametab."+r.metric+".misses", "frametab."+r.metric+".hits"
+			missThenHit := func(stage string) {
+				t.Helper()
+				id := seedPage(t, r.store, 1, 0x01)
+				before := reg.Snapshot().Counters
+				for i := 0; i < 2; i++ {
+					f, err := r.pool.Get(clk, id, buffer.Read)
+					if err != nil {
+						t.Fatal(err)
+					}
+					release(t, f)
+				}
+				after := reg.Snapshot().Counters
+				if d := after[misses] - before[misses]; d != 1 {
+					t.Fatalf("%s: %s moved by %d, want 1", stage, misses, d)
+				}
+				if d := after[hits] - before[hits]; d != 1 {
+					t.Fatalf("%s: %s moved by %d, want 1", stage, hits, d)
+				}
+			}
+			missThenHit("fresh pool")
+			primary, ok := r.pool.(interface {
+				CrashPrimary()
+				RejoinPrimary(*simclock.Clock) error
+			})
+			if !ok {
+				return
+			}
+			primary.CrashPrimary()
+			if err := primary.RejoinPrimary(clk); err != nil {
+				t.Fatal(err)
+			}
+			missThenHit("after rejoin")
+		})
+	}
 }
 
 // TestWriteVisibleAfterRelease: bytes written under a write latch are seen

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"polarcxlmem/internal/frametab"
-	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/simmem"
@@ -12,14 +11,13 @@ import (
 )
 
 // DRAMPool is the conventional local buffer pool: pages cached in host DRAM
-// in front of shared storage. It is a frametab table over a dramStore — the
-// store moves whole pages between the DRAM slab and storage; the table owns
-// the index, pins, latches, eviction clock, and statistics.
+// in front of shared storage. Its dramStore moves whole pages between the
+// DRAM slab and storage; the embedded WritebackPool owns the table (index,
+// pins, latches, eviction clock, statistics) and the pool surface.
 type DRAMPool struct {
-	store   *storage.Store
-	prof    simmem.Profile
-	tab     *frametab.Table
-	barrier FlushBarrier
+	*WritebackPool
+	store *storage.Store
+	prof  simmem.Profile
 }
 
 var _ Pool = (*DRAMPool)(nil)
@@ -36,12 +34,12 @@ func NewDRAMPool(store *storage.Store, capacityPages int, prof simmem.Profile) *
 		panic(fmt.Sprintf("buffer: DRAM pool needs positive capacity, got %d", capacityPages))
 	}
 	p := &DRAMPool{store: store, prof: prof}
-	p.tab = frametab.New(frametab.Config{
-		Capacity: capacityPages,
-		Store:    &dramStore{pool: p},
-		NotFound: storage.ErrNotFound,
-	})
+	p.WritebackPool = NewWritebackPool(frametab.Config{Capacity: capacityPages, Store: &dramStore{pool: p}}, "dram", store, p.bind)
 	return p
+}
+
+func (p *DRAMPool) bind(clk *simclock.Clock, f *frametab.Frame, mode Mode) Frame {
+	return &ImageFrame{Tab: p.tab, Fr: f, Prof: &p.prof, Clk: clk, Mode: mode}
 }
 
 // Fetch implements frametab.FrameStore: a whole-page storage read.
@@ -60,33 +58,22 @@ func (s *dramStore) Create(clk *simclock.Clock, id uint64) (any, error) {
 	return make([]byte, page.Size), nil
 }
 
-// Evict implements frametab.EvictStore: dirty victims are written back
-// under the write-ahead barrier; clean ones just vanish.
+// Evict implements frametab.EvictStore: dirty victims are written back;
+// clean ones just vanish.
 func (s *dramStore) Evict(clk *simclock.Clock, id uint64, slot any, dirty bool) error {
 	if !dirty {
 		return nil
 	}
-	p := s.pool
-	img := slot.([]byte)
-	if p.barrier != nil {
-		p.barrier(clk, page.RawLSN(img))
-	}
-	if err := p.store.WritePage(clk, id, img); err != nil {
-		return err
-	}
-	p.tab.Counters.StorageWrites.Add(1)
-	return nil
+	return s.Writeback(clk, id, slot)
 }
 
 // Writeback implements frametab.WritebackStore: persist one dirty page in
-// place (the background flusher's path), with the same barrier-then-write
-// order as Evict and FlushAll.
+// place under the write-ahead barrier (eviction, the background flusher and
+// the checkpoint all write a page this way).
 func (s *dramStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 	p := s.pool
 	img := slot.([]byte)
-	if p.barrier != nil {
-		p.barrier(clk, page.RawLSN(img))
-	}
+	p.Barrier(clk, page.RawLSN(img))
 	if err := p.store.WritePage(clk, id, img); err != nil {
 		return err
 	}
@@ -94,133 +81,67 @@ func (s *dramStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 	return nil
 }
 
-// SetFlushBarrier implements Pool.
-func (p *DRAMPool) SetFlushBarrier(fb FlushBarrier) { p.barrier = fb }
+// ImageFrame binds a frametab frame whose slot is a whole-page []byte image
+// in local DRAM to a worker clock and latch mode, charging Prof per access.
+// DRAMPool and TieredPool hand it out as is; sharing.RDMASharedPool embeds
+// it for its local page copies.
+type ImageFrame struct {
+	Tab   *frametab.Table // the table Fr is pinned in
+	Fr    *frametab.Frame
+	Prof  *simmem.Profile
+	Clk   *simclock.Clock
+	Mode  Mode
+	Wrote bool // a WriteAt landed under this latch
 
-// SetObserver registers the pool's frame-table metrics (frametab.dram.*)
-// with reg; nil detaches.
-func (p *DRAMPool) SetObserver(reg *obs.Registry) { p.tab.SetObserver(reg, "dram") }
-
-// Stats implements Pool.
-func (p *DRAMPool) Stats() Stats { return p.tab.Stats() }
-
-// Resident implements Pool.
-func (p *DRAMPool) Resident() int { return p.tab.Resident() }
-
-// PinnedFrames reports frames with live pins (conformance leak check).
-func (p *DRAMPool) PinnedFrames() int { return p.tab.PinnedFrames() }
-
-// Get implements Pool.
-func (p *DRAMPool) Get(clk *simclock.Clock, id uint64, mode Mode) (Frame, error) {
-	f, err := p.tab.Get(clk, id, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &boundFrame{fr: f, tab: p.tab, prof: &p.prof, clk: clk, mode: mode}, nil
-}
-
-// NewPage implements Pool.
-func (p *DRAMPool) NewPage(clk *simclock.Clock) (Frame, error) {
-	f, err := p.tab.Create(clk, p.store.AllocPageID())
-	if err != nil {
-		return nil, err
-	}
-	return &boundFrame{fr: f, tab: p.tab, prof: &p.prof, clk: clk, mode: Write}, nil
-}
-
-// GetOrCreate write-latches page id, materializing a zeroed frame when the
-// page has no durable image yet — the recovery redo path needs this for
-// pages that were created after the last checkpoint (their PageInit record
-// is in the log, not on storage).
-func (p *DRAMPool) GetOrCreate(clk *simclock.Clock, id uint64) (Frame, error) {
-	f, err := p.tab.GetOrCreate(clk, id)
-	if err != nil {
-		return nil, err
-	}
-	return &boundFrame{fr: f, tab: p.tab, prof: &p.prof, clk: clk, mode: Write}, nil
-}
-
-// FlushAll implements Pool. The dirty set comes back sorted by page id, so
-// checkpoint I/O runs in one canonical order (fault-plan determinism).
-func (p *DRAMPool) FlushAll(clk *simclock.Clock) error {
-	for _, fr := range p.tab.Snapshot(true) {
-		fr.Lock(Read)
-		img := fr.Slot().([]byte)
-		if p.barrier != nil {
-			p.barrier(clk, page.RawLSN(img))
-		}
-		err := p.store.WritePage(clk, fr.ID(), img)
-		if err == nil {
-			fr.ClearDirty()
-			p.tab.Counters.StorageWrites.Add(1)
-		}
-		fr.Unlock(Read)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FlushBatch writes back up to max dirty pages without evicting them
-// (flusher.Target).
-func (p *DRAMPool) FlushBatch(clk *simclock.Clock, max int) (int, error) {
-	return p.tab.FlushBatch(clk, max)
-}
-
-// DirtyResident counts resident dirty pages (flusher.Target).
-func (p *DRAMPool) DirtyResident() int { return p.tab.DirtyResident() }
-
-// boundFrame binds a frametab frame holding a []byte image to a worker
-// clock and latch mode (shared by DRAMPool and TieredPool).
-type boundFrame struct {
-	fr       *frametab.Frame
-	tab      *frametab.Table
-	prof     *simmem.Profile
-	clk      *simclock.Clock
-	mode     Mode
 	released bool
 }
 
 // ID implements Frame.
-func (b *boundFrame) ID() uint64 { return b.fr.ID() }
+func (b *ImageFrame) ID() uint64 { return b.Fr.ID() }
 
 // MarkDirty implements Frame.
-func (b *boundFrame) MarkDirty() { b.fr.MarkDirty() }
+func (b *ImageFrame) MarkDirty() { b.Fr.MarkDirty() }
 
-// ReadAt implements page.Accessor with local-DRAM costs.
-func (b *boundFrame) ReadAt(off int, buf []byte) error {
-	img := b.fr.Slot().([]byte)
+// ReadAt implements page.Accessor at Prof's read cost.
+func (b *ImageFrame) ReadAt(off int, buf []byte) error {
+	if b.released {
+		return fmt.Errorf("buffer: read on released frame of page %d", b.Fr.ID())
+	}
+	img := b.Fr.Slot().([]byte)
 	if off < 0 || off+len(buf) > len(img) {
 		return fmt.Errorf("buffer: read [%d,%d) out of page bounds", off, off+len(buf))
 	}
 	copy(buf, img[off:])
-	b.clk.Advance(b.prof.ReadCost(len(buf)))
+	b.Clk.Advance(b.Prof.ReadCost(len(buf)))
 	return nil
 }
 
-// WriteAt implements page.Accessor with local-DRAM costs. Writes require
-// the write latch — the same contract the CXL and shared pools enforce.
-func (b *boundFrame) WriteAt(off int, data []byte) error {
-	if b.mode != Write {
-		return fmt.Errorf("buffer: write to page %d under a read latch", b.fr.ID())
+// WriteAt implements page.Accessor at Prof's write cost. Writes require the
+// write latch — the same contract the CXL and shared pools enforce.
+func (b *ImageFrame) WriteAt(off int, data []byte) error {
+	if b.released {
+		return fmt.Errorf("buffer: write on released frame of page %d", b.Fr.ID())
 	}
-	img := b.fr.Slot().([]byte)
+	if b.Mode != Write {
+		return fmt.Errorf("buffer: write to page %d under a read latch", b.Fr.ID())
+	}
+	img := b.Fr.Slot().([]byte)
 	if off < 0 || off+len(data) > len(img) {
 		return fmt.Errorf("buffer: write [%d,%d) out of page bounds", off, off+len(data))
 	}
 	copy(img[off:], data)
-	b.clk.Advance(b.prof.WriteCost(len(data)))
+	b.Clk.Advance(b.Prof.WriteCost(len(data)))
+	b.Wrote = true
 	return nil
 }
 
 // Release implements Frame.
-func (b *boundFrame) Release() error {
+func (b *ImageFrame) Release() error {
 	if b.released {
-		return fmt.Errorf("buffer: double release of page %d", b.fr.ID())
+		return fmt.Errorf("buffer: double release of page %d", b.Fr.ID())
 	}
 	b.released = true
-	b.fr.Unlock(b.mode)
-	b.tab.Unpin(b.fr)
+	b.Fr.Unlock(b.Mode)
+	b.Tab.Unpin(b.Fr)
 	return nil
 }

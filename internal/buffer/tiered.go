@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"polarcxlmem/internal/frametab"
-	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/rdma"
 	"polarcxlmem/internal/simclock"
@@ -31,16 +30,16 @@ import (
 // The paper's Figure 1 and the pooling experiments (§4.2) measure exactly
 // this traffic against the NIC's 12 GB/s.
 //
-// Structurally the pool is a frametab table over a tieredStore: the store
-// contributes the two-tier page movement, the table everything else.
+// Structurally the pool is a WritebackPool over a tieredStore: the store
+// contributes the two-tier page movement, the embedded pool everything
+// else, except FlushAll's second pass over the remote tier.
 type TieredPool struct {
-	store   *storage.Store
-	remote  *RemoteMemory
-	nic     *rdma.NIC
-	prof    simmem.Profile
-	tab     *frametab.Table
-	tst     *tieredStore
-	barrier FlushBarrier
+	*WritebackPool
+	store  *storage.Store
+	remote *RemoteMemory
+	nic    *rdma.NIC
+	prof   simmem.Profile
+	tst    *tieredStore
 }
 
 var _ Pool = (*TieredPool)(nil)
@@ -63,12 +62,12 @@ func NewTieredPool(store *storage.Store, remote *RemoteMemory, nic *rdma.NIC, lo
 	}
 	p := &TieredPool{store: store, remote: remote, nic: nic, prof: prof}
 	p.tst = &tieredStore{pool: p, remoteDirty: make(map[uint64]bool)}
-	p.tab = frametab.New(frametab.Config{
-		Capacity: localCapacity,
-		Store:    p.tst,
-		NotFound: storage.ErrNotFound,
-	})
+	p.WritebackPool = NewWritebackPool(frametab.Config{Capacity: localCapacity, Store: p.tst}, "tiered", store, p.bind)
 	return p
+}
+
+func (p *TieredPool) bind(clk *simclock.Clock, f *frametab.Frame, mode Mode) Frame {
+	return &ImageFrame{Tab: p.tab, Fr: f, Prof: &p.prof, Clk: clk, Mode: mode}
 }
 
 func (s *tieredStore) remoteDirtyGet(id uint64) bool {
@@ -139,22 +138,20 @@ func (s *tieredStore) Evict(clk *simclock.Clock, id uint64, slot any, dirty bool
 	if !push {
 		return nil
 	}
-	if dirty && p.barrier != nil {
-		p.barrier(clk, page.RawLSN(img))
+	if dirty {
+		p.Barrier(clk, page.RawLSN(img))
 	}
 	return p.remote.Write(clk, p.nic, id, img)
 }
 
 // Writeback implements frametab.WritebackStore: persist one dirty LBP page
 // to storage and refresh its remote copy in place (the background flusher's
-// path), mirroring FlushAll's local-pass order — barrier, storage write,
-// remote write, remote-dirty clear.
+// path, and FlushAll's local pass) — barrier, storage write, remote write,
+// remote-dirty clear.
 func (s *tieredStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 	p := s.pool
 	img := slot.([]byte)
-	if p.barrier != nil {
-		p.barrier(clk, page.RawLSN(img))
-	}
+	p.Barrier(clk, page.RawLSN(img))
 	if err := p.store.WritePage(clk, id, img); err != nil {
 		return err
 	}
@@ -167,120 +164,41 @@ func (s *tieredStore) Writeback(clk *simclock.Clock, id uint64, slot any) error 
 	return nil
 }
 
-// SetFlushBarrier implements Pool.
-func (p *TieredPool) SetFlushBarrier(fb FlushBarrier) { p.barrier = fb }
-
-// SetObserver registers the LBP's frame-table metrics (frametab.tiered.*)
-// with reg; nil detaches.
-func (p *TieredPool) SetObserver(reg *obs.Registry) { p.tab.SetObserver(reg, "tiered") }
-
-// Stats implements Pool.
-func (p *TieredPool) Stats() Stats { return p.tab.Stats() }
-
-// Resident implements Pool. Only LBP pages count as local memory overhead;
-// the remote tier is the disaggregated pool being compared against.
-func (p *TieredPool) Resident() int { return p.tab.Resident() }
-
-// PinnedFrames reports frames with live pins (conformance leak check).
-func (p *TieredPool) PinnedFrames() int { return p.tab.PinnedFrames() }
-
 // Remote exposes the remote tier (recovery reads surviving pages from it).
 func (p *TieredPool) Remote() *RemoteMemory { return p.remote }
 
 // NIC exposes the pool's NIC for bandwidth reporting.
 func (p *TieredPool) NIC() *rdma.NIC { return p.nic }
 
-// FlushBatch writes back up to max dirty LBP pages without evicting them
-// (flusher.Target). Remote-only dirty pages are the checkpoint's business;
-// the flusher trims the local dirty set, which is what grows the redo
-// fraction between checkpoints.
-func (p *TieredPool) FlushBatch(clk *simclock.Clock, max int) (int, error) {
-	return p.tab.FlushBatch(clk, max)
-}
-
-// DirtyResident counts resident dirty LBP pages (flusher.Target).
-func (p *TieredPool) DirtyResident() int { return p.tab.DirtyResident() }
-
-// Get implements Pool.
-func (p *TieredPool) Get(clk *simclock.Clock, id uint64, mode Mode) (Frame, error) {
-	f, err := p.tab.Get(clk, id, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &boundFrame{fr: f, tab: p.tab, prof: &p.prof, clk: clk, mode: mode}, nil
-}
-
-// NewPage implements Pool.
-func (p *TieredPool) NewPage(clk *simclock.Clock) (Frame, error) {
-	f, err := p.tab.Create(clk, p.store.AllocPageID())
-	if err != nil {
-		return nil, err
-	}
-	return &boundFrame{fr: f, tab: p.tab, prof: &p.prof, clk: clk, mode: Write}, nil
-}
-
-// GetOrCreate is the TieredPool recovery variant of Get: a page absent from
-// both the remote tier and storage materializes as a zeroed local frame.
-func (p *TieredPool) GetOrCreate(clk *simclock.Clock, id uint64) (Frame, error) {
-	f, err := p.tab.GetOrCreate(clk, id)
-	if err != nil {
-		return nil, err
-	}
-	return &boundFrame{fr: f, tab: p.tab, prof: &p.prof, clk: clk, mode: Write}, nil
-}
-
 // FlushAll implements Pool (the checkpointer): every dirty LBP page goes to
-// storage and refreshes its remote copy; remote-tier pages that are newer
-// than their storage image (dirty evictions) are fetched back over RDMA and
-// written to storage. Both passes run in page-id order — the frame snapshot
-// comes back sorted, and the remote-only set is sorted here — so checkpoint
-// I/O replays identically under a fault plan.
+// storage and refreshes its remote copy (the embedded pool's walk over
+// tieredStore.Writeback); then remote-tier pages that are newer than their
+// storage image (dirty evictions) are fetched back over RDMA and written to
+// storage. The local pass cleared every resident page's remote-dirty mark
+// (a resident page with a newer remote copy is dirty locally), so what is
+// left is remote-only. Both passes run in page-id order, so checkpoint I/O
+// replays identically under a fault plan. The background flusher
+// (FlushBatch) trims only the local dirty set, which is what grows the redo
+// fraction between checkpoints.
 func (p *TieredPool) FlushAll(clk *simclock.Clock) error {
-	local := p.tab.Snapshot(true)
-	resident := make(map[uint64]bool, len(local))
-	for _, fr := range local {
-		resident[fr.ID()] = true
+	if err := p.WritebackPool.FlushAll(clk); err != nil {
+		return err
 	}
 	p.tst.mu.Lock()
-	var remoteOnly []uint64
+	remoteOnly := make([]uint64, 0, len(p.tst.remoteDirty))
 	for id := range p.tst.remoteDirty {
-		if !resident[id] {
-			remoteOnly = append(remoteOnly, id)
-		}
+		remoteOnly = append(remoteOnly, id)
 	}
 	p.tst.mu.Unlock()
 	sort.Slice(remoteOnly, func(i, j int) bool { return remoteOnly[i] < remoteOnly[j] })
 
-	for _, fr := range local {
-		fr.Lock(Read)
-		img := fr.Slot().([]byte)
-		if p.barrier != nil {
-			p.barrier(clk, page.RawLSN(img))
-		}
-		err := p.store.WritePage(clk, fr.ID(), img)
-		if err == nil {
-			err = p.remote.Write(clk, p.nic, fr.ID(), img)
-		}
-		if err == nil {
-			fr.ClearDirty()
-			p.tst.remoteDirtySet(fr.ID(), false)
-			p.tab.Counters.StorageWrites.Add(1)
-			p.tab.Counters.RemoteWrites.Add(1)
-		}
-		fr.Unlock(Read)
-		if err != nil {
-			return err
-		}
-	}
 	img := make([]byte, page.Size)
 	for _, id := range remoteOnly {
 		if err := p.remote.Read(clk, p.nic, id, img); err != nil {
 			return err
 		}
 		p.tab.Counters.RemoteReads.Add(1)
-		if p.barrier != nil {
-			p.barrier(clk, page.RawLSN(img))
-		}
+		p.Barrier(clk, page.RawLSN(img))
 		if err := p.store.WritePage(clk, id, img); err != nil {
 			return err
 		}

@@ -98,6 +98,6 @@ func (f *cxlFrame) Release() error {
 		p.metaStore(f.clk, f.idx, mLock, lockFree)
 	}
 	f.fr.Unlock(f.mode)
-	p.tab.Unpin(f.fr)
+	p.Table().Unpin(f.fr)
 	return nil
 }

@@ -29,13 +29,16 @@ const lruMoveWindowMult = 4
 // CXLPool is PolarCXLMem's buffer pool: every page and its metadata live
 // directly in the node's CXL region; there is no local tier.
 //
-// The in-DRAM side (page index, pins, latches, statistics) is a frametab
-// table; cxlStore below contributes everything CXL-resident — the durable
-// free/in-use lists, lock words, and flags stay exactly where the paper
-// puts them, so PolarRecv and Fsck are behaviorally untouched. The table's
-// capacity policy is disabled (Capacity 0): eviction is driven from inside
-// the store, because victim selection walks the CXL-resident LRU list.
+// The in-DRAM side (page index, pins, latches, statistics) and the pool
+// surface are the embedded buffer.WritebackPool; cxlStore below contributes
+// everything CXL-resident — the durable free/in-use lists, lock words, and
+// flags stay exactly where the paper puts them, so PolarRecv and Fsck are
+// behaviorally untouched. The SetObserver registry also receives the tier.*
+// events. The table's capacity policy is disabled (Capacity 0): eviction is
+// driven from inside the store, because victim selection walks the
+// CXL-resident LRU list.
 type CXLPool struct {
+	*buffer.WritebackPool
 	host   *cxl.HostPort
 	region *simmem.Region
 	cache  *simcpu.Cache
@@ -43,16 +46,12 @@ type CXLPool struct {
 
 	nblocks int64
 
-	tab *frametab.Table
 	cst *cxlStore
 
 	// fastP is the optional inclusive DRAM fast tier (see tier.go); quota is
-	// the optional in-use block bound under it; obsRegP feeds tier.* events.
-	fastP   atomic.Pointer[fastTier]
-	quota   atomic.Int64
-	obsRegP atomic.Pointer[obs.Registry]
-
-	barrier buffer.FlushBarrier
+	// the optional in-use block bound under it.
+	fastP atomic.Pointer[fastTier]
+	quota atomic.Int64
 
 	// hook, when set, is called at named protocol steps; returning an error
 	// aborts the operation mid-way, leaving exactly the partial CXL state a
@@ -86,8 +85,12 @@ func newPool(host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache, sto
 		w = 1
 	}
 	p.cst = &cxlStore{p: p, ids: make([]uint64, n), touch: make([]atomic.Int64, n), window: w}
-	p.tab = frametab.New(frametab.Config{Store: p.cst, NotFound: storage.ErrNotFound})
+	p.WritebackPool = buffer.NewWritebackPool(frametab.Config{Store: p.cst}, "cxl", store, p.bind)
 	return p
+}
+
+func (p *CXLPool) bind(clk *simclock.Clock, f *frametab.Frame, mode buffer.Mode) buffer.Frame {
+	return &cxlFrame{pool: p, clk: clk, idx: f.Slot().(int64), fr: f, mode: mode}
 }
 
 // Format initializes a fresh PolarCXLMem pool over region: writes the
@@ -145,26 +148,6 @@ func (p *CXLPool) Region() *simmem.Region { return p.region }
 
 // Cache exposes the node's CPU cache.
 func (p *CXLPool) Cache() *simcpu.Cache { return p.cache }
-
-// SetFlushBarrier implements buffer.Pool.
-func (p *CXLPool) SetFlushBarrier(fb buffer.FlushBarrier) { p.barrier = fb }
-
-// SetObserver registers the pool's frame-table metrics (frametab.cxl.*)
-// with reg and attaches the tier.* event emitter; nil detaches both.
-func (p *CXLPool) SetObserver(reg *obs.Registry) {
-	p.tab.SetObserver(reg, "cxl")
-	p.obsRegP.Store(reg)
-}
-
-// Stats implements buffer.Pool.
-func (p *CXLPool) Stats() buffer.Stats { return p.tab.Stats() }
-
-// Resident implements buffer.Pool: pages resident in CXL. Local DRAM holds
-// no pages at all — the cost advantage the paper quantifies.
-func (p *CXLPool) Resident() int { return p.tab.Resident() }
-
-// PinnedFrames reports frames with live pins (conformance leak check).
-func (p *CXLPool) PinnedFrames() int { return p.tab.PinnedFrames() }
 
 // --- costed metadata access -------------------------------------------------
 
@@ -301,14 +284,14 @@ func (s *cxlStore) evictOne(clk *simclock.Clock) (int64, error) {
 	p := s.p
 	for {
 		idx := int64(p.headLoad(clk, hInuseTail))
-		for idx != 0 && p.tab.Pinned(s.ids[idx-1]) {
+		for idx != 0 && p.Table().Pinned(s.ids[idx-1]) {
 			idx = int64(p.metaLoad(clk, idx, mPrev))
 		}
 		if idx == 0 {
 			return 0, fmt.Errorf("core: all in-use blocks pinned, cannot evict")
 		}
 		id := p.metaLoad(clk, idx, mPageID)
-		fr, ok := p.tab.TakeIfIdle(id)
+		fr, ok := p.Table().TakeIfIdle(id)
 		if !ok {
 			continue // pinned between walk and take; re-walk the list
 		}
@@ -329,13 +312,11 @@ func (s *cxlStore) evictOne(clk *simclock.Clock) (int64, error) {
 			if err := p.host.TransferRead(clk, page.Size); err != nil {
 				return 0, err
 			}
-			if p.barrier != nil {
-				p.barrier(clk, page.RawLSN(img))
-			}
+			p.Barrier(clk, page.RawLSN(img))
 			if err := p.store.WritePage(clk, id, img); err != nil {
 				return 0, err
 			}
-			p.tab.Counters.StorageWrites.Add(1)
+			p.Table().Counters.StorageWrites.Add(1)
 		}
 		if err := p.lruLockSet(clk); err != nil {
 			return 0, err
@@ -353,7 +334,7 @@ func (s *cxlStore) evictOne(clk *simclock.Clock) (int64, error) {
 			return 0, err
 		}
 		s.ids[idx-1] = 0
-		p.tab.Counters.Evictions.Add(1)
+		p.Table().Counters.Evictions.Add(1)
 		p.emitTier(clk.Now(), obs.EvFrameEvict, id, 0)
 		return idx, nil
 	}
@@ -418,7 +399,7 @@ func (s *cxlStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 		p.pushFree(clk, idx)
 		return nil, false, err
 	}
-	p.tab.Counters.StorageReads.Add(1)
+	p.Table().Counters.StorageReads.Add(1)
 	if err := s.install(clk, idx, id, img, page.RawLSN(img), flagInUse, true); err != nil {
 		return nil, false, err
 	}
@@ -486,13 +467,12 @@ func (s *cxlStore) WriteLatched(clk *simclock.Clock, id uint64, slot any) error 
 }
 
 // Writeback implements frametab.WritebackStore: persist one dirty resident
-// page without evicting it (the background flusher's path). The device
-// operation sequence — cache flush, staging read, barrier, storage write,
-// flags word — is exactly FlushAll's per-page sequence, so crash-point fault
-// plans see the same op points whether a page reaches storage through a
-// checkpoint or the flusher. No cst.mu: the frame is pinned (eviction cannot
-// take the block) and read-latched (writers are excluded), and no list
-// pointers move.
+// page without evicting it — CXL is the buffer pool, so the page stays. The
+// background flusher and the checkpoint (the embedded pool's FlushAll) both
+// write pages this way: cache flush (make CXL current), staging read,
+// barrier, storage write, flags word. No cst.mu: the frame is read-latched
+// (writers are excluded) and no list pointers move. The flusher also pins
+// it, so eviction cannot take the block; the checkpoint walk does not pin.
 func (s *cxlStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 	p := s.p
 	idx := slot.(int64)
@@ -506,85 +486,14 @@ func (s *cxlStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 	if err := p.host.TransferRead(clk, page.Size); err != nil {
 		return err
 	}
-	if p.barrier != nil {
-		p.barrier(clk, page.RawLSN(img))
-	}
+	p.Barrier(clk, page.RawLSN(img))
 	if err := p.store.WritePage(clk, id, img); err != nil {
 		return err
 	}
 	p.metaStore(clk, idx, mFlags, flagInUse)
-	p.tab.Counters.StorageWrites.Add(1)
+	p.Table().Counters.StorageWrites.Add(1)
 	return nil
 }
-
-// --- buffer.Pool ------------------------------------------------------------
-
-// Get implements buffer.Pool.
-func (p *CXLPool) Get(clk *simclock.Clock, id uint64, mode buffer.Mode) (buffer.Frame, error) {
-	f, err := p.tab.Get(clk, id, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &cxlFrame{pool: p, clk: clk, idx: f.Slot().(int64), fr: f, mode: mode}, nil
-}
-
-// NewPage implements buffer.Pool.
-func (p *CXLPool) NewPage(clk *simclock.Clock) (buffer.Frame, error) {
-	id := p.store.AllocPageID()
-	f, err := p.tab.Create(clk, id)
-	if err != nil {
-		return nil, err
-	}
-	return &cxlFrame{pool: p, clk: clk, idx: f.Slot().(int64), fr: f, mode: buffer.Write}, nil
-}
-
-// FlushAll implements buffer.Pool: every dirty page goes to storage
-// (checkpoint support). Pages stay resident — CXL is the buffer pool. The
-// dirty snapshot comes back sorted by page id: map iteration order would
-// make the substrate operation sequence differ run to run, breaking
-// fault-plan replay.
-func (p *CXLPool) FlushAll(clk *simclock.Clock) error {
-	for _, fr := range p.tab.Snapshot(true) {
-		idx := fr.Slot().(int64)
-		fr.Lock(buffer.Read)
-		// Make CXL current for this page (write back this node's dirty
-		// lines), then stage and write to storage.
-		err := p.cache.Flush(clk, p.dataRegion(idx), 0, page.Size)
-		var img []byte
-		if err == nil {
-			img = make([]byte, page.Size)
-			err = p.rawImage(idx, img)
-		}
-		if err == nil {
-			err = p.host.TransferRead(clk, page.Size)
-		}
-		if err == nil {
-			if p.barrier != nil {
-				p.barrier(clk, page.RawLSN(img))
-			}
-			err = p.store.WritePage(clk, fr.ID(), img)
-		}
-		if err == nil {
-			fr.ClearDirty()
-			p.metaStore(clk, idx, mFlags, flagInUse)
-			p.tab.Counters.StorageWrites.Add(1)
-		}
-		fr.Unlock(buffer.Read)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FlushBatch writes back up to max dirty pages without evicting them
-// (flusher.Target).
-func (p *CXLPool) FlushBatch(clk *simclock.Clock, max int) (int, error) {
-	return p.tab.FlushBatch(clk, max)
-}
-
-// DirtyResident counts resident dirty pages (flusher.Target).
-func (p *CXLPool) DirtyResident() int { return p.tab.DirtyResident() }
 
 // Crash simulates a host failure: the CPU cache is lost (dirty unflushed
 // lines and all), every in-DRAM structure is dropped. The CXL region — the

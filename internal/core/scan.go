@@ -81,7 +81,7 @@ func Open(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, cache 
 		bi := BlockInfo{Index: i, PageID: id, Locked: lock != lockFree, Dirty: flags&flagDirty != 0, LSN: lsn}
 		inUse[i] = bi
 		rep.Blocks = append(rep.Blocks, bi)
-		p.tab.Seed(id, i, bi.Dirty)
+		p.Table().Seed(id, i, bi.Dirty)
 		p.cst.ids[i-1] = id
 	}
 
@@ -206,7 +206,7 @@ func (p *CXLPool) RepairPage(clk *simclock.Clock, id uint64, img []byte, dirty b
 	if len(img) != page.Size {
 		return fmt.Errorf("core: repair image of %d bytes", len(img))
 	}
-	fr := p.tab.Lookup(id)
+	fr := p.Table().Lookup(id)
 	if fr == nil {
 		return fmt.Errorf("core: repair of unknown page %d", id)
 	}
@@ -239,7 +239,7 @@ func (p *CXLPool) RepairPage(clk *simclock.Clock, id uint64, img []byte, dirty b
 func (p *CXLPool) DropPage(clk *simclock.Clock, id uint64) error {
 	p.cst.mu.Lock()
 	defer p.cst.mu.Unlock()
-	fr := p.tab.Lookup(id)
+	fr := p.Table().Lookup(id)
 	if fr == nil {
 		return fmt.Errorf("core: drop of unknown page %d", id)
 	}
@@ -260,13 +260,13 @@ func (p *CXLPool) DropPage(clk *simclock.Clock, id uint64) error {
 	p.metaStore(clk, idx, mLock, lockFree)
 	p.pushFree(clk, idx)
 	p.cst.ids[idx-1] = 0
-	p.tab.Discard(id)
+	p.Table().Discard(id)
 	return nil
 }
 
 // PageLSN reports the metadata LSN of a resident page (diagnostics).
 func (p *CXLPool) PageLSN(id uint64) (uint64, bool) {
-	fr := p.tab.Lookup(id)
+	fr := p.Table().Lookup(id)
 	if fr == nil {
 		return 0, false
 	}
@@ -277,7 +277,7 @@ func (p *CXLPool) PageLSN(id uint64) (uint64, bool) {
 
 // RawPage copies the CXL-resident image of page id (diagnostics, recovery).
 func (p *CXLPool) RawPage(id uint64, buf []byte) error {
-	fr := p.tab.Lookup(id)
+	fr := p.Table().Lookup(id)
 	if fr == nil {
 		return fmt.Errorf("core: page %d not resident", id)
 	}

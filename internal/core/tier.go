@@ -90,7 +90,7 @@ func (ft *fastTier) remove(id uint64) bool {
 // of host DRAM.
 func (p *CXLPool) EnableTiering(heat *tier.Heat, prof simmem.Profile) {
 	p.fastP.Store(&fastTier{prof: prof, mirror: make(map[uint64][]byte)})
-	p.tab.SetTouchSampler(heat.Touch)
+	p.Table().SetTouchSampler(heat.Touch)
 }
 
 // TieringEnabled reports whether a fast tier is attached.
@@ -106,7 +106,7 @@ func (p *CXLPool) FastHits() int64 {
 
 // emitTier publishes one tier.* trace event with this pool as the actor.
 func (p *CXLPool) emitTier(vnanos int64, typ string, id uint64, aux int64) {
-	if reg := p.obsRegP.Load(); reg != nil {
+	if reg := p.Observer(); reg != nil {
 		reg.Emit(vnanos, typ, "cxl", id, aux)
 	}
 }
@@ -127,11 +127,11 @@ func (p *CXLPool) Promote(clk *simclock.Clock, id uint64) (bool, error) {
 	if ft == nil || ft.contains(id) {
 		return false, nil
 	}
-	fr, ok := p.tab.TryPin(id)
+	fr, ok := p.Table().TryPin(id)
 	if !ok {
 		return false, nil
 	}
-	defer p.tab.Unpin(fr)
+	defer p.Table().Unpin(fr)
 	if !fr.TryLock(frametab.Read) {
 		return false, nil
 	}

@@ -13,12 +13,16 @@
 //   - one generic Get / Create / GetOrCreate flow parameterized by a small
 //     FrameStore backing interface.
 //
-// The backing mediums plug in as FrameStore implementations: a DRAM slab
-// (buffer.DRAMPool), an RDMA remote tier (buffer.TieredPool), a CXL block
-// with durable metadata (core.CXLPool), or shared DBP metadata slots
-// (sharing.SharedPool / sharing.RDMASharedPool). Optional capability
-// interfaces (Toucher, WriteLatchNotifier, Revalidator, Latcher, EvictStore)
-// are discovered by type assertion at construction and let a store keep
+// One pool core sits on top: buffer.TablePool owns a Table and gives every
+// pool its Get / NewPage / GetOrCreate, statistics, flush barrier and
+// observer registration (buffer.WritebackPool adds the checkpoint walk and
+// FlushBatch). What differs between the pools is only the medium, and that
+// is all a pool supplies — one FrameStore and its frame type: a DRAM slab (buffer.DRAMPool), an
+// RDMA remote tier (buffer.TieredPool), a CXL block with durable metadata
+// (core.CXLPool), or shared DBP metadata slots (sharing.SharedPool /
+// sharing.RDMASharedPool). Optional capability interfaces (Toucher,
+// WriteLatchNotifier, Revalidator, Latcher, EvictStore, WritebackStore) are
+// discovered by type assertion at construction and let a store keep
 // medium-specific protocol steps — CXL's durable lock word, the fusion
 // server's distributed page lock — in exactly the order the crash-recovery
 // protocols require.
@@ -168,12 +172,12 @@ type Latcher interface {
 }
 
 // WritebackStore lets a background flusher persist one dirty resident page
-// without evicting it. Writeback runs with the frame pinned and read-latched
-// (readers may proceed, writers are excluded), and must issue the same
-// device-operation sequence the store's checkpoint flush uses, so crash-point
-// fault plans hit the identical op points whether a page is written back by
-// the flusher daemon or by FlushAll. On success the table clears the frame's
-// dirty bit.
+// without evicting it. Writeback runs with the frame read-latched (readers
+// may proceed, writers are excluded); FlushBatch also pins it. The
+// checkpoint walk (buffer.WritebackPool.FlushAll) writes pages through it
+// too, so crash-point fault plans hit the identical op points whether a page
+// is written back by the flusher daemon or by a checkpoint. On success the
+// caller clears the frame's dirty bit.
 type WritebackStore interface {
 	Writeback(clk *simclock.Clock, id uint64, slot any) error
 }

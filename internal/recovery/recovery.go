@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"polarcxlmem/internal/btree"
 	"polarcxlmem/internal/buffer"
@@ -64,27 +63,20 @@ type Result struct {
 // Nanos reports the recovery duration in virtual nanoseconds.
 func (r Result) Nanos() int64 { return r.DoneNanos - r.StartNanos }
 
-// obsReg is the package-level metrics sink: recovery runs are one-shot
-// passes over freshly built pools, so the registry hangs off the package
-// rather than any single recovered object.
-var obsReg atomic.Pointer[obs.Registry]
-
-// SetObserver registers reg to receive recovery.* counters (redo applied /
-// skipped, pages rebuilt / trusted) and the recovery.warm_pages gauge from
-// every subsequent Recover / PolarRecv call. A nil reg detaches.
-func SetObserver(reg *obs.Registry) { obsReg.Store(reg) }
-
-// recordResult publishes one finished pass's accounting.
-func recordResult(res *Result) {
-	reg := obsReg.Load()
+// Publish adds this pass's accounting to reg: the recovery.* counters (redo
+// applied / skipped, pages rebuilt / trusted) and the recovery.warm_pages
+// gauge. Whoever owns the registry publishes the Result a recovery call
+// returns, so the counters land in the recovering cluster's registry. A
+// nil reg is a no-op.
+func (r Result) Publish(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("recovery.redo.applied").Add(int64(res.RedoApplied))
-	reg.Counter("recovery.redo.skipped").Add(int64(res.RedoRecords - res.RedoApplied))
-	reg.Counter("recovery.pages.rebuilt").Add(int64(res.PagesRebuilt))
-	reg.Counter("recovery.pages.trusted").Add(int64(res.PagesTrusted))
-	reg.Gauge("recovery.warm_pages").Set(int64(res.WarmPages))
+	reg.Counter("recovery.redo.applied").Add(int64(r.RedoApplied))
+	reg.Counter("recovery.redo.skipped").Add(int64(r.RedoRecords - r.RedoApplied))
+	reg.Counter("recovery.pages.rebuilt").Add(int64(r.PagesRebuilt))
+	reg.Counter("recovery.pages.trusted").Add(int64(r.PagesTrusted))
+	reg.Gauge("recovery.warm_pages").Set(int64(r.WarmPages))
 }
 
 // analysis is the ARIES analysis pass over the durable log.
@@ -274,7 +266,6 @@ func Recover(clk *simclock.Clock, scheme string, pool buffer.Creator, ws *wal.St
 	}
 	res.WarmPages = pool.Resident()
 	res.DoneNanos = clk.Now()
-	recordResult(res)
 	return engine, res, nil
 }
 
@@ -336,7 +327,6 @@ func Failover(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, ca
 	}
 	res.WarmPages = pool.Resident()
 	res.DoneNanos = clk.Now()
-	recordResult(res)
 	return pool, engine, res, nil
 }
 
@@ -444,6 +434,5 @@ func PolarRecv(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, c
 	}
 	res.WarmPages = pool.Resident()
 	res.DoneNanos = clk.Now()
-	recordResult(res)
 	return pool, engine, res, nil
 }

@@ -3,15 +3,14 @@ package sharing
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/cxl"
 	"polarcxlmem/internal/frametab"
-	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/rdma"
 	"polarcxlmem/internal/simclock"
+	"polarcxlmem/internal/simmem"
 	"polarcxlmem/internal/storage"
 )
 
@@ -22,20 +21,18 @@ import (
 // messages to the other nodes. The engine-level counterpart of SharedPool,
 // with the same driving constraints (writers serialized across nodes).
 //
-// The local-copy cache (LBP) is a frametab table over an rdmaStore: slots
-// are whole-page images fetched from the DBP, and invalidation delivery is
-// the table's TakeIfIdle (pinned copies are left in place — the holder owns
-// the page lock, so a concurrent invalidation for it cannot happen).
+// The local-copy cache (LBP) is the embedded buffer.TablePool's table over
+// an rdmaStore: slots are whole-page images fetched from the DBP, and
+// invalidation delivery is the table's TakeIfIdle (pinned copies are left in
+// place — the holder owns the page lock, so a concurrent invalidation for it
+// cannot happen). Get, NewPage and GetOrCreate are the pool's own: they take
+// the page lock before the local copy is materialized.
 type RDMASharedPool struct {
+	*buffer.TablePool
 	node   string
 	fusion *RDMAFusion
 	nic    *rdma.NIC
-
-	tab     *frametab.Table
-	barrier buffer.FlushBarrier
-	nslots  int
-	crashed atomic.Bool
-	obsReg  atomic.Pointer[obs.Registry] // survives the RejoinPrimary tab rebuild
+	prof   simmem.Profile // local-copy access cost (host DRAM)
 }
 
 var (
@@ -50,14 +47,11 @@ type rdmaStore struct {
 }
 
 // NewRDMASharedPool builds one node's engine-facing view of the RDMA DBP
-// with an LBP of capacityPages local copies.
+// with an LBP of capacityPages local copies, reporting its metrics as
+// frametab.rdma/<node>.*.
 func NewRDMASharedPool(node string, fusion *RDMAFusion, nic *rdma.NIC, capacityPages int) *RDMASharedPool {
-	p := &RDMASharedPool{node: node, fusion: fusion, nic: nic, nslots: capacityPages}
-	p.tab = frametab.New(frametab.Config{
-		Capacity: capacityPages,
-		Store:    &rdmaStore{p: p},
-		NotFound: storage.ErrNotFound,
-	})
+	p := &RDMASharedPool{node: node, fusion: fusion, nic: nic, prof: cxl.BufferDRAMProfile()}
+	p.TablePool = buffer.NewTablePool(frametab.Config{Capacity: capacityPages, Store: &rdmaStore{p: p}}, "rdma/"+node, fusion.store, p.bind)
 	fusion.mu.Lock()
 	fusion.nodes[node] = p
 	fusion.mu.Unlock()
@@ -68,7 +62,7 @@ func NewRDMASharedPool(node string, fusion *RDMAFusion, nic *rdma.NIC, capacityP
 // dead (locks stay granted until reclaimed) and every subsequent pool call
 // fails until RejoinPrimary.
 func (p *RDMASharedPool) CrashPrimary() {
-	p.crashed.Store(true)
+	p.Fail(fmt.Errorf("sharing: primary %s crashed: %w", p.node, ErrNodeEvicted))
 	p.fusion.CrashNode(p.node)
 }
 
@@ -79,37 +73,10 @@ func (p *RDMASharedPool) RejoinPrimary(clk *simclock.Clock) error {
 	if err := p.fusion.RejoinNode(clk, p.node); err != nil {
 		return err
 	}
-	p.tab = frametab.New(frametab.Config{
-		Capacity: p.nslots,
-		Store:    &rdmaStore{p: p},
-		NotFound: storage.ErrNotFound,
-	})
-	if reg := p.obsReg.Load(); reg != nil {
-		p.tab.SetObserver(reg, "rdma/"+p.node)
-	}
 	p.fusion.mu.Lock()
 	p.fusion.nodes[p.node] = p
 	p.fusion.mu.Unlock()
-	p.crashed.Store(false)
-	return nil
-}
-
-// SetObserver registers this node's LBP metrics (frametab.rdma/<node>.*)
-// with reg; the registration survives RejoinPrimary's table rebuild. A nil
-// reg detaches.
-func (p *RDMASharedPool) SetObserver(reg *obs.Registry) {
-	p.obsReg.Store(reg)
-	if reg == nil {
-		p.tab.SetObserver(nil, "")
-		return
-	}
-	p.tab.SetObserver(reg, "rdma/"+p.node)
-}
-
-func (p *RDMASharedPool) checkAlive() error {
-	if p.crashed.Load() {
-		return fmt.Errorf("sharing: primary %s crashed: %w", p.node, ErrNodeEvicted)
-	}
+	p.Restart()
 	return nil
 }
 
@@ -117,7 +84,7 @@ func (p *RDMASharedPool) checkAlive() error {
 // must hold the page lock, so the image cannot move underneath the read.
 func (s *rdmaStore) fetch(clk *simclock.Clock, id uint64) ([]byte, error) {
 	p := s.p
-	p.tab.Counters.RemoteReads.Add(1)
+	p.Table().Counters.RemoteReads.Add(1)
 	p.fusion.mu.Lock()
 	ps := p.fusion.pages[id]
 	p.fusion.mu.Unlock()
@@ -158,28 +125,15 @@ func (s *rdmaStore) Evict(clk *simclock.Clock, id uint64, slot any, dirty bool) 
 // copy. Pinned frames are left in place — the holder owns the page lock, so
 // a concurrent invalidation for it cannot happen; unpinned copies go.
 func (p *RDMASharedPool) dropLocal(pageID uint64) {
-	p.tab.TakeIfIdle(pageID)
+	p.Table().TakeIfIdle(pageID)
 }
-
-// SetFlushBarrier implements buffer.Pool.
-func (p *RDMASharedPool) SetFlushBarrier(fb buffer.FlushBarrier) { p.barrier = fb }
-
-// Stats implements buffer.Pool.
-func (p *RDMASharedPool) Stats() buffer.Stats { return p.tab.Stats() }
-
-// Resident implements buffer.Pool: the LBP copies this node holds — the
-// memory overhead the paper charges against this design.
-func (p *RDMASharedPool) Resident() int { return p.tab.Resident() }
-
-// PinnedFrames reports frames with live pins (conformance leak check).
-func (p *RDMASharedPool) PinnedFrames() int { return p.tab.PinnedFrames() }
 
 // NIC exposes the node's NIC for bandwidth accounting.
 func (p *RDMASharedPool) NIC() *rdma.NIC { return p.nic }
 
 // Get implements buffer.Pool.
 func (p *RDMASharedPool) Get(clk *simclock.Clock, id uint64, mode buffer.Mode) (buffer.Frame, error) {
-	if err := p.checkAlive(); err != nil {
+	if err := p.Failed(); err != nil {
 		return nil, err
 	}
 	if _, err := p.fusion.getPage(clk, p.node, id); err != nil {
@@ -190,7 +144,7 @@ func (p *RDMASharedPool) Get(clk *simclock.Clock, id uint64, mode buffer.Mode) (
 
 // NewPage implements buffer.Pool: a globally fresh page.
 func (p *RDMASharedPool) NewPage(clk *simclock.Clock) (buffer.Frame, error) {
-	if err := p.checkAlive(); err != nil {
+	if err := p.Failed(); err != nil {
 		return nil, err
 	}
 	id := p.fusion.store.AllocPageID()
@@ -203,9 +157,6 @@ func (p *RDMASharedPool) NewPage(clk *simclock.Clock) (buffer.Frame, error) {
 // GetOrCreate write-locks page id, creating it DBP-wide when it has no
 // durable image yet (recovery redo of post-checkpoint page creations).
 func (p *RDMASharedPool) GetOrCreate(clk *simclock.Clock, id uint64) (buffer.Frame, error) {
-	if err := p.checkAlive(); err != nil {
-		return nil, err
-	}
 	f, err := p.Get(clk, id, buffer.Write)
 	if err == nil {
 		return f, nil
@@ -226,7 +177,7 @@ func (p *RDMASharedPool) lockAndBind(clk *simclock.Clock, id uint64, mode buffer
 	if err := p.fusion.Lock(clk, p.node, id, mode == buffer.Write); err != nil {
 		return nil, err
 	}
-	f, err := p.tab.Get(clk, id, mode)
+	f, err := p.Table().Get(clk, id, mode)
 	if err != nil {
 		if mode == buffer.Write {
 			p.fusion.UnlockWrite(clk, p.node, id)
@@ -235,90 +186,55 @@ func (p *RDMASharedPool) lockAndBind(clk *simclock.Clock, id uint64, mode buffer
 		}
 		return nil, err
 	}
-	return &mpBound{pool: p, clk: clk, id: id, fr: f, img: f.Slot().([]byte), mode: mode}, nil
+	return p.bind(clk, f, mode), nil
+}
+
+func (p *RDMASharedPool) bind(clk *simclock.Clock, f *frametab.Frame, mode buffer.Mode) buffer.Frame {
+	return &mpBound{ImageFrame: buffer.ImageFrame{Tab: p.Table(), Fr: f, Prof: &p.prof, Clk: clk, Mode: mode}, pool: p}
 }
 
 // FlushAll implements buffer.Pool: checkpointing the DBP through the fusion
 // server.
 func (p *RDMASharedPool) FlushAll(clk *simclock.Clock) error {
-	if err := p.checkAlive(); err != nil {
+	if err := p.Failed(); err != nil {
 		return err
 	}
-	return p.fusion.FlushDirty(clk, p.barrier)
+	return p.fusion.FlushDirty(clk, p.Barrier)
 }
 
-// mpBound is a latched local page copy.
+// mpBound is a latched local page copy, read and written at host-DRAM cost
+// by the embedded ImageFrame. Dirtiness is tracked at the fusion server
+// (write-unlock), so the frame's own dirty bit is never consulted.
 type mpBound struct {
-	pool     *RDMASharedPool
-	clk      *simclock.Clock
-	id       uint64
-	fr       *frametab.Frame
-	img      []byte
-	mode     buffer.Mode
-	released bool
-	wrote    bool
-}
-
-func (b *mpBound) ID() uint64 { return b.id }
-
-func (b *mpBound) MarkDirty() {}
-
-func (b *mpBound) ReadAt(off int, buf []byte) error {
-	if b.released {
-		return fmt.Errorf("sharing: read on released mp frame %d", b.id)
-	}
-	if off < 0 || off+len(buf) > len(b.img) {
-		return fmt.Errorf("sharing: mp read out of bounds")
-	}
-	copy(buf, b.img[off:])
-	b.clk.Advance(cxl.BufferDRAMProfile().ReadCost(len(buf)))
-	return nil
-}
-
-func (b *mpBound) WriteAt(off int, data []byte) error {
-	if b.released {
-		return fmt.Errorf("sharing: write on released mp frame %d", b.id)
-	}
-	if b.mode != buffer.Write {
-		return fmt.Errorf("sharing: write to page %d under a read lock", b.id)
-	}
-	if off < 0 || off+len(data) > len(b.img) {
-		return fmt.Errorf("sharing: mp write out of bounds")
-	}
-	copy(b.img[off:], data)
-	b.clk.Advance(cxl.BufferDRAMProfile().WriteCost(len(data)))
-	b.wrote = true
-	return nil
+	buffer.ImageFrame
+	pool *RDMASharedPool
 }
 
 // Release implements buffer.Frame: the PolarDB-MP release protocol — push
 // the FULL page to the DBP before the lock can move, then invalidate. The
-// local pin drops first (as in the pre-frametab pool): the push works on
-// the image this bound frame holds, and a concurrent eviction of the
-// now-unpinned table entry cannot disturb it.
+// local latch and pin drop first (as in the pre-frametab pool): the push
+// works on the image this bound frame holds, and a concurrent eviction of
+// the now-unpinned table entry cannot disturb it.
 func (b *mpBound) Release() error {
-	if b.released {
-		return fmt.Errorf("sharing: double release of mp frame %d", b.id)
+	if err := b.ImageFrame.Release(); err != nil {
+		return err
 	}
-	b.released = true
-	p := b.pool
-	b.fr.Unlock(b.mode)
-	p.tab.Unpin(b.fr)
-	if b.mode == buffer.Write {
-		if b.wrote {
+	p, id := b.pool, b.ID()
+	if b.Mode == buffer.Write {
+		if b.Wrote {
 			p.fusion.mu.Lock()
-			ps := p.fusion.pages[b.id]
+			ps := p.fusion.pages[id]
 			p.fusion.mu.Unlock()
 			if ps == nil {
-				return fmt.Errorf("sharing: release of unregistered page %d", b.id)
+				return fmt.Errorf("sharing: release of unregistered page %d", id)
 			}
-			p.tab.Counters.RemoteWrites.Add(1)
-			if err := p.fusion.dbp.Write(b.clk, p.nic, ps.off, b.img); err != nil {
+			p.Table().Counters.RemoteWrites.Add(1)
+			if err := p.fusion.dbp.Write(b.Clk, p.nic, ps.off, b.Fr.Slot().([]byte)); err != nil {
 				return err
 			}
-			return p.fusion.UnlockWrite(b.clk, p.node, b.id)
+			return p.fusion.UnlockWrite(b.Clk, p.node, id)
 		}
-		return p.fusion.unlockWriteCleanRDMA(b.clk, p.node, b.id)
+		return p.fusion.unlockWriteCleanRDMA(b.Clk, p.node, id)
 	}
-	return p.fusion.UnlockRead(b.clk, p.node, b.id)
+	return p.fusion.UnlockRead(b.Clk, p.node, id)
 }

@@ -2,15 +2,12 @@ package sharing
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/frametab"
-	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/simcpu"
 	"polarcxlmem/internal/simmem"
-	"polarcxlmem/internal/storage"
 )
 
 // SharedPool implements buffer.Pool over the distributed buffer pool, which
@@ -50,12 +47,8 @@ import (
 // per-tree writer mutex locally, so single-node behaviour is unchanged —
 // multi-node drivers serialize writers per table, as the tests do).
 type SharedPool struct {
-	n       *Node // protocol steps, fusion handle and the flag-slot free list
-	tab     *frametab.Table
-	sst     *sharedStore
-	barrier buffer.FlushBarrier
-	crashed atomic.Bool
-	obsReg  atomic.Pointer[obs.Registry] // survives the RejoinPrimary tab rebuild
+	*buffer.TablePool
+	n *Node // protocol steps, fusion handle and the flag-slot free list
 }
 
 var (
@@ -67,21 +60,18 @@ var (
 // pointing at a flag-word pair and a DBP frame address.
 type sharedStore struct{ p *SharedPool }
 
-// NewSharedPool builds one node's view of the distributed buffer pool.
+// NewSharedPool builds one node's view of the distributed buffer pool. Its
+// metadata table holds one entry per flag slot and reports its metrics as
+// frametab.shared/<node>.*; the fusion server's cluster-wide metrics are
+// registered separately via Fusion.SetObserver.
 func NewSharedPool(node string, fusion *Fusion, cache *simcpu.Cache, flagRegion *simmem.Region) *SharedPool {
 	p := &SharedPool{n: NewNode(node, fusion, cache, flagRegion)}
-	p.sst = &sharedStore{p: p}
-	p.tab = p.newTable()
+	p.TablePool = buffer.NewTablePool(frametab.Config{Capacity: p.n.nslots, Store: &sharedStore{p: p}}, "shared/"+node, fusion.store, p.bind)
 	return p
 }
 
-// newTable builds the metadata table: one entry per flag slot.
-func (p *SharedPool) newTable() *frametab.Table {
-	return frametab.New(frametab.Config{
-		Capacity: p.n.nslots,
-		Store:    p.sst,
-		NotFound: storage.ErrNotFound,
-	})
+func (p *SharedPool) bind(clk *simclock.Clock, f *frametab.Frame, mode buffer.Mode) buffer.Frame {
+	return &sharedFrame{pool: p, clk: clk, id: f.ID(), fr: f, m: f.Slot().(*pmeta), mode: mode}
 }
 
 // CrashPrimary kills this node: the fusion server marks it dead (its lock
@@ -90,7 +80,7 @@ func (p *SharedPool) newTable() *frametab.Table {
 // RejoinPrimary. The node's in-flight work simply stops, exactly as a
 // process crash would leave it.
 func (p *SharedPool) CrashPrimary() {
-	p.crashed.Store(true)
+	p.Fail(fmt.Errorf("sharing: node %s is crashed: %w", p.n.name, ErrNodeEvicted))
 	// Power loss: every unflushed line in the host's CPU cache is gone. The
 	// rejoined incarnation must never be able to write back pre-crash data
 	// over frames the fusion server has since rebuilt.
@@ -108,47 +98,9 @@ func (p *SharedPool) RejoinPrimary(clk *simclock.Clock) error {
 	p.n.mu.Lock()
 	p.n.resetSlots()
 	p.n.mu.Unlock()
-	p.tab = p.newTable()
-	if reg := p.obsReg.Load(); reg != nil {
-		p.tab.SetObserver(reg, "shared/"+p.n.name)
-	}
-	p.crashed.Store(false)
+	p.Restart()
 	return nil
 }
-
-// SetObserver registers this node's metadata-table metrics
-// (frametab.shared/<node>.*) with reg; the fusion server's cluster-wide
-// metrics are registered separately via Fusion.SetObserver. The registration
-// survives RejoinPrimary's table rebuild. A nil reg detaches.
-func (p *SharedPool) SetObserver(reg *obs.Registry) {
-	p.obsReg.Store(reg)
-	if reg == nil {
-		p.tab.SetObserver(nil, "")
-		return
-	}
-	p.tab.SetObserver(reg, "shared/"+p.n.name)
-}
-
-func (p *SharedPool) checkAlive() error {
-	if p.crashed.Load() {
-		return fmt.Errorf("sharing: node %s is crashed: %w", p.n.name, ErrNodeEvicted)
-	}
-	return nil
-}
-
-// SetFlushBarrier implements buffer.Pool (checkpointing is driven through
-// the fusion server in the MP deployment; the barrier applies there).
-func (p *SharedPool) SetFlushBarrier(fb buffer.FlushBarrier) { p.barrier = fb }
-
-// Stats implements buffer.Pool.
-func (p *SharedPool) Stats() buffer.Stats { return p.tab.Stats() }
-
-// Resident implements buffer.Pool: like PolarCXLMem, a node holds no page
-// data locally — only metadata entries.
-func (p *SharedPool) Resident() int { return p.tab.Resident() }
-
-// PinnedFrames reports entries with live pins (conformance leak check).
-func (p *SharedPool) PinnedFrames() int { return p.tab.PinnedFrames() }
 
 // Fetch implements frametab.FrameStore.
 func (s *sharedStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
@@ -213,52 +165,13 @@ func (s *sharedStore) Latch(clk *simclock.Clock, id uint64, slot any, write, fre
 	return nil
 }
 
-// Get implements buffer.Pool: the latch is the distributed page lock.
-func (p *SharedPool) Get(clk *simclock.Clock, id uint64, mode buffer.Mode) (buffer.Frame, error) {
-	if err := p.checkAlive(); err != nil {
-		return nil, err
-	}
-	f, err := p.tab.Get(clk, id, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &sharedFrame{pool: p, clk: clk, id: id, fr: f, m: f.Slot().(*pmeta), mode: mode}, nil
-}
-
-// NewPage implements buffer.Pool: a globally fresh page, zero-filled in the
-// DBP.
-func (p *SharedPool) NewPage(clk *simclock.Clock) (buffer.Frame, error) {
-	if err := p.checkAlive(); err != nil {
-		return nil, err
-	}
-	id := p.n.fusion.store.AllocPageID()
-	f, err := p.tab.Create(clk, id)
-	if err != nil {
-		return nil, err
-	}
-	return &sharedFrame{pool: p, clk: clk, id: id, fr: f, m: f.Slot().(*pmeta), mode: buffer.Write}, nil
-}
-
-// GetOrCreate write-locks page id, creating it DBP-wide when it has no
-// durable image yet (recovery redo of post-checkpoint page creations).
-func (p *SharedPool) GetOrCreate(clk *simclock.Clock, id uint64) (buffer.Frame, error) {
-	if err := p.checkAlive(); err != nil {
-		return nil, err
-	}
-	f, err := p.tab.GetOrCreate(clk, id)
-	if err != nil {
-		return nil, err
-	}
-	return &sharedFrame{pool: p, clk: clk, id: id, fr: f, m: f.Slot().(*pmeta), mode: buffer.Write}, nil
-}
-
 // FlushAll implements buffer.Pool: checkpointing the DBP is the fusion
 // server's job (it owns the dirty set); a node-side FlushAll delegates.
 func (p *SharedPool) FlushAll(clk *simclock.Clock) error {
-	if err := p.checkAlive(); err != nil {
+	if err := p.Failed(); err != nil {
 		return err
 	}
-	return p.n.fusion.FlushDirty(clk, p.barrier)
+	return p.n.fusion.FlushDirty(clk, p.Barrier)
 }
 
 // sharedFrame is a latched page accessed in place in the DBP through the
@@ -311,7 +224,7 @@ func (f *sharedFrame) Release() error {
 	}
 	f.released = true
 	p := f.pool
-	defer p.tab.Unpin(f.fr)
+	defer p.Table().Unpin(f.fr)
 	if f.mode == buffer.Write {
 		if f.wrote {
 			return p.n.publish(f.clk, f.id, f.m)

@@ -326,9 +326,6 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 			c.topo.Leaf(i).Box().Device().SetInjector(c.inj)
 		}
 	}
-	if c.reg != nil {
-		recovery.SetObserver(c.reg)
-	}
 	return c, nil
 }
 
@@ -589,6 +586,7 @@ func (c *Cluster) Recover(name string) (*Instance, *recovery.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	res.Publish(c.reg)
 	inst := &Instance{name: name, cluster: c, clk: clk, pool: pool, eng: eng, ckpt: area}
 	if err := c.applyInstanceOptions(inst, cfg); err != nil {
 		return nil, nil, err
@@ -711,6 +709,7 @@ func (c *Cluster) Failover(name string) (*Instance, *recovery.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	res.Publish(c.reg)
 	inst := &Instance{name: name, cluster: c, clk: clk, pool: pool, eng: eng, ckpt: survived}
 	if inst.ckpt == nil {
 		inst.ckpt = fresh
