@@ -115,8 +115,8 @@ func (c *TablePool) SetObserver(reg *obs.Registry) {
 // Observer reports the registry SetObserver installed, or nil.
 func (c *TablePool) Observer() *obs.Registry { return c.reg.Load() }
 
-// Fail makes every later Get, NewPage and GetOrCreate return err, until
-// Restart (a crashed primary's pool).
+// Fail makes every later Get, NewPage and GetOrCreate return err (a crashed
+// primary's pool); Fail(nil) brings the pool back up.
 func (c *TablePool) Fail(err error) { c.down.Store(&err) }
 
 // Failed reports the error Fail installed, or nil while the pool is up.
@@ -127,12 +127,12 @@ func (c *TablePool) Failed() error {
 	return nil
 }
 
-// Restart replaces the table with an empty one built from the same config,
-// carries the observer registration over, and clears Fail.
+// Restart replaces the table with an empty one built from the same config
+// and carries the observer registration over. It leaves Fail in place: the
+// caller brings the pool back up once the rest of its state is rebuilt.
 func (c *TablePool) Restart() {
 	c.tab = frametab.New(c.cfg)
 	c.tab.SetObserver(c.reg.Load(), c.name)
-	c.down.Store(nil)
 }
 
 // WritebackPool is a TablePool whose store persists its own dirty pages

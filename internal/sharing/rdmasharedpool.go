@@ -26,7 +26,8 @@ import (
 // invalidation delivery is the table's TakeIfIdle (pinned copies are left in
 // place — the holder owns the page lock, so a concurrent invalidation for it
 // cannot happen). Get, NewPage and GetOrCreate are the pool's own: they take
-// the page lock before the local copy is materialized.
+// the page lock, then materialize the local copy through the core's Get. The
+// core's NewPage and GetOrCreate skip the lock and must not be called.
 type RDMASharedPool struct {
 	*buffer.TablePool
 	node   string
@@ -73,10 +74,11 @@ func (p *RDMASharedPool) RejoinPrimary(clk *simclock.Clock) error {
 	if err := p.fusion.RejoinNode(clk, p.node); err != nil {
 		return err
 	}
+	p.Restart()
 	p.fusion.mu.Lock()
 	p.fusion.nodes[p.node] = p
 	p.fusion.mu.Unlock()
-	p.Restart()
+	p.Fail(nil)
 	return nil
 }
 
@@ -133,6 +135,8 @@ func (p *RDMASharedPool) NIC() *rdma.NIC { return p.nic }
 
 // Get implements buffer.Pool.
 func (p *RDMASharedPool) Get(clk *simclock.Clock, id uint64, mode buffer.Mode) (buffer.Frame, error) {
+	// Checked before the core's Get: a crashed primary must not reach the
+	// fusion server.
 	if err := p.Failed(); err != nil {
 		return nil, err
 	}
@@ -171,13 +175,13 @@ func (p *RDMASharedPool) GetOrCreate(clk *simclock.Clock, id uint64) (buffer.Fra
 }
 
 // lockAndBind takes the distributed page lock, then materializes the local
-// copy through the table (lock first: the copy must reflect the image the
-// lock protects).
+// copy through the core's Get (lock first: the copy must reflect the image
+// the lock protects).
 func (p *RDMASharedPool) lockAndBind(clk *simclock.Clock, id uint64, mode buffer.Mode) (buffer.Frame, error) {
 	if err := p.fusion.Lock(clk, p.node, id, mode == buffer.Write); err != nil {
 		return nil, err
 	}
-	f, err := p.Table().Get(clk, id, mode)
+	f, err := p.TablePool.Get(clk, id, mode)
 	if err != nil {
 		if mode == buffer.Write {
 			p.fusion.UnlockWrite(clk, p.node, id)
@@ -186,7 +190,7 @@ func (p *RDMASharedPool) lockAndBind(clk *simclock.Clock, id uint64, mode buffer
 		}
 		return nil, err
 	}
-	return p.bind(clk, f, mode), nil
+	return f, nil
 }
 
 func (p *RDMASharedPool) bind(clk *simclock.Clock, f *frametab.Frame, mode buffer.Mode) buffer.Frame {

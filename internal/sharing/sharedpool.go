@@ -99,6 +99,7 @@ func (p *SharedPool) RejoinPrimary(clk *simclock.Clock) error {
 	p.n.resetSlots()
 	p.n.mu.Unlock()
 	p.Restart()
+	p.Fail(nil)
 	return nil
 }
 
