@@ -9,6 +9,10 @@
 // -quick shrinks functional op counts (CI-sized); the default sizes match
 // the results recorded in EXPERIMENTS.md.
 //
+// -o DIR writes the JSON documents of the commit, fabric, dataplane and
+// tiering experiments (BENCH_*.json) into DIR; without it they write none,
+// so a quick run never overwrites the checked-in full-mode files.
+//
 // -metrics FILE writes a JSON snapshot of every runtime metric (counters,
 // gauges, virtual-time histograms) plus any invariant-checker violations on
 // exit; -trace FILE dumps the sampled trace-event ring as JSON lines. Both
@@ -31,10 +35,11 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "CI-sized runs (smaller datasets and op counts)")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
+	outDir := flag.String("o", "", "write BENCH_*.json documents into this directory (none when empty)")
 	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
 	tracePath := flag.String("trace", "", "write the sampled trace events (JSON lines) to this file on exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: polarbench [-quick] list|all|<experiment-id>...\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: polarbench [-quick] [-o dir] list|all|<experiment-id>...\n\nexperiments:\n")
 		for _, e := range bench.Experiments() {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Title)
 		}
@@ -59,7 +64,7 @@ func main() {
 	} else {
 		ids = args
 	}
-	cfg := bench.Config{Quick: *quick}
+	cfg := bench.Config{Quick: *quick, OutDir: *outDir}
 	var reg *obs.Registry
 	if *metricsPath != "" || *tracePath != "" {
 		reg = obs.New(obs.Options{})

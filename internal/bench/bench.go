@@ -7,8 +7,11 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -113,9 +116,30 @@ type Experiment struct {
 }
 
 // Config scales experiments: Quick keeps functional op counts small enough
-// for unit-test latency; the full size is the default for the CLI.
+// for unit-test latency; the full size is the default for the CLI. OutDir,
+// when set, is where the experiments with a JSON document (commit, fabric,
+// dataplane, tiering) write their BENCH_*.json; when empty they write none.
 type Config struct {
-	Quick bool
+	Quick  bool
+	OutDir string
+}
+
+// writeJSON writes doc as indented JSON to name under c.OutDir and returns
+// the table note saying so. With no OutDir it writes nothing and returns no
+// note.
+func (c Config) writeJSON(name string, doc any) ([]string, error) {
+	if c.OutDir == "" {
+		return nil, nil
+	}
+	blob, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	path := filepath.Join(c.OutDir, name)
+	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+		return nil, fmt.Errorf("writing %s: %w", name, err)
+	}
+	return []string{"full results written to " + path}, nil
 }
 
 // ops picks an op count by mode.

@@ -7,14 +7,21 @@ import (
 	"testing"
 )
 
-// run executes an experiment in quick mode and returns its tables.
+// run executes an experiment in quick mode and returns its tables. Any
+// BENCH_*.json it emits goes to a per-test temporary directory.
 func run(t *testing.T, id string) []*Table {
+	t.Helper()
+	return runIn(t, id, t.TempDir())
+}
+
+// runIn is run with the experiment's JSON documents written to dir.
+func runIn(t *testing.T, id, dir string) []*Table {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	tabs, err := e.Run(Config{Quick: true})
+	tabs, err := e.Run(Config{Quick: true, OutDir: dir})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

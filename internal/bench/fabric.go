@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"polarcxlmem/internal/cxl"
 	"polarcxlmem/internal/obs"
@@ -333,13 +331,11 @@ func runFabric(cfg Config) ([]*Table, error) {
 		PlacementSweep:  ablation,
 		DegradedTrunk:   degraded,
 	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
+	written, err := cfg.writeJSON("BENCH_fabric.json", doc)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
-	if err := os.WriteFile("BENCH_fabric.json", append(buf, '\n'), 0o644); err != nil {
-		return nil, err
-	}
+	degT.Notes = append(degT.Notes, written...)
 	return []*Table{scalingT, ablT, degT}, nil
 }
 

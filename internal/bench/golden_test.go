@@ -13,8 +13,7 @@ var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the 
 
 // goldenIDs are the quick-mode experiments whose printed tables are pinned
 // byte for byte. Every one is deterministic in virtual time. "commit" is
-// left out because it writes BENCH_commit.json into the working directory;
-// TestCommitPointReproducible pins its determinism instead.
+// left out; TestCommitPointReproducible pins its determinism instead.
 var goldenIDs = []string{
 	"ablate-meta", "ablate-tier", "cxl3", "doorbell", "fig7", "fig8", "fig9",
 	"fig11", "fig12", "fig13", "mp-crash", "mp-engine", "table1", "table2",

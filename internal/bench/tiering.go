@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	polar "polarcxlmem"
@@ -528,12 +526,9 @@ func runTiering(cfg Config) ([]*Table, error) {
 		Resize:     rsz,
 		Violations: mig.Violations + qos.Violations + rsz.Violations,
 	}
-	blob, err := json.MarshalIndent(doc, "", "  ")
+	written, err := cfg.writeJSON("BENCH_tiering.json", doc)
 	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile("BENCH_tiering.json", append(blob, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("tiering: writing BENCH_tiering.json: %w", err)
+		return nil, fmt.Errorf("tiering: %w", err)
 	}
 
 	tm := &Table{ID: "tiering", Title: "Migrating hot set: static vs tiered point-read latency",
@@ -568,7 +563,7 @@ func runTiering(cfg Config) ([]*Table, error) {
 	}
 	trz.Notes = append(trz.Notes,
 		"shrink evicts the LRU tail (clean after checkpoint: no write-back); reads refault from storage at 150 us",
-		fmt.Sprintf("total checker violations across all rigs: %d", doc.Violations),
-		"full results written to BENCH_tiering.json")
+		fmt.Sprintf("total checker violations across all rigs: %d", doc.Violations))
+	trz.Notes = append(trz.Notes, written...)
 	return []*Table{tm, tq, trz}, nil
 }

@@ -154,14 +154,21 @@ func childFor(pg page.Page, key int64) (uint64, error) {
 	return binary.LittleEndian.Uint64(v), nil
 }
 
-// descendToLeaf latch-couples from the root to the leaf responsible for
-// key, returning the leaf frame latched in leafMode.
+// descendToLeaf latch-couples from the meta page through the root to the
+// leaf responsible for key, returning the leaf frame latched in leafMode.
+// The meta page stays latched until the root is: a root split between
+// reading the root id and latching the root would leave the old root
+// covering only part of the key range.
 func (t *Tree) descendToLeaf(clk *simclock.Clock, key int64, leafMode buffer.Mode) (buffer.Frame, error) {
-	id, err := t.rootID(clk)
+	parent, err := t.pool.Get(clk, t.metaID, buffer.Read)
 	if err != nil {
 		return nil, err
 	}
-	var parent buffer.Frame
+	id, err := page.Wrap(parent).Aux()
+	if err != nil {
+		parent.Release()
+		return nil, err
+	}
 	defer func() {
 		if parent != nil {
 			parent.Release()

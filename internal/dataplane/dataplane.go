@@ -5,12 +5,14 @@
 //
 // Requests are sharded by session onto per-worker FIFO queues and executed
 // in batches: one txn.Engine.RunBatch call per batch, so the per-transaction
-// commit costs (the commit-marker append, the log force, the daemon ticks)
-// and the router's own dispatch CPU are amortized over BatchSize requests
-// instead of paid per request. Admission control is two-stage: a per-tenant
-// token bucket (rate + burst in virtual time) and a bounded per-worker
-// queue; both rejections are typed ErrOverloaded so callers can apply
-// backpressure with errors.Is.
+// commit costs (the daemon ticks, and for a batch that writes the
+// commit-marker append and the log force) and the router's own dispatch CPU
+// are amortized over BatchSize requests instead of paid per request. A
+// read-only batch forces no log, so for point selects batching amortizes
+// dispatch and the daemon ticks only. Admission control is two-stage: a
+// per-tenant token bucket (rate + burst in virtual time) and a bounded
+// per-worker queue; both rejections are typed ErrOverloaded so callers can
+// apply backpressure with errors.Is.
 //
 // A Router has two mutually exclusive drive modes:
 //

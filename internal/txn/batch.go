@@ -8,10 +8,12 @@ import (
 
 // RunBatch executes ops as ONE transaction: a single Begin, every op's
 // statements in order, and a single Commit — so the per-transaction costs
-// the commit path pays (the commit-marker append and log force, the
-// background-flusher and checkpointer ticks, the begin/commit CPU
-// bookkeeping) are amortized over the whole batch instead of charged per
-// request. This is the execution primitive the dataplane router batches
+// the commit path pays (the background-flusher, checkpointer and tier
+// ticks, the begin/commit CPU bookkeeping, and for a batch that writes the
+// commit-marker append and log force) are amortized over the whole batch
+// instead of charged per request. A read-only batch forces no log, so
+// batching it amortizes only the daemon ticks and the caller's dispatch
+// cost. This is the execution primitive the dataplane router batches
 // front-end requests onto (see internal/dataplane).
 //
 // Semantics are all-or-nothing: if any op fails, the whole batch is rolled

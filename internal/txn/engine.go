@@ -207,7 +207,12 @@ func (e *Engine) EnableTiering(d *tier.Daemon) { e.td.Store(d) }
 // an injected crash fires during background writeback, mid-checkpoint, or
 // mid-promotion, the unit is still uncommitted, so crash-sweep shadow
 // accounting stays exact.
-func (e *Engine) commitUnit(clk *simclock.Clock, unit uint64) error {
+//
+// A readOnly unit logged no records, so recovery has nothing to commit or
+// undo for it and it gets no marker. It still ticks the daemons, keeping
+// their cadence, and then waits for durability instead of forcing: see
+// awaitDurable.
+func (e *Engine) commitUnit(clk *simclock.Clock, unit uint64, readOnly bool) error {
 	if fl := e.fl.Load(); fl != nil {
 		if err := fl.Tick(clk); err != nil {
 			return fmt.Errorf("txn: background flush before commit of unit %d: %w", unit, err)
@@ -223,6 +228,10 @@ func (e *Engine) commitUnit(clk *simclock.Clock, unit uint64) error {
 			return fmt.Errorf("txn: tier placement before commit of unit %d: %w", unit, err)
 		}
 	}
+	if readOnly {
+		e.awaitDurable(clk)
+		return nil
+	}
 	rec := wal.Record{Kind: wal.KTxnCommit, Txn: unit}
 	if gc := e.gc.Load(); gc != nil {
 		gc.Commit(clk, rec)
@@ -231,6 +240,23 @@ func (e *Engine) commitUnit(clk *simclock.Clock, unit uint64) error {
 	e.log.Append(rec)
 	e.log.Flush(clk)
 	return nil
+}
+
+// awaitDurable returns once every record appended so far is durable. Memory
+// survives a host crash but the log buffer does not, so a reader must not
+// return a value whose redo could still be lost; waiting for the whole
+// appended tail is a superset of "the highest page LSN read" that needs no
+// btree plumbing. It is free when the tail is already durable — always so
+// when every writer forces before it returns. Otherwise it flushes, and
+// since a concurrent flush may have persisted the tail first, it also waits
+// out every persist already booked on the log device.
+func (e *Engine) awaitDurable(clk *simclock.Clock) {
+	st := e.log.Store()
+	if e.log.NextLSN()-1 <= st.DurableLSN() {
+		return
+	}
+	e.log.Flush(clk)
+	clk.AdvanceTo(st.Device().Stats().LastFree)
 }
 
 // CreateTable creates a named table and registers it in the catalog,

@@ -9,17 +9,19 @@ import (
 )
 
 // Txn is one user transaction. Statements execute immediately through
-// mini-transactions; the transaction's durability is decided by the
+// mini-transactions; a writing transaction's durability is decided by the
 // KTxnCommit marker appended (and flushed) at Commit. Rollback applies the
 // logical inverses in reverse order — correct even if SMOs have since moved
 // the records — and then marks the unit committed so crash recovery never
-// re-undoes it.
+// re-undoes it. A transaction that issued no write statement logged nothing,
+// so it commits or rolls back without a marker (see Commit).
 type Txn struct {
-	e    *Engine
-	clk  *simclock.Clock
-	id   uint64
-	undo []btree.Undo
-	done bool
+	e     *Engine
+	clk   *simclock.Clock
+	id    uint64
+	undo  []btree.Undo
+	wrote bool // a write statement started; it may have logged records
+	done  bool
 }
 
 // Begin starts a transaction on clk's worker.
@@ -47,6 +49,7 @@ func (t *Txn) Insert(tr *btree.Tree, key int64, val []byte) error {
 	if err := t.active(); err != nil {
 		return err
 	}
+	t.wrote = true
 	if err := tr.Insert(t.clk, t.id, key, val); err != nil {
 		return err
 	}
@@ -59,6 +62,7 @@ func (t *Txn) Update(tr *btree.Tree, key int64, val []byte) error {
 	if err := t.active(); err != nil {
 		return err
 	}
+	t.wrote = true
 	old, err := tr.UpdateReturningOld(t.clk, t.id, key, val)
 	if err != nil {
 		return err
@@ -72,6 +76,7 @@ func (t *Txn) Delete(tr *btree.Tree, key int64) error {
 	if err := t.active(); err != nil {
 		return err
 	}
+	t.wrote = true
 	old, err := tr.DeleteReturningOld(t.clk, t.id, key)
 	if err != nil {
 		return err
@@ -99,13 +104,16 @@ func (t *Txn) Scan(tr *btree.Tree, from int64, limit int) ([]btree.KV, error) {
 
 // Commit appends the durable commit marker and forces the log — through the
 // engine's group committer when one is enabled (concurrent committers then
-// share a single leader-driven flush), inline otherwise.
+// share a single leader-driven flush), inline otherwise. A read-only
+// transaction appends no marker and forces nothing: it only waits until
+// every record appended before its commit is durable, which covers anything
+// it could have read and costs nothing when the log is already forced.
 func (t *Txn) Commit() error {
 	if err := t.active(); err != nil {
 		return err
 	}
 	t.done = true
-	return t.e.commitUnit(t.clk, t.id)
+	return t.e.commitUnit(t.clk, t.id, !t.wrote)
 }
 
 // Rollback undoes every statement in reverse order via logical compensation
@@ -120,5 +128,5 @@ func (t *Txn) Rollback() error {
 			return fmt.Errorf("txn %d: undo step %d: %w", t.id, i, err)
 		}
 	}
-	return t.e.commitUnit(t.clk, t.id)
+	return t.e.commitUnit(t.clk, t.id, !t.wrote)
 }
