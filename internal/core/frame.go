@@ -41,7 +41,11 @@ func (f *cxlFrame) ReadAt(off int, buf []byte) error {
 			return nil
 		}
 	}
-	return f.pool.cache.Read(f.clk, f.pool.dataRegion(f.idx), int64(off), buf)
+	at, err := pageSpan(f.idx, off, len(buf), "read")
+	if err != nil {
+		return err
+	}
+	return f.pool.cache.Read(f.clk, f.pool.region, at, buf)
 }
 
 // WriteAt implements page.Accessor: a store to CXL through the CPU cache
@@ -54,7 +58,20 @@ func (f *cxlFrame) WriteAt(off int, data []byte) error {
 		return fmt.Errorf("core: write to page %d under a read latch", f.fr.ID())
 	}
 	f.wrote = true
-	return f.pool.cache.Write(f.clk, f.pool.dataRegion(f.idx), int64(off), data)
+	at, err := pageSpan(f.idx, off, len(data), "write")
+	if err != nil {
+		return err
+	}
+	return f.pool.cache.Write(f.clk, f.pool.region, at, data)
+}
+
+// pageSpan returns the pool-region offset of [off, off+n) of block idx's
+// page image, or an error if a non-empty span leaves the page.
+func pageSpan(idx int64, off, n int, op string) (int64, error) {
+	if n > 0 && (off < 0 || off+n > page.Size) {
+		return 0, fmt.Errorf("core: cached %s [%d,%d) out of page bounds [0,%d)", op, off, off+n, page.Size)
+	}
+	return dataOff(idx) + int64(off), nil
 }
 
 // MarkDirty implements buffer.Frame: records divergence from storage in the
@@ -82,10 +99,10 @@ func (f *cxlFrame) Release() error {
 		if f.wrote {
 			// Read the page LSN through the cache (almost certainly hot).
 			var b [8]byte
-			if err := p.cache.Read(f.clk, p.dataRegion(f.idx), 8, b[:]); err != nil {
+			if err := p.cache.Read(f.clk, p.region, dataOff(f.idx)+8, b[:]); err != nil {
 				return err
 			}
-			if err := p.cache.Flush(f.clk, p.dataRegion(f.idx), 0, page.Size); err != nil {
+			if err := p.cache.Flush(f.clk, p.region, dataOff(f.idx), page.Size); err != nil {
 				return err
 			}
 			if err := p.step("flushed-before-unlock"); err != nil {

@@ -257,15 +257,6 @@ func (p *CXLPool) pushFree(clk *simclock.Clock, idx int64) {
 	p.headStore(clk, hFreeHead, uint64(idx))
 }
 
-// dataRegion returns block idx's page-image subregion.
-func (p *CXLPool) dataRegion(idx int64) *simmem.Region {
-	r, err := p.region.SubRegion(dataOff(idx), page.Size)
-	if err != nil {
-		panic(fmt.Errorf("core: block %d data region: %w", idx, err))
-	}
-	return r
-}
-
 // rawImage copies block idx's page image without cost (recovery, eviction
 // after a cache flush).
 func (p *CXLPool) rawImage(idx int64, buf []byte) error {
@@ -330,7 +321,7 @@ func (s *cxlStore) evictOne(clk *simclock.Clock) (int64, error) {
 		p.metaStore(clk, idx, mLSN, 0)
 		// Drop any cached lines of the dead block so a future tenant of the
 		// block never sees them.
-		if err := p.cache.Flush(clk, p.dataRegion(idx), 0, page.Size); err != nil {
+		if err := p.cache.Flush(clk, p.region, dataOff(idx), page.Size); err != nil {
 			return 0, err
 		}
 		s.ids[idx-1] = 0
@@ -476,7 +467,7 @@ func (s *cxlStore) WriteLatched(clk *simclock.Clock, id uint64, slot any) error 
 func (s *cxlStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 	p := s.p
 	idx := slot.(int64)
-	if err := p.cache.Flush(clk, p.dataRegion(idx), 0, page.Size); err != nil {
+	if err := p.cache.Flush(clk, p.region, dataOff(idx), page.Size); err != nil {
 		return err
 	}
 	img := make([]byte, page.Size)

@@ -262,13 +262,13 @@ func (n *Node) install(clk *simclock.Clock, pageID uint64, create bool) (*pmeta,
 	if err := n.cache.Flush(clk, n.dbp, off, page.Size); err != nil {
 		return nil, err
 	}
-	if !coherent {
+	if o := n.fusion.obsState(); o != nil && !coherent {
 		// The install flush discharges any invalidation this node owed on
 		// the page; Aux carries the lines that survived (nonzero only when
 		// the flush itself was fault-dropped, i.e. the copy is still
 		// suspect).
 		resident, _ := n.cache.LinesInRange(n.dbp, off, page.Size)
-		n.fusion.obsState().emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
+		o.emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
 	}
 	return &pmeta{slot: slot, dataOff: off}, nil
 }
@@ -298,11 +298,13 @@ func (n *Node) honourInvalid(clk *simclock.Clock, pageID uint64, m *pmeta) error
 	n.mu.Lock()
 	n.stats.Invalidations++
 	n.mu.Unlock()
-	// Aux = lines still resident after the flush: nonzero means the flush
-	// was dropped and the stale copy survives — the checker keeps the page
-	// suspect in that case.
-	resident, _ := n.cache.LinesInRange(n.dbp, m.dataOff, page.Size)
-	n.fusion.obsState().emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
+	if o := n.fusion.obsState(); o != nil {
+		// Aux = lines still resident after the flush: nonzero means the
+		// flush was dropped and the stale copy survives — the checker
+		// keeps the page suspect in that case.
+		resident, _ := n.cache.LinesInRange(n.dbp, m.dataOff, page.Size)
+		o.emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
+	}
 	return nil
 }
 

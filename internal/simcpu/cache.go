@@ -15,11 +15,19 @@
 // latency, a device-profile line fetch on miss, and a device-profile line
 // write on write-back. Flush models clflush: write back dirty lines and
 // invalidate the range. Drop models power loss: cached dirty data is gone.
+//
+// Representation: lines live by value in a slab that grows in fixed-size
+// chunks and recycles freed lines; the LRU is an intrusive doubly-linked
+// list over slab indices; and a block index maps each (device, 4 KiB-aligned
+// offset) to a residency mask plus the slab index of each of its 64 lines.
+// A steady-state hit, miss or flush allocates nothing.
 package simcpu
 
 import (
-	"container/list"
 	"fmt"
+	"iter"
+	"math/bits"
+	"sync"
 
 	"polarcxlmem/internal/fault"
 	"polarcxlmem/internal/simclock"
@@ -29,16 +37,77 @@ import (
 // LineSize is the cache-line size in bytes.
 const LineSize = simmem.LineSize
 
-type lineKey struct {
-	dev  *simmem.Device
-	addr int64 // absolute line-aligned device offset
+const (
+	// blockLines is the number of lines one block-index entry covers: one
+	// uint64 residency mask, 4 KiB of device address space.
+	blockLines = 64
+	blockSize  = blockLines * LineSize
+	// nilIdx is the absent slab index: an LRU list end, or no such line.
+	nilIdx int32 = -1
+)
+
+// line is one resident cache line, held by value in the line slab.
+type line struct {
+	data       [LineSize]byte
+	prev, next int32 // LRU neighbours; prev is toward the MRU end
+	blk        int32 // owning block's slab index
+	slot       uint8 // line number within the block
+	dirty      bool
 }
 
-type line struct {
-	key   lineKey
-	data  [LineSize]byte
-	dirty bool
-	elem  *list.Element
+// blockKey names a 4 KiB-aligned span of a device.
+type blockKey struct {
+	dev  *simmem.Device
+	base int64 // absolute device offset, 4 KiB-aligned
+}
+
+// block is one block-index entry: which of the span's 64 lines are
+// resident, and where each resident line lives in the line slab.
+type block struct {
+	key   blockKey
+	mask  uint64            // bit s set: line s is resident
+	slots [blockLines]int32 // slab index of each resident line
+}
+
+// slabChunkShift sizes slab chunks at 64 entries (5 KiB of lines), so a
+// freshly built cache allocates in step with what it fills.
+const (
+	slabChunkShift = 6
+	slabChunk      = 1 << slabChunkShift
+)
+
+// slab is an index-addressed arena. It grows one fixed-size chunk at a
+// time, so entries never move, and reuses released entries first.
+type slab[T any] struct {
+	chunks []*[slabChunk]T
+	used   int32   // entries handed out since the last reset
+	free   []int32 // released entries
+}
+
+func (s *slab[T]) at(i int32) *T { return &s.chunks[i>>slabChunkShift][i&(slabChunk-1)] }
+
+// alloc returns the index of an unused entry, which holds whatever its
+// previous user left in it.
+func (s *slab[T]) alloc() int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		return i
+	}
+	i := s.used
+	if int(i>>slabChunkShift) == len(s.chunks) {
+		s.chunks = append(s.chunks, new([slabChunk]T))
+	}
+	s.used++
+	return i
+}
+
+func (s *slab[T]) release(i int32) { s.free = append(s.free, i) }
+
+// reset releases every entry, keeping the chunks for reuse.
+func (s *slab[T]) reset() {
+	s.used = 0
+	s.free = s.free[:0]
 }
 
 // Stats counts cache events and traffic since the last reset.
@@ -58,12 +127,20 @@ type Cache struct {
 	capacity   int // max lines
 	hitLatency int64
 
-	mu    chan struct{} // 1-slot semaphore: avoids lock-order issues with device mutexes
-	lines map[lineKey]*line
-	lru   *list.List // front = most recent
-	stats Stats
-	link  Interconnect   // optional per-host interconnect charged per fill/write-back
-	inj   fault.Injector // optional fault injector; may be nil
+	mu       sync.Mutex
+	index    map[blockKey]int32 // block slab index of every block with a resident line
+	blocks   slab[block]
+	lines    slab[line]
+	mru, lru int32 // LRU list ends
+	resident int   // lines on the LRU list
+	stats    Stats
+	// lastKey and lastBlk memoize the latest index hit: the lines of one
+	// access share a block, and the memo spares their map probes. A
+	// released block's key is never memoized.
+	lastKey blockKey
+	lastBlk int32
+	link    Interconnect   // optional per-host interconnect charged per fill/write-back
+	inj     fault.Injector // optional fault injector; may be nil
 	// domain, when set, provides CXL 3.0 hardware coherency across the
 	// domain's caches (see domain.go). Nil = CXL 2.0 behaviour: no
 	// inter-host coherency, software protocol required.
@@ -77,19 +154,15 @@ func New(name string, capacityBytes int64, hitLatency int64) *Cache {
 	if capacityBytes < LineSize {
 		panic(fmt.Sprintf("simcpu: cache %q capacity %d smaller than one line", name, capacityBytes))
 	}
-	c := &Cache{
+	return &Cache{
 		name:       name,
 		capacity:   int(capacityBytes / LineSize),
 		hitLatency: hitLatency,
-		mu:         make(chan struct{}, 1),
-		lines:      make(map[lineKey]*line),
-		lru:        list.New(),
+		index:      make(map[blockKey]int32),
+		mru:        nilIdx,
+		lru:        nilIdx,
 	}
-	return c
 }
-
-func (c *Cache) lock()   { c.mu <- struct{}{} }
-func (c *Cache) unlock() { <-c.mu }
 
 // Interconnect is a charged transport between the CPU and a memory device:
 // a single queueing resource (*simclock.Resource) or a composed multi-hop
@@ -110,9 +183,9 @@ func (c *Cache) SetInterconnect(ic Interconnect) { c.link = ic }
 // also implements fault.Orderer, each Flush call asks it whether to process
 // its lines in reverse address order.
 func (c *Cache) SetInjector(inj fault.Injector) {
-	c.lock()
+	c.mu.Lock()
 	c.inj = inj
-	c.unlock()
+	c.mu.Unlock()
 }
 
 // Name reports the cache name.
@@ -124,25 +197,127 @@ func (c *Cache) Domain() *Domain { return c.domain }
 
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats {
-	c.lock()
-	defer c.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.stats
 }
 
 // ResetStats zeroes the event counters without touching cached data.
 func (c *Cache) ResetStats() {
-	c.lock()
+	c.mu.Lock()
 	c.stats = Stats{}
-	c.unlock()
+	c.mu.Unlock()
 }
 
-// touch moves ln to the MRU position.
-func (c *Cache) touch(ln *line) { c.lru.MoveToFront(ln.elem) }
+// block returns the slab index of the block for key, if it has a resident
+// line.
+func (c *Cache) block(key blockKey) (int32, bool) {
+	if key == c.lastKey {
+		return c.lastBlk, true
+	}
+	bi, ok := c.index[key]
+	if ok {
+		c.lastKey, c.lastBlk = key, bi
+	}
+	return bi, ok
+}
 
-// writeBack writes a dirty line to its device, charging clk.
-func (c *Cache) writeBack(clk *simclock.Clock, ln *line) error {
-	r := ln.key.dev.WholeRegion()
-	if err := r.WriteAt(clk, ln.key.addr, ln.data[:]); err != nil {
+// lookup returns the slab index of the resident line at the line-aligned
+// device offset addr of dev, or nilIdx.
+func (c *Cache) lookup(dev *simmem.Device, addr int64) int32 {
+	bi, ok := c.block(blockKey{dev, addr &^ (blockSize - 1)})
+	if !ok {
+		return nilIdx
+	}
+	b := c.blocks.at(bi)
+	s := (addr & (blockSize - 1)) / LineSize
+	if b.mask&(1<<s) == 0 {
+		return nilIdx
+	}
+	return b.slots[s]
+}
+
+// pushMRU links line i at the MRU end of the LRU list.
+func (c *Cache) pushMRU(i int32) {
+	ln := c.lines.at(i)
+	ln.prev, ln.next = nilIdx, c.mru
+	if c.mru != nilIdx {
+		c.lines.at(c.mru).prev = i
+	} else {
+		c.lru = i
+	}
+	c.mru = i
+}
+
+// unlink takes line i off the LRU list.
+func (c *Cache) unlink(i int32) {
+	ln := c.lines.at(i)
+	if ln.prev != nilIdx {
+		c.lines.at(ln.prev).next = ln.next
+	} else {
+		c.mru = ln.next
+	}
+	if ln.next != nilIdx {
+		c.lines.at(ln.next).prev = ln.prev
+	} else {
+		c.lru = ln.prev
+	}
+}
+
+// touch moves line i to the MRU position.
+func (c *Cache) touch(i int32) {
+	if c.mru != i {
+		c.unlink(i)
+		c.pushMRU(i)
+	}
+}
+
+// install indexes the freshly filled line i as the line at addr of dev and
+// makes it the MRU line.
+func (c *Cache) install(i int32, dev *simmem.Device, addr int64) {
+	key := blockKey{dev, addr &^ (blockSize - 1)}
+	bi, ok := c.block(key)
+	if !ok {
+		bi = c.blocks.alloc()
+		nb := c.blocks.at(bi)
+		nb.key, nb.mask = key, 0
+		c.index[key] = bi
+		c.lastKey, c.lastBlk = key, bi
+	}
+	b := c.blocks.at(bi)
+	s := (addr & (blockSize - 1)) / LineSize
+	b.mask |= 1 << s
+	b.slots[s] = i
+	ln := c.lines.at(i)
+	ln.blk, ln.slot = bi, uint8(s)
+	c.pushMRU(i)
+	c.resident++
+}
+
+// remove invalidates line i: it leaves the LRU list and the block index,
+// and its slab entry is released.
+func (c *Cache) remove(i int32) {
+	ln := c.lines.at(i)
+	c.unlink(i)
+	b := c.blocks.at(ln.blk)
+	b.mask &^= 1 << ln.slot
+	if b.mask == 0 {
+		delete(c.index, b.key)
+		if b.key == c.lastKey {
+			c.lastKey = blockKey{}
+		}
+		b.key = blockKey{}
+		c.blocks.release(ln.blk)
+	}
+	c.lines.release(i)
+	c.resident--
+}
+
+// writeBack writes dirty line i to its device, charging clk.
+func (c *Cache) writeBack(clk *simclock.Clock, i int32) error {
+	ln := c.lines.at(i)
+	b := c.blocks.at(ln.blk)
+	if err := b.key.dev.WholeRegion().WriteAt(clk, b.key.base+int64(ln.slot)*LineSize, ln.data[:]); err != nil {
 		return err
 	}
 	if c.link != nil {
@@ -156,13 +331,9 @@ func (c *Cache) writeBack(clk *simclock.Clock, ln *line) error {
 
 // evictIfFull makes room for one more line.
 func (c *Cache) evictIfFull(clk *simclock.Clock) error {
-	for len(c.lines) >= c.capacity {
-		e := c.lru.Back()
-		if e == nil {
-			return fmt.Errorf("simcpu: cache %q full with empty LRU", c.name)
-		}
-		victim := e.Value.(*line)
-		if victim.dirty {
+	for c.resident >= c.capacity {
+		victim := c.lru
+		if c.lines.at(victim).dirty {
 			skip := false
 			if c.inj != nil {
 				if err := c.inj.Point(fault.OpWriteBack, LineSize); err != nil {
@@ -178,67 +349,71 @@ func (c *Cache) evictIfFull(clk *simclock.Clock) error {
 				}
 			}
 		}
-		c.lru.Remove(e)
-		delete(c.lines, victim.key)
+		c.remove(victim)
 	}
 	return nil
 }
 
-// fill fetches the line containing addr from dev, charging clk the device
-// read cost, and installs it. When streamed is set — the immediately
-// preceding line of the same access also missed — the hardware prefetcher
-// has the line in flight, so only the streaming-rate portion of the cost is
-// charged, not the full access latency. This is what lets a sequential
-// range scan over CXL run at the device's streaming bandwidth instead of
-// one serialized miss per 64 B (the paper's range-select workloads depend
-// on it, §2.3/§4.2).
-func (c *Cache) fill(clk *simclock.Clock, k lineKey, streamed bool) (*line, error) {
+// fill fetches the line at the line-aligned offset addr of dev, charging clk
+// the device read cost, and installs it. When streamed is set — the
+// immediately preceding line of the same access also missed — the hardware
+// prefetcher has the line in flight, so only the streaming-rate portion of
+// the cost is charged, not the full access latency. This is what lets a
+// sequential range scan over CXL run at the device's streaming bandwidth
+// instead of one serialized miss per 64 B (the paper's range-select
+// workloads depend on it, §2.3/§4.2).
+func (c *Cache) fill(clk *simclock.Clock, dev *simmem.Device, addr int64, streamed bool) (int32, error) {
 	if err := c.evictIfFull(clk); err != nil {
-		return nil, err
+		return nilIdx, err
 	}
-	ln := &line{key: k}
 	if c.domain != nil {
 		// CXL 3.0 mode: a dirty peer copy is written back by hardware
 		// before the fill, so the device read below returns fresh data.
-		if err := c.domain.supplyLatest(clk, c, k); err != nil {
-			return nil, err
+		if err := c.domain.supplyLatest(clk, c, dev, addr); err != nil {
+			return nilIdx, err
 		}
 	}
-	r := k.dev.WholeRegion()
+	i := c.lines.alloc()
+	ln := c.lines.at(i)
+	ln.data, ln.dirty = [LineSize]byte{}, false // a dropped device read leaves zeros
+	r := dev.WholeRegion()
+	var err error
 	if streamed {
-		if err := r.ReadRaw(k.addr, ln.data[:]); err != nil {
-			return nil, err
+		if err = r.ReadRaw(addr, ln.data[:]); err == nil {
+			prof := dev.Profile()
+			streamCost := prof.ReadCost(LineSize) - prof.ReadLatency
+			if streamCost < 2 {
+				streamCost = 2
+			}
+			clk.Advance(streamCost)
 		}
-		prof := k.dev.Profile()
-		streamCost := prof.ReadCost(LineSize) - prof.ReadLatency
-		if streamCost < 2 {
-			streamCost = 2
-		}
-		clk.Advance(streamCost)
-	} else if err := r.ReadAt(clk, k.addr, ln.data[:]); err != nil {
-		return nil, err
+	} else {
+		err = r.ReadAt(clk, addr, ln.data[:])
+	}
+	if err != nil {
+		c.lines.release(i)
+		return nilIdx, err
 	}
 	if c.link != nil {
 		c.link.Use(clk, LineSize)
 	}
-	ln.elem = c.lru.PushFront(ln)
-	c.lines[k] = ln
+	c.install(i, dev, addr)
 	c.stats.Misses++
 	c.stats.BytesFetched += LineSize
-	return ln, nil
+	return i, nil
 }
 
-// get returns the line for k, filling on miss. missed reports whether a
-// fill happened (prefetch-chain tracking).
-func (c *Cache) get(clk *simclock.Clock, k lineKey, streamed bool) (*line, bool, error) {
-	if ln, ok := c.lines[k]; ok {
-		c.touch(ln)
+// get returns the slab index of the line at addr of dev, filling on miss.
+// missed reports whether a fill happened (prefetch-chain tracking).
+func (c *Cache) get(clk *simclock.Clock, dev *simmem.Device, addr int64, streamed bool) (i int32, missed bool, err error) {
+	if i := c.lookup(dev, addr); i != nilIdx {
+		c.touch(i)
 		c.stats.Hits++
 		clk.Advance(c.hitLatency)
-		return ln, false, nil
+		return i, false, nil
 	}
-	ln, err := c.fill(clk, k, streamed)
-	return ln, true, err
+	i, err = c.fill(clk, dev, addr, streamed)
+	return i, true, err
 }
 
 // lineRange iterates the line-aligned addresses covering [addr, addr+n).
@@ -246,6 +421,55 @@ func lineRange(addr int64, n int) (first, last int64) {
 	first = addr &^ (LineSize - 1)
 	last = (addr + int64(n) - 1) &^ (LineSize - 1)
 	return first, last
+}
+
+// spanMask is the residency-mask bits of the block at base that fall in
+// the line-aligned span [first, last].
+func spanMask(base, first, last int64) uint64 {
+	lo, hi := int64(0), int64(blockLines-1)
+	if first > base {
+		lo = (first - base) / LineSize
+	}
+	if last < base+blockSize-LineSize {
+		hi = (last - base) / LineSize
+	}
+	return (^uint64(0) >> (blockLines - 1 - hi)) & (^uint64(0) << lo)
+}
+
+// spanLines yields the slab index of every resident line of dev in the
+// line-aligned span [first, last], in ascending address order or, with rev,
+// descending. It probes one block per 4 KiB and visits only resident lines.
+// The loop body may remove the line it is given, and no other.
+func (c *Cache) spanLines(dev *simmem.Device, first, last int64, rev bool) iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		lo, hi := first&^(blockSize-1), last&^(blockSize-1)
+		base, end, step := lo, hi+blockSize, int64(blockSize)
+		if rev {
+			base, end, step = hi, lo-blockSize, -blockSize
+		}
+		for ; base != end; base += step {
+			bi, ok := c.block(blockKey{dev, base})
+			if !ok {
+				continue
+			}
+			b := c.blocks.at(bi)
+			for m := b.mask & spanMask(base, first, last); m != 0; {
+				s := bits.TrailingZeros64(m)
+				if rev {
+					s = blockLines - 1 - bits.LeadingZeros64(m)
+				}
+				m &^= 1 << s
+				if !yield(b.slots[s]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// clip returns the part of [addr, addr+n) that falls in the line at la.
+func clip(la, addr int64, n int) (lo, hi int64) {
+	return max(addr, la), min(addr+int64(n), la+LineSize)
 }
 
 // Read reads len(buf) bytes at off within region, through the cache.
@@ -256,27 +480,24 @@ func (c *Cache) Read(clk *simclock.Clock, region *simmem.Region, off int64, buf 
 	if off < 0 || off+int64(len(buf)) > region.Size() {
 		return fmt.Errorf("simcpu: cached read [%d,%d) out of region bounds [0,%d)", off, off+int64(len(buf)), region.Size())
 	}
-	c.lock()
-	defer c.unlock()
+	if d := c.domain; d != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	dev := region.Device()
 	addr := region.Base() + off
 	first, last := lineRange(addr, len(buf))
 	prevMiss := false
 	for la := first; la <= last; la += LineSize {
-		ln, missed, err := c.get(clk, lineKey{dev, la}, prevMiss)
+		i, missed, err := c.get(clk, dev, la, prevMiss)
 		if err != nil {
 			return err
 		}
 		prevMiss = missed
-		// Intersect [addr, addr+len) with [la, la+LineSize).
-		lo, hi := addr, addr+int64(len(buf))
-		if la > lo {
-			lo = la
-		}
-		if la+LineSize < hi {
-			hi = la + LineSize
-		}
-		copy(buf[lo-addr:hi-addr], ln.data[lo-la:hi-la])
+		lo, hi := clip(la, addr, len(buf))
+		copy(buf[lo-addr:hi-addr], c.lines.at(i).data[lo-la:hi-la])
 	}
 	return nil
 }
@@ -290,38 +511,34 @@ func (c *Cache) Write(clk *simclock.Clock, region *simmem.Region, off int64, dat
 	if off < 0 || off+int64(len(data)) > region.Size() {
 		return fmt.Errorf("simcpu: cached write [%d,%d) out of region bounds [0,%d)", off, off+int64(len(data)), region.Size())
 	}
-	c.lock()
+	if d := c.domain; d != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	dev := region.Device()
 	addr := region.Base() + off
 	first, last := lineRange(addr, len(data))
-	var written []lineKey
 	prevMiss := false
 	for la := first; la <= last; la += LineSize {
-		k := lineKey{dev, la}
-		ln, missed, err := c.get(clk, k, prevMiss)
+		i, missed, err := c.get(clk, dev, la, prevMiss)
 		if err != nil {
-			c.unlock()
 			return err
 		}
 		prevMiss = missed
-		lo, hi := addr, addr+int64(len(data))
-		if la > lo {
-			lo = la
-		}
-		if la+LineSize < hi {
-			hi = la + LineSize
-		}
+		ln := c.lines.at(i)
+		lo, hi := clip(la, addr, len(data))
 		copy(ln.data[lo-la:hi-la], data[lo-addr:hi-addr])
 		ln.dirty = true
-		if c.domain != nil {
-			written = append(written, k)
-		}
 	}
-	c.unlock()
-	// CXL 3.0 mode: every store back-invalidates peer copies of the line.
-	for _, k := range written {
-		if err := c.domain.invalidatePeers(clk, c, k); err != nil {
-			return err
+	if c.domain != nil {
+		// CXL 3.0 mode: every store back-invalidates peer copies of its
+		// lines once the whole store has landed.
+		for la := first; la <= last; la += LineSize {
+			if err := c.domain.invalidatePeers(clk, c, dev, la); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -339,11 +556,9 @@ func (c *Cache) Flush(clk *simclock.Clock, region *simmem.Region, off int64, n i
 	if off < 0 || off+int64(n) > region.Size() {
 		return fmt.Errorf("simcpu: flush [%d,%d) out of region bounds [0,%d)", off, off+int64(n), region.Size())
 	}
-	c.lock()
-	defer c.unlock()
-	dev := region.Device()
-	addr := region.Base() + off
-	first, last := lineRange(addr, n)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	first, last := lineRange(region.Base()+off, n)
 	rev := false
 	if c.inj != nil {
 		if err := c.inj.Point(fault.OpFlushRange, int64(n)); err != nil {
@@ -356,16 +571,7 @@ func (c *Cache) Flush(clk *simclock.Clock, region *simmem.Region, off int64, n i
 			rev = ord.ReverseFlush()
 		}
 	}
-	la, end, step := first, last+LineSize, int64(LineSize)
-	if rev {
-		la, end, step = last, first-LineSize, -LineSize
-	}
-	for ; la != end; la += step {
-		k := lineKey{dev, la}
-		ln, ok := c.lines[k]
-		if !ok {
-			continue
-		}
+	for i := range c.spanLines(region.Device(), first, last, rev) {
 		if c.inj != nil {
 			if err := c.inj.Point(fault.OpFlushLine, LineSize); err != nil {
 				if fault.IsDrop(err) {
@@ -374,13 +580,12 @@ func (c *Cache) Flush(clk *simclock.Clock, region *simmem.Region, off int64, n i
 				return err
 			}
 		}
-		if ln.dirty {
-			if err := c.writeBack(clk, ln); err != nil {
+		if c.lines.at(i).dirty {
+			if err := c.writeBack(clk, i); err != nil {
 				return err
 			}
 		}
-		c.lru.Remove(ln.elem)
-		delete(c.lines, k)
+		c.remove(i)
 		c.stats.Flushed++
 		clk.Advance(c.hitLatency) // clflush issue cost per resident line
 	}
@@ -390,10 +595,13 @@ func (c *Cache) Flush(clk *simclock.Clock, region *simmem.Region, off int64, n i
 // Drop discards every cached line without write-back: the power-loss path.
 // Dirty data that was never flushed is lost, exactly as on a host crash.
 func (c *Cache) Drop() {
-	c.lock()
-	c.lines = make(map[lineKey]*line)
-	c.lru.Init()
-	c.unlock()
+	c.mu.Lock()
+	clear(c.index)
+	c.lastKey = blockKey{}
+	c.blocks.reset()
+	c.lines.reset()
+	c.mru, c.lru, c.resident = nilIdx, nilIdx, 0
+	c.mu.Unlock()
 }
 
 // LinesInRange reports how many cache lines intersecting [off, off+n) of
@@ -405,17 +613,13 @@ func (c *Cache) LinesInRange(region *simmem.Region, off int64, n int) (resident,
 	if n <= 0 {
 		return 0, 0
 	}
-	c.lock()
-	defer c.unlock()
-	dev := region.Device()
-	addr := region.Base() + off
-	first, last := lineRange(addr, n)
-	for la := first; la <= last; la += LineSize {
-		if ln, ok := c.lines[lineKey{dev, la}]; ok {
-			resident++
-			if ln.dirty {
-				dirty++
-			}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	first, last := lineRange(region.Base()+off, n)
+	for i := range c.spanLines(region.Device(), first, last, false) {
+		resident++
+		if c.lines.at(i).dirty {
+			dirty++
 		}
 	}
 	return resident, dirty
@@ -423,11 +627,11 @@ func (c *Cache) LinesInRange(region *simmem.Region, off int64, n int) (resident,
 
 // DirtyLines reports how many cached lines are dirty (test/diagnostic hook).
 func (c *Cache) DirtyLines() int {
-	c.lock()
-	defer c.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
-	for _, ln := range c.lines {
-		if ln.dirty {
+	for i := c.mru; i != nilIdx; i = c.lines.at(i).next {
+		if c.lines.at(i).dirty {
 			n++
 		}
 	}
@@ -436,7 +640,7 @@ func (c *Cache) DirtyLines() int {
 
 // ResidentLines reports how many lines are currently cached.
 func (c *Cache) ResidentLines() int {
-	c.lock()
-	defer c.unlock()
-	return len(c.lines)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.resident
 }

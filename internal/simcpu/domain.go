@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"polarcxlmem/internal/simclock"
+	"polarcxlmem/internal/simmem"
 )
 
 // Domain models CXL 3.0 hardware cache coherency across hosts: a snoop
@@ -20,6 +21,11 @@ import (
 type Domain struct {
 	snoopNs int64
 
+	// mu serializes the coherent path: Attach and every Read and Write of
+	// a member cache. Those take it before the member's own lock, so a
+	// member that holds its lock while taking its peers' (a fill asking
+	// for the latest copy, a store invalidating peer copies) never waits
+	// on a peer doing the same.
 	mu     sync.Mutex
 	caches []*Cache
 }
@@ -43,62 +49,56 @@ func (d *Domain) Attach(c *Cache) {
 	d.mu.Unlock()
 }
 
-// peers returns every cache in the domain except owner.
-func (d *Domain) peers(owner *Cache) []*Cache {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]*Cache, 0, len(d.caches)-1)
-	for _, c := range d.caches {
-		if c != owner {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// invalidatePeers drops k from every peer cache (back-invalidation on a
-// store). Dirty peer copies cannot exist when the database-level page lock
-// is held correctly, but hardware is defensive: a dirty peer copy is
-// written back first so no update is lost.
-func (d *Domain) invalidatePeers(clk *simclock.Clock, owner *Cache, k lineKey) error {
-	for _, peer := range d.peers(owner) {
-		peer.lock()
-		ln, ok := peer.lines[k]
-		if !ok {
-			peer.unlock()
+// invalidatePeers drops the line at addr of dev from every peer cache
+// (back-invalidation on a store). Dirty peer copies cannot exist when the
+// database-level page lock is held correctly, but hardware is defensive: a
+// dirty peer copy is written back first so no update is lost. Called with
+// d.mu and owner's lock held.
+func (d *Domain) invalidatePeers(clk *simclock.Clock, owner *Cache, dev *simmem.Device, addr int64) error {
+	for _, peer := range d.caches {
+		if peer == owner {
 			continue
 		}
-		if ln.dirty {
-			if err := peer.writeBack(clk, ln); err != nil {
-				peer.unlock()
+		peer.mu.Lock()
+		i := peer.lookup(dev, addr)
+		if i == nilIdx {
+			peer.mu.Unlock()
+			continue
+		}
+		if peer.lines.at(i).dirty {
+			if err := peer.writeBack(clk, i); err != nil {
+				peer.mu.Unlock()
 				return err
 			}
 		}
-		peer.lru.Remove(ln.elem)
-		delete(peer.lines, k)
-		peer.unlock()
+		peer.remove(i)
+		peer.mu.Unlock()
 		clk.Advance(d.snoopNs)
 	}
 	return nil
 }
 
-// supplyLatest makes the device current for k before a fill: if a peer
-// holds the line dirty, the hardware writes it back (cache-to-cache with
-// memory update) and charges one snoop.
-func (d *Domain) supplyLatest(clk *simclock.Clock, owner *Cache, k lineKey) error {
-	for _, peer := range d.peers(owner) {
-		peer.lock()
-		ln, ok := peer.lines[k]
-		if ok && ln.dirty {
-			err := peer.writeBack(clk, ln)
-			peer.unlock()
+// supplyLatest makes the device current for the line at addr of dev before
+// a fill: if a peer holds the line dirty, the hardware writes it back
+// (cache-to-cache with memory update) and charges one snoop. Called with
+// d.mu and owner's lock held.
+func (d *Domain) supplyLatest(clk *simclock.Clock, owner *Cache, dev *simmem.Device, addr int64) error {
+	for _, peer := range d.caches {
+		if peer == owner {
+			continue
+		}
+		peer.mu.Lock()
+		i := peer.lookup(dev, addr)
+		if i != nilIdx && peer.lines.at(i).dirty {
+			err := peer.writeBack(clk, i)
+			peer.mu.Unlock()
 			if err != nil {
 				return err
 			}
 			clk.Advance(d.snoopNs)
 			return nil
 		}
-		peer.unlock()
+		peer.mu.Unlock()
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package simcpu
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/simmem"
@@ -140,5 +142,49 @@ func TestDomainThreeWaySharing(t *testing.T) {
 	caches[0].Read(clk, r, 256, b[:])
 	if b[0] != 30 {
 		t.Fatalf("counter = %d, want 30 (lost update under hw coherency)", b[0])
+	}
+}
+
+// TestDomainConcurrentFillsDoNotDeadlock runs two caches of one domain on
+// two goroutines, each storing to and loading the same lines. Every store
+// invalidates the other cache's copy, so both keep filling, and each fill
+// looks into the peer for a dirty copy. A fill must not hold its own cache
+// while it waits for a peer that is doing the same.
+func TestDomainConcurrentFillsDoNotDeadlock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	d := simmem.NewDevice("cxl", 4096, prof, nil)
+	r := d.WholeRegion()
+	dom := NewDomain(0)
+	caches := []*Cache{New("a", 1<<20, 5), New("b", 1<<20, 5)}
+	errs := make(chan error, len(caches))
+	for i, c := range caches {
+		dom.Attach(c)
+		go func() {
+			clk := simclock.New()
+			buf := make([]byte, 2*LineSize)
+			for n := 0; n < 5000; n++ {
+				buf[0] = byte(i)
+				if err := c.Write(clk, r, 0, buf); err != nil {
+					errs <- err
+					return
+				}
+				if err := c.Read(clk, r, 0, buf); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	timeout := time.After(20 * time.Second)
+	for range caches {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("two caches filling concurrently in one domain deadlocked")
+		}
 	}
 }
