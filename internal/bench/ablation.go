@@ -2,6 +2,7 @@ package bench
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -198,6 +199,22 @@ func (b *abBound) WriteAt(off int, data []byte) error {
 	copy(b.f.img[off:], data)
 	b.clk.Advance(cxl.BufferDRAMProfile().WriteCost(len(data)))
 	return nil
+}
+
+// Load implements page.Accessor: a ReadAt of n bytes into a stack word.
+func (b *abBound) Load(off, n int) (uint64, error) {
+	var w [8]byte
+	if err := b.ReadAt(off, w[:n]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(w[:]), nil
+}
+
+// Store implements page.Accessor: a WriteAt of v's low n bytes.
+func (b *abBound) Store(off, n int, v uint64) error {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	return b.WriteAt(off, w[:n])
 }
 
 // runAblateTier quantifies the §3.1 design choice: the same CXL hardware,

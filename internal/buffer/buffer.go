@@ -46,12 +46,15 @@ const (
 )
 
 // Frame is a latched, pinned buffer page. Its accessor methods (ReadAt /
-// WriteAt, satisfying page.Accessor) charge the owning medium's costs to
-// the clock bound at Get time.
+// WriteAt / Load / Store, satisfying page.Accessor) charge the owning
+// medium's costs to the clock bound at Get time.
 type Frame interface {
-	// ReadAt / WriteAt implement page.Accessor over this page's bytes.
+	// ReadAt / WriteAt / Load / Store implement page.Accessor over this
+	// page's bytes.
 	ReadAt(off int, buf []byte) error
 	WriteAt(off int, data []byte) error
+	Load(off, n int) (uint64, error)
+	Store(off, n int, v uint64) error
 	// ID reports the page id.
 	ID() uint64
 	// Release drops the latch and pin. The frame must not be used after.

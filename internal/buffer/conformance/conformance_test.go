@@ -22,6 +22,7 @@ import (
 	"polarcxlmem/internal/rdma"
 	"polarcxlmem/internal/sharing"
 	"polarcxlmem/internal/simclock"
+	"polarcxlmem/internal/simcpu"
 	"polarcxlmem/internal/storage"
 )
 
@@ -34,6 +35,8 @@ const capacity = 8
 // carries them explicitly. setObs attaches (or, with nil, detaches) an
 // observability registry to every instrumented component in the rig;
 // metric is the pool's frame-table metric name (frametab.<metric>.*).
+// cache is the CPU cache the pool's frames load through (nil for the pools
+// that copy pages into local DRAM).
 type rig struct {
 	metric  string
 	pool    buffer.Creator
@@ -41,6 +44,7 @@ type rig struct {
 	pinned  func() int
 	barrier func(fb buffer.FlushBarrier)
 	setObs  func(reg *obs.Registry)
+	cache   *simcpu.Cache
 }
 
 // payloadOff keeps test mutations clear of the page header (LSN lives at
@@ -85,11 +89,12 @@ func buildCXL(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.Format(host, region, host.NewCache("db0", 1<<20), store)
+	cache := host.NewCache("db0", 1<<20)
+	p, err := core.Format(host, region, cache, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{metric: "cxl", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
+	return &rig{metric: "cxl", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver, cache: cache}
 }
 
 func buildShared(t *testing.T) *rig {
@@ -113,7 +118,7 @@ func buildShared(t *testing.T) *rig {
 		fusion.SetObserver(reg)
 		p.SetObserver(reg)
 	}
-	return &rig{metric: "shared/n0", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: setObs}
+	return &rig{metric: "shared/n0", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: setObs, cache: n0.Cache}
 }
 
 func buildRDMAShared(t *testing.T) *rig {

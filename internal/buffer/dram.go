@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"polarcxlmem/internal/frametab"
@@ -133,6 +134,22 @@ func (b *ImageFrame) WriteAt(off int, data []byte) error {
 	b.Clk.Advance(b.Prof.WriteCost(len(data)))
 	b.Wrote = true
 	return nil
+}
+
+// Load implements page.Accessor: a ReadAt of n bytes into a stack word.
+func (b *ImageFrame) Load(off, n int) (uint64, error) {
+	var w [8]byte
+	if err := b.ReadAt(off, w[:n]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(w[:]), nil
+}
+
+// Store implements page.Accessor: a WriteAt of v's low n bytes.
+func (b *ImageFrame) Store(off, n int, v uint64) error {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	return b.WriteAt(off, w[:n])
 }
 
 // Release implements Frame.

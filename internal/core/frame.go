@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"polarcxlmem/internal/buffer"
@@ -31,19 +32,20 @@ func (f *cxlFrame) ID() uint64 { return f.fr.ID() }
 // served from the host-DRAM mirror at DRAM cost with no CXL traffic at all.
 // The mirror is always current under this frame's latch: promotion copies
 // under a read latch, and any write latch invalidated the mirror before its
-// first store (see tier.go).
+// first store (see tier.go). The page-bounds check runs first: the mirror
+// is a bare page image, and a span past its end must fail, not panic.
 func (f *cxlFrame) ReadAt(off int, buf []byte) error {
 	if f.released {
 		return fmt.Errorf("core: read on released frame of page %d", f.fr.ID())
+	}
+	at, err := pageSpan(f.idx, off, len(buf), "read")
+	if err != nil {
+		return err
 	}
 	if ft := f.pool.fastP.Load(); ft != nil && f.mode == buffer.Read {
 		if ft.lookupCopy(f.clk, f.fr.ID(), off, buf) {
 			return nil
 		}
-	}
-	at, err := pageSpan(f.idx, off, len(buf), "read")
-	if err != nil {
-		return err
 	}
 	return f.pool.cache.Read(f.clk, f.pool.region, at, buf)
 }
@@ -63,6 +65,22 @@ func (f *cxlFrame) WriteAt(off int, data []byte) error {
 		return err
 	}
 	return f.pool.cache.Write(f.clk, f.pool.region, at, data)
+}
+
+// Load implements page.Accessor: a ReadAt of n bytes into a stack word.
+func (f *cxlFrame) Load(off, n int) (uint64, error) {
+	var w [8]byte
+	if err := f.ReadAt(off, w[:n]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(w[:]), nil
+}
+
+// Store implements page.Accessor: a WriteAt of v's low n bytes.
+func (f *cxlFrame) Store(off, n int, v uint64) error {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	return f.WriteAt(off, w[:n])
 }
 
 // pageSpan returns the pool-region offset of [off, off+n) of block idx's

@@ -37,11 +37,27 @@ func TestFrameAccessAllocatesNothing(t *testing.T) {
 	}
 	gate("ReadAt", func() error { return f.ReadAt(1000, buf) })
 	gate("WriteAt", func() error { return f.WriteAt(2000, buf) })
+	gate("Load", func() error { _, err := f.Load(3000, 8); return err })
+	gate("Store", func() error { return f.Store(4000, 4, 0xfeed) })
+
+	// Slotted-page reads go through Load: a binary search over a page with
+	// a few records allocates nothing either.
+	pg := page.Wrap(f)
+	for k := int64(1); k <= 20; k++ {
+		if k != 7 {
+			if err := pg.Insert(k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	gate("NSlots", func() error { _, err := pg.NSlots(); return err })
+	gate("KeyAt", func() error { _, err := pg.KeyAt(11); return err })
+	gate("LowerBound", func() error { _, err := pg.LowerBound(13); return err })
 }
 
 // TestFrameAccessStaysInPage checks the frame's own page-bounds check: the
 // pool region spans every block, so a span leaving the page must be refused
-// before it reaches the cache.
+// before it reaches the cache or the fast-tier mirror.
 func TestFrameAccessStaysInPage(t *testing.T) {
 	r := newRig(t, 8)
 	id := r.seed(t, 7, "bounded")
@@ -61,5 +77,32 @@ func TestFrameAccessStaysInPage(t *testing.T) {
 	}
 	if err := f.ReadAt(page.Size, nil); err != nil {
 		t.Fatalf("empty read at the page end refused: %v", err)
+	}
+
+	// A read-latched frame of a page mirrored in the fast tier checks the
+	// span before it consults the mirror.
+	r = newRig(t, 8)
+	r.enableTiering()
+	id = r.seed(t, 7, "promoted")
+	r.getRelease(t, id)
+	if ok, err := r.pool.Promote(r.clk, id); err != nil || !ok {
+		t.Fatalf("Promote = %v, %v, want true", ok, err)
+	}
+	pf, err := r.pool.Get(r.clk, id, buffer.Read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Release()
+	if err := pf.ReadAt(page.Size-2, make([]byte, 8)); err == nil {
+		t.Fatal("read past the end of a promoted page accepted")
+	}
+	if _, err := pf.Load(-1, 2); err == nil {
+		t.Fatal("negative load from a promoted page accepted")
+	}
+	if _, err := pf.Load(page.Size-8, 8); err != nil {
+		t.Fatalf("load ending at the end of a promoted page refused: %v", err)
+	}
+	if r.pool.FastHits() == 0 {
+		t.Fatal("in-page load from a promoted page missed the fast tier")
 	}
 }

@@ -226,6 +226,8 @@ type Frame struct {
 	// skips a now-idle frame — conservative, never unsafe.
 	pins    atomic.Int64
 	ringIdx int // guarded by table.evictMu; -1 when off the ring
+
+	dirtied *atomic.Int64 // the owning table's clean-to-dirty counter
 }
 
 // ID reports the page id.
@@ -238,7 +240,11 @@ func (f *Frame) Slot() any { return f.slot }
 func (f *Frame) Dirty() bool { return f.dirty.Load() }
 
 // MarkDirty records divergence from the durable storage image.
-func (f *Frame) MarkDirty() { f.dirty.Store(true) }
+func (f *Frame) MarkDirty() {
+	if !f.dirty.Swap(true) {
+		f.dirtied.Add(1)
+	}
+}
 
 // ClearDirty records that the durable image caught up (checkpoint flush).
 func (f *Frame) ClearDirty() { f.dirty.Store(false) }
@@ -319,6 +325,16 @@ type Table struct {
 
 	resident atomic.Int64
 
+	// dirtied counts frames becoming dirty: MarkDirty on a clean frame,
+	// and a Seed or completed load that is born dirty. It moves only after
+	// the frame is reachable, ready and dirty, so a walk that loaded it
+	// beforehand and found no dirty frame proves the table clean for as
+	// long as it stays put. cleanAt holds that proven value (-1: none);
+	// FlushBatch and DirtyResident return 0 without walking while it
+	// matches.
+	dirtied atomic.Int64
+	cleanAt atomic.Int64
+
 	evictMu sync.Mutex
 	ring    []*Frame
 	hand    int
@@ -365,6 +381,7 @@ func New(cfg Config) *Table {
 	for i := range t.shards {
 		t.shards[i].frames = make(map[uint64]*Frame)
 	}
+	t.cleanAt.Store(-1)
 	t.evictor, _ = cfg.Store.(EvictStore)
 	t.toucher, _ = cfg.Store.(Toucher)
 	t.wlatched, _ = cfg.Store.(WriteLatchNotifier)
@@ -527,9 +544,27 @@ func (t *Table) pin(f *Frame) bool {
 	return true
 }
 
+// newFrame returns a frame for page id, off the eviction ring.
+func (t *Table) newFrame(id uint64) *Frame {
+	return &Frame{id: id, ringIdx: -1, dirtied: &t.dirtied}
+}
+
+// knownClean reports whether a walk has proven every frame clean since the
+// last frame became dirty; otherwise mark is the dirtied value to store in
+// cleanAt if the walk about to run finds no dirty frame.
+func (t *Table) knownClean() (mark int64, clean bool) {
+	mark = t.dirtied.Load()
+	return mark, t.cleanAt.Load() == mark
+}
+
 // DirtyResident counts resident frames whose image diverges from durable
-// storage — the flusher daemon's backlog signal.
+// storage — the flusher daemon's backlog signal. On a table proven clean
+// it returns 0 without walking the shards.
 func (t *Table) DirtyResident() int {
+	mark, clean := t.knownClean()
+	if clean {
+		return 0
+	}
 	n := 0
 	for i := range t.shards {
 		sh := &t.shards[i]
@@ -540,6 +575,9 @@ func (t *Table) DirtyResident() int {
 			}
 		}
 		sh.mu.Unlock()
+	}
+	if n == 0 {
+		t.cleanAt.Store(mark)
 	}
 	return n
 }
@@ -552,13 +590,22 @@ func (t *Table) DirtyResident() int {
 // whole point is that eviction and commit no longer stall on these writes.
 // A Writeback error stops the batch and is returned (under fault injection
 // that error is a simulated host crash; the sweep harness abandons the pool
-// wholesale).
+// wholesale). On a table proven clean it returns 0 without walking.
 func (t *Table) FlushBatch(clk *simclock.Clock, max int) (int, error) {
 	if t.writeback == nil || t.latcher != nil {
 		return 0, ErrNoWriteback
 	}
+	mark, clean := t.knownClean()
+	if clean {
+		return 0, nil
+	}
+	dirty := t.Snapshot(true)
+	if len(dirty) == 0 {
+		t.cleanAt.Store(mark)
+		return 0, nil
+	}
 	flushed := 0
-	for _, f := range t.Snapshot(true) {
+	for _, f := range dirty {
 		if flushed >= max {
 			break
 		}
@@ -622,13 +669,17 @@ func (t *Table) Snapshot(dirtyOnly bool) []*Frame {
 // Seed installs an already-materialized frame (pool reopen after a crash:
 // core.Open rebuilds the table from surviving CXL metadata).
 func (t *Table) Seed(id uint64, slot any, dirty bool) *Frame {
-	f := &Frame{id: id, slot: slot, ringIdx: -1}
+	f := t.newFrame(id)
+	f.slot = slot
 	f.dirty.Store(dirty)
 	f.ready.Store(true)
 	sh := t.shardOf(id)
 	sh.mu.Lock()
 	sh.frames[id] = f
 	sh.mu.Unlock()
+	if dirty {
+		t.dirtied.Add(1)
+	}
 	t.resident.Add(1)
 	t.ringAdd(f)
 	return f
@@ -835,7 +886,8 @@ func (t *Table) Get(clk *simclock.Clock, id uint64, mode Mode) (*Frame, error) {
 			sh.mu.Unlock()
 			continue // someone else inserted; retry as a hit
 		}
-		f := &Frame{id: id, loaded: make(chan struct{}), ringIdx: -1}
+		f := t.newFrame(id)
+		f.loaded = make(chan struct{})
 		f.pins.Store(1)
 		sh.frames[id] = f
 		sh.misses++
@@ -873,7 +925,8 @@ func (t *Table) Create(clk *simclock.Clock, id uint64) (*Frame, error) {
 		// GetOrCreate race: someone materialized it first; latch theirs.
 		return t.Get(clk, id, Write)
 	}
-	f := &Frame{id: id, loaded: make(chan struct{}), ringIdx: -1}
+	f := t.newFrame(id)
+	f.loaded = make(chan struct{})
 	f.pins.Store(1)
 	sh.frames[id] = f
 	sh.mu.Unlock()
@@ -935,6 +988,9 @@ func (t *Table) finishLoad(f *Frame, slot any, dirty bool) {
 	f.slot = slot
 	f.dirty.Store(dirty)
 	f.ready.Store(true)
+	if dirty {
+		t.dirtied.Add(1)
+	}
 	close(f.loaded)
 	t.ringAdd(f)
 }

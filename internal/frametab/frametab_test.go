@@ -19,6 +19,9 @@ type memStore struct {
 	evicted []uint64
 	fetches int
 	fail    error // next Fetch fails with this
+	// fetchDirty makes Fetch report its image as newer than storage, as
+	// a re-fetch of a dirty page from a remote tier does.
+	fetchDirty bool
 }
 
 var errNoImage = errors.New("memstore: no durable image")
@@ -39,7 +42,7 @@ func (s *memStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 		return nil, false, fmt.Errorf("page %d: %w", id, errNoImage)
 	}
 	cp := append([]byte(nil), img...)
-	return cp, false, nil
+	return cp, s.fetchDirty, nil
 }
 
 func (s *memStore) Create(clk *simclock.Clock, id uint64) (any, error) {

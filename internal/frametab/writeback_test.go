@@ -164,3 +164,129 @@ func TestFlushBatchConcurrentWithGets(t *testing.T) {
 		t.Fatalf("PinnedFrames = %d, want 0", got)
 	}
 }
+
+// TestFlushBatchAfterCleanWalk: once a walk has found the table clean,
+// FlushBatch and DirtyResident skip the walk until a frame becomes dirty.
+// Each way a frame becomes dirty — MarkDirty, a dirty Seed, a dirty Fetch —
+// must end the skipping, so the next call flushes that frame.
+func TestFlushBatchAfterCleanWalk(t *testing.T) {
+	dirtiers := []struct {
+		name  string
+		dirty func(t *testing.T, tab *Table, s *wbStore, clk *simclock.Clock, id uint64)
+	}{
+		{"MarkDirty", func(t *testing.T, tab *Table, s *wbStore, clk *simclock.Clock, id uint64) {
+			f, err := tab.Get(clk, id, Write)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.MarkDirty()
+			f.Unlock(Write)
+			tab.Unpin(f)
+		}},
+		{"Seed", func(t *testing.T, tab *Table, s *wbStore, clk *simclock.Clock, id uint64) {
+			tab.Seed(id+100, make([]byte, 8), true)
+		}},
+		{"Fetch", func(t *testing.T, tab *Table, s *wbStore, clk *simclock.Clock, id uint64) {
+			s.mu.Lock()
+			s.durable[id+200] = make([]byte, 8)
+			s.fetchDirty = true
+			s.mu.Unlock()
+			f, err := tab.Get(clk, id+200, Read)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Unlock(Read)
+			tab.Unpin(f)
+		}},
+	}
+	for _, d := range dirtiers {
+		t.Run(d.name, func(t *testing.T) {
+			clk := simclock.New()
+			tab, s := newWBTable(t, 16)
+			for id := uint64(1); id <= 4; id++ {
+				s.durable[id] = make([]byte, 8)
+				f, err := tab.Get(clk, id, Read)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Unlock(Read)
+				tab.Unpin(f)
+			}
+			for round := 0; round < 3; round++ {
+				if n, err := tab.FlushBatch(clk, 10); err != nil || n != 0 {
+					t.Fatalf("round %d: FlushBatch of a clean table = %d, %v", round, n, err)
+				}
+				if got := tab.DirtyResident(); got != 0 {
+					t.Fatalf("round %d: DirtyResident of a clean table = %d", round, got)
+				}
+				before := len(s.written)
+				d.dirty(t, tab, s, clk, uint64(round+1))
+				if got := tab.DirtyResident(); got != 1 {
+					t.Fatalf("round %d: DirtyResident after %s = %d, want 1", round, d.name, got)
+				}
+				if n, err := tab.FlushBatch(clk, 10); err != nil || n != 1 {
+					t.Fatalf("round %d: FlushBatch after %s = %d, %v, want 1", round, d.name, n, err)
+				}
+				if len(s.written) != before+1 {
+					t.Fatalf("round %d: written %v, want one more page", round, s.written)
+				}
+			}
+		})
+	}
+}
+
+// TestFlushBatchRacingMarkDirty: a writer dirties frames while a flusher
+// loops over FlushBatch. Whatever the interleaving, once the writer stops,
+// one more FlushBatch must leave no dirty frame behind: a frame dirtied
+// during a walk that found nothing may not be skipped by later calls.
+func TestFlushBatchRacingMarkDirty(t *testing.T) {
+	clk := simclock.New()
+	tab, s := newWBTable(t, 64)
+	const pages = 16
+	for id := uint64(1); id <= pages; id++ {
+		s.durable[id] = make([]byte, 8)
+	}
+	for trial := 0; trial < 200; trial++ {
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := simclock.New()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := tab.FlushBatch(c, pages); err != nil {
+					t.Errorf("FlushBatch: %v", err)
+					return
+				}
+				tab.DirtyResident()
+			}
+		}()
+		c := simclock.New()
+		for i := 0; i < 40; i++ {
+			id := uint64(1 + (trial*7+i)%pages)
+			f, err := tab.Get(c, id, Write)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.MarkDirty()
+			f.Unlock(Write)
+			tab.Unpin(f)
+		}
+		close(stop)
+		wg.Wait()
+		if _, err := tab.FlushBatch(clk, pages); err != nil {
+			t.Fatal(err)
+		}
+		if left := len(tab.Snapshot(true)); left != 0 {
+			t.Fatalf("trial %d: %d dirty frames left after the final FlushBatch", trial, left)
+		}
+		if got := tab.DirtyResident(); got != 0 {
+			t.Fatalf("trial %d: DirtyResident = %d after the final FlushBatch", trial, got)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package page
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // SliceAccessor is a cost-free Accessor over an in-memory page image. It is
 // the building block for DRAM frames (which wrap it with DRAM costs) and for
@@ -28,4 +31,20 @@ func (s *SliceAccessor) WriteAt(off int, data []byte) error {
 	}
 	copy(s.Buf[off:], data)
 	return nil
+}
+
+// Load implements Accessor.
+func (s *SliceAccessor) Load(off, n int) (uint64, error) {
+	var w [8]byte
+	if err := s.ReadAt(off, w[:n]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(w[:]), nil
+}
+
+// Store implements Accessor.
+func (s *SliceAccessor) Store(off, n int, v uint64) error {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	return s.WriteAt(off, w[:n])
 }

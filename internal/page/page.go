@@ -64,11 +64,22 @@ var ErrDuplicate = errors.New("page: duplicate key")
 
 // Accessor is the byte-level view of one page's storage. Implementations
 // charge their medium's access costs to the worker's virtual clock.
+//
+// Load and Store move one little-endian word of n <= 8 bytes: exactly the
+// access, cost and bounds check of ReadAt / WriteAt over the same n bytes.
+// They exist so a header field or slot read passes no buffer through the
+// interface; an implementation builds the word on its own stack and hands
+// it to its own concrete ReadAt / WriteAt, so the word never reaches the
+// heap.
 type Accessor interface {
 	// ReadAt fills buf from page offset off.
 	ReadAt(off int, buf []byte) error
 	// WriteAt stores data at page offset off.
 	WriteAt(off int, data []byte) error
+	// Load reads the n-byte little-endian word at off.
+	Load(off, n int) (uint64, error)
+	// Store writes the low n bytes of v, little-endian, at off.
+	Store(off, n int, v uint64) error
 }
 
 // Page provides slotted-page operations over an Accessor.
@@ -80,32 +91,15 @@ type Page struct {
 func Wrap(a Accessor) Page { return Page{a: a} }
 
 func (p Page) u16(off int) (uint16, error) {
-	var b [2]byte
-	if err := p.a.ReadAt(off, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
+	v, err := p.a.Load(off, 2)
+	return uint16(v), err
 }
 
-func (p Page) putU16(off int, v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return p.a.WriteAt(off, b[:])
-}
+func (p Page) putU16(off int, v uint16) error { return p.a.Store(off, 2, uint64(v)) }
 
-func (p Page) u64(off int) (uint64, error) {
-	var b [8]byte
-	if err := p.a.ReadAt(off, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
+func (p Page) u64(off int) (uint64, error) { return p.a.Load(off, 8) }
 
-func (p Page) putU64(off int, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return p.a.WriteAt(off, b[:])
-}
+func (p Page) putU64(off int, v uint64) error { return p.a.Store(off, 8, v) }
 
 // Init formats the page: id, type, level, empty slot directory.
 func (p Page) Init(id uint64, typ uint16, level uint16) error {
@@ -152,18 +146,15 @@ func (p Page) SetAux(v uint64) error { return p.putU64(offAux, v) }
 
 // slot reads slot i's (recOff, recLen).
 func (p Page) slot(i int) (int, int, error) {
-	var b [slotSize]byte
-	if err := p.a.ReadAt(Size-slotSize*(i+1), b[:]); err != nil {
+	v, err := p.a.Load(Size-slotSize*(i+1), slotSize)
+	if err != nil {
 		return 0, 0, err
 	}
-	return int(binary.LittleEndian.Uint16(b[0:2])), int(binary.LittleEndian.Uint16(b[2:4])), nil
+	return int(uint16(v)), int(uint16(v >> 16)), nil
 }
 
 func (p Page) putSlot(i int, recOff, recLen int) error {
-	var b [slotSize]byte
-	binary.LittleEndian.PutUint16(b[0:2], uint16(recOff))
-	binary.LittleEndian.PutUint16(b[2:4], uint16(recLen))
-	return p.a.WriteAt(Size-slotSize*(i+1), b[:])
+	return p.a.Store(Size-slotSize*(i+1), slotSize, uint64(uint16(recOff))|uint64(uint16(recLen))<<16)
 }
 
 // KeyAt reports the key of record i.

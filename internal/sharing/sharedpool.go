@@ -1,10 +1,12 @@
 package sharing
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/frametab"
+	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/simcpu"
 	"polarcxlmem/internal/simmem"
@@ -190,11 +192,23 @@ type sharedFrame struct {
 
 func (f *sharedFrame) ID() uint64 { return f.id }
 
+// inPage refuses a non-empty span [off, off+n) that leaves the page: the
+// DBP holds the pages back to back, so the cache would serve a neighbour.
+func inPage(off, n int, op string) error {
+	if n > 0 && (off < 0 || off+n > page.Size) {
+		return fmt.Errorf("sharing: %s [%d,%d) out of page bounds [0,%d)", op, off, off+n, page.Size)
+	}
+	return nil
+}
+
 func (f *sharedFrame) MarkDirty() {} // dirtiness is tracked at write-unlock
 
 func (f *sharedFrame) ReadAt(off int, buf []byte) error {
 	if f.released {
 		return fmt.Errorf("sharing: read on released shared frame %d", f.id)
+	}
+	if err := inPage(off, len(buf), "read"); err != nil {
+		return err
 	}
 	n := f.pool.n
 	if err := n.cache.Read(f.clk, n.dbp, f.m.dataOff+int64(off), buf); err != nil {
@@ -211,9 +225,28 @@ func (f *sharedFrame) WriteAt(off int, data []byte) error {
 	if f.mode != buffer.Write {
 		return fmt.Errorf("sharing: write to page %d under a read lock", f.id)
 	}
+	if err := inPage(off, len(data), "write"); err != nil {
+		return err
+	}
 	f.wrote = true
 	n := f.pool.n
 	return n.cache.Write(f.clk, n.dbp, f.m.dataOff+int64(off), data)
+}
+
+// Load implements page.Accessor: a ReadAt of n bytes into a stack word.
+func (f *sharedFrame) Load(off, n int) (uint64, error) {
+	var w [8]byte
+	if err := f.ReadAt(off, w[:n]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(w[:]), nil
+}
+
+// Store implements page.Accessor: a WriteAt of v's low n bytes.
+func (f *sharedFrame) Store(off, n int, v uint64) error {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	return f.WriteAt(off, w[:n])
 }
 
 // Release implements buffer.Frame: the §3.3 publication protocol on write

@@ -44,6 +44,12 @@ const (
 	blockSize  = blockLines * LineSize
 	// nilIdx is the absent slab index: an LRU list end, or no such line.
 	nilIdx int32 = -1
+	// memoSize is the number of direct-mapped block memo entries, indexed
+	// by the block's 4 KiB number modulo memoSize. A 16 KiB page image
+	// that is not 4 KiB-aligned spans five blocks, and a binary search
+	// over it alternates between the slot directory at its end and
+	// records near its start; eight entries keep a whole page memoized.
+	memoSize = 8
 )
 
 // line is one resident cache line, held by value in the line slab.
@@ -60,6 +66,15 @@ type blockKey struct {
 	dev  *simmem.Device
 	base int64 // absolute device offset, 4 KiB-aligned
 }
+
+// memoEntry remembers the block slab index of one recently probed key.
+type memoEntry struct {
+	key blockKey
+	blk int32
+}
+
+// memoSlot is the memo entry a block at the 4 KiB-aligned base maps to.
+func memoSlot(base int64) int { return int(base/blockSize) & (memoSize - 1) }
 
 // block is one block-index entry: which of the span's 64 lines are
 // resident, and where each resident line lives in the line slab.
@@ -134,13 +149,13 @@ type Cache struct {
 	mru, lru int32 // LRU list ends
 	resident int   // lines on the LRU list
 	stats    Stats
-	// lastKey and lastBlk memoize the latest index hit: the lines of one
-	// access share a block, and the memo spares their map probes. A
-	// released block's key is never memoized.
-	lastKey blockKey
-	lastBlk int32
-	link    Interconnect   // optional per-host interconnect charged per fill/write-back
-	inj     fault.Injector // optional fault injector; may be nil
+	// memo caches recent index hits, direct-mapped by block number: the
+	// accesses of one page operation touch a handful of neighbouring
+	// blocks, and the memo spares their map probes. A released block's
+	// key is never memoized.
+	memo [memoSize]memoEntry
+	link Interconnect   // optional per-host interconnect charged per fill/write-back
+	inj  fault.Injector // optional fault injector; may be nil
 	// domain, when set, provides CXL 3.0 hardware coherency across the
 	// domain's caches (see domain.go). Nil = CXL 2.0 behaviour: no
 	// inter-host coherency, software protocol required.
@@ -212,12 +227,13 @@ func (c *Cache) ResetStats() {
 // block returns the slab index of the block for key, if it has a resident
 // line.
 func (c *Cache) block(key blockKey) (int32, bool) {
-	if key == c.lastKey {
-		return c.lastBlk, true
+	m := &c.memo[memoSlot(key.base)]
+	if m.key == key {
+		return m.blk, true
 	}
 	bi, ok := c.index[key]
 	if ok {
-		c.lastKey, c.lastBlk = key, bi
+		m.key, m.blk = key, bi
 	}
 	return bi, ok
 }
@@ -282,7 +298,7 @@ func (c *Cache) install(i int32, dev *simmem.Device, addr int64) {
 		nb := c.blocks.at(bi)
 		nb.key, nb.mask = key, 0
 		c.index[key] = bi
-		c.lastKey, c.lastBlk = key, bi
+		c.memo[memoSlot(key.base)] = memoEntry{key, bi}
 	}
 	b := c.blocks.at(bi)
 	s := (addr & (blockSize - 1)) / LineSize
@@ -303,8 +319,8 @@ func (c *Cache) remove(i int32) {
 	b.mask &^= 1 << ln.slot
 	if b.mask == 0 {
 		delete(c.index, b.key)
-		if b.key == c.lastKey {
-			c.lastKey = blockKey{}
+		if m := &c.memo[memoSlot(b.key.base)]; m.key == b.key {
+			*m = memoEntry{}
 		}
 		b.key = blockKey{}
 		c.blocks.release(ln.blk)
@@ -597,7 +613,7 @@ func (c *Cache) Flush(clk *simclock.Clock, region *simmem.Region, off int64, n i
 func (c *Cache) Drop() {
 	c.mu.Lock()
 	clear(c.index)
-	c.lastKey = blockKey{}
+	c.memo = [memoSize]memoEntry{}
 	c.blocks.reset()
 	c.lines.reset()
 	c.mru, c.lru, c.resident = nilIdx, nilIdx, 0

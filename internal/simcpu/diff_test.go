@@ -10,9 +10,21 @@ import (
 	"polarcxlmem/internal/simmem"
 )
 
-// diffWorld is one side of the differential test: two devices, the regions
-// the operations address, a clock, a link, and the fault plan both the cache
-// and the devices consult.
+// The third diffWorld device is laid out like a core CXL pool: page images
+// of corePageSize bytes at corePageBase + k*coreStride, so each spans five
+// 4 KiB blocks and the device spans twenty, more than the block memo has
+// entries.
+const (
+	corePageBase = 192
+	corePageSize = 16 << 10
+	coreStride   = corePageSize + 64
+	corePages    = 5
+	pagedRegion  = 2 // index of that device's region in diffWorld.regions
+)
+
+// diffWorld is one side of the differential test: three devices, the
+// regions the operations address, a clock, a link, and the fault plan both
+// the cache and the devices consult.
 type diffWorld struct {
 	devs    []*simmem.Device
 	regions []*simmem.Region
@@ -24,7 +36,7 @@ type diffWorld struct {
 func newDiffWorld(t *testing.T, seed int64) *diffWorld {
 	t.Helper()
 	w := &diffWorld{clk: simclock.New(), link: simclock.NewResource("link", 2e9), plan: diffPlan(seed)}
-	for i, size := range []int64{3 * blockSize, 5*blockSize + 1000} {
+	for i, size := range []int64{11 * blockSize, 13*blockSize + 1000, corePageBase + corePages*coreStride} {
 		d := simmem.NewDevice("cxl", size, prof, nil)
 		raw := make([]byte, size)
 		rand.New(rand.NewSource(seed + int64(i))).Read(raw)
@@ -36,12 +48,28 @@ func newDiffWorld(t *testing.T, seed int64) *diffWorld {
 	}
 	// The second region starts off a line boundary, so its lines straddle
 	// region offsets.
-	sub, err := w.devs[1].Region(1000, 5*blockSize)
+	sub, err := w.devs[1].Region(1000, 13*blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.regions = []*simmem.Region{w.devs[0].WholeRegion(), sub}
+	w.regions = []*simmem.Region{w.devs[0].WholeRegion(), sub, w.devs[2].WholeRegion()}
 	return w
+}
+
+// pagedSpan picks an access to one of the paged region's page images the
+// way page code makes them: kind k < 15 is a short field access near the
+// page start (header, records) or near its end (slot directory), and a
+// flush covers the whole page, as a write-latch release does.
+func pagedSpan(rng *rand.Rand, k int) (off int64, n int) {
+	base := corePageBase + int64(rng.Intn(corePages))*coreStride
+	if k >= 15 {
+		return base, corePageSize
+	}
+	n = 1 + rng.Intn(8)
+	if rng.Intn(2) == 0 {
+		return base + int64(rng.Intn(256)), n
+	}
+	return base + int64(corePageSize-n-rng.Intn(256)), n
 }
 
 // diffPlan drops some flush lines, eviction write-backs, whole flush ranges
@@ -62,11 +90,13 @@ func diffPlan(seed int64) *fault.Plan {
 }
 
 // TestCacheMatchesReference drives the slab-backed cache and the map+list
-// reference with the same seeded operations over two devices, with a small
-// capacity so evictions and block turnover happen constantly, and checks
-// that every observable agrees after every operation: returned bytes and
-// errors, the clock advance, Stats, ResidentLines, DirtyLines, and the
-// device contents.
+// reference with the same seeded operations over three devices, with a
+// small capacity so evictions and block turnover happen constantly, and
+// checks that every observable agrees after every operation: returned bytes
+// and errors, the clock advance, Stats, ResidentLines, DirtyLines, and the
+// device contents. Every device spans more 4 KiB blocks than the block memo
+// has entries, so resident blocks share memo entries and memoized blocks
+// are released; the paged device makes page code's access pattern.
 func TestCacheMatchesReference(t *testing.T) {
 	const capLines = 24
 	for seed := int64(1); seed <= 6; seed++ {
@@ -80,20 +110,26 @@ func TestCacheMatchesReference(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(seed))
 		for op := 0; op < 3000; op++ {
-			ri := rng.Intn(2)
+			ri := rng.Intn(len(wg.regions))
 			rg, rr := wg.regions[ri], wr.regions[ri]
 			size := rg.Size()
-			// Mostly short spans; some cross a block boundary, and a
-			// flush's may cover several blocks.
 			k := rng.Intn(20)
-			n := 1 + rng.Intn(2*LineSize)
-			if rng.Intn(16) == 0 {
-				n = 1 + rng.Intn(blockSize+blockSize/2)
+			var off int64
+			var n int
+			if ri == pagedRegion {
+				off, n = pagedSpan(rng, k)
+			} else {
+				// Mostly short spans; some cross a block boundary, and a
+				// flush's may cover several blocks.
+				n = 1 + rng.Intn(2*LineSize)
+				if rng.Intn(16) == 0 {
+					n = 1 + rng.Intn(blockSize+blockSize/2)
+				}
+				if k >= 15 && rng.Intn(2) == 0 {
+					n = 1 + rng.Intn(int(size))
+				}
+				off = rng.Int63n(size - int64(n) + 1)
 			}
-			if k >= 15 && rng.Intn(2) == 0 {
-				n = 1 + rng.Intn(int(size))
-			}
-			off := rng.Int63n(size - int64(n) + 1)
 			g0, r0 := wg.clk.Now(), wr.clk.Now()
 			var what string
 			var gerr, rerr error

@@ -119,13 +119,6 @@ func (d *Device) SetInjector(inj fault.Injector) {
 	d.mu.Unlock()
 }
 
-func (d *Device) injector() fault.Injector {
-	d.mu.RLock()
-	inj := d.inj
-	d.mu.RUnlock()
-	return inj
-}
-
 // SetObserver registers the device's access counters with reg
 // (mem.<name>.reads / writes / read_bytes / write_bytes). Every accessor —
 // costed or raw, including CPU-cache fills and write-backs — funnels through
@@ -225,53 +218,66 @@ func (r *Region) check(off int64, n int) error {
 
 // ReadRaw copies region bytes into buf without charging any cost. It is for
 // substrates (the CPU cache) that do their own accounting.
+//
+// Power loss precedes injection: a dead device receives no operations, so
+// its fault-plan op counters must not advance. A powered device with no
+// injector checks power and copies under one read lock; with an injector,
+// the lock is dropped across the injection point and retaken for the copy.
 func (r *Region) ReadRaw(off int64, buf []byte) error {
 	if err := r.check(off, len(buf)); err != nil {
 		return err
 	}
-	// Power loss precedes injection: a dead device receives no operations,
-	// so its fault-plan op counters must not advance.
-	if r.dev.PoweredOff() {
-		return fmt.Errorf("simmem: read %q: %w", r.dev.name, ErrPoweredOff)
+	d := r.dev
+	d.mu.RLock()
+	if d.off {
+		d.mu.RUnlock()
+		return fmt.Errorf("simmem: read %q: %w", d.name, ErrPoweredOff)
 	}
-	if inj := r.dev.injector(); inj != nil {
+	if inj := d.inj; inj != nil {
+		d.mu.RUnlock()
 		if err := inj.Point(fault.OpMemRead, int64(len(buf))); err != nil {
 			if fault.IsDrop(err) {
 				return nil // dropped read: buf keeps whatever it held
 			}
 			return err
 		}
+		d.mu.RLock()
 	}
-	r.dev.mu.RLock()
-	copy(buf, r.dev.data[r.off+off:])
-	r.dev.mu.RUnlock()
-	if o := r.dev.obsP.Load(); o != nil {
+	copy(buf, d.data[r.off+off:])
+	d.mu.RUnlock()
+	if o := d.obsP.Load(); o != nil {
 		o.reads.Inc()
 		o.readBytes.Add(int64(len(buf)))
 	}
 	return nil
 }
 
-// WriteRaw copies data into the region without charging any cost.
+// WriteRaw copies data into the region without charging any cost. It
+// takes the device lock the way ReadRaw does: once when powered with no
+// injector, and never across the injection point.
 func (r *Region) WriteRaw(off int64, data []byte) error {
 	if err := r.check(off, len(data)); err != nil {
 		return err
 	}
-	if r.dev.PoweredOff() {
-		return fmt.Errorf("simmem: write %q: %w", r.dev.name, ErrPoweredOff)
+	d := r.dev
+	d.mu.Lock()
+	if d.off {
+		d.mu.Unlock()
+		return fmt.Errorf("simmem: write %q: %w", d.name, ErrPoweredOff)
 	}
-	if inj := r.dev.injector(); inj != nil {
+	if inj := d.inj; inj != nil {
+		d.mu.Unlock()
 		if err := inj.Point(fault.OpMemWrite, int64(len(data))); err != nil {
 			if fault.IsDrop(err) {
 				return nil // silently lost write: device keeps the old bytes
 			}
 			return err
 		}
+		d.mu.Lock()
 	}
-	r.dev.mu.Lock()
-	copy(r.dev.data[r.off+off:], data)
-	r.dev.mu.Unlock()
-	if o := r.dev.obsP.Load(); o != nil {
+	copy(d.data[r.off+off:], data)
+	d.mu.Unlock()
+	if o := d.obsP.Load(); o != nil {
 		o.writes.Inc()
 		o.writeBytes.Add(int64(len(data)))
 	}

@@ -3,6 +3,7 @@ package simmem
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +310,62 @@ func TestPowerLossDoesNotAdvanceFaultCounters(t *testing.T) {
 	d.PowerOn()
 	if err := r.WriteRaw(0, []byte{1}); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("write after PowerOn should be op index 2 and fire: %v", err)
+	}
+}
+
+// TestPowerCycleRacesAccesses runs readers and writers against a device
+// that is powered off and on underneath them, with and without a fault
+// injector (the injector path drops the device lock across the injection
+// point). Every access must either succeed or fail with ErrPoweredOff, and
+// no read may see a torn line: writers store whole lines of one byte value,
+// and PowerOn zeroes under the same lock.
+func TestPowerCycleRacesAccesses(t *testing.T) {
+	for _, withInjector := range []bool{false, true} {
+		d := NewDevice("box", 16*LineSize, testProf, nil)
+		if withInjector {
+			d.SetInjector(fault.NewPlan(1)) // armed with nothing: every point passes
+		}
+		r := d.WholeRegion()
+		const accesses = 2000
+		var wg sync.WaitGroup
+		check := func(op string, err error) bool {
+			if err != nil && !errors.Is(err, ErrPoweredOff) {
+				t.Errorf("injector %v: %s: %v", withInjector, op, err)
+				return false
+			}
+			return true
+		}
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				line := make([]byte, LineSize)
+				for i := 0; i < accesses; i++ {
+					off := int64((w+i)%16) * LineSize
+					if w%2 == 0 {
+						for j := range line {
+							line[j] = byte(w + i)
+						}
+						if !check("WriteRaw", r.WriteRaw(off, line)) {
+							return
+						}
+						continue
+					}
+					err := r.ReadRaw(off, line)
+					if !check("ReadRaw", err) {
+						return
+					}
+					if err == nil && !bytes.Equal(line, bytes.Repeat(line[:1], LineSize)) {
+						t.Errorf("injector %v: torn line read at %d: % x", withInjector, off, line)
+						return
+					}
+				}
+			}()
+		}
+		for i := 0; i < 200; i++ {
+			d.PowerOff()
+			d.PowerOn()
+		}
+		wg.Wait()
 	}
 }

@@ -164,3 +164,42 @@ func TestConcurrentTruncateAndAppend(t *testing.T) {
 		t.Fatalf("final truncation point %d below highest requested cut %d", tb, maxCut.Load())
 	}
 }
+
+// TestBytesFromMatchesScan: BytesFrom answers from running sizes, and must
+// equal the encoded size summed over Iterate from the same LSN under random
+// appends of varying record sizes, flushes and truncations — including
+// ErrTruncated below the truncation point and 0 above the durable tail.
+func TestBytesFromMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		store := NewStore(0, 0)
+		log := Attach(store)
+		clk := simclock.New()
+		var appended uint64
+		for op := 0; op < 300; op++ {
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3, 4:
+				log.Append(Record{Kind: KUpdate, Page: 1, Value: make([]byte, rng.Intn(300)), Old: make([]byte, rng.Intn(50))})
+				appended++
+			case 5, 6, 7:
+				log.Flush(clk)
+			default:
+				log.TruncateBefore(uint64(rng.Int63n(int64(appended) + 2)))
+			}
+			for from := uint64(0); from <= appended+2; from++ {
+				var want int64
+				werr := store.Iterate(from, func(r Record) bool {
+					want += r.EncodedSize()
+					return true
+				})
+				got, err := store.BytesFrom(from)
+				if (err == nil) != (werr == nil) || (err != nil && !errors.Is(err, ErrTruncated)) {
+					t.Fatalf("seed %d op %d: BytesFrom(%d) error %v, Iterate %v", seed, op, from, err, werr)
+				}
+				if err == nil && got != want {
+					t.Fatalf("seed %d op %d: BytesFrom(%d) = %d, scan sums %d", seed, op, from, got, want)
+				}
+			}
+		}
+	}
+}

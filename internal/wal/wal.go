@@ -93,8 +93,12 @@ type Store struct {
 	bw    *simclock.Resource
 	fsync int64
 
-	mu            sync.Mutex
-	records       []Record // ascending LSN
+	mu      sync.Mutex
+	records []Record // ascending LSN
+	// ends[i] is the running encoded size of the log through records[i],
+	// counted from the first record ever persisted; BytesFrom subtracts two
+	// entries instead of summing the tail.
+	ends          []int64
 	durableLSN    uint64
 	checkpointLSN uint64
 
@@ -151,6 +155,14 @@ func (s *Store) persist(clk *simclock.Clock, recs []Record) {
 	s.bw.Use(clk, bytes)
 	s.mu.Lock()
 	s.records = append(s.records, recs...)
+	end := int64(0)
+	if n := len(s.ends); n > 0 {
+		end = s.ends[n-1]
+	}
+	for _, r := range recs {
+		end += r.EncodedSize()
+		s.ends = append(s.ends, end)
+	}
 	if last := recs[len(recs)-1].LSN; last > s.durableLSN {
 		s.durableLSN = last
 	}
@@ -230,7 +242,7 @@ func (s *Store) Iterate(from uint64, fn func(Record) bool) error {
 	trunc := s.truncatedBefore
 	s.mu.Unlock()
 	if from < trunc {
-		return fmt.Errorf("%w: LSN %d < truncation point %d", ErrTruncated, from, trunc)
+		return truncated(from, trunc)
 	}
 	i := sort.Search(len(recs), func(i int) bool { return recs[i].LSN >= from })
 	for ; i < len(recs); i++ {
@@ -241,16 +253,29 @@ func (s *Store) Iterate(from uint64, fn func(Record) bool) error {
 	return nil
 }
 
+// truncated is the ErrTruncated error for a read from below trunc.
+func truncated(from, trunc uint64) error {
+	return fmt.Errorf("%w: LSN %d < truncation point %d", ErrTruncated, from, trunc)
+}
+
 // BytesFrom reports the encoded size of all durable records with LSN >= from
 // (recovery charges this as sequential log-read I/O). Like Iterate, a from
 // below the truncation point returns ErrTruncated.
 func (s *Store) BytesFrom(from uint64) (int64, error) {
-	var n int64
-	err := s.Iterate(from, func(r Record) bool {
-		n += r.EncodedSize()
-		return true
-	})
-	return n, err
+	if from < 1 {
+		from = 1
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if from < s.truncatedBefore {
+		return 0, truncated(from, s.truncatedBefore)
+	}
+	n := len(s.records)
+	i := sort.Search(n, func(i int) bool { return s.records[i].LSN >= from })
+	if i == n {
+		return 0, nil
+	}
+	return s.ends[n-1] - s.ends[i] + s.records[i].EncodedSize(), nil
 }
 
 // TruncateBefore discards records below lsn (checkpoint garbage collection)
@@ -264,6 +289,7 @@ func (s *Store) TruncateBefore(lsn uint64) {
 	}
 	i := sort.Search(len(s.records), func(i int) bool { return s.records[i].LSN >= lsn })
 	s.records = append([]Record(nil), s.records[i:]...)
+	s.ends = append([]int64(nil), s.ends[i:]...)
 }
 
 // TruncatedBefore reports the lowest LSN still readable (1 when nothing was
