@@ -176,6 +176,8 @@ type abBound struct {
 
 func (b *abBound) ID() uint64 { return b.f.id }
 func (b *abBound) MarkDirty() { b.f.dirty = true }
+func (b *abBound) Hold()      {}
+func (b *abBound) Unhold()    {}
 func (b *abBound) Release() error {
 	if b.released {
 		return fmt.Errorf("ablate-tier: double release")

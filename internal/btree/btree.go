@@ -117,41 +117,41 @@ func (t *Tree) rootID(clk *simclock.Clock) (uint64, error) {
 }
 
 // childFor routes key within an internal page: the entry with the largest
-// key <= the search key; the leftmost entry doubles as -infinity.
-func childFor(pg page.Page, key int64) (uint64, error) {
+// key <= the search key; the leftmost entry doubles as -infinity. It also
+// reports the chosen entry's key, which the routing has read.
+func childFor(pg page.Page, key int64) (uint64, int64, error) {
 	n, err := pg.NSlots()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if n == 0 {
-		return 0, fmt.Errorf("btree: empty internal page")
+		return 0, 0, fmt.Errorf("btree: empty internal page")
 	}
-	i, err := pg.LowerBound(key)
+	i, ek, err := pg.LowerBoundPrev(key)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if i >= n {
 		i = n - 1
 	} else {
 		k, err := pg.KeyAt(i)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		if k != key {
+		if k == key || i == 0 {
+			ek = k
+		} else {
 			i--
-			if i < 0 {
-				i = 0
-			}
 		}
 	}
 	v, err := pg.ValAt(i)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if len(v) != 8 {
-		return 0, fmt.Errorf("btree: internal entry value of %d bytes", len(v))
+		return 0, 0, fmt.Errorf("btree: internal entry value of %d bytes", len(v))
 	}
-	return binary.LittleEndian.Uint64(v), nil
+	return binary.LittleEndian.Uint64(v), ek, nil
 }
 
 // descendToLeaf latch-couples from the meta page through the root to the
@@ -180,8 +180,17 @@ func (t *Tree) descendToLeaf(clk *simclock.Clock, key int64, leafMode buffer.Mod
 		if err != nil {
 			return nil, err
 		}
-		pg := page.Wrap(f)
-		lvl, err := pg.Level()
+		// One visit reads the level and, on an internal page, routes.
+		var lvl uint16
+		var next uint64
+		err = buffer.Visit(f, func(pg page.Page) error {
+			var err error
+			if lvl, err = pg.Level(); err != nil || lvl == 0 {
+				return err
+			}
+			next, _, err = childFor(pg, key)
+			return err
+		})
 		if err != nil {
 			f.Release()
 			return nil, err
@@ -203,11 +212,6 @@ func (t *Tree) descendToLeaf(clk *simclock.Clock, key int64, leafMode buffer.Mod
 			}
 			return f, nil
 		}
-		next, err := childFor(pg, key)
-		if err != nil {
-			f.Release()
-			return nil, err
-		}
 		if parent != nil {
 			parent.Release()
 		}
@@ -223,7 +227,7 @@ func (t *Tree) Get(clk *simclock.Clock, key int64) ([]byte, error) {
 		return nil, err
 	}
 	defer leaf.Release()
-	v, err := page.Wrap(leaf).Find(key)
+	v, err := findIn(leaf, key)
 	if errors.Is(err, page.ErrNotFound) {
 		return nil, ErrKeyNotFound
 	}
@@ -242,40 +246,40 @@ func (t *Tree) Scan(clk *simclock.Clock, from int64, limit int) ([]KV, error) {
 	}
 	out := make([]KV, 0, min(limit, 1024))
 	for leaf != nil {
-		pg := page.Wrap(leaf)
-		start, err := pg.LowerBound(from)
-		if err != nil {
-			leaf.Release()
-			return nil, err
-		}
-		n, err := pg.NSlots()
-		if err != nil {
-			leaf.Release()
-			return nil, err
-		}
-		for i := start; i < n && len(out) < limit; i++ {
-			k, err := pg.KeyAt(i)
+		// One visit per leaf: its qualifying records, then, if the limit
+		// is not reached, its right sibling.
+		var sib uint64
+		err := buffer.Visit(leaf, func(pg page.Page) error {
+			start, err := pg.LowerBound(from)
 			if err != nil {
-				leaf.Release()
-				return nil, err
+				return err
 			}
-			v, err := pg.ValAt(i)
+			n, err := pg.NSlots()
 			if err != nil {
-				leaf.Release()
-				return nil, err
+				return err
 			}
-			out = append(out, KV{Key: k, Val: v})
-		}
-		if len(out) >= limit {
-			leaf.Release()
-			return out, nil
-		}
-		sib, err := pg.RightSibling()
+			for i := start; i < n && len(out) < limit; i++ {
+				k, err := pg.KeyAt(i)
+				if err != nil {
+					return err
+				}
+				v, err := pg.ValAt(i)
+				if err != nil {
+					return err
+				}
+				out = append(out, KV{Key: k, Val: v})
+			}
+			if len(out) >= limit {
+				return nil
+			}
+			sib, err = pg.RightSibling()
+			return err
+		})
 		if err != nil {
 			leaf.Release()
 			return nil, err
 		}
-		if sib == 0 {
+		if len(out) >= limit || sib == 0 {
 			leaf.Release()
 			return out, nil
 		}

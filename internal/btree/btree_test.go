@@ -385,3 +385,40 @@ func TestUndoApply(t *testing.T) {
 		t.Fatal("undo of a structure record accepted")
 	}
 }
+
+// TestInsertBelowLeftmostSeparator inserts keys below every key already in
+// the tree, so they pile into the leftmost leaf under an entry whose key
+// exceeds theirs, and that leaf, and later its parent, split with
+// separators below the entry's key. No key may be stranded by a split.
+func TestInsertBelowLeftmostSeparator(t *testing.T) {
+	e := newEnv(t, 4096)
+	tr := e.tree(t)
+	// Big values keep leaves small, so the leftmost internal page fills
+	// and splits too.
+	big := func(k int64) []byte { return bytes.Repeat(val(k), 60) }
+	for k := int64(100_000); k < 100_080; k++ {
+		if err := tr.Insert(e.clk, e.ids.Next(), k, big(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const below = 8000
+	for k := int64(below - 1); k >= 0; k-- {
+		if err := tr.Insert(e.clk, e.ids.Next(), k, big(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, err := tr.Height(e.clk); err != nil || h < 3 {
+		t.Fatalf("Height = %d, %v; want internal pages that split", h, err)
+	}
+	if err := tr.Validate(e.clk); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < below; k++ {
+		if v, err := tr.Get(e.clk, k); err != nil || !bytes.Equal(v, big(k)) {
+			t.Fatalf("Get(%d) = %q, %v", k, v, err)
+		}
+	}
+	if n, err := tr.Count(e.clk); err != nil || n != below+80 {
+		t.Fatalf("Count = %d, %v; want %d", n, err, below+80)
+	}
+}

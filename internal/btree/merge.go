@@ -85,7 +85,7 @@ func (t *Tree) smoMergeLeft(clk *simclock.Clock, key int64) error {
 		return abort(errNoMergePartner) // root is the leaf: nothing to merge with
 	}
 	for lvl > 1 {
-		childID, err := childFor(curPg, key)
+		childID, _, err := childFor(curPg, key)
 		if err != nil {
 			return abort(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/mtr"
@@ -63,6 +64,15 @@ func canFit(pg page.Page, need int) (bool, error) {
 	return free+g >= need, nil
 }
 
+// findIn looks key up in leaf's page in one visit.
+func findIn(leaf buffer.Frame, key int64) (v []byte, err error) {
+	err = buffer.Visit(leaf, func(pg page.Page) error {
+		v, err = pg.Find(key)
+		return err
+	})
+	return v, err
+}
+
 // Insert adds (key, val) under transaction txn, splitting as needed.
 func (t *Tree) Insert(clk *simclock.Clock, txn uint64, key int64, val []byte) error {
 	t.wmu.Lock()
@@ -109,7 +119,7 @@ func (t *Tree) UpdateReturningOld(clk *simclock.Clock, txn uint64, key int64, va
 			return nil, err
 		}
 		m.Adopt(leaf)
-		old, ferr := page.Wrap(leaf).Find(key)
+		old, ferr := findIn(leaf, key)
 		if ferr == nil {
 			err = m.Update(leaf, key, val)
 		}
@@ -154,7 +164,7 @@ func (t *Tree) DeleteReturningOld(clk *simclock.Clock, txn uint64, key int64) ([
 		return nil, err
 	}
 	m.Adopt(leaf)
-	old, ferr := page.Wrap(leaf).Find(key)
+	old, ferr := findIn(leaf, key)
 	if ferr == nil {
 		err = m.Delete(leaf, key)
 	}
@@ -253,7 +263,7 @@ func (t *Tree) smoSplit(clk *simclock.Clock, key int64, need int) error {
 	}
 	// Invariant: cur is internal (or a roomy leaf) and can absorb one entry.
 	for lvl > 0 {
-		childID, err := childFor(curPg, key)
+		childID, entryKey, err := childFor(curPg, key)
 		if err != nil {
 			return abort(err)
 		}
@@ -282,6 +292,9 @@ func (t *Tree) smoSplit(clk *simclock.Clock, key int64, need int) error {
 			if err := t.step("smo-split-before-parent-link"); err != nil {
 				return abort(err)
 			}
+			if err := lowerLeftmost(m, cur, child, entryKey, sep); err != nil {
+				return abort(err)
+			}
 			if err := m.Insert(cur, sep, childBytes(right.ID())); err != nil {
 				return abort(err)
 			}
@@ -298,6 +311,24 @@ func (t *Tree) smoSplit(clk *simclock.Clock, key int64, need int) error {
 		return abort(err)
 	}
 	return m.Commit(true)
+}
+
+// lowerLeftmost keeps the entry for the split child left in its parent
+// leftmost when left gets the separator sep. The leftmost entry stands for
+// -infinity, so its key can exceed keys below it: a key smaller than every
+// separator descends there. A separator below that key would sort in front
+// of the entry and strand the keys under it, and one equal to it would
+// collide, so the entry is re-keyed to math.MinInt64 first. Only the
+// leftmost entry can meet such a separator: any other entry's key (entryKey)
+// is at most its child's smallest key, and a separator exceeds that.
+func lowerLeftmost(m *mtr.MTR, parent, left buffer.Frame, entryKey, sep int64) error {
+	if sep > entryKey {
+		return nil
+	}
+	if err := m.Delete(parent, entryKey); err != nil {
+		return err
+	}
+	return m.Insert(parent, math.MinInt64, childBytes(left.ID()))
 }
 
 // splitChild splits left, moving its upper half into a fresh right sibling,

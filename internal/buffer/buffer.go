@@ -33,6 +33,7 @@ package buffer
 
 import (
 	"polarcxlmem/internal/frametab"
+	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/simclock"
 )
 
@@ -55,12 +56,30 @@ type Frame interface {
 	WriteAt(off int, data []byte) error
 	Load(off, n int) (uint64, error)
 	Store(off, n int, v uint64) error
+	// Hold and Unhold bracket one page visit (see Visit): a frame whose
+	// accesses go through a CPU cache may take the cache's lock once at
+	// Hold instead of once per access. Every access costs the same, held
+	// or not. Pools without such a cache make both no-ops.
+	Hold()
+	Unhold()
 	// ID reports the page id.
 	ID() uint64
-	// Release drops the latch and pin. The frame must not be used after.
+	// Release drops the latch and pin. The frame must not be used after,
+	// and must not be held.
 	Release() error
 	// MarkDirty records that the page diverged from its durable image.
 	MarkDirty()
+}
+
+// Visit runs fn over f's page inside one hold of f, and always unholds.
+//
+// The rule: inside a hold, run only page calls on that one frame. Never a
+// Get, Release, latch, log or table call — the hold may own the node's
+// CPU-cache lock, which those can take or wait behind.
+func Visit(f Frame, fn func(page.Page) error) error {
+	f.Hold()
+	defer f.Unhold()
+	return fn(page.Wrap(f))
 }
 
 // FlushBarrier runs before a dirty page image is written to storage; the

@@ -30,8 +30,9 @@ var wordAccesses = []wordAccess{
 }
 
 // TestLoadStoreMatchReadWrite: on every pool, Load and Store are ReadAt and
-// WriteAt of the same span. Two identical rigs run the same accesses, one
-// through each pair of methods, and must agree after every access on the
+// WriteAt of the same span, whether or not the frame is held. Two identical
+// rigs run the same accesses, one through each pair of methods (every other
+// Load or Store inside a Hold), and must agree after every access on the
 // bytes, the clock advance, the pool and CPU-cache statistics and every
 // observed counter.
 func TestLoadStoreMatchReadWrite(t *testing.T) {
@@ -71,11 +72,26 @@ func TestLoadStoreMatchReadWrite(t *testing.T) {
 				}
 				return wf, sf
 			}
+			// held runs every other word access inside a hold of f; the
+			// comparison runs after the Unhold, since the CPU cache's Stats
+			// waits for its lock.
+			accesses := 0
+			held := func(f buffer.Frame, access func() error) error {
+				if accesses++; accesses%2 == 0 {
+					f.Hold()
+					defer f.Unhold()
+				}
+				return access()
+			}
 			load := func(wf, sf buffer.Frame) {
 				t.Helper()
 				for _, a := range wordAccesses {
 					w0, s0 := wclk.Now(), sclk.Now()
-					v, err := wf.Load(a.off, a.n)
+					var v uint64
+					err := held(wf, func() (err error) {
+						v, err = wf.Load(a.off, a.n)
+						return err
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -99,7 +115,7 @@ func TestLoadStoreMatchReadWrite(t *testing.T) {
 				var data [8]byte
 				binary.LittleEndian.PutUint64(data[:], v)
 				w0, s0 := wclk.Now(), sclk.Now()
-				if err := wf.Store(a.off, a.n, v); err != nil {
+				if err := held(wf, func() error { return wf.Store(a.off, a.n, v) }); err != nil {
 					t.Fatal(err)
 				}
 				if err := sf.WriteAt(a.off, data[:a.n]); err != nil {

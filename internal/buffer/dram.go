@@ -152,6 +152,10 @@ func (b *ImageFrame) Store(off, n int, v uint64) error {
 	return b.WriteAt(off, w[:n])
 }
 
+// Hold and Unhold implement Frame: an image frame has no lock to hold.
+func (b *ImageFrame) Hold()   {}
+func (b *ImageFrame) Unhold() {}
+
 // Release implements Frame.
 func (b *ImageFrame) Release() error {
 	if b.released {

@@ -22,10 +22,37 @@ type cxlFrame struct {
 	mode     buffer.Mode
 	released bool
 	wrote    bool
+	held     bool // the CPU cache is held for this frame's accesses
 }
 
 // ID implements buffer.Frame.
 func (f *cxlFrame) ID() uint64 { return f.fr.ID() }
+
+// Hold implements buffer.Frame: it holds the CPU cache, so the accesses
+// until Unhold take its lock once between them. A read-latched frame of a
+// page mirrored in the fast tier refuses the hold, and its reads keep going
+// to the mirror one by one. The medium is thus chosen once per visit: a
+// promotion that lands mid-visit serves from the next visit on. Holds do
+// not nest: a Hold of a held frame does nothing, and the first Unhold
+// ends the hold.
+func (f *cxlFrame) Hold() {
+	if f.released || f.held {
+		return
+	}
+	if ft := f.pool.fastP.Load(); ft != nil && f.mode == buffer.Read && ft.contains(f.fr.ID()) {
+		return
+	}
+	f.pool.cache.Hold()
+	f.held = true
+}
+
+// Unhold implements buffer.Frame.
+func (f *cxlFrame) Unhold() {
+	if f.held {
+		f.held = false
+		f.pool.cache.Unhold()
+	}
+}
 
 // ReadAt implements page.Accessor: a load from CXL through the CPU cache —
 // unless the page is promoted into the fast tier, in which case the read is
@@ -41,6 +68,9 @@ func (f *cxlFrame) ReadAt(off int, buf []byte) error {
 	at, err := pageSpan(f.idx, off, len(buf), "read")
 	if err != nil {
 		return err
+	}
+	if f.held {
+		return f.pool.cache.ReadHeld(f.clk, f.pool.region, at, buf)
 	}
 	if ft := f.pool.fastP.Load(); ft != nil && f.mode == buffer.Read {
 		if ft.lookupCopy(f.clk, f.fr.ID(), off, buf) {
@@ -64,11 +94,22 @@ func (f *cxlFrame) WriteAt(off int, data []byte) error {
 	if err != nil {
 		return err
 	}
+	if f.held {
+		return f.pool.cache.WriteHeld(f.clk, f.pool.region, at, data)
+	}
 	return f.pool.cache.Write(f.clk, f.pool.region, at, data)
 }
 
-// Load implements page.Accessor: a ReadAt of n bytes into a stack word.
+// Load implements page.Accessor: a ReadAt of n bytes into a stack word, or,
+// while held, the cache's word load of the same span.
 func (f *cxlFrame) Load(off, n int) (uint64, error) {
+	if f.held {
+		at, err := pageSpan(f.idx, off, n, "read")
+		if err != nil {
+			return 0, err
+		}
+		return f.pool.cache.LoadHeld(f.clk, f.pool.region, at, n)
+	}
 	var w [8]byte
 	if err := f.ReadAt(off, w[:n]); err != nil {
 		return 0, err
@@ -76,8 +117,20 @@ func (f *cxlFrame) Load(off, n int) (uint64, error) {
 	return binary.LittleEndian.Uint64(w[:]), nil
 }
 
-// Store implements page.Accessor: a WriteAt of v's low n bytes.
+// Store implements page.Accessor: a WriteAt of v's low n bytes, or, while
+// held, the cache's word store of the same span.
 func (f *cxlFrame) Store(off, n int, v uint64) error {
+	if f.held {
+		if f.mode != buffer.Write {
+			return fmt.Errorf("core: write to page %d under a read latch", f.fr.ID())
+		}
+		f.wrote = true
+		at, err := pageSpan(f.idx, off, n, "write")
+		if err != nil {
+			return err
+		}
+		return f.pool.cache.StoreHeld(f.clk, f.pool.region, at, n, v)
+	}
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], v)
 	return f.WriteAt(off, w[:n])
@@ -110,6 +163,9 @@ func (f *cxlFrame) MarkDirty() {
 func (f *cxlFrame) Release() error {
 	if f.released {
 		return fmt.Errorf("core: double release of page %d", f.fr.ID())
+	}
+	if f.held {
+		return fmt.Errorf("core: release of page %d while it is held", f.fr.ID())
 	}
 	f.released = true
 	p := f.pool

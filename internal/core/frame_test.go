@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"polarcxlmem/internal/buffer"
@@ -53,6 +55,26 @@ func TestFrameAccessAllocatesNothing(t *testing.T) {
 	gate("NSlots", func() error { _, err := pg.NSlots(); return err })
 	gate("KeyAt", func() error { _, err := pg.KeyAt(11); return err })
 	gate("LowerBound", func() error { _, err := pg.LowerBound(13); return err })
+
+	// The same inside a hold, where loads and stores are the cache's word
+	// accesses. Find looks up an absent key: a hit returns a copy of the
+	// value, which allocates.
+	held := func(fn func() error) func() error {
+		return func() error {
+			f.Hold()
+			defer f.Unhold()
+			return fn()
+		}
+	}
+	gate("held Load", held(func() error { _, err := f.Load(3000, 8); return err }))
+	gate("held Store", held(func() error { return f.Store(4000, 4, 0xfeed) }))
+	gate("held LowerBound", held(func() error { _, err := pg.LowerBound(13); return err }))
+	gate("held Find", held(func() error {
+		if _, err := pg.Find(21); !errors.Is(err, page.ErrNotFound) {
+			return fmt.Errorf("Find(21) = %v, want ErrNotFound", err)
+		}
+		return nil
+	}))
 }
 
 // TestFrameAccessStaysInPage checks the frame's own page-bounds check: the
@@ -104,5 +126,54 @@ func TestFrameAccessStaysInPage(t *testing.T) {
 	}
 	if r.pool.FastHits() == 0 {
 		t.Fatal("in-page load from a promoted page missed the fast tier")
+	}
+}
+
+// TestFrameHold checks what a hold changes and what it must not: a held
+// frame refuses Release until unheld, keeps its latch rules, and a
+// read-latched frame of a page mirrored in the fast tier refuses the hold,
+// so its reads still come from the mirror.
+func TestFrameHold(t *testing.T) {
+	r := newRig(t, 8)
+	r.enableTiering()
+	id := r.seed(t, 7, "held")
+	f, err := r.pool.Get(r.clk, id, buffer.Read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Hold()
+	if err := f.Store(100, 2, 1); err == nil {
+		t.Fatal("held store under a read latch accepted")
+	}
+	if _, err := f.Load(page.Size-2, 4); err == nil {
+		t.Fatal("held load past the page end accepted")
+	}
+	if err := f.Release(); err == nil {
+		t.Fatal("release of a held frame accepted")
+	}
+	f.Unhold()
+	if err := f.Release(); err != nil {
+		t.Fatalf("release after Unhold: %v", err)
+	}
+
+	if ok, err := r.pool.Promote(r.clk, id); err != nil || !ok {
+		t.Fatalf("Promote = %v, %v, want true", ok, err)
+	}
+	pf, err := r.pool.Get(r.clk, id, buffer.Read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, cached := r.pool.FastHits(), r.cache.Stats()
+	pf.Hold()
+	v, err := page.Wrap(pf).Find(7)
+	pf.Unhold()
+	if err != nil || string(v) != "held" {
+		t.Fatalf("Find(7) on a promoted page = %q, %v", v, err)
+	}
+	if r.pool.FastHits() == hits || r.cache.Stats() != cached {
+		t.Fatal("a held read of a promoted page did not come from the mirror alone")
+	}
+	if err := pf.Release(); err != nil {
+		t.Fatal(err)
 	}
 }

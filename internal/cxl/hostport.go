@@ -3,7 +3,7 @@ package cxl
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"polarcxlmem/internal/fault"
 	"polarcxlmem/internal/simclock"
@@ -20,8 +20,10 @@ type HostPort struct {
 	leaf *Leaf // attachment point
 	link *simclock.Resource
 
-	mu   sync.Mutex
-	home *Leaf // the box this host's allocations target
+	// home is the leaf whose box this host's allocations target. Every
+	// CPU-cache fill and write-back reads it, so it is an atomic, not a
+	// locked field.
+	home atomic.Pointer[Leaf]
 }
 
 // Name reports the host name.
@@ -34,17 +36,9 @@ func (h *HostPort) Link() *simclock.Resource { return h.link }
 func (h *HostPort) Leaf() *Leaf { return h.leaf }
 
 // HomeLeaf reports the leaf whose memory box holds the host's allocations.
-func (h *HostPort) HomeLeaf() *Leaf {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.home
-}
+func (h *HostPort) HomeLeaf() *Leaf { return h.home.Load() }
 
-func (h *HostPort) setHome(l *Leaf) {
-	h.mu.Lock()
-	h.home = l
-	h.mu.Unlock()
-}
+func (h *HostPort) setHome(l *Leaf) { h.home.Store(l) }
 
 // crossHops charges the extra switch-side hops a cross-leaf access pays
 // beyond the single-switch route: the attachment leaf's crossbar, the uplink

@@ -298,9 +298,9 @@ func (t *Topology) AttachHost(name string, leaf int) (*HostPort, error) {
 	h := &HostPort{
 		name: name,
 		leaf: l,
-		home: l,
 		link: simclock.NewResource("cxl-link/"+name, t.cfg.HostLinkBW),
 	}
+	h.setHome(l)
 	if t.reg != nil {
 		lh := t.reg.Histogram("cxl.link.host.wait_ns")
 		h.link.SetWaitObserver(func(w int64) { lh.Observe(w) })

@@ -7,8 +7,9 @@
 // flushed to storage only after the mini-transaction is committed."
 //
 // Every page mutation goes through an MTR method, which performs the page
-// operation, appends a logical redo record (with a before-image for undo),
-// stamps the page LSN, and marks the frame dirty. Commit appends a
+// operation in one page visit (buffer.Visit), then appends a logical redo
+// record (with a before-image for undo), stamps the page LSN, and marks the
+// frame dirty. Commit appends a
 // mini-transaction commit record, optionally forces the log, and only then
 // releases the page latches — on PolarCXLMem, releasing a write latch is
 // what flushes the page's cache lines to CXL and clears the persisted lock
@@ -105,7 +106,7 @@ func (m *MTR) logAndStamp(f buffer.Frame, rec wal.Record) error {
 		rec.Ref = m.tag
 	}
 	lsn := m.log.Append(rec)
-	if err := page.Wrap(f).SetLSN(lsn); err != nil {
+	if err := buffer.Visit(f, func(pg page.Page) error { return pg.SetLSN(lsn) }); err != nil {
 		return err
 	}
 	f.MarkDirty()
@@ -114,7 +115,8 @@ func (m *MTR) logAndStamp(f buffer.Frame, rec wal.Record) error {
 
 // InitPage formats f as a fresh page of the given type/level, logged.
 func (m *MTR) InitPage(f buffer.Frame, typ, level uint16) error {
-	if err := page.Wrap(f).Init(f.ID(), typ, level); err != nil {
+	id := f.ID()
+	if err := buffer.Visit(f, func(pg page.Page) error { return pg.Init(id, typ, level) }); err != nil {
 		return err
 	}
 	return m.logAndStamp(f, wal.Record{Kind: wal.KPageInit, PType: typ, Level: level})
@@ -122,7 +124,7 @@ func (m *MTR) InitPage(f buffer.Frame, typ, level uint16) error {
 
 // Insert adds (key, val) to f, logged.
 func (m *MTR) Insert(f buffer.Frame, key int64, val []byte) error {
-	if err := page.Wrap(f).Insert(key, val); err != nil {
+	if err := buffer.Visit(f, func(pg page.Page) error { return pg.Insert(key, val) }); err != nil {
 		return err
 	}
 	return m.logAndStamp(f, wal.Record{Kind: wal.KInsert, Key: key, Value: val})
@@ -130,12 +132,13 @@ func (m *MTR) Insert(f buffer.Frame, key int64, val []byte) error {
 
 // Update replaces key's value in f, logged with the before-image.
 func (m *MTR) Update(f buffer.Frame, key int64, val []byte) error {
-	pg := page.Wrap(f)
-	old, err := pg.Find(key)
-	if err != nil {
-		return err
-	}
-	if err := pg.Update(key, val); err != nil {
+	var old []byte
+	if err := buffer.Visit(f, func(pg page.Page) (err error) {
+		if old, err = pg.Find(key); err != nil {
+			return err
+		}
+		return pg.Update(key, val)
+	}); err != nil {
 		return err
 	}
 	return m.logAndStamp(f, wal.Record{Kind: wal.KUpdate, Key: key, Value: val, Old: old})
@@ -143,12 +146,13 @@ func (m *MTR) Update(f buffer.Frame, key int64, val []byte) error {
 
 // Delete removes key from f, logged with the before-image.
 func (m *MTR) Delete(f buffer.Frame, key int64) error {
-	pg := page.Wrap(f)
-	old, err := pg.Find(key)
-	if err != nil {
-		return err
-	}
-	if err := pg.Delete(key); err != nil {
+	var old []byte
+	if err := buffer.Visit(f, func(pg page.Page) (err error) {
+		if old, err = pg.Find(key); err != nil {
+			return err
+		}
+		return pg.Delete(key)
+	}); err != nil {
 		return err
 	}
 	return m.logAndStamp(f, wal.Record{Kind: wal.KDelete, Key: key, Old: old})
@@ -156,7 +160,7 @@ func (m *MTR) Delete(f buffer.Frame, key int64) error {
 
 // SetRightSibling updates f's leaf-chain pointer, logged.
 func (m *MTR) SetRightSibling(f buffer.Frame, sib uint64) error {
-	if err := page.Wrap(f).SetRightSibling(sib); err != nil {
+	if err := buffer.Visit(f, func(pg page.Page) error { return pg.SetRightSibling(sib) }); err != nil {
 		return err
 	}
 	return m.logAndStamp(f, wal.Record{Kind: wal.KSetRightSib, Ref: sib})
@@ -164,7 +168,7 @@ func (m *MTR) SetRightSibling(f buffer.Frame, sib uint64) error {
 
 // SetAux updates f's auxiliary word (meta page: root id), logged.
 func (m *MTR) SetAux(f buffer.Frame, v uint64) error {
-	if err := page.Wrap(f).SetAux(v); err != nil {
+	if err := buffer.Visit(f, func(pg page.Page) error { return pg.SetAux(v) }); err != nil {
 		return err
 	}
 	return m.logAndStamp(f, wal.Record{Kind: wal.KSetAux, Ref: v})

@@ -186,24 +186,32 @@ func (p Page) ValAt(i int) ([]byte, error) {
 // LowerBound reports the first slot index whose key is >= key (== NSlots if
 // all keys are smaller). Binary search: O(log n) key reads.
 func (p Page) LowerBound(key int64) (int, error) {
+	i, _, err := p.LowerBoundPrev(key)
+	return i, err
+}
+
+// LowerBoundPrev is LowerBound that also reports the key of slot i-1 when
+// the index i it returns is positive: the search has read that key, so it
+// costs no further read.
+func (p Page) LowerBoundPrev(key int64) (i int, prev int64, err error) {
 	n, err := p.NSlots()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
 		k, err := p.KeyAt(mid)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if k < key {
-			lo = mid + 1
+			lo, prev = mid+1, k
 		} else {
 			hi = mid
 		}
 	}
-	return lo, nil
+	return lo, prev, nil
 }
 
 // Find reports the value stored under key.

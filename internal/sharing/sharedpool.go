@@ -203,6 +203,11 @@ func inPage(off, n int, op string) error {
 
 func (f *sharedFrame) MarkDirty() {} // dirtiness is tracked at write-unlock
 
+// Hold and Unhold implement buffer.Frame as no-ops: every access locks the
+// node cache on its own.
+func (f *sharedFrame) Hold()   {}
+func (f *sharedFrame) Unhold() {}
+
 func (f *sharedFrame) ReadAt(off int, buf []byte) error {
 	if f.released {
 		return fmt.Errorf("sharing: read on released shared frame %d", f.id)

@@ -7,7 +7,8 @@ import (
 )
 
 // TestHotPathsAllocateNothing gates the cache's steady state at zero heap
-// allocations: hits, a page-wide clflush, and misses that evict.
+// allocations: hits, held word accesses, a page-wide clflush, and misses
+// that evict.
 func TestHotPathsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -33,6 +34,19 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	gate("write hit", func() {
 		if err := c.Write(clk, r, 100, buf); err != nil {
 			t.Fatal(err)
+		}
+	})
+	gate("held word loads and stores", func() {
+		c.Hold()
+		defer c.Unhold()
+		for _, off := range []int64{96, 126, 1000} { // 126: straddles a line
+			v, err := c.LoadHeld(clk, r, off, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.StoreHeld(clk, r, off, 4, v+1); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	const pageSize = 16 << 10

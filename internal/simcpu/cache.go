@@ -17,13 +17,21 @@
 // invalidate the range. Drop models power loss: cached dirty data is gone.
 //
 // Representation: lines live by value in a slab that grows in fixed-size
-// chunks and recycles freed lines; the LRU is an intrusive doubly-linked
-// list over slab indices; and a block index maps each (device, 4 KiB-aligned
-// offset) to a residency mask plus the slab index of each of its 64 lines.
-// A steady-state hit, miss or flush allocates nothing.
+// chunks and recycles freed lines; the LRU is a doubly-linked list over slab
+// indices whose links live in dense segments apart from the line data, so
+// a hit's splice writes 8-byte links and never a neighbour's line; and a
+// block index maps each (device, 4 KiB-aligned offset) to a residency mask
+// plus the slab index of each of its 64 lines. A steady-state hit, miss or
+// flush allocates nothing.
+//
+// A caller that makes many small accesses in a row (a page operation reading
+// slotted-page fields) can take the cache's lock once with Hold, run the
+// *Held variants, and Unhold; Read and Write are exactly that around one
+// access.
 package simcpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"iter"
 	"math/bits"
@@ -48,18 +56,30 @@ const (
 	// by the block's 4 KiB number modulo memoSize. A 16 KiB page image
 	// that is not 4 KiB-aligned spans five blocks, and a binary search
 	// over it alternates between the slot directory at its end and
-	// records near its start; eight entries keep a whole page memoized.
-	memoSize = 8
+	// records near its start; 64 entries keep a dozen neighbouring pages
+	// memoized — a B+tree descent's meta, root and inner pages among them.
+	memoSize = 64
 )
 
 // line is one resident cache line, held by value in the line slab.
 type line struct {
-	data       [LineSize]byte
-	prev, next int32 // LRU neighbours; prev is toward the MRU end
-	blk        int32 // owning block's slab index
-	slot       uint8 // line number within the block
-	dirty      bool
+	data  [LineSize]byte
+	blk   int32 // owning block's slab index
+	slot  uint8 // line number within the block
+	dirty bool
 }
+
+// links are a line's LRU neighbours; prev is toward the MRU end.
+type links struct{ prev, next int32 }
+
+// linkSegShift sizes the LRU link segments at 1024 entries (8 KiB): dense,
+// so a splice's neighbour links share a few pages instead of one page per
+// line chunk, and small, so a cache's last, partly used segment wastes
+// little and segments cost one allocation per 16 line chunks.
+const (
+	linkSegShift = 10
+	linkSeg      = 1 << linkSegShift
+)
 
 // blockKey names a 4 KiB-aligned span of a device.
 type blockKey struct {
@@ -84,7 +104,7 @@ type block struct {
 	slots [blockLines]int32 // slab index of each resident line
 }
 
-// slabChunkShift sizes slab chunks at 64 entries (5 KiB of lines), so a
+// slabChunkShift sizes slab chunks at 64 entries (4.5 KiB of lines), so a
 // freshly built cache allocates in step with what it fills.
 const (
 	slabChunkShift = 6
@@ -146,8 +166,9 @@ type Cache struct {
 	index    map[blockKey]int32 // block slab index of every block with a resident line
 	blocks   slab[block]
 	lines    slab[line]
-	mru, lru int32 // LRU list ends
-	resident int   // lines on the LRU list
+	links    []*[linkSeg]links // LRU links of line slab entry i: links[i>>linkSegShift][i&(linkSeg-1)]
+	mru, lru int32             // LRU list ends
+	resident int               // lines on the LRU list
 	stats    Stats
 	// memo caches recent index hits, direct-mapped by block number: the
 	// accesses of one page operation touch a handful of neighbouring
@@ -224,6 +245,8 @@ func (c *Cache) ResetStats() {
 	c.mu.Unlock()
 }
 
+func (c *Cache) linksAt(i int32) *links { return &c.links[i>>linkSegShift][i&(linkSeg-1)] }
+
 // block returns the slab index of the block for key, if it has a resident
 // line.
 func (c *Cache) block(key blockKey) (int32, bool) {
@@ -255,10 +278,9 @@ func (c *Cache) lookup(dev *simmem.Device, addr int64) int32 {
 
 // pushMRU links line i at the MRU end of the LRU list.
 func (c *Cache) pushMRU(i int32) {
-	ln := c.lines.at(i)
-	ln.prev, ln.next = nilIdx, c.mru
+	*c.linksAt(i) = links{prev: nilIdx, next: c.mru}
 	if c.mru != nilIdx {
-		c.lines.at(c.mru).prev = i
+		c.linksAt(c.mru).prev = i
 	} else {
 		c.lru = i
 	}
@@ -267,16 +289,16 @@ func (c *Cache) pushMRU(i int32) {
 
 // unlink takes line i off the LRU list.
 func (c *Cache) unlink(i int32) {
-	ln := c.lines.at(i)
-	if ln.prev != nilIdx {
-		c.lines.at(ln.prev).next = ln.next
+	l := *c.linksAt(i)
+	if l.prev != nilIdx {
+		c.linksAt(l.prev).next = l.next
 	} else {
-		c.mru = ln.next
+		c.mru = l.next
 	}
-	if ln.next != nilIdx {
-		c.lines.at(ln.next).prev = ln.prev
+	if l.next != nilIdx {
+		c.linksAt(l.next).prev = l.prev
 	} else {
-		c.lru = ln.prev
+		c.lru = l.prev
 	}
 }
 
@@ -390,6 +412,9 @@ func (c *Cache) fill(clk *simclock.Clock, dev *simmem.Device, addr int64, stream
 		}
 	}
 	i := c.lines.alloc()
+	if int(i>>linkSegShift) == len(c.links) {
+		c.links = append(c.links, new([linkSeg]links)) // the first entry of a fresh segment
+	}
 	ln := c.lines.at(i)
 	ln.data, ln.dirty = [LineSize]byte{}, false // a dropped device read leaves zeros
 	r := dev.WholeRegion()
@@ -488,20 +513,57 @@ func clip(la, addr int64, n int) (lo, hi int64) {
 	return max(addr, la), min(addr+int64(n), la+LineSize)
 }
 
+// Hold takes the cache's lock — after its coherency domain's, when it has
+// one, the order Read and Write take them in — for a run of *Held
+// accesses. Until Unhold, every other access to the cache (and, in a
+// domain, to its peers) waits, so the holder must call nothing but *Held
+// methods of this cache in between.
+func (c *Cache) Hold() {
+	if d := c.domain; d != nil {
+		d.mu.Lock()
+	}
+	c.mu.Lock()
+}
+
+// Unhold releases what Hold took.
+func (c *Cache) Unhold() {
+	c.mu.Unlock()
+	if d := c.domain; d != nil {
+		d.mu.Unlock()
+	}
+}
+
 // Read reads len(buf) bytes at off within region, through the cache.
 func (c *Cache) Read(clk *simclock.Clock, region *simmem.Region, off int64, buf []byte) error {
+	c.Hold()
+	defer c.Unhold()
+	return c.ReadHeld(clk, region, off, buf)
+}
+
+// Write writes data at off within region, through the cache (write-back,
+// write-allocate). The device is NOT updated until eviction or Flush.
+func (c *Cache) Write(clk *simclock.Clock, region *simmem.Region, off int64, data []byte) error {
+	c.Hold()
+	defer c.Unhold()
+	return c.WriteHeld(clk, region, off, data)
+}
+
+// checkSpan refuses a span [off, off+n) that leaves region.
+func checkSpan(region *simmem.Region, off int64, n int, op string) error {
+	if off < 0 || off+int64(n) > region.Size() {
+		return fmt.Errorf("simcpu: cached %s [%d,%d) out of region bounds [0,%d)", op, off, off+int64(n), region.Size())
+	}
+	return nil
+}
+
+// ReadHeld is Read for a caller inside Hold.
+func (c *Cache) ReadHeld(clk *simclock.Clock, region *simmem.Region, off int64, buf []byte) error {
 	if len(buf) == 0 {
 		return nil
 	}
-	if off < 0 || off+int64(len(buf)) > region.Size() {
-		return fmt.Errorf("simcpu: cached read [%d,%d) out of region bounds [0,%d)", off, off+int64(len(buf)), region.Size())
+	if err := checkSpan(region, off, len(buf), "read"); err != nil {
+		return err
 	}
-	if d := c.domain; d != nil {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	dev := region.Device()
 	addr := region.Base() + off
 	first, last := lineRange(addr, len(buf))
@@ -518,21 +580,14 @@ func (c *Cache) Read(clk *simclock.Clock, region *simmem.Region, off int64, buf 
 	return nil
 }
 
-// Write writes data at off within region, through the cache (write-back,
-// write-allocate). The device is NOT updated until eviction or Flush.
-func (c *Cache) Write(clk *simclock.Clock, region *simmem.Region, off int64, data []byte) error {
+// WriteHeld is Write for a caller inside Hold.
+func (c *Cache) WriteHeld(clk *simclock.Clock, region *simmem.Region, off int64, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	if off < 0 || off+int64(len(data)) > region.Size() {
-		return fmt.Errorf("simcpu: cached write [%d,%d) out of region bounds [0,%d)", off, off+int64(len(data)), region.Size())
+	if err := checkSpan(region, off, len(data), "write"); err != nil {
+		return err
 	}
-	if d := c.domain; d != nil {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	dev := region.Device()
 	addr := region.Base() + off
 	first, last := lineRange(addr, len(data))
@@ -548,16 +603,112 @@ func (c *Cache) Write(clk *simclock.Clock, region *simmem.Region, off int64, dat
 		copy(ln.data[lo-la:hi-la], data[lo-addr:hi-addr])
 		ln.dirty = true
 	}
-	if c.domain != nil {
-		// CXL 3.0 mode: every store back-invalidates peer copies of its
-		// lines once the whole store has landed.
-		for la := first; la <= last; la += LineSize {
-			if err := c.domain.invalidatePeers(clk, c, dev, la); err != nil {
-				return err
-			}
+	return c.invalidatePeers(clk, dev, first, last)
+}
+
+// invalidatePeers is CXL 3.0 mode's step after a store: it back-invalidates
+// peer copies of the store's lines once the whole store has landed.
+func (c *Cache) invalidatePeers(clk *simclock.Clock, dev *simmem.Device, first, last int64) error {
+	if c.domain == nil {
+		return nil
+	}
+	for la := first; la <= last; la += LineSize {
+		if err := c.domain.invalidatePeers(clk, c, dev, la); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// wordLine returns the line-aligned address of the line holding all of the
+// n-byte word at addr, or false when the word straddles two lines.
+func wordLine(addr int64, n int) (int64, bool) {
+	la := addr &^ (LineSize - 1)
+	return la, addr+int64(n) <= la+LineSize
+}
+
+// LoadHeld reads the n-byte little-endian word (n <= 8) at off within
+// region, for a caller inside Hold. It costs exactly what ReadHeld of the
+// same span costs; a word inside one line is read straight from the line.
+func (c *Cache) LoadHeld(clk *simclock.Clock, region *simmem.Region, off int64, n int) (uint64, error) {
+	if n < 0 || n > 8 {
+		return 0, fmt.Errorf("simcpu: load of a %d-byte word", n)
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	addr := region.Base() + off
+	la, inLine := wordLine(addr, n)
+	if !inLine {
+		var w [8]byte
+		err := c.ReadHeld(clk, region, off, w[:n])
+		return binary.LittleEndian.Uint64(w[:]), err
+	}
+	if err := checkSpan(region, off, n, "read"); err != nil {
+		return 0, err
+	}
+	i, _, err := c.get(clk, region.Device(), la, false)
+	if err != nil {
+		return 0, err
+	}
+	d := c.lines.at(i).data[addr-la:]
+	switch n {
+	case 8:
+		return binary.LittleEndian.Uint64(d), nil
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(d)), nil
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(d)), nil
+	}
+	var v uint64
+	for j := n - 1; j >= 0; j-- {
+		v = v<<8 | uint64(d[j])
+	}
+	return v, nil
+}
+
+// StoreHeld writes the low n bytes (n <= 8) of v, little-endian, at off
+// within region, for a caller inside Hold. It costs exactly what WriteHeld
+// of the same span costs; a word inside one line is stored straight into
+// the line.
+func (c *Cache) StoreHeld(clk *simclock.Clock, region *simmem.Region, off int64, n int, v uint64) error {
+	if n < 0 || n > 8 {
+		return fmt.Errorf("simcpu: store of a %d-byte word", n)
+	}
+	if n == 0 {
+		return nil
+	}
+	addr := region.Base() + off
+	la, inLine := wordLine(addr, n)
+	if !inLine {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], v)
+		return c.WriteHeld(clk, region, off, w[:n])
+	}
+	if err := checkSpan(region, off, n, "write"); err != nil {
+		return err
+	}
+	dev := region.Device()
+	i, _, err := c.get(clk, dev, la, false)
+	if err != nil {
+		return err
+	}
+	ln := c.lines.at(i)
+	d := ln.data[addr-la:]
+	switch n {
+	case 8:
+		binary.LittleEndian.PutUint64(d, v)
+	case 4:
+		binary.LittleEndian.PutUint32(d, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(d, uint16(v))
+	default:
+		for j := range n {
+			d[j] = byte(v >> (8 * j))
+		}
+	}
+	ln.dirty = true
+	return c.invalidatePeers(clk, dev, la, la)
 }
 
 // Flush models clflush over [off, off+n) within region: dirty lines are
@@ -646,7 +797,7 @@ func (c *Cache) DirtyLines() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for i := c.mru; i != nilIdx; i = c.lines.at(i).next {
+	for i := c.mru; i != nilIdx; i = c.linksAt(i).next {
 		if c.lines.at(i).dirty {
 			n++
 		}

@@ -2,6 +2,8 @@ package simcpu
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,13 +14,13 @@ import (
 
 // The third diffWorld device is laid out like a core CXL pool: page images
 // of corePageSize bytes at corePageBase + k*coreStride, so each spans five
-// 4 KiB blocks and the device spans twenty, more than the block memo has
+// 4 KiB blocks and the device spans 69, more than the block memo has
 // entries.
 const (
 	corePageBase = 192
 	corePageSize = 16 << 10
 	coreStride   = corePageSize + 64
-	corePages    = 5
+	corePages    = 17
 	pagedRegion  = 2 // index of that device's region in diffWorld.regions
 )
 
@@ -94,97 +96,242 @@ func diffPlan(seed int64) *fault.Plan {
 // small capacity so evictions and block turnover happen constantly, and
 // checks that every observable agrees after every operation: returned bytes
 // and errors, the clock advance, Stats, ResidentLines, DirtyLines, and the
-// device contents. Every device spans more 4 KiB blocks than the block memo
-// has entries, so resident blocks share memo entries and memoized blocks
-// are released; the paged device makes page code's access pattern.
+// device contents. The devices' blocks share memo entries with each other,
+// and the paged device spans more 4 KiB blocks than the block memo has
+// entries, so memoized blocks are displaced and released; the paged device
+// makes page code's access pattern. Some operations are bursts of word and
+// span accesses inside one Hold.
 func TestCacheMatchesReference(t *testing.T) {
-	const capLines = 24
 	for seed := int64(1); seed <= 6; seed++ {
-		wg, wr := newDiffWorld(t, seed), newDiffWorld(t, seed)
-		got := New("slab", capLines*LineSize, 5)
-		got.SetInterconnect(wg.link)
-		got.SetInjector(wg.plan)
-		ref := newRefCache(capLines*LineSize, 5)
-		ref.link = wr.link
-		ref.inj = wr.plan
+		runDiff(t, seed, 1)
+	}
+}
 
-		rng := rand.New(rand.NewSource(seed))
-		for op := 0; op < 3000; op++ {
-			ri := rng.Intn(len(wg.regions))
-			rg, rr := wg.regions[ri], wr.regions[ri]
-			size := rg.Size()
-			k := rng.Intn(20)
-			var off int64
-			var n int
-			if ri == pagedRegion {
-				off, n = pagedSpan(rng, k)
-			} else {
-				// Mostly short spans; some cross a block boundary, and a
-				// flush's may cover several blocks.
-				n = 1 + rng.Intn(2*LineSize)
-				if rng.Intn(16) == 0 {
-					n = 1 + rng.Intn(blockSize+blockSize/2)
-				}
-				if k >= 15 && rng.Intn(2) == 0 {
-					n = 1 + rng.Intn(int(size))
-				}
-				off = rng.Int63n(size - int64(n) + 1)
-			}
-			g0, r0 := wg.clk.Now(), wr.clk.Now()
-			var what string
-			var gerr, rerr error
-			switch {
-			case k < 8:
-				what = "read"
-				gb, rb := make([]byte, n), make([]byte, n)
-				gerr, rerr = got.Read(wg.clk, rg, off, gb), ref.access(wr.clk, rr, off, rb, false)
-				if !bytes.Equal(gb, rb) {
-					t.Fatalf("seed %d op %d: read [%d,+%d) of region %d returned different bytes", seed, op, off, n, ri)
-				}
-			case k < 15:
-				what = "write"
-				data := make([]byte, n)
-				rng.Read(data)
-				gerr, rerr = got.Write(wg.clk, rg, off, data), ref.access(wr.clk, rr, off, data, true)
-			case k < 18:
-				what = "flush"
-				gerr, rerr = got.Flush(wg.clk, rg, off, n), ref.Flush(wr.clk, rr, off, n)
-			case k < 19:
-				what = "lines-in-range"
-				gres, gdirty := got.LinesInRange(rg, off, n)
-				rres, rdirty := ref.LinesInRange(rr, off, n)
-				if gres != rres || gdirty != rdirty {
-					t.Fatalf("seed %d op %d: LinesInRange = %d/%d, reference %d/%d", seed, op, gres, gdirty, rres, rdirty)
-				}
-			default:
-				if rng.Intn(4) == 0 {
-					what = "drop"
-					got.Drop()
-					ref.Drop()
-				}
-			}
-			if (gerr == nil) != (rerr == nil) {
-				t.Fatalf("seed %d op %d %s: error %v, reference %v", seed, op, what, gerr, rerr)
-			}
-			if dg, dr := wg.clk.Now()-g0, wr.clk.Now()-r0; dg != dr {
-				t.Fatalf("seed %d op %d %s: clock advanced %d ns, reference %d ns", seed, op, what, dg, dr)
-			}
-			if got.Stats() != ref.stats {
-				t.Fatalf("seed %d op %d %s: stats %+v, reference %+v", seed, op, what, got.Stats(), ref.stats)
-			}
-			if got.ResidentLines() != len(ref.lines) || got.DirtyLines() != ref.DirtyLines() {
-				t.Fatalf("seed %d op %d %s: resident/dirty %d/%d, reference %d/%d", seed, op, what,
-					got.ResidentLines(), got.DirtyLines(), len(ref.lines), ref.DirtyLines())
-			}
-			if op%100 == 99 {
-				compareDevices(t, wg, wr)
-			}
+// TestCoherentCacheMatchesReference is TestCacheMatchesReference for two
+// caches in one coherency domain, each operation on one of them: fills
+// take a peer's dirty copy and stores back-invalidate peer copies, in the
+// cache and in the reference alike.
+func TestCoherentCacheMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		runDiff(t, seed, 2)
+	}
+}
+
+// diffCase is the caches under test and their references, member by
+// member, over their two worlds.
+type diffCase struct {
+	t      *testing.T
+	seed   int64
+	wg, wr *diffWorld
+	got    []*Cache
+	ref    []*refCache
+	op     int
+	what   string
+	g0, r0 int64 // clocks before the operation
+}
+
+func runDiff(t *testing.T, seed int64, members int) {
+	t.Helper()
+	const capLines = 24
+	dc := &diffCase{t: t, seed: seed, wg: newDiffWorld(t, seed), wr: newDiffWorld(t, seed)}
+	var dom *Domain
+	if members > 1 {
+		dom = NewDomain(0)
+	}
+	for m := range members {
+		got := New(fmt.Sprintf("slab%d", m), capLines*LineSize, 5)
+		got.SetInterconnect(dc.wg.link)
+		got.SetInjector(dc.wg.plan)
+		ref := newRefCache(capLines*LineSize, 5)
+		ref.link = dc.wr.link
+		ref.inj = dc.wr.plan
+		if dom != nil {
+			dom.Attach(got)
 		}
-		compareDevices(t, wg, wr)
-		if len(wg.plan.Firings()) == 0 || len(wg.plan.Firings()) != len(wr.plan.Firings()) {
-			t.Fatalf("seed %d: %d faults fired, reference %d", seed, len(wg.plan.Firings()), len(wr.plan.Firings()))
+		dc.got, dc.ref = append(dc.got, got), append(dc.ref, ref)
+	}
+	if dom != nil {
+		for _, r := range dc.ref {
+			r.domain, r.snoopNs = dc.ref, dom.snoopNs
 		}
 	}
+	wg, wr := dc.wg, dc.wr
+
+	rng := rand.New(rand.NewSource(seed))
+	for dc.op = 0; dc.op < 3000; dc.op++ {
+		m := rng.Intn(members)
+		got, ref := dc.got[m], dc.ref[m]
+		ri := rng.Intn(len(wg.regions))
+		rg, rr := wg.regions[ri], wr.regions[ri]
+		size := rg.Size()
+		k := rng.Intn(20)
+		var off int64
+		var n int
+		if ri == pagedRegion {
+			off, n = pagedSpan(rng, k)
+		} else {
+			// Mostly short spans; some cross a block boundary, and a
+			// flush's may cover several blocks.
+			n = 1 + rng.Intn(2*LineSize)
+			if rng.Intn(16) == 0 {
+				n = 1 + rng.Intn(blockSize+blockSize/2)
+			}
+			if k >= 15 && rng.Intn(2) == 0 {
+				n = 1 + rng.Intn(int(size))
+			}
+			off = rng.Int63n(size - int64(n) + 1)
+		}
+		dc.start("")
+		var gerr, rerr error
+		switch {
+		case k < 8:
+			dc.what = "read"
+			gb, rb := make([]byte, n), make([]byte, n)
+			gerr, rerr = got.Read(wg.clk, rg, off, gb), ref.access(wr.clk, rr, off, rb, false)
+			if !bytes.Equal(gb, rb) {
+				t.Fatalf("seed %d op %d: read [%d,+%d) of region %d returned different bytes", seed, dc.op, off, n, ri)
+			}
+		case k < 15:
+			dc.what = "write"
+			data := make([]byte, n)
+			rng.Read(data)
+			gerr, rerr = got.Write(wg.clk, rg, off, data), ref.access(wr.clk, rr, off, data, true)
+		case k < 18:
+			dc.what = "flush"
+			gerr, rerr = got.Flush(wg.clk, rg, off, n), ref.Flush(wr.clk, rr, off, n)
+		case k < 19:
+			dc.what = "lines-in-range"
+			gres, gdirty := got.LinesInRange(rg, off, n)
+			rres, rdirty := ref.LinesInRange(rr, off, n)
+			if gres != rres || gdirty != rdirty {
+				t.Fatalf("seed %d op %d: LinesInRange = %d/%d, reference %d/%d", seed, dc.op, gres, gdirty, rres, rdirty)
+			}
+		case rng.Intn(4) == 0:
+			dc.what = "drop"
+			got.Drop()
+			ref.Drop()
+		default:
+			dc.heldBurst(rng, m)
+		}
+		dc.check(gerr, rerr)
+		for i := range dc.got {
+			g, r := dc.got[i], dc.ref[i]
+			if g.ResidentLines() != len(r.lines) || g.DirtyLines() != r.DirtyLines() {
+				t.Fatalf("seed %d op %d %s: cache %d resident/dirty %d/%d, reference %d/%d", seed, dc.op, dc.what, i,
+					g.ResidentLines(), g.DirtyLines(), len(r.lines), r.DirtyLines())
+			}
+		}
+		if dc.op%100 == 99 {
+			compareDevices(t, wg, wr)
+		}
+	}
+	compareDevices(t, wg, wr)
+	if len(wg.plan.Firings()) == 0 || len(wg.plan.Firings()) != len(wr.plan.Firings()) {
+		t.Fatalf("seed %d: %d faults fired, reference %d", seed, len(wg.plan.Firings()), len(wr.plan.Firings()))
+	}
+}
+
+// start records both clocks before an operation.
+func (dc *diffCase) start(what string) {
+	dc.what, dc.g0, dc.r0 = what, dc.wg.clk.Now(), dc.wr.clk.Now()
+}
+
+// check compares an operation's outcome, clock advance and every member's
+// stats with the reference's. It reads the stats fields directly, since a
+// held cache's Stats would wait on its own lock.
+func (dc *diffCase) check(gerr, rerr error) {
+	t := dc.t
+	t.Helper()
+	if (gerr == nil) != (rerr == nil) {
+		t.Fatalf("seed %d op %d %s: error %v, reference %v", dc.seed, dc.op, dc.what, gerr, rerr)
+	}
+	if dg, dr := dc.wg.clk.Now()-dc.g0, dc.wr.clk.Now()-dc.r0; dg != dr {
+		t.Fatalf("seed %d op %d %s: clock advanced %d ns, reference %d ns", dc.seed, dc.op, dc.what, dg, dr)
+	}
+	for i := range dc.got {
+		if dc.got[i].stats != dc.ref[i].stats {
+			t.Fatalf("seed %d op %d %s: cache %d stats %+v, reference %+v", dc.seed, dc.op, dc.what, i, dc.got[i].stats, dc.ref[i].stats)
+		}
+	}
+}
+
+// heldBurst runs up to 16 accesses on member m inside one Hold: words of
+// 1, 2, 4 or 8 bytes, some straddling a line and some ending exactly at a
+// line end, and byte spans. The reference runs each as the equivalent span
+// access; each one's value, error, clock advance and stats must agree.
+func (dc *diffCase) heldBurst(rng *rand.Rand, m int) {
+	t := dc.t
+	got, ref := dc.got[m], dc.ref[m]
+	got.Hold()
+	defer got.Unhold()
+	for range 1 + rng.Intn(16) {
+		ri := rng.Intn(len(dc.wg.regions))
+		rg, rr := dc.wg.regions[ri], dc.wr.regions[ri]
+		var gerr, rerr error
+		switch kind := rng.Intn(4); kind {
+		case 0, 1:
+			n := []int{1, 2, 4, 8}[rng.Intn(4)]
+			off := wordOffset(rng, rg, n)
+			if kind == 0 {
+				dc.start("held load")
+				var rb [8]byte
+				var gv uint64
+				gv, gerr = got.LoadHeld(dc.wg.clk, rg, off, n)
+				rerr = ref.access(dc.wr.clk, rr, off, rb[:n], false)
+				if rv := binary.LittleEndian.Uint64(rb[:]); gerr == nil && gv != rv {
+					t.Fatalf("seed %d op %d: LoadHeld(%d, %d) of region %d = %#x, reference %#x", dc.seed, dc.op, off, n, ri, gv, rv)
+				}
+			} else {
+				dc.start("held store")
+				v := rng.Uint64()
+				var rb [8]byte
+				binary.LittleEndian.PutUint64(rb[:], v)
+				gerr, rerr = got.StoreHeld(dc.wg.clk, rg, off, n, v), ref.access(dc.wr.clk, rr, off, rb[:n], true)
+			}
+		default:
+			n := 1 + rng.Intn(2*LineSize)
+			off := rng.Int63n(rg.Size() - int64(n) + 1)
+			if kind == 2 {
+				dc.start("held read")
+				gb, rb := make([]byte, n), make([]byte, n)
+				gerr, rerr = got.ReadHeld(dc.wg.clk, rg, off, gb), ref.access(dc.wr.clk, rr, off, rb, false)
+				if !bytes.Equal(gb, rb) {
+					t.Fatalf("seed %d op %d: ReadHeld [%d,+%d) of region %d returned different bytes", dc.seed, dc.op, off, n, ri)
+				}
+			} else {
+				dc.start("held write")
+				data := make([]byte, n)
+				rng.Read(data)
+				gerr, rerr = got.WriteHeld(dc.wg.clk, rg, off, data), ref.access(dc.wr.clk, rr, off, data, true)
+			}
+		}
+		dc.check(gerr, rerr)
+	}
+	dc.start("held burst")
+}
+
+// wordOffset picks the region offset of an n-byte word: a third straddle
+// a line boundary (when n > 1), a third end exactly at a line end, and the
+// rest fall anywhere.
+func wordOffset(rng *rand.Rand, rg *simmem.Region, n int) int64 {
+	off := rng.Int63n(rg.Size() - int64(n) + 1)
+	la := (rg.Base() + off) &^ (LineSize - 1)
+	var abs int64
+	switch rng.Intn(3) {
+	case 0:
+		if n == 1 {
+			return off
+		}
+		abs = la + LineSize - int64(1+rng.Intn(n-1))
+	case 1:
+		abs = la + LineSize - int64(n)
+	default:
+		return off
+	}
+	if o := abs - rg.Base(); o >= 0 && o+int64(n) <= rg.Size() {
+		return o
+	}
+	return off
 }
 
 func compareDevices(t *testing.T, a, b *diffWorld) {

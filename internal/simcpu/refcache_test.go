@@ -11,8 +11,8 @@ import (
 
 // refCache is the straightforward cache model the slab-backed Cache must
 // agree with: a map from line address to a heap-allocated line, and a
-// container/list LRU. It has no coherency domain. The differential test
-// drives both with the same operations and compares every observable.
+// container/list LRU. The differential test drives both with the same
+// operations and compares every observable.
 type refCache struct {
 	capacity   int
 	hitLatency int64
@@ -21,6 +21,10 @@ type refCache struct {
 	stats      Stats
 	link       Interconnect
 	inj        fault.Injector
+	// domain, when set, lists every cache of a coherency domain, c
+	// included, in attach order; snoopNs is its per-peer snoop cost.
+	domain  []*refCache
+	snoopNs int64
 }
 
 type refKey struct {
@@ -92,6 +96,9 @@ func (c *refCache) get(clk *simclock.Clock, k refKey, streamed bool) (*refLine, 
 	if err := c.evictIfFull(clk); err != nil {
 		return nil, true, err
 	}
+	if err := c.supplyLatest(clk, k); err != nil {
+		return nil, true, err
+	}
 	ln := &refLine{key: k}
 	r := k.dev.WholeRegion()
 	if streamed {
@@ -117,6 +124,41 @@ func (c *refCache) get(clk *simclock.Clock, k refKey, streamed bool) (*refLine, 
 	return ln, true, nil
 }
 
+// supplyLatest writes back the first peer's dirty copy of k before a fill,
+// charging one snoop.
+func (c *refCache) supplyLatest(clk *simclock.Clock, k refKey) error {
+	for _, peer := range c.domain {
+		if ln, ok := peer.lines[k]; ok && peer != c && ln.dirty {
+			if err := peer.writeBack(clk, ln); err != nil {
+				return err
+			}
+			clk.Advance(c.snoopNs)
+			return nil
+		}
+	}
+	return nil
+}
+
+// invalidatePeers drops every peer's copy of k after a store, writing a
+// dirty one back first, and charges one snoop per copy dropped.
+func (c *refCache) invalidatePeers(clk *simclock.Clock, k refKey) error {
+	for _, peer := range c.domain {
+		ln, ok := peer.lines[k]
+		if !ok || peer == c {
+			continue
+		}
+		if ln.dirty {
+			if err := peer.writeBack(clk, ln); err != nil {
+				return err
+			}
+		}
+		peer.lru.Remove(ln.elem)
+		delete(peer.lines, k)
+		clk.Advance(c.snoopNs)
+	}
+	return nil
+}
+
 // access runs a Read (store == false) or a Write through the reference.
 func (c *refCache) access(clk *simclock.Clock, region *simmem.Region, off int64, buf []byte, store bool) error {
 	if len(buf) == 0 {
@@ -140,6 +182,13 @@ func (c *refCache) access(clk *simclock.Clock, region *simmem.Region, off int64,
 			ln.dirty = true
 		} else {
 			copy(buf[lo-addr:hi-addr], ln.data[lo-la:hi-la])
+		}
+	}
+	if store {
+		for la := first; la <= last; la += LineSize {
+			if err := c.invalidatePeers(clk, refKey{region.Device(), la}); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
