@@ -175,7 +175,7 @@ func BenchmarkSharedRMW(b *testing.B) {
 	start := clk.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := sc.Node(i%2).ReadModifyWrite(clk, pid, 64, 8, func(bs []byte) { bs[0]++ })
+		err := sc.Node(i%2).ReadModifyWrite(clk, pid, 64, make([]byte, 8), func(bs []byte) { bs[0]++ })
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -126,7 +126,7 @@ func (w *chaosWorld) commitKV(name string, k int64, v []byte) error {
 func (w *chaosWorld) bump(i int) error {
 	clk := w.sc.Clock()
 	err := withHeal(clk, func() error {
-		return w.sc.Node(i).ReadModifyWrite(clk, w.pid, 64, 8, func(b []byte) {
+		return w.sc.Node(i).ReadModifyWrite(clk, w.pid, 64, make([]byte, 8), func(b []byte) {
 			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
 		})
 	})

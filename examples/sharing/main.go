@@ -30,7 +30,7 @@ func main() {
 	const rounds = 25
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < sc.Nodes(); i++ {
-			err := sc.Node(i).ReadModifyWrite(clk, pid, 64, 8, func(b []byte) {
+			err := sc.Node(i).ReadModifyWrite(clk, pid, 64, make([]byte, 8), func(b []byte) {
 				binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
 			})
 			if err != nil {

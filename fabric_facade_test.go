@@ -176,7 +176,7 @@ func TestSharingClusterAcrossLeaves(t *testing.T) {
 	clk := sc.Clock()
 	bump := func(i int) {
 		t.Helper()
-		err := sc.Node(i).ReadModifyWrite(clk, pid, 64, 8, func(b []byte) {
+		err := sc.Node(i).ReadModifyWrite(clk, pid, 64, make([]byte, 8), func(b []byte) {
 			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
 		})
 		if err != nil {

@@ -2,12 +2,12 @@ package bench
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
 	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/cxl"
+	"polarcxlmem/internal/frametab"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/perf"
 	"polarcxlmem/internal/recovery"
@@ -50,13 +50,25 @@ type simmemRegion interface {
 	Size() int64
 }
 
+// abFrame is one DRAM-tier page; its visits read and write img in place.
 type abFrame struct {
 	id    uint64
-	img   []byte
+	img   *buffer.Image
 	dirty bool
 	pins  int
 	elem  *list.Element
 	inCXL bool
+	fr    *frametab.Frame // what the pool's frame handles hold
+}
+
+// abDRAM is what a DRAM-tier access costs.
+var abDRAM = cxl.BufferDRAMProfile()
+
+// newABFrame returns a pinned frame for page id with a zeroed image.
+func newABFrame(id uint64) *abFrame {
+	f := &abFrame{id: id, img: buffer.NewImage(&abDRAM), pins: 1}
+	f.fr = frametab.NewFrame(id, f)
+	return f
 }
 
 func newCXLTieredPool(store *storage.Store, host *cxl.HostPort, region simmemRegion, capacity int) *cxlTieredPool {
@@ -84,9 +96,9 @@ func (p *cxlTieredPool) evictOne(clk *simclock.Clock) error {
 			// Full-page copy DRAM -> CXL: the write amplification a tier
 			// reintroduces even on CXL.
 			if f.dirty && p.barrier != nil {
-				p.barrier(clk, page.RawLSN(f.img))
+				p.barrier(clk, page.RawLSN(f.img.Buf))
 			}
-			if err := p.region.WriteRaw(p.off(f.id), f.img); err != nil {
+			if err := p.region.WriteRaw(p.off(f.id), f.img.Buf); err != nil {
 				return err
 			}
 			if err := p.host.TransferWrite(clk, page.Size); err != nil {
@@ -104,50 +116,51 @@ func (p *cxlTieredPool) Get(clk *simclock.Clock, id uint64, mode buffer.Mode) (b
 		f.pins++
 		p.lru.MoveToFront(f.elem)
 		p.stats.Hits++
-		return &abBound{p: p, f: f, clk: clk}, nil
+		return buffer.NewFrame(p, f.fr, clk, mode), nil
 	}
 	p.stats.Misses++
 	for len(p.frames) >= p.capacity {
 		if err := p.evictOne(clk); err != nil {
-			return nil, err
+			return buffer.Frame{}, err
 		}
 	}
-	f := &abFrame{id: id, img: make([]byte, page.Size), pins: 1}
+	f := newABFrame(id)
 	if p.off(id)+page.Size <= p.region.Size() {
 		// Full-page copy CXL -> DRAM on every miss: read amplification.
-		if err := p.region.ReadRaw(p.off(id), f.img); err != nil {
-			return nil, err
+		if err := p.region.ReadRaw(p.off(id), f.img.Buf); err != nil {
+			return buffer.Frame{}, err
 		}
-		if page.RawID(f.img) == id {
+		if page.RawID(f.img.Buf) == id {
 			if err := p.host.TransferRead(clk, page.Size); err != nil {
-				return nil, err
+				return buffer.Frame{}, err
 			}
 			p.stats.RemoteReads++
 			f.inCXL = true
 		}
 	}
 	if !f.inCXL {
-		if err := p.store.ReadPage(clk, id, f.img); err != nil {
-			return nil, err
+		if err := p.store.ReadPage(clk, id, f.img.Buf); err != nil {
+			return buffer.Frame{}, err
 		}
 		p.stats.StorageReads++
 	}
 	f.elem = p.lru.PushFront(f)
 	p.frames[id] = f
-	return &abBound{p: p, f: f, clk: clk}, nil
+	return buffer.NewFrame(p, f.fr, clk, mode), nil
 }
 
 func (p *cxlTieredPool) NewPage(clk *simclock.Clock) (buffer.Frame, error) {
 	id := p.store.AllocPageID()
 	for len(p.frames) >= p.capacity {
 		if err := p.evictOne(clk); err != nil {
-			return nil, err
+			return buffer.Frame{}, err
 		}
 	}
-	f := &abFrame{id: id, img: make([]byte, page.Size), pins: 1, dirty: true}
+	f := newABFrame(id)
+	f.dirty = true
 	f.elem = p.lru.PushFront(f)
 	p.frames[id] = f
-	return &abBound{p: p, f: f, clk: clk}, nil
+	return buffer.NewFrame(p, f.fr, clk, buffer.Write), nil
 }
 
 func (p *cxlTieredPool) FlushAll(clk *simclock.Clock) error {
@@ -156,9 +169,9 @@ func (p *cxlTieredPool) FlushAll(clk *simclock.Clock) error {
 			continue
 		}
 		if p.barrier != nil {
-			p.barrier(clk, page.RawLSN(f.img))
+			p.barrier(clk, page.RawLSN(f.img.Buf))
 		}
-		if err := p.store.WritePage(clk, f.id, f.img); err != nil {
+		if err := p.store.WritePage(clk, f.id, f.img.Buf); err != nil {
 			return err
 		}
 		f.dirty = false
@@ -167,56 +180,14 @@ func (p *cxlTieredPool) FlushAll(clk *simclock.Clock) error {
 	return nil
 }
 
-type abBound struct {
-	p        *cxlTieredPool
-	f        *abFrame
-	clk      *simclock.Clock
-	released bool
-}
-
-func (b *abBound) ID() uint64 { return b.f.id }
-func (b *abBound) MarkDirty() { b.f.dirty = true }
-func (b *abBound) Hold()      {}
-func (b *abBound) Unhold()    {}
-func (b *abBound) Release() error {
-	if b.released {
-		return fmt.Errorf("ablate-tier: double release")
-	}
-	b.released = true
-	b.f.pins--
+// Open, Close, MarkDirty and Release make the pool its own buffer.Medium:
+// a visit reads and writes the DRAM-tier image in place.
+func (p *cxlTieredPool) Open(f buffer.Frame) page.Accessor { return f.Entry().Slot().(*abFrame).img }
+func (p *cxlTieredPool) Close(buffer.Frame, page.Accessor) {}
+func (p *cxlTieredPool) MarkDirty(f buffer.Frame)          { f.Entry().Slot().(*abFrame).dirty = true }
+func (p *cxlTieredPool) Release(f buffer.Frame) error {
+	f.Entry().Slot().(*abFrame).pins--
 	return nil
-}
-func (b *abBound) ReadAt(off int, buf []byte) error {
-	if off < 0 || off+len(buf) > len(b.f.img) {
-		return fmt.Errorf("ablate-tier: oob read")
-	}
-	copy(buf, b.f.img[off:])
-	b.clk.Advance(cxl.BufferDRAMProfile().ReadCost(len(buf)))
-	return nil
-}
-func (b *abBound) WriteAt(off int, data []byte) error {
-	if off < 0 || off+len(data) > len(b.f.img) {
-		return fmt.Errorf("ablate-tier: oob write")
-	}
-	copy(b.f.img[off:], data)
-	b.clk.Advance(cxl.BufferDRAMProfile().WriteCost(len(data)))
-	return nil
-}
-
-// Load implements page.Accessor: a ReadAt of n bytes into a stack word.
-func (b *abBound) Load(off, n int) (uint64, error) {
-	var w [8]byte
-	if err := b.ReadAt(off, w[:n]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(w[:]), nil
-}
-
-// Store implements page.Accessor: a WriteAt of v's low n bytes.
-func (b *abBound) Store(off, n int, v uint64) error {
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], v)
-	return b.WriteAt(off, w[:n])
 }
 
 // runAblateTier quantifies the §3.1 design choice: the same CXL hardware,

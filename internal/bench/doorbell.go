@@ -46,11 +46,14 @@ func runDoorbell(cfg Config) ([]*Table, error) {
 	}
 	cache := host.NewCache("probe", 1<<16) // tiny: every load misses
 	t0 := clk2.Now()
+	cache.Hold()
 	for i := 0; i < probes; i++ {
-		if err := cache.Read(clk2, region, int64(i)*4096, buf); err != nil {
+		if err := cache.ReadHeld(clk2, region, int64(i)*4096, buf); err != nil {
+			cache.Unhold()
 			return nil, err
 		}
 	}
+	cache.Unhold()
 	loadNs := float64(clk2.Now()-t0) / probes
 
 	// The op: remote access + ~1 us of application CPU. RDMA polls the

@@ -79,7 +79,7 @@ func runMPCrash(cfg Config) ([]*Table, error) {
 			for _, i := range active {
 				pid := pids[opSeq%len(pids)]
 				opSeq++
-				if err := nodes[i].ReadModifyWrite(clk, pid, 512, 8, func(b []byte) { b[0]++ }); err != nil {
+				if err := nodes[i].ReadModifyWrite(clk, pid, 512, make([]byte, 8), func(b []byte) { b[0]++ }); err != nil {
 					return fmt.Errorf("mp-crash %s: node-%d: %w", name, i, err)
 				}
 				ops++
@@ -113,7 +113,7 @@ func runMPCrash(cfg Config) ([]*Table, error) {
 
 	// The first survivor access to the orphaned page stalls until the dead
 	// node's lease lapses, then reclaims its locks (EvictNode inline).
-	if err := nodes[0].ReadModifyWrite(clk, victim, 512, 8, func(b []byte) { b[0]++ }); err != nil {
+	if err := nodes[0].ReadModifyWrite(clk, victim, 512, make([]byte, 8), func(b []byte) { b[0]++ }); err != nil {
 		return nil, fmt.Errorf("mp-crash reclaim: %w", err)
 	}
 	reclaimNanos := clk.Now() - crashAt

@@ -218,7 +218,7 @@ func probeHold(r *shRig, layout *workload.Layout) (float64, error) {
 	const probes = 5
 	start := r.clk.Now()
 	for i := 0; i < probes; i++ {
-		if err := r.node(0).ReadModifyWrite(r.clk, pid, off, 64, func(b []byte) { b[0]++ }); err != nil {
+		if err := r.node(0).ReadModifyWrite(r.clk, pid, off, make([]byte, 64), func(b []byte) { b[0]++ }); err != nil {
 			return 0, err
 		}
 	}

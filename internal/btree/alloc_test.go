@@ -35,10 +35,10 @@ func newCXLEnv(t testing.TB, nblocks, cacheBytes int64) *env {
 }
 
 // getAllocs is what one point read of a two-level tree over a CXLPool
-// allocates in the steady state: a frame handle per latched page (meta,
-// root, leaf), the root entry's child-id copy in childFor, and the returned
-// value's copy. Holding the frames for each page visit must not add to it.
-const getAllocs = 5
+// allocates in the steady state: the returned value's copy. Frame handles
+// are values, childFor reads the child id as a word, and a page visit
+// hands out the pool's own block accessor, so nothing else allocates.
+const getAllocs = 1
 
 // TestCXLGetAllocations pins the heap allocations of one Tree.Get over a
 // two-level tree on a CXLPool whose pages and cache lines are all resident.

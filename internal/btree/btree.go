@@ -1,7 +1,7 @@
 // Package btree implements the B+tree index the transaction engine stores
 // tables in. It runs unchanged over every buffer pool in the repository —
-// DRAM, tiered-RDMA, PolarCXLMem — because all page access goes through the
-// page.Accessor a frame provides.
+// DRAM, tiered-RDMA, PolarCXLMem — because all page access goes through
+// buffer.Visit, whose page.Page hides the pool's medium.
 //
 // Concurrency model: readers descend with latch coupling (child latched
 // before parent released), writers serialize on a per-tree mutex and latch
@@ -15,9 +15,9 @@
 package btree
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"polarcxlmem/internal/buffer"
@@ -83,7 +83,11 @@ func Open(clk *simclock.Clock, pool buffer.Pool, log *wal.Log, ids *mtr.IDGen, m
 		return nil, err
 	}
 	defer f.Release()
-	typ, err := page.Wrap(f).Type()
+	var typ uint16
+	err = buffer.Visit(f, func(pg page.Page) (err error) {
+		typ, err = pg.Type()
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +117,34 @@ func (t *Tree) rootID(clk *simclock.Clock) (uint64, error) {
 		return 0, err
 	}
 	defer f.Release()
-	return page.Wrap(f).Aux()
+	return aux(f)
+}
+
+// aux reads f's Aux word (a meta page's root id) in one visit.
+func aux(f buffer.Frame) (v uint64, err error) {
+	err = buffer.Visit(f, func(pg page.Page) (err error) {
+		v, err = pg.Aux()
+		return err
+	})
+	return v, err
+}
+
+// level reads f's btree level in one visit.
+func level(f buffer.Frame) (lvl uint16, err error) {
+	err = buffer.Visit(f, func(pg page.Page) (err error) {
+		lvl, err = pg.Level()
+		return err
+	})
+	return lvl, err
+}
+
+// route runs childFor over internal page f in one visit.
+func route(f buffer.Frame, key int64) (child uint64, entryKey int64, err error) {
+	err = buffer.Visit(f, func(pg page.Page) (err error) {
+		child, entryKey, err = childFor(pg, key)
+		return err
+	})
+	return child, entryKey, err
 }
 
 // childFor routes key within an internal page: the entry with the largest
@@ -144,14 +175,8 @@ func childFor(pg page.Page, key int64) (uint64, int64, error) {
 			i--
 		}
 	}
-	v, err := pg.ValAt(i)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(v) != 8 {
-		return 0, 0, fmt.Errorf("btree: internal entry value of %d bytes", len(v))
-	}
-	return binary.LittleEndian.Uint64(v), ek, nil
+	child, err := pg.WordAt(i)
+	return child, ek, err
 }
 
 // descendToLeaf latch-couples from the meta page through the root to the
@@ -162,15 +187,15 @@ func childFor(pg page.Page, key int64) (uint64, int64, error) {
 func (t *Tree) descendToLeaf(clk *simclock.Clock, key int64, leafMode buffer.Mode) (buffer.Frame, error) {
 	parent, err := t.pool.Get(clk, t.metaID, buffer.Read)
 	if err != nil {
-		return nil, err
+		return buffer.Frame{}, err
 	}
-	id, err := page.Wrap(parent).Aux()
+	id, err := aux(parent)
 	if err != nil {
 		parent.Release()
-		return nil, err
+		return buffer.Frame{}, err
 	}
 	defer func() {
-		if parent != nil {
+		if parent.Entry() != nil {
 			parent.Release()
 		}
 	}()
@@ -178,7 +203,7 @@ func (t *Tree) descendToLeaf(clk *simclock.Clock, key int64, leafMode buffer.Mod
 		// Peek at the level with a read latch first.
 		f, err := t.pool.Get(clk, id, buffer.Read)
 		if err != nil {
-			return nil, err
+			return buffer.Frame{}, err
 		}
 		// One visit reads the level and, on an internal page, routes.
 		var lvl uint16
@@ -193,26 +218,24 @@ func (t *Tree) descendToLeaf(clk *simclock.Clock, key int64, leafMode buffer.Mod
 		})
 		if err != nil {
 			f.Release()
-			return nil, err
+			return buffer.Frame{}, err
 		}
 		if lvl == 0 {
 			if leafMode == buffer.Write {
 				// Re-latch the leaf in write mode. Writers hold t.wmu, so
 				// no SMO can move the key range in the gap.
 				f.Release()
-				if parent != nil {
+				if parent.Entry() != nil {
 					parent.Release()
-					parent = nil
 				}
 				return t.pool.Get(clk, id, buffer.Write)
 			}
-			if parent != nil {
+			if parent.Entry() != nil {
 				parent.Release()
-				parent = nil
 			}
 			return f, nil
 		}
-		if parent != nil {
+		if parent.Entry() != nil {
 			parent.Release()
 		}
 		parent = f
@@ -245,7 +268,7 @@ func (t *Tree) Scan(clk *simclock.Clock, from int64, limit int) ([]KV, error) {
 		return nil, err
 	}
 	out := make([]KV, 0, min(limit, 1024))
-	for leaf != nil {
+	for {
 		// One visit per leaf: its qualifying records, then, if the limit
 		// is not reached, its right sibling.
 		var sib uint64
@@ -258,16 +281,22 @@ func (t *Tree) Scan(clk *simclock.Clock, from int64, limit int) ([]KV, error) {
 			if err != nil {
 				return err
 			}
+			// The leaf's values share one buffer, sized from the first
+			// one for the records the scan can still take here.
+			var vals []byte
 			for i := start; i < n && len(out) < limit; i++ {
 				k, err := pg.KeyAt(i)
 				if err != nil {
 					return err
 				}
-				v, err := pg.ValAt(i)
-				if err != nil {
+				m := len(vals)
+				if vals, err = pg.ValAt(i, vals); err != nil {
 					return err
 				}
-				out = append(out, KV{Key: k, Val: v})
+				if m == 0 {
+					vals = slices.Grow(vals, len(vals)*min(limit-len(out)-1, n-i-1))
+				}
+				out = append(out, KV{Key: k, Val: vals[m:len(vals):len(vals)]})
 			}
 			if len(out) >= limit {
 				return nil
@@ -291,5 +320,4 @@ func (t *Tree) Scan(clk *simclock.Clock, from int64, limit int) ([]KV, error) {
 		leaf = next
 		from = int64(-1 << 63) // everything in subsequent leaves qualifies
 	}
-	return out, nil
 }

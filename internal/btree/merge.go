@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"encoding/binary"
 	"errors"
 
 	"polarcxlmem/internal/buffer"
@@ -25,15 +24,17 @@ func (t *Tree) maybeMerge(clk *simclock.Clock, key int64) error {
 	if err != nil {
 		return err
 	}
-	pg := page.Wrap(leaf)
-	free, ferr := pg.FreeSpace()
-	g, gerr := pg.Garbage()
+	var free, g int
+	err = buffer.Visit(leaf, func(pg page.Page) (err error) {
+		if free, err = pg.FreeSpace(); err != nil {
+			return err
+		}
+		g, err = pg.Garbage()
+		return err
+	})
 	leaf.Release()
-	if ferr != nil {
-		return ferr
-	}
-	if gerr != nil {
-		return gerr
+	if err != nil {
+		return err
 	}
 	capacity := page.Size - page.HeaderSize
 	used := capacity - free - g
@@ -67,7 +68,7 @@ func (t *Tree) smoMergeLeft(clk *simclock.Clock, key int64) error {
 	if err != nil {
 		return abort(err)
 	}
-	rootID, err := page.Wrap(meta).Aux()
+	rootID, err := aux(meta)
 	if err != nil {
 		return abort(err)
 	}
@@ -76,8 +77,7 @@ func (t *Tree) smoMergeLeft(clk *simclock.Clock, key int64) error {
 	if err != nil {
 		return abort(err)
 	}
-	curPg := page.Wrap(cur)
-	lvl, err := curPg.Level()
+	lvl, err := level(cur)
 	if err != nil {
 		return abort(err)
 	}
@@ -85,7 +85,7 @@ func (t *Tree) smoMergeLeft(clk *simclock.Clock, key int64) error {
 		return abort(errNoMergePartner) // root is the leaf: nothing to merge with
 	}
 	for lvl > 1 {
-		childID, _, err := childFor(curPg, key)
+		childID, _, err := route(cur, key)
 		if err != nil {
 			return abort(err)
 		}
@@ -94,42 +94,42 @@ func (t *Tree) smoMergeLeft(clk *simclock.Clock, key int64) error {
 			return abort(err)
 		}
 		cur = child
-		curPg = page.Wrap(cur)
-		if lvl, err = curPg.Level(); err != nil {
+		if lvl, err = level(cur); err != nil {
 			return abort(err)
 		}
 	}
-	// cur is the parent (level 1). Locate the leaf's entry index.
-	n, err := curPg.NSlots()
-	if err != nil {
-		return abort(err)
-	}
-	idx, err := curPg.LowerBound(key)
-	if err != nil {
-		return abort(err)
-	}
-	if idx >= n {
-		idx = n - 1
-	} else {
-		k, err := curPg.KeyAt(idx)
+	// cur is the parent (level 1). Locate the leaf's entry index and the
+	// two children to merge.
+	var idx int
+	var leftID, rightID uint64
+	err = buffer.Visit(cur, func(pg page.Page) error {
+		n, err := pg.NSlots()
 		if err != nil {
-			return abort(err)
+			return err
 		}
-		if k != key {
-			idx--
-			if idx < 0 {
-				idx = 0
+		if idx, err = pg.LowerBound(key); err != nil {
+			return err
+		}
+		if idx >= n {
+			idx = n - 1
+		} else {
+			k, err := pg.KeyAt(idx)
+			if err != nil {
+				return err
+			}
+			if k != key {
+				idx = max(idx-1, 0)
 			}
 		}
-	}
-	if idx == 0 {
-		return abort(errNoMergePartner) // leftmost child: no left sibling under this parent
-	}
-	leftID, err := childIDAt(curPg, idx-1)
-	if err != nil {
-		return abort(err)
-	}
-	rightID, err := childIDAt(curPg, idx)
+		if idx == 0 {
+			return errNoMergePartner // leftmost child: no left sibling under this parent
+		}
+		if leftID, err = pg.WordAt(idx - 1); err != nil {
+			return err
+		}
+		rightID, err = pg.WordAt(idx)
+		return err
+	})
 	if err != nil {
 		return abort(err)
 	}
@@ -141,33 +141,42 @@ func (t *Tree) smoMergeLeft(clk *simclock.Clock, key int64) error {
 	if err != nil {
 		return abort(err)
 	}
-	leftPg, rightPg := page.Wrap(left), page.Wrap(right)
 	// Fit check: left must absorb all of right's live records.
-	lFree, err := leftPg.FreeSpace()
-	if err != nil {
-		return abort(err)
-	}
-	lGarb, err := leftPg.Garbage()
-	if err != nil {
-		return abort(err)
-	}
-	rn, err := rightPg.NSlots()
+	var lFree, lGarb int
+	err = buffer.Visit(left, func(pg page.Page) (err error) {
+		if lFree, err = pg.FreeSpace(); err != nil {
+			return err
+		}
+		lGarb, err = pg.Garbage()
+		return err
+	})
 	if err != nil {
 		return abort(err)
 	}
 	need := 0
-	moved := make([]KV, 0, rn)
-	for i := 0; i < rn; i++ {
-		k, err := rightPg.KeyAt(i)
+	var moved []KV
+	err = buffer.Visit(right, func(pg page.Page) error {
+		rn, err := pg.NSlots()
 		if err != nil {
-			return abort(err)
+			return err
 		}
-		v, err := rightPg.ValAt(i)
-		if err != nil {
-			return abort(err)
+		moved = make([]KV, 0, rn)
+		for i := 0; i < rn; i++ {
+			k, err := pg.KeyAt(i)
+			if err != nil {
+				return err
+			}
+			v, err := pg.ValAt(i, nil)
+			if err != nil {
+				return err
+			}
+			moved = append(moved, KV{Key: k, Val: v})
+			need += 8 + len(v) + slotOverhead
 		}
-		moved = append(moved, KV{Key: k, Val: v})
-		need += 8 + len(v) + slotOverhead
+		return nil
+	})
+	if err != nil {
+		return abort(err)
 	}
 	if lFree+lGarb < need {
 		return abort(errNoMergePartner)
@@ -186,14 +195,22 @@ func (t *Tree) smoMergeLeft(clk *simclock.Clock, key int64) error {
 	if err := t.step("smo-merge-before-unlink"); err != nil {
 		return abort(err)
 	}
-	rSib, err := rightPg.RightSibling()
+	var rSib uint64
+	err = buffer.Visit(right, func(pg page.Page) (err error) {
+		rSib, err = pg.RightSibling()
+		return err
+	})
 	if err != nil {
 		return abort(err)
 	}
 	if err := m.SetRightSibling(left, rSib); err != nil {
 		return abort(err)
 	}
-	sepKey, err := curPg.KeyAt(idx)
+	var sepKey int64
+	err = buffer.Visit(cur, func(pg page.Page) (err error) {
+		sepKey, err = pg.KeyAt(idx)
+		return err
+	})
 	if err != nil {
 		return abort(err)
 	}
@@ -203,15 +220,21 @@ func (t *Tree) smoMergeLeft(clk *simclock.Clock, key int64) error {
 	// Root collapse: an internal root left with a single child hands the
 	// root role to that child.
 	if cur.ID() == rootID {
-		rn, err := curPg.NSlots()
+		var only uint64 // the single child, when one is left
+		collapse := false
+		err := buffer.Visit(cur, func(pg page.Page) error {
+			rn, err := pg.NSlots()
+			if err != nil || rn != 1 {
+				return err
+			}
+			collapse = true
+			only, err = pg.WordAt(0)
+			return err
+		})
 		if err != nil {
 			return abort(err)
 		}
-		if rn == 1 {
-			only, err := childIDAt(curPg, 0)
-			if err != nil {
-				return abort(err)
-			}
+		if collapse {
 			if err := m.SetAux(meta, only); err != nil {
 				return abort(err)
 			}
@@ -221,16 +244,4 @@ func (t *Tree) smoMergeLeft(clk *simclock.Clock, key int64) error {
 		return abort(err)
 	}
 	return m.Commit(true)
-}
-
-// childIDAt decodes the child pointer of entry i in an internal page.
-func childIDAt(pg page.Page, i int) (uint64, error) {
-	v, err := pg.ValAt(i)
-	if err != nil {
-		return 0, err
-	}
-	if len(v) != 8 {
-		return 0, errors.New("btree: malformed internal entry")
-	}
-	return binary.LittleEndian.Uint64(v), nil
 }

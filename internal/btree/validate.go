@@ -36,39 +36,37 @@ func (t *Tree) Validate(clk *simclock.Clock) error {
 	prevKey := int64(math.MinInt64)
 	seen := 0
 	for cur != 0 {
+		if seen >= len(leaves) || leaves[seen] != cur {
+			return fmt.Errorf("btree: sibling chain visits %d out of order", cur)
+		}
+		seen++
 		f, err := t.pool.Get(clk, cur, buffer.Read)
 		if err != nil {
 			return err
 		}
-		pg := page.Wrap(f)
-		if seen >= len(leaves) || leaves[seen] != cur {
-			f.Release()
-			return fmt.Errorf("btree: sibling chain visits %d out of order", cur)
-		}
-		seen++
-		n, err := pg.NSlots()
-		if err != nil {
-			f.Release()
-			return err
-		}
-		for i := 0; i < n; i++ {
-			k, err := pg.KeyAt(i)
+		leaf := cur
+		err = buffer.Visit(f, func(pg page.Page) error {
+			n, err := pg.NSlots()
 			if err != nil {
-				f.Release()
 				return err
 			}
-			if k <= prevKey && !(prevKey == math.MinInt64 && k == math.MinInt64) {
-				f.Release()
-				return fmt.Errorf("btree: global key order violated at leaf %d key %d (prev %d)", cur, k, prevKey)
+			for i := 0; i < n; i++ {
+				k, err := pg.KeyAt(i)
+				if err != nil {
+					return err
+				}
+				if k <= prevKey && !(prevKey == math.MinInt64 && k == math.MinInt64) {
+					return fmt.Errorf("btree: global key order violated at leaf %d key %d (prev %d)", leaf, k, prevKey)
+				}
+				prevKey = k
 			}
-			prevKey = k
-		}
-		sib, err := pg.RightSibling()
+			cur, err = pg.RightSibling()
+			return err
+		})
 		f.Release()
 		if err != nil {
 			return err
 		}
-		cur = sib
 	}
 	if seen != len(leaves) {
 		return fmt.Errorf("btree: sibling chain visited %d of %d leaves", seen, len(leaves))
@@ -85,80 +83,65 @@ func (t *Tree) validateNode(clk *simclock.Clock, id uint64, lo, hi int64, wantLe
 	if err != nil {
 		return err
 	}
-	pg := page.Wrap(f)
-	lvl16, err := pg.Level()
-	if err != nil {
-		f.Release()
-		return err
-	}
-	lvl := int(lvl16)
-	if wantLevel >= 0 && lvl != wantLevel {
-		f.Release()
-		return fmt.Errorf("btree: page %d at level %d, want %d", id, lvl, wantLevel)
-	}
-	n, err := pg.NSlots()
-	if err != nil {
-		f.Release()
-		return err
-	}
-	prev := int64(math.MinInt64)
-	first := true
 	type childRef struct {
 		id     uint64
 		lo, hi int64
 		left   bool
 	}
 	var children []childRef
-	for i := 0; i < n; i++ {
-		k, err := pg.KeyAt(i)
+	var lvl, n int
+	err = buffer.Visit(f, func(pg page.Page) error {
+		lvl16, err := pg.Level()
 		if err != nil {
-			f.Release()
 			return err
 		}
-		if !first && k <= prev {
-			f.Release()
-			return fmt.Errorf("btree: page %d keys out of order (%d after %d)", id, k, prev)
+		lvl = int(lvl16)
+		if wantLevel >= 0 && lvl != wantLevel {
+			return fmt.Errorf("btree: page %d at level %d, want %d", id, lvl, wantLevel)
 		}
-		// Leaf keys must respect the parent separator range; an internal
-		// node's own entry keys must too (except the leftmost-as--inf).
-		if !(leftmost && i == 0) && (k < lo || k >= hi) {
-			f.Release()
-			return fmt.Errorf("btree: page %d key %d outside [%d,%d)", id, k, lo, hi)
+		if n, err = pg.NSlots(); err != nil {
+			return err
 		}
-		if lvl > 0 {
-			v, err := pg.ValAt(i)
+		prev := int64(math.MinInt64)
+		for i := 0; i < n; i++ {
+			k, err := pg.KeyAt(i)
 			if err != nil {
-				f.Release()
 				return err
 			}
-			if len(v) != 8 {
-				f.Release()
-				return fmt.Errorf("btree: internal page %d entry of %d bytes", id, len(v))
+			if i > 0 && k <= prev {
+				return fmt.Errorf("btree: page %d keys out of order (%d after %d)", id, k, prev)
 			}
-			childLo := k
-			childHi := hi
-			if i+1 < n {
-				nk, err := pg.KeyAt(i + 1)
+			// Leaf keys must respect the parent separator range; an
+			// internal node's own entry keys must too (except the
+			// leftmost-as--inf).
+			if !(leftmost && i == 0) && (k < lo || k >= hi) {
+				return fmt.Errorf("btree: page %d key %d outside [%d,%d)", id, k, lo, hi)
+			}
+			if lvl > 0 {
+				child, err := pg.WordAt(i)
 				if err != nil {
-					f.Release()
-					return err
+					return fmt.Errorf("btree: internal page %d: %w", id, err)
 				}
-				childHi = nk
+				childLo, childHi := k, hi
+				if i+1 < n {
+					if childHi, err = pg.KeyAt(i + 1); err != nil {
+						return err
+					}
+				}
+				cl := leftmost && i == 0
+				if cl {
+					childLo = math.MinInt64
+				}
+				children = append(children, childRef{id: child, lo: childLo, hi: childHi, left: cl})
 			}
-			cl := leftmost && i == 0
-			if cl {
-				childLo = math.MinInt64
-			}
-			children = append(children, childRef{
-				id: uint64(v[0]) | uint64(v[1])<<8 | uint64(v[2])<<16 | uint64(v[3])<<24 |
-					uint64(v[4])<<32 | uint64(v[5])<<40 | uint64(v[6])<<48 | uint64(v[7])<<56,
-				lo: childLo, hi: childHi, left: cl,
-			})
+			prev = k
 		}
-		prev = k
-		first = false
-	}
+		return nil
+	})
 	f.Release()
+	if err != nil {
+		return err
+	}
 	if lvl == 0 {
 		*leaves = append(*leaves, id)
 		return nil
@@ -194,6 +177,6 @@ func (t *Tree) Height(clk *simclock.Clock) (int, error) {
 		return 0, err
 	}
 	defer f.Release()
-	lvl, err := page.Wrap(f).Level()
+	lvl, err := level(f)
 	return int(lvl) + 1, err
 }

@@ -50,18 +50,26 @@ func childBytes(id uint64) []byte {
 	return b[:]
 }
 
-// canFit reports whether pg can absorb need more bytes (record + slot),
-// counting compactable garbage.
-func canFit(pg page.Page, need int) (bool, error) {
-	free, err := pg.FreeSpace()
-	if err != nil {
-		return false, err
-	}
-	g, err := pg.Garbage()
-	if err != nil {
-		return false, err
-	}
-	return free+g >= need, nil
+// roomFor reads f's level and reports, in one visit, whether f can absorb
+// one more entry — need bytes (record + slot) on a leaf, an internal entry
+// on an internal page — counting compactable garbage.
+func roomFor(f buffer.Frame, need int) (lvl uint16, ok bool, err error) {
+	err = buffer.Visit(f, func(pg page.Page) error {
+		if lvl, err = pg.Level(); err != nil {
+			return err
+		}
+		if lvl > 0 {
+			need = internalEntryNeed
+		}
+		free, err := pg.FreeSpace()
+		if err != nil {
+			return err
+		}
+		g, err := pg.Garbage()
+		ok = free+g >= need
+		return err
+	})
+	return lvl, ok, err
 }
 
 // findIn looks key up in leaf's page in one visit.
@@ -213,7 +221,7 @@ func (t *Tree) smoSplit(clk *simclock.Clock, key int64, need int) error {
 	if err != nil {
 		return abort(err)
 	}
-	rootID, err := page.Wrap(meta).Aux()
+	rootID, err := aux(meta)
 	if err != nil {
 		return abort(err)
 	}
@@ -221,16 +229,7 @@ func (t *Tree) smoSplit(clk *simclock.Clock, key int64, need int) error {
 	if err != nil {
 		return abort(err)
 	}
-	curPg := page.Wrap(cur)
-	lvl, err := curPg.Level()
-	if err != nil {
-		return abort(err)
-	}
-	rootNeed := need
-	if lvl > 0 {
-		rootNeed = internalEntryNeed
-	}
-	ok, err := canFit(curPg, rootNeed)
+	lvl, ok, err := roomFor(cur, need)
 	if err != nil {
 		return abort(err)
 	}
@@ -244,7 +243,11 @@ func (t *Tree) smoSplit(clk *simclock.Clock, key int64, need int) error {
 		if err := m.InitPage(newRoot, page.TypeInternal, lvl+1); err != nil {
 			return abort(err)
 		}
-		firstKey, err := curPg.KeyAt(0)
+		var firstKey int64
+		err = buffer.Visit(cur, func(pg page.Page) (err error) {
+			firstKey, err = pg.KeyAt(0)
+			return err
+		})
 		if err != nil {
 			return abort(err)
 		}
@@ -258,12 +261,11 @@ func (t *Tree) smoSplit(clk *simclock.Clock, key int64, need int) error {
 			return abort(err)
 		}
 		cur = newRoot
-		curPg = page.Wrap(cur)
 		lvl = lvl + 1
 	}
 	// Invariant: cur is internal (or a roomy leaf) and can absorb one entry.
 	for lvl > 0 {
-		childID, entryKey, err := childFor(curPg, key)
+		childID, entryKey, err := route(cur, key)
 		if err != nil {
 			return abort(err)
 		}
@@ -271,16 +273,7 @@ func (t *Tree) smoSplit(clk *simclock.Clock, key int64, need int) error {
 		if err != nil {
 			return abort(err)
 		}
-		childPg := page.Wrap(child)
-		clvl, err := childPg.Level()
-		if err != nil {
-			return abort(err)
-		}
-		childNeed := need
-		if clvl > 0 {
-			childNeed = internalEntryNeed
-		}
-		ok, err := canFit(childPg, childNeed)
+		clvl, ok, err := roomFor(child, need)
 		if err != nil {
 			return abort(err)
 		}
@@ -300,11 +293,9 @@ func (t *Tree) smoSplit(clk *simclock.Clock, key int64, need int) error {
 			}
 			if key >= sep {
 				child = right
-				childPg = page.Wrap(child)
 			}
 		}
 		cur = child
-		curPg = childPg
 		lvl = clvl
 	}
 	if err := t.step("smo-before-commit"); err != nil {
@@ -335,62 +326,74 @@ func lowerLeftmost(m *mtr.MTR, parent, left buffer.Frame, entryKey, sep int64) e
 // and returns the right frame plus the separator key. All record motion is
 // logged through the mini-transaction, so redo can replay it.
 func (t *Tree) splitChild(m *mtr.MTR, left buffer.Frame) (buffer.Frame, int64, error) {
-	leftPg := page.Wrap(left)
-	typ, err := leftPg.Type()
+	var typ, lvl uint16
+	var n int
+	err := buffer.Visit(left, func(pg page.Page) (err error) {
+		if typ, err = pg.Type(); err != nil {
+			return err
+		}
+		if lvl, err = pg.Level(); err != nil {
+			return err
+		}
+		n, err = pg.NSlots()
+		return err
+	})
 	if err != nil {
-		return nil, 0, err
-	}
-	lvl, err := leftPg.Level()
-	if err != nil {
-		return nil, 0, err
-	}
-	n, err := leftPg.NSlots()
-	if err != nil {
-		return nil, 0, err
+		return buffer.Frame{}, 0, err
 	}
 	if n < 2 {
-		return nil, 0, fmt.Errorf("btree: cannot split page %d with %d records", left.ID(), n)
+		return buffer.Frame{}, 0, fmt.Errorf("btree: cannot split page %d with %d records", left.ID(), n)
 	}
 	right, err := m.New()
 	if err != nil {
-		return nil, 0, err
+		return buffer.Frame{}, 0, err
 	}
 	if err := m.InitPage(right, typ, lvl); err != nil {
-		return nil, 0, err
+		return buffer.Frame{}, 0, err
 	}
 	mid := n / 2
 	moved := make([]KV, 0, n-mid)
-	for i := mid; i < n; i++ {
-		k, err := leftPg.KeyAt(i)
-		if err != nil {
-			return nil, 0, err
+	err = buffer.Visit(left, func(pg page.Page) error {
+		for i := mid; i < n; i++ {
+			k, err := pg.KeyAt(i)
+			if err != nil {
+				return err
+			}
+			v, err := pg.ValAt(i, nil)
+			if err != nil {
+				return err
+			}
+			moved = append(moved, KV{Key: k, Val: v})
 		}
-		v, err := leftPg.ValAt(i)
-		if err != nil {
-			return nil, 0, err
-		}
-		moved = append(moved, KV{Key: k, Val: v})
+		return nil
+	})
+	if err != nil {
+		return buffer.Frame{}, 0, err
 	}
 	for _, kv := range moved {
 		if err := m.Insert(right, kv.Key, kv.Val); err != nil {
-			return nil, 0, err
+			return buffer.Frame{}, 0, err
 		}
 	}
 	for i := len(moved) - 1; i >= 0; i-- {
 		if err := m.Delete(left, moved[i].Key); err != nil {
-			return nil, 0, err
+			return buffer.Frame{}, 0, err
 		}
 	}
 	if lvl == 0 {
-		sib, err := leftPg.RightSibling()
+		var sib uint64
+		err := buffer.Visit(left, func(pg page.Page) (err error) {
+			sib, err = pg.RightSibling()
+			return err
+		})
 		if err != nil {
-			return nil, 0, err
+			return buffer.Frame{}, 0, err
 		}
 		if err := m.SetRightSibling(right, sib); err != nil {
-			return nil, 0, err
+			return buffer.Frame{}, 0, err
 		}
 		if err := m.SetRightSibling(left, right.ID()); err != nil {
-			return nil, 0, err
+			return buffer.Frame{}, 0, err
 		}
 	}
 	return right, moved[0].Key, nil

@@ -14,16 +14,24 @@
 //
 // Every pool in the repo embeds one TablePool (tablepool.go): the frametab
 // table, page-id source, flush barrier and observer registration, and the
-// generic Get / NewPage / GetOrCreate that wrap a latched frametab frame in
-// the pool's own Frame type. A pool contributes only its medium — a
-// frametab.FrameStore that moves pages (DRAM slab, RDMA remote tier, CXL
-// block, shared DBP slot) and that frame type. Pools whose store writes
-// pages back itself embed a WritebackPool, which adds the checkpoint walk
-// (FlushAll) and the flusher.Target methods. Mode and Stats below are
-// aliases of the frametab types so the engine-facing API is unchanged. The
-// frame-table shard count is a frametab.Config knob; the sorted-iteration
-// rule that keeps fault-sweep replay deterministic is documented in the
-// frametab package comment.
+// generic Get / NewPage / GetOrCreate that hand out a Frame — a value
+// handle on a latched frametab frame that nothing allocates. A pool
+// contributes only its medium: a frametab.FrameStore that moves pages (DRAM
+// slab, RDMA remote tier, CXL block, shared DBP slot) and a Medium that
+// gives a page visit those bytes and runs the pool's release protocol.
+// Pools whose slots are local page Images (DRAM, tiered, RDMA-shared) share
+// the Image accessor. Pools whose store writes pages back itself embed a
+// WritebackPool, which adds the checkpoint walk (FlushAll) and the
+// flusher.Target methods. Mode and Stats below are aliases of the frametab
+// types so the engine-facing API is unchanged. The frame-table shard count
+// is a frametab.Config knob; the sorted-iteration rule that keeps
+// fault-sweep replay deterministic is documented in the frametab package
+// comment.
+//
+// Page access: Visit is the only way to a frame's bytes. It hands fn a
+// page.Page for one visit; the B+tree, mini-transactions and recovery redo
+// all run their page operations inside visits, and page.Wrap is called
+// nowhere else.
 //
 // Latching: frames carry a page latch for functional mutual exclusion among
 // a node's worker goroutines. Latch *wait time* in the performance figures
@@ -32,6 +40,8 @@
 package buffer
 
 import (
+	"fmt"
+
 	"polarcxlmem/internal/frametab"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/simclock"
@@ -46,40 +56,103 @@ const (
 	Write = frametab.Write
 )
 
-// Frame is a latched, pinned buffer page. Its accessor methods (ReadAt /
-// WriteAt / Load / Store, satisfying page.Accessor) charge the owning
-// medium's costs to the clock bound at Get time.
-type Frame interface {
-	// ReadAt / WriteAt / Load / Store implement page.Accessor over this
-	// page's bytes.
-	ReadAt(off int, buf []byte) error
-	WriteAt(off int, data []byte) error
-	Load(off, n int) (uint64, error)
-	Store(off, n int, v uint64) error
-	// Hold and Unhold bracket one page visit (see Visit): a frame whose
-	// accesses go through a CPU cache may take the cache's lock once at
-	// Hold instead of once per access. Every access costs the same, held
-	// or not. Pools without such a cache make both no-ops.
-	Hold()
-	Unhold()
-	// ID reports the page id.
-	ID() uint64
-	// Release drops the latch and pin. The frame must not be used after,
-	// and must not be held.
-	Release() error
-	// MarkDirty records that the page diverged from its durable image.
-	MarkDirty()
+// Frame is a latched, pinned buffer page: a small value handle holding the
+// pool's medium, the frame-table frame, the worker clock its visits charge
+// and the latch mode. Get, NewPage and GetOrCreate return it by value, and
+// nothing allocates it. Visit is the only way to its page's bytes.
+type Frame struct {
+	m    Medium
+	fr   *frametab.Frame
+	clk  *simclock.Clock
+	mode Mode
 }
 
-// Visit runs fn over f's page inside one hold of f, and always unholds.
+// Medium is what a pool contributes to the frames it hands out: where a
+// visit finds the page's bytes, and what MarkDirty and Release do in the
+// pool's medium. Visit calls Open and Close around each visit; Release
+// runs once the handle's bookkeeping has accepted the release.
+type Medium interface {
+	// Open starts a visit of f and returns the accessor its page calls
+	// use. It chooses the medium once per visit.
+	Open(f Frame) page.Accessor
+	// Close ends the visit Open started with a.
+	Close(f Frame, a page.Accessor)
+	// MarkDirty records that f's page diverged from its durable image.
+	MarkDirty(f Frame)
+	// Release runs the medium's release protocol and drops f's latch and
+	// pin.
+	Release(f Frame) error
+}
+
+// Handle misuse is reported with these errors (test with errors.Is).
+var (
+	// ErrReleased: a Release or Visit of a frame already released.
+	ErrReleased = frametab.ErrReleased
+	// ErrInVisit: a Release from inside a Visit of the frame.
+	ErrInVisit = frametab.ErrInVisit
+	// ErrReadLatch: a write to a page visited under a read latch.
+	ErrReadLatch = page.ErrReadOnly
+)
+
+// NewFrame hands out a handle on fr, latched in mode and pinned, whose
+// visits charge clk. Pools call it from Get, NewPage and GetOrCreate.
+func NewFrame(m Medium, fr *frametab.Frame, clk *simclock.Clock, mode Mode) Frame {
+	fr.Handed()
+	return Frame{m: m, fr: fr, clk: clk, mode: mode}
+}
+
+// ID reports the page id.
+func (f Frame) ID() uint64 { return f.fr.ID() }
+
+// Entry reports the frame-table frame the handle holds: nil for the zero
+// Frame and after a Release through this variable.
+func (f Frame) Entry() *frametab.Frame { return f.fr }
+
+// Clock reports the clock the frame's visits charge.
+func (f Frame) Clock() *simclock.Clock { return f.clk }
+
+// Mode reports the latch mode.
+func (f Frame) Mode() Mode { return f.mode }
+
+// MarkDirty records that the page diverged from its durable image.
+func (f Frame) MarkDirty() { f.m.MarkDirty(f) }
+
+// Release drops the latch and pin and zeroes f. Neither f nor any copy of
+// it may be used after; a second Release, or a Release from inside a Visit
+// of the frame, fails with ErrReleased or ErrInVisit and releases nothing.
+func (f *Frame) Release() error {
+	h := *f
+	if h.fr == nil {
+		return fmt.Errorf("buffer: release: %w", ErrReleased)
+	}
+	if err := h.fr.Unhand(); err != nil {
+		return fmt.Errorf("buffer: release of page %d: %w", h.fr.ID(), err)
+	}
+	*f = Frame{}
+	return h.m.Release(h)
+}
+
+// Visit runs fn over f's page in one visit: the medium is chosen once, and
+// a pool whose pages sit behind a CPU cache holds the cache for the whole
+// visit, so its accesses take the cache's lock once between them. Every
+// access costs the same however the visits are cut. A page visited under a
+// read latch refuses writes with ErrReadLatch.
 //
-// The rule: inside a hold, run only page calls on that one frame. Never a
-// Get, Release, latch, log or table call — the hold may own the node's
-// CPU-cache lock, which those can take or wait behind.
+// The rule: inside a visit, run only page calls on that one page. Never a
+// Get, Release, latch, log or table call, and never a visit of another
+// frame — the visit may own the node's CPU-cache lock, which those can
+// take or wait behind.
 func Visit(f Frame, fn func(page.Page) error) error {
-	f.Hold()
-	defer f.Unhold()
-	return fn(page.Wrap(f))
+	if f.fr == nil {
+		return fmt.Errorf("buffer: visit: %w", ErrReleased)
+	}
+	if err := f.fr.EnterVisit(); err != nil {
+		return fmt.Errorf("buffer: visit of page %d: %w", f.fr.ID(), err)
+	}
+	defer f.fr.ExitVisit()
+	a := f.m.Open(f)
+	defer f.m.Close(f, a)
+	return fn(page.Wrap(a, f.clk, f.mode == Write))
 }
 
 // FlushBarrier runs before a dirty page image is written to storage; the

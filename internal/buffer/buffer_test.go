@@ -16,15 +16,15 @@ func seedPage(t *testing.T, store *storage.Store, key int64, val string) uint64 
 	t.Helper()
 	clk := simclock.New()
 	id := store.AllocPageID()
-	a := page.NewSliceAccessor()
-	pg := page.Wrap(a)
+	img := make([]byte, page.Size)
+	pg := page.Image(img)
 	if err := pg.Init(id, page.TypeLeaf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := pg.Insert(key, []byte(val)); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WritePage(clk, id, a.Buf); err != nil {
+	if err := store.WritePage(clk, id, img); err != nil {
 		t.Fatal(err)
 	}
 	return id
@@ -40,7 +40,7 @@ func TestDRAMPoolHitMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := page.Wrap(f).Find(42)
+	v, err := findVal(f, 42)
 	if err != nil || string(v) != "value" {
 		t.Fatalf("find = %q, %v", v, err)
 	}
@@ -79,7 +79,7 @@ func TestDRAMPoolEvictionWritesDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := page.Wrap(f).Update(0, []byte("new!")); err != nil {
+	if err := updateVal(f, 0, []byte("new!")); err != nil {
 		t.Fatal(err)
 	}
 	f.MarkDirty()
@@ -100,8 +100,7 @@ func TestDRAMPoolEvictionWritesDirty(t *testing.T) {
 	if err := store.ReadPage(clk, ids[0], img); err != nil {
 		t.Fatal(err)
 	}
-	a := &page.SliceAccessor{Buf: img}
-	v, err := page.Wrap(a).Find(0)
+	v, err := page.Image(img).Find(0)
 	if err != nil || string(v) != "new!" {
 		t.Fatalf("post-eviction storage image: %q, %v", v, err)
 	}
@@ -134,10 +133,10 @@ func TestFrameDoubleReleaseAndBounds(t *testing.T) {
 	p := NewDRAMPool(store, 2, cxl.DRAMProfile())
 	clk := simclock.New()
 	f, _ := p.Get(clk, id, Write)
-	if err := f.ReadAt(page.Size-2, make([]byte, 8)); err == nil {
+	if err := readAt(f, page.Size-2, make([]byte, 8)); err == nil {
 		t.Fatal("out-of-bounds frame read accepted")
 	}
-	if err := f.WriteAt(-1, []byte{0}); err == nil {
+	if err := writeAt(f, -1, []byte{0}); err == nil {
 		t.Fatal("negative frame write accepted")
 	}
 	if f.ID() != id {
@@ -159,11 +158,13 @@ func TestNewPageAndFlushAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg := page.Wrap(f)
-	if err := pg.Init(f.ID(), page.TypeLeaf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := pg.Insert(9, []byte("nine")); err != nil {
+	err = Visit(f, func(pg page.Page) error {
+		if err := pg.Init(f.ID(), page.TypeLeaf, 0); err != nil {
+			return err
+		}
+		return pg.Insert(9, []byte("nine"))
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	f.MarkDirty()
@@ -228,7 +229,7 @@ func TestTieredMissPathsAndAmplification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := page.Wrap(f3).Find(1)
+	v, err := findVal(f3, 1)
 	if err != nil || string(v) != "deep" {
 		t.Fatalf("remote round trip: %q, %v", v, err)
 	}
@@ -251,7 +252,7 @@ func TestTieredDirtyEvictionGoesToRemoteThenCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := page.Wrap(f).Update(1, []byte("NEW")); err != nil {
+	if err := updateVal(f, 1, []byte("NEW")); err != nil {
 		t.Fatal(err)
 	}
 	f.MarkDirty()
@@ -273,7 +274,7 @@ func TestTieredDirtyEvictionGoesToRemoteThenCheckpoint(t *testing.T) {
 	if err := p.Remote().Read(clk, p.NIC(), id, rimg); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := page.Wrap(&page.SliceAccessor{Buf: rimg}).Find(1)
+	v2, err := page.Image(rimg).Find(1)
 	if err != nil || string(v2) != "NEW" {
 		t.Fatalf("remote after dirty eviction: %q, %v", v2, err)
 	}
@@ -281,7 +282,7 @@ func TestTieredDirtyEvictionGoesToRemoteThenCheckpoint(t *testing.T) {
 	if err := store.ReadPage(clk, id, img); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := page.Wrap(&page.SliceAccessor{Buf: img}).Find(1); string(v) == "NEW" {
+	if v, _ := page.Image(img).Find(1); string(v) == "NEW" {
 		t.Fatal("dirty eviction wrote through to storage; should defer to checkpoint")
 	}
 	// Re-fetching the page from remote keeps it dirty relative to storage.
@@ -297,7 +298,7 @@ func TestTieredDirtyEvictionGoesToRemoteThenCheckpoint(t *testing.T) {
 	if err := store.ReadPage(clk, id, img); err != nil {
 		t.Fatal(err)
 	}
-	v, err := page.Wrap(&page.SliceAccessor{Buf: img}).Find(1)
+	v, err := page.Image(img).Find(1)
 	if err != nil || string(v) != "NEW" {
 		t.Fatalf("storage after checkpoint: %q, %v", v, err)
 	}
@@ -311,7 +312,7 @@ func TestTieredRemoteOnlyDirtyFlushedByCheckpoint(t *testing.T) {
 	p := newTiered(t, store, 1)
 	clk := simclock.New()
 	f, _ := p.Get(clk, id, Write)
-	page.Wrap(f).Update(1, []byte("NEW"))
+	updateVal(f, 1, []byte("NEW"))
 	f.MarkDirty()
 	f.Release()
 	id2 := seedPage(t, store, 2, "x")
@@ -324,7 +325,7 @@ func TestTieredRemoteOnlyDirtyFlushedByCheckpoint(t *testing.T) {
 	if err := store.ReadPage(clk, id, img); err != nil {
 		t.Fatal(err)
 	}
-	v, err := page.Wrap(&page.SliceAccessor{Buf: img}).Find(1)
+	v, err := page.Image(img).Find(1)
 	if err != nil || string(v) != "NEW" {
 		t.Fatalf("storage after checkpoint: %q, %v", v, err)
 	}
@@ -362,7 +363,7 @@ func TestTieredFlushAll(t *testing.T) {
 	p := newTiered(t, store, 4)
 	clk := simclock.New()
 	f, _ := p.Get(clk, id, Write)
-	page.Wrap(f).Update(1, []byte("zz"))
+	updateVal(f, 1, []byte("zz"))
 	f.MarkDirty()
 	f.Release()
 	if err := p.FlushAll(clk); err != nil {
@@ -372,8 +373,32 @@ func TestTieredFlushAll(t *testing.T) {
 	if err := store.ReadPage(clk, id, img); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := page.Wrap(&page.SliceAccessor{Buf: img}).Find(1)
+	v, _ := page.Image(img).Find(1)
 	if string(v) != "zz" {
 		t.Fatalf("flushall image: %q", v)
 	}
+}
+
+// readAt reads buf at off from f's page in a visit of its own.
+func readAt(f Frame, off int, buf []byte) error {
+	return Visit(f, func(pg page.Page) error { return pg.ReadAt(off, buf) })
+}
+
+// writeAt writes data at off to f's page in a visit of its own.
+func writeAt(f Frame, off int, data []byte) error {
+	return Visit(f, func(pg page.Page) error { return pg.WriteAt(off, data) })
+}
+
+// findVal looks key up in f's page in a visit of its own.
+func findVal(f Frame, key int64) (v []byte, err error) {
+	err = Visit(f, func(pg page.Page) (err error) {
+		v, err = pg.Find(key)
+		return err
+	})
+	return v, err
+}
+
+// updateVal replaces key's value in f's page in a visit of its own.
+func updateVal(f Frame, key int64, val []byte) error {
+	return Visit(f, func(pg page.Page) error { return pg.Update(key, val) })
 }

@@ -60,7 +60,7 @@ func TestCheckpointCycleConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := f.WriteAt(payloadOff, []byte{byte(0x20 + round)}); err != nil {
+				if err := writeAt(f, payloadOff, []byte{byte(0x20 + round)}); err != nil {
 					t.Fatal(err)
 				}
 				f.MarkDirty()
@@ -108,7 +108,7 @@ func TestCheckpointCycleConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				var b [1]byte
-				if err := f.ReadAt(payloadOff, b[:]); err != nil {
+				if err := readAt(f, payloadOff, b[:]); err != nil {
 					t.Fatal(err)
 				}
 				release(t, f)

@@ -184,7 +184,7 @@ func TestGetReadAndHitAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b [1]byte
-		if err := f.ReadAt(payloadOff, b[:]); err != nil {
+		if err := readAt(f, payloadOff, b[:]); err != nil {
 			t.Fatal(err)
 		}
 		if b[0] != 0xAB {
@@ -261,7 +261,7 @@ func TestWriteVisibleAfterRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.WriteAt(payloadOff, []byte{0x5C}); err != nil {
+		if err := writeAt(f, payloadOff, []byte{0x5C}); err != nil {
 			t.Fatal(err)
 		}
 		f.MarkDirty()
@@ -271,7 +271,7 @@ func TestWriteVisibleAfterRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b [1]byte
-		if err := f2.ReadAt(payloadOff, b[:]); err != nil {
+		if err := readAt(f2, payloadOff, b[:]); err != nil {
 			t.Fatal(err)
 		}
 		release(t, f2)
@@ -291,7 +291,7 @@ func TestWriteUnderReadLatchRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.WriteAt(payloadOff, []byte{1}); err == nil {
+		if err := writeAt(f, payloadOff, []byte{1}); err == nil {
 			t.Fatal("WriteAt under a read latch succeeded")
 		}
 		release(t, f)
@@ -309,13 +309,13 @@ func TestNewPageZeroedAndWritable(t *testing.T) {
 		}
 		id := f.ID()
 		var b [1]byte
-		if err := f.ReadAt(payloadOff, b[:]); err != nil {
+		if err := readAt(f, payloadOff, b[:]); err != nil {
 			t.Fatal(err)
 		}
 		if b[0] != 0 {
 			t.Fatalf("fresh page byte = %#x, want 0", b[0])
 		}
-		if err := f.WriteAt(payloadOff, []byte{0x77}); err != nil {
+		if err := writeAt(f, payloadOff, []byte{0x77}); err != nil {
 			t.Fatal(err)
 		}
 		f.MarkDirty()
@@ -324,7 +324,7 @@ func TestNewPageZeroedAndWritable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f2.ReadAt(payloadOff, b[:]); err != nil {
+		if err := readAt(f2, payloadOff, b[:]); err != nil {
 			t.Fatal(err)
 		}
 		release(t, f2)
@@ -352,7 +352,7 @@ func TestGetOrCreateAfterErrNotFound(t *testing.T) {
 		if f.ID() != id {
 			t.Fatalf("GetOrCreate id = %d, want %d", f.ID(), id)
 		}
-		if err := f.WriteAt(payloadOff, []byte{0x42}); err != nil {
+		if err := writeAt(f, payloadOff, []byte{0x42}); err != nil {
 			t.Fatalf("GetOrCreate frame not write-latched: %v", err)
 		}
 		f.MarkDirty()
@@ -363,7 +363,7 @@ func TestGetOrCreateAfterErrNotFound(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b [1]byte
-		if err := f2.ReadAt(payloadOff, b[:]); err != nil {
+		if err := readAt(f2, payloadOff, b[:]); err != nil {
 			t.Fatal(err)
 		}
 		release(t, f2)
@@ -388,10 +388,10 @@ func TestFlushAllBarrierOrdering(t *testing.T) {
 		}
 		var lsnBytes [8]byte
 		binary.LittleEndian.PutUint64(lsnBytes[:], newLSN)
-		if err := f.WriteAt(8, lsnBytes[:]); err != nil {
+		if err := writeAt(f, 8, lsnBytes[:]); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.WriteAt(payloadOff, []byte{0xEE}); err != nil {
+		if err := writeAt(f, payloadOff, []byte{0xEE}); err != nil {
 			t.Fatal(err)
 		}
 		f.MarkDirty()
@@ -449,7 +449,7 @@ func TestResidentBoundedByCapacity(t *testing.T) {
 				t.Fatalf("page %d: %v", id, err)
 			}
 			var b [1]byte
-			if err := f.ReadAt(payloadOff, b[:]); err != nil {
+			if err := readAt(f, payloadOff, b[:]); err != nil {
 				t.Fatal(err)
 			}
 			release(t, f)
@@ -525,7 +525,7 @@ func TestParallelGetSharedPage(t *testing.T) {
 						return
 					}
 					var b [1]byte
-					if err := f.ReadAt(payloadOff, b[:]); err != nil {
+					if err := readAt(f, payloadOff, b[:]); err != nil {
 						errs <- err
 						return
 					}
@@ -572,9 +572,19 @@ func TestTransientStoreFaultSurfacesCleanly(t *testing.T) {
 			t.Fatalf("retry after transient fault: %v", err)
 		}
 		buf := make([]byte, 1)
-		if err := f.ReadAt(payloadOff, buf); err != nil || buf[0] != 0xAB {
+		if err := readAt(f, payloadOff, buf); err != nil || buf[0] != 0xAB {
 			t.Fatalf("retry read payload = %x, %v; want ab", buf, err)
 		}
 		release(t, f)
 	})
+}
+
+// readAt reads buf at off from f's page in a visit of its own.
+func readAt(f buffer.Frame, off int, buf []byte) error {
+	return buffer.Visit(f, func(pg page.Page) error { return pg.ReadAt(off, buf) })
+}
+
+// writeAt writes data at off to f's page in a visit of its own.
+func writeAt(f buffer.Frame, off int, data []byte) error {
+	return buffer.Visit(f, func(pg page.Page) error { return pg.WriteAt(off, data) })
 }

@@ -106,10 +106,10 @@ func TestCheckpointAndFlusherIssueSameOps(t *testing.T) {
 					}
 					var lsn [8]byte
 					binary.LittleEndian.PutUint64(lsn[:], uint64(10+i))
-					if err := f.WriteAt(8, lsn[:]); err != nil {
+					if err := writeAt(f, 8, lsn[:]); err != nil {
 						t.Fatal(err)
 					}
-					if err := f.WriteAt(payloadOff, []byte{byte(0x20 + i)}); err != nil {
+					if err := writeAt(f, payloadOff, []byte{byte(0x20 + i)}); err != nil {
 						t.Fatal(err)
 					}
 					f.MarkDirty()

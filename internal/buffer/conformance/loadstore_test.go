@@ -3,6 +3,8 @@ package conformance
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"maps"
 	"testing"
 
@@ -29,12 +31,14 @@ var wordAccesses = []wordAccess{
 	{page.Size - 70, 8}, // straddles a line near the end
 }
 
-// TestLoadStoreMatchReadWrite: on every pool, Load and Store are ReadAt and
-// WriteAt of the same span, whether or not the frame is held. Two identical
-// rigs run the same accesses, one through each pair of methods (every other
-// Load or Store inside a Hold), and must agree after every access on the
-// bytes, the clock advance, the pool and CPU-cache statistics and every
-// observed counter.
+// TestLoadStoreMatchReadWrite: on every pool, a page visit's Load and
+// Store are ReadAt and WriteAt of the same span, however the accesses are
+// cut into visits. Two identical rigs run the same accesses, one through
+// each pair of methods, and must agree on the bytes, the clock advance, the
+// pool and CPU-cache statistics and every observed counter: after every
+// access when each access has a visit of its own, and after the pass when
+// the word rig runs a whole pass in one visit. The comparisons run between
+// visits, since the CPU cache's Stats waits for the lock a visit may hold.
 func TestLoadStoreMatchReadWrite(t *testing.T) {
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
@@ -72,58 +76,73 @@ func TestLoadStoreMatchReadWrite(t *testing.T) {
 				}
 				return wf, sf
 			}
-			// held runs every other word access inside a hold of f; the
-			// comparison runs after the Unhold, since the CPU cache's Stats
-			// waits for its lock.
-			accesses := 0
-			held := func(f buffer.Frame, access func() error) error {
-				if accesses++; accesses%2 == 0 {
-					f.Hold()
-					defer f.Unhold()
-				}
-				return access()
-			}
-			load := func(wf, sf buffer.Frame) {
+			// pass runs one access per wordAccesses entry on each rig: in
+			// a visit per access, or, with batched, the word rig's whole
+			// pass in one visit.
+			pass := func(what string, wf, sf buffer.Frame, batched bool, word, span func(pg page.Page, i int, a wordAccess) error) {
 				t.Helper()
-				for _, a := range wordAccesses {
-					w0, s0 := wclk.Now(), sclk.Now()
-					var v uint64
-					err := held(wf, func() (err error) {
-						v, err = wf.Load(a.off, a.n)
-						return err
+				w0, s0 := wclk.Now(), sclk.Now()
+				if batched {
+					err := buffer.Visit(wf, func(pg page.Page) error {
+						for i, a := range wordAccesses {
+							if err := word(pg, i, a); err != nil {
+								return err
+							}
+						}
+						return nil
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					buf := make([]byte, a.n)
-					if err := sf.ReadAt(a.off, buf); err != nil {
+				}
+				for i, a := range wordAccesses {
+					if !batched {
+						w0, s0 = wclk.Now(), sclk.Now()
+						if err := buffer.Visit(wf, func(pg page.Page) error { return word(pg, i, a) }); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := buffer.Visit(sf, func(pg page.Page) error { return span(pg, i, a) }); err != nil {
 						t.Fatal(err)
 					}
-					var want [8]byte
-					copy(want[:], buf)
-					if v != binary.LittleEndian.Uint64(want[:]) {
-						t.Fatalf("Load(%d, %d) = %#x, ReadAt read % x", a.off, a.n, v, buf)
+					if !batched {
+						same(what, w0, s0)
 					}
-					same("load", w0, s0)
 				}
+				if batched {
+					same(what+" (one visit)", w0, s0)
+				}
+			}
+			loaded := make([]uint64, len(wordAccesses))
+			loadWord := func(pg page.Page, i int, a wordAccess) (err error) {
+				loaded[i], err = pg.Load(a.off, a.n)
+				return err
+			}
+			loadSpan := func(pg page.Page, i int, a wordAccess) error {
+				buf := make([]byte, a.n)
+				if err := pg.ReadAt(a.off, buf); err != nil {
+					return err
+				}
+				var want [8]byte
+				copy(want[:], buf)
+				if loaded[i] != binary.LittleEndian.Uint64(want[:]) {
+					return fmt.Errorf("Load(%d, %d) = %#x, ReadAt read % x", a.off, a.n, loaded[i], buf)
+				}
+				return nil
+			}
+			stored := func(i int) uint64 { return 0x0102030405060708 * uint64(i+1) }
+			storeWord := func(pg page.Page, i int, a wordAccess) error { return pg.Store(a.off, a.n, stored(i)) }
+			storeSpan := func(pg page.Page, i int, a wordAccess) error {
+				var data [8]byte
+				binary.LittleEndian.PutUint64(data[:], stored(i))
+				return pg.WriteAt(a.off, data[:a.n])
 			}
 
 			wf, sf := get(buffer.Write)
-			load(wf, sf)
-			for i, a := range wordAccesses {
-				v := 0x0102030405060708 * uint64(i+1)
-				var data [8]byte
-				binary.LittleEndian.PutUint64(data[:], v)
-				w0, s0 := wclk.Now(), sclk.Now()
-				if err := held(wf, func() error { return wf.Store(a.off, a.n, v) }); err != nil {
-					t.Fatal(err)
-				}
-				if err := sf.WriteAt(a.off, data[:a.n]); err != nil {
-					t.Fatal(err)
-				}
-				same("store", w0, s0)
-			}
-			load(wf, sf)
+			pass("load", wf, sf, false, loadWord, loadSpan)
+			pass("store", wf, sf, true, storeWord, storeSpan)
+			pass("load", wf, sf, true, loadWord, loadSpan)
+			pass("store", wf, sf, false, storeWord, storeSpan)
 			wf.MarkDirty()
 			sf.MarkDirty()
 			w0, s0 := wclk.Now(), sclk.Now()
@@ -132,25 +151,32 @@ func TestLoadStoreMatchReadWrite(t *testing.T) {
 			same("release", w0, s0)
 
 			wf, sf = get(buffer.Read)
-			load(wf, sf)
+			pass("load", wf, sf, true, loadWord, loadSpan)
+			pass("load", wf, sf, false, loadWord, loadSpan)
 			wimg, simg := make([]byte, page.Size), make([]byte, page.Size)
-			if err := wf.ReadAt(0, wimg); err != nil {
+			if err := readAt(wf, 0, wimg); err != nil {
 				t.Fatal(err)
 			}
-			if err := sf.ReadAt(0, simg); err != nil {
+			if err := readAt(sf, 0, simg); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(wimg, simg) {
 				t.Fatal("page images differ after the same stores")
 			}
-			if _, err := wf.Load(page.Size-2, 8); err == nil {
-				t.Fatal("Load past the page end accepted")
-			}
-			if err := sf.ReadAt(page.Size-2, make([]byte, 8)); err == nil {
-				t.Fatal("ReadAt past the page end accepted")
-			}
-			if err := wf.Store(0, 2, 1); err == nil {
-				t.Fatal("Store under a read latch accepted")
+			err := buffer.Visit(wf, func(pg page.Page) error {
+				if _, err := pg.Load(page.Size-2, 8); err == nil {
+					return errors.New("Load past the page end accepted")
+				}
+				if err := pg.ReadAt(page.Size-2, make([]byte, 8)); err == nil {
+					return errors.New("ReadAt past the page end accepted")
+				}
+				if err := pg.Store(0, 2, 1); !errors.Is(err, buffer.ErrReadLatch) {
+					return fmt.Errorf("Store under a read latch: %v, want ErrReadLatch", err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			release(t, wf)
 			release(t, sf)

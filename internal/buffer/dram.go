@@ -35,20 +35,16 @@ func NewDRAMPool(store *storage.Store, capacityPages int, prof simmem.Profile) *
 		panic(fmt.Sprintf("buffer: DRAM pool needs positive capacity, got %d", capacityPages))
 	}
 	p := &DRAMPool{store: store, prof: prof}
-	p.WritebackPool = NewWritebackPool(frametab.Config{Capacity: capacityPages, Store: &dramStore{pool: p}}, "dram", store, p.bind)
+	p.WritebackPool = NewWritebackPool(frametab.Config{Capacity: capacityPages, Store: &dramStore{pool: p}}, "dram", store, nil)
 	return p
-}
-
-func (p *DRAMPool) bind(clk *simclock.Clock, f *frametab.Frame, mode Mode) Frame {
-	return &ImageFrame{Tab: p.tab, Fr: f, Prof: &p.prof, Clk: clk, Mode: mode}
 }
 
 // Fetch implements frametab.FrameStore: a whole-page storage read.
 func (s *dramStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 	p := s.pool
-	img := make([]byte, page.Size)
+	img := NewImage(&p.prof)
 	p.tab.Counters.StorageReads.Add(1)
-	if err := p.store.ReadPage(clk, id, img); err != nil {
+	if err := p.store.ReadPage(clk, id, img.Buf); err != nil {
 		return nil, false, err
 	}
 	return img, false, nil
@@ -56,7 +52,7 @@ func (s *dramStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 
 // Create implements frametab.FrameStore: a zeroed fresh page.
 func (s *dramStore) Create(clk *simclock.Clock, id uint64) (any, error) {
-	return make([]byte, page.Size), nil
+	return NewImage(&s.pool.prof), nil
 }
 
 // Evict implements frametab.EvictStore: dirty victims are written back;
@@ -73,7 +69,7 @@ func (s *dramStore) Evict(clk *simclock.Clock, id uint64, slot any, dirty bool) 
 // the checkpoint all write a page this way).
 func (s *dramStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 	p := s.pool
-	img := slot.([]byte)
+	img := slot.(*Image).Buf
 	p.Barrier(clk, page.RawLSN(img))
 	if err := p.store.WritePage(clk, id, img); err != nil {
 		return err
@@ -82,87 +78,74 @@ func (s *dramStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 	return nil
 }
 
-// ImageFrame binds a frametab frame whose slot is a whole-page []byte image
-// in local DRAM to a worker clock and latch mode, charging Prof per access.
-// DRAMPool and TieredPool hand it out as is; sharing.RDMASharedPool embeds
-// it for its local page copies.
-type ImageFrame struct {
-	Tab   *frametab.Table // the table Fr is pinned in
-	Fr    *frametab.Frame
-	Prof  *simmem.Profile
-	Clk   *simclock.Clock
-	Mode  Mode
-	Wrote bool // a WriteAt landed under this latch
-
-	released bool
+// Image is a whole page image in local DRAM: the frame-table slot of the
+// DRAM, tiered and RDMA-shared pools, and the page.Accessor their visits
+// use. Every access copies bytes and charges prof.
+type Image struct {
+	Buf   []byte
+	prof  *simmem.Profile
+	wrote bool // a write landed under the current write latch
 }
 
-// ID implements Frame.
-func (b *ImageFrame) ID() uint64 { return b.Fr.ID() }
+// NewImage returns a zeroed page image charged prof per access.
+func NewImage(prof *simmem.Profile) *Image {
+	return &Image{Buf: make([]byte, page.Size), prof: prof}
+}
 
-// MarkDirty implements Frame.
-func (b *ImageFrame) MarkDirty() { b.Fr.MarkDirty() }
+// TakeWrote reports whether a write landed since the last call, and
+// clears the mark. Call it under the write latch.
+func (m *Image) TakeWrote() bool {
+	w := m.wrote
+	m.wrote = false
+	return w
+}
 
-// ReadAt implements page.Accessor at Prof's read cost.
-func (b *ImageFrame) ReadAt(off int, buf []byte) error {
-	if b.released {
-		return fmt.Errorf("buffer: read on released frame of page %d", b.Fr.ID())
-	}
-	img := b.Fr.Slot().([]byte)
-	if off < 0 || off+len(buf) > len(img) {
+// ReadAt implements page.Accessor at prof's read cost.
+func (m *Image) ReadAt(clk *simclock.Clock, off int, buf []byte) error {
+	if off < 0 || off+len(buf) > len(m.Buf) {
 		return fmt.Errorf("buffer: read [%d,%d) out of page bounds", off, off+len(buf))
 	}
-	copy(buf, img[off:])
-	b.Clk.Advance(b.Prof.ReadCost(len(buf)))
+	copy(buf, m.Buf[off:])
+	clk.Advance(m.prof.ReadCost(len(buf)))
 	return nil
 }
 
-// WriteAt implements page.Accessor at Prof's write cost. Writes require the
-// write latch — the same contract the CXL and shared pools enforce.
-func (b *ImageFrame) WriteAt(off int, data []byte) error {
-	if b.released {
-		return fmt.Errorf("buffer: write on released frame of page %d", b.Fr.ID())
-	}
-	if b.Mode != Write {
-		return fmt.Errorf("buffer: write to page %d under a read latch", b.Fr.ID())
-	}
-	img := b.Fr.Slot().([]byte)
-	if off < 0 || off+len(data) > len(img) {
+// WriteAt implements page.Accessor at prof's write cost.
+func (m *Image) WriteAt(clk *simclock.Clock, off int, data []byte) error {
+	if off < 0 || off+len(data) > len(m.Buf) {
 		return fmt.Errorf("buffer: write [%d,%d) out of page bounds", off, off+len(data))
 	}
-	copy(img[off:], data)
-	b.Clk.Advance(b.Prof.WriteCost(len(data)))
-	b.Wrote = true
+	copy(m.Buf[off:], data)
+	clk.Advance(m.prof.WriteCost(len(data)))
+	m.wrote = true
 	return nil
 }
 
 // Load implements page.Accessor: a ReadAt of n bytes into a stack word.
-func (b *ImageFrame) Load(off, n int) (uint64, error) {
+func (m *Image) Load(clk *simclock.Clock, off, n int) (uint64, error) {
 	var w [8]byte
-	if err := b.ReadAt(off, w[:n]); err != nil {
+	if err := m.ReadAt(clk, off, w[:n]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(w[:]), nil
 }
 
 // Store implements page.Accessor: a WriteAt of v's low n bytes.
-func (b *ImageFrame) Store(off, n int, v uint64) error {
+func (m *Image) Store(clk *simclock.Clock, off, n int, v uint64) error {
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], v)
-	return b.WriteAt(off, w[:n])
+	return m.WriteAt(clk, off, w[:n])
 }
 
-// Hold and Unhold implement Frame: an image frame has no lock to hold.
-func (b *ImageFrame) Hold()   {}
-func (b *ImageFrame) Unhold() {}
+// imageMedium is the Medium of a table whose slots are Images: a visit
+// reads and writes the image in place, and Release unlatches and unpins.
+type imageMedium struct{ pool *TablePool }
 
-// Release implements Frame.
-func (b *ImageFrame) Release() error {
-	if b.released {
-		return fmt.Errorf("buffer: double release of page %d", b.Fr.ID())
-	}
-	b.released = true
-	b.Fr.Unlock(b.Mode)
-	b.Tab.Unpin(b.Fr)
+func (imageMedium) Open(f Frame) page.Accessor { return f.fr.Slot().(*Image) }
+func (imageMedium) Close(Frame, page.Accessor) {}
+func (imageMedium) MarkDirty(f Frame)          { f.fr.MarkDirty() }
+func (m imageMedium) Release(f Frame) error {
+	f.fr.Unlock(f.mode)
+	m.pool.tab.Unpin(f.fr)
 	return nil
 }

@@ -9,21 +9,18 @@ import (
 	"polarcxlmem/internal/storage"
 )
 
-// BindFunc wraps a latched, pinned frametab frame in a pool's own Frame
-// type, whose accessors charge the pool's medium to clk.
-type BindFunc func(clk *simclock.Clock, f *frametab.Frame, mode Mode) Frame
-
 // TablePool is the pool surface every buffer pool in the repo shares. It
 // owns the frametab table over the pool's FrameStore, the page-id source,
 // the write-ahead flush barrier and the observer registration
 // (frametab.<name>.*). A pool embeds it and supplies only its medium: the
-// store behind the table, and a BindFunc for its frame type.
+// store behind the table, and the Medium its frames' visits and releases
+// run on.
 type TablePool struct {
 	tab     *frametab.Table
 	cfg     frametab.Config // what Restart rebuilds the table from
 	name    string
 	ids     *storage.Store
-	bind    BindFunc
+	medium  Medium
 	barrier FlushBarrier
 	reg     atomic.Pointer[obs.Registry] // survives Restart
 	down    atomic.Pointer[error]        // set by Fail
@@ -31,16 +28,21 @@ type TablePool struct {
 
 // NewTablePool builds the table over cfg.Store (storage.ErrNotFound is the
 // GetOrCreate sentinel), registering metrics under frametab.<name>.* and
-// allocating page ids from ids.
-func NewTablePool(cfg frametab.Config, name string, ids *storage.Store, bind BindFunc) *TablePool {
+// allocating page ids from ids. m is the pool's Medium; nil means the
+// store's slots are Images, visited in place and released by unlatching
+// and unpinning.
+func NewTablePool(cfg frametab.Config, name string, ids *storage.Store, m Medium) *TablePool {
 	c := &TablePool{}
-	c.init(cfg, name, ids, bind)
+	c.init(cfg, name, ids, m)
 	return c
 }
 
-func (c *TablePool) init(cfg frametab.Config, name string, ids *storage.Store, bind BindFunc) {
+func (c *TablePool) init(cfg frametab.Config, name string, ids *storage.Store, m Medium) {
 	cfg.NotFound = storage.ErrNotFound
-	c.tab, c.cfg, c.name, c.ids, c.bind = frametab.New(cfg), cfg, name, ids, bind
+	if m == nil {
+		m = imageMedium{c}
+	}
+	c.tab, c.cfg, c.name, c.ids, c.medium = frametab.New(cfg), cfg, name, ids, m
 }
 
 // Table exposes the frame table (store-driven eviction, counters, reopen).
@@ -49,37 +51,36 @@ func (c *TablePool) Table() *frametab.Table { return c.tab }
 // Get implements Pool.
 func (c *TablePool) Get(clk *simclock.Clock, id uint64, mode Mode) (Frame, error) {
 	if err := c.Failed(); err != nil {
-		return nil, err
+		return Frame{}, err
 	}
 	f, err := c.tab.Get(clk, id, mode)
-	if err != nil {
-		return nil, err
-	}
-	return c.bind(clk, f, mode), nil
+	return c.hand(f, err, clk, mode)
 }
 
 // NewPage implements Pool.
 func (c *TablePool) NewPage(clk *simclock.Clock) (Frame, error) {
 	if err := c.Failed(); err != nil {
-		return nil, err
+		return Frame{}, err
 	}
 	f, err := c.tab.Create(clk, c.ids.AllocPageID())
-	if err != nil {
-		return nil, err
-	}
-	return c.bind(clk, f, Write), nil
+	return c.hand(f, err, clk, Write)
 }
 
 // GetOrCreate implements Creator.
 func (c *TablePool) GetOrCreate(clk *simclock.Clock, id uint64) (Frame, error) {
 	if err := c.Failed(); err != nil {
-		return nil, err
+		return Frame{}, err
 	}
 	f, err := c.tab.GetOrCreate(clk, id)
+	return c.hand(f, err, clk, Write)
+}
+
+// hand returns a handle on the frame a table call latched, or its error.
+func (c *TablePool) hand(f *frametab.Frame, err error, clk *simclock.Clock, mode Mode) (Frame, error) {
 	if err != nil {
-		return nil, err
+		return Frame{}, err
 	}
-	return c.bind(clk, f, Write), nil
+	return NewFrame(c.medium, f, clk, mode), nil
 }
 
 // Stats implements Pool.
@@ -146,9 +147,9 @@ type WritebackPool struct {
 
 // NewWritebackPool is NewTablePool for a store that implements
 // frametab.WritebackStore.
-func NewWritebackPool(cfg frametab.Config, name string, ids *storage.Store, bind BindFunc) *WritebackPool {
+func NewWritebackPool(cfg frametab.Config, name string, ids *storage.Store, m Medium) *WritebackPool {
 	c := &WritebackPool{wb: cfg.Store.(frametab.WritebackStore)}
-	c.init(cfg, name, ids, bind)
+	c.init(cfg, name, ids, m)
 	return c
 }
 

@@ -62,12 +62,8 @@ func NewTieredPool(store *storage.Store, remote *RemoteMemory, nic *rdma.NIC, lo
 	}
 	p := &TieredPool{store: store, remote: remote, nic: nic, prof: prof}
 	p.tst = &tieredStore{pool: p, remoteDirty: make(map[uint64]bool)}
-	p.WritebackPool = NewWritebackPool(frametab.Config{Capacity: localCapacity, Store: p.tst}, "tiered", store, p.bind)
+	p.WritebackPool = NewWritebackPool(frametab.Config{Capacity: localCapacity, Store: p.tst}, "tiered", store, nil)
 	return p
-}
-
-func (p *TieredPool) bind(clk *simclock.Clock, f *frametab.Frame, mode Mode) Frame {
-	return &ImageFrame{Tab: p.tab, Fr: f, Prof: &p.prof, Clk: clk, Mode: mode}
 }
 
 func (s *tieredStore) remoteDirtyGet(id uint64) bool {
@@ -90,7 +86,8 @@ func (s *tieredStore) remoteDirtySet(id uint64, v bool) {
 // (populating the remote tier on the way in).
 func (s *tieredStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 	p := s.pool
-	img := make([]byte, page.Size)
+	slot := NewImage(&p.prof)
+	img := slot.Buf
 	if p.remote.Has(id) {
 		// Full-page RDMA read: the read amplification under measurement.
 		p.tab.Counters.RemoteReads.Add(1)
@@ -98,7 +95,7 @@ func (s *tieredStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 			return nil, false, err
 		}
 		// A dirty-evicted page is still newer than the storage image.
-		return img, s.remoteDirtyGet(id), nil
+		return slot, s.remoteDirtyGet(id), nil
 	}
 	p.tab.Counters.StorageReads.Add(1)
 	if err := p.store.ReadPage(clk, id, img); err != nil {
@@ -109,13 +106,13 @@ func (s *tieredStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 	if err := p.remote.Write(clk, p.nic, id, img); err != nil {
 		return nil, false, err
 	}
-	return img, false, nil
+	return slot, false, nil
 }
 
 // Create implements frametab.FrameStore: a zeroed fresh page (local only;
 // the remote tier sees it on eviction or checkpoint).
 func (s *tieredStore) Create(clk *simclock.Clock, id uint64) (any, error) {
-	return make([]byte, page.Size), nil
+	return NewImage(&s.pool.prof), nil
 }
 
 // Evict implements frametab.EvictStore. A clean page whose remote copy is
@@ -127,7 +124,7 @@ func (s *tieredStore) Create(clk *simclock.Clock, id uint64) (any, error) {
 // buffer.
 func (s *tieredStore) Evict(clk *simclock.Clock, id uint64, slot any, dirty bool) error {
 	p := s.pool
-	img := slot.([]byte)
+	img := slot.(*Image).Buf
 	push := dirty || !p.remote.Has(id)
 	if push {
 		p.tab.Counters.RemoteWrites.Add(1)
@@ -150,7 +147,7 @@ func (s *tieredStore) Evict(clk *simclock.Clock, id uint64, slot any, dirty bool
 // remote-dirty clear.
 func (s *tieredStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 	p := s.pool
-	img := slot.([]byte)
+	img := slot.(*Image).Buf
 	p.Barrier(clk, page.RawLSN(img))
 	if err := p.store.WritePage(clk, id, img); err != nil {
 		return err

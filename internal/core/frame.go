@@ -1,194 +1,165 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"polarcxlmem/internal/buffer"
-	"polarcxlmem/internal/frametab"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/simclock"
 )
 
-// cxlFrame is a latched page operated on directly in CXL memory through the
-// node's CPU cache. There is no local page copy: every ReadAt/WriteAt is a
-// load/store against the block's data region, so traffic is cache-line
-// granular — the paper's answer to read/write amplification.
-type cxlFrame struct {
-	pool     *CXLPool
-	clk      *simclock.Clock
-	idx      int64
-	fr       *frametab.Frame
-	mode     buffer.Mode
-	released bool
-	wrote    bool
-	held     bool // the CPU cache is held for this frame's accesses
+// block is one CXL block's page image as a visit's page.Accessor. There is
+// no local page copy: every access is a load or store against the block's
+// data region through the node's CPU cache, which the visit holds, so
+// traffic is cache-line granular — the paper's answer to read/write
+// amplification. The pool keeps one block per CXL block for its lifetime.
+type block struct {
+	p     *CXLPool
+	idx   int64
+	wrote bool // a store landed under the current write latch
 }
 
-// ID implements buffer.Frame.
-func (f *cxlFrame) ID() uint64 { return f.fr.ID() }
+// inPage reports whether the span [off, off+n) is empty or inside the
+// page: the pool region spans every block, so the cache would serve a
+// neighbour for a span that leaves it.
+func inPage(off, n int) bool { return n == 0 || off >= 0 && off+n <= page.Size }
 
-// Hold implements buffer.Frame: it holds the CPU cache, so the accesses
-// until Unhold take its lock once between them. A read-latched frame of a
-// page mirrored in the fast tier refuses the hold, and its reads keep going
-// to the mirror one by one. The medium is thus chosen once per visit: a
-// promotion that lands mid-visit serves from the next visit on. Holds do
-// not nest: a Hold of a held frame does nothing, and the first Unhold
-// ends the hold.
-func (f *cxlFrame) Hold() {
-	if f.released || f.held {
-		return
-	}
-	if ft := f.pool.fastP.Load(); ft != nil && f.mode == buffer.Read && ft.contains(f.fr.ID()) {
-		return
-	}
-	f.pool.cache.Hold()
-	f.held = true
+// outOfPage is the error for a span inPage refuses.
+func outOfPage(off, n int, op string) error {
+	return fmt.Errorf("core: cached %s [%d,%d) out of page bounds [0,%d)", op, off, off+n, page.Size)
 }
 
-// Unhold implements buffer.Frame.
-func (f *cxlFrame) Unhold() {
-	if f.held {
-		f.held = false
-		f.pool.cache.Unhold()
+// ReadAt implements page.Accessor: a load from CXL through the held cache.
+func (b *block) ReadAt(clk *simclock.Clock, off int, buf []byte) error {
+	if !inPage(off, len(buf)) {
+		return outOfPage(off, len(buf), "read")
 	}
+	return b.p.cache.ReadHeld(clk, b.p.region, dataOff(b.idx)+int64(off), buf)
 }
 
-// ReadAt implements page.Accessor: a load from CXL through the CPU cache —
-// unless the page is promoted into the fast tier, in which case the read is
-// served from the host-DRAM mirror at DRAM cost with no CXL traffic at all.
-// The mirror is always current under this frame's latch: promotion copies
-// under a read latch, and any write latch invalidated the mirror before its
-// first store (see tier.go). The page-bounds check runs first: the mirror
-// is a bare page image, and a span past its end must fail, not panic.
-func (f *cxlFrame) ReadAt(off int, buf []byte) error {
-	if f.released {
-		return fmt.Errorf("core: read on released frame of page %d", f.fr.ID())
-	}
-	at, err := pageSpan(f.idx, off, len(buf), "read")
-	if err != nil {
-		return err
-	}
-	if f.held {
-		return f.pool.cache.ReadHeld(f.clk, f.pool.region, at, buf)
-	}
-	if ft := f.pool.fastP.Load(); ft != nil && f.mode == buffer.Read {
-		if ft.lookupCopy(f.clk, f.fr.ID(), off, buf) {
-			return nil
-		}
-	}
-	return f.pool.cache.Read(f.clk, f.pool.region, at, buf)
-}
-
-// WriteAt implements page.Accessor: a store to CXL through the CPU cache
+// WriteAt implements page.Accessor: a store to CXL through the held cache
 // (write-back; published by the flush on release).
-func (f *cxlFrame) WriteAt(off int, data []byte) error {
-	if f.released {
-		return fmt.Errorf("core: write on released frame of page %d", f.fr.ID())
+func (b *block) WriteAt(clk *simclock.Clock, off int, data []byte) error {
+	b.wrote = true
+	if !inPage(off, len(data)) {
+		return outOfPage(off, len(data), "write")
 	}
-	if f.mode != buffer.Write {
-		return fmt.Errorf("core: write to page %d under a read latch", f.fr.ID())
+	return b.p.cache.WriteHeld(clk, b.p.region, dataOff(b.idx)+int64(off), data)
+}
+
+// Load implements page.Accessor: the cache's word load.
+func (b *block) Load(clk *simclock.Clock, off, n int) (uint64, error) {
+	if !inPage(off, n) {
+		return 0, outOfPage(off, n, "read")
 	}
-	f.wrote = true
-	at, err := pageSpan(f.idx, off, len(data), "write")
-	if err != nil {
+	return b.p.cache.LoadHeld(clk, b.p.region, dataOff(b.idx)+int64(off), n)
+}
+
+// Store implements page.Accessor: the cache's word store.
+func (b *block) Store(clk *simclock.Clock, off, n int, v uint64) error {
+	b.wrote = true
+	if !inPage(off, n) {
+		return outOfPage(off, n, "write")
+	}
+	return b.p.cache.StoreHeld(clk, b.p.region, dataOff(b.idx)+int64(off), n, v)
+}
+
+// mirror is a fast-tier page image as a read visit's page.Accessor: an
+// Image in host DRAM, read at DRAM cost with no CXL traffic at all, whose
+// every read counts a fast-tier hit. The mirror is always current under a
+// read latch: promotion copies under a read latch, and any write latch
+// invalidated the mirror before its first store (see tier.go). A read
+// visit's page refuses writes, so the Image's own never run.
+type mirror struct {
+	*buffer.Image
+	hits *atomic.Int64
+}
+
+// ReadAt implements page.Accessor.
+func (m *mirror) ReadAt(clk *simclock.Clock, off int, buf []byte) error {
+	if err := m.Image.ReadAt(clk, off, buf); err != nil {
 		return err
 	}
-	if f.held {
-		return f.pool.cache.WriteHeld(f.clk, f.pool.region, at, data)
-	}
-	return f.pool.cache.Write(f.clk, f.pool.region, at, data)
+	m.hits.Add(1)
+	return nil
 }
 
-// Load implements page.Accessor: a ReadAt of n bytes into a stack word, or,
-// while held, the cache's word load of the same span.
-func (f *cxlFrame) Load(off, n int) (uint64, error) {
-	if f.held {
-		at, err := pageSpan(f.idx, off, n, "read")
-		if err != nil {
-			return 0, err
+// Load implements page.Accessor.
+func (m *mirror) Load(clk *simclock.Clock, off, n int) (uint64, error) {
+	v, err := m.Image.Load(clk, off, n)
+	if err == nil {
+		m.hits.Add(1)
+	}
+	return v, err
+}
+
+// medium is CXLPool's buffer.Medium.
+type medium struct{ p *CXLPool }
+
+// Open implements buffer.Medium. A read visit of a page mirrored in the
+// fast tier reads the mirror; every other visit holds the CPU cache and
+// reaches the block through it. The medium is thus chosen once per visit:
+// a promotion that lands mid-visit serves from the next visit on.
+func (m medium) Open(f buffer.Frame) page.Accessor {
+	p := m.p
+	if ft := p.fastP.Load(); ft != nil && f.Mode() == buffer.Read {
+		if mr := ft.lookup(f.ID()); mr != nil {
+			return mr
 		}
-		return f.pool.cache.LoadHeld(f.clk, f.pool.region, at, n)
 	}
-	var w [8]byte
-	if err := f.ReadAt(off, w[:n]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(w[:]), nil
+	p.cache.Hold()
+	return &p.blocks[f.Entry().Slot().(int64)-1]
 }
 
-// Store implements page.Accessor: a WriteAt of v's low n bytes, or, while
-// held, the cache's word store of the same span.
-func (f *cxlFrame) Store(off, n int, v uint64) error {
-	if f.held {
-		if f.mode != buffer.Write {
-			return fmt.Errorf("core: write to page %d under a read latch", f.fr.ID())
-		}
-		f.wrote = true
-		at, err := pageSpan(f.idx, off, n, "write")
-		if err != nil {
-			return err
-		}
-		return f.pool.cache.StoreHeld(f.clk, f.pool.region, at, n, v)
+// Close implements buffer.Medium.
+func (m medium) Close(f buffer.Frame, a page.Accessor) {
+	if _, ok := a.(*block); ok {
+		m.p.cache.Unhold()
 	}
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], v)
-	return f.WriteAt(off, w[:n])
 }
 
-// pageSpan returns the pool-region offset of [off, off+n) of block idx's
-// page image, or an error if a non-empty span leaves the page.
-func pageSpan(idx int64, off, n int, op string) (int64, error) {
-	if n > 0 && (off < 0 || off+n > page.Size) {
-		return 0, fmt.Errorf("core: cached %s [%d,%d) out of page bounds [0,%d)", op, off, off+n, page.Size)
-	}
-	return dataOff(idx) + int64(off), nil
-}
-
-// MarkDirty implements buffer.Frame: records divergence from storage in the
-// crash-visible flags word (once; the frame's dirty bit suppresses repeats).
-func (f *cxlFrame) MarkDirty() {
-	if f.fr.Dirty() {
+// MarkDirty implements buffer.Medium: records divergence from storage in
+// the crash-visible flags word (once; the frame's dirty bit suppresses
+// repeats).
+func (m medium) MarkDirty(f buffer.Frame) {
+	fr := f.Entry()
+	if fr.Dirty() {
 		return
 	}
-	f.fr.MarkDirty()
-	f.pool.metaStore(f.clk, f.idx, mFlags, flagInUse|flagDirty)
+	fr.MarkDirty()
+	m.p.metaStore(f.Clock(), fr.Slot().(int64), mFlags, flagInUse|flagDirty)
 }
 
-// Release implements buffer.Frame. For a write latch this runs the paper's
-// publish protocol: flush the page's dirty cache lines to CXL, update the
-// metadata LSN, and only then clear the persisted lock word — so a crash at
-// any intermediate point still presents a locked (hence redo-rebuilt) page
-// to PolarRecv.
-func (f *cxlFrame) Release() error {
-	if f.released {
-		return fmt.Errorf("core: double release of page %d", f.fr.ID())
-	}
-	if f.held {
-		return fmt.Errorf("core: release of page %d while it is held", f.fr.ID())
-	}
-	f.released = true
-	p := f.pool
-	if f.mode == buffer.Write {
-		if f.wrote {
+// Release implements buffer.Medium. For a write latch this runs the
+// paper's publish protocol: flush the page's dirty cache lines to CXL,
+// update the metadata LSN, and only then clear the persisted lock word — so
+// a crash at any intermediate point still presents a locked (hence
+// redo-rebuilt) page to PolarRecv.
+func (m medium) Release(f buffer.Frame) error {
+	p, fr, clk := m.p, f.Entry(), f.Clock()
+	idx := fr.Slot().(int64)
+	if f.Mode() == buffer.Write {
+		if b := &p.blocks[idx-1]; b.wrote {
+			b.wrote = false
 			// Read the page LSN through the cache (almost certainly hot).
-			var b [8]byte
-			if err := p.cache.Read(f.clk, p.region, dataOff(f.idx)+8, b[:]); err != nil {
+			p.cache.Hold()
+			lsn, err := p.cache.LoadHeld(clk, p.region, dataOff(idx)+8, 8)
+			p.cache.Unhold()
+			if err != nil {
 				return err
 			}
-			if err := p.cache.Flush(f.clk, p.region, dataOff(f.idx), page.Size); err != nil {
+			if err := p.cache.Flush(clk, p.region, dataOff(idx), page.Size); err != nil {
 				return err
 			}
 			if err := p.step("flushed-before-unlock"); err != nil {
 				return err
 			}
-			lsn := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-			p.metaStore(f.clk, f.idx, mLSN, lsn)
+			p.metaStore(clk, idx, mLSN, lsn)
 		}
-		p.metaStore(f.clk, f.idx, mLock, lockFree)
+		p.metaStore(clk, idx, mLock, lockFree)
 	}
-	f.fr.Unlock(f.mode)
-	p.Table().Unpin(f.fr)
+	fr.Unlock(f.Mode())
+	p.Table().Unpin(fr)
 	return nil
 }

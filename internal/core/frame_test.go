@@ -9,9 +9,18 @@ import (
 	"polarcxlmem/internal/page"
 )
 
-// TestFrameAccessAllocatesNothing gates loads and stores on a bound frame
-// at zero heap allocations: they address the pool region directly, with no
-// per-access page subregion.
+// visit returns fn run over f's page in a visit of its own.
+func visit(f buffer.Frame, fn func(page.Page) error) func() error {
+	return func() error { return buffer.Visit(f, fn) }
+}
+
+// TestFrameAccessAllocatesNothing gates page access on a CXL frame at zero
+// heap allocations: the frame handle is a value, a visit hands out the
+// pool's own block accessor, and loads and stores address the pool region
+// directly, with no per-access page subregion. Each access is gated in a
+// visit of its own, and a binary search and an absent-key Find in one
+// visit each; a Get and Release of a resident page allocates nothing
+// either.
 func TestFrameAccessAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -37,49 +46,63 @@ func TestFrameAccessAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: %v allocations per run, want 0", name, n)
 		}
 	}
-	gate("ReadAt", func() error { return f.ReadAt(1000, buf) })
-	gate("WriteAt", func() error { return f.WriteAt(2000, buf) })
-	gate("Load", func() error { _, err := f.Load(3000, 8); return err })
-	gate("Store", func() error { return f.Store(4000, 4, 0xfeed) })
+	gate("ReadAt", visit(f, func(pg page.Page) error { return pg.ReadAt(1000, buf) }))
+	gate("WriteAt", visit(f, func(pg page.Page) error { return pg.WriteAt(2000, buf) }))
+	gate("Load", visit(f, func(pg page.Page) error { _, err := pg.Load(3000, 8); return err }))
+	gate("Store", visit(f, func(pg page.Page) error { return pg.Store(4000, 4, 0xfeed) }))
 
 	// Slotted-page reads go through Load: a binary search over a page with
 	// a few records allocates nothing either.
-	pg := page.Wrap(f)
-	for k := int64(1); k <= 20; k++ {
-		if k != 7 {
-			if err := pg.Insert(k, []byte("v")); err != nil {
-				t.Fatal(err)
+	err = buffer.Visit(f, func(pg page.Page) error {
+		for k := int64(1); k <= 20; k++ {
+			if k != 7 {
+				if err := pg.Insert(k, []byte("v")); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	gate("NSlots", func() error { _, err := pg.NSlots(); return err })
-	gate("KeyAt", func() error { _, err := pg.KeyAt(11); return err })
-	gate("LowerBound", func() error { _, err := pg.LowerBound(13); return err })
+	gate("NSlots", visit(f, func(pg page.Page) error { _, err := pg.NSlots(); return err }))
+	gate("KeyAt", visit(f, func(pg page.Page) error { _, err := pg.KeyAt(11); return err }))
+	gate("LowerBound", visit(f, func(pg page.Page) error { _, err := pg.LowerBound(13); return err }))
 
-	// The same inside a hold, where loads and stores are the cache's word
-	// accesses. Find looks up an absent key: a hit returns a copy of the
-	// value, which allocates.
-	held := func(fn func() error) func() error {
-		return func() error {
-			f.Hold()
-			defer f.Unhold()
-			return fn()
+	// Several accesses in one visit, where loads and stores are the cache's
+	// word accesses under one hold. Find looks up an absent key: a hit
+	// returns a copy of the value, which allocates.
+	gate("visit of many", visit(f, func(pg page.Page) error {
+		if _, err := pg.Load(3000, 8); err != nil {
+			return err
 		}
-	}
-	gate("held Load", held(func() error { _, err := f.Load(3000, 8); return err }))
-	gate("held Store", held(func() error { return f.Store(4000, 4, 0xfeed) }))
-	gate("held LowerBound", held(func() error { _, err := pg.LowerBound(13); return err }))
-	gate("held Find", held(func() error {
+		if err := pg.Store(4000, 4, 0xfeed); err != nil {
+			return err
+		}
+		if _, err := pg.LowerBound(13); err != nil {
+			return err
+		}
 		if _, err := pg.Find(21); !errors.Is(err, page.ErrNotFound) {
 			return fmt.Errorf("Find(21) = %v, want ErrNotFound", err)
 		}
 		return nil
 	}))
+
+	// A Get and Release of a resident page hands out a value handle.
+	other := r.seed(t, 8, "other")
+	gate("Get+Release", func() error {
+		g, err := r.pool.Get(r.clk, other, buffer.Read)
+		if err != nil {
+			return err
+		}
+		return g.Release()
+	})
 }
 
-// TestFrameAccessStaysInPage checks the frame's own page-bounds check: the
-// pool region spans every block, so a span leaving the page must be refused
-// before it reaches the cache or the fast-tier mirror.
+// TestFrameAccessStaysInPage checks the block accessor's own page-bounds
+// check: the pool region spans every block, so a span leaving the page
+// must be refused before it reaches the cache or the fast-tier mirror.
 func TestFrameAccessStaysInPage(t *testing.T) {
 	r := newRig(t, 8)
 	id := r.seed(t, 7, "bounded")
@@ -88,16 +111,16 @@ func TestFrameAccessStaysInPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Release()
-	if err := f.ReadAt(page.Size-2, make([]byte, 8)); err == nil {
+	if err := readAt(f, page.Size-2, make([]byte, 8)); err == nil {
 		t.Fatal("read past the page end accepted")
 	}
-	if err := f.WriteAt(-1, []byte{0}); err == nil {
+	if err := writeAt(f, -1, []byte{0}); err == nil {
 		t.Fatal("negative write accepted")
 	}
-	if err := f.WriteAt(page.Size-8, make([]byte, 8)); err != nil {
+	if err := writeAt(f, page.Size-8, make([]byte, 8)); err != nil {
 		t.Fatalf("write ending at the page end refused: %v", err)
 	}
-	if err := f.ReadAt(page.Size, nil); err != nil {
+	if err := readAt(f, page.Size, nil); err != nil {
 		t.Fatalf("empty read at the page end refused: %v", err)
 	}
 
@@ -115,13 +138,13 @@ func TestFrameAccessStaysInPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pf.Release()
-	if err := pf.ReadAt(page.Size-2, make([]byte, 8)); err == nil {
+	if err := readAt(pf, page.Size-2, make([]byte, 8)); err == nil {
 		t.Fatal("read past the end of a promoted page accepted")
 	}
-	if _, err := pf.Load(-1, 2); err == nil {
+	if err := visit(pf, func(pg page.Page) error { _, err := pg.Load(-1, 2); return err })(); err == nil {
 		t.Fatal("negative load from a promoted page accepted")
 	}
-	if _, err := pf.Load(page.Size-8, 8); err != nil {
+	if err := visit(pf, func(pg page.Page) error { _, err := pg.Load(page.Size-8, 8); return err })(); err != nil {
 		t.Fatalf("load ending at the end of a promoted page refused: %v", err)
 	}
 	if r.pool.FastHits() == 0 {
@@ -129,10 +152,10 @@ func TestFrameAccessStaysInPage(t *testing.T) {
 	}
 }
 
-// TestFrameHold checks what a hold changes and what it must not: a held
-// frame refuses Release until unheld, keeps its latch rules, and a
-// read-latched frame of a page mirrored in the fast tier refuses the hold,
-// so its reads still come from the mirror.
+// TestFrameHold checks what a visit's hold of the CPU cache changes and
+// what it must not: inside a visit the frame refuses Release, keeps its
+// latch rules, and a read visit of a page mirrored in the fast tier takes
+// no hold, so its reads still come from the mirror.
 func TestFrameHold(t *testing.T) {
 	r := newRig(t, 8)
 	r.enableTiering()
@@ -141,19 +164,23 @@ func TestFrameHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Hold()
-	if err := f.Store(100, 2, 1); err == nil {
-		t.Fatal("held store under a read latch accepted")
+	err = buffer.Visit(f, func(pg page.Page) error {
+		if err := pg.Store(100, 2, 1); !errors.Is(err, buffer.ErrReadLatch) {
+			return fmt.Errorf("held store under a read latch: %v, want ErrReadLatch", err)
+		}
+		if _, err := pg.Load(page.Size-2, 4); err == nil {
+			return errors.New("held load past the page end accepted")
+		}
+		if err := f.Release(); !errors.Is(err, buffer.ErrInVisit) {
+			return fmt.Errorf("release inside a visit: %v, want ErrInVisit", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := f.Load(page.Size-2, 4); err == nil {
-		t.Fatal("held load past the page end accepted")
-	}
-	if err := f.Release(); err == nil {
-		t.Fatal("release of a held frame accepted")
-	}
-	f.Unhold()
 	if err := f.Release(); err != nil {
-		t.Fatalf("release after Unhold: %v", err)
+		t.Fatalf("release after the visit: %v", err)
 	}
 
 	if ok, err := r.pool.Promote(r.clk, id); err != nil || !ok {
@@ -164,14 +191,12 @@ func TestFrameHold(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits, cached := r.pool.FastHits(), r.cache.Stats()
-	pf.Hold()
-	v, err := page.Wrap(pf).Find(7)
-	pf.Unhold()
+	v, err := findVal(pf, 7)
 	if err != nil || string(v) != "held" {
 		t.Fatalf("Find(7) on a promoted page = %q, %v", v, err)
 	}
 	if r.pool.FastHits() == hits || r.cache.Stats() != cached {
-		t.Fatal("a held read of a promoted page did not come from the mirror alone")
+		t.Fatal("a read visit of a promoted page did not come from the mirror alone")
 	}
 	if err := pf.Release(); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"polarcxlmem/internal/buffer"
-	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/simclock"
 )
 
@@ -54,7 +53,7 @@ func TestFsckAfterChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		if mode == buffer.Write {
-			page.Wrap(f).Update(1, []byte(fmt.Sprintf("upd-%03d", op)))
+			updateVal(f, 1, []byte(fmt.Sprintf("upd-%03d", op)))
 			f.MarkDirty()
 		}
 		f.Release()

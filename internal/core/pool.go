@@ -45,6 +45,7 @@ type CXLPool struct {
 	store  *storage.Store
 
 	nblocks int64
+	blocks  []block // block idx's page accessor is blocks[idx-1]
 
 	cst *cxlStore
 
@@ -79,18 +80,17 @@ type cxlStore struct {
 
 // newPool wires an empty pool+store+table over region (Format and Open).
 func newPool(host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache, store *storage.Store, n int64) *CXLPool {
-	p := &CXLPool{host: host, region: region, cache: cache, store: store, nblocks: n}
+	p := &CXLPool{host: host, region: region, cache: cache, store: store, nblocks: n, blocks: make([]block, n)}
+	for i := range p.blocks {
+		p.blocks[i] = block{p: p, idx: int64(i) + 1}
+	}
 	w := n * lruMoveWindowMult
 	if w < 1 {
 		w = 1
 	}
 	p.cst = &cxlStore{p: p, ids: make([]uint64, n), touch: make([]atomic.Int64, n), window: w}
-	p.WritebackPool = buffer.NewWritebackPool(frametab.Config{Store: p.cst}, "cxl", store, p.bind)
+	p.WritebackPool = buffer.NewWritebackPool(frametab.Config{Store: p.cst}, "cxl", store, medium{p})
 	return p
-}
-
-func (p *CXLPool) bind(clk *simclock.Clock, f *frametab.Frame, mode buffer.Mode) buffer.Frame {
-	return &cxlFrame{pool: p, clk: clk, idx: f.Slot().(int64), fr: f, mode: mode}
 }
 
 // Format initializes a fresh PolarCXLMem pool over region: writes the

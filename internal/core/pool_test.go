@@ -59,15 +59,15 @@ func (r *rig) reconnect(t *testing.T) *cxl.HostPort {
 func (r *rig) seed(t *testing.T, key int64, val string) uint64 {
 	t.Helper()
 	id := r.store.AllocPageID()
-	a := page.NewSliceAccessor()
-	pg := page.Wrap(a)
+	img := make([]byte, page.Size)
+	pg := page.Image(img)
 	if err := pg.Init(id, page.TypeLeaf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := pg.Insert(key, []byte(val)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.store.WritePage(r.clk, id, a.Buf); err != nil {
+	if err := r.store.WritePage(r.clk, id, img); err != nil {
 		t.Fatal(err)
 	}
 	return id
@@ -80,7 +80,7 @@ func TestFormatAndBasicGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := page.Wrap(f).Find(42)
+	v, err := findVal(f, 42)
 	if err != nil || string(v) != "hello-cxl" {
 		t.Fatalf("find = %q, %v", v, err)
 	}
@@ -109,36 +109,38 @@ func TestWritePublishOnRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg := page.Wrap(f)
-	if err := pg.Update(1, []byte("bbbb")); err != nil {
-		t.Fatal(err)
-	}
-	if err := pg.SetLSN(77); err != nil {
+	err = buffer.Visit(f, func(pg page.Page) error {
+		if err := pg.Update(1, []byte("bbbb")); err != nil {
+			return err
+		}
+		return pg.SetLSN(77)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	f.MarkDirty()
 	// Before release: the update lives in the CPU cache; CXL still has the
 	// old bytes (write-back).
 	img := make([]byte, page.Size)
-	if err := r.pool.RawPage(id, img); err != nil {
+	if err := rawPage(r.pool, id, img); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := page.Wrap(&page.SliceAccessor{Buf: img}).Find(1); string(v) == "bbbb" {
+	if v, _ := page.Image(img).Find(1); string(v) == "bbbb" {
 		t.Fatal("update visible in CXL before release flush")
 	}
 	if err := f.Release(); err != nil {
 		t.Fatal(err)
 	}
 	// After release: published.
-	if err := r.pool.RawPage(id, img); err != nil {
+	if err := rawPage(r.pool, id, img); err != nil {
 		t.Fatal(err)
 	}
-	v, err := page.Wrap(&page.SliceAccessor{Buf: img}).Find(1)
+	v, err := page.Image(img).Find(1)
 	if err != nil || string(v) != "bbbb" {
 		t.Fatalf("after release: %q, %v", v, err)
 	}
 	// Metadata LSN updated, lock word cleared.
-	if lsn, ok := r.pool.PageLSN(id); !ok || lsn != 77 {
+	if lsn, ok := pageLSN(r.pool, id); !ok || lsn != 77 {
 		t.Fatalf("meta lsn = %d, %v", lsn, ok)
 	}
 }
@@ -148,7 +150,7 @@ func TestWriteUnderReadLatchRejected(t *testing.T) {
 	id := r.seed(t, 1, "x")
 	f, _ := r.pool.Get(r.clk, id, buffer.Read)
 	defer f.Release()
-	if err := f.WriteAt(100, []byte{1}); err == nil {
+	if err := writeAt(f, 100, []byte{1}); err == nil {
 		t.Fatal("write under read latch accepted")
 	}
 }
@@ -158,7 +160,7 @@ func TestUseAfterReleaseRejected(t *testing.T) {
 	id := r.seed(t, 1, "x")
 	f, _ := r.pool.Get(r.clk, id, buffer.Write)
 	f.Release()
-	if err := f.ReadAt(0, make([]byte, 8)); err == nil {
+	if err := readAt(f, 0, make([]byte, 8)); err == nil {
 		t.Fatal("read after release accepted")
 	}
 	if err := f.Release(); err == nil {
@@ -170,7 +172,7 @@ func TestEvictionFlushesDirtyToStorage(t *testing.T) {
 	r := newRig(t, 2)
 	a := r.seed(t, 1, "one1")
 	f, _ := r.pool.Get(r.clk, a, buffer.Write)
-	page.Wrap(f).Update(1, []byte("NEW1"))
+	updateVal(f, 1, []byte("NEW1"))
 	f.MarkDirty()
 	f.Release()
 	// Fill the remaining block plus one more: a must be evicted.
@@ -190,7 +192,7 @@ func TestEvictionFlushesDirtyToStorage(t *testing.T) {
 	if err := r.store.ReadPage(r.clk, a, img); err != nil {
 		t.Fatal(err)
 	}
-	v, err := page.Wrap(&page.SliceAccessor{Buf: img}).Find(1)
+	v, err := page.Image(img).Find(1)
 	if err != nil || string(v) != "NEW1" {
 		t.Fatalf("storage after eviction: %q, %v", v, err)
 	}
@@ -202,11 +204,13 @@ func TestNewPageAndFlushAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg := page.Wrap(f)
-	if err := pg.Init(f.ID(), page.TypeLeaf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := pg.Insert(5, []byte("five")); err != nil {
+	err = buffer.Visit(f, func(pg page.Page) error {
+		if err := pg.Init(f.ID(), page.TypeLeaf, 0); err != nil {
+			return err
+		}
+		return pg.Insert(5, []byte("five"))
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	f.MarkDirty()
@@ -238,7 +242,7 @@ func TestCrashMidUpdateLeavesLockedBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := page.Wrap(f).Update(1, []byte("half")); err != nil {
+	if err := updateVal(f, 1, []byte("half")); err != nil {
 		t.Fatal(err)
 	}
 	// Crash without Release: dirty cache lines vanish, lock word persists.
@@ -264,10 +268,10 @@ func TestCrashMidUpdateLeavesLockedBlock(t *testing.T) {
 	// The CXL image must still be the pre-update one (write-back cache died
 	// before flushing).
 	img := make([]byte, page.Size)
-	if err := pool2.RawPage(id, img); err != nil {
+	if err := rawPage(pool2, id, img); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := page.Wrap(&page.SliceAccessor{Buf: img}).Find(1)
+	v, _ := page.Image(img).Find(1)
 	if string(v) != "base" {
 		t.Fatalf("CXL image after crash: %q", v)
 	}
@@ -277,9 +281,10 @@ func TestCrashAfterReleaseIsClean(t *testing.T) {
 	r := newRig(t, 8)
 	id := r.seed(t, 1, "base")
 	f, _ := r.pool.Get(r.clk, id, buffer.Write)
-	pg := page.Wrap(f)
-	pg.Update(1, []byte("done"))
-	pg.SetLSN(5)
+	buffer.Visit(f, func(pg page.Page) error {
+		pg.Update(1, []byte("done"))
+		return pg.SetLSN(5)
+	})
 	f.MarkDirty()
 	f.Release()
 	r.pool.Crash()
@@ -298,8 +303,8 @@ func TestCrashAfterReleaseIsClean(t *testing.T) {
 		t.Fatal("dirty flag lost across crash")
 	}
 	img := make([]byte, page.Size)
-	pool2.RawPage(id, img)
-	v, _ := page.Wrap(&page.SliceAccessor{Buf: img}).Find(1)
+	rawPage(pool2, id, img)
+	v, _ := page.Image(img).Find(1)
 	if string(v) != "done" {
 		t.Fatalf("published update lost: %q", v)
 	}
@@ -360,7 +365,7 @@ func TestCrashMidLRUSpliceDetectedAndRebuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := page.Wrap(f).Find(int64(i))
+		v, err := findVal(f, int64(i))
 		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("page %d after rebuild: %q, %v", id, v, err)
 		}
@@ -390,7 +395,7 @@ func TestRepairAndDropPage(t *testing.T) {
 	r := newRig(t, 8)
 	id := r.seed(t, 1, "orig")
 	f, _ := r.pool.Get(r.clk, id, buffer.Write)
-	page.Wrap(f).Update(1, []byte("bad!"))
+	updateVal(f, 1, []byte("bad!"))
 	r.pool.Crash() // locked crash
 
 	clk2 := simclock.New()
@@ -415,7 +420,7 @@ func TestRepairAndDropPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := page.Wrap(g).Find(1)
+	v, _ := findVal(g, 1)
 	if string(v) != "orig" {
 		t.Fatalf("repaired page: %q", v)
 	}
@@ -472,7 +477,7 @@ func TestPoolRandomWorkloadProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := page.Wrap(f).Find(100)
+			v, err := findVal(f, 100)
 			if err != nil || string(v) != shadow[id] {
 				t.Fatalf("op %d: page %d = %q, want %q (%v)", op, id, v, shadow[id], err)
 			}
@@ -483,7 +488,7 @@ func TestPoolRandomWorkloadProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := page.Wrap(f).Update(100, []byte(nv)); err != nil {
+			if err := updateVal(f, 100, []byte(nv)); err != nil {
 				t.Fatal(err)
 			}
 			f.MarkDirty()
@@ -514,4 +519,47 @@ func TestBlocksForRoundTrip(t *testing.T) {
 			t.Fatalf("BlocksFor(RegionSizeFor(%d)) = %d", n, got)
 		}
 	}
+}
+
+// readAt reads buf at off from f's page in a visit of its own.
+func readAt(f buffer.Frame, off int, buf []byte) error {
+	return buffer.Visit(f, func(pg page.Page) error { return pg.ReadAt(off, buf) })
+}
+
+// writeAt writes data at off to f's page in a visit of its own.
+func writeAt(f buffer.Frame, off int, data []byte) error {
+	return buffer.Visit(f, func(pg page.Page) error { return pg.WriteAt(off, data) })
+}
+
+// findVal looks key up in f's page in a visit of its own.
+func findVal(f buffer.Frame, key int64) (v []byte, err error) {
+	err = buffer.Visit(f, func(pg page.Page) (err error) {
+		v, err = pg.Find(key)
+		return err
+	})
+	return v, err
+}
+
+// updateVal replaces key's value in f's page in a visit of its own.
+func updateVal(f buffer.Frame, key int64, val []byte) error {
+	return buffer.Visit(f, func(pg page.Page) error { return pg.Update(key, val) })
+}
+
+// rawPage copies resident page id's CXL image without cost.
+func rawPage(p *CXLPool, id uint64, buf []byte) error {
+	fr := p.Table().Lookup(id)
+	if fr == nil {
+		return fmt.Errorf("core: page %d not resident", id)
+	}
+	return p.rawImage(fr.Slot().(int64), buf)
+}
+
+// pageLSN reports resident page id's metadata LSN.
+func pageLSN(p *CXLPool, id uint64) (uint64, bool) {
+	fr := p.Table().Lookup(id)
+	if fr == nil {
+		return 0, false
+	}
+	v, _ := p.region.Load64Raw(blockOff(fr.Slot().(int64)) + mLSN)
+	return v, true
 }

@@ -263,23 +263,3 @@ func (p *CXLPool) DropPage(clk *simclock.Clock, id uint64) error {
 	p.Table().Discard(id)
 	return nil
 }
-
-// PageLSN reports the metadata LSN of a resident page (diagnostics).
-func (p *CXLPool) PageLSN(id uint64) (uint64, bool) {
-	fr := p.Table().Lookup(id)
-	if fr == nil {
-		return 0, false
-	}
-	idx := fr.Slot().(int64)
-	v, _ := p.region.Load64Raw(blockOff(idx) + mLSN)
-	return v, true
-}
-
-// RawPage copies the CXL-resident image of page id (diagnostics, recovery).
-func (p *CXLPool) RawPage(id uint64, buf []byte) error {
-	fr := p.Table().Lookup(id)
-	if fr == nil {
-		return fmt.Errorf("core: page %d not resident", id)
-	}
-	return p.rawImage(fr.Slot().(int64), buf)
-}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/frametab"
 	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
@@ -38,37 +39,22 @@ type fastTier struct {
 	prof simmem.Profile // per-access cost of a mirror read (DRAM)
 
 	mu     sync.RWMutex
-	mirror map[uint64][]byte
+	mirror map[uint64]*mirror
 
 	hits atomic.Int64
 }
 
-// lookupCopy serves a mirror read: copies page bytes at off into buf and
-// reports whether the page was mirrored. The DRAM access cost is charged to
-// clk; no CXL device operation is issued — that is the entire point.
-func (ft *fastTier) lookupCopy(clk *simclock.Clock, id uint64, off int, buf []byte) bool {
+// lookup returns page id's mirror, or nil.
+func (ft *fastTier) lookup(id uint64) *mirror {
 	ft.mu.RLock()
-	img, ok := ft.mirror[id]
+	m := ft.mirror[id]
 	ft.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	copy(buf, img[off:off+len(buf)])
-	clk.Advance(ft.prof.ReadCost(len(buf)))
-	ft.hits.Add(1)
-	return true
+	return m
 }
 
-func (ft *fastTier) contains(id uint64) bool {
-	ft.mu.RLock()
-	_, ok := ft.mirror[id]
-	ft.mu.RUnlock()
-	return ok
-}
-
-func (ft *fastTier) install(id uint64, img []byte) int {
+func (ft *fastTier) install(id uint64, m *mirror) int {
 	ft.mu.Lock()
-	ft.mirror[id] = img
+	ft.mirror[id] = m
 	n := len(ft.mirror)
 	ft.mu.Unlock()
 	return n
@@ -89,7 +75,7 @@ func (ft *fastTier) remove(id uint64) bool {
 // Call before serving traffic; a crashed pool loses the tier with the rest
 // of host DRAM.
 func (p *CXLPool) EnableTiering(heat *tier.Heat, prof simmem.Profile) {
-	p.fastP.Store(&fastTier{prof: prof, mirror: make(map[uint64][]byte)})
+	p.fastP.Store(&fastTier{prof: prof, mirror: make(map[uint64]*mirror)})
 	p.Table().SetTouchSampler(heat.Touch)
 }
 
@@ -124,7 +110,7 @@ var _ tier.Mover = (*CXLPool)(nil)
 // and an untouched CXL home.
 func (p *CXLPool) Promote(clk *simclock.Clock, id uint64) (bool, error) {
 	ft := p.fastP.Load()
-	if ft == nil || ft.contains(id) {
+	if ft == nil || ft.lookup(id) != nil {
 		return false, nil
 	}
 	fr, ok := p.Table().TryPin(id)
@@ -137,8 +123,8 @@ func (p *CXLPool) Promote(clk *simclock.Clock, id uint64) (bool, error) {
 	}
 	defer fr.Unlock(frametab.Read)
 	idx := fr.Slot().(int64)
-	img := make([]byte, page.Size)
-	if err := p.rawImage(idx, img); err != nil {
+	m := &mirror{Image: buffer.NewImage(&ft.prof), hits: &ft.hits}
+	if err := p.rawImage(idx, m.Buf); err != nil {
 		return false, err
 	}
 	if err := p.host.TransferRead(clk, page.Size); err != nil {
@@ -147,7 +133,7 @@ func (p *CXLPool) Promote(clk *simclock.Clock, id uint64) (bool, error) {
 	if err := p.step("tier-promote-staged"); err != nil {
 		return false, err
 	}
-	n := ft.install(id, img)
+	n := ft.install(id, m)
 	p.emitTier(clk.Now(), obs.EvTierPromote, id, int64(n))
 	return true, nil
 }

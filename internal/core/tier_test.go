@@ -50,7 +50,7 @@ func TestPromoteServesReadsFromMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := page.Wrap(f).Find(1)
+	v, err := findVal(f, 1)
 	if err != nil || string(v) != "mirrored" {
 		t.Fatalf("mirror read = %q, %v", v, err)
 	}
@@ -113,7 +113,7 @@ func TestWriteLatchInvalidatesMirrorBeforeModification(t *testing.T) {
 	if r.pool.FastResident() != 0 {
 		t.Fatal("mirror survived write-latch acquisition")
 	}
-	if err := page.Wrap(f).Update(1, []byte("bbbb")); err != nil {
+	if err := updateVal(f, 1, []byte("bbbb")); err != nil {
 		t.Fatal(err)
 	}
 	f.MarkDirty()
@@ -125,7 +125,7 @@ func TestWriteLatchInvalidatesMirrorBeforeModification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := page.Wrap(g).Find(1)
+	v, err := findVal(g, 1)
 	if err != nil || string(v) != "bbbb" {
 		t.Fatalf("read after write = %q, %v, want bbbb", v, err)
 	}
@@ -210,7 +210,7 @@ func TestDemotionRacesEvictionUnderLoad(t *testing.T) {
 	// Inclusive invariant after the dust settles: every mirror has a
 	// resident CXL home.
 	for _, id := range r.pool.Promoted() {
-		if err := r.pool.RawPage(id, make([]byte, page.Size)); err != nil {
+		if err := rawPage(r.pool, id, make([]byte, page.Size)); err != nil {
 			t.Fatalf("mirror for non-resident page %d: %v", id, err)
 		}
 	}
@@ -260,7 +260,7 @@ func TestResizeSmallerEvictsOverflowAndKeepsData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := page.Wrap(f).Update(1, []byte("new!")); err != nil {
+	if err := updateVal(f, 1, []byte("new!")); err != nil {
 		t.Fatal(err)
 	}
 	f.MarkDirty()
@@ -287,7 +287,7 @@ func TestResizeSmallerEvictsOverflowAndKeepsData(t *testing.T) {
 		if i == 0 {
 			exp = "new!"
 		}
-		if v, err := page.Wrap(g).Find(int64(i + 1)); err != nil || string(v) != exp {
+		if v, err := findVal(g, int64(i+1)); err != nil || string(v) != exp {
 			t.Fatalf("page %d after shrink = %q, %v, want %q", id, v, err, exp)
 		}
 		g.Release()
@@ -357,7 +357,7 @@ func TestCrashMidPromotionCXLCopyWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := page.Wrap(g).Find(1); err != nil || string(v) != "home" {
+	if v, err := findVal(g, 1); err != nil || string(v) != "home" {
 		t.Fatalf("page after crash = %q, %v, want home", v, err)
 	}
 	g.Release()

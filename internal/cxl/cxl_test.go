@@ -256,7 +256,10 @@ func TestHostCacheWiredToLink(t *testing.T) {
 	}
 	cache := h.NewCache("db", 1<<16)
 	buf := make([]byte, 64)
-	if err := cache.Read(clk, reg, 0, buf); err != nil {
+	cache.Hold()
+	err = cache.ReadHeld(clk, reg, 0, buf)
+	cache.Unhold()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Link().Stats().Units != 64 {

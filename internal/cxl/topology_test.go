@@ -297,7 +297,10 @@ func TestHomeLeafFollowsAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)
-	if err := cache.Read(clk, reg, 0, buf); err != nil {
+	cache.Hold()
+	err = cache.ReadHeld(clk, reg, 0, buf)
+	cache.Unhold()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := topo.Leaf(0).Uplink().Resource().Stats().Units; got == 0 {

@@ -150,7 +150,8 @@ type Request struct {
 	Op func(*txn.Txn) error
 	// Done, when non-nil, runs on the executing worker after the batch
 	// commits (or fails — every request in a failed batch gets the error).
-	// Discarded requests (Abort) get ErrClosed.
+	// Discarded requests (Abort) get ErrClosed. It may Submit, but must not
+	// Step or Drain: the worker reuses its batch buffer on the next pop.
 	Done func(error)
 }
 
@@ -199,7 +200,8 @@ type worker struct {
 	mu     sync.Mutex
 	cond   *sync.Cond // signalled on enqueue and close (run loop waits)
 	space  *sync.Cond // signalled on dequeue and close (SubmitWait waiters)
-	q      []request
+	q      []request  // FIFO; a pop shifts the rest down, so the array is reused
+	batch  []request  // the popped batch; owned by the executing goroutine
 	closed bool
 	drain  bool // closed with drain (Close) vs discard (Abort)
 
@@ -358,14 +360,16 @@ func (w *worker) admitLocked(req request) {
 
 // popBatchLocked removes up to BatchSize requests, emitting dp.dequeue (or
 // dp.discard) per request with the depth after each removal. Caller holds
-// mu and is the executing goroutine (the clock owner).
+// mu and is the executing goroutine (the clock owner). The batch goes to the
+// worker's batch buffer (valid until the next pop) and the rest of the queue
+// shifts down in its array, so neither allocates once warm.
 func (w *worker) popBatchLocked(discard bool) []request {
-	n := w.r.cfg.BatchSize
-	if n > len(w.q) {
-		n = len(w.q)
-	}
-	batch := w.q[:n:n]
-	w.q = w.q[n:]
+	n := min(w.r.cfg.BatchSize, len(w.q))
+	batch := append(w.batch[:0], w.q[:n]...)
+	w.batch = batch
+	rest := copy(w.q, w.q[n:])
+	clear(w.q[rest:]) // drop the moved-out requests' references
+	w.q = w.q[:rest]
 	ev := obs.EvDPDequeue
 	if discard {
 		ev = obs.EvDPDiscard
@@ -402,26 +406,25 @@ func (w *worker) execBatch(batch []request) {
 	clk.Advance(w.r.cfg.DispatchNanos)
 
 	var opNanos int64
-	ops := make([]func(*txn.Txn) error, len(batch))
-	for i, req := range batch {
-		op := req.Op
-		tenant := req.Tenant
-		ops[i] = func(tx *txn.Txn) error {
-			if tag := w.r.cfg.TenantTag; tag != nil {
-				tag(clk, tenant)
-			}
-			t0 := clk.Now()
-			err := op(tx)
-			opNanos += clk.Now() - t0
-			return err
+	err := w.r.eng.RunBatch(clk, len(batch), func(i int, tx *txn.Txn) error {
+		if tag := w.r.cfg.TenantTag; tag != nil {
+			tag(clk, batch[i].Tenant)
 		}
-	}
-	err := w.r.eng.RunBatch(clk, ops)
+		t0 := clk.Now()
+		err := batch[i].Op(tx)
+		opNanos += clk.Now() - t0
+		return err
+	})
 	w.r.overhead.Add(clk.Now() - start - opNanos)
 	w.r.batches.Add(1)
 	w.r.batchesCtr.Inc()
 	w.r.requests.Add(int64(len(batch)))
 	w.r.requestsCtr.Add(int64(len(batch)))
+	finish(batch, err)
+}
+
+// finish reports err to every request of batch that asked for its outcome.
+func finish(batch []request, err error) {
 	for _, req := range batch {
 		if req.Done != nil {
 			req.Done(err)
@@ -444,11 +447,7 @@ func (w *worker) run() {
 		if w.closed && !w.drain {
 			batch := w.popBatchLocked(true)
 			w.mu.Unlock()
-			for _, req := range batch {
-				if req.Done != nil {
-					req.Done(ErrClosed)
-				}
-			}
+			finish(batch, ErrClosed)
 			continue
 		}
 		batch := w.popBatchLocked(false)
@@ -497,11 +496,7 @@ func (r *Router) shutdown(drain bool) {
 				}
 				batch := w.popBatchLocked(true)
 				w.mu.Unlock()
-				for _, req := range batch {
-					if req.Done != nil {
-						req.Done(ErrClosed)
-					}
-				}
+				finish(batch, ErrClosed)
 			}
 		}
 	}

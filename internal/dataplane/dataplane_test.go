@@ -465,7 +465,11 @@ func TestConcurrentRunDrains(t *testing.T) {
 // TestRunBatchEmpty: the zero-op batch is a no-op, not a transaction.
 func TestRunBatchEmpty(t *testing.T) {
 	r := newRig(t, 1)
-	if err := r.eng.RunBatch(r.clk, nil); err != nil {
+	err := r.eng.RunBatch(r.clk, 0, func(int, *txn.Txn) error {
+		t.Fatal("an empty batch ran an op")
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }

@@ -227,6 +227,11 @@ type Frame struct {
 	pins    atomic.Int64
 	ringIdx int // guarded by table.evictMu; -1 when off the ring
 
+	// use counts the buffer package's live handles on this frame (low 32
+	// bits) and their running page visits (high 32): a handle is a plain
+	// value, so its misuse is caught here (see Unhand, EnterVisit).
+	use atomic.Uint64
+
 	dirtied *atomic.Int64 // the owning table's clean-to-dirty counter
 }
 
@@ -248,6 +253,57 @@ func (f *Frame) MarkDirty() {
 
 // ClearDirty records that the durable image caught up (checkpoint flush).
 func (f *Frame) ClearDirty() { f.dirty.Store(false) }
+
+// Handle misuse, reported by Unhand and EnterVisit.
+var (
+	ErrReleased = errors.New("frametab: frame has no live handle (released)")
+	ErrInVisit  = errors.New("frametab: release inside a page visit")
+)
+
+// visitUnit is one running visit in Frame.use.
+const visitUnit = 1 << 32
+
+// Handed records one more live handle on f.
+func (f *Frame) Handed() { f.use.Add(1) }
+
+// Unhand drops one live handle. It drops nothing and fails with
+// ErrReleased when no handle is live, and with ErrInVisit when every live
+// handle is inside a visit, so the one being dropped must be too.
+func (f *Frame) Unhand() error {
+	for {
+		u := f.use.Load()
+		if h := u & (visitUnit - 1); h == 0 {
+			return ErrReleased
+		} else if u/visitUnit >= h {
+			return ErrInVisit
+		}
+		if f.use.CompareAndSwap(u, u-1) {
+			return nil
+		}
+	}
+}
+
+// EnterVisit records a page visit starting; it fails with ErrReleased when
+// no handle is live.
+func (f *Frame) EnterVisit() error {
+	if f.use.Add(visitUnit)&(visitUnit-1) == 0 {
+		f.ExitVisit()
+		return ErrReleased
+	}
+	return nil
+}
+
+// ExitVisit records the end of a visit EnterVisit started.
+func (f *Frame) ExitVisit() { f.use.Add(^uint64(visitUnit - 1)) }
+
+// NewFrame returns a loaded frame for page id that belongs to no table, for
+// a pool that keeps its own index and hands out buffer frame handles on it.
+// Only the handle bookkeeping, ID and Slot apply to it.
+func NewFrame(id uint64, slot any) *Frame {
+	f := &Frame{id: id, slot: slot, ringIdx: -1}
+	f.ready.Store(true)
+	return f
+}
 
 // Lock acquires the frame-local latch in mode.
 func (f *Frame) Lock(mode Mode) {

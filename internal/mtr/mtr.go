@@ -9,8 +9,7 @@
 // Every page mutation goes through an MTR method, which performs the page
 // operation in one page visit (buffer.Visit), then appends a logical redo
 // record (with a before-image for undo), stamps the page LSN, and marks the
-// frame dirty. Commit appends a
-// mini-transaction commit record, optionally forces the log, and only then
+// frame dirty. Commit appends a mini-transaction commit record, optionally forces the log, and only then
 // releases the page latches — on PolarCXLMem, releasing a write latch is
 // what flushes the page's cache lines to CXL and clears the persisted lock
 // word, so a crash anywhere inside the MTR leaves every touched page
@@ -33,8 +32,8 @@ type MTR struct {
 	log  *wal.Log
 	id   uint64
 
-	frames []buffer.Frame
-	byID   map[uint64]buffer.Frame
+	frames []buffer.Frame // held until Commit, in acquisition order
+	held   [4]buffer.Frame
 	done   bool
 	tag    uint64 // tree meta id stamped into DML records for logical undo
 }
@@ -42,7 +41,9 @@ type MTR struct {
 // Begin starts a mini-transaction with the given id (callers draw ids from
 // their transaction counter; recovery distinguishes committed MTRs by it).
 func Begin(clk *simclock.Clock, pool buffer.Pool, log *wal.Log, id uint64) *MTR {
-	return &MTR{clk: clk, pool: pool, log: log, id: id, byID: make(map[uint64]buffer.Frame)}
+	m := &MTR{clk: clk, pool: pool, log: log, id: id}
+	m.frames = m.held[:0]
+	return m
 }
 
 // ID reports the mini-transaction id.
@@ -53,13 +54,22 @@ func (m *MTR) ID() uint64 { return m.id }
 // the right tree.
 func (m *MTR) SetTag(tag uint64) { m.tag = tag }
 
+// find reports the held frame of page id. An MTR holds a handful of
+// frames, so a scan beats a map.
+func (m *MTR) find(id uint64) (buffer.Frame, bool) {
+	for _, f := range m.frames {
+		if f.ID() == id {
+			return f, true
+		}
+	}
+	return buffer.Frame{}, false
+}
+
 // Adopt registers an externally latched frame so Commit releases it.
 func (m *MTR) Adopt(f buffer.Frame) {
-	if _, ok := m.byID[f.ID()]; ok {
-		return
+	if _, ok := m.find(f.ID()); !ok {
+		m.frames = append(m.frames, f)
 	}
-	m.frames = append(m.frames, f)
-	m.byID[f.ID()] = f
 }
 
 // Clock reports the MTR's virtual clock.
@@ -69,31 +79,29 @@ func (m *MTR) Clock() *simclock.Clock { return m.clk }
 // page already held returns the held frame (latches are not reentrant).
 func (m *MTR) Get(id uint64, mode buffer.Mode) (buffer.Frame, error) {
 	if m.done {
-		return nil, fmt.Errorf("mtr %d: get after commit", m.id)
+		return buffer.Frame{}, fmt.Errorf("mtr %d: get after commit", m.id)
 	}
-	if f, ok := m.byID[id]; ok {
+	if f, ok := m.find(id); ok {
 		return f, nil
 	}
 	f, err := m.pool.Get(m.clk, id, mode)
 	if err != nil {
-		return nil, err
+		return buffer.Frame{}, err
 	}
 	m.frames = append(m.frames, f)
-	m.byID[id] = f
 	return f, nil
 }
 
 // New allocates a fresh write-latched page held until Commit.
 func (m *MTR) New() (buffer.Frame, error) {
 	if m.done {
-		return nil, fmt.Errorf("mtr %d: new page after commit", m.id)
+		return buffer.Frame{}, fmt.Errorf("mtr %d: new page after commit", m.id)
 	}
 	f, err := m.pool.NewPage(m.clk)
 	if err != nil {
-		return nil, err
+		return buffer.Frame{}, err
 	}
 	m.frames = append(m.frames, f)
-	m.byID[f.ID()] = f
 	return f, nil
 }
 
@@ -197,9 +205,6 @@ func (m *MTR) Commit(durable bool) error {
 			firstErr = err
 		}
 	}
-	m.frames = nil
+	m.frames = m.frames[:0]
 	return firstErr
 }
-
-// Held reports how many page latches the MTR currently holds.
-func (m *MTR) Held() int { return len(m.frames) }

@@ -1,7 +1,6 @@
 package mtr
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -44,7 +43,11 @@ func TestMTRLogsAndStampsLSN(t *testing.T) {
 	if err := m.Insert(f, 10, []byte("ten")); err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := page.Wrap(f).LSN()
+	var lsn uint64
+	err = buffer.Visit(f, func(pg page.Page) (err error) {
+		lsn, err = pg.LSN()
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +118,11 @@ func TestGetIsHeldUntilCommit(t *testing.T) {
 	if g != f {
 		t.Fatal("re-get returned a different frame")
 	}
-	if m.Held() != 1 {
-		t.Fatalf("held = %d", m.Held())
+	if len(m.frames) != 1 {
+		t.Fatalf("held = %d", len(m.frames))
 	}
 	m.Commit(false)
-	if m.Held() != 0 {
+	if len(m.frames) != 0 {
 		t.Fatal("commit did not release")
 	}
 }
@@ -164,16 +167,15 @@ func TestApplyRedoRoundTrip(t *testing.T) {
 	e.log.Flush(e.clk)
 
 	// Replay everything onto a blank image: must reproduce the final page.
-	img := page.NewSliceAccessor()
+	pg := page.Image(make([]byte, page.Size))
 	e.store.Iterate(1, func(r wal.Record) bool {
 		if r.Page == id {
-			if err := Apply(img, r); err != nil {
+			if err := Apply(pg, r); err != nil {
 				t.Fatalf("apply %v: %v", r.Kind, err)
 			}
 		}
 		return true
 	})
-	pg := page.Wrap(img)
 	v, err := pg.Find(1)
 	if err != nil || string(v) != "ONE" {
 		t.Fatalf("replayed find(1) = %q, %v", v, err)
@@ -185,7 +187,7 @@ func TestApplyRedoRoundTrip(t *testing.T) {
 	lsnBefore, _ := pg.LSN()
 	e.store.Iterate(1, func(r wal.Record) bool {
 		if r.Page == id {
-			Apply(img, r)
+			Apply(pg, r)
 		}
 		return true
 	})
@@ -195,40 +197,19 @@ func TestApplyRedoRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInvert(t *testing.T) {
-	ins := wal.Record{Page: 3, Kind: wal.KInsert, Key: 5, Value: []byte("v")}
-	inv, err := Invert(ins)
-	if err != nil || inv.Kind != wal.KDelete || inv.Key != 5 {
-		t.Fatalf("invert insert = %+v, %v", inv, err)
-	}
-	upd := wal.Record{Page: 3, Kind: wal.KUpdate, Key: 5, Value: []byte("new"), Old: []byte("old")}
-	inv, err = Invert(upd)
-	if err != nil || inv.Kind != wal.KUpdate || !bytes.Equal(inv.Value, []byte("old")) {
-		t.Fatalf("invert update = %+v, %v", inv, err)
-	}
-	del := wal.Record{Page: 3, Kind: wal.KDelete, Key: 5, Old: []byte("old")}
-	inv, err = Invert(del)
-	if err != nil || inv.Kind != wal.KInsert || !bytes.Equal(inv.Value, []byte("old")) {
-		t.Fatalf("invert delete = %+v, %v", inv, err)
-	}
-	if _, err := Invert(wal.Record{Kind: wal.KPageInit}); !errors.Is(err, ErrNotUndoable) {
-		t.Fatalf("invert structure rec err = %v", err)
-	}
-}
-
 func TestApplyControlRecordsAreNoOps(t *testing.T) {
-	img := page.NewSliceAccessor()
-	page.Wrap(img).Init(1, page.TypeLeaf, 0)
+	pg := page.Image(make([]byte, page.Size))
+	pg.Init(1, page.TypeLeaf, 0)
 	for _, k := range []wal.Kind{wal.KTxnCommit, wal.KMTRCommit, wal.KCheckpoint} {
-		if err := Apply(img, wal.Record{LSN: 99, Kind: k}); err != nil {
+		if err := Apply(pg, wal.Record{LSN: 99, Kind: k}); err != nil {
 			t.Fatalf("apply %v: %v", k, err)
 		}
 	}
-	lsn, _ := page.Wrap(img).LSN()
+	lsn, _ := pg.LSN()
 	if lsn != 0 {
 		t.Fatal("control record stamped the page")
 	}
-	if err := Apply(img, wal.Record{LSN: 1, Kind: wal.Kind(99)}); err == nil {
+	if err := Apply(pg, wal.Record{LSN: 1, Kind: wal.Kind(99)}); err == nil {
 		t.Fatal("unknown kind applied")
 	}
 }
@@ -271,8 +252,8 @@ func TestAdoptAndAccessors(t *testing.T) {
 	}
 	m.Adopt(f)
 	m.Adopt(f) // idempotent
-	if m.Held() != 1 {
-		t.Fatalf("held = %d", m.Held())
+	if len(m.frames) != 1 {
+		t.Fatalf("held = %d", len(m.frames))
 	}
 	// Get of the adopted page returns the held frame, not a fresh latch.
 	g, err := m.Get(f.ID(), buffer.Write)
@@ -310,16 +291,15 @@ func TestStructureOpsLogged(t *testing.T) {
 		t.Fatal("structure pointer records missing or wrong")
 	}
 	// And they replay.
-	img := page.NewSliceAccessor()
+	pg := page.Image(make([]byte, page.Size))
 	e.store.Iterate(1, func(r wal.Record) bool {
 		if r.Page == f.ID() {
-			if err := Apply(img, r); err != nil {
+			if err := Apply(pg, r); err != nil {
 				t.Fatalf("apply %v: %v", r.Kind, err)
 			}
 		}
 		return true
 	})
-	pg := page.Wrap(img)
 	if rs, _ := pg.RightSibling(); rs != 77 {
 		t.Fatalf("replayed sibling = %d", rs)
 	}
@@ -352,14 +332,13 @@ func TestMTRFailedOpsDoNotLog(t *testing.T) {
 }
 
 func TestApplySkipsOldRecords(t *testing.T) {
-	img := page.NewSliceAccessor()
-	pg := page.Wrap(img)
+	pg := page.Image(make([]byte, page.Size))
 	pg.Init(5, page.TypeLeaf, 0)
 	pg.Insert(1, []byte("current"))
 	pg.SetLSN(100)
 	// A record older than the page LSN must be skipped.
 	rec := wal.Record{LSN: 50, Page: 5, Kind: wal.KUpdate, Key: 1, Value: []byte("stale!!")}
-	if err := Apply(img, rec); err != nil {
+	if err := Apply(pg, rec); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := pg.Find(1)
@@ -367,7 +346,7 @@ func TestApplySkipsOldRecords(t *testing.T) {
 		t.Fatalf("old record applied: %q", v)
 	}
 	// An init older than the page LSN must also be skipped.
-	if err := Apply(img, wal.Record{LSN: 60, Page: 5, Kind: wal.KPageInit, PType: page.TypeInternal}); err != nil {
+	if err := Apply(pg, wal.Record{LSN: 60, Page: 5, Kind: wal.KPageInit, PType: page.TypeInternal}); err != nil {
 		t.Fatal(err)
 	}
 	if typ, _ := pg.Type(); typ != page.TypeLeaf {

@@ -1,19 +1,18 @@
 package mtr
 
 import (
-	"errors"
 	"fmt"
 
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/wal"
 )
 
-// Apply replays one redo record onto a page accessor if the page LSN shows
-// it has not been applied yet (the standard ARIES redo test). It is used by
-// every recovery scheme and by the undo pass (compensation records are
-// ordinary records).
-func Apply(a page.Accessor, rec wal.Record) error {
-	pg := page.Wrap(a)
+// Apply replays one redo record onto a page if the page LSN shows it has
+// not been applied yet (the standard ARIES redo test). It is used by every
+// recovery scheme — on a pool page inside a buffer.Visit, or on an off-pool
+// page.Image — and by the undo pass (compensation records are ordinary
+// records).
+func Apply(pg page.Page, rec wal.Record) error {
 	if rec.Kind == wal.KPageInit {
 		// Init replaces the page wholesale; LSN test against the raw header
 		// still applies (a later init wins over an earlier image).
@@ -63,23 +62,4 @@ func Apply(a page.Accessor, rec wal.Record) error {
 		return fmt.Errorf("redo: unknown kind %v", rec.Kind)
 	}
 	return pg.SetLSN(rec.LSN)
-}
-
-// ErrNotUndoable reports a record with no inverse (control records,
-// page-structure records whose undo is handled by SMO atomicity).
-var ErrNotUndoable = errors.New("mtr: record has no inverse")
-
-// Invert returns the compensation record that undoes rec. Structure records
-// (page init, sibling/aux pointers) are not inverted: SMOs are atomic at the
-// mini-transaction level, so undo never sees half an SMO.
-func Invert(rec wal.Record) (wal.Record, error) {
-	switch rec.Kind {
-	case wal.KInsert:
-		return wal.Record{Page: rec.Page, Kind: wal.KDelete, Key: rec.Key, Old: rec.Value}, nil
-	case wal.KUpdate:
-		return wal.Record{Page: rec.Page, Kind: wal.KUpdate, Key: rec.Key, Value: rec.Old, Old: rec.Value}, nil
-	case wal.KDelete:
-		return wal.Record{Page: rec.Page, Kind: wal.KInsert, Key: rec.Key, Value: rec.Old}, nil
-	}
-	return wal.Record{}, ErrNotUndoable
 }

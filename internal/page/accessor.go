@@ -3,48 +3,44 @@ package page
 import (
 	"encoding/binary"
 	"fmt"
+
+	"polarcxlmem/internal/simclock"
 )
 
-// SliceAccessor is a cost-free Accessor over an in-memory page image. It is
-// the building block for DRAM frames (which wrap it with DRAM costs) and for
-// tests.
-type SliceAccessor struct {
-	Buf []byte
-}
+// Image returns a writable Page over an in-memory page image whose
+// accesses cost nothing: recovery rebuilds off-pool images through it, and
+// tests use it as a scratch page.
+func Image(buf []byte) Page { return Page{a: &image{buf: buf}, w: true} }
 
-// NewSliceAccessor returns an accessor over a fresh Size-byte image.
-func NewSliceAccessor() *SliceAccessor { return &SliceAccessor{Buf: make([]byte, Size)} }
+// image is the cost-free Accessor behind Image.
+type image struct{ buf []byte }
 
-// ReadAt implements Accessor.
-func (s *SliceAccessor) ReadAt(off int, buf []byte) error {
-	if off < 0 || off+len(buf) > len(s.Buf) {
-		return fmt.Errorf("page: slice read [%d,%d) out of bounds [0,%d)", off, off+len(buf), len(s.Buf))
+func (m *image) ReadAt(_ *simclock.Clock, off int, buf []byte) error {
+	if off < 0 || off+len(buf) > len(m.buf) {
+		return fmt.Errorf("page: image read [%d,%d) out of bounds [0,%d)", off, off+len(buf), len(m.buf))
 	}
-	copy(buf, s.Buf[off:])
+	copy(buf, m.buf[off:])
 	return nil
 }
 
-// WriteAt implements Accessor.
-func (s *SliceAccessor) WriteAt(off int, data []byte) error {
-	if off < 0 || off+len(data) > len(s.Buf) {
-		return fmt.Errorf("page: slice write [%d,%d) out of bounds [0,%d)", off, off+len(data), len(s.Buf))
+func (m *image) WriteAt(_ *simclock.Clock, off int, data []byte) error {
+	if off < 0 || off+len(data) > len(m.buf) {
+		return fmt.Errorf("page: image write [%d,%d) out of bounds [0,%d)", off, off+len(data), len(m.buf))
 	}
-	copy(s.Buf[off:], data)
+	copy(m.buf[off:], data)
 	return nil
 }
 
-// Load implements Accessor.
-func (s *SliceAccessor) Load(off, n int) (uint64, error) {
+func (m *image) Load(clk *simclock.Clock, off, n int) (uint64, error) {
 	var w [8]byte
-	if err := s.ReadAt(off, w[:n]); err != nil {
+	if err := m.ReadAt(clk, off, w[:n]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(w[:]), nil
 }
 
-// Store implements Accessor.
-func (s *SliceAccessor) Store(off, n int, v uint64) error {
+func (m *image) Store(clk *simclock.Clock, off, n int, v uint64) error {
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], v)
-	return s.WriteAt(off, w[:n])
+	return m.WriteAt(clk, off, w[:n])
 }

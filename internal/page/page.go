@@ -20,6 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
+
+	"polarcxlmem/internal/simclock"
 )
 
 // Size is the database page size (16 KB, PolarDB's default).
@@ -62,8 +65,8 @@ var ErrNotFound = errors.New("page: key not found")
 // ErrDuplicate reports an insert of an existing key.
 var ErrDuplicate = errors.New("page: duplicate key")
 
-// Accessor is the byte-level view of one page's storage. Implementations
-// charge their medium's access costs to the worker's virtual clock.
+// Accessor moves the bytes of a page in its medium and charges the medium's
+// access costs to the clock each call names.
 //
 // Load and Store move one little-endian word of n <= 8 bytes: exactly the
 // access, cost and bounds check of ReadAt / WriteAt over the same n bytes.
@@ -73,33 +76,66 @@ var ErrDuplicate = errors.New("page: duplicate key")
 // heap.
 type Accessor interface {
 	// ReadAt fills buf from page offset off.
-	ReadAt(off int, buf []byte) error
+	ReadAt(clk *simclock.Clock, off int, buf []byte) error
 	// WriteAt stores data at page offset off.
-	WriteAt(off int, data []byte) error
+	WriteAt(clk *simclock.Clock, off int, data []byte) error
 	// Load reads the n-byte little-endian word at off.
-	Load(off, n int) (uint64, error)
+	Load(clk *simclock.Clock, off, n int) (uint64, error)
 	// Store writes the low n bytes of v, little-endian, at off.
-	Store(off, n int, v uint64) error
+	Store(clk *simclock.Clock, off, n int, v uint64) error
 }
 
-// Page provides slotted-page operations over an Accessor.
+// ErrReadOnly reports a write through a page that was not opened for
+// writing (a pool page visited under a read latch).
+var ErrReadOnly = errors.New("page: write to a read-only page")
+
+// Page provides slotted-page operations over one visit of a page: the
+// accessor that moves its bytes, the clock they charge, and whether the
+// visit may write. It is a small value; making one allocates nothing.
 type Page struct {
-	a Accessor
+	a   Accessor
+	clk *simclock.Clock
+	w   bool
 }
 
-// Wrap returns a Page over a.
-func Wrap(a Accessor) Page { return Page{a: a} }
+// Wrap returns a Page over a whose accesses charge clk and which refuses
+// writes unless writable. Pool pages reach it only through buffer.Visit.
+func Wrap(a Accessor, clk *simclock.Clock, writable bool) Page {
+	return Page{a: a, clk: clk, w: writable}
+}
+
+// ReadAt fills buf from page offset off.
+func (p Page) ReadAt(off int, buf []byte) error { return p.a.ReadAt(p.clk, off, buf) }
+
+// WriteAt stores data at page offset off.
+func (p Page) WriteAt(off int, data []byte) error {
+	if !p.w {
+		return ErrReadOnly
+	}
+	return p.a.WriteAt(p.clk, off, data)
+}
+
+// Load reads the n-byte (n <= 8) little-endian word at off.
+func (p Page) Load(off, n int) (uint64, error) { return p.a.Load(p.clk, off, n) }
+
+// Store writes the low n bytes (n <= 8) of v, little-endian, at off.
+func (p Page) Store(off, n int, v uint64) error {
+	if !p.w {
+		return ErrReadOnly
+	}
+	return p.a.Store(p.clk, off, n, v)
+}
 
 func (p Page) u16(off int) (uint16, error) {
-	v, err := p.a.Load(off, 2)
+	v, err := p.a.Load(p.clk, off, 2)
 	return uint16(v), err
 }
 
-func (p Page) putU16(off int, v uint16) error { return p.a.Store(off, 2, uint64(v)) }
+func (p Page) putU16(off int, v uint16) error { return p.Store(off, 2, uint64(v)) }
 
-func (p Page) u64(off int) (uint64, error) { return p.a.Load(off, 8) }
+func (p Page) u64(off int) (uint64, error) { return p.a.Load(p.clk, off, 8) }
 
-func (p Page) putU64(off int, v uint64) error { return p.a.Store(off, 8, v) }
+func (p Page) putU64(off int, v uint64) error { return p.Store(off, 8, v) }
 
 // Init formats the page: id, type, level, empty slot directory.
 func (p Page) Init(id uint64, typ uint16, level uint16) error {
@@ -108,7 +144,7 @@ func (p Page) Init(id uint64, typ uint16, level uint16) error {
 	binary.LittleEndian.PutUint16(hdr[offType:], typ)
 	binary.LittleEndian.PutUint16(hdr[offFreeStart:], HeaderSize)
 	binary.LittleEndian.PutUint16(hdr[offLevel:], level)
-	return p.a.WriteAt(0, hdr[:])
+	return p.WriteAt(0, hdr[:])
 }
 
 // ID reports the page id.
@@ -146,7 +182,7 @@ func (p Page) SetAux(v uint64) error { return p.putU64(offAux, v) }
 
 // slot reads slot i's (recOff, recLen).
 func (p Page) slot(i int) (int, int, error) {
-	v, err := p.a.Load(Size-slotSize*(i+1), slotSize)
+	v, err := p.a.Load(p.clk, Size-slotSize*(i+1), slotSize)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -154,7 +190,7 @@ func (p Page) slot(i int) (int, int, error) {
 }
 
 func (p Page) putSlot(i int, recOff, recLen int) error {
-	return p.a.Store(Size-slotSize*(i+1), slotSize, uint64(uint16(recOff))|uint64(uint16(recLen))<<16)
+	return p.Store(Size-slotSize*(i+1), slotSize, uint64(uint16(recOff))|uint64(uint16(recLen))<<16)
 }
 
 // KeyAt reports the key of record i.
@@ -167,20 +203,35 @@ func (p Page) KeyAt(i int) (int64, error) {
 	return int64(k), err
 }
 
-// ValAt reports a copy of record i's value.
-func (p Page) ValAt(i int) ([]byte, error) {
+// ValAt appends a copy of record i's value to dst and returns the extended
+// slice: a caller that passes a buffer with room allocates nothing.
+func (p Page) ValAt(i int, dst []byte) ([]byte, error) {
 	off, length, err := p.slot(i)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if length < 8 {
-		return nil, fmt.Errorf("page: corrupt slot %d: record length %d", i, length)
+		return dst, fmt.Errorf("page: corrupt slot %d: record length %d", i, length)
 	}
-	val := make([]byte, length-8)
-	if err := p.a.ReadAt(off+8, val); err != nil {
-		return nil, err
+	n := len(dst)
+	dst = slices.Grow(dst, length-8)[:n+length-8]
+	if err := p.ReadAt(off+8, dst[n:]); err != nil {
+		return dst[:n], err
 	}
-	return val, nil
+	return dst, nil
+}
+
+// WordAt reports record i's value read as one 8-byte little-endian word —
+// an internal page's child id — and fails if the value is not 8 bytes.
+func (p Page) WordAt(i int) (uint64, error) {
+	off, length, err := p.slot(i)
+	if err != nil {
+		return 0, err
+	}
+	if length != 16 {
+		return 0, fmt.Errorf("page: slot %d holds a %d-byte value, not a word", i, length-8)
+	}
+	return p.u64(off + 8)
 }
 
 // LowerBound reports the first slot index whose key is >= key (== NSlots if
@@ -231,7 +282,7 @@ func (p Page) Find(key int64) ([]byte, error) {
 	if k != key {
 		return nil, ErrNotFound
 	}
-	return p.ValAt(i)
+	return p.ValAt(i, nil)
 }
 
 // FreeSpace reports the contiguous bytes available between the record heap
@@ -264,10 +315,10 @@ func (p Page) shiftSlots(from, n, delta int) error {
 	// occupies [Size-4n, Size-4from).
 	length := (n - from) * slotSize
 	buf := make([]byte, length)
-	if err := p.a.ReadAt(Size-slotSize*n, buf); err != nil {
+	if err := p.ReadAt(Size-slotSize*n, buf); err != nil {
 		return err
 	}
-	return p.a.WriteAt(Size-slotSize*(n+delta), buf)
+	return p.WriteAt(Size-slotSize*(n+delta), buf)
 }
 
 // Insert adds (key, val). Keys are unique: inserting an existing key fails
@@ -319,7 +370,7 @@ func (p Page) Insert(key int64, val []byte) error {
 	rec := make([]byte, need)
 	binary.LittleEndian.PutUint64(rec, uint64(key))
 	copy(rec[8:], val)
-	if err := p.a.WriteAt(int(fs), rec); err != nil {
+	if err := p.WriteAt(int(fs), rec); err != nil {
 		return err
 	}
 	// Open a slot hole at i and fill it.
@@ -403,7 +454,7 @@ func (p Page) Update(key int64, val []byte) error {
 		return err
 	}
 	if length == 8+len(val) {
-		return p.a.WriteAt(off+8, val)
+		return p.WriteAt(off+8, val)
 	}
 	// Check capacity BEFORE removing the old record, so a full page leaves
 	// the record untouched.
@@ -443,14 +494,14 @@ func (p Page) Compact() error {
 			return err
 		}
 		b := make([]byte, length)
-		if err := p.a.ReadAt(off, b); err != nil {
+		if err := p.ReadAt(off, b); err != nil {
 			return err
 		}
 		recs[i] = rec{data: b}
 	}
 	cursor := HeaderSize
 	for i, r := range recs {
-		if err := p.a.WriteAt(cursor, r.data); err != nil {
+		if err := p.WriteAt(cursor, r.data); err != nil {
 			return err
 		}
 		if err := p.putSlot(i, cursor, len(r.data)); err != nil {
@@ -462,52 +513,6 @@ func (p Page) Compact() error {
 		return err
 	}
 	return p.putU16(offGarbage, 0)
-}
-
-// SplitInto moves the upper half of p's records into right (which must be
-// initialized and empty) and returns the first key of right — the separator
-// to install in the parent.
-func (p Page) SplitInto(right Page) (int64, error) {
-	n, err := p.NSlots()
-	if err != nil {
-		return 0, err
-	}
-	if n < 2 {
-		return 0, fmt.Errorf("page: cannot split %d records", n)
-	}
-	mid := n / 2
-	var sep int64
-	for i := mid; i < n; i++ {
-		k, err := p.KeyAt(i)
-		if err != nil {
-			return 0, err
-		}
-		if i == mid {
-			sep = k
-		}
-		v, err := p.ValAt(i)
-		if err != nil {
-			return 0, err
-		}
-		if err := right.Insert(k, v); err != nil {
-			return 0, err
-		}
-	}
-	// Truncate p to [0, mid) and compact away the moved records.
-	for i := n - 1; i >= mid; i-- {
-		cur, err := p.NSlots()
-		if err != nil {
-			return 0, err
-		}
-		if err := p.deleteSlot(i, cur); err != nil {
-			return 0, err
-		}
-	}
-	if err := p.Compact(); err != nil {
-		return 0, err
-	}
-	// Chain siblings at the caller's discretion (leaf level only).
-	return sep, nil
 }
 
 // Scan invokes fn for each record in key order, stopping early if fn
@@ -522,7 +527,7 @@ func (p Page) Scan(fn func(key int64, val []byte) bool) error {
 		if err != nil {
 			return err
 		}
-		v, err := p.ValAt(i)
+		v, err := p.ValAt(i, nil)
 		if err != nil {
 			return err
 		}

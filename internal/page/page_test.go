@@ -12,7 +12,7 @@ import (
 
 func newPage(t *testing.T, typ uint16) Page {
 	t.Helper()
-	p := Wrap(NewSliceAccessor())
+	p := Image(make([]byte, Size))
 	if err := p.Init(7, typ, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -205,40 +205,6 @@ func TestOversizeRecordRejected(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	p := newPage(t, TypeLeaf)
-	for k := int64(0); k < 100; k++ {
-		if err := p.Insert(k, []byte("valuedata")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	right := Wrap(NewSliceAccessor())
-	if err := right.Init(8, TypeLeaf, 0); err != nil {
-		t.Fatal(err)
-	}
-	sep, err := p.SplitInto(right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sep != 50 {
-		t.Fatalf("separator = %d, want 50", sep)
-	}
-	ln, _ := p.NSlots()
-	rn, _ := right.NSlots()
-	if ln != 50 || rn != 50 {
-		t.Fatalf("split sizes %d/%d", ln, rn)
-	}
-	for k := int64(0); k < 100; k++ {
-		target := p
-		if k >= sep {
-			target = right
-		}
-		if _, err := target.Find(k); err != nil {
-			t.Fatalf("key %d lost in split: %v", k, err)
-		}
-	}
-}
-
 func TestLowerBound(t *testing.T) {
 	p := newPage(t, TypeInternal)
 	for _, k := range []int64{10, 20, 30} {
@@ -274,12 +240,12 @@ func TestChecksumRoundTrip(t *testing.T) {
 }
 
 func TestRawAccessors(t *testing.T) {
-	a := NewSliceAccessor()
-	p := Wrap(a)
+	img := make([]byte, Size)
+	p := Image(img)
 	p.Init(42, TypeLeaf, 0)
 	p.SetLSN(777)
-	if RawID(a.Buf) != 42 || RawLSN(a.Buf) != 777 {
-		t.Fatalf("raw id/lsn = %d/%d", RawID(a.Buf), RawLSN(a.Buf))
+	if RawID(img) != 42 || RawLSN(img) != 777 {
+		t.Fatalf("raw id/lsn = %d/%d", RawID(img), RawLSN(img))
 	}
 }
 
@@ -288,7 +254,7 @@ func TestPageModelProperty(t *testing.T) {
 	// insert/delete/update sequences.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := Wrap(NewSliceAccessor())
+		p := Image(make([]byte, Size))
 		if err := p.Init(1, TypeLeaf, 0); err != nil {
 			return false
 		}
@@ -355,8 +321,8 @@ func TestPageModelProperty(t *testing.T) {
 	}
 }
 
-func TestSliceAccessorBounds(t *testing.T) {
-	a := NewSliceAccessor()
+func TestImageBounds(t *testing.T) {
+	a := Image(make([]byte, Size))
 	if err := a.ReadAt(Size-4, make([]byte, 8)); err == nil {
 		t.Fatal("overflow read accepted")
 	}

@@ -164,12 +164,18 @@ func redoThroughPool(clk *simclock.Clock, pool buffer.Creator, a *analysis) (int
 		if err != nil {
 			return applied, fmt.Errorf("recovery: page %d: %w", id, err)
 		}
-		for _, rec := range a.perPage[id] {
-			if err := mtr.Apply(f, rec); err != nil {
-				f.Release()
-				return applied, fmt.Errorf("recovery: redo lsn %d on page %d: %w", rec.LSN, id, err)
+		err = buffer.Visit(f, func(pg page.Page) error {
+			for _, rec := range a.perPage[id] {
+				if err := mtr.Apply(pg, rec); err != nil {
+					return fmt.Errorf("recovery: redo lsn %d on page %d: %w", rec.LSN, id, err)
+				}
+				applied++
 			}
-			applied++
+			return nil
+		})
+		if err != nil {
+			f.Release()
+			return applied, err
 		}
 		f.MarkDirty()
 		if err := f.Release(); err != nil {
@@ -389,9 +395,9 @@ func PolarRecv(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, c
 			if !hasBase {
 				img = make([]byte, page.Size)
 			}
-			acc := &page.SliceAccessor{Buf: img}
+			pg := page.Image(img)
 			for _, rec := range recs {
-				if err := mtr.Apply(acc, rec); err != nil {
+				if err := mtr.Apply(pg, rec); err != nil {
 					return nil, nil, res, fmt.Errorf("polarrecv: redo lsn %d on page %d: %w", rec.LSN, b.PageID, err)
 				}
 				res.RedoApplied++

@@ -10,6 +10,7 @@ import (
 	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/core"
 	"polarcxlmem/internal/cxl"
+	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/rdma"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/simcpu"
@@ -193,7 +194,7 @@ func TestPolarRecvRebuildsWriteLockedPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WriteAt(page16Half(), []byte("torn write")); err != nil {
+	if err := writeAt(f, page16Half(), []byte("torn write")); err != nil {
 		t.Fatal(err)
 	}
 	_, eng2, res := r.crashAndRecover(t)
@@ -606,4 +607,9 @@ func TestRecoveryAfterLogTruncation(t *testing.T) {
 			t.Fatalf("pre-truncation row %d lost: %v", k, err)
 		}
 	}
+}
+
+// writeAt writes data at off to f's page in a visit of its own.
+func writeAt(f buffer.Frame, off int, data []byte) error {
+	return buffer.Visit(f, func(pg page.Page) error { return pg.WriteAt(off, data) })
 }

@@ -71,12 +71,12 @@ func (rs *RedoSet) RebuildPage(clk *simclock.Clock, store *storage.Store, id uin
 	}
 	baseLSN := page.RawLSN(img)
 	applied := 0
-	acc := &page.SliceAccessor{Buf: img}
+	pg := page.Image(img)
 	for _, rec := range rs.a.perPage[id] {
 		if !rs.a.committed[rec.Txn] || rec.LSN > rs.durable {
 			continue
 		}
-		if aerr := mtr.Apply(acc, rec); aerr != nil {
+		if aerr := mtr.Apply(pg, rec); aerr != nil {
 			return nil, false, false, aerr
 		}
 		applied++

@@ -26,7 +26,7 @@ func TestCoherentNodeWithoutSoftwareProtocol(t *testing.T) {
 	if err := a.Write(r.clk, pid, 4096, bytes.Repeat([]byte{0x22}, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ReadModifyWrite(r.clk, pid, 4096, 64, func(p []byte) { copy(buf, p) }); err != nil {
+	if err := b.ReadModifyWrite(r.clk, pid, 4096, make([]byte, 64), func(p []byte) { copy(buf, p) }); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 0x22 {
@@ -54,7 +54,7 @@ func TestCoherentNodeCountersInterleaved(t *testing.T) {
 	off := int64(page.HeaderSize)
 	for i := 0; i < rounds; i++ {
 		for _, n := range r.nodes {
-			err := n.ReadModifyWrite(r.clk, pid, off, 8, func(b []byte) {
+			err := n.ReadModifyWrite(r.clk, pid, off, make([]byte, 8), func(b []byte) {
 				binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
 			})
 			if err != nil {

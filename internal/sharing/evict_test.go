@@ -94,7 +94,7 @@ func TestEnginesSurvivePrimaryCrashMidWriteLock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pre-crash write pin of page %d: %v", id, err)
 		}
-		if err := fr.WriteAt(page.HeaderSize+32, garbage); err != nil {
+		if err := writeAt(fr, page.HeaderSize+32, garbage); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.fusion.region.WriteRaw(r.fusion.pages[id].off+page.HeaderSize+32, garbage); err != nil {
@@ -298,4 +298,9 @@ func TestEvictNodeCrashPointSweep(t *testing.T) {
 		dev.SetInjector(nil)
 		st.verify(t, fmt.Sprintf("crash@%d", i))
 	}
+}
+
+// writeAt writes data at off to f's page in a visit of its own.
+func writeAt(f buffer.Frame, off int, data []byte) error {
+	return buffer.Visit(f, func(pg page.Page) error { return pg.WriteAt(off, data) })
 }

@@ -208,7 +208,7 @@ func rpcSweepWorkload(t *testing.T, plan *fault.Plan, rp *simnet.RetryPolicy) ([
 	for round := 0; round < rounds; round++ {
 		n := r.nodes[round%2]
 		pid := pids[round%len(pids)]
-		if err := n.ReadModifyWrite(r.clk, pid, 4096, 8, func(b []byte) { b[0]++ }); err != nil {
+		if err := n.ReadModifyWrite(r.clk, pid, 4096, make([]byte, 8), func(b []byte) { b[0]++ }); err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
 	}

@@ -18,6 +18,10 @@ import (
 type pmeta struct {
 	slot    int
 	dataOff int64
+	// What a SharedPool visit's page calls need (see sharedpool.go).
+	n     *Node
+	id    uint64
+	wrote bool // a write landed under the current write lock
 }
 
 // Interconnect is a charged transport between a node and the CXL device
@@ -270,7 +274,7 @@ func (n *Node) install(clk *simclock.Clock, pageID uint64, create bool) (*pmeta,
 		resident, _ := n.cache.LinesInRange(n.dbp, off, page.Size)
 		o.emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
 	}
-	return &pmeta{slot: slot, dataOff: off}, nil
+	return &pmeta{slot: slot, dataOff: off, n: n, id: pageID}, nil
 }
 
 // honourInvalid checks this node's invalid flag under the page lock and, if
@@ -358,32 +362,47 @@ func (n *Node) Read(clk *simclock.Clock, pageID uint64, off int64, buf []byte) e
 	n.mu.Lock()
 	n.stats.Reads++
 	n.mu.Unlock()
-	if err := n.cache.Read(clk, n.dbp, m.dataOff+off, buf); err != nil {
+	if err := n.read(clk, m, off, buf); err != nil {
 		return err
 	}
 	n.emitRead(clk, pageID)
 	return nil
 }
 
+// read copies len(buf) bytes at off within m's page through the cache.
+func (n *Node) read(clk *simclock.Clock, m *pmeta, off int64, buf []byte) error {
+	n.cache.Hold()
+	defer n.cache.Unhold()
+	return n.cache.ReadHeld(clk, n.dbp, m.dataOff+off, buf)
+}
+
+// write stores data at off within m's page through the cache.
+func (n *Node) write(clk *simclock.Clock, m *pmeta, off int64, data []byte) error {
+	n.cache.Hold()
+	defer n.cache.Unhold()
+	return n.cache.WriteHeld(clk, n.dbp, m.dataOff+off, data)
+}
+
 // Write stores data at off within the shared page under the page's write
 // lock: update in place through the cache, then publish.
 func (n *Node) Write(clk *simclock.Clock, pageID uint64, off int64, data []byte) error {
 	return n.update(clk, pageID, func(m *pmeta) error {
-		return n.cache.Write(clk, n.dbp, m.dataOff+off, data)
+		return n.write(clk, m, off, data)
 	})
 }
 
-// ReadModifyWrite applies fn to len bytes at off under one write lock —
-// the shape of a sysbench point-update (read the column, compute, store).
-func (n *Node) ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64, length int, fn func([]byte)) error {
+// ReadModifyWrite reads len(buf) bytes at off into buf, applies fn to them
+// and stores them back, all under one write lock — the shape of a sysbench
+// point-update (read the column, compute, store). buf is the caller's
+// scratch.
+func (n *Node) ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64, buf []byte, fn func([]byte)) error {
 	return n.update(clk, pageID, func(m *pmeta) error {
-		buf := make([]byte, length)
-		if err := n.cache.Read(clk, n.dbp, m.dataOff+off, buf); err != nil {
+		if err := n.read(clk, m, off, buf); err != nil {
 			return err
 		}
 		n.emitRead(clk, pageID)
 		fn(buf)
-		return n.cache.Write(clk, n.dbp, m.dataOff+off, buf)
+		return n.write(clk, m, off, buf)
 	})
 }
 

@@ -525,8 +525,9 @@ func (n *RDMANode) Write(clk *simclock.Clock, pageID uint64, off int64, data []b
 	return f.UnlockWrite(clk, n.name, pageID)
 }
 
-// ReadModifyWrite applies fn to length bytes at off under one write lock.
-func (n *RDMANode) ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64, length int, fn func([]byte)) error {
+// ReadModifyWrite reads len(buf) bytes at off into buf, applies fn to them
+// and stores them back under one write lock; buf is the caller's scratch.
+func (n *RDMANode) ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64, buf []byte, fn func([]byte)) error {
 	if _, err := n.fusion.getPage(clk, n.name, pageID); err != nil {
 		return err
 	}
@@ -538,7 +539,6 @@ func (n *RDMANode) ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64
 		n.fusion.UnlockWrite(clk, n.name, pageID)
 		return err
 	}
-	buf := make([]byte, length)
 	copy(buf, ent.img[off:])
 	fn(buf)
 	copy(ent.img[off:], buf)

@@ -52,7 +52,7 @@ type rdmaStore struct {
 // frametab.rdma/<node>.*.
 func NewRDMASharedPool(node string, fusion *RDMAFusion, nic *rdma.NIC, capacityPages int) *RDMASharedPool {
 	p := &RDMASharedPool{node: node, fusion: fusion, nic: nic, prof: cxl.BufferDRAMProfile()}
-	p.TablePool = buffer.NewTablePool(frametab.Config{Capacity: capacityPages, Store: &rdmaStore{p: p}}, "rdma/"+node, fusion.store, p.bind)
+	p.TablePool = buffer.NewTablePool(frametab.Config{Capacity: capacityPages, Store: &rdmaStore{p: p}}, "rdma/"+node, fusion.store, rdmaMedium{p})
 	fusion.mu.Lock()
 	fusion.nodes[node] = p
 	fusion.mu.Unlock()
@@ -84,7 +84,7 @@ func (p *RDMASharedPool) RejoinPrimary(clk *simclock.Clock) error {
 
 // fetch pulls page id's current image from the DBP over RDMA. The caller
 // must hold the page lock, so the image cannot move underneath the read.
-func (s *rdmaStore) fetch(clk *simclock.Clock, id uint64) ([]byte, error) {
+func (s *rdmaStore) fetch(clk *simclock.Clock, id uint64) (*buffer.Image, error) {
 	p := s.p
 	p.Table().Counters.RemoteReads.Add(1)
 	p.fusion.mu.Lock()
@@ -93,8 +93,8 @@ func (s *rdmaStore) fetch(clk *simclock.Clock, id uint64) ([]byte, error) {
 	if ps == nil {
 		return nil, fmt.Errorf("sharing: frame for unregistered page %d", id)
 	}
-	img := make([]byte, page.Size)
-	if err := p.fusion.dbp.Read(clk, p.nic, ps.off, img); err != nil {
+	img := buffer.NewImage(&p.prof)
+	if err := p.fusion.dbp.Read(clk, p.nic, ps.off, img.Buf); err != nil {
 		return nil, err
 	}
 	return img, nil
@@ -113,7 +113,11 @@ func (s *rdmaStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 // Create implements frametab.FrameStore: the DBP frame was just created
 // (zero-filled) by the fusion server; pull it like any other page.
 func (s *rdmaStore) Create(clk *simclock.Clock, id uint64) (any, error) {
-	return s.fetch(clk, id)
+	img, err := s.fetch(clk, id)
+	if err != nil {
+		return nil, err
+	}
+	return img, nil
 }
 
 // Evict implements frametab.EvictStore: dropping a local copy costs
@@ -138,10 +142,10 @@ func (p *RDMASharedPool) Get(clk *simclock.Clock, id uint64, mode buffer.Mode) (
 	// Checked before the core's Get: a crashed primary must not reach the
 	// fusion server.
 	if err := p.Failed(); err != nil {
-		return nil, err
+		return buffer.Frame{}, err
 	}
 	if _, err := p.fusion.getPage(clk, p.node, id); err != nil {
-		return nil, err
+		return buffer.Frame{}, err
 	}
 	return p.lockAndBind(clk, id, mode)
 }
@@ -149,11 +153,11 @@ func (p *RDMASharedPool) Get(clk *simclock.Clock, id uint64, mode buffer.Mode) (
 // NewPage implements buffer.Pool: a globally fresh page.
 func (p *RDMASharedPool) NewPage(clk *simclock.Clock) (buffer.Frame, error) {
 	if err := p.Failed(); err != nil {
-		return nil, err
+		return buffer.Frame{}, err
 	}
 	id := p.fusion.store.AllocPageID()
 	if _, err := p.fusion.createPage(clk, p.node, id); err != nil {
-		return nil, err
+		return buffer.Frame{}, err
 	}
 	return p.lockAndBind(clk, id, buffer.Write)
 }
@@ -166,10 +170,10 @@ func (p *RDMASharedPool) GetOrCreate(clk *simclock.Clock, id uint64) (buffer.Fra
 		return f, nil
 	}
 	if !errors.Is(err, storage.ErrNotFound) {
-		return nil, err
+		return buffer.Frame{}, err
 	}
 	if _, cerr := p.fusion.createPage(clk, p.node, id); cerr != nil {
-		return nil, cerr
+		return buffer.Frame{}, cerr
 	}
 	return p.lockAndBind(clk, id, buffer.Write)
 }
@@ -179,7 +183,7 @@ func (p *RDMASharedPool) GetOrCreate(clk *simclock.Clock, id uint64) (buffer.Fra
 // the lock protects).
 func (p *RDMASharedPool) lockAndBind(clk *simclock.Clock, id uint64, mode buffer.Mode) (buffer.Frame, error) {
 	if err := p.fusion.Lock(clk, p.node, id, mode == buffer.Write); err != nil {
-		return nil, err
+		return buffer.Frame{}, err
 	}
 	f, err := p.TablePool.Get(clk, id, mode)
 	if err != nil {
@@ -188,13 +192,9 @@ func (p *RDMASharedPool) lockAndBind(clk *simclock.Clock, id uint64, mode buffer
 		} else {
 			p.fusion.UnlockRead(clk, p.node, id)
 		}
-		return nil, err
+		return buffer.Frame{}, err
 	}
 	return f, nil
-}
-
-func (p *RDMASharedPool) bind(clk *simclock.Clock, f *frametab.Frame, mode buffer.Mode) buffer.Frame {
-	return &mpBound{ImageFrame: buffer.ImageFrame{Tab: p.Table(), Fr: f, Prof: &p.prof, Clk: clk, Mode: mode}, pool: p}
 }
 
 // FlushAll implements buffer.Pool: checkpointing the DBP through the fusion
@@ -206,26 +206,30 @@ func (p *RDMASharedPool) FlushAll(clk *simclock.Clock) error {
 	return p.fusion.FlushDirty(clk, p.Barrier)
 }
 
-// mpBound is a latched local page copy, read and written at host-DRAM cost
-// by the embedded ImageFrame. Dirtiness is tracked at the fusion server
-// (write-unlock), so the frame's own dirty bit is never consulted.
-type mpBound struct {
-	buffer.ImageFrame
-	pool *RDMASharedPool
-}
+// rdmaMedium is RDMASharedPool's buffer.Medium: a visit reads and writes
+// the local page copy (a buffer.Image) at host-DRAM cost. Dirtiness is
+// tracked at the fusion server (write-unlock), so the frame's own dirty
+// bit is never consulted.
+type rdmaMedium struct{ p *RDMASharedPool }
 
-// Release implements buffer.Frame: the PolarDB-MP release protocol — push
+func (rdmaMedium) Open(f buffer.Frame) page.Accessor { return f.Entry().Slot().(*buffer.Image) }
+func (rdmaMedium) Close(buffer.Frame, page.Accessor) {}
+func (rdmaMedium) MarkDirty(f buffer.Frame)          { f.Entry().MarkDirty() }
+
+// Release implements buffer.Medium: the PolarDB-MP release protocol — push
 // the FULL page to the DBP before the lock can move, then invalidate. The
 // local latch and pin drop first (as in the pre-frametab pool): the push
-// works on the image this bound frame holds, and a concurrent eviction of
-// the now-unpinned table entry cannot disturb it.
-func (b *mpBound) Release() error {
-	if err := b.ImageFrame.Release(); err != nil {
-		return err
-	}
-	p, id := b.pool, b.ID()
-	if b.Mode == buffer.Write {
-		if b.Wrote {
+// works on the image the frame held, and a concurrent eviction of the
+// now-unpinned table entry cannot disturb it.
+func (m rdmaMedium) Release(f buffer.Frame) error {
+	p, fr, clk := m.p, f.Entry(), f.Clock()
+	img := fr.Slot().(*buffer.Image)
+	wrote := f.Mode() == buffer.Write && img.TakeWrote()
+	fr.Unlock(f.Mode())
+	p.Table().Unpin(fr)
+	id := fr.ID()
+	if f.Mode() == buffer.Write {
+		if wrote {
 			p.fusion.mu.Lock()
 			ps := p.fusion.pages[id]
 			p.fusion.mu.Unlock()
@@ -233,12 +237,12 @@ func (b *mpBound) Release() error {
 				return fmt.Errorf("sharing: release of unregistered page %d", id)
 			}
 			p.Table().Counters.RemoteWrites.Add(1)
-			if err := p.fusion.dbp.Write(b.Clk, p.nic, ps.off, b.Fr.Slot().([]byte)); err != nil {
+			if err := p.fusion.dbp.Write(clk, p.nic, ps.off, img.Buf); err != nil {
 				return err
 			}
-			return p.fusion.UnlockWrite(b.Clk, p.node, id)
+			return p.fusion.UnlockWrite(clk, p.node, id)
 		}
-		return p.fusion.unlockWriteCleanRDMA(b.Clk, p.node, id)
+		return p.fusion.unlockWriteCleanRDMA(clk, p.node, id)
 	}
-	return p.fusion.UnlockRead(b.Clk, p.node, id)
+	return p.fusion.UnlockRead(clk, p.node, id)
 }

@@ -68,12 +68,8 @@ type sharedStore struct{ p *SharedPool }
 // registered separately via Fusion.SetObserver.
 func NewSharedPool(node string, fusion *Fusion, cache *simcpu.Cache, flagRegion *simmem.Region) *SharedPool {
 	p := &SharedPool{n: NewNode(node, fusion, cache, flagRegion)}
-	p.TablePool = buffer.NewTablePool(frametab.Config{Capacity: p.n.nslots, Store: &sharedStore{p: p}}, "shared/"+node, fusion.store, p.bind)
+	p.TablePool = buffer.NewTablePool(frametab.Config{Capacity: p.n.nslots, Store: &sharedStore{p: p}}, "shared/"+node, fusion.store, sharedMedium{p})
 	return p
-}
-
-func (p *SharedPool) bind(clk *simclock.Clock, f *frametab.Frame, mode buffer.Mode) buffer.Frame {
-	return &sharedFrame{pool: p, clk: clk, id: f.ID(), fr: f, m: f.Slot().(*pmeta), mode: mode}
 }
 
 // CrashPrimary kills this node: the fusion server marks it dead (its lock
@@ -177,20 +173,30 @@ func (p *SharedPool) FlushAll(clk *simclock.Clock) error {
 	return p.n.fusion.FlushDirty(clk, p.Barrier)
 }
 
-// sharedFrame is a latched page accessed in place in the DBP through the
-// node's CPU cache.
-type sharedFrame struct {
-	pool     *SharedPool
-	clk      *simclock.Clock
-	id       uint64
-	fr       *frametab.Frame
-	m        *pmeta
-	mode     buffer.Mode
-	released bool
-	wrote    bool
-}
+// sharedMedium is SharedPool's buffer.Medium: a visit reads and writes the
+// page in place in the DBP through its *pmeta entry.
+type sharedMedium struct{ p *SharedPool }
 
-func (f *sharedFrame) ID() uint64 { return f.id }
+func (sharedMedium) Open(f buffer.Frame) page.Accessor { return f.Entry().Slot().(*pmeta) }
+func (sharedMedium) Close(buffer.Frame, page.Accessor) {}
+func (sharedMedium) MarkDirty(buffer.Frame)            {} // dirtiness is tracked at write-unlock
+
+// Release implements buffer.Medium: the §3.3 publication protocol on write
+// locks (clflush dirty lines, then unlock — the fusion server invalidates
+// the other active nodes).
+func (m sharedMedium) Release(f buffer.Frame) error {
+	p, fr, clk := m.p, f.Entry(), f.Clock()
+	defer p.Table().Unpin(fr)
+	if f.Mode() == buffer.Write {
+		if pm := fr.Slot().(*pmeta); pm.wrote {
+			pm.wrote = false
+			return p.n.publish(clk, fr.ID(), pm)
+		}
+		// Clean write latch: nothing to publish, nobody to invalidate.
+		return p.n.fusion.unlockWriteClean(clk, p.n.name, fr.ID())
+	}
+	return p.n.fusion.UnlockRead(clk, p.n.name, fr.ID())
+}
 
 // inPage refuses a non-empty span [off, off+n) that leaves the page: the
 // DBP holds the pages back to back, so the cache would serve a neighbour.
@@ -201,75 +207,42 @@ func inPage(off, n int, op string) error {
 	return nil
 }
 
-func (f *sharedFrame) MarkDirty() {} // dirtiness is tracked at write-unlock
-
-// Hold and Unhold implement buffer.Frame as no-ops: every access locks the
-// node cache on its own.
-func (f *sharedFrame) Hold()   {}
-func (f *sharedFrame) Unhold() {}
-
-func (f *sharedFrame) ReadAt(off int, buf []byte) error {
-	if f.released {
-		return fmt.Errorf("sharing: read on released shared frame %d", f.id)
-	}
+// ReadAt implements page.Accessor: a read of the page in place in the DBP
+// through the node's CPU cache, traced for the stale-read checker. Each
+// access takes the cache's lock on its own.
+func (m *pmeta) ReadAt(clk *simclock.Clock, off int, buf []byte) error {
 	if err := inPage(off, len(buf), "read"); err != nil {
 		return err
 	}
-	n := f.pool.n
-	if err := n.cache.Read(f.clk, n.dbp, f.m.dataOff+int64(off), buf); err != nil {
+	if err := m.n.read(clk, m, int64(off), buf); err != nil {
 		return err
 	}
-	n.emitRead(f.clk, f.id)
+	m.n.emitRead(clk, m.id)
 	return nil
 }
 
-func (f *sharedFrame) WriteAt(off int, data []byte) error {
-	if f.released {
-		return fmt.Errorf("sharing: write on released shared frame %d", f.id)
-	}
-	if f.mode != buffer.Write {
-		return fmt.Errorf("sharing: write to page %d under a read lock", f.id)
-	}
+// WriteAt implements page.Accessor: a write through the node's CPU cache,
+// published by the clflush on release.
+func (m *pmeta) WriteAt(clk *simclock.Clock, off int, data []byte) error {
 	if err := inPage(off, len(data), "write"); err != nil {
 		return err
 	}
-	f.wrote = true
-	n := f.pool.n
-	return n.cache.Write(f.clk, n.dbp, f.m.dataOff+int64(off), data)
+	m.wrote = true
+	return m.n.write(clk, m, int64(off), data)
 }
 
 // Load implements page.Accessor: a ReadAt of n bytes into a stack word.
-func (f *sharedFrame) Load(off, n int) (uint64, error) {
+func (m *pmeta) Load(clk *simclock.Clock, off, n int) (uint64, error) {
 	var w [8]byte
-	if err := f.ReadAt(off, w[:n]); err != nil {
+	if err := m.ReadAt(clk, off, w[:n]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(w[:]), nil
 }
 
 // Store implements page.Accessor: a WriteAt of v's low n bytes.
-func (f *sharedFrame) Store(off, n int, v uint64) error {
+func (m *pmeta) Store(clk *simclock.Clock, off, n int, v uint64) error {
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], v)
-	return f.WriteAt(off, w[:n])
-}
-
-// Release implements buffer.Frame: the §3.3 publication protocol on write
-// locks (clflush dirty lines, then unlock — the fusion server invalidates
-// the other active nodes).
-func (f *sharedFrame) Release() error {
-	if f.released {
-		return fmt.Errorf("sharing: double release of shared frame %d", f.id)
-	}
-	f.released = true
-	p := f.pool
-	defer p.Table().Unpin(f.fr)
-	if f.mode == buffer.Write {
-		if f.wrote {
-			return p.n.publish(f.clk, f.id, f.m)
-		}
-		// Clean write latch: nothing to publish, nobody to invalidate.
-		return p.n.fusion.unlockWriteClean(f.clk, p.n.name, f.id)
-	}
-	return p.n.fusion.UnlockRead(f.clk, p.n.name, f.id)
+	return m.WriteAt(clk, off, w[:n])
 }

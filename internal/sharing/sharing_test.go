@@ -168,7 +168,7 @@ func TestInterleavedCountersAreCoherent(t *testing.T) {
 	off := int64(page.HeaderSize)
 	for i := 0; i < rounds; i++ {
 		for _, n := range r.nodes {
-			err := n.ReadModifyWrite(r.clk, pid, off, 8, func(b []byte) {
+			err := n.ReadModifyWrite(r.clk, pid, off, make([]byte, 8), func(b []byte) {
 				v := binary.LittleEndian.Uint64(b)
 				binary.LittleEndian.PutUint64(b, v+1)
 			})
@@ -485,7 +485,7 @@ func TestRDMANodeReadModifyWrite(t *testing.T) {
 	pid := r.seedPage(t, 0)
 	for i := 0; i < 10; i++ {
 		n := r.nodes[i%2]
-		err := n.ReadModifyWrite(r.clk, pid, 4096, 8, func(b []byte) { b[0]++ })
+		err := n.ReadModifyWrite(r.clk, pid, 4096, make([]byte, 8), func(b []byte) { b[0]++ })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,12 +27,12 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 
 	c := New("hot", 1<<20, 5)
 	gate("read hit", func() {
-		if err := c.Read(clk, r, 100, buf); err != nil {
+		if err := read(c, clk, r, 100, buf); err != nil {
 			t.Fatal(err)
 		}
 	})
 	gate("write hit", func() {
-		if err := c.Write(clk, r, 100, buf); err != nil {
+		if err := write(c, clk, r, 100, buf); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -52,7 +52,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	const pageSize = 16 << 10
 	gate("page-wide flush", func() {
 		for _, off := range []int64{pageSize, pageSize + 4000, 2*pageSize - 300} {
-			if err := c.Write(clk, r, off, buf); err != nil {
+			if err := write(c, clk, r, off, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -68,7 +68,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		// every access misses, evicts a dirty line, and turns blocks over.
 		off := (next % 64) * (blockSize / 4)
 		next++
-		if err := small.Write(clk, r, off, buf[:8]); err != nil {
+		if err := write(small, clk, r, off, buf[:8]); err != nil {
 			t.Fatal(err)
 		}
 	})

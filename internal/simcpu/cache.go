@@ -24,10 +24,10 @@
 // plus the slab index of each of its 64 lines. A steady-state hit, miss or
 // flush allocates nothing.
 //
-// A caller that makes many small accesses in a row (a page operation reading
-// slotted-page fields) can take the cache's lock once with Hold, run the
-// *Held variants, and Unhold; Read and Write are exactly that around one
-// access.
+// Accesses run inside a hold: a caller takes the cache's lock once with
+// Hold, makes any number of ReadHeld / WriteHeld / LoadHeld / StoreHeld
+// calls (a page visit reading slotted-page fields makes many small ones),
+// and Unholds. Flush and the diagnostics take the lock on their own.
 package simcpu
 
 import (
@@ -514,8 +514,7 @@ func clip(la, addr int64, n int) (lo, hi int64) {
 }
 
 // Hold takes the cache's lock — after its coherency domain's, when it has
-// one, the order Read and Write take them in — for a run of *Held
-// accesses. Until Unhold, every other access to the cache (and, in a
+// one — for a run of *Held accesses. Until Unhold, every other access to the cache (and, in a
 // domain, to its peers) waits, so the holder must call nothing but *Held
 // methods of this cache in between.
 func (c *Cache) Hold() {
@@ -533,21 +532,6 @@ func (c *Cache) Unhold() {
 	}
 }
 
-// Read reads len(buf) bytes at off within region, through the cache.
-func (c *Cache) Read(clk *simclock.Clock, region *simmem.Region, off int64, buf []byte) error {
-	c.Hold()
-	defer c.Unhold()
-	return c.ReadHeld(clk, region, off, buf)
-}
-
-// Write writes data at off within region, through the cache (write-back,
-// write-allocate). The device is NOT updated until eviction or Flush.
-func (c *Cache) Write(clk *simclock.Clock, region *simmem.Region, off int64, data []byte) error {
-	c.Hold()
-	defer c.Unhold()
-	return c.WriteHeld(clk, region, off, data)
-}
-
 // checkSpan refuses a span [off, off+n) that leaves region.
 func checkSpan(region *simmem.Region, off int64, n int, op string) error {
 	if off < 0 || off+int64(n) > region.Size() {
@@ -556,7 +540,8 @@ func checkSpan(region *simmem.Region, off int64, n int, op string) error {
 	return nil
 }
 
-// ReadHeld is Read for a caller inside Hold.
+// ReadHeld reads len(buf) bytes at off within region through the cache, for
+// a caller inside Hold.
 func (c *Cache) ReadHeld(clk *simclock.Clock, region *simmem.Region, off int64, buf []byte) error {
 	if len(buf) == 0 {
 		return nil
@@ -580,7 +565,9 @@ func (c *Cache) ReadHeld(clk *simclock.Clock, region *simmem.Region, off int64, 
 	return nil
 }
 
-// WriteHeld is Write for a caller inside Hold.
+// WriteHeld writes data at off within region through the cache (write-back,
+// write-allocate), for a caller inside Hold. The device is NOT updated until
+// eviction or Flush.
 func (c *Cache) WriteHeld(clk *simclock.Clock, region *simmem.Region, off int64, data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -790,24 +777,4 @@ func (c *Cache) LinesInRange(region *simmem.Region, off int64, n int) (resident,
 		}
 	}
 	return resident, dirty
-}
-
-// DirtyLines reports how many cached lines are dirty (test/diagnostic hook).
-func (c *Cache) DirtyLines() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for i := c.mru; i != nilIdx; i = c.linksAt(i).next {
-		if c.lines.at(i).dirty {
-			n++
-		}
-	}
-	return n
-}
-
-// ResidentLines reports how many lines are currently cached.
-func (c *Cache) ResidentLines() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resident
 }

@@ -16,6 +16,40 @@ func newDev(t *testing.T, size int64) *simmem.Device {
 	return simmem.NewDevice("cxl", size, prof, nil)
 }
 
+// dirtyLines reports how many of c's cached lines are dirty.
+func dirtyLines(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for i := c.mru; i != nilIdx; i = c.linksAt(i).next {
+		if c.lines.at(i).dirty {
+			n++
+		}
+	}
+	return n
+}
+
+// residentLines reports how many lines c holds.
+func residentLines(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.resident
+}
+
+// read is one ReadHeld in a hold of its own.
+func read(c *Cache, clk *simclock.Clock, r *simmem.Region, off int64, buf []byte) error {
+	c.Hold()
+	defer c.Unhold()
+	return c.ReadHeld(clk, r, off, buf)
+}
+
+// write is one WriteHeld in a hold of its own.
+func write(c *Cache, clk *simclock.Clock, r *simmem.Region, off int64, data []byte) error {
+	c.Hold()
+	defer c.Unhold()
+	return c.WriteHeld(clk, r, off, data)
+}
+
 func TestReadThroughAndHit(t *testing.T) {
 	d := newDev(t, 4096)
 	r := d.WholeRegion()
@@ -25,7 +59,7 @@ func TestReadThroughAndHit(t *testing.T) {
 	c := New("n1", 1<<20, 5)
 	clk := simclock.New()
 	buf := make([]byte, 7)
-	if err := c.Read(clk, r, 100, buf); err != nil {
+	if err := read(c, clk, r, 100, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "payload" {
@@ -36,7 +70,7 @@ func TestReadThroughAndHit(t *testing.T) {
 		t.Fatalf("miss charged only %d ns", missCost)
 	}
 	// Second read: hit, cheap.
-	if err := c.Read(clk, r, 100, buf); err != nil {
+	if err := read(c, clk, r, 100, buf); err != nil {
 		t.Fatal(err)
 	}
 	hitCost := clk.Now() - missCost
@@ -54,7 +88,7 @@ func TestWriteBackInvisibleUntilFlush(t *testing.T) {
 	r := d.WholeRegion()
 	c := New("n1", 1<<20, 5)
 	clk := simclock.New()
-	if err := c.Write(clk, r, 0, []byte("dirty!")); err != nil {
+	if err := write(c, clk, r, 0, []byte("dirty!")); err != nil {
 		t.Fatal(err)
 	}
 	// Device must NOT yet see the write (write-back).
@@ -65,8 +99,8 @@ func TestWriteBackInvisibleUntilFlush(t *testing.T) {
 	if bytes.Equal(buf, []byte("dirty!")) {
 		t.Fatal("write-back cache leaked write to device before flush")
 	}
-	if c.DirtyLines() != 1 {
-		t.Fatalf("dirty lines = %d, want 1", c.DirtyLines())
+	if dirtyLines(c) != 1 {
+		t.Fatalf("dirty lines = %d, want 1", dirtyLines(c))
 	}
 	if err := c.Flush(clk, r, 0, 6); err != nil {
 		t.Fatal(err)
@@ -77,7 +111,7 @@ func TestWriteBackInvisibleUntilFlush(t *testing.T) {
 	if !bytes.Equal(buf, []byte("dirty!")) {
 		t.Fatalf("after flush device has %q", buf)
 	}
-	if c.DirtyLines() != 0 || c.ResidentLines() != 0 {
+	if dirtyLines(c) != 0 || residentLines(c) != 0 {
 		t.Fatal("flush did not invalidate lines")
 	}
 }
@@ -94,14 +128,14 @@ func TestStaleReadWithoutInvalidation(t *testing.T) {
 	bCache := New("nodeB", 1<<20, 5)
 	clk := simclock.New()
 	buf := make([]byte, 8)
-	if err := bCache.Read(clk, r, 0, buf); err != nil {
+	if err := read(bCache, clk, r, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	// Node A updates CXL directly (its own cache flushed).
 	if err := r.WriteRaw(0, []byte("v2......")); err != nil {
 		t.Fatal(err)
 	}
-	if err := bCache.Read(clk, r, 0, buf); err != nil {
+	if err := read(bCache, clk, r, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "v1......" {
@@ -111,7 +145,7 @@ func TestStaleReadWithoutInvalidation(t *testing.T) {
 	if err := bCache.Flush(clk, r, 0, 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := bCache.Read(clk, r, 0, buf); err != nil {
+	if err := read(bCache, clk, r, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "v2......" {
@@ -124,15 +158,15 @@ func TestEvictionWritesBackDirtyLine(t *testing.T) {
 	r := d.WholeRegion()
 	c := New("small", 2*LineSize, 5) // 2 lines
 	clk := simclock.New()
-	if err := c.Write(clk, r, 0, []byte{1, 2, 3}); err != nil {
+	if err := write(c, clk, r, 0, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	// Touch two more lines: the dirty line 0 gets evicted and written back.
 	buf := make([]byte, 1)
-	if err := c.Read(clk, r, 128, buf); err != nil {
+	if err := read(c, clk, r, 128, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Read(clk, r, 256, buf); err != nil {
+	if err := read(c, clk, r, 256, buf); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 3)
@@ -145,8 +179,8 @@ func TestEvictionWritesBackDirtyLine(t *testing.T) {
 	if c.Stats().WriteBacks != 1 {
 		t.Fatalf("writebacks = %d", c.Stats().WriteBacks)
 	}
-	if c.ResidentLines() != 2 {
-		t.Fatalf("resident = %d, want 2", c.ResidentLines())
+	if residentLines(c) != 2 {
+		t.Fatalf("resident = %d, want 2", residentLines(c))
 	}
 }
 
@@ -157,20 +191,20 @@ func TestLRUOrder(t *testing.T) {
 	clk := simclock.New()
 	buf := make([]byte, 1)
 	// Fill lines 0 and 1; touch 0 again; fill 2 -> 1 must be evicted.
-	c.Read(clk, r, 0, buf)
-	c.Read(clk, r, 64, buf)
-	c.Read(clk, r, 0, buf)
-	c.Read(clk, r, 128, buf)
+	read(c, clk, r, 0, buf)
+	read(c, clk, r, 64, buf)
+	read(c, clk, r, 0, buf)
+	read(c, clk, r, 128, buf)
 	st := c.Stats()
 	// Line 0 should still be resident (hit on next read).
 	before := st.Hits
-	c.Read(clk, r, 0, buf)
+	read(c, clk, r, 0, buf)
 	if c.Stats().Hits != before+1 {
 		t.Fatal("LRU evicted the recently-used line")
 	}
 	// Line 1 should miss.
 	beforeMiss := c.Stats().Misses
-	c.Read(clk, r, 64, buf)
+	read(c, clk, r, 64, buf)
 	if c.Stats().Misses != beforeMiss+1 {
 		t.Fatal("LRU kept the least-recently-used line")
 	}
@@ -184,7 +218,7 @@ func TestDropLosesDirtyData(t *testing.T) {
 	}
 	c := New("crash", 1<<20, 5)
 	clk := simclock.New()
-	if err := c.Write(clk, r, 0, []byte("unflshed")); err != nil {
+	if err := write(c, clk, r, 0, []byte("unflshed")); err != nil {
 		t.Fatal(err)
 	}
 	c.Drop() // host crash: cache contents vanish
@@ -195,7 +229,7 @@ func TestDropLosesDirtyData(t *testing.T) {
 	if string(buf) != "original" {
 		t.Fatalf("device shows %q; dirty data must be lost on crash", buf)
 	}
-	if c.ResidentLines() != 0 {
+	if residentLines(c) != 0 {
 		t.Fatal("drop left lines resident")
 	}
 }
@@ -214,7 +248,7 @@ func TestPartialLineWrite(t *testing.T) {
 	}
 	c := New("rfo", 1<<20, 5)
 	clk := simclock.New()
-	if err := c.Write(clk, r, 10, []byte{0xAA, 0xBB, 0xCC}); err != nil {
+	if err := write(c, clk, r, 10, []byte{0xAA, 0xBB, 0xCC}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(clk, r, 0, LineSize); err != nil {
@@ -244,7 +278,7 @@ func TestCrossLineAccess(t *testing.T) {
 	c := New("span", 1<<20, 5)
 	clk := simclock.New()
 	got := make([]byte, len(data))
-	if err := c.Read(clk, r, 32, got); err != nil {
+	if err := read(c, clk, r, 32, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
@@ -260,10 +294,10 @@ func TestBoundsErrors(t *testing.T) {
 	r := d.WholeRegion()
 	c := New("b", 1<<20, 5)
 	clk := simclock.New()
-	if err := c.Read(clk, r, 250, make([]byte, 10)); err == nil {
+	if err := read(c, clk, r, 250, make([]byte, 10)); err == nil {
 		t.Fatal("out-of-bounds cached read accepted")
 	}
-	if err := c.Write(clk, r, -1, []byte{1}); err == nil {
+	if err := write(c, clk, r, -1, []byte{1}); err == nil {
 		t.Fatal("negative cached write accepted")
 	}
 	if err := c.Flush(clk, r, 250, 10); err == nil {
@@ -289,11 +323,11 @@ func TestCachedRoundTripProperty(t *testing.T) {
 		if o < 0 {
 			return true
 		}
-		if err := c.Write(clk, r, o, data); err != nil {
+		if err := write(c, clk, r, o, data); err != nil {
 			return false
 		}
 		got := make([]byte, len(data))
-		if err := c.Read(clk, r, o, got); err != nil {
+		if err := read(c, clk, r, o, got); err != nil {
 			return false
 		}
 		if !bytes.Equal(got, data) {
@@ -326,12 +360,12 @@ func TestResetStats(t *testing.T) {
 	d := newDev(t, 4096)
 	c := New("rs", 1<<20, 5)
 	clk := simclock.New()
-	c.Read(clk, d.WholeRegion(), 0, make([]byte, 8))
+	read(c, clk, d.WholeRegion(), 0, make([]byte, 8))
 	c.ResetStats()
 	if st := c.Stats(); st.Misses != 0 || st.Hits != 0 {
 		t.Fatalf("stats after reset: %+v", st)
 	}
-	if c.ResidentLines() == 0 {
+	if residentLines(c) == 0 {
 		t.Fatal("ResetStats dropped cached data")
 	}
 }
@@ -344,7 +378,7 @@ func TestSequentialSpanStreamsAtPrefetchRate(t *testing.T) {
 	c := New("stream", 4<<20, 5)
 	clk := simclock.New()
 	span := make([]byte, 16384) // 256 lines
-	if err := c.Read(clk, r, 0, span); err != nil {
+	if err := read(c, clk, r, 0, span); err != nil {
 		t.Fatal(err)
 	}
 	serialized := int64(256) * prof.ReadLatency
@@ -359,7 +393,7 @@ func TestSequentialSpanStreamsAtPrefetchRate(t *testing.T) {
 	clk2 := simclock.New()
 	var b [8]byte
 	for i := 0; i < 10; i++ {
-		if err := c2.Read(clk2, r, int64(i)*4096, b[:]); err != nil {
+		if err := read(c2, clk2, r, int64(i)*4096, b[:]); err != nil {
 			t.Fatal(err)
 		}
 	}

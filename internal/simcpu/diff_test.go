@@ -187,7 +187,7 @@ func runDiff(t *testing.T, seed int64, members int) {
 		case k < 8:
 			dc.what = "read"
 			gb, rb := make([]byte, n), make([]byte, n)
-			gerr, rerr = got.Read(wg.clk, rg, off, gb), ref.access(wr.clk, rr, off, rb, false)
+			gerr, rerr = read(got, wg.clk, rg, off, gb), ref.access(wr.clk, rr, off, rb, false)
 			if !bytes.Equal(gb, rb) {
 				t.Fatalf("seed %d op %d: read [%d,+%d) of region %d returned different bytes", seed, dc.op, off, n, ri)
 			}
@@ -195,7 +195,7 @@ func runDiff(t *testing.T, seed int64, members int) {
 			dc.what = "write"
 			data := make([]byte, n)
 			rng.Read(data)
-			gerr, rerr = got.Write(wg.clk, rg, off, data), ref.access(wr.clk, rr, off, data, true)
+			gerr, rerr = write(got, wg.clk, rg, off, data), ref.access(wr.clk, rr, off, data, true)
 		case k < 18:
 			dc.what = "flush"
 			gerr, rerr = got.Flush(wg.clk, rg, off, n), ref.Flush(wr.clk, rr, off, n)
@@ -216,9 +216,9 @@ func runDiff(t *testing.T, seed int64, members int) {
 		dc.check(gerr, rerr)
 		for i := range dc.got {
 			g, r := dc.got[i], dc.ref[i]
-			if g.ResidentLines() != len(r.lines) || g.DirtyLines() != r.DirtyLines() {
+			if residentLines(g) != len(r.lines) || dirtyLines(g) != r.DirtyLines() {
 				t.Fatalf("seed %d op %d %s: cache %d resident/dirty %d/%d, reference %d/%d", seed, dc.op, dc.what, i,
-					g.ResidentLines(), g.DirtyLines(), len(r.lines), r.DirtyLines())
+					residentLines(g), dirtyLines(g), len(r.lines), r.DirtyLines())
 			}
 		}
 		if dc.op%100 == 99 {

@@ -21,13 +21,13 @@ func TestDomainBackInvalidationOnStore(t *testing.T) {
 	clk := simclock.New()
 
 	buf := make([]byte, 8)
-	if err := b.Read(clk, r, 0, buf); err != nil { // B caches the line
+	if err := read(b, clk, r, 0, buf); err != nil { // B caches the line
 		t.Fatal(err)
 	}
-	if err := a.Write(clk, r, 0, []byte("v2......")); err != nil { // A stores: B's copy must die
+	if err := write(a, clk, r, 0, []byte("v2......")); err != nil { // A stores: B's copy must die
 		t.Fatal(err)
 	}
-	if err := b.Read(clk, r, 0, buf); err != nil {
+	if err := read(b, clk, r, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "v2......" {
@@ -47,13 +47,13 @@ func TestDomainSuppliesDirtyPeerLine(t *testing.T) {
 	dom.Attach(b)
 	clk := simclock.New()
 
-	if err := a.Write(clk, r, 128, []byte("dirtyln!")); err != nil {
+	if err := write(a, clk, r, 128, []byte("dirtyln!")); err != nil {
 		t.Fatal(err)
 	}
 	// Device itself is stale? No: A's store back-invalidated... B never had
 	// the line. The line sits dirty in A.
 	buf := make([]byte, 8)
-	if err := b.Read(clk, r, 128, buf); err != nil {
+	if err := read(b, clk, r, 128, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "dirtyln!" {
@@ -77,9 +77,9 @@ func TestDomainChargesSnoopLatency(t *testing.T) {
 	dom.Attach(b)
 	clk := simclock.New()
 	buf := make([]byte, 8)
-	b.Read(clk, r, 0, buf)
+	read(b, clk, r, 0, buf)
 	before := clk.Now()
-	if err := a.Write(clk, r, 0, []byte{1}); err != nil {
+	if err := write(a, clk, r, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	// The write includes at least one 1000ns snoop (B held the line).
@@ -88,7 +88,7 @@ func TestDomainChargesSnoopLatency(t *testing.T) {
 	}
 	// A second write to the now-exclusive line must not pay the snoop.
 	before = clk.Now()
-	if err := a.Write(clk, r, 0, []byte{2}); err != nil {
+	if err := write(a, clk, r, 0, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
 	if clk.Now()-before >= 1000 {
@@ -107,10 +107,10 @@ func TestDomainUnattachedCacheUnaffected(t *testing.T) {
 	outsider := New("outsider", 1<<20, 5)
 	clk := simclock.New()
 	buf := make([]byte, 8)
-	outsider.Read(clk, r, 0, buf)
-	a.Write(clk, r, 0, []byte("v2......"))
+	read(outsider, clk, r, 0, buf)
+	write(a, clk, r, 0, []byte("v2......"))
 	a.Flush(clk, r, 0, 8)
-	outsider.Read(clk, r, 0, buf)
+	read(outsider, clk, r, 0, buf)
 	if string(buf) != "v1......" {
 		t.Fatalf("outsider saw %q; expected the stale CXL 2.0 read", buf)
 	}
@@ -130,16 +130,16 @@ func TestDomainThreeWaySharing(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c := caches[i%3]
 		var b [1]byte
-		if err := c.Read(clk, r, 256, b[:]); err != nil {
+		if err := read(c, clk, r, 256, b[:]); err != nil {
 			t.Fatal(err)
 		}
 		b[0]++
-		if err := c.Write(clk, r, 256, b[:]); err != nil {
+		if err := write(c, clk, r, 256, b[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var b [1]byte
-	caches[0].Read(clk, r, 256, b[:])
+	read(caches[0], clk, r, 256, b[:])
 	if b[0] != 30 {
 		t.Fatalf("counter = %d, want 30 (lost update under hw coherency)", b[0])
 	}
@@ -164,11 +164,11 @@ func TestDomainConcurrentFillsDoNotDeadlock(t *testing.T) {
 			buf := make([]byte, 2*LineSize)
 			for n := 0; n < 5000; n++ {
 				buf[0] = byte(i)
-				if err := c.Write(clk, r, 0, buf); err != nil {
+				if err := write(c, clk, r, 0, buf); err != nil {
 					errs <- err
 					return
 				}
-				if err := c.Read(clk, r, 0, buf); err != nil {
+				if err := read(c, clk, r, 0, buf); err != nil {
 					errs <- err
 					return
 				}

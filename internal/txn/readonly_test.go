@@ -190,9 +190,10 @@ func TestReadOnlyBatchFailureWritesNothing(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			ev, tr := newModeEnv(t, m.group, 50)
 			reqs, next := ev.ws.Device().Stats().Requests, ev.log.NextLSN()
-			err := ev.e.RunBatch(ev.clk, []func(*Txn) error{
-				func(tx *Txn) error { _, err := tx.Get(tr, 1); return err },
-				func(tx *Txn) error { _, err := tx.Get(tr, 999); return err },
+			keys := []int64{1, 999}
+			err := ev.e.RunBatch(ev.clk, len(keys), func(i int, tx *Txn) error {
+				_, err := tx.Get(tr, keys[i])
+				return err
 			})
 			if !errors.Is(err, btree.ErrKeyNotFound) {
 				t.Fatalf("RunBatch = %v, want the failing op's ErrKeyNotFound", err)

@@ -14,7 +14,7 @@ import (
 type SharedNode interface {
 	Read(clk *simclock.Clock, pageID uint64, off int64, buf []byte) error
 	Write(clk *simclock.Clock, pageID uint64, off int64, data []byte) error
-	ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64, length int, fn func([]byte)) error
+	ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64, buf []byte, fn func([]byte)) error
 }
 
 // RowsPerPage is how many fixed-size sbtest rows a shared page holds.
@@ -94,10 +94,11 @@ func (w *SharedSysbench) pickRow(nodeIdx int, rng *rand.Rand) (uint64, int64) {
 // PointUpdateTxn runs the fig. 11 transaction on node: 10 point updates.
 func (w *SharedSysbench) PointUpdateTxn(clk *simclock.Clock, node SharedNode, nodeIdx int, rng *rand.Rand) error {
 	w.CPUNs += chargeCPU(clk, BeginCommitCPU)
+	buf := make([]byte, 64)
 	for i := 0; i < 10; i++ {
 		pid, off := w.pickRow(nodeIdx, rng)
 		w.CPUNs += chargeCPU(clk, UpdateCPU)
-		err := node.ReadModifyWrite(clk, pid, off, 64, func(b []byte) {
+		err := node.ReadModifyWrite(clk, pid, off, buf, func(b []byte) {
 			b[0]++
 			b[8] = byte(i)
 		})
@@ -112,14 +113,15 @@ func (w *SharedSysbench) PointUpdateTxn(clk *simclock.Clock, node SharedNode, no
 
 // ReadWriteTxn runs the sysbench read-write mix through the sharing layer:
 // 10 point selects, 4 range reads (100 consecutive rows), 2 updates, 1
-// delete + 1 insert modelled as two row rewrites.
+// delete + 1 insert modelled as two row rewrites. One range-sized buffer
+// serves every read and rewrite of the transaction.
 func (w *SharedSysbench) ReadWriteTxn(clk *simclock.Clock, node SharedNode, nodeIdx int, rng *rand.Rand) error {
 	w.CPUNs += chargeCPU(clk, BeginCommitCPU)
-	buf := make([]byte, RowSize)
+	buf := make([]byte, RangeLen*RowSize)
 	for i := 0; i < 10; i++ {
 		pid, off := w.pickRow(nodeIdx, rng)
 		w.CPUNs += chargeCPU(clk, PointSelectCPU)
-		if err := node.Read(clk, pid, off, buf); err != nil {
+		if err := node.Read(clk, pid, off, buf[:RowSize]); err != nil {
 			return err
 		}
 		w.Queries++
@@ -139,8 +141,7 @@ func (w *SharedSysbench) ReadWriteTxn(clk *simclock.Clock, node SharedNode, node
 			if row+rowsHere > start+RangeLen {
 				rowsHere = start + RangeLen - row
 			}
-			span := make([]byte, rowsHere*RowSize)
-			if err := node.Read(clk, pid, off, span); err != nil {
+			if err := node.Read(clk, pid, off, buf[:rowsHere*RowSize]); err != nil {
 				return err
 			}
 			row += rowsHere
@@ -150,7 +151,7 @@ func (w *SharedSysbench) ReadWriteTxn(clk *simclock.Clock, node SharedNode, node
 	for i := 0; i < 4; i++ { // 2 updates + delete/insert pair as rewrites
 		pid, off := w.pickRow(nodeIdx, rng)
 		w.CPUNs += chargeCPU(clk, UpdateCPU)
-		err := node.ReadModifyWrite(clk, pid, off, 64, func(b []byte) { b[1]++ })
+		err := node.ReadModifyWrite(clk, pid, off, buf[:64], func(b []byte) { b[1]++ })
 		if err != nil {
 			return err
 		}

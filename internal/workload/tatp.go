@@ -90,7 +90,7 @@ func (t *TATP) Txn(clk *simclock.Clock, node SharedNode, nodeIdx int, rng *rand.
 	write := func(pid uint64, off int64, n int) error {
 		t.CPUNs += chargeCPU(clk, UpdateCPU)
 		t.Queries++
-		return node.ReadModifyWrite(clk, pid, off, n, func(b []byte) { b[0]++ })
+		return node.ReadModifyWrite(clk, pid, off, make([]byte, n), func(b []byte) { b[0]++ })
 	}
 	var err error
 	switch p := rng.Intn(100); {

@@ -134,7 +134,7 @@ func (t *TPCC) NewOrder(clk *simclock.Clock, node SharedNode, wh int, rng *rand.
 	// District: read + bump next_o_id.
 	t.CPUNs += chargeCPU(clk, UpdateCPU)
 	pid, off = t.districtAddr(wh, rng.Intn(t.cfg.Districts))
-	if err := node.ReadModifyWrite(clk, pid, off, 16, func(b []byte) { b[0]++ }); err != nil {
+	if err := node.ReadModifyWrite(clk, pid, off, make([]byte, 16), func(b []byte) { b[0]++ }); err != nil {
 		return err
 	}
 	// Customer read.
@@ -162,7 +162,7 @@ func (t *TPCC) NewOrder(clk *simclock.Clock, node SharedNode, wh int, rng *rand.
 		}
 		t.CPUNs += chargeCPU(clk, UpdateCPU)
 		pid, off = t.stockAddr(sw, rng.Intn(t.cfg.Stock))
-		if err := node.ReadModifyWrite(clk, pid, off, 24, func(b []byte) { b[0]-- }); err != nil {
+		if err := node.ReadModifyWrite(clk, pid, off, make([]byte, 24), func(b []byte) { b[0]-- }); err != nil {
 			return err
 		}
 		// Order-line insert (private ring).
@@ -190,12 +190,12 @@ func (t *TPCC) NewOrder(clk *simclock.Clock, node SharedNode, wh int, rng *rand.
 func (t *TPCC) Payment(clk *simclock.Clock, node SharedNode, wh int, rng *rand.Rand) error {
 	t.CPUNs += chargeCPU(clk, UpdateCPU)
 	pid, off := t.warehouseAddr(wh)
-	if err := node.ReadModifyWrite(clk, pid, off, 16, func(b []byte) { b[0]++ }); err != nil {
+	if err := node.ReadModifyWrite(clk, pid, off, make([]byte, 16), func(b []byte) { b[0]++ }); err != nil {
 		return err
 	}
 	t.CPUNs += chargeCPU(clk, UpdateCPU)
 	pid, off = t.districtAddr(wh, rng.Intn(t.cfg.Districts))
-	if err := node.ReadModifyWrite(clk, pid, off, 16, func(b []byte) { b[1]++ }); err != nil {
+	if err := node.ReadModifyWrite(clk, pid, off, make([]byte, 16), func(b []byte) { b[1]++ }); err != nil {
 		return err
 	}
 	cw := wh
@@ -207,7 +207,7 @@ func (t *TPCC) Payment(clk *simclock.Clock, node SharedNode, wh int, rng *rand.R
 	}
 	t.CPUNs += chargeCPU(clk, UpdateCPU)
 	pid, off = t.customerAddr(cw, rng.Intn(t.cfg.Customers))
-	if err := node.ReadModifyWrite(clk, pid, off, 32, func(b []byte) { b[2]++ }); err != nil {
+	if err := node.ReadModifyWrite(clk, pid, off, make([]byte, 32), func(b []byte) { b[2]++ }); err != nil {
 		return err
 	}
 	t.CPUNs += chargeCPU(clk, InsertCPU)
@@ -244,12 +244,12 @@ func (t *TPCC) Delivery(clk *simclock.Clock, node SharedNode, wh int, rng *rand.
 	for d := 0; d < t.cfg.Districts; d++ {
 		t.CPUNs += chargeCPU(clk, UpdateCPU)
 		pid, off := t.orderAddr(wh, rng.Intn(t.cfg.OrderPages*RowsPerPage))
-		if err := node.ReadModifyWrite(clk, pid, off, 16, func(b []byte) { b[3] = 1 }); err != nil {
+		if err := node.ReadModifyWrite(clk, pid, off, make([]byte, 16), func(b []byte) { b[3] = 1 }); err != nil {
 			return err
 		}
 		t.CPUNs += chargeCPU(clk, UpdateCPU)
 		pid, off = t.customerAddr(wh, rng.Intn(t.cfg.Customers))
-		if err := node.ReadModifyWrite(clk, pid, off, 16, func(b []byte) { b[4]++ }); err != nil {
+		if err := node.ReadModifyWrite(clk, pid, off, make([]byte, 16), func(b []byte) { b[4]++ }); err != nil {
 			return err
 		}
 	}

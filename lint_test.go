@@ -165,3 +165,65 @@ func TestNoWallClockInProduct(t *testing.T) {
 		t.Fatalf("%d wall-clock reference(s) in product code; charge a simclock.Clock instead", len(bad))
 	}
 }
+
+// TestPageWrapOnlyInBuffer is the single-page-path gate: buffer.Visit is
+// the only way to a pool page's bytes, so non-test code may call page.Wrap
+// only inside internal/buffer. Anywhere else a page comes from a visit (or,
+// for an off-pool image, from page.Image).
+func TestPageWrapOnlyInBuffer(t *testing.T) {
+	const pagePkg = "polarcxlmem/internal/page"
+	inBuffer := func(path string) bool {
+		return strings.HasPrefix(path, filepath.Join("internal", "buffer")+string(filepath.Separator))
+	}
+	fset := token.NewFileSet()
+	var bad []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || inBuffer(path) {
+			return nil
+		}
+		f, perr := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if perr != nil {
+			return fmt.Errorf("parsing %s: %w", path, perr)
+		}
+		local := "" // the page package's local name in this file, if imported
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == pagePkg {
+				local = "page"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wrap" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					bad = append(bad, fmt.Sprintf("%s: %s.Wrap", fset.Position(sel.Pos()), x.Name))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		t.Error(b)
+	}
+	if len(bad) > 0 {
+		t.Fatalf("%d page.Wrap call(s) outside internal/buffer; reach the page through buffer.Visit", len(bad))
+	}
+}

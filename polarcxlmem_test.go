@@ -195,7 +195,7 @@ func TestSharingClusterCoherency(t *testing.T) {
 	const rounds = 20
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < sc.Nodes(); i++ {
-			err := sc.Node(i).ReadModifyWrite(clk, pid, 64, 8, func(b []byte) {
+			err := sc.Node(i).ReadModifyWrite(clk, pid, 64, make([]byte, 8), func(b []byte) {
 				binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
 			})
 			if err != nil {
@@ -292,7 +292,7 @@ func TestSharingClusterCrashRejoin(t *testing.T) {
 	clk := sc.Clock()
 	bump := func(i int) {
 		t.Helper()
-		err := sc.Node(i).ReadModifyWrite(clk, pid, 64, 8, func(b []byte) {
+		err := sc.Node(i).ReadModifyWrite(clk, pid, 64, make([]byte, 8), func(b []byte) {
 			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
 		})
 		if err != nil {
