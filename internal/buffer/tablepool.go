@@ -155,11 +155,11 @@ func NewWritebackPool(cfg frametab.Config, name string, ids *storage.Store, m Me
 
 // FlushAll implements Pool (checkpoint support): every dirty resident page
 // goes to storage through the store's Writeback, read-latched, in page-id
-// order — the dirty snapshot comes back sorted, so checkpoint I/O replays
-// identically under a fault plan, and each page issues exactly the op
-// sequence the background flusher's FlushBatch does.
+// order — the table's dirty index comes back sorted, so checkpoint I/O
+// replays identically under a fault plan, and each page issues exactly the
+// op sequence the background flusher's FlushBatch does.
 func (c *WritebackPool) FlushAll(clk *simclock.Clock) error {
-	for _, fr := range c.tab.Snapshot(true) {
+	for _, fr := range c.tab.DirtyFrames() {
 		fr.Lock(Read)
 		err := c.wb.Writeback(clk, fr.ID(), fr.Slot())
 		if err == nil {

@@ -202,3 +202,38 @@ func TestFrameHold(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMissAllocations pins a Get that misses into a free block, and the
+// DropPage that frees the block again, at missAllocs allocations: the
+// frame table's frame and its load channel. The page image is staged in the
+// store's one staging buffer, not in a fresh 16 KiB image per miss. The
+// shard maps are warmed first, so no run pays for map growth.
+func TestMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const missAllocs = 2
+	r := newRig(t, 8)
+	id := r.seed(t, 7, "missed")
+	miss := func() {
+		f, err := r.pool.Get(r.clk, id, buffer.Read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Release(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.pool.DropPage(r.clk, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss()
+	before := r.pool.Stats().Misses
+	n := testing.AllocsPerRun(100, miss)
+	if got := r.pool.Stats().Misses - before; got != 101 {
+		t.Fatalf("%d misses in 101 runs: the Get did not miss each time", got)
+	}
+	if n != missAllocs {
+		t.Fatalf("Get miss + DropPage: %v allocations per run, want %d", n, missAllocs)
+	}
+}

@@ -70,8 +70,9 @@ var _ buffer.Pool = (*CXLPool)(nil)
 type cxlStore struct {
 	p *CXLPool
 
-	mu  sync.Mutex
-	ids []uint64 // idx-1 -> resident page id: pin checks without CXL reads
+	mu    sync.Mutex
+	ids   []uint64 // idx-1 -> resident page id: pin checks without CXL reads
+	stage []byte   // the one page image staged between storage and CXL; mu held
 
 	epoch  atomic.Int64
 	touch  []atomic.Int64 // idx-1 -> last-touch epoch (LRU move window)
@@ -88,7 +89,7 @@ func newPool(host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache, sto
 	if w < 1 {
 		w = 1
 	}
-	p.cst = &cxlStore{p: p, ids: make([]uint64, n), touch: make([]atomic.Int64, n), window: w}
+	p.cst = &cxlStore{p: p, ids: make([]uint64, n), stage: make([]byte, page.Size), touch: make([]atomic.Int64, n), window: w}
 	p.WritebackPool = buffer.NewWritebackPool(frametab.Config{Store: p.cst}, "cxl", store, medium{p})
 	return p
 }
@@ -294,7 +295,7 @@ func (s *cxlStore) evictOne(clk *simclock.Clock) (int64, error) {
 			// The block's lines may be resident (clean) in this node's
 			// cache; unlocked pages were flushed at release, so CXL holds
 			// the latest.
-			img := make([]byte, page.Size)
+			img := s.stage
 			if err := p.rawImage(idx, img); err != nil {
 				return 0, err
 			}
@@ -375,8 +376,8 @@ func (s *cxlStore) install(clk *simclock.Clock, idx int64, id uint64, img []byte
 	return nil
 }
 
-// Fetch implements frametab.FrameStore: stage the page from storage and
-// copy it into a CXL block in bulk.
+// Fetch implements frametab.FrameStore: stage the page from storage in the
+// store's staging image and copy it into a CXL block in bulk.
 func (s *cxlStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 	p := s.p
 	s.mu.Lock()
@@ -385,7 +386,7 @@ func (s *cxlStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	img := make([]byte, page.Size)
+	img := s.stage
 	if err := p.store.ReadPage(clk, id, img); err != nil {
 		p.pushFree(clk, idx)
 		return nil, false, err
@@ -397,6 +398,9 @@ func (s *cxlStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 	return idx, false, nil
 }
 
+// zeroPage is the image a created block is installed from; never written.
+var zeroPage = make([]byte, page.Size)
+
 // Create implements frametab.FrameStore: a zeroed block, dirty from birth.
 func (s *cxlStore) Create(clk *simclock.Clock, id uint64) (any, error) {
 	s.mu.Lock()
@@ -405,7 +409,7 @@ func (s *cxlStore) Create(clk *simclock.Clock, id uint64) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.install(clk, idx, id, make([]byte, page.Size), 0, flagInUse|flagDirty, false); err != nil {
+	if err := s.install(clk, idx, id, zeroPage, 0, flagInUse|flagDirty, false); err != nil {
 		return nil, err
 	}
 	return idx, nil

@@ -32,13 +32,20 @@
 // The PR-1 fault-injection sweeps replay a workload and crash it at the
 // N-th instrumented operation; that only works if run K and run K+1 emit
 // the identical operation sequence. frametab therefore never lets Go's
-// randomized map iteration order leak into an instrumented path: Snapshot
-// walks the shards in index order and returns frames sorted by page id, so
-// FlushAll (checkpointing) and every other bulk path issue their device
-// operations in one canonical order. Single-threaded instrumented runs
-// (the sweep harness is single-threaded by construction) also see the exact
-// per-Get operation order of the pre-frametab pools: pin, touch hook,
-// latch, write-latch hook.
+// randomized map iteration order leak into an instrumented path: the dirty
+// index hands out its frames sorted by page id, so FlushBatch (the flusher)
+// and FlushAll (checkpointing) issue their device operations in one
+// canonical order. Single-threaded instrumented runs (the sweep harness is
+// single-threaded by construction) also see the exact per-Get operation
+// order of the pre-frametab pools: pin, touch hook, latch, write-latch hook.
+//
+// # Dirty index
+//
+// The table keeps an index of its dirty frames, updated on every clean to
+// dirty transition and back (MarkDirty, ClearDirty, a dirty Seed or load)
+// and on every path that takes a frame out of the table. The flush paths
+// read it instead of walking the shards, and an empty index is the proof
+// that the table is clean.
 //
 // Eviction uses a second-chance clock over the insertion ring rather than a
 // strict LRU list: frames are appended at load time, hits set a referenced
@@ -48,9 +55,10 @@
 package frametab
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -232,7 +240,8 @@ type Frame struct {
 	// value, so its misuse is caught here (see Unhand, EnterVisit).
 	use atomic.Uint64
 
-	dirtied *atomic.Int64 // the owning table's clean-to-dirty counter
+	tab  *Table // the table whose dirty index tracks this frame; nil for NewFrame
+	gone bool   // taken out of tab for good; guarded by tab.dirtyMu
 }
 
 // ID reports the page id.
@@ -244,15 +253,35 @@ func (f *Frame) Slot() any { return f.slot }
 // Dirty reports divergence from the durable storage image.
 func (f *Frame) Dirty() bool { return f.dirty.Load() }
 
-// MarkDirty records divergence from the durable storage image.
+// MarkDirty records divergence from the durable storage image. Only the
+// clean-to-dirty transition takes the table's index lock.
 func (f *Frame) MarkDirty() {
-	if !f.dirty.Swap(true) {
-		f.dirtied.Add(1)
+	if f.dirty.Load() {
+		return
 	}
+	if f.tab == nil {
+		f.dirty.Store(true)
+		return
+	}
+	f.tab.setDirty(f)
 }
 
 // ClearDirty records that the durable image caught up (checkpoint flush).
-func (f *Frame) ClearDirty() { f.dirty.Store(false) }
+func (f *Frame) ClearDirty() {
+	if !f.dirty.Load() {
+		return
+	}
+	t := f.tab
+	if t == nil {
+		f.dirty.Store(false)
+		return
+	}
+	t.dirtyMu.Lock()
+	if f.dirty.Swap(false) && t.dirty[f.id] == f {
+		delete(t.dirty, f.id)
+	}
+	t.dirtyMu.Unlock()
+}
 
 // Handle misuse, reported by Unhand and EnterVisit.
 var (
@@ -381,15 +410,14 @@ type Table struct {
 
 	resident atomic.Int64
 
-	// dirtied counts frames becoming dirty: MarkDirty on a clean frame,
-	// and a Seed or completed load that is born dirty. It moves only after
-	// the frame is reachable, ready and dirty, so a walk that loaded it
-	// beforehand and found no dirty frame proves the table clean for as
-	// long as it stays put. cleanAt holds that proven value (-1: none);
-	// FlushBatch and DirtyResident return 0 without walking while it
-	// matches.
-	dirtied atomic.Int64
-	cleanAt atomic.Int64
+	// dirty indexes the table's dirty frames by page id. A frame's dirty
+	// bit flips under dirtyMu whenever its entry moves, and a frame taken
+	// out of the table leaves the index for good (Frame.gone), so the index
+	// holds exactly the table's dirty frames. scratch is FlushBatch's sort
+	// buffer, handed out under dirtyMu.
+	dirtyMu sync.Mutex
+	dirty   map[uint64]*Frame
+	scratch []*Frame
 
 	evictMu sync.Mutex
 	ring    []*Frame
@@ -433,11 +461,11 @@ func New(cfg Config) *Table {
 		capacity: cfg.Capacity,
 		shards:   make([]shard, pow),
 		mask:     uint64(pow - 1),
+		dirty:    make(map[uint64]*Frame),
 	}
 	for i := range t.shards {
 		t.shards[i].frames = make(map[uint64]*Frame)
 	}
-	t.cleanAt.Store(-1)
 	t.evictor, _ = cfg.Store.(EvictStore)
 	t.toucher, _ = cfg.Store.(Toucher)
 	t.wlatched, _ = cfg.Store.(WriteLatchNotifier)
@@ -602,40 +630,54 @@ func (t *Table) pin(f *Frame) bool {
 
 // newFrame returns a frame for page id, off the eviction ring.
 func (t *Table) newFrame(id uint64) *Frame {
-	return &Frame{id: id, ringIdx: -1, dirtied: &t.dirtied}
+	return &Frame{id: id, ringIdx: -1, tab: t}
 }
 
-// knownClean reports whether a walk has proven every frame clean since the
-// last frame became dirty; otherwise mark is the dirtied value to store in
-// cleanAt if the walk about to run finds no dirty frame.
-func (t *Table) knownClean() (mark int64, clean bool) {
-	mark = t.dirtied.Load()
-	return mark, t.cleanAt.Load() == mark
+// setDirty marks f dirty and indexes it, unless f has left the table.
+func (t *Table) setDirty(f *Frame) {
+	t.dirtyMu.Lock()
+	if !f.dirty.Swap(true) && !f.gone {
+		t.dirty[f.id] = f
+	}
+	t.dirtyMu.Unlock()
 }
+
+// unindex records that f has left the table: it drops out of the dirty
+// index and a later MarkDirty on it will not bring it back.
+func (t *Table) unindex(f *Frame) {
+	t.dirtyMu.Lock()
+	f.gone = true
+	if t.dirty[f.id] == f {
+		delete(t.dirty, f.id)
+	}
+	t.dirtyMu.Unlock()
+}
+
+// appendDirty appends the indexed frames whose load has settled to buf,
+// sorted by page id.
+func (t *Table) appendDirty(buf []*Frame) []*Frame {
+	t.dirtyMu.Lock()
+	for _, f := range t.dirty {
+		if f.ready.Load() {
+			buf = append(buf, f)
+		}
+	}
+	t.dirtyMu.Unlock()
+	slices.SortFunc(buf, func(a, b *Frame) int { return cmp.Compare(a.id, b.id) })
+	return buf
+}
+
+// DirtyFrames returns the resident dirty frames sorted by page id: bulk
+// paths must issue device operations in this canonical order or
+// fault-plan replay breaks (see the package comment).
+func (t *Table) DirtyFrames() []*Frame { return t.appendDirty(nil) }
 
 // DirtyResident counts resident frames whose image diverges from durable
-// storage — the flusher daemon's backlog signal. On a table proven clean
-// it returns 0 without walking the shards.
+// storage — the flusher daemon's backlog signal — from the dirty index.
 func (t *Table) DirtyResident() int {
-	mark, clean := t.knownClean()
-	if clean {
-		return 0
-	}
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.ready.Load() && f.dirty.Load() {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if n == 0 {
-		t.cleanAt.Store(mark)
-	}
-	return n
+	t.dirtyMu.Lock()
+	defer t.dirtyMu.Unlock()
+	return len(t.dirty)
 }
 
 // FlushBatch writes back up to max dirty resident pages through the
@@ -646,27 +688,37 @@ func (t *Table) DirtyResident() int {
 // whole point is that eviction and commit no longer stall on these writes.
 // A Writeback error stops the batch and is returned (under fault injection
 // that error is a simulated host crash; the sweep harness abandons the pool
-// wholesale). On a table proven clean it returns 0 without walking.
+// wholesale). The batch is read from the dirty index, not a shard walk.
 func (t *Table) FlushBatch(clk *simclock.Clock, max int) (int, error) {
 	if t.writeback == nil || t.latcher != nil {
 		return 0, ErrNoWriteback
 	}
-	mark, clean := t.knownClean()
-	if clean {
+	t.dirtyMu.Lock()
+	if len(t.dirty) == 0 {
+		t.dirtyMu.Unlock()
 		return 0, nil
 	}
-	dirty := t.Snapshot(true)
-	if len(dirty) == 0 {
-		t.cleanAt.Store(mark)
-		return 0, nil
-	}
+	buf := t.scratch
+	t.scratch = nil
+	t.dirtyMu.Unlock()
+	dirty := t.appendDirty(buf[:0])
+	n, err := t.flushSorted(clk, dirty, max)
+	clear(dirty)
+	t.dirtyMu.Lock()
+	t.scratch = dirty[:0]
+	t.dirtyMu.Unlock()
+	return n, err
+}
+
+// flushSorted writes back up to max of the frames in dirty, in order.
+func (t *Table) flushSorted(clk *simclock.Clock, dirty []*Frame, max int) (int, error) {
 	flushed := 0
 	for _, f := range dirty {
 		if flushed >= max {
 			break
 		}
 		if !t.pin(f) {
-			continue // evicted or retired between snapshot and pin
+			continue // evicted or retired between the index read and pin
 		}
 		f.Lock(Read)
 		if !f.dirty.Load() { // raced with FlushAll or another batch
@@ -702,40 +754,19 @@ func (t *Table) unhit(f *Frame) {
 	}
 }
 
-// Snapshot returns the resident (optionally: dirty-only) frames, walking
-// the shards in index order and sorting by page id — bulk paths must issue
-// device operations in this canonical order or fault-plan replay breaks
-// (see the package comment).
-func (t *Table) Snapshot(dirtyOnly bool) []*Frame {
-	var out []*Frame
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.ready.Load() && (!dirtyOnly || f.dirty.Load()) {
-				out = append(out, f)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
 // Seed installs an already-materialized frame (pool reopen after a crash:
 // core.Open rebuilds the table from surviving CXL metadata).
 func (t *Table) Seed(id uint64, slot any, dirty bool) *Frame {
 	f := t.newFrame(id)
 	f.slot = slot
-	f.dirty.Store(dirty)
+	if dirty {
+		t.setDirty(f)
+	}
 	f.ready.Store(true)
 	sh := t.shardOf(id)
 	sh.mu.Lock()
 	sh.frames[id] = f
 	sh.mu.Unlock()
-	if dirty {
-		t.dirtied.Add(1)
-	}
 	t.resident.Add(1)
 	t.ringAdd(f)
 	return f
@@ -775,7 +806,9 @@ func (t *Table) Discard(id uint64) (*Frame, bool) {
 	return f, true
 }
 
+// detach accounts for a frame just removed from its shard.
 func (t *Table) detach(f *Frame) {
+	t.unindex(f)
 	t.resident.Add(-1)
 	if t.capacity > 0 {
 		t.evictMu.Lock()
@@ -830,9 +863,17 @@ func (t *Table) reserve(clk *simclock.Clock) error {
 }
 
 // evictOne runs one sweep of the second-chance clock and evicts the first
-// unpinned, unreferenced frame through the EvictStore.
+// unpinned, unreferenced frame through the EvictStore. It evicts nothing
+// when a concurrent removal has already brought the table under Capacity:
+// every removal lowers resident before it leaves evictMu, so an empty ring
+// here with the table still at Capacity means every resident frame is a
+// load in flight.
 func (t *Table) evictOne(clk *simclock.Clock) error {
 	t.evictMu.Lock()
+	if int(t.resident.Load()) < t.capacity {
+		t.evictMu.Unlock()
+		return nil
+	}
 	n := len(t.ring)
 	if n == 0 {
 		t.evictMu.Unlock()
@@ -860,6 +901,7 @@ func (t *Table) evictOne(clk *simclock.Clock) error {
 		delete(sh.frames, f.id)
 		sh.mu.Unlock()
 		t.ringRemoveLocked(f)
+		t.resident.Add(-1)
 		victim = f
 		break
 	}
@@ -867,7 +909,7 @@ func (t *Table) evictOne(clk *simclock.Clock) error {
 	if victim == nil {
 		return fmt.Errorf("frametab: all %d resident frames pinned, cannot evict", n)
 	}
-	t.resident.Add(-1)
+	t.unindex(victim)
 	t.Counters.Evictions.Add(1)
 	o := t.obsP.Load()
 	if o != nil {
@@ -1042,11 +1084,10 @@ func (t *Table) acquire(clk *simclock.Clock, f *Frame, mode Mode, fresh bool) (*
 // finishLoad publishes a loaded slot and wakes waiters.
 func (t *Table) finishLoad(f *Frame, slot any, dirty bool) {
 	f.slot = slot
-	f.dirty.Store(dirty)
-	f.ready.Store(true)
 	if dirty {
-		t.dirtied.Add(1)
+		t.setDirty(f)
 	}
+	f.ready.Store(true)
 	close(f.loaded)
 	t.ringAdd(f)
 }
@@ -1057,6 +1098,7 @@ func (t *Table) abortLoad(f *Frame) {
 	sh.mu.Lock()
 	delete(sh.frames, f.id)
 	sh.mu.Unlock()
+	t.unindex(f)
 	f.pins.Add(-1)
 	t.resident.Add(-1)
 	close(f.loaded) // ready stays false: waiters retry as a fresh miss

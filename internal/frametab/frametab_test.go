@@ -244,7 +244,7 @@ func TestGetOrCreateFallsThroughToCreate(t *testing.T) {
 	tab.Unpin(f2)
 }
 
-func TestSnapshotSortedByPageID(t *testing.T) {
+func TestDirtyFramesSortedByPageID(t *testing.T) {
 	clk := simclock.New()
 	s := newMemStore()
 	ids := []uint64{11, 3, 97, 42, 8}
@@ -261,13 +261,13 @@ func TestSnapshotSortedByPageID(t *testing.T) {
 		f.Unlock(Write)
 		tab.Unpin(f)
 	}
-	snap := tab.Snapshot(true)
-	if len(snap) != len(ids) {
-		t.Fatalf("snapshot has %d frames, want %d", len(snap), len(ids))
+	dirty := tab.DirtyFrames()
+	if len(dirty) != len(ids) {
+		t.Fatalf("DirtyFrames has %d frames, want %d", len(dirty), len(ids))
 	}
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1].ID() >= snap[i].ID() {
-			t.Fatalf("snapshot not sorted: %d before %d", snap[i-1].ID(), snap[i].ID())
+	for i := 1; i < len(dirty); i++ {
+		if dirty[i-1].ID() >= dirty[i].ID() {
+			t.Fatalf("DirtyFrames not sorted: %d before %d", dirty[i-1].ID(), dirty[i].ID())
 		}
 	}
 }

@@ -165,10 +165,10 @@ func TestFlushBatchConcurrentWithGets(t *testing.T) {
 	}
 }
 
-// TestFlushBatchAfterCleanWalk: once a walk has found the table clean,
-// FlushBatch and DirtyResident skip the walk until a frame becomes dirty.
-// Each way a frame becomes dirty — MarkDirty, a dirty Seed, a dirty Fetch —
-// must end the skipping, so the next call flushes that frame.
+// TestFlushBatchAfterCleanWalk: on a clean table FlushBatch and
+// DirtyResident report nothing. Each way a frame becomes dirty — MarkDirty,
+// a dirty Seed, a dirty Fetch — must reach the dirty index, so the next
+// call flushes that frame.
 func TestFlushBatchAfterCleanWalk(t *testing.T) {
 	dirtiers := []struct {
 		name  string
@@ -238,7 +238,7 @@ func TestFlushBatchAfterCleanWalk(t *testing.T) {
 // TestFlushBatchRacingMarkDirty: a writer dirties frames while a flusher
 // loops over FlushBatch. Whatever the interleaving, once the writer stops,
 // one more FlushBatch must leave no dirty frame behind: a frame dirtied
-// during a walk that found nothing may not be skipped by later calls.
+// while a batch was being read from the index may not be lost from it.
 func TestFlushBatchRacingMarkDirty(t *testing.T) {
 	clk := simclock.New()
 	tab, s := newWBTable(t, 64)
@@ -282,7 +282,7 @@ func TestFlushBatchRacingMarkDirty(t *testing.T) {
 		if _, err := tab.FlushBatch(clk, pages); err != nil {
 			t.Fatal(err)
 		}
-		if left := len(tab.Snapshot(true)); left != 0 {
+		if left := len(walkDirty(tab)); left != 0 {
 			t.Fatalf("trial %d: %d dirty frames left after the final FlushBatch", trial, left)
 		}
 		if got := tab.DirtyResident(); got != 0 {

@@ -155,7 +155,7 @@ func (f *Fusion) reclaimWriteHeld(clk *simclock.Clock, ps *pageState, node strin
 		// Born inside the dead node's in-flight unit: no durable history,
 		// nothing to serve. Drop it exactly like a recycle.
 		f.mu.Lock()
-		for _, n := range sortedNodes(ps.active) {
+		for _, n := range f.sortedNodes(ps.active) {
 			if n == node {
 				continue
 			}
@@ -178,7 +178,7 @@ func (f *Fusion) reclaimWriteHeld(clk *simclock.Clock, ps *pageState, node strin
 	o := f.obsState()
 	f.mu.Lock()
 	ps.dirty = dirty
-	for _, other := range sortedNodes(ps.active) {
+	for _, other := range f.sortedNodes(ps.active) {
 		if other == node {
 			continue
 		}

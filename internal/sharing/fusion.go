@@ -29,6 +29,7 @@ package sharing
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,6 +95,7 @@ type Fusion struct {
 	lruTick  int64
 	getCalls int64
 	inj      fault.Injector // optional fault injector; may be nil
+	nodes    []string       // sortedNodes' scratch
 
 	evictMu sync.Mutex // serializes concurrent EvictNode walks
 	leases  *leaseTable
@@ -589,7 +591,7 @@ func (f *Fusion) UnlockWrite(clk *simclock.Clock, node string, pageID uint64) er
 	ps, ok := f.pages[pageID]
 	if ok {
 		ps.dirty = true
-		for _, other := range sortedNodes(ps.active) {
+		for _, other := range f.sortedNodes(ps.active) {
 			if other == node {
 				continue
 			}
@@ -657,7 +659,7 @@ func (f *Fusion) recycleLocked(clk *simclock.Clock) error {
 			return err
 		}
 	}
-	for _, node := range sortedNodes(victim.active) {
+	for _, node := range f.sortedNodes(victim.active) {
 		if err := f.dev.Store64(clk, victim.active[node].removal, 1); err != nil {
 			return err
 		}
@@ -671,13 +673,16 @@ func (f *Fusion) recycleLocked(clk *simclock.Clock) error {
 }
 
 // sortedNodes returns the node names of an active map in stable order, so
-// flag-store sequences replay identically under a fault plan.
-func sortedNodes(active map[string]flagAddrs) []string {
-	nodes := make([]string, 0, len(active))
+// flag-store sequences replay identically under a fault plan. The result is
+// f's scratch slice: the caller holds f.mu and is done with it before the
+// next call.
+func (f *Fusion) sortedNodes(active map[string]flagAddrs) []string {
+	nodes := f.nodes[:0]
 	for n := range active {
 		nodes = append(nodes, n)
 	}
-	sort.Strings(nodes)
+	slices.Sort(nodes)
+	f.nodes = nodes
 	return nodes
 }
 

@@ -186,19 +186,21 @@ type pageLock struct {
 	wgrant  int64
 	readers map[string]int   // node -> reentrant read count
 	rgrant  map[string]int64 // node -> first-grant time
-	wake    chan struct{}    // closed (and replaced) on every release
+
+	// wake is made by a conflicting tryAcquire and closed and cleared by
+	// the next release, so a release with no waiter allocates nothing.
+	wake chan struct{}
 }
 
 func newPageLock() *pageLock {
 	return &pageLock{
 		readers: make(map[string]int),
 		rgrant:  make(map[string]int64),
-		wake:    make(chan struct{}),
 	}
 }
 
 // tryAcquire attempts the grant. On conflict it reports the current holders
-// (sorted for determinism) and the channel a release will close.
+// (sorted for determinism) and the channel the next release will close.
 func (l *pageLock) tryAcquire(node string, write bool, now int64) (bool, []holderInfo, chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -227,13 +229,18 @@ func (l *pageLock) tryAcquire(node string, write bool, now int64) (bool, []holde
 			hs = append(hs, holderInfo{node: n, grant: l.rgrant[n]})
 		}
 	}
+	if l.wake == nil {
+		l.wake = make(chan struct{})
+	}
 	return false, hs, l.wake
 }
 
-// wakeLocked signals all waiters. Caller holds l.mu.
+// wakeLocked signals all waiters, if any. Caller holds l.mu.
 func (l *pageLock) wakeLocked() {
-	close(l.wake)
-	l.wake = make(chan struct{})
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
+	}
 }
 
 // releaseWrite drops node's write grant. Unlike sync.RWMutex, release by a

@@ -148,18 +148,24 @@ func (s *Store) ReadPage(clk *simclock.Clock, id uint64, buf []byte) error {
 }
 
 // WritePage durably stores img (page.Size bytes) under id, stamping the
-// checksum, charging replicated-write latency and bandwidth.
+// checksum, charging replicated-write latency and bandwidth. A page that
+// already has an image is overwritten in place: the copy and the checksum
+// stamp both run under s.mu, where ReadPage copies out, so no reader sees a
+// half-written image. Only a page's first write allocates.
 func (s *Store) WritePage(clk *simclock.Clock, id uint64, img []byte) error {
 	if len(img) != page.Size {
 		return fmt.Errorf("storage: write image of %d bytes, want %d", len(img), page.Size)
 	}
-	cp := make([]byte, page.Size)
-	copy(cp, img)
-	page.StampChecksum(cp)
 	clk.Advance(s.cfg.WriteNanos)
 	s.bw.Use(clk, page.Size)
 	s.mu.Lock()
-	s.pages[id] = cp
+	dst, ok := s.pages[id]
+	if !ok {
+		dst = make([]byte, page.Size)
+		s.pages[id] = dst
+	}
+	copy(dst, img)
+	page.StampChecksum(dst)
 	if id >= s.nextID {
 		s.nextID = id + 1
 	}

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"polarcxlmem/internal/page"
@@ -143,4 +144,73 @@ func TestStoreSurvivesClientDrop(t *testing.T) {
 	if buf[0] != 0xAB {
 		t.Fatal("store lost page across client crash")
 	}
+}
+
+// TestOverwriteAllocatesNothing: a write over a page that already has a
+// durable image reuses that image; only a page's first write allocates.
+func TestOverwriteAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := New(Config{})
+	clk := simclock.New()
+	src := img(0x33)
+	if err := s.WritePage(clk, 1, src); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := s.WritePage(clk, 1, src); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("WritePage over an existing page: %v allocs, want 0", n)
+	}
+}
+
+// TestReadsNeverSeeHalfWrittenImage: one writer overwrites a page in place
+// with alternating fills while readers copy it out. Every read must verify
+// its checksum and hold a single fill: the copy and the stamp run under the
+// store's lock, where ReadPage copies.
+func TestReadsNeverSeeHalfWrittenImage(t *testing.T) {
+	s := New(Config{})
+	fills := []byte{0x11, 0xEE}
+	if err := s.WritePage(simclock.New(), 1, img(fills[0])); err != nil {
+		t.Fatal(err)
+	}
+	const writes, readers, reads = 200, 2, 200
+	var wg sync.WaitGroup
+	wg.Add(1 + readers)
+	go func() {
+		defer wg.Done()
+		clk := simclock.New()
+		srcs := [][]byte{img(fills[0]), img(fills[1])}
+		for i := 0; i < writes; i++ {
+			if err := s.WritePage(clk, 1, srcs[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer wg.Done()
+			clk := simclock.New()
+			buf := make([]byte, page.Size)
+			for i := 0; i < reads; i++ {
+				if err := s.ReadPage(clk, 1, buf); err != nil {
+					t.Error(err) // a torn image fails its checksum here
+					return
+				}
+				if fill := buf[page.Size-1]; fill != fills[0] && fill != fills[1] {
+					t.Errorf("read %d: unexpected fill %#x", i, fill)
+					return
+				}
+				if buf[page.Size/2] != buf[page.Size-1] {
+					t.Errorf("read %d: image mixes two writes", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
