@@ -237,3 +237,39 @@ func TestMissAllocations(t *testing.T) {
 		t.Fatalf("Get miss + DropPage: %v allocations per run, want %d", n, missAllocs)
 	}
 }
+
+// TestWritebackAllocations pins the writeback of a resident page, the
+// flusher's and the checkpoint's path (clflush, staging read, barrier,
+// storage overwrite, flags word), at 0 allocations: nothing keeps the
+// staged 16 KiB image (the store copies it in place), so it stays off the
+// heap.
+func TestWritebackAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	r := newRig(t, 8)
+	id := r.seed(t, 7, "flushed")
+	f, err := r.pool.Get(r.clk, id, buffer.Read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := f.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	slot := r.pool.Table().Lookup(id).Slot()
+	writes := r.pool.Table().Counters.StorageWrites.Load()
+	wb := func() {
+		if err := r.pool.cst.Writeback(r.clk, id, slot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wb()
+	if n := testing.AllocsPerRun(100, wb); n != 0 {
+		t.Fatalf("Writeback: %v allocations per run, want 0", n)
+	}
+	if got := r.pool.Table().Counters.StorageWrites.Load() - writes; got != 102 {
+		t.Fatalf("%d storage writes in 102 writebacks", got)
+	}
+}

@@ -1,0 +1,78 @@
+package simcpu
+
+import (
+	"testing"
+
+	"polarcxlmem/internal/simclock"
+	"polarcxlmem/internal/simmem"
+)
+
+// benchCacheBytes is the eviction benchmarks' cache size: 131,072 lines.
+const benchCacheBytes = 8 << 20
+
+// benchLoads runs b.N held word loads at the offsets next yields, in one
+// hold, after warm loads that bring the cache to its steady state, and
+// returns the cache's stats over the timed loads.
+func benchLoads(b *testing.B, devBytes int64, warm int, next func() int64) Stats {
+	r := simmem.NewDevice("cxl", devBytes, prof, nil).WholeRegion()
+	c := New("bench", benchCacheBytes, 5)
+	clk := simclock.New()
+	c.Hold()
+	defer c.Unhold()
+	load := func() {
+		if _, err := c.LoadHeld(clk, r, next(), 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for range warm {
+		load()
+	}
+	c.stats = Stats{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		load()
+	}
+	return c.stats
+}
+
+// BenchmarkEvictingScan loads one word per line in a cyclic scan over
+// twice the cache's size: every access misses and evicts the LRU line.
+func BenchmarkEvictingScan(b *testing.B) {
+	const span = 2 * benchCacheBytes
+	off := int64(0)
+	st := benchLoads(b, span, span/LineSize, func() int64 {
+		o := off
+		off = (off + LineSize) % span
+		return o
+	})
+	if st.Hits != 0 {
+		b.Fatalf("the scan hit %d times", st.Hits)
+	}
+}
+
+// BenchmarkHotSetColdStream makes three of every four accesses to a hot
+// set half the cache's size, in a scrambled cyclic order, and the fourth to
+// a cold stream twice the cache's size: hot lines hit and stay resident,
+// and every cold access misses and evicts an older cold line.
+func BenchmarkHotSetColdStream(b *testing.B) {
+	const (
+		hotLines  = benchCacheBytes / LineSize / 2
+		coldBytes = 2 * benchCacheBytes
+		stride    = 40503 // odd, so the hot walk visits every hot line
+	)
+	hot, cold, k := 0, int64(0), 0
+	st := benchLoads(b, hotLines*LineSize+coldBytes, 4*coldBytes/LineSize, func() int64 {
+		k++
+		if k%4 == 0 {
+			o := hotLines*LineSize + cold
+			cold = (cold + LineSize) % coldBytes
+			return o
+		}
+		hot = (hot + stride) & (hotLines - 1)
+		return int64(hot) * LineSize
+	})
+	if want := int64(b.N / 4); st.Misses != want {
+		b.Fatalf("%d misses in %d loads, want %d: a hot line was evicted", st.Misses, b.N, want)
+	}
+}

@@ -11,18 +11,18 @@
 // (by eviction or clflush).
 //
 // The cache is write-back, write-allocate (read-for-ownership on a write
-// miss), with LRU replacement and 64-byte lines. Costs: a per-access hit
+// miss), with exact LRU replacement and 64-byte lines. Costs: a per-access hit
 // latency, a device-profile line fetch on miss, and a device-profile line
 // write on write-back. Flush models clflush: write back dirty lines and
 // invalidate the range. Drop models power loss: cached dirty data is gone.
 //
 // Representation: lines live by value in a slab that grows in fixed-size
-// chunks and recycles freed lines; the LRU is a doubly-linked list over slab
-// indices whose links live in dense segments apart from the line data, so
-// a hit's splice writes 8-byte links and never a neighbour's line; and a
-// block index maps each (device, 4 KiB-aligned offset) to a residency mask
-// plus the slab index of each of its 64 lines. A steady-state hit, miss or
-// flush allocates nothing.
+// chunks and recycles freed lines; a block index maps each (device, 4
+// KiB-aligned offset) to a residency mask plus the slab index of each of
+// its 64 lines. The LRU is kept lazily: a hit or fill stamps its line from
+// a per-cache counter, and only an eviction orders lines, from a sorted
+// snapshot of (stamp, slab index) keys built when the previous one runs
+// out. A steady-state hit, miss or flush allocates nothing.
 //
 // Accesses run inside a hold: a caller takes the cache's lock once with
 // Hold, makes any number of ReadHeld / WriteHeld / LoadHeld / StoreHeld
@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"iter"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"polarcxlmem/internal/fault"
@@ -50,7 +51,7 @@ const (
 	// uint64 residency mask, 4 KiB of device address space.
 	blockLines = 64
 	blockSize  = blockLines * LineSize
-	// nilIdx is the absent slab index: an LRU list end, or no such line.
+	// nilIdx is the absent slab index: no such line.
 	nilIdx int32 = -1
 	// memoSize is the number of direct-mapped block memo entries, indexed
 	// by the block's 4 KiB number modulo memoSize. A 16 KiB page image
@@ -64,22 +65,15 @@ const (
 // line is one resident cache line, held by value in the line slab.
 type line struct {
 	data  [LineSize]byte
-	blk   int32 // owning block's slab index
-	slot  uint8 // line number within the block
+	stamp uint64 // counter value of the last use; 0: not resident
+	blk   int32  // owning block's slab index
+	slot  uint8  // line number within the block
 	dirty bool
 }
 
-// links are a line's LRU neighbours; prev is toward the MRU end.
-type links struct{ prev, next int32 }
-
-// linkSegShift sizes the LRU link segments at 1024 entries (8 KiB): dense,
-// so a splice's neighbour links share a few pages instead of one page per
-// line chunk, and small, so a cache's last, partly used segment wastes
-// little and segments cost one allocation per 16 line chunks.
-const (
-	linkSegShift = 10
-	linkSeg      = 1 << linkSegShift
-)
+// maxStamp is the largest stamp an eviction key packs above a 32-bit slab
+// index; the counter renumbers before passing it (a variable for tests).
+var maxStamp uint64 = 1<<32 - 1
 
 // blockKey names a 4 KiB-aligned span of a device.
 type blockKey struct {
@@ -166,10 +160,18 @@ type Cache struct {
 	index    map[blockKey]int32 // block slab index of every block with a resident line
 	blocks   slab[block]
 	lines    slab[line]
-	links    []*[linkSeg]links // LRU links of line slab entry i: links[i>>linkSegShift][i&(linkSeg-1)]
-	mru, lru int32             // LRU list ends
-	resident int               // lines on the LRU list
-	stats    Stats
+	resident int    // resident lines
+	tick     uint64 // the last stamp handed out
+	// order[next:] is the eviction order, stamp<<32 | slab index of the
+	// lines resident when it was built, oldest first; an entry whose line
+	// was used or removed since is stale, and every line used since is
+	// younger than every valid entry. fresh logs the keys of lines
+	// installed since, up to its capacity; built is the counter then.
+	order []uint64
+	next  int
+	fresh []uint64
+	built uint64
+	stats Stats
 	// memo caches recent index hits, direct-mapped by block number: the
 	// accesses of one page operation touch a handful of neighbouring
 	// blocks, and the memo spares their map probes. A released block's
@@ -195,8 +197,6 @@ func New(name string, capacityBytes int64, hitLatency int64) *Cache {
 		capacity:   int(capacityBytes / LineSize),
 		hitLatency: hitLatency,
 		index:      make(map[blockKey]int32),
-		mru:        nilIdx,
-		lru:        nilIdx,
 	}
 }
 
@@ -245,8 +245,6 @@ func (c *Cache) ResetStats() {
 	c.mu.Unlock()
 }
 
-func (c *Cache) linksAt(i int32) *links { return &c.links[i>>linkSegShift][i&(linkSeg-1)] }
-
 // block returns the slab index of the block for key, if it has a resident
 // line.
 func (c *Cache) block(key blockKey) (int32, bool) {
@@ -276,42 +274,65 @@ func (c *Cache) lookup(dev *simmem.Device, addr int64) int32 {
 	return b.slots[s]
 }
 
-// pushMRU links line i at the MRU end of the LRU list.
-func (c *Cache) pushMRU(i int32) {
-	*c.linksAt(i) = links{prev: nilIdx, next: c.mru}
-	if c.mru != nilIdx {
-		c.linksAt(c.mru).prev = i
-	} else {
-		c.lru = i
+// touch makes ln the most recently used line.
+func (c *Cache) touch(ln *line) {
+	if c.tick == maxStamp {
+		c.renumber()
 	}
-	c.mru = i
+	c.tick++
+	ln.stamp = c.tick
 }
 
-// unlink takes line i off the LRU list.
-func (c *Cache) unlink(i int32) {
-	l := *c.linksAt(i)
-	if l.prev != nilIdx {
-		c.linksAt(l.prev).next = l.next
+// buildOrder makes order the eviction order of the resident lines.
+func (c *Cache) buildOrder() {
+	if c.next == len(c.order) && c.tick-c.built == uint64(len(c.fresh)) {
+		// No entry of the last order is left, and every stamp since went
+		// to a logged install: the lines installed since, in install
+		// order, are all that is resident.
+		c.order, c.fresh = c.fresh, c.order
 	} else {
-		c.mru = l.next
+		c.order = c.order[:0]
+		for i := range c.lines.used {
+			if s := c.lines.at(i).stamp; s != 0 {
+				c.order = append(c.order, s<<32|uint64(i))
+			}
+		}
+		slices.Sort(c.order)
 	}
-	if l.next != nilIdx {
-		c.linksAt(l.next).prev = l.prev
-	} else {
-		c.lru = l.prev
-	}
+	c.fresh, c.next, c.built = slices.Grow(c.fresh[:0], c.capacity), 0, c.tick
 }
 
-// touch moves line i to the MRU position.
-func (c *Cache) touch(i int32) {
-	if c.mru != i {
-		c.unlink(i)
-		c.pushMRU(i)
+// renumber restamps the resident lines 1, 2, ... in LRU order, so the
+// counter restarts below every stamp to come, and rekeys order to match.
+func (c *Cache) renumber() {
+	c.buildOrder()
+	n := uint64(0)
+	for _, k := range c.order {
+		if ln := c.lines.at(int32(uint32(k))); ln.stamp == k>>32 {
+			n++
+			ln.stamp = n
+			c.order[n-1] = n<<32 | uint64(uint32(k))
+		}
+	}
+	c.order, c.tick, c.built = c.order[:n], n, n
+}
+
+// lru returns the least recently used line without taking it out of the
+// eviction order, rebuilding the order when no valid entry is left.
+func (c *Cache) lru() int32 {
+	for {
+		for ; c.next < len(c.order); c.next++ {
+			k := c.order[c.next]
+			if i := int32(uint32(k)); c.lines.at(i).stamp == k>>32 {
+				return i
+			}
+		}
+		c.buildOrder()
 	}
 }
 
 // install indexes the freshly filled line i as the line at addr of dev and
-// makes it the MRU line.
+// makes it the most recently used line.
 func (c *Cache) install(i int32, dev *simmem.Device, addr int64) {
 	key := blockKey{dev, addr &^ (blockSize - 1)}
 	bi, ok := c.block(key)
@@ -328,15 +349,18 @@ func (c *Cache) install(i int32, dev *simmem.Device, addr int64) {
 	b.slots[s] = i
 	ln := c.lines.at(i)
 	ln.blk, ln.slot = bi, uint8(s)
-	c.pushMRU(i)
+	c.touch(ln)
+	if len(c.fresh) < cap(c.fresh) {
+		c.fresh = append(c.fresh, ln.stamp<<32|uint64(i))
+	}
 	c.resident++
 }
 
-// remove invalidates line i: it leaves the LRU list and the block index,
-// and its slab entry is released.
+// remove invalidates line i: it leaves the block index, and its slab
+// entry is released.
 func (c *Cache) remove(i int32) {
 	ln := c.lines.at(i)
-	c.unlink(i)
+	ln.stamp = 0
 	b := c.blocks.at(ln.blk)
 	b.mask &^= 1 << ln.slot
 	if b.mask == 0 {
@@ -370,21 +394,19 @@ func (c *Cache) writeBack(clk *simclock.Clock, i int32) error {
 // evictIfFull makes room for one more line.
 func (c *Cache) evictIfFull(clk *simclock.Clock) error {
 	for c.resident >= c.capacity {
-		victim := c.lru
+		victim := c.lru()
 		if c.lines.at(victim).dirty {
-			skip := false
+			var err error
 			if c.inj != nil {
-				if err := c.inj.Point(fault.OpWriteBack, LineSize); err != nil {
-					if !fault.IsDrop(err) {
-						return err
-					}
-					skip = true // dropped write-back: the dirty data is lost
-				}
+				err = c.inj.Point(fault.OpWriteBack, LineSize)
 			}
-			if !skip {
-				if err := c.writeBack(clk, victim); err != nil {
-					return err
-				}
+			if err == nil {
+				err = c.writeBack(clk, victim)
+			} else if fault.IsDrop(err) {
+				err = nil // dropped write-back: the dirty data is lost
+			}
+			if err != nil {
+				return err
 			}
 		}
 		c.remove(victim)
@@ -400,40 +422,33 @@ func (c *Cache) evictIfFull(clk *simclock.Clock) error {
 // sequential range scan over CXL run at the device's streaming bandwidth
 // instead of one serialized miss per 64 B (the paper's range-select
 // workloads depend on it, §2.3/§4.2).
-func (c *Cache) fill(clk *simclock.Clock, dev *simmem.Device, addr int64, streamed bool) (int32, error) {
+func (c *Cache) fill(clk *simclock.Clock, dev *simmem.Device, addr int64, streamed bool) (*line, error) {
 	if err := c.evictIfFull(clk); err != nil {
-		return nilIdx, err
+		return nil, err
 	}
 	if c.domain != nil {
 		// CXL 3.0 mode: a dirty peer copy is written back by hardware
 		// before the fill, so the device read below returns fresh data.
 		if err := c.domain.supplyLatest(clk, c, dev, addr); err != nil {
-			return nilIdx, err
+			return nil, err
 		}
 	}
 	i := c.lines.alloc()
-	if int(i>>linkSegShift) == len(c.links) {
-		c.links = append(c.links, new([linkSeg]links)) // the first entry of a fresh segment
-	}
 	ln := c.lines.at(i)
-	ln.data, ln.dirty = [LineSize]byte{}, false // a dropped device read leaves zeros
+	ln.data, ln.dirty, ln.stamp = [LineSize]byte{}, false, 0 // a dropped device read leaves zeros
 	r := dev.WholeRegion()
 	var err error
 	if streamed {
 		if err = r.ReadRaw(addr, ln.data[:]); err == nil {
 			prof := dev.Profile()
-			streamCost := prof.ReadCost(LineSize) - prof.ReadLatency
-			if streamCost < 2 {
-				streamCost = 2
-			}
-			clk.Advance(streamCost)
+			clk.Advance(max(prof.ReadCost(LineSize)-prof.ReadLatency, 2))
 		}
 	} else {
 		err = r.ReadAt(clk, addr, ln.data[:])
 	}
 	if err != nil {
 		c.lines.release(i)
-		return nilIdx, err
+		return nil, err
 	}
 	if c.link != nil {
 		c.link.Use(clk, LineSize)
@@ -441,27 +456,26 @@ func (c *Cache) fill(clk *simclock.Clock, dev *simmem.Device, addr int64, stream
 	c.install(i, dev, addr)
 	c.stats.Misses++
 	c.stats.BytesFetched += LineSize
-	return i, nil
+	return ln, nil
 }
 
-// get returns the slab index of the line at addr of dev, filling on miss.
-// missed reports whether a fill happened (prefetch-chain tracking).
-func (c *Cache) get(clk *simclock.Clock, dev *simmem.Device, addr int64, streamed bool) (i int32, missed bool, err error) {
+// get returns the line at addr of dev, filling on miss. missed reports
+// whether a fill happened (prefetch-chain tracking).
+func (c *Cache) get(clk *simclock.Clock, dev *simmem.Device, addr int64, streamed bool) (ln *line, missed bool, err error) {
 	if i := c.lookup(dev, addr); i != nilIdx {
-		c.touch(i)
+		ln = c.lines.at(i)
+		c.touch(ln)
 		c.stats.Hits++
 		clk.Advance(c.hitLatency)
-		return i, false, nil
+		return ln, false, nil
 	}
-	i, err = c.fill(clk, dev, addr, streamed)
-	return i, true, err
+	ln, err = c.fill(clk, dev, addr, streamed)
+	return ln, true, err
 }
 
 // lineRange iterates the line-aligned addresses covering [addr, addr+n).
 func lineRange(addr int64, n int) (first, last int64) {
-	first = addr &^ (LineSize - 1)
-	last = (addr + int64(n) - 1) &^ (LineSize - 1)
-	return first, last
+	return addr &^ (LineSize - 1), (addr + int64(n) - 1) &^ (LineSize - 1)
 }
 
 // spanMask is the residency-mask bits of the block at base that fall in
@@ -543,63 +557,46 @@ func checkSpan(region *simmem.Region, off int64, n int, op string) error {
 // ReadHeld reads len(buf) bytes at off within region through the cache, for
 // a caller inside Hold.
 func (c *Cache) ReadHeld(clk *simclock.Clock, region *simmem.Region, off int64, buf []byte) error {
-	if len(buf) == 0 {
-		return nil
-	}
-	if err := checkSpan(region, off, len(buf), "read"); err != nil {
-		return err
-	}
-	dev := region.Device()
-	addr := region.Base() + off
-	first, last := lineRange(addr, len(buf))
-	prevMiss := false
-	for la := first; la <= last; la += LineSize {
-		i, missed, err := c.get(clk, dev, la, prevMiss)
-		if err != nil {
-			return err
-		}
-		prevMiss = missed
-		lo, hi := clip(la, addr, len(buf))
-		copy(buf[lo-addr:hi-addr], c.lines.at(i).data[lo-la:hi-la])
-	}
-	return nil
+	return c.span(clk, region, off, buf, "read")
 }
 
 // WriteHeld writes data at off within region through the cache (write-back,
 // write-allocate), for a caller inside Hold. The device is NOT updated until
 // eviction or Flush.
 func (c *Cache) WriteHeld(clk *simclock.Clock, region *simmem.Region, off int64, data []byte) error {
-	if len(data) == 0 {
+	return c.span(clk, region, off, data, "write")
+}
+
+// span runs op, a "read" of buf out of the lines covering it or a "write"
+// of buf into them, which dirties the lines and then invalidates their
+// peer copies.
+func (c *Cache) span(clk *simclock.Clock, region *simmem.Region, off int64, buf []byte, op string) error {
+	if len(buf) == 0 {
 		return nil
 	}
-	if err := checkSpan(region, off, len(data), "write"); err != nil {
+	if err := checkSpan(region, off, len(buf), op); err != nil {
 		return err
 	}
-	dev := region.Device()
+	dev, store := region.Device(), op == "write"
 	addr := region.Base() + off
-	first, last := lineRange(addr, len(data))
+	first, last := lineRange(addr, len(buf))
 	prevMiss := false
 	for la := first; la <= last; la += LineSize {
-		i, missed, err := c.get(clk, dev, la, prevMiss)
+		ln, missed, err := c.get(clk, dev, la, prevMiss)
 		if err != nil {
 			return err
 		}
 		prevMiss = missed
-		ln := c.lines.at(i)
-		lo, hi := clip(la, addr, len(data))
-		copy(ln.data[lo-la:hi-la], data[lo-addr:hi-addr])
+		lo, hi := clip(la, addr, len(buf))
+		if !store {
+			copy(buf[lo-addr:hi-addr], ln.data[lo-la:hi-la])
+			continue
+		}
+		copy(ln.data[lo-la:hi-la], buf[lo-addr:hi-addr])
 		ln.dirty = true
 	}
-	return c.invalidatePeers(clk, dev, first, last)
-}
-
-// invalidatePeers is CXL 3.0 mode's step after a store: it back-invalidates
-// peer copies of the store's lines once the whole store has landed.
-func (c *Cache) invalidatePeers(clk *simclock.Clock, dev *simmem.Device, first, last int64) error {
-	if c.domain == nil {
-		return nil
-	}
-	for la := first; la <= last; la += LineSize {
+	// CXL 3.0 mode back-invalidates peer copies once the whole store landed.
+	for la := first; store && c.domain != nil && la <= last; la += LineSize {
 		if err := c.domain.invalidatePeers(clk, c, dev, la); err != nil {
 			return err
 		}
@@ -634,11 +631,11 @@ func (c *Cache) LoadHeld(clk *simclock.Clock, region *simmem.Region, off int64, 
 	if err := checkSpan(region, off, n, "read"); err != nil {
 		return 0, err
 	}
-	i, _, err := c.get(clk, region.Device(), la, false)
+	ln, _, err := c.get(clk, region.Device(), la, false)
 	if err != nil {
 		return 0, err
 	}
-	d := c.lines.at(i).data[addr-la:]
+	d := ln.data[addr-la:]
 	switch n {
 	case 8:
 		return binary.LittleEndian.Uint64(d), nil
@@ -676,11 +673,10 @@ func (c *Cache) StoreHeld(clk *simclock.Clock, region *simmem.Region, off int64,
 		return err
 	}
 	dev := region.Device()
-	i, _, err := c.get(clk, dev, la, false)
+	ln, _, err := c.get(clk, dev, la, false)
 	if err != nil {
 		return err
 	}
-	ln := c.lines.at(i)
 	d := ln.data[addr-la:]
 	switch n {
 	case 8:
@@ -695,7 +691,10 @@ func (c *Cache) StoreHeld(clk *simclock.Clock, region *simmem.Region, off int64,
 		}
 	}
 	ln.dirty = true
-	return c.invalidatePeers(clk, dev, la, la)
+	if c.domain != nil {
+		return c.domain.invalidatePeers(clk, c, dev, la)
+	}
+	return nil
 }
 
 // Flush models clflush over [off, off+n) within region: dirty lines are
@@ -754,7 +753,8 @@ func (c *Cache) Drop() {
 	c.memo = [memoSize]memoEntry{}
 	c.blocks.reset()
 	c.lines.reset()
-	c.mru, c.lru, c.resident = nilIdx, nilIdx, 0
+	c.resident, c.order, c.next = 0, c.order[:0], 0
+	c.fresh, c.built = c.fresh[:0], c.tick
 	c.mu.Unlock()
 }
 

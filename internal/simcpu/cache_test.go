@@ -21,8 +21,8 @@ func dirtyLines(c *Cache) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for i := c.mru; i != nilIdx; i = c.linksAt(i).next {
-		if c.lines.at(i).dirty {
+	for i := range c.lines.used {
+		if ln := c.lines.at(i); ln.stamp != 0 && ln.dirty {
 			n++
 		}
 	}

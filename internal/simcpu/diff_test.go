@@ -2,9 +2,12 @@ package simcpu
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"polarcxlmem/internal/fault"
@@ -74,15 +77,21 @@ func pagedSpan(rng *rand.Rand, k int) (off int64, n int) {
 	return base + int64(corePageSize-n-rng.Intn(256)), n
 }
 
+// errFillRead is the injected failure of a line fill's device read.
+var errFillRead = errors.New("diff: injected fill read failure")
+
 // diffPlan drops some flush lines, eviction write-backs, whole flush ranges
-// and device reads, and reverses some flushes. Both sides get an identical
-// plan, so their fault points fire at the same operations.
+// and device reads, fails some eviction write-backs and fill reads
+// outright, and reverses some flushes. Both sides get an identical plan,
+// so their fault points fire at the same operations.
 func diffPlan(seed int64) *fault.Plan {
 	p := fault.NewPlan(seed)
 	for k := int64(3); k < 4000; k += 37 {
 		p.DropAt(fault.OpFlushLine, k)
 		p.DropAt(fault.OpWriteBack, k+5)
+		p.FailAt(fault.OpWriteBack, k+19, fault.ErrInjected)
 		p.DropAt(fault.OpMemRead, 11*k)
+		p.FailAt(fault.OpMemRead, 11*k+4, errFillRead)
 		p.ReverseFlushAt(k / 3)
 	}
 	for k := int64(7); k < 400; k += 53 {
@@ -95,14 +104,25 @@ func diffPlan(seed int64) *fault.Plan {
 // reference with the same seeded operations over three devices, with a
 // small capacity so evictions and block turnover happen constantly, and
 // checks that every observable agrees after every operation: returned bytes
-// and errors, the clock advance, Stats, ResidentLines, DirtyLines, and the
-// device contents. The devices' blocks share memo entries with each other,
-// and the paged device spans more 4 KiB blocks than the block memo has
-// entries, so memoized blocks are displaced and released; the paged device
-// makes page code's access pattern. Some operations are bursts of word and
-// span accesses inside one Hold.
+// and errors, the clock advance, Stats, ResidentLines, DirtyLines, the
+// resident lines in LRU order, and the device contents. The devices'
+// blocks share memo entries with each other, and the paged device spans
+// more 4 KiB blocks than the block memo has entries, so memoized blocks are
+// displaced and released; the paged device makes page code's access
+// pattern. Some operations are bursts of word and span accesses inside one
+// Hold. The operations come in phases, in turn a random mix, a long run of
+// hits with no eviction, and a burst in which every access misses and
+// evicts, with Drops between some of them, and some eviction write-backs fail: the
+// victim must stay resident and be the next victim. The last seeds run
+// with a stamp limit of a few dozen, so the counter renumbers the lines
+// again and again, mid-order included.
 func TestCacheMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
+		runDiff(t, seed, 1)
+	}
+	defer func(m uint64) { maxStamp = m }(maxStamp)
+	maxStamp = 50
+	for seed := int64(7); seed <= 8; seed++ {
 		runDiff(t, seed, 1)
 	}
 }
@@ -128,6 +148,9 @@ type diffCase struct {
 	op     int
 	what   string
 	g0, r0 int64 // clocks before the operation
+	// failedVictims counts write-backs that failed on a victim, each
+	// checked to leave the victim resident and next in line.
+	failedVictims int
 }
 
 func runDiff(t *testing.T, seed int64, members int) {
@@ -158,9 +181,29 @@ func runDiff(t *testing.T, seed int64, members int) {
 	wg, wr := dc.wg, dc.wr
 
 	rng := rand.New(rand.NewSource(seed))
+	var phase, streamAt int
+	var hot []int64
 	for dc.op = 0; dc.op < 3000; dc.op++ {
+		if dc.op%150 == 0 {
+			phase = dc.op / 150 % 3 // a mix, then a hit run, then a burst
+			hot = hot[:0]
+			for range 1 + rng.Intn(capLines/2) {
+				hot = append(hot, rng.Int63n(wg.regions[0].Size()/LineSize)*LineSize)
+			}
+			if dc.op > 0 && rng.Intn(3) == 0 {
+				for i := range dc.got {
+					dc.got[i].Drop()
+					dc.ref[i].Drop()
+				}
+			}
+		}
 		m := rng.Intn(members)
 		got, ref := dc.got[m], dc.ref[m]
+		if phase > 0 {
+			dc.phaseOp(rng, m, phase, hot, &streamAt)
+			dc.checkMembers()
+			continue
+		}
 		ri := rng.Intn(len(wg.regions))
 		rg, rr := wg.regions[ri], wr.regions[ri]
 		size := rg.Size()
@@ -214,13 +257,7 @@ func runDiff(t *testing.T, seed int64, members int) {
 			dc.heldBurst(rng, m)
 		}
 		dc.check(gerr, rerr)
-		for i := range dc.got {
-			g, r := dc.got[i], dc.ref[i]
-			if residentLines(g) != len(r.lines) || dirtyLines(g) != r.DirtyLines() {
-				t.Fatalf("seed %d op %d %s: cache %d resident/dirty %d/%d, reference %d/%d", seed, dc.op, dc.what, i,
-					residentLines(g), dirtyLines(g), len(r.lines), r.DirtyLines())
-			}
-		}
+		dc.checkMembers()
 		if dc.op%100 == 99 {
 			compareDevices(t, wg, wr)
 		}
@@ -229,6 +266,113 @@ func runDiff(t *testing.T, seed int64, members int) {
 	if len(wg.plan.Firings()) == 0 || len(wg.plan.Firings()) != len(wr.plan.Firings()) {
 		t.Fatalf("seed %d: %d faults fired, reference %d", seed, len(wg.plan.Firings()), len(wr.plan.Firings()))
 	}
+	if members == 1 && dc.failedVictims == 0 {
+		t.Fatalf("seed %d: no eviction write-back failed", seed)
+	}
+}
+
+// phaseOp runs one operation of a phase on member m, in a hold of its own.
+// Phase 1 is a run of hits: word loads and stores and short reads inside
+// the hot lines of region 0, at most half the cache, so once they are
+// filled a lone cache evicts nothing. Phase 2 is an eviction burst: a
+// line-sized read or write of the next line of a stream over region 1, so
+// every access misses and evicts, with no hit in between.
+func (dc *diffCase) phaseOp(rng *rand.Rand, m, phase int, hot []int64, streamAt *int) {
+	got, ref := dc.got[m], dc.ref[m]
+	got.Hold()
+	defer got.Unhold()
+	ri, n := 0, []int{1, 2, 4, 8}[rng.Intn(4)]
+	off := hot[rng.Intn(len(hot))] + rng.Int63n(LineSize-int64(n)+1)
+	kind := rng.Intn(3)
+	if phase == 2 {
+		ri, n = 1, LineSize
+		off = int64(*streamAt) * LineSize % (dc.wg.regions[1].Size() - LineSize)
+		*streamAt++
+		kind = 1 + rng.Intn(2)
+	}
+	rg, rr := dc.wg.regions[ri], dc.wr.regions[ri]
+	var gerr, rerr error
+	switch kind {
+	case 0:
+		dc.start("phase load")
+		var rb [8]byte
+		var gv uint64
+		gv, gerr = got.LoadHeld(dc.wg.clk, rg, off, n)
+		rerr = ref.access(dc.wr.clk, rr, off, rb[:n], false)
+		if rv := binary.LittleEndian.Uint64(rb[:]); gerr == nil && gv != rv {
+			dc.t.Fatalf("seed %d op %d: LoadHeld(%d, %d) = %#x, reference %#x", dc.seed, dc.op, off, n, gv, rv)
+		}
+	case 1:
+		dc.start("phase read")
+		gb, rb := make([]byte, n), make([]byte, n)
+		gerr, rerr = got.ReadHeld(dc.wg.clk, rg, off, gb), ref.access(dc.wr.clk, rr, off, rb, false)
+		if !bytes.Equal(gb, rb) {
+			dc.t.Fatalf("seed %d op %d: read [%d,+%d) of region %d returned different bytes", dc.seed, dc.op, off, n, ri)
+		}
+	default:
+		dc.start("phase write")
+		data := make([]byte, n)
+		rng.Read(data)
+		if phase == 1 {
+			gerr = got.StoreHeld(dc.wg.clk, rg, off, n, binary.LittleEndian.Uint64(append(data, make([]byte, 8-n)...)))
+		} else {
+			gerr = got.WriteHeld(dc.wg.clk, rg, off, data)
+		}
+		rerr = ref.access(dc.wr.clk, rr, off, data, true)
+	}
+	dc.check(gerr, rerr)
+}
+
+// checkMembers compares every member's resident and dirty line counts and
+// its resident lines in LRU order with its reference's.
+func (dc *diffCase) checkMembers() {
+	t := dc.t
+	t.Helper()
+	for i := range dc.got {
+		g, r := dc.got[i], dc.ref[i]
+		if residentLines(g) != len(r.lines) || dirtyLines(g) != r.DirtyLines() {
+			t.Fatalf("seed %d op %d %s: cache %d resident/dirty %d/%d, reference %d/%d", dc.seed, dc.op, dc.what, i,
+				residentLines(g), dirtyLines(g), len(r.lines), r.DirtyLines())
+		}
+		if got, want := dc.wg.lineNames(lruOrder(g)), dc.wr.lineNames(r.lruOrder()); !slices.Equal(got, want) {
+			t.Fatalf("seed %d op %d %s: cache %d LRU order %v, reference %v", dc.seed, dc.op, dc.what, i, got, want)
+		}
+	}
+}
+
+// lruOrder lists c's resident lines, least recently used first, by
+// sorting their stamps: the exact order the lazy eviction order must
+// follow. It reads c without its lock, for a caller that owns c.
+func lruOrder(c *Cache) []refKey {
+	var idx []int32
+	for i := range c.lines.used {
+		if c.lines.at(i).stamp != 0 {
+			idx = append(idx, i)
+		}
+	}
+	slices.SortFunc(idx, func(a, b int32) int { return cmp.Compare(c.lines.at(a).stamp, c.lines.at(b).stamp) })
+	keys := make([]refKey, len(idx))
+	for j, i := range idx {
+		keys[j] = lineKey(c, i)
+	}
+	return keys
+}
+
+// lineNames names each line by its device's index in w and its address,
+// so lines of the two worlds compare.
+func (w *diffWorld) lineNames(keys []refKey) []string {
+	names := make([]string, len(keys))
+	for j, k := range keys {
+		names[j] = fmt.Sprintf("dev%d@%d", slices.Index(w.devs, k.dev), k.addr)
+	}
+	return names
+}
+
+// lineKey is the device and line address of c's line i.
+func lineKey(c *Cache, i int32) refKey {
+	ln := c.lines.at(i)
+	b := c.blocks.at(ln.blk)
+	return refKey{b.key.dev, b.key.base + int64(ln.slot)*LineSize}
 }
 
 // start records both clocks before an operation.
@@ -244,6 +388,20 @@ func (dc *diffCase) check(gerr, rerr error) {
 	t.Helper()
 	if (gerr == nil) != (rerr == nil) {
 		t.Fatalf("seed %d op %d %s: error %v, reference %v", dc.seed, dc.op, dc.what, gerr, rerr)
+	}
+	if errors.Is(gerr, fault.ErrInjected) {
+		// A failed eviction write-back: the victim stays resident and,
+		// peeked again, is still the next victim.
+		for i, g := range dc.got {
+			if g.resident < g.capacity {
+				continue
+			}
+			got := dc.wg.lineNames([]refKey{lineKey(g, g.lru())})[0]
+			if want := dc.wr.lineNames(dc.ref[i].lruOrder()[:1])[0]; got != want {
+				t.Fatalf("seed %d op %d %s: after a failed write-back cache %d's next victim is %v, reference %v", dc.seed, dc.op, dc.what, i, got, want)
+			}
+		}
+		dc.failedVictims++
 	}
 	if dg, dr := dc.wg.clk.Now()-dc.g0, dc.wr.clk.Now()-dc.r0; dg != dr {
 		t.Fatalf("seed %d op %d %s: clock advanced %d ns, reference %d ns", dc.seed, dc.op, dc.what, dg, dr)

@@ -266,6 +266,15 @@ func (c *refCache) LinesInRange(region *simmem.Region, off int64, n int) (reside
 	return resident, dirty
 }
 
+// lruOrder lists the resident lines, least recently used first.
+func (c *refCache) lruOrder() []refKey {
+	keys := make([]refKey, 0, c.lru.Len())
+	for e := c.lru.Back(); e != nil; e = e.Prev() {
+		keys = append(keys, e.Value.(*refLine).key)
+	}
+	return keys
+}
+
 func (c *refCache) DirtyLines() int {
 	n := 0
 	for _, ln := range c.lines {

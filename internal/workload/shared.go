@@ -67,7 +67,9 @@ func (l *Layout) RowAddr(group, r int) (uint64, int64) {
 func (l *Layout) TotalRows() int { return l.PagesPerGroup * RowsPerPage }
 
 // SharedSysbench is the adapted sysbench of §4.4: X% of queries target the
-// shared group, the rest the node's private group.
+// shared group, the rest the node's private group. It drives one node at a
+// time from one goroutine: its counters are plain fields, and one range
+// buffer serves every transaction.
 type SharedSysbench struct {
 	Layout    *Layout
 	SharedPct int // 0..100
@@ -75,6 +77,8 @@ type SharedSysbench struct {
 	Queries int64
 	Txns    int64
 	CPUNs   int64
+
+	buf []byte // ReadWriteTxn's range buffer, made on first use
 }
 
 // pickRowForTest exposes routing for tests.
@@ -113,11 +117,15 @@ func (w *SharedSysbench) PointUpdateTxn(clk *simclock.Clock, node SharedNode, no
 
 // ReadWriteTxn runs the sysbench read-write mix through the sharing layer:
 // 10 point selects, 4 range reads (100 consecutive rows), 2 updates, 1
-// delete + 1 insert modelled as two row rewrites. One range-sized buffer
-// serves every read and rewrite of the transaction.
+// delete + 1 insert modelled as two row rewrites. The workload's one
+// range-sized buffer serves every read and rewrite; each use reads into it
+// first, so nothing carries over from one use to the next.
 func (w *SharedSysbench) ReadWriteTxn(clk *simclock.Clock, node SharedNode, nodeIdx int, rng *rand.Rand) error {
 	w.CPUNs += chargeCPU(clk, BeginCommitCPU)
-	buf := make([]byte, RangeLen*RowSize)
+	if w.buf == nil {
+		w.buf = make([]byte, RangeLen*RowSize)
+	}
+	buf := w.buf
 	for i := 0; i < 10; i++ {
 		pid, off := w.pickRow(nodeIdx, rng)
 		w.CPUNs += chargeCPU(clk, PointSelectCPU)
