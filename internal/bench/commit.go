@@ -122,8 +122,7 @@ func runCommitPoint(cfg Config, committers int, group bool) (CommitPoint, error)
 	waitReg := obs.New(obs.Options{})
 	if group {
 		pt.Mode = "group"
-		gc = eng.EnableGroupCommit(wal.GroupPolicy{})
-		gc.SetObserver(waitReg)
+		gc = eng.EnableGroupCommit(wal.GroupPolicy{}, waitReg)
 	}
 
 	// Committers run as workers of one virtual-time scheduler, lowest clock

@@ -48,7 +48,7 @@ func TestCheckpointCycleConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := checkpoint.New(area, tgt, log, checkpoint.Policy{IntervalNanos: simclock.Millisecond, DirtyWatermark: 4})
+		cp := checkpoint.New(area, tgt, log, checkpoint.Policy{IntervalNanos: simclock.Millisecond, DirtyWatermark: 4}, nil)
 
 		// Cycle 1: dirty a few pages under write latches, log + commit their
 		// records, then tick the checkpointer.

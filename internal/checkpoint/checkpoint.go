@@ -65,11 +65,7 @@ type Checkpointer struct {
 	published atomic.Int64
 	deferred  atomic.Int64
 
-	obsP atomic.Pointer[cpObs]
-}
-
-// cpObs carries the checkpointer's registry handles.
-type cpObs struct {
+	// Registry handles, fixed at construction; nil (a no-op) without one.
 	publishedC *obs.Counter   // checkpoint.published
 	deferredC  *obs.Counter   // checkpoint.deferred
 	lsnG       *obs.Gauge     // checkpoint.lsn
@@ -78,15 +74,28 @@ type cpObs struct {
 }
 
 // New builds a checkpointer publishing to area, draining tgt, and
-// truncating log. Zero policy fields select the defaults.
-func New(area *Area, tgt flusher.Target, log *wal.Log, pol Policy) *Checkpointer {
+// truncating log. Zero policy fields select the defaults. reg (nil for
+// none) receives the checkpointer's metrics (checkpoint.published,
+// checkpoint.deferred counters; checkpoint.lsn, checkpoint.truncated_lsn
+// gauges; checkpoint.drain_pages histogram).
+func New(area *Area, tgt flusher.Target, log *wal.Log, pol Policy, reg *obs.Registry) *Checkpointer {
 	if pol.IntervalNanos <= 0 {
 		pol.IntervalNanos = DefaultIntervalNanos
 	}
 	if pol.DirtyWatermark <= 0 {
 		pol.DirtyWatermark = DefaultDirtyWatermark
 	}
-	return &Checkpointer{area: area, tgt: tgt, log: log, pol: pol}
+	return &Checkpointer{
+		area:       area,
+		tgt:        tgt,
+		log:        log,
+		pol:        pol,
+		publishedC: reg.Counter("checkpoint.published"),
+		deferredC:  reg.Counter("checkpoint.deferred"),
+		lsnG:       reg.Gauge("checkpoint.lsn"),
+		truncG:     reg.Gauge("checkpoint.truncated_lsn"),
+		drainH:     reg.Histogram("checkpoint.drain_pages"),
+	}
 }
 
 // Area exposes the durable record (recovery rigs reattach it).
@@ -99,31 +108,12 @@ func (c *Checkpointer) Published() int64 { return c.published.Load() }
 // above the watermark, or drain churn under concurrency).
 func (c *Checkpointer) Deferred() int64 { return c.deferred.Load() }
 
-// SetObserver registers the checkpointer's metrics (checkpoint.published,
-// checkpoint.deferred counters; checkpoint.lsn, checkpoint.truncated_lsn
-// gauges; checkpoint.drain_pages histogram) with reg; nil detaches.
-func (c *Checkpointer) SetObserver(reg *obs.Registry) {
-	if reg == nil {
-		c.obsP.Store(nil)
-		return
-	}
-	c.obsP.Store(&cpObs{
-		publishedC: reg.Counter("checkpoint.published"),
-		deferredC:  reg.Counter("checkpoint.deferred"),
-		lsnG:       reg.Gauge("checkpoint.lsn"),
-		truncG:     reg.Gauge("checkpoint.truncated_lsn"),
-		drainH:     reg.Histogram("checkpoint.drain_pages"),
-	})
-}
-
 // defer1 counts one postponed attempt. The deadline is NOT advanced: the
 // attempt stays due and retries on the next tick, so a temporarily deep
 // backlog delays the checkpoint instead of skipping a whole interval.
 func (c *Checkpointer) defer1() {
 	c.deferred.Add(1)
-	if o := c.obsP.Load(); o != nil {
-		o.deferredC.Inc()
-	}
+	c.deferredC.Inc()
 }
 
 // Tick runs one checkpoint attempt if the interval has elapsed on clk and
@@ -193,11 +183,9 @@ func (c *Checkpointer) Tick(clk *simclock.Clock) error {
 	}
 	c.nextDue = clk.Now() + c.pol.IntervalNanos
 	c.published.Add(1)
-	if o := c.obsP.Load(); o != nil {
-		o.publishedC.Inc()
-		o.lsnG.Set(int64(candidate))
-		o.truncG.Set(int64(c.log.Store().TruncatedBefore()))
-		o.drainH.Observe(int64(drained))
-	}
+	c.publishedC.Inc()
+	c.lsnG.Set(int64(candidate))
+	c.truncG.Set(int64(c.log.Store().TruncatedBefore()))
+	c.drainH.Observe(int64(drained))
 	return nil
 }

@@ -46,7 +46,7 @@ func newRig(t *testing.T, pol Policy) (*simclock.Clock, *wal.Log, *fakeTarget, *
 		t.Fatal(err)
 	}
 	tgt := &fakeTarget{}
-	return clk, log, tgt, New(area, tgt, log, pol)
+	return clk, log, tgt, New(area, tgt, log, pol, nil)
 }
 
 func TestTickPublishesAndTruncatesBehindPrevious(t *testing.T) {

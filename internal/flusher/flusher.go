@@ -76,11 +76,7 @@ type Flusher struct {
 	runs  atomic.Int64
 	pages atomic.Int64
 
-	obsP atomic.Pointer[flObs]
-}
-
-// flObs carries the flusher's registry handles.
-type flObs struct {
+	// Registry handles, fixed at construction; nil (a no-op) without one.
 	runsC      *obs.Counter   // flush.runs
 	pagesC     *obs.Counter   // flush.pages
 	batchPages *obs.Histogram // flush.batch_pages: pages per run
@@ -90,8 +86,10 @@ type flObs struct {
 // New builds a flusher over tgt. redoBytes reports the redo-log backlog the
 // batch size adapts to (pass the engine's bytes-past-checkpoint reader);
 // nil means "no signal", which pins every batch at Policy.MinBatch. Zero
-// policy fields select the defaults.
-func New(tgt Target, pol Policy, redoBytes func() int64) *Flusher {
+// policy fields select the defaults. reg (nil for none) receives the
+// flusher's metrics (flush.runs, flush.pages, flush.batch_pages,
+// flush.redo_bytes).
+func New(tgt Target, pol Policy, redoBytes func() int64, reg *obs.Registry) *Flusher {
 	if pol.IntervalNanos <= 0 {
 		pol.IntervalNanos = DefaultIntervalNanos
 	}
@@ -107,7 +105,15 @@ func New(tgt Target, pol Policy, redoBytes func() int64) *Flusher {
 	if pol.RedoBudgetBytes <= 0 {
 		pol.RedoBudgetBytes = DefaultRedoBudgetBytes
 	}
-	return &Flusher{tgt: tgt, pol: pol, redo: redoBytes}
+	return &Flusher{
+		tgt:        tgt,
+		pol:        pol,
+		redo:       redoBytes,
+		runsC:      reg.Counter("flush.runs"),
+		pagesC:     reg.Counter("flush.pages"),
+		batchPages: reg.Histogram("flush.batch_pages"),
+		redoBytes:  reg.Gauge("flush.redo_bytes"),
+	}
 }
 
 // Runs reports how many flush runs have executed.
@@ -115,21 +121,6 @@ func (f *Flusher) Runs() int64 { return f.runs.Load() }
 
 // PagesFlushed reports the total pages written back.
 func (f *Flusher) PagesFlushed() int64 { return f.pages.Load() }
-
-// SetObserver registers the flusher's metrics (flush.runs, flush.pages,
-// flush.batch_pages, flush.redo_bytes) with reg; nil detaches.
-func (f *Flusher) SetObserver(reg *obs.Registry) {
-	if reg == nil {
-		f.obsP.Store(nil)
-		return
-	}
-	f.obsP.Store(&flObs{
-		runsC:      reg.Counter("flush.runs"),
-		pagesC:     reg.Counter("flush.pages"),
-		batchPages: reg.Histogram("flush.batch_pages"),
-		redoBytes:  reg.Gauge("flush.redo_bytes"),
-	})
-}
 
 // batchFor sizes a run: linear interpolation from MinBatch at zero backlog
 // to MaxBatch at RedoBudgetBytes (and beyond).
@@ -166,11 +157,9 @@ func (f *Flusher) Tick(clk *simclock.Clock) error {
 	f.nextDue = clk.Now() + f.pol.IntervalNanos
 	f.runs.Add(1)
 	f.pages.Add(int64(n))
-	if o := f.obsP.Load(); o != nil {
-		o.runsC.Inc()
-		o.pagesC.Add(int64(n))
-		o.batchPages.Observe(int64(n))
-		o.redoBytes.Set(backlog)
-	}
+	f.runsC.Inc()
+	f.pagesC.Add(int64(n))
+	f.batchPages.Observe(int64(n))
+	f.redoBytes.Set(backlog)
 	return err
 }

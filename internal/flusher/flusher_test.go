@@ -42,7 +42,7 @@ func (f *fakeTarget) DirtyResident() int {
 
 func TestTickRespectsInterval(t *testing.T) {
 	tgt := &fakeTarget{dirty: 100}
-	fl := New(tgt, Policy{IntervalNanos: 1000, MinBatch: 2, MaxBatch: 8}, nil)
+	fl := New(tgt, Policy{IntervalNanos: 1000, MinBatch: 2, MaxBatch: 8}, nil, nil)
 	clk := simclock.New()
 
 	if err := fl.Tick(clk); err != nil { // first tick runs (nextDue zero)
@@ -73,7 +73,7 @@ func TestBatchSizeAdaptsToRedoBacklog(t *testing.T) {
 	tgt := &fakeTarget{dirty: 1 << 20}
 	var backlog int64
 	fl := New(tgt, Policy{IntervalNanos: 1, MinBatch: 4, MaxBatch: 64, RedoBudgetBytes: 1000},
-		func() int64 { return backlog })
+		func() int64 { return backlog }, nil)
 	clk := simclock.New()
 
 	for i, tc := range []struct {
@@ -100,7 +100,7 @@ func TestBatchSizeAdaptsToRedoBacklog(t *testing.T) {
 func TestTickPropagatesFlushError(t *testing.T) {
 	boom := errors.New("injected crash")
 	tgt := &fakeTarget{dirty: 10, fail: boom}
-	fl := New(tgt, Policy{}, nil)
+	fl := New(tgt, Policy{}, nil, nil)
 	if err := fl.Tick(simclock.New()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -108,9 +108,8 @@ func TestTickPropagatesFlushError(t *testing.T) {
 
 func TestConcurrentTicksDoNotStack(t *testing.T) {
 	tgt := &fakeTarget{dirty: 1 << 30}
-	fl := New(tgt, Policy{IntervalNanos: 1}, nil)
 	reg := obs.New(obs.Options{})
-	fl.SetObserver(reg)
+	fl := New(tgt, Policy{IntervalNanos: 1}, nil, reg)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -91,11 +91,11 @@ func checkpointSweepRun(plan *fault.Plan) error {
 	if err != nil {
 		return err
 	}
-	eng.EnableGroupCommit(wal.GroupPolicy{})
-	if _, err := eng.EnableBackgroundFlush(checkpointSweepFlushPolicy); err != nil {
+	eng.EnableGroupCommit(wal.GroupPolicy{}, nil)
+	if _, err := eng.EnableBackgroundFlush(checkpointSweepFlushPolicy, nil); err != nil {
 		return err
 	}
-	if _, err := eng.EnableCheckpoints(area, checkpointSweepPolicy); err != nil {
+	if _, err := eng.EnableCheckpoints(area, checkpointSweepPolicy, nil); err != nil {
 		return err
 	}
 	tr, err := eng.CreateTable(clk, "t")

@@ -64,8 +64,8 @@ func batchedPipelineSweepRun(plan *fault.Plan) error {
 	if err != nil {
 		return err
 	}
-	eng.EnableGroupCommit(wal.GroupPolicy{})
-	if _, err := eng.EnableBackgroundFlush(batchedPipelinePolicy); err != nil {
+	eng.EnableGroupCommit(wal.GroupPolicy{}, nil)
+	if _, err := eng.EnableBackgroundFlush(batchedPipelinePolicy, nil); err != nil {
 		return err
 	}
 	tr, err := eng.CreateTable(clk, "t")

@@ -244,35 +244,44 @@ func openTreeByMeta(clk *simclock.Clock, e *txn.Engine, metaID uint64) (*btree.T
 func Recover(clk *simclock.Clock, scheme string, pool buffer.Creator, ws *wal.Store, store *storage.Store) (*txn.Engine, *Result, error) {
 	res := &Result{Scheme: scheme, StartNanos: clk.Now(),
 		CheckpointLSN: ws.CheckpointLSN(), DurableLSN: ws.DurableLSN()}
-	from := ws.CheckpointLSN() + 1
+	engine, err := replay(clk, pool, ws, store, ws.CheckpointLSN()+1, res)
+	return engine, res, err
+}
+
+// replay redoes the log tail from LSN from through pool, then attaches the
+// engine and undoes the losers: the restart Recover and Failover share.
+func replay(clk *simclock.Clock, pool buffer.Creator, ws *wal.Store, store *storage.Store, from uint64, res *Result) (*txn.Engine, error) {
 	var err error
 	if res.LogScanBytes, err = chargeLogScan(clk, ws, from); err != nil {
-		return nil, res, err
+		return nil, err
 	}
 	a, err := analyze(ws, from)
 	if err != nil {
-		return nil, res, err
+		return nil, err
 	}
 	res.RedoRecords = a.records
-	applied, rerr := redoThroughPool(clk, pool, a)
-	res.RedoApplied = applied
-	if rerr != nil {
-		return nil, res, rerr
+	if res.RedoApplied, err = redoThroughPool(clk, pool, a); err != nil {
+		return nil, err
 	}
 	res.PagesRebuilt = len(a.perPage)
-	store.BumpNextID(a.maxPageID)
-	log := wal.Attach(ws)
-	engine, err := txn.Attach(clk, pool, log, store)
+	return finish(clk, pool, ws, store, a, a.maxPageID, res)
+}
+
+// finish moves the page-id allocator past maxPage, attaches the engine over
+// the rebuilt pool, undoes the units the log holds no commit marker for,
+// and completes the report: the last steps of every restart.
+func finish(clk *simclock.Clock, pool buffer.Pool, ws *wal.Store, store *storage.Store, a *analysis, maxPage uint64, res *Result) (*txn.Engine, error) {
+	store.BumpNextID(maxPage)
+	engine, err := txn.Attach(clk, pool, wal.Attach(ws), store)
 	if err != nil {
-		return nil, res, err
+		return nil, err
 	}
-	res.UndoOps, res.UndoneTxns, err = undo(clk, engine, a)
-	if err != nil {
-		return nil, res, err
+	if res.UndoOps, res.UndoneTxns, err = undo(clk, engine, a); err != nil {
+		return nil, err
 	}
 	res.WarmPages = pool.Resident()
 	res.DoneNanos = clk.Now()
-	return engine, res, nil
+	return engine, nil
 }
 
 // Failover rebuilds an instance on a *fresh* CXL region after the memory
@@ -307,32 +316,10 @@ func Failover(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, ca
 	if err != nil {
 		return nil, nil, res, fmt.Errorf("failover: format replacement region: %w", err)
 	}
-	if res.LogScanBytes, err = chargeLogScan(clk, ws, from); err != nil {
-		return nil, nil, res, err
-	}
-	a, err := analyze(ws, from)
+	engine, err := replay(clk, pool, ws, store, from, res)
 	if err != nil {
 		return nil, nil, res, err
 	}
-	res.RedoRecords = a.records
-	applied, rerr := redoThroughPool(clk, pool, a)
-	res.RedoApplied = applied
-	if rerr != nil {
-		return nil, nil, res, rerr
-	}
-	res.PagesRebuilt = len(a.perPage)
-	store.BumpNextID(a.maxPageID)
-	log := wal.Attach(ws)
-	engine, err := txn.Attach(clk, pool, log, store)
-	if err != nil {
-		return nil, nil, res, err
-	}
-	res.UndoOps, res.UndoneTxns, err = undo(clk, engine, a)
-	if err != nil {
-		return nil, nil, res, err
-	}
-	res.WarmPages = pool.Resident()
-	res.DoneNanos = clk.Now()
 	return pool, engine, res, nil
 }
 
@@ -365,59 +352,48 @@ func PolarRecv(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, c
 			res.PagesTrusted++
 		}
 	}
-	var a *analysis
-	if len(suspects) > 0 {
-		from := ckptLSN + 1
-		if res.LogScanBytes, err = chargeLogScan(clk, ws, from); err != nil {
+	// Undo analysis needs the tail even when nothing is rebuilt.
+	from := ckptLSN + 1
+	if res.LogScanBytes, err = chargeLogScan(clk, ws, from); err != nil {
+		return nil, nil, res, err
+	}
+	a, err := analyze(ws, from)
+	if err != nil {
+		return nil, nil, res, err
+	}
+	res.RedoRecords = a.records
+	for _, b := range suspects {
+		img := make([]byte, page.Size)
+		err := store.ReadPage(clk, b.PageID, img)
+		hasBase := err == nil
+		if err != nil && !errors.Is(err, storage.ErrNotFound) {
 			return nil, nil, res, err
 		}
-		if a, err = analyze(ws, from); err != nil {
-			return nil, nil, res, err
-		}
-		res.RedoRecords = a.records
-		for _, b := range suspects {
-			img := make([]byte, page.Size)
-			err := store.ReadPage(clk, b.PageID, img)
-			hasBase := err == nil
-			if err != nil && !errors.Is(err, storage.ErrNotFound) {
+		recs := a.perPage[b.PageID]
+		if !hasBase && len(recs) == 0 {
+			// No durable history at all: the page was born inside the
+			// in-flight unit. Discard it.
+			if err := pool.DropPage(clk, b.PageID); err != nil {
 				return nil, nil, res, err
 			}
-			recs := a.perPage[b.PageID]
-			if !hasBase && len(recs) == 0 {
-				// No durable history at all: the page was born inside the
-				// in-flight unit. Discard it.
-				if err := pool.DropPage(clk, b.PageID); err != nil {
-					return nil, nil, res, err
-				}
-				res.PagesDropped++
-				continue
-			}
-			if !hasBase {
-				img = make([]byte, page.Size)
-			}
-			pg := page.Image(img)
-			for _, rec := range recs {
-				if err := mtr.Apply(pg, rec); err != nil {
-					return nil, nil, res, fmt.Errorf("polarrecv: redo lsn %d on page %d: %w", rec.LSN, b.PageID, err)
-				}
-				res.RedoApplied++
-			}
-			dirty := len(recs) > 0 || !hasBase
-			if err := pool.RepairPage(clk, b.PageID, img, dirty); err != nil {
-				return nil, nil, res, err
-			}
-			res.PagesRebuilt++
+			res.PagesDropped++
+			continue
 		}
-	} else {
-		// Even with nothing to rebuild, undo analysis needs the tail.
-		from := ckptLSN + 1
-		if res.LogScanBytes, err = chargeLogScan(clk, ws, from); err != nil {
+		if !hasBase {
+			img = make([]byte, page.Size)
+		}
+		pg := page.Image(img)
+		for _, rec := range recs {
+			if err := mtr.Apply(pg, rec); err != nil {
+				return nil, nil, res, fmt.Errorf("polarrecv: redo lsn %d on page %d: %w", rec.LSN, b.PageID, err)
+			}
+			res.RedoApplied++
+		}
+		dirty := len(recs) > 0 || !hasBase
+		if err := pool.RepairPage(clk, b.PageID, img, dirty); err != nil {
 			return nil, nil, res, err
 		}
-		if a, err = analyze(ws, from); err != nil {
-			return nil, nil, res, err
-		}
-		res.RedoRecords = a.records
+		res.PagesRebuilt++
 	}
 	var maxPage uint64
 	for _, b := range rep.Blocks {
@@ -428,17 +404,9 @@ func PolarRecv(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, c
 	if a.maxPageID > maxPage {
 		maxPage = a.maxPageID
 	}
-	store.BumpNextID(maxPage)
-	log := wal.Attach(ws)
-	engine, err := txn.Attach(clk, pool, log, store)
+	engine, err := finish(clk, pool, ws, store, a, maxPage, res)
 	if err != nil {
 		return nil, nil, res, err
 	}
-	res.UndoOps, res.UndoneTxns, err = undo(clk, engine, a)
-	if err != nil {
-		return nil, nil, res, err
-	}
-	res.WarmPages = pool.Resident()
-	res.DoneNanos = clk.Now()
 	return pool, engine, res, nil
 }

@@ -62,13 +62,13 @@ func sloRun(t *testing.T, rounds int, withCkpt bool) (redoRecords int, walBytes 
 			IntervalNanos: 20 * simclock.Microsecond,
 			MinBatch:      2,
 			MaxBatch:      8,
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.EnableCheckpoints(area, checkpoint.Policy{
 			IntervalNanos:  50 * simclock.Microsecond,
 			DirtyWatermark: 8,
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

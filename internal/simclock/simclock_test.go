@@ -167,71 +167,6 @@ func TestResourceConcurrentUseConservesWork(t *testing.T) {
 	}
 }
 
-func TestMultiResourceParallelism(t *testing.T) {
-	m := NewMultiResource("cpu", 2, 1e9)
-	a, b, c := New(), New(), New()
-	m.Use(a, 1000) // server 0: [0,1000)
-	m.Use(b, 1000) // server 1: [0,1000)
-	if a.Now() != 1000 || b.Now() != 1000 {
-		t.Fatalf("two parallel requests: %d, %d; want 1000, 1000", a.Now(), b.Now())
-	}
-	m.Use(c, 1000) // must queue: [1000,2000)
-	if c.Now() != 2000 {
-		t.Fatalf("third request on 2-server station done at %d, want 2000", c.Now())
-	}
-}
-
-func TestMultiResourcePicksEarliestServer(t *testing.T) {
-	m := NewMultiResource("mc", 2, 1e9)
-	a := New()
-	m.Use(a, 2000) // server0 busy until 2000
-	b := New()
-	m.Use(b, 100) // server1: [0,100)
-	c := NewAt(150)
-	m.Use(c, 100) // server1 free at 100 -> starts 150, done 250
-	if c.Now() != 250 {
-		t.Fatalf("request done at %d, want 250", c.Now())
-	}
-}
-
-func TestMultiResourceResetAndStats(t *testing.T) {
-	m := NewMultiResource("mm", 3, 1e6)
-	if m.Servers() != 3 {
-		t.Fatalf("servers = %d", m.Servers())
-	}
-	clk := New()
-	m.Use(clk, 10)
-	if m.Stats().Requests != 1 {
-		t.Fatal("request not counted")
-	}
-	m.Reset()
-	if m.Stats().Requests != 0 {
-		t.Fatal("reset did not clear stats")
-	}
-}
-
-func TestMultiResourceZeroUnitsAndPanics(t *testing.T) {
-	m := NewMultiResource("m", 1, 1)
-	c := NewAt(7)
-	m.Use(c, 0)
-	if c.Now() != 7 {
-		t.Fatal("zero-unit use advanced clock")
-	}
-	for _, f := range []func(){
-		func() { NewMultiResource("k0", 0, 1) },
-		func() { NewMultiResource("r0", 1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("bad MultiResource args did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestServiceTime(t *testing.T) {
 	r := NewResource("s", 12e9) // 12 GB/s NIC
 	if got := r.ServiceTime(12_000); got != 1000 {

@@ -74,11 +74,7 @@ type Daemon struct {
 	demotions  atomic.Int64
 	skips      atomic.Int64
 
-	obsP atomic.Pointer[tierObs]
-}
-
-// tierObs carries the daemon's registry handles.
-type tierObs struct {
+	// Registry handles, fixed at construction; nil (a no-op) without one.
 	promotionsC  *obs.Counter // tier.<name>.promotions
 	demotionsC   *obs.Counter // tier.<name>.demotions
 	skipsC       *obs.Counter // tier.<name>.skips
@@ -87,8 +83,21 @@ type tierObs struct {
 
 // NewDaemon builds a placement daemon driving mover by heat. Zero cfg fields
 // (except FastPages) select the defaults; the initial QoS is permissive.
-func NewDaemon(heat *Heat, mover Mover, cfg Config) *Daemon {
-	return &Daemon{cfg: cfg.withDefaults(), heat: heat, mover: mover}
+// reg (nil for none) receives the daemon's metrics under tier.<name>.
+// (promotions / demotions / skips / fast_resident). The per-move tier.*
+// trace events are emitted by the Mover (they carry the pool actor), not
+// here.
+func NewDaemon(heat *Heat, mover Mover, cfg Config, reg *obs.Registry, name string) *Daemon {
+	p := "tier." + name + "."
+	return &Daemon{
+		cfg:          cfg.withDefaults(),
+		heat:         heat,
+		mover:        mover,
+		promotionsC:  reg.Counter(p + "promotions"),
+		demotionsC:   reg.Counter(p + "demotions"),
+		skipsC:       reg.Counter(p + "skips"),
+		fastResident: reg.Gauge(p + "fast_resident"),
+	}
 }
 
 // Heat returns the daemon's heat map (the facade wires it to dataplane
@@ -118,24 +127,6 @@ func (d *Daemon) Stats() Stats {
 		Demotions:  d.demotions.Load(),
 		Skips:      d.skips.Load(),
 	}
-}
-
-// SetObserver registers the daemon's metrics (tier.<name>.promotions /
-// demotions / skips / fast_resident) with reg; nil detaches. The per-move
-// tier.* trace events are emitted by the Mover (they carry the pool actor),
-// not here.
-func (d *Daemon) SetObserver(reg *obs.Registry, name string) {
-	if reg == nil {
-		d.obsP.Store(nil)
-		return
-	}
-	p := "tier." + name + "."
-	d.obsP.Store(&tierObs{
-		promotionsC:  reg.Counter(p + "promotions"),
-		demotionsC:   reg.Counter(p + "demotions"),
-		skipsC:       reg.Counter(p + "skips"),
-		fastResident: reg.Gauge(p + "fast_resident"),
-	})
 }
 
 // Tick runs one placement cycle if the interval has elapsed on clk and no
@@ -272,14 +263,9 @@ func (d *Daemon) Tick(clk *simclock.Clock) error {
 		d.promotions.Add(1)
 		occupancy[c.Tenant]++
 		promoted[c.ID] = true
-		if o := d.obsP.Load(); o != nil {
-			o.promotionsC.Inc()
-		}
+		d.promotionsC.Inc()
 	}
-
-	if o := d.obsP.Load(); o != nil {
-		o.fastResident.Set(int64(d.mover.FastResident()))
-	}
+	d.fastResident.Set(int64(d.mover.FastResident()))
 	return nil
 }
 
@@ -289,17 +275,13 @@ func (d *Daemon) demote(clk *simclock.Clock, id uint64, reason DemoteReason) boo
 		return false
 	}
 	d.demotions.Add(1)
-	if o := d.obsP.Load(); o != nil {
-		o.demotionsC.Inc()
-	}
+	d.demotionsC.Inc()
 	return true
 }
 
 func (d *Daemon) skip() {
 	d.skips.Add(1)
-	if o := d.obsP.Load(); o != nil {
-		o.skipsC.Inc()
-	}
+	d.skipsC.Inc()
 }
 
 // coldestIn returns the coldest entry of promotedHeat still in the promoted

@@ -170,7 +170,7 @@ func touchN(h *Heat, clk *simclock.Clock, id uint64, n int) {
 func TestDaemonPromotesHottestFirst(t *testing.T) {
 	h := NewHeat(hl)
 	m := newFakeMover()
-	d := NewDaemon(h, m, tickCfg(2))
+	d := NewDaemon(h, m, tickCfg(2), nil, "")
 	clk := simclock.New()
 	touchN(h, clk, 1, 3)
 	touchN(h, clk, 2, 5)
@@ -201,7 +201,7 @@ func TestDaemonPromotesHottestFirst(t *testing.T) {
 func TestDaemonColdDemotionAndHysteresis(t *testing.T) {
 	h := NewHeat(hl)
 	m := newFakeMover()
-	d := NewDaemon(h, m, tickCfg(4))
+	d := NewDaemon(h, m, tickCfg(4), nil, "")
 	clk := simclock.New()
 	touchN(h, clk, 1, 4)
 	clk.Advance(100)
@@ -236,7 +236,7 @@ func TestDaemonColdDemotionAndHysteresis(t *testing.T) {
 func TestDaemonDisplacesColderResident(t *testing.T) {
 	h := NewHeat(hl)
 	m := newFakeMover()
-	d := NewDaemon(h, m, tickCfg(1))
+	d := NewDaemon(h, m, tickCfg(1), nil, "")
 	clk := simclock.New()
 	touchN(h, clk, 1, 3)
 	clk.Advance(100)
@@ -263,7 +263,7 @@ func TestDaemonDisplacesColderResident(t *testing.T) {
 func TestDaemonQoSBudgets(t *testing.T) {
 	h := NewHeat(hl)
 	m := newFakeMover()
-	d := NewDaemon(h, m, tickCfg(8))
+	d := NewDaemon(h, m, tickCfg(8), nil, "")
 	clk := simclock.New()
 	noisy, victim := simclock.New(), simclock.New()
 	noisy.AdvanceTo(clk.Now())
@@ -331,7 +331,7 @@ func TestDaemonMoveBudgetPerTick(t *testing.T) {
 	m := newFakeMover()
 	cfg := tickCfg(64)
 	cfg.MaxMovesPerTick = 3
-	d := NewDaemon(h, m, cfg)
+	d := NewDaemon(h, m, cfg, nil, "")
 	clk := simclock.New()
 	for id := uint64(1); id <= 10; id++ {
 		touchN(h, clk, id, 3)
@@ -350,7 +350,7 @@ func TestDaemonPromoteErrorAborts(t *testing.T) {
 	m := newFakeMover()
 	boom := errors.New("boom")
 	m.err = boom
-	d := NewDaemon(h, m, tickCfg(4))
+	d := NewDaemon(h, m, tickCfg(4), nil, "")
 	clk := simclock.New()
 	touchN(h, clk, 1, 5)
 	clk.Advance(100)
@@ -362,9 +362,8 @@ func TestDaemonPromoteErrorAborts(t *testing.T) {
 func TestDaemonObserverCounters(t *testing.T) {
 	h := NewHeat(hl)
 	m := newFakeMover()
-	d := NewDaemon(h, m, tickCfg(1))
 	reg := obs.New(obs.Options{})
-	d.SetObserver(reg, "db0")
+	d := NewDaemon(h, m, tickCfg(1), reg, "db0")
 	clk := simclock.New()
 	touchN(h, clk, 1, 3)
 	touchN(h, clk, 2, 4)

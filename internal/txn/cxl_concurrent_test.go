@@ -60,7 +60,7 @@ func TestConcurrentWorkersOnCXLPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.EnableBackgroundFlush(flusher.Policy{IntervalNanos: 50 * simclock.Microsecond}); err != nil {
+	if _, err := e.EnableBackgroundFlush(flusher.Policy{IntervalNanos: 50 * simclock.Microsecond}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := e.CreateTable(clk, "t")

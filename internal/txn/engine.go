@@ -11,13 +11,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"polarcxlmem/internal/btree"
 	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/checkpoint"
 	"polarcxlmem/internal/flusher"
 	"polarcxlmem/internal/mtr"
+	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/storage"
 	"polarcxlmem/internal/tier"
@@ -38,12 +38,14 @@ type Engine struct {
 
 	catalog *btree.Tree
 
-	// Commit pipeline (all opt-in; nil means the classic inline path, which
-	// the deterministic fault sweeps depend on staying byte-identical).
-	gc atomic.Pointer[wal.GroupCommitter]
-	fl atomic.Pointer[flusher.Flusher]
-	cp atomic.Pointer[checkpoint.Checkpointer]
-	td atomic.Pointer[tier.Daemon]
+	// Commit pipeline, set up before transactions run (all opt-in; nil and
+	// empty mean the classic inline path, which the deterministic fault
+	// sweeps depend on staying byte-identical). stages holds the enabled
+	// daemons in tick order.
+	gc     *wal.GroupCommitter
+	fl     *flusher.Flusher
+	cp     *checkpoint.Checkpointer
+	stages []Stage
 
 	mu     sync.Mutex
 	tables map[string]*btree.Tree
@@ -118,34 +120,41 @@ func (e *Engine) Pool() buffer.Pool { return e.pool }
 // Log exposes the engine's redo log handle.
 func (e *Engine) Log() *wal.Log { return e.log }
 
+// Stage is a commit-path daemon: the engine ticks every enabled stage, in
+// the order it was enabled, on each commit before the commit marker, and the
+// stage decides against the committer's virtual clock whether it is due.
+type Stage interface {
+	Tick(clk *simclock.Clock) error
+}
+
 // EnableGroupCommit routes transaction commit markers through a
 // wal.GroupCommitter so concurrent committers share leader-driven log
 // flushes instead of paying one device fsync each. Single-threaded callers
-// see one flush per commit, exactly as before. Call once at setup, before
-// transactions run.
-func (e *Engine) EnableGroupCommit(pol wal.GroupPolicy) *wal.GroupCommitter {
-	gc := wal.NewGroupCommitter(e.log, pol)
-	e.gc.Store(gc)
-	return gc
+// see one flush per commit, exactly as before. reg (nil for none) receives
+// the committer's metrics. Call once at setup, before transactions run.
+func (e *Engine) EnableGroupCommit(pol wal.GroupPolicy, reg *obs.Registry) *wal.GroupCommitter {
+	e.gc = wal.NewGroupCommitter(e.log, pol, reg)
+	return e.gc
 }
 
 // GroupCommitter reports the engine's group committer, or nil when commits
 // flush inline.
-func (e *Engine) GroupCommitter() *wal.GroupCommitter { return e.gc.Load() }
+func (e *Engine) GroupCommitter() *wal.GroupCommitter { return e.gc }
 
-// EnableBackgroundFlush attaches a dirty-page flusher daemon driven from the
-// commit path: each commit ticks it, and when the virtual-time interval has
-// elapsed it writes back a redo-budget-sized batch of dirty pages. Requires
-// a pool with background-writeback support (every frametab-backed pool whose
-// store implements frametab.WritebackStore); pools without it — the shared
-// multi-primary pools — return an error. Call once at setup.
-func (e *Engine) EnableBackgroundFlush(pol flusher.Policy) (*flusher.Flusher, error) {
+// EnableBackgroundFlush adds a dirty-page flusher stage: when the
+// virtual-time interval has elapsed it writes back a redo-budget-sized batch
+// of dirty pages. Requires a pool with background-writeback support (every
+// frametab-backed pool whose store implements frametab.WritebackStore);
+// pools without it — the shared multi-primary pools — return an error. reg
+// (nil for none) receives the flusher's metrics. Call once at setup, first
+// among the stages.
+func (e *Engine) EnableBackgroundFlush(pol flusher.Policy, reg *obs.Registry) (*flusher.Flusher, error) {
 	tgt, ok := e.pool.(flusher.Target)
 	if !ok {
 		return nil, fmt.Errorf("txn: pool %T does not support background flush", e.pool)
 	}
 	st := e.log.Store()
-	fl := flusher.New(tgt, pol, func() int64 {
+	e.fl = flusher.New(tgt, pol, func() int64 {
 		// The backlog floor is the later of the store-recorded checkpoint
 		// and the truncation point: fuzzy checkpoints record their LSN in
 		// the CXL checkpoint area (not the store) and truncate the tail one
@@ -160,72 +169,60 @@ func (e *Engine) EnableBackgroundFlush(pol flusher.Policy) (*flusher.Flusher, er
 			return 0 // unreachable: floor+1 >= truncation point by construction
 		}
 		return n
-	})
-	e.fl.Store(fl)
-	return fl, nil
+	}, reg)
+	e.stages = append(e.stages, e.fl)
+	return e.fl, nil
 }
 
 // Flusher reports the engine's background flusher, or nil when eviction
 // writes happen inline only.
-func (e *Engine) Flusher() *flusher.Flusher { return e.fl.Load() }
+func (e *Engine) Flusher() *flusher.Flusher { return e.fl }
 
-// EnableCheckpoints attaches a continuous fuzzy checkpointer driven from the
-// commit path: each commit ticks it (right after the background flusher's
-// tick), and when the virtual-time interval has elapsed and the flusher has
-// the dirty backlog below the policy watermark, it publishes a CXL-durable
-// checkpoint record to area and truncates the redo log behind the previous
-// checkpoint. Requires a pool with background-writeback support, like
-// EnableBackgroundFlush. Call once at setup; pair it with a flusher, or the
-// watermark may never be reached under write-heavy load.
-func (e *Engine) EnableCheckpoints(area *checkpoint.Area, pol checkpoint.Policy) (*checkpoint.Checkpointer, error) {
+// EnableCheckpoints adds a continuous fuzzy checkpointer stage: when the
+// virtual-time interval has elapsed and the flusher has the dirty backlog
+// below the policy watermark, it publishes a CXL-durable checkpoint record
+// to area and truncates the redo log behind the previous checkpoint.
+// Requires a pool with background-writeback support, like
+// EnableBackgroundFlush. reg (nil for none) receives the checkpointer's
+// metrics. Call once at setup, right after EnableBackgroundFlush: without a
+// flusher the watermark may never be reached under write-heavy load.
+func (e *Engine) EnableCheckpoints(area *checkpoint.Area, pol checkpoint.Policy, reg *obs.Registry) (*checkpoint.Checkpointer, error) {
 	tgt, ok := e.pool.(flusher.Target)
 	if !ok {
 		return nil, fmt.Errorf("txn: pool %T does not support fuzzy checkpointing", e.pool)
 	}
-	cp := checkpoint.New(area, tgt, e.log, pol)
-	e.cp.Store(cp)
-	return cp, nil
+	e.cp = checkpoint.New(area, tgt, e.log, pol, reg)
+	e.stages = append(e.stages, e.cp)
+	return e.cp, nil
 }
 
 // Checkpointer reports the engine's fuzzy checkpointer, or nil when only
 // explicit Checkpoint calls record checkpoints.
-func (e *Engine) Checkpointer() *checkpoint.Checkpointer { return e.cp.Load() }
+func (e *Engine) Checkpointer() *checkpoint.Checkpointer { return e.cp }
 
-// EnableTiering attaches a hot/cold placement daemon driven from the commit
-// path, like the flusher and checkpointer: each commit ticks it, and when
-// the virtual-time placement interval has elapsed it promotes the hottest
-// pages into the pool's fast tier and demotes cold or over-budget ones. The
-// caller builds the daemon (tier.NewDaemon over a pool implementing
-// tier.Mover — see core.CXLPool.EnableTiering) so QoS policy stays in the
-// facade's hands. Call once at setup.
-func (e *Engine) EnableTiering(d *tier.Daemon) { e.td.Store(d) }
+// EnableTiering adds a hot/cold placement daemon stage: when the
+// virtual-time placement interval has elapsed it promotes the hottest pages
+// into the pool's fast tier and demotes cold or over-budget ones. The caller
+// builds the daemon (tier.NewDaemon over a pool implementing tier.Mover —
+// see core.CXLPool.EnableTiering) so QoS policy stays in the facade's
+// hands. Call once at setup, after the flusher and checkpointer.
+func (e *Engine) EnableTiering(d *tier.Daemon) { e.stages = append(e.stages, d) }
 
-// commitUnit makes unit durable: tick the background flusher, the fuzzy
-// checkpointer, and the tier placement daemon (when enabled), then append
-// the commit marker and force it — through the group committer when enabled,
-// else inline. All daemon ticks run BEFORE the marker append on purpose: if
-// an injected crash fires during background writeback, mid-checkpoint, or
+// commitUnit makes unit durable: tick every stage, then append the commit
+// marker and force it — through the group committer when enabled, else
+// inline. Every stage ticks BEFORE the marker append on purpose: if an
+// injected crash fires during background writeback, mid-checkpoint, or
 // mid-promotion, the unit is still uncommitted, so crash-sweep shadow
 // accounting stays exact.
 //
 // A readOnly unit logged no records, so recovery has nothing to commit or
-// undo for it and it gets no marker. It still ticks the daemons, keeping
+// undo for it and it gets no marker. It still ticks the stages, keeping
 // their cadence, and then waits for durability instead of forcing: see
 // awaitDurable.
 func (e *Engine) commitUnit(clk *simclock.Clock, unit uint64, readOnly bool) error {
-	if fl := e.fl.Load(); fl != nil {
-		if err := fl.Tick(clk); err != nil {
-			return fmt.Errorf("txn: background flush before commit of unit %d: %w", unit, err)
-		}
-	}
-	if cp := e.cp.Load(); cp != nil {
-		if err := cp.Tick(clk); err != nil {
-			return fmt.Errorf("txn: checkpoint before commit of unit %d: %w", unit, err)
-		}
-	}
-	if td := e.td.Load(); td != nil {
-		if err := td.Tick(clk); err != nil {
-			return fmt.Errorf("txn: tier placement before commit of unit %d: %w", unit, err)
+	for _, s := range e.stages {
+		if err := s.Tick(clk); err != nil {
+			return fmt.Errorf("txn: %T tick before commit of unit %d: %w", s, unit, err)
 		}
 	}
 	if readOnly {
@@ -233,8 +230,8 @@ func (e *Engine) commitUnit(clk *simclock.Clock, unit uint64, readOnly bool) err
 		return nil
 	}
 	rec := wal.Record{Kind: wal.KTxnCommit, Txn: unit}
-	if gc := e.gc.Load(); gc != nil {
-		gc.Commit(clk, rec)
+	if e.gc != nil {
+		e.gc.Commit(clk, rec)
 		return nil
 	}
 	e.log.Append(rec)

@@ -24,7 +24,7 @@ func newModeEnv(t *testing.T, group bool, rows int64) (*env, *btree.Tree) {
 	t.Helper()
 	ev := newEnv(t)
 	if group {
-		ev.e.EnableGroupCommit(wal.GroupPolicy{})
+		ev.e.EnableGroupCommit(wal.GroupPolicy{}, nil)
 	}
 	tr, err := ev.e.CreateTable(ev.clk, "t")
 	if err != nil {

@@ -81,11 +81,7 @@ type GroupCommitter struct {
 	batches atomic.Int64
 	commits atomic.Int64
 
-	obsP atomic.Pointer[gcObs]
-}
-
-// gcObs carries the committer's registry handles.
-type gcObs struct {
+	// Registry handles, fixed at construction; nil (a no-op) without one.
 	batchSize  *obs.Histogram // wal.batch_size: commits per flushed batch
 	commitWait *obs.Histogram // wal.commit_wait_ns: durability wait per commit
 	batchesC   *obs.Counter   // wal.batches
@@ -93,15 +89,23 @@ type gcObs struct {
 }
 
 // NewGroupCommitter builds a group committer over log. Zero policy fields
-// select the defaults.
-func NewGroupCommitter(log *Log, pol GroupPolicy) *GroupCommitter {
+// select the defaults. reg (nil for none) receives the committer's metrics
+// (wal.batch_size, wal.commit_wait_ns, wal.batches, wal.group_commits).
+func NewGroupCommitter(log *Log, pol GroupPolicy, reg *obs.Registry) *GroupCommitter {
 	if pol.MaxBatchBytes <= 0 {
 		pol.MaxBatchBytes = DefaultMaxBatchBytes
 	}
 	if pol.MaxWaitNanos <= 0 {
 		pol.MaxWaitNanos = DefaultMaxWaitNanos
 	}
-	return &GroupCommitter{log: log, pol: pol}
+	return &GroupCommitter{
+		log:        log,
+		pol:        pol,
+		batchSize:  reg.Histogram("wal.batch_size"),
+		commitWait: reg.Histogram("wal.commit_wait_ns"),
+		batchesC:   reg.Counter("wal.batches"),
+		commitsC:   reg.Counter("wal.group_commits"),
+	}
 }
 
 // Batches reports how many leader flushes have completed.
@@ -109,22 +113,6 @@ func (g *GroupCommitter) Batches() int64 { return g.batches.Load() }
 
 // Commits reports how many commits have been made durable.
 func (g *GroupCommitter) Commits() int64 { return g.commits.Load() }
-
-// SetObserver registers the committer's metrics (wal.batch_size,
-// wal.commit_wait_ns, wal.batches, wal.group_commits) with reg; nil
-// detaches.
-func (g *GroupCommitter) SetObserver(reg *obs.Registry) {
-	if reg == nil {
-		g.obsP.Store(nil)
-		return
-	}
-	g.obsP.Store(&gcObs{
-		batchSize:  reg.Histogram("wal.batch_size"),
-		commitWait: reg.Histogram("wal.commit_wait_ns"),
-		batchesC:   reg.Counter("wal.batches"),
-		commitsC:   reg.Counter("wal.group_commits"),
-	})
-}
 
 // Commit appends rec (a commit marker, typically) and returns its LSN once
 // it is durable, either by leading a batch flush or by piggybacking on one.
@@ -168,10 +156,8 @@ func (g *GroupCommitter) Commit(clk *simclock.Clock, rec Record) uint64 {
 			<-b.done
 		}
 		clk.AdvanceTo(b.doneV)
-		if o := g.obsP.Load(); o != nil {
-			o.commitsC.Inc()
-			o.commitWait.Observe(b.doneV - arrival)
-		}
+		g.commitsC.Inc()
+		g.commitWait.Observe(b.doneV - arrival)
 		return lsn
 	}
 	b := &batch{openedV: arrival, latestV: arrival, bytes: size, members: 1, done: make(chan struct{})}
@@ -205,12 +191,10 @@ func (g *GroupCommitter) Commit(clk *simclock.Clock, rec Record) uint64 {
 	b.doneV = clk.Now()
 	g.flushMu.Unlock()
 	g.batches.Add(1)
-	if o := g.obsP.Load(); o != nil {
-		o.batchesC.Inc()
-		o.commitsC.Inc()
-		o.batchSize.Observe(int64(members))
-		o.commitWait.Observe(b.doneV - arrival)
-	}
+	g.batchesC.Inc()
+	g.commitsC.Inc()
+	g.batchSize.Observe(int64(members))
+	g.commitWait.Observe(b.doneV - arrival)
 	close(b.done)
 	for _, p := range b.parked {
 		p.Wake(b.doneV)

@@ -72,7 +72,7 @@ func TestGroupCommitSingleCommitterMatchesDirectFlush(t *testing.T) {
 
 	grouped := simclock.New()
 	wsG := NewStore(0, 0)
-	gc := NewGroupCommitter(Attach(wsG), GroupPolicy{})
+	gc := NewGroupCommitter(Attach(wsG), GroupPolicy{}, nil)
 	for i := 0; i < 10; i++ {
 		gc.Commit(grouped, Record{Kind: KTxnCommit, Txn: uint64(i + 1)})
 	}
@@ -95,9 +95,8 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 	const goroutines = 8
 	const perG = 150
 	ws := NewStore(0, 0)
-	gc := NewGroupCommitter(Attach(ws), GroupPolicy{})
 	reg := obs.New(obs.Options{})
-	gc.SetObserver(reg)
+	gc := NewGroupCommitter(Attach(ws), GroupPolicy{}, reg)
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -147,7 +146,7 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 // batch budget starts its own batch rather than stretching the open one.
 func TestGroupCommitBytesCapClosesBatch(t *testing.T) {
 	ws := NewStore(0, 0)
-	gc := NewGroupCommitter(Attach(ws), GroupPolicy{MaxBatchBytes: 1})
+	gc := NewGroupCommitter(Attach(ws), GroupPolicy{MaxBatchBytes: 1}, nil)
 	clk := simclock.New()
 	for i := 0; i < 5; i++ {
 		gc.Commit(clk, Record{Kind: KTxnCommit, Txn: uint64(i + 1)})
@@ -183,7 +182,7 @@ func TestFsyncOccupiesLogDevice(t *testing.T) {
 // later one leads its own batch.
 func TestGroupCommitSchedulerBatchesByArrival(t *testing.T) {
 	ws := NewStore(0, 0)
-	gc := NewGroupCommitter(Attach(ws), GroupPolicy{})
+	gc := NewGroupCommitter(Attach(ws), GroupPolicy{}, nil)
 	s := simclock.NewSched()
 	arrivals := []int64{0, 10_000, DefaultMaxWaitNanos, DefaultMaxWaitNanos + 30_000}
 	finish := make([]int64, len(arrivals))
@@ -214,8 +213,8 @@ func TestGroupCommitSchedulerBatchesByArrival(t *testing.T) {
 // Sched runs is not mistaken for a worker. Its clock carries no worker, so it
 // takes the wall-clock path and neither parks nor sleeps on the scheduler.
 func TestGroupCommitFreeCommitterDuringRun(t *testing.T) {
-	sched := NewGroupCommitter(Attach(NewStore(0, 0)), GroupPolicy{})
-	free := NewGroupCommitter(Attach(NewStore(0, 0)), GroupPolicy{})
+	sched := NewGroupCommitter(Attach(NewStore(0, 0)), GroupPolicy{}, nil)
+	free := NewGroupCommitter(Attach(NewStore(0, 0)), GroupPolicy{}, nil)
 	s := simclock.NewSched()
 	for i := 0; i < 4; i++ {
 		s.Go(simclock.NewAt(int64(i)*1_000), func(w *simclock.Worker) {

@@ -227,3 +227,50 @@ func TestPageWrapOnlyInBuffer(t *testing.T) {
 		t.Fatalf("%d page.Wrap call(s) outside internal/buffer; reach the page through buffer.Visit", len(bad))
 	}
 }
+
+// maxWiringSetters bounds the SetObserver/SetInjector methods product code
+// may declare. Components take their registry (nil for none) in their
+// constructor instead; the count only goes down.
+const maxWiringSetters = 12
+
+// TestWiringSetterRatchet is the wiring ratchet: it counts the SetObserver
+// and SetInjector methods declared in non-test code and fails when there
+// are more than maxWiringSetters. Lower the bound when a setter goes.
+func TestWiringSetterRatchet(t *testing.T) {
+	fset := token.NewFileSet()
+	var found []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "perfbench" || name == "testdata" || strings.HasPrefix(name, ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, perr := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if perr != nil {
+			return fmt.Errorf("parsing %s: %w", path, perr)
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if ok && fd.Recv != nil && (fd.Name.Name == "SetObserver" || fd.Name.Name == "SetInjector") {
+				found = append(found, fmt.Sprintf("%s: %s", fset.Position(fd.Pos()), fd.Name.Name))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) > maxWiringSetters {
+		t.Fatalf("%d SetObserver/SetInjector methods, at most %d allowed; take the registry or injector in the constructor instead:\n%s",
+			len(found), maxWiringSetters, strings.Join(found, "\n"))
+	}
+	t.Logf("%d SetObserver/SetInjector methods (bound %d)", len(found), maxWiringSetters)
+}

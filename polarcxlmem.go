@@ -66,6 +66,8 @@ import (
 	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/recovery"
 	"polarcxlmem/internal/simclock"
+	"polarcxlmem/internal/simcpu"
+	"polarcxlmem/internal/simmem"
 	"polarcxlmem/internal/storage"
 	"polarcxlmem/internal/tier"
 	"polarcxlmem/internal/txn"
@@ -264,21 +266,22 @@ type InstanceConfig struct {
 type Cluster struct {
 	topo       *cxl.Topology
 	storageCfg storage.Config
-	stores     map[string]*storage.Store // one database volume per instance
-	wals       map[string]*wal.Store
+	dpCfg      *dataplane.Config
+	members    map[string]*member
+	reg        *obs.Registry
+}
 
-	instances  map[string]*Instance
-	placement  map[string]int            // instance -> pool (box) leaf index
-	hostLeaves map[string]int            // instance -> host attachment leaf
-	ckptLeaves map[string]int            // instance -> checkpoint-area leaf
-	configs    map[string]InstanceConfig // as started (PoolPages tracks Resize); re-applied on Recover
-	qos        map[string]tier.QoS       // runtime SetQoS overrides; re-applied on Recover
-
-	dpCfg   *dataplane.Config
-	routers map[string]*dataplane.Router
-
-	reg *obs.Registry
-	inj fault.Injector
+// member is everything the cluster keeps for one instance name across its
+// incarnations. cfg is the config as started, defaulted, with its own copy
+// of the Policy: Resize and SetQoS update its PoolPages and Policy.QoS, and
+// every restart re-applies it. ckptLeaf matters only with cfg.Checkpoint.
+type member struct {
+	cfg                          InstanceConfig
+	store                        *storage.Store // the instance's database volume
+	wal                          *wal.Store
+	poolLeaf, hostLeaf, ckptLeaf int
+	inst                         *Instance         // the current incarnation
+	router                       *dataplane.Router // nil without ClusterConfig.Dataplane
 }
 
 // NewCluster builds the substrate. Options wire cross-cutting concerns
@@ -290,25 +293,7 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 	if cfg.Pools <= 0 {
 		cfg.Pools = 1
 	}
-	var o clusterOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	c := &Cluster{
-		storageCfg: cfg.Storage,
-		stores:     make(map[string]*storage.Store),
-		wals:       make(map[string]*wal.Store),
-		instances:  make(map[string]*Instance),
-		placement:  make(map[string]int),
-		hostLeaves: make(map[string]int),
-		ckptLeaves: make(map[string]int),
-		configs:    make(map[string]InstanceConfig),
-		qos:        make(map[string]tier.QoS),
-		dpCfg:      cfg.Dataplane,
-		routers:    make(map[string]*dataplane.Router),
-		reg:        o.reg,
-		inj:        o.inj,
-	}
+	o := newOptions(opts)
 	tc := cxl.TopologyConfig{Leaves: cfg.Pools}
 	if cfg.Fabric != nil {
 		tc = *cfg.Fabric
@@ -316,17 +301,38 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 	if tc.PoolBytes == 0 {
 		tc.PoolBytes = core.RegionSizeFor(cfg.PoolPages) + 4096
 	}
-	c.topo = cxl.NewTopology(tc)
-	if c.reg != nil {
-		c.topo.SetObserver(c.reg)
+	return &Cluster{
+		topo:       o.newTopology(tc),
+		storageCfg: cfg.Storage,
+		dpCfg:      cfg.Dataplane,
+		members:    make(map[string]*member),
+		reg:        o.reg,
+	}, nil
+}
+
+// newOptions applies opts.
+func newOptions(opts []Option) clusterOptions {
+	var o clusterOptions
+	for _, opt := range opts {
+		opt(&o)
 	}
-	if c.inj != nil {
-		c.topo.SetInjector(c.inj)
-		for i := 0; i < c.topo.Leaves(); i++ {
-			c.topo.Leaf(i).Box().Device().SetInjector(c.inj)
+	return o
+}
+
+// newTopology builds a fabric with the observer and injector wired through
+// every switch domain and memory device.
+func (o clusterOptions) newTopology(tc cxl.TopologyConfig) *cxl.Topology {
+	topo := cxl.NewTopology(tc)
+	if o.reg != nil {
+		topo.SetObserver(o.reg)
+	}
+	if o.inj != nil {
+		topo.SetInjector(o.inj)
+		for i := 0; i < topo.Leaves(); i++ {
+			topo.Leaf(i).Box().Device().SetInjector(o.inj)
 		}
 	}
-	return c, nil
+	return topo
 }
 
 // place picks the leaf whose memory box has the most unallocated memory for
@@ -356,7 +362,7 @@ func (c *Cluster) place(size int64) (int, error) {
 // Instance is one database instance running directly on CXL memory.
 type Instance struct {
 	name    string
-	cluster *Cluster
+	m       *member
 	clk     *simclock.Clock
 	pool    *core.CXLPool
 	eng     *txn.Engine
@@ -378,7 +384,9 @@ func (c *Cluster) Start(cfg InstanceConfig) (*Instance, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 8 << 20
 	}
-	if pol := cfg.Policy; pol != nil {
+	if cfg.Policy != nil {
+		pol := *cfg.Policy // SetQoS replaces the copy's QoS
+		cfg.Policy = &pol
 		if pol.Tiering != nil && pol.Tiering.FastPages <= 0 {
 			return nil, fmt.Errorf("polarcxlmem: instance %q Policy.Tiering.FastPages must be > 0", cfg.Name)
 		}
@@ -388,99 +396,118 @@ func (c *Cluster) Start(cfg InstanceConfig) (*Instance, error) {
 			}
 		}
 	}
-	// Elastic instances carve their CXL reservation at Quota.MaxPages up
-	// front; PoolPages is just the initial logical allotment within it.
-	carve := carvedPages(cfg)
-	if _, ok := c.instances[cfg.Name]; ok {
+	if _, ok := c.members[cfg.Name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrInstanceExists, cfg.Name)
 	}
-	clk := simclock.New()
-	poolLeaf, hostLeaf, ckptLeaf := -1, -1, -1
-	if cfg.Placement != nil {
-		poolLeaf, hostLeaf, ckptLeaf = cfg.Placement.PoolLeaf, cfg.Placement.HostLeaf, cfg.Placement.CheckpointLeaf
-		if poolLeaf >= c.topo.Leaves() || hostLeaf >= c.topo.Leaves() || ckptLeaf >= c.topo.Leaves() {
+	m := &member{cfg: cfg, store: storage.New(c.storageCfg), wal: wal.NewStore(0, 0), poolLeaf: -1, hostLeaf: -1, ckptLeaf: -1}
+	if pl := cfg.Placement; pl != nil {
+		m.poolLeaf, m.hostLeaf, m.ckptLeaf = pl.PoolLeaf, pl.HostLeaf, pl.CheckpointLeaf
+		if n := c.topo.Leaves(); m.poolLeaf >= n || m.hostLeaf >= n || m.ckptLeaf >= n {
 			return nil, fmt.Errorf("polarcxlmem: instance %q placement (host %d, pool %d, ckpt %d) exceeds topology (%d leaves)",
-				cfg.Name, hostLeaf, poolLeaf, ckptLeaf, c.topo.Leaves())
+				cfg.Name, m.hostLeaf, m.poolLeaf, m.ckptLeaf, n)
 		}
 	}
-	if poolLeaf < 0 {
+	if m.poolLeaf < 0 {
 		var err error
-		if poolLeaf, err = c.place(core.RegionSizeFor(carve)); err != nil {
+		if m.poolLeaf, err = c.place(m.regionSize()); err != nil {
 			return nil, err
 		}
 	}
-	if hostLeaf < 0 {
-		hostLeaf = poolLeaf // default policy: intra-switch placement
+	if m.hostLeaf < 0 {
+		m.hostLeaf = m.poolLeaf // default policy: intra-switch placement
 	}
-	host, err := c.topo.AttachHost(cfg.Name+"-host", hostLeaf)
-	if err != nil {
-		return nil, err
+	if m.ckptLeaf < 0 {
+		m.ckptLeaf = m.poolLeaf
 	}
-	region, err := host.AllocateOn(clk, poolLeaf, cfg.Name, core.RegionSizeFor(carve))
-	if err != nil {
-		return nil, err
-	}
-	c.placement[cfg.Name] = poolLeaf
-	c.hostLeaves[cfg.Name] = hostLeaf
-	cache := host.NewCache(cfg.Name, cfg.CacheBytes)
-	// Each instance is its own database: its own storage volume and log
-	// stream on the shared storage service.
-	store := storage.New(c.storageCfg)
-	c.stores[cfg.Name] = store
-	pool, err := core.Format(host, region, cache, store)
-	if err != nil {
-		return nil, err
-	}
-	ws := wal.NewStore(0, 0)
-	c.wals[cfg.Name] = ws
-	eng, err := txn.Bootstrap(clk, pool, wal.Attach(ws), store)
-	if err != nil {
-		return nil, err
-	}
-	inst := &Instance{name: cfg.Name, cluster: c, clk: clk, pool: pool, eng: eng}
-	if cfg.Checkpoint != nil {
+	inst, _, err := c.boot(m, m.poolLeaf, false, func(inst *Instance, host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache) (*recovery.Result, error) {
+		var err error
+		if inst.pool, err = core.Format(host, region, cache, m.store); err != nil {
+			return nil, err
+		}
+		if inst.eng, err = txn.Bootstrap(inst.clk, inst.pool, wal.Attach(m.wal), m.store); err != nil || cfg.Checkpoint == nil {
+			return nil, err
+		}
 		// The checkpoint record lives in its own tiny CXL region — by default
 		// on the same switch domain as the buffer pool, so it survives host
 		// crashes with the pool and is reattachable by name on Recover.
 		// Placement.CheckpointLeaf moves it to a different box, where it also
 		// survives the POOL box's death and bounds Failover's redo scan.
-		if ckptLeaf < 0 {
-			ckptLeaf = poolLeaf
-		}
-		ckReg, err := host.AllocateAt(clk, ckptLeaf, cfg.Name+"-ckpt", checkpoint.AreaSize)
-		if err != nil {
-			return nil, err
-		}
-		inst.ckpt, err = checkpoint.NewArea(ckReg)
-		if err != nil {
-			return nil, err
-		}
-		c.ckptLeaves[cfg.Name] = ckptLeaf
-	}
-	if err := c.applyInstanceOptions(inst, cfg); err != nil {
+		inst.ckpt, err = m.checkpointArea(inst.clk, host, false)
+		return nil, err
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := c.applyPolicy(inst, cfg); err != nil {
-		return nil, err
-	}
-	c.instances[cfg.Name] = inst
-	c.configs[cfg.Name] = cfg
-	c.startRouter(inst)
+	c.members[cfg.Name] = m
 	return inst, nil
 }
 
-// applyInstanceOptions wires an engine's commit pipeline and observability
-// per cfg — shared by Start and Recover so a recovered instance keeps the
-// pipeline it was started with.
+// checkpointArea attaches m's checkpoint area on m.ckptLeaf: the one that
+// survived there when reattach is set, else a fresh allocation.
+func (m *member) checkpointArea(clk *simclock.Clock, host *cxl.HostPort, reattach bool) (*checkpoint.Area, error) {
+	var region *simmem.Region
+	var err error
+	if reattach {
+		region, err = host.ReattachAt(clk, m.ckptLeaf, m.cfg.Name+"-ckpt")
+	} else {
+		region, err = host.AllocateAt(clk, m.ckptLeaf, m.cfg.Name+"-ckpt", checkpoint.AreaSize)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return checkpoint.NewArea(region)
+}
+
+// boot brings up an incarnation of m with its buffer pool on leaf: the one
+// path Start, Recover and Failover share. It runs the common steps — a
+// clock continuing the previous incarnation's, the host port, the region
+// (reattached, or freshly allocated), the CPU cache — then open, which sets
+// the incarnation's pool, engine and checkpoint area the way its caller
+// obtains them, then the commit pipeline, the policy, registration and the
+// router.
+func (c *Cluster) boot(m *member, leaf int, reattach bool, open func(*Instance, *cxl.HostPort, *simmem.Region, *simcpu.Cache) (*recovery.Result, error)) (*Instance, *recovery.Result, error) {
+	name := m.cfg.Name
+	inst := &Instance{name: name, m: m, clk: simclock.New()}
+	if m.inst != nil {
+		inst.clk = simclock.NewAt(m.inst.clk.Now())
+	}
+	host, err := c.topo.AttachHost(name+"-host", m.hostLeaf)
+	if err != nil {
+		return nil, nil, err
+	}
+	var region *simmem.Region
+	if reattach {
+		region, err = host.ReattachOn(inst.clk, leaf, name)
+	} else {
+		region, err = host.AllocateOn(inst.clk, leaf, name, m.regionSize())
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := open(inst, host, region, host.NewCache(name, m.cfg.CacheBytes))
+	if err != nil {
+		return nil, nil, err
+	}
+	if res != nil {
+		res.Publish(c.reg)
+	}
+	if err := c.applyInstanceOptions(inst, m.cfg); err != nil {
+		return nil, nil, err
+	}
+	m.inst, m.poolLeaf = inst, leaf
+	c.startRouter(m)
+	return inst, res, nil
+}
+
+// applyInstanceOptions wires an incarnation's observability and commit
+// pipeline per cfg: the group committer, then the commit-path stages in
+// tick order — flusher, checkpointer, and last applyPolicy's tier daemon.
 func (c *Cluster) applyInstanceOptions(inst *Instance, cfg InstanceConfig) error {
 	if c.reg != nil {
 		inst.pool.SetObserver(c.reg)
 	}
 	if cfg.GroupCommit != nil {
-		gc := inst.eng.EnableGroupCommit(*cfg.GroupCommit)
-		if c.reg != nil {
-			gc.SetObserver(c.reg)
-		}
+		inst.eng.EnableGroupCommit(*cfg.GroupCommit, c.reg)
 	}
 	flushPol := cfg.BackgroundFlush
 	if flushPol == nil && cfg.Checkpoint != nil {
@@ -489,61 +516,82 @@ func (c *Cluster) applyInstanceOptions(inst *Instance, cfg InstanceConfig) error
 		flushPol = &flusher.Policy{}
 	}
 	if flushPol != nil {
-		fl, err := inst.eng.EnableBackgroundFlush(*flushPol)
-		if err != nil {
+		if _, err := inst.eng.EnableBackgroundFlush(*flushPol, c.reg); err != nil {
 			return err
-		}
-		if c.reg != nil {
-			fl.SetObserver(c.reg)
 		}
 	}
 	if cfg.Checkpoint != nil {
-		if inst.ckpt == nil {
-			return fmt.Errorf("polarcxlmem: instance %q has no checkpoint area", inst.name)
-		}
-		cp, err := inst.eng.EnableCheckpoints(inst.ckpt, *cfg.Checkpoint)
-		if err != nil {
+		if _, err := inst.eng.EnableCheckpoints(inst.ckpt, *cfg.Checkpoint, c.reg); err != nil {
 			return err
 		}
-		if c.reg != nil {
-			cp.SetObserver(c.reg)
-		}
 	}
-	return nil
+	return c.applyPolicy(inst, cfg)
 }
 
-// startRouter fronts an instance's engine with a running dataplane router
-// when the cluster was configured with one. Any router left from a previous
-// incarnation of the instance is aborted first.
-func (c *Cluster) startRouter(inst *Instance) {
+// startRouter fronts m's current incarnation with a running dataplane
+// router when the cluster was configured with one. Any router left from a
+// previous incarnation is aborted first.
+func (c *Cluster) startRouter(m *member) {
 	if c.dpCfg == nil {
 		return
 	}
-	if old := c.routers[inst.name]; old != nil {
-		old.Abort()
+	if m.router != nil {
+		m.router.Abort()
 	}
 	cfg := *c.dpCfg
 	if cfg.Registry == nil {
 		cfg.Registry = c.reg
 	}
 	if cfg.Actor == "" {
-		cfg.Actor = "dp-" + inst.name
+		cfg.Actor = "dp-" + m.cfg.Name
 	}
-	if cfg.TenantTag == nil && inst.tierd != nil {
+	if cfg.TenantTag == nil && m.inst.tierd != nil {
 		// Tiering: bind each request's tenant to the worker clock so page
 		// touches under it are heat-attributed to that tenant (QoS input).
-		cfg.TenantTag = inst.tierd.Heat().Bind
+		cfg.TenantTag = m.inst.tierd.Heat().Bind
 	}
-	r := dataplane.New(inst.eng, cfg)
-	r.Run()
-	c.routers[inst.name] = r
+	m.router = dataplane.New(m.inst.eng, cfg)
+	m.router.Run()
 }
 
 // Router returns an instance's front-end request router, or nil when the
 // cluster was built without ClusterConfig.Dataplane (or the instance is
 // unknown). The router of a crashed instance is aborted; Recover and
 // Failover install a fresh one.
-func (c *Cluster) Router(name string) *dataplane.Router { return c.routers[name] }
+func (c *Cluster) Router(name string) *dataplane.Router {
+	if m := c.members[name]; m != nil {
+		return m.router
+	}
+	return nil
+}
+
+// restart boots a crashed instance's next incarnation with its buffer pool
+// on leaf through rebuild: recovery.PolarRecv over the surviving region
+// when leaf is unchanged, recovery.Failover over a fresh one otherwise.
+func (c *Cluster) restart(m *member, leaf int, rebuild func(*simclock.Clock, *cxl.HostPort, *simmem.Region, *simcpu.Cache, *wal.Store, *storage.Store, *checkpoint.Area) (*core.CXLPool, *txn.Engine, *recovery.Result, error)) (*Instance, *recovery.Result, error) {
+	inPlace := leaf == m.poolLeaf
+	return c.boot(m, leaf, inPlace, func(inst *Instance, host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache) (res *recovery.Result, err error) {
+		// The checkpoint area is reattached in place, and on Failover when
+		// its box survived, so it bounds redo. One that died with the pool
+		// box is replaced next to the new pool, and redo starts from the
+		// WAL truncation floor.
+		var survived *checkpoint.Area
+		if m.cfg.Checkpoint != nil {
+			reattach := inPlace || !c.topo.BoxFailed(m.ckptLeaf)
+			if !reattach {
+				m.ckptLeaf = leaf
+			}
+			if inst.ckpt, err = m.checkpointArea(inst.clk, host, reattach); err != nil {
+				return nil, err
+			}
+			if reattach {
+				survived = inst.ckpt
+			}
+		}
+		inst.pool, inst.eng, res, err = rebuild(inst.clk, host, region, cache, m.wal, m.store, survived)
+		return res, err
+	})
+}
 
 // Recover restarts a crashed instance with PolarRecv: the surviving CXL
 // buffer pool is scanned, in-flight pages are rebuilt from redo, everything
@@ -551,52 +599,14 @@ func (c *Cluster) Router(name string) *dataplane.Router { return c.routers[name]
 // size, commit pipeline — is re-applied to the recovered engine. Returns
 // the new instance and the recovery report.
 func (c *Cluster) Recover(name string) (*Instance, *recovery.Result, error) {
-	old, ok := c.instances[name]
+	m, ok := c.members[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownInstance, name)
 	}
-	if !old.crashed {
+	if !m.inst.crashed {
 		return nil, nil, fmt.Errorf("%w: instance %q is live", ErrNotCrashed, name)
 	}
-	cfg := c.configs[name]
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = 8 << 20
-	}
-	clk := simclock.NewAt(old.clk.Now())
-	host, err := c.topo.AttachHost(name+"-host", c.hostLeaves[name])
-	if err != nil {
-		return nil, nil, err
-	}
-	region, err := host.ReattachOn(clk, c.placement[name], name)
-	if err != nil {
-		return nil, nil, err
-	}
-	cache := host.NewCache(name, cfg.CacheBytes)
-	var area *checkpoint.Area
-	if cfg.Checkpoint != nil {
-		ckReg, err := host.ReattachAt(clk, c.ckptLeaves[name], name+"-ckpt")
-		if err != nil {
-			return nil, nil, err
-		}
-		if area, err = checkpoint.NewArea(ckReg); err != nil {
-			return nil, nil, err
-		}
-	}
-	pool, eng, res, err := recovery.PolarRecv(clk, host, region, cache, c.wals[name], c.stores[name], area)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Publish(c.reg)
-	inst := &Instance{name: name, cluster: c, clk: clk, pool: pool, eng: eng, ckpt: area}
-	if err := c.applyInstanceOptions(inst, cfg); err != nil {
-		return nil, nil, err
-	}
-	if err := c.applyPolicy(inst, cfg); err != nil {
-		return nil, nil, err
-	}
-	c.instances[name] = inst
-	c.startRouter(inst)
-	return inst, res, nil
+	return c.restart(m, m.poolLeaf, recovery.PolarRecv)
 }
 
 // FailBox simulates whole-memory-box power loss on a leaf: the box's device
@@ -611,9 +621,9 @@ func (c *Cluster) FailBox(leaf int) error {
 		return fmt.Errorf("polarcxlmem: no leaf %d (topology has %d)", leaf, c.topo.Leaves())
 	}
 	c.topo.FailBox(leaf)
-	for name, inst := range c.instances {
-		if c.placement[name] == leaf {
-			inst.Crash()
+	for _, m := range c.members {
+		if m.poolLeaf == leaf {
+			m.inst.Crash()
 		}
 	}
 	return nil
@@ -648,82 +658,24 @@ func (c *Cluster) BoxFailed(leaf int) bool { return c.topo.BoxFailed(leaf) }
 // is healthy (ErrBoxHealthy — use Recover, the pool image survived), or
 // whose Placement pins the pool to a leaf (ErrPlacementPinned).
 func (c *Cluster) Failover(name string) (*Instance, *recovery.Result, error) {
-	old, ok := c.instances[name]
+	m, ok := c.members[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownInstance, name)
 	}
-	if !old.crashed {
+	if !m.inst.crashed {
 		return nil, nil, fmt.Errorf("%w: instance %q is live", ErrNotCrashed, name)
 	}
-	deadLeaf := c.placement[name]
-	if !c.topo.BoxFailed(deadLeaf) {
-		return nil, nil, fmt.Errorf("%w: instance %q's pool box on leaf %d is up; use Recover", ErrBoxHealthy, name, deadLeaf)
+	if !c.topo.BoxFailed(m.poolLeaf) {
+		return nil, nil, fmt.Errorf("%w: instance %q's pool box on leaf %d is up; use Recover", ErrBoxHealthy, name, m.poolLeaf)
 	}
-	cfg := c.configs[name]
-	if cfg.Placement != nil && cfg.Placement.PoolLeaf >= 0 {
-		return nil, nil, fmt.Errorf("%w: instance %q pool is pinned to leaf %d", ErrPlacementPinned, name, cfg.Placement.PoolLeaf)
+	if pl := m.cfg.Placement; pl != nil && pl.PoolLeaf >= 0 {
+		return nil, nil, fmt.Errorf("%w: instance %q pool is pinned to leaf %d", ErrPlacementPinned, name, pl.PoolLeaf)
 	}
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = 8 << 20
-	}
-	size := core.RegionSizeFor(carvedPages(cfg))
-	newLeaf, err := c.place(size)
+	newLeaf, err := c.place(m.regionSize())
 	if err != nil {
 		return nil, nil, err
 	}
-	clk := simclock.NewAt(old.clk.Now())
-	host, err := c.topo.AttachHost(name+"-host", c.hostLeaves[name])
-	if err != nil {
-		return nil, nil, err
-	}
-	region, err := host.AllocateOn(clk, newLeaf, name, size)
-	if err != nil {
-		return nil, nil, err
-	}
-	cache := host.NewCache(name, cfg.CacheBytes)
-	// The checkpoint area either survived on another leaf (bounds redo) or
-	// died with the pool box (fresh area, redo from the truncation floor).
-	var survived, fresh *checkpoint.Area
-	if cfg.Checkpoint != nil {
-		areaLeaf := c.ckptLeaves[name]
-		if !c.topo.BoxFailed(areaLeaf) {
-			ckReg, err := host.ReattachAt(clk, areaLeaf, name+"-ckpt")
-			if err != nil {
-				return nil, nil, err
-			}
-			if survived, err = checkpoint.NewArea(ckReg); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			ckReg, err := host.AllocateAt(clk, newLeaf, name+"-ckpt", checkpoint.AreaSize)
-			if err != nil {
-				return nil, nil, err
-			}
-			if fresh, err = checkpoint.NewArea(ckReg); err != nil {
-				return nil, nil, err
-			}
-			c.ckptLeaves[name] = newLeaf
-		}
-	}
-	pool, eng, res, err := recovery.Failover(clk, host, region, cache, c.wals[name], c.stores[name], survived)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Publish(c.reg)
-	inst := &Instance{name: name, cluster: c, clk: clk, pool: pool, eng: eng, ckpt: survived}
-	if inst.ckpt == nil {
-		inst.ckpt = fresh
-	}
-	if err := c.applyInstanceOptions(inst, cfg); err != nil {
-		return nil, nil, err
-	}
-	if err := c.applyPolicy(inst, cfg); err != nil {
-		return nil, nil, err
-	}
-	c.placement[name] = newLeaf
-	c.instances[name] = inst
-	c.startRouter(inst)
-	return inst, res, nil
+	return c.restart(m, newLeaf, recovery.Failover)
 }
 
 // Topology exposes the cluster's leaf/spine CXL fabric (stats, advanced
@@ -735,8 +687,11 @@ func (c *Cluster) Observer() *obs.Registry { return c.reg }
 
 // PlacementOf reports which switch domain hosts an instance's buffer pool.
 func (c *Cluster) PlacementOf(name string) (int, bool) {
-	i, ok := c.placement[name]
-	return i, ok
+	m, ok := c.members[name]
+	if !ok {
+		return 0, false
+	}
+	return m.poolLeaf, true
 }
 
 // CheckpointLeafOf reports which leaf's box holds an instance's checkpoint
@@ -744,12 +699,20 @@ func (c *Cluster) PlacementOf(name string) (int, bool) {
 // maintenance use it to know which instances lose their bounded-redo
 // guarantee if a given box goes down.
 func (c *Cluster) CheckpointLeafOf(name string) (int, bool) {
-	i, ok := c.ckptLeaves[name]
-	return i, ok
+	m, ok := c.members[name]
+	if !ok || m.cfg.Checkpoint == nil {
+		return 0, false
+	}
+	return m.ckptLeaf, true
 }
 
 // Storage exposes an instance's page-store volume.
-func (c *Cluster) Storage(instance string) *storage.Store { return c.stores[instance] }
+func (c *Cluster) Storage(instance string) *storage.Store {
+	if m := c.members[instance]; m != nil {
+		return m.store
+	}
+	return nil
+}
 
 // Name reports the instance name.
 func (i *Instance) Name() string { return i.name }
@@ -826,7 +789,7 @@ func (i *Instance) Crash() {
 		return
 	}
 	i.crashed = true
-	if r := i.cluster.routers[i.name]; r != nil {
+	if r := i.m.router; r != nil {
 		r.Abort()
 	}
 	i.pool.Crash()

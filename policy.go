@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"polarcxlmem/internal/buffer"
+	"polarcxlmem/internal/core"
 	"polarcxlmem/internal/cxl"
 	"polarcxlmem/internal/tier"
 )
@@ -71,20 +72,19 @@ func (q QuotaPolicy) validate(name string, poolPages int64) error {
 // way as a facade placement failure).
 type CapacityError = buffer.CapacityError
 
-// carvedPages reports the physical CXL carve for a config: MaxPages for an
-// elastic instance, PoolPages for a static one.
-func carvedPages(cfg InstanceConfig) int64 {
-	if cfg.Policy != nil && cfg.Policy.Quota != nil {
-		return cfg.Policy.Quota.MaxPages
+// regionSize is the buffer-pool region's size, sized for the physical CXL
+// carve: MaxPages for an elastic instance, PoolPages for a static one.
+func (m *member) regionSize() int64 {
+	if pol := m.cfg.Policy; pol != nil && pol.Quota != nil {
+		return core.RegionSizeFor(pol.Quota.MaxPages)
 	}
-	return cfg.PoolPages
+	return core.RegionSizeFor(m.cfg.PoolPages)
 }
 
-// applyPolicy wires an instance's tiering/QoS/quota per cfg.Policy — shared
-// by Start, Recover, and Failover so a restarted instance keeps (and
-// re-enforces) the policy and its latest runtime adjustments: the current
-// allotment lives in c.configs[name].PoolPages (updated by Resize) and the
-// current QoS in c.qos[name] (updated by SetQoS).
+// applyPolicy wires an incarnation's tiering/QoS/quota per cfg.Policy, so a
+// restarted instance keeps (and re-enforces) the policy with its latest
+// runtime adjustments: Resize keeps the allotment in cfg.PoolPages and
+// SetQoS the budgets in cfg.Policy.QoS.
 func (c *Cluster) applyPolicy(inst *Instance, cfg InstanceConfig) error {
 	pol := cfg.Policy
 	if pol == nil {
@@ -101,14 +101,9 @@ func (c *Cluster) applyPolicy(inst *Instance, cfg InstanceConfig) error {
 	if pol.Tiering != nil {
 		heat := tier.NewHeat(pol.Tiering.HalfLifeNanos)
 		inst.pool.EnableTiering(heat, cxl.BufferDRAMProfile())
-		d := tier.NewDaemon(heat, inst.pool, *pol.Tiering)
-		if q, ok := c.qos[inst.name]; ok {
-			d.SetQoS(q)
-		} else if pol.QoS != nil {
+		d := tier.NewDaemon(heat, inst.pool, *pol.Tiering, c.reg, inst.name)
+		if pol.QoS != nil {
 			d.SetQoS(*pol.QoS)
-		}
-		if c.reg != nil {
-			d.SetObserver(c.reg, inst.name)
 		}
 		inst.eng.EnableTiering(d)
 		inst.tierd = d
@@ -126,14 +121,14 @@ func (c *Cluster) applyPolicy(inst *Instance, cfg InstanceConfig) error {
 // the hard reservation; re-Start the instance to renegotiate it). The new
 // allotment survives Recover and Failover.
 func (c *Cluster) Resize(name string, pages int64) error {
-	inst, ok := c.instances[name]
+	m, ok := c.members[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownInstance, name)
 	}
-	if err := inst.alive(); err != nil {
+	if err := m.inst.alive(); err != nil {
 		return err
 	}
-	cfg := c.configs[name]
+	cfg := m.cfg
 	if cfg.Policy == nil || cfg.Policy.Quota == nil {
 		return fmt.Errorf("polarcxlmem: instance %q has no Policy.Quota; its allotment is fixed at Start", name)
 	}
@@ -148,11 +143,10 @@ func (c *Cluster) Resize(name string, pages int64) error {
 	if pages > q.MaxPages {
 		return &CapacityError{Tier: "cxl", Requested: pages, Free: q.MaxPages, Unit: "pages"}
 	}
-	if err := inst.pool.SetBlockQuota(inst.clk, pages); err != nil {
+	if err := m.inst.pool.SetBlockQuota(m.inst.clk, pages); err != nil {
 		return fmt.Errorf("polarcxlmem: instance %q resize to %d pages: %w", name, pages, err)
 	}
-	cfg.PoolPages = pages
-	c.configs[name] = cfg
+	m.cfg.PoolPages = pages
 	return nil
 }
 
@@ -160,27 +154,27 @@ func (c *Cluster) Resize(name string, pages int64) error {
 // effect at the next placement tick (over-budget tenants' coldest pages are
 // demoted first) and survives Recover/Failover. Requires Policy.Tiering.
 func (c *Cluster) SetQoS(name string, q tier.QoS) error {
-	inst, ok := c.instances[name]
+	m, ok := c.members[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownInstance, name)
 	}
-	if err := inst.alive(); err != nil {
+	if err := m.inst.alive(); err != nil {
 		return err
 	}
-	if inst.tierd == nil {
+	if m.inst.tierd == nil {
 		return fmt.Errorf("polarcxlmem: instance %q has no Policy.Tiering; QoS has nothing to govern", name)
 	}
-	inst.tierd.SetQoS(q)
-	c.qos[name] = q
+	m.inst.tierd.SetQoS(q)
+	m.cfg.Policy.QoS = &q
 	return nil
 }
 
 // AllotmentOf reports an instance's current CXL allotment in pages (its
 // live quota for elastic instances, PoolPages otherwise).
 func (c *Cluster) AllotmentOf(name string) (int64, bool) {
-	cfg, ok := c.configs[name]
+	m, ok := c.members[name]
 	if !ok {
 		return 0, false
 	}
-	return cfg.PoolPages, true
+	return m.cfg.PoolPages, true
 }

@@ -54,10 +54,7 @@ func NewSharingCluster(cfg SharingConfig, opts ...Option) (*SharingCluster, erro
 	if cfg.MetaSlots <= 0 {
 		cfg.MetaSlots = 4096
 	}
-	var o clusterOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newOptions(opts)
 	clk := simclock.New()
 	flagBytes := int64(cfg.MetaSlots) * 16
 	tc := cxl.TopologyConfig{}
@@ -67,16 +64,7 @@ func NewSharingCluster(cfg SharingConfig, opts ...Option) (*SharingCluster, erro
 	if tc.PoolBytes == 0 {
 		tc.PoolBytes = int64(cfg.DBPPages)*page.Size + int64(cfg.Nodes+1)*flagBytes + 4096
 	}
-	topo := cxl.NewTopology(tc)
-	if o.reg != nil {
-		topo.SetObserver(o.reg)
-	}
-	if o.inj != nil {
-		topo.SetInjector(o.inj)
-		for i := 0; i < topo.Leaves(); i++ {
-			topo.Leaf(i).Box().Device().SetInjector(o.inj)
-		}
-	}
+	topo := o.newTopology(tc)
 	store := storage.New(storage.Config{})
 	// The fusion server and all shared CXL state — the DBP and every node's
 	// flag words — live on leaf 0's memory box; remote-leaf nodes reach them
@@ -86,12 +74,8 @@ func NewSharingCluster(cfg SharingConfig, opts ...Option) (*SharingCluster, erro
 		return nil, err
 	}
 	fusion := dep.Fusion
-	if o.reg != nil {
-		fusion.SetObserver(o.reg)
-	}
-	if o.inj != nil {
-		fusion.SetInjector(o.inj)
-	}
+	fusion.SetObserver(o.reg) // nil for none, as for the injector
+	fusion.SetInjector(o.inj)
 	sc := &SharingCluster{topo: topo, fusion: fusion, store: store, clk: clk}
 	for i := 0; i < cfg.Nodes; i++ {
 		leaf := 0
@@ -102,9 +86,7 @@ func NewSharingCluster(cfg SharingConfig, opts ...Option) (*SharingCluster, erro
 		if err != nil {
 			return nil, err
 		}
-		node := sharing.NewNode(p.Name, fusion, p.Cache, p.Flags)
-		node.SetInterconnect(p.Host.FabricPath())
-		sc.nodes = append(sc.nodes, node)
+		sc.nodes = append(sc.nodes, sc.newNode(p))
 		sc.prims = append(sc.prims, p)
 	}
 	return sc, nil
@@ -135,10 +117,16 @@ func (s *SharingCluster) RejoinPrimary(i int) error {
 	}
 	p := s.prims[i]
 	p.Cache = p.Host.NewCache(name, 8<<20) // fresh LLC slice; the dead one is freed
-	node := sharing.NewNode(name, s.fusion, p.Cache, p.Flags)
-	node.SetInterconnect(p.Host.FabricPath())
-	s.nodes[i] = node
+	s.nodes[i] = s.newNode(p)
 	return nil
+}
+
+// newNode builds primary p's record-level node over the fusion server,
+// charging its coherency-flag accesses to p's fabric route.
+func (s *SharingCluster) newNode(p *sharing.Primary) *sharing.Node {
+	node := sharing.NewNode(p.Name, s.fusion, p.Cache, p.Flags)
+	node.SetInterconnect(p.Host.FabricPath())
+	return node
 }
 
 // Clock exposes the cluster's virtual clock.
