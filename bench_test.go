@@ -70,7 +70,7 @@ func BenchmarkTable3(b *testing.B) { runExperiment(b, "table3") }
 func BenchmarkCXLPoolPointRead(b *testing.B) {
 	store := storage.New(storage.Config{})
 	clk := simclock.New()
-	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(512) + 4096}).AttachHost("h", 0)
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(512) + 4096}, nil).AttachHost("h", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func BenchmarkTieredPoolPointRead(b *testing.B) {
 	clk := simclock.New()
 	nic := rdma.NewNIC("h", 0, 0)
 	remote := buffer.NewRemoteMemory("rm", 4096)
-	pool := buffer.NewTieredPool(store, remote, nic, 24, cxl.BufferDRAMProfile())
+	pool := buffer.NewTieredPool(store, remote, nic, 24, cxl.BufferDRAMProfile(), nil)
 	eng, err := txn.Bootstrap(clk, pool, wal.Attach(wal.NewStore(0, 0)), store)
 	if err != nil {
 		b.Fatal(err)
@@ -129,7 +129,7 @@ func BenchmarkTieredPoolPointRead(b *testing.B) {
 func BenchmarkBTreeInsert(b *testing.B) {
 	store := storage.New(storage.Config{})
 	clk := simclock.New()
-	pool := buffer.NewDRAMPool(store, 8192, cxl.BufferDRAMProfile())
+	pool := buffer.NewDRAMPool(store, 8192, cxl.BufferDRAMProfile(), nil)
 	eng, err := txn.Bootstrap(clk, pool, wal.Attach(wal.NewStore(0, 0)), store)
 	if err != nil {
 		b.Fatal(err)

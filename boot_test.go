@@ -132,3 +132,75 @@ func TestBootPathsRearmPipeline(t *testing.T) {
 		})
 	}
 }
+
+// frameEventCounter is an obs.Checker that only counts frame.* events.
+type frameEventCounter struct{ n int }
+
+func (c *frameEventCounter) Name() string { return "frame-events" }
+func (c *frameEventCounter) OnEvent(ev obs.Event) {
+	if strings.HasPrefix(ev.Type, "frame.") {
+		c.n++
+	}
+}
+func (c *frameEventCounter) Violations() []obs.Violation { return nil }
+func (c *frameEventCounter) Finish() []obs.Violation     { return nil }
+
+// TestObservedFromBoot: a cluster's registry sees an instance's buffer pool
+// from its first frame — the frame.* events of Bootstrap (Start) and of
+// PolarRecv (Recover) reach the default checkers, which find no violation
+// once a write has committed on the recovered instance.
+func TestObservedFromBoot(t *testing.T) {
+	reg := obs.New(obs.Options{})
+	for _, c := range obs.DefaultCheckers() {
+		reg.AddChecker(c)
+	}
+	frames := &frameEventCounter{}
+	reg.AddChecker(frames)
+	cluster, err := NewCluster(ClusterConfig{PoolPages: 256}, WithObserver(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := cluster.Start(InstanceConfig{Name: "db0", PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames.n == 0 {
+		t.Fatal("Start's Bootstrap emitted no frame.* events into the cluster registry")
+	}
+	tbl, err := inst.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := inst.Begin()
+	for k := int64(1); k <= 50; k++ {
+		if err := tx.Insert(tbl, k, []byte(fmt.Sprintf("v-%03d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	inst.Crash()
+	before := frames.n
+	inst2, _, err := cluster.Recover("db0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames.n == before {
+		t.Fatal("Recover's PolarRecv emitted no frame.* events into the cluster registry")
+	}
+	tbl2, err := inst2.OpenTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx = inst2.Begin()
+	if err := tx.Update(tbl2, 7, []byte("after-recover")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range reg.Finish() {
+		t.Errorf("invariant violation [%s]: %s", v.Checker, v.Detail)
+	}
+}

@@ -235,44 +235,38 @@ func (w *chaosWorld) fire(ev fault.ChaosEvent) error {
 	return fmt.Errorf("unknown chaos kind %q", ev.Kind)
 }
 
-// boxCrash powers off the memory box under one instance's pool, fails every
-// instance it hosted over to a surviving leaf, then brings replacement
-// hardware online so at most one box is dead at a time.
+// boxCrash powers off the memory box under one instance's pool, restarts
+// every instance that lost state there — Failover to a surviving leaf when
+// its pool lived on the box, Recover over a fresh checkpoint area when only
+// its remote area did — then brings replacement hardware online so at most
+// one box is dead at a time.
 func (w *chaosWorld) boxCrash(ev fault.ChaosEvent) error {
 	victim := chaosNames[ev.Arg%2]
 	leaf, ok := w.cluster.PlacementOf(victim)
 	if !ok || w.cluster.BoxFailed(leaf) {
 		return nil
 	}
-	// Skip schedules that would kill a LIVE instance's remote checkpoint
-	// area: its checkpointer tick would fail every commit with no failover
-	// path (its pool box is healthy). Area loss is still exercised whenever
-	// pool and area share the dying leaf.
-	for _, n := range chaosNames {
-		if pl, _ := w.cluster.PlacementOf(n); pl != leaf {
-			if cl, ok := w.cluster.CheckpointLeafOf(n); ok && cl == leaf {
-				return nil
-			}
-		}
-	}
 	if err := w.cluster.FailBox(leaf); err != nil {
 		return fmt.Errorf("fail box %d: %w", leaf, err)
 	}
 	for _, n := range chaosNames {
-		pl, _ := w.cluster.PlacementOf(n)
-		if pl != leaf {
-			continue
+		restart, how := w.cluster.Failover, "failover"
+		if pl, _ := w.cluster.PlacementOf(n); pl != leaf {
+			if cl, ok := w.cluster.CheckpointLeafOf(n); !ok || cl != leaf {
+				continue
+			}
+			restart, how = w.cluster.Recover, "recover"
 		}
 		w.preHeal(n)
-		inst, _, err := w.cluster.Failover(n)
+		inst, _, err := restart(n)
 		if err != nil {
-			return fmt.Errorf("%s: failover off leaf %d: %w", n, leaf, err)
+			return fmt.Errorf("%s: %s after box %d failed: %w", n, how, leaf, err)
 		}
 		if np, _ := w.cluster.PlacementOf(n); np == leaf {
-			return fmt.Errorf("%s: failover left instance on dead leaf %d", n, leaf)
+			return fmt.Errorf("%s: %s left instance on dead leaf %d", n, how, leaf)
 		}
 		if rep := inst.Pool().Fsck(); !rep.OK() {
-			return fmt.Errorf("%s: post-failover fsck: %v", n, rep.Problems)
+			return fmt.Errorf("%s: post-%s fsck: %v", n, how, rep.Problems)
 		}
 		if err := w.reopen(n, inst); err != nil {
 			return err

@@ -64,15 +64,14 @@ func main() {
 	} else {
 		ids = args
 	}
-	cfg := bench.Config{Quick: *quick, OutDir: *outDir}
 	var reg *obs.Registry
 	if *metricsPath != "" || *tracePath != "" {
 		reg = obs.New(obs.Options{})
 		for _, c := range obs.DefaultCheckers() {
 			reg.AddChecker(c)
 		}
-		bench.SetObserver(reg)
 	}
+	cfg := bench.Config{Quick: *quick, OutDir: *outDir, Registry: reg}
 	for _, id := range ids {
 		e, ok := bench.ByID(id)
 		if !ok {

@@ -22,7 +22,7 @@ import (
 func main() {
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 256*page.Size + 1<<20})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 256*page.Size + 1<<20}, nil)
 	dep, err := sharing.NewDeployment(clk, topo, "fusion", 192, store)
 	if err != nil {
 		log.Fatal(err)

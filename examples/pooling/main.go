@@ -70,12 +70,12 @@ func main() {
 	rdmaDemand := buildAndMeasure("RDMA (LBP-30%)", func(store *storage.Store, clk *simclock.Clock) (buffer.Pool, func() int64) {
 		nic := rdma.NewNIC("host0", 0, 0)
 		remote := buffer.NewRemoteMemory("remote", 4096)
-		pool := buffer.NewTieredPool(store, remote, nic, 24, cxl.BufferDRAMProfile())
+		pool := buffer.NewTieredPool(store, remote, nic, 24, cxl.BufferDRAMProfile(), nil)
 		return pool, func() int64 { return nic.Bandwidth().Stats().Units }
 	})
 
 	cxlDemand := buildAndMeasure("PolarCXLMem", func(store *storage.Store, clk *simclock.Clock) (buffer.Pool, func() int64) {
-		host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(4096)}).AttachHost("host0", 0)
+		host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(4096)}, nil).AttachHost("host0", 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func main() {
 		store := storage.New(storage.Config{})
 		ws := wal.NewStore(0, 0)
 		clk := simclock.New()
-		pool := buffer.NewDRAMPool(store, 2048, cxl.BufferDRAMProfile())
+		pool := buffer.NewDRAMPool(store, 2048, cxl.BufferDRAMProfile(), nil)
 		eng, err := txn.Bootstrap(clk, pool, wal.Attach(ws), store)
 		if err != nil {
 			log.Fatal(err)
@@ -56,7 +56,7 @@ func main() {
 			log.Fatal(err)
 		}
 		clk2 := simclock.NewAt(clk.Now())
-		_, res, err := recovery.Recover(clk2, "vanilla", buffer.NewDRAMPool(store, 2048, cxl.BufferDRAMProfile()), ws, store)
+		_, res, err := recovery.Recover(clk2, "vanilla", buffer.NewDRAMPool(store, 2048, cxl.BufferDRAMProfile(), nil), ws, store)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func main() {
 		ws := wal.NewStore(0, 0)
 		clk := simclock.New()
 		remote := buffer.NewRemoteMemory("remote", 4096)
-		pool := buffer.NewTieredPool(store, remote, rdma.NewNIC("h0", 0, 0), 48, cxl.BufferDRAMProfile())
+		pool := buffer.NewTieredPool(store, remote, rdma.NewNIC("h0", 0, 0), 48, cxl.BufferDRAMProfile(), nil)
 		eng, err := txn.Bootstrap(clk, pool, wal.Attach(ws), store)
 		if err != nil {
 			log.Fatal(err)
@@ -79,7 +79,7 @@ func main() {
 			log.Fatal(err)
 		}
 		clk2 := simclock.NewAt(clk.Now())
-		pool2 := buffer.NewTieredPool(store, remote, rdma.NewNIC("h0r", 0, 0), 48, cxl.BufferDRAMProfile())
+		pool2 := buffer.NewTieredPool(store, remote, rdma.NewNIC("h0r", 0, 0), 48, cxl.BufferDRAMProfile(), nil)
 		_, res, err := recovery.Recover(clk2, "rdma", pool2, ws, store)
 		if err != nil {
 			log.Fatal(err)
@@ -93,7 +93,7 @@ func main() {
 		store := storage.New(storage.Config{})
 		ws := wal.NewStore(0, 0)
 		clk := simclock.New()
-		topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(2048) + 4096})
+		topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(2048) + 4096}, nil)
 		host, err := topo.AttachHost("h0", 0)
 		if err != nil {
 			log.Fatal(err)

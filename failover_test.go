@@ -365,6 +365,107 @@ func TestFailoverCheckpointAreaDiedWithBox(t *testing.T) {
 	}
 }
 
+// TestRecoverAfterCheckpointLeafFails: the box holding an instance's remote
+// checkpoint area dies while its pool's box lives. FailBox crashes the
+// instance, Failover refuses (the pool image survived), and Recover runs
+// PolarRecv in place over a fresh area next to the pool, redoing from the
+// WAL truncation floor: committed data is intact, Fsck is clean, and the
+// instance commits and checkpoints again.
+func TestRecoverAfterCheckpointLeafFails(t *testing.T) {
+	cluster, err := NewCluster(ClusterConfig{PoolPages: 256, Pools: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := cluster.Start(InstanceConfig{
+		Name:      "db0",
+		PoolPages: 128,
+		Placement: &Placement{HostLeaf: 0, PoolLeaf: 0, CheckpointLeaf: 1},
+		Checkpoint: &checkpoint.Policy{
+			IntervalNanos: 50 * simclock.Microsecond, DirtyWatermark: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := inst.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 200; r++ {
+		tx := inst.Begin()
+		k, v := int64(r%32), []byte(fmt.Sprintf("round-%05d", r))
+		if r < 32 {
+			err = tx.Insert(tbl, k, v)
+		} else {
+			err = tx.Update(tbl, k, v)
+		}
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit round %d: %v", r, err)
+		}
+	}
+	if inst.CheckpointArea().LSN() == 0 {
+		t.Fatal("no checkpoint published; test underpowered")
+	}
+	if inst.Engine().Log().Store().TruncatedBefore() <= 1 {
+		t.Fatal("WAL never truncated; test underpowered")
+	}
+
+	if err := cluster.FailBox(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.CreateTable("t2"); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("op after its checkpoint box failed: %v, want ErrCrashed", err)
+	}
+	if _, _, err := cluster.Failover("db0"); !errors.Is(err, ErrBoxHealthy) {
+		t.Fatalf("Failover with the pool box up: %v, want ErrBoxHealthy", err)
+	}
+	inst2, res, err := cluster.Recover("db0")
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if res.Scheme != "polarrecv" || res.PagesTrusted == 0 {
+		t.Fatalf("recovery %q trusted %d pages, want an in-place PolarRecv", res.Scheme, res.PagesTrusted)
+	}
+	if cl, _ := cluster.CheckpointLeafOf("db0"); cl != 0 {
+		t.Fatalf("fresh checkpoint area on leaf %d, want the pool's leaf 0", cl)
+	}
+	if rep := inst2.Pool().Fsck(); !rep.OK() {
+		t.Fatalf("post-recover Fsck: %v", rep.Problems)
+	}
+	tbl2, err := inst2.OpenTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := inst2.Begin()
+	for k := int64(0); k < 32; k++ {
+		last := 160 + k // the newest of rounds k, k+32, ... below 200
+		if k < 8 {
+			last += 32
+		}
+		v, err := tx.Get(tbl2, k)
+		if want := fmt.Sprintf("round-%05d", last); err != nil || string(v) != want {
+			t.Fatalf("Get(%d) after recover = %q, %v; want %q", k, v, err, want)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for r := 200; r < 400; r++ {
+		tx := inst2.Begin()
+		if err := tx.Update(tbl2, int64(r%32), []byte(fmt.Sprintf("round-%05d", r))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit round %d after recover: %v", r, err)
+		}
+	}
+	if inst2.CheckpointArea().LSN() == 0 {
+		t.Fatal("fresh checkpoint area never published after recover")
+	}
+}
+
 // TestFabricUnreachableSurfacesAtFacade: a sticky trunk failure makes a
 // cross-leaf instance's bulk transfers fail with the re-exported
 // ErrFabricUnreachable (typed, errors.Is-able), and trunk restoration heals

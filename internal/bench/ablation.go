@@ -200,7 +200,7 @@ func runAblateTier(cfg Config) ([]*Table, error) {
 		Headers: []string{"design", "CXL bytes/op", "per-op virtual us", "K-QPS @12 inst (48 thr)"}}
 
 	// Direct (PolarCXLMem).
-	direct, err := newPoolingRig(PoolCXL, 1, rows, 0)
+	direct, err := newPoolingRig(cfg, PoolCXL, 1, rows, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +214,7 @@ func runAblateTier(cfg Config) ([]*Table, error) {
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
 	pages := estimatePages(1, rows)
-	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(pages*4+64) * page.Size}).AttachHost("h0", 0)
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(pages*4+64) * page.Size}, nil).AttachHost("h0", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +281,7 @@ func runAblateMeta(cfg Config) ([]*Table, error) {
 	t := &Table{ID: "ablate-meta", Title: "Recovery with vs without CXL-resident metadata",
 		Headers: []string{"variant", "recovery virtual ms", "pages reused", "pages rebuilt", "warm pages after"}}
 
-	build := func() (*poolingRig, error) { return newPoolingRig(PoolCXL, 1, rows, 0) }
+	build := func() (*poolingRig, error) { return newPoolingRig(cfg, PoolCXL, 1, rows, 0) }
 
 	// Variant A: PolarRecv (metadata in CXL).
 	{
@@ -309,7 +309,7 @@ func runAblateMeta(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Publish(observer())
+		res.Publish(cfg.Registry)
 		t.AddRow("metadata in CXL (PolarRecv)", f2(float64(res.Nanos())/1e6),
 			fmt.Sprintf("%d", res.PagesTrusted), fmt.Sprintf("%d", res.PagesRebuilt),
 			fmt.Sprintf("%d", res.WarmPages))
@@ -333,12 +333,12 @@ func runAblateMeta(cfg Config) ([]*Table, error) {
 		tx.Commit()
 		rig.cpool.Crash()
 		clk2 := simclock.NewAt(rig.clk.Now())
-		pool2 := buffer.NewDRAMPool(rig.store, rig.datasetPages*2+64, cxl.BufferDRAMProfile())
+		pool2 := buffer.NewDRAMPool(rig.store, rig.datasetPages*2+64, cxl.BufferDRAMProfile(), nil)
 		_, res, err := recovery.Recover(clk2, "dram-metadata", pool2, rig.ws, rig.store)
 		if err != nil {
 			return nil, err
 		}
-		res.Publish(observer())
+		res.Publish(cfg.Registry)
 		t.AddRow("metadata in DRAM (full redo)", f2(float64(res.Nanos())/1e6),
 			"0", fmt.Sprintf("%d", res.PagesRebuilt), fmt.Sprintf("%d", res.WarmPages))
 	}
@@ -364,7 +364,7 @@ func runAblateSync(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rig, err := newCXLSharingRig(store, clk, 16, 2, false)
+		rig, err := newCXLSharingRig(cfg.Registry, store, clk, 16, 2, false)
 		if err != nil {
 			return nil, err
 		}

@@ -14,25 +14,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"polarcxlmem/internal/obs"
 )
-
-// obsReg, when set, is threaded through every rig an experiment builds:
-// substrate devices, RPC fabrics, frame tables, the sharing protocol, and
-// recovery all register their metrics there, and the trace-backed invariant
-// checkers see the full event stream. Package-level because experiments
-// construct their rigs internally.
-var obsReg atomic.Pointer[obs.Registry]
-
-// SetObserver installs (or, with nil, removes) the registry every
-// subsequently built rig reports into; the experiments publish each
-// recovery pass's Result there too.
-func SetObserver(reg *obs.Registry) { obsReg.Store(reg) }
-
-// observer reads the installed registry (nil when unset).
-func observer() *obs.Registry { return obsReg.Load() }
 
 // Table is one experiment's printable output.
 type Table struct {
@@ -119,9 +103,14 @@ type Experiment struct {
 // for unit-test latency; the full size is the default for the CLI. OutDir,
 // when set, is where the experiments with a JSON document (commit, fabric,
 // dataplane, tiering) write their BENCH_*.json; when empty they write none.
+// Registry (nil for none) is handed to the rigs an experiment builds as
+// they are constructed: substrate devices, RPC fabrics, frame tables, the
+// sharing protocol, and recovery all report there, and the trace-backed
+// invariant checkers see the full event stream.
 type Config struct {
-	Quick  bool
-	OutDir string
+	Quick    bool
+	OutDir   string
+	Registry *obs.Registry
 }
 
 // writeJSON writes doc as indented JSON to name under c.OutDir and returns

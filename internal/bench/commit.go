@@ -68,8 +68,7 @@ func runCommitPoint(cfg Config, committers int, group bool) (CommitPoint, error)
 	blocks := int64(estimatePages(1, rows)*2 + 64)
 
 	clk := simclock.New()
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(blocks) + 4096})
-	topo.SetObserver(observer())
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(blocks) + 4096}, cfg.Registry)
 	host, err := topo.AttachHost("host0", 0)
 	if err != nil {
 		return CommitPoint{}, err
@@ -84,7 +83,6 @@ func runCommitPoint(cfg Config, committers int, group bool) (CommitPoint, error)
 	if err != nil {
 		return CommitPoint{}, err
 	}
-	pool.SetObserver(observer())
 	ws := wal.NewStore(0, 0)
 	eng, err := txn.Bootstrap(clk, pool, wal.Attach(ws), store)
 	if err != nil {

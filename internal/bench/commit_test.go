@@ -15,10 +15,7 @@ func TestCommitScalingGroupBeatsPerTxn(t *testing.T) {
 	for _, c := range obs.DefaultCheckers() {
 		reg.AddChecker(c)
 	}
-	SetObserver(reg)
-	defer SetObserver(nil)
-
-	cfg := Config{Quick: true}
+	cfg := Config{Quick: true, Registry: reg}
 	per, err := runCommitPoint(cfg, 16, false)
 	if err != nil {
 		t.Fatal(err)

@@ -45,11 +45,10 @@ type dpRig struct {
 	tr  *btree.Tree
 }
 
-func newDPRig() (*dpRig, error) {
+func newDPRig(cfg Config) (*dpRig, error) {
 	blocks := int64(estimatePages(1, dpRows)*2 + 64)
 	clk := simclock.New()
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(blocks) + 4096})
-	topo.SetObserver(observer())
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(blocks) + 4096}, cfg.Registry)
 	host, err := topo.AttachHost("host0", 0)
 	if err != nil {
 		return nil, err
@@ -64,7 +63,6 @@ func newDPRig() (*dpRig, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool.SetObserver(observer())
 	eng, err := txn.Bootstrap(clk, pool, wal.Attach(wal.NewStore(0, 0)), store)
 	if err != nil {
 		return nil, err
@@ -186,7 +184,7 @@ type DPSessionsResult struct {
 // runDPSessions routes traffic from a (quick: 200k, full: 1.25M)-session
 // table through the router with tenant admission armed.
 func runDPSessions(cfg Config) (DPSessionsResult, error) {
-	rig, err := newDPRig()
+	rig, err := newDPRig(cfg)
 	if err != nil {
 		return DPSessionsResult{}, err
 	}
@@ -268,7 +266,7 @@ type DPAblationPoint struct {
 
 // runDPAblation reruns identical traffic at each batch size, 16 workers.
 func runDPAblation(cfg Config, batch int) (DPAblationPoint, error) {
-	rig, err := newDPRig()
+	rig, err := newDPRig(cfg)
 	if err != nil {
 		return DPAblationPoint{}, err
 	}

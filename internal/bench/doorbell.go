@@ -35,7 +35,7 @@ func runDoorbell(cfg Config) ([]*Table, error) {
 	}
 	verbNs := float64(clk.Now()) / probes
 
-	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 1 << 22}).AttachHost("h", 0)
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 1 << 22}, nil).AttachHost("h", 0)
 	if err != nil {
 		return nil, err
 	}

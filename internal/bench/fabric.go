@@ -102,12 +102,11 @@ type fabricRig struct {
 	cross []bool
 }
 
-func buildFabricRig(hosts, crossPct int) (*fabricRig, error) {
+func buildFabricRig(reg *obs.Registry, hosts, crossPct int) (*fabricRig, error) {
 	topo := cxl.NewTopology(cxl.TopologyConfig{
 		Leaves:    fabricLeaves,
 		PoolBytes: 512 << 20,
-	})
-	topo.SetObserver(observer())
+	}, reg)
 	clk := simclock.New()
 	r := &fabricRig{topo: topo}
 	perLeaf := (hosts + fabricLeaves - 1) / fabricLeaves
@@ -242,7 +241,7 @@ func runFabric(cfg Config) ([]*Table, error) {
 	}
 	var scaling []FabricPoint
 	for _, hosts := range []int{8, 32, 128} {
-		rig, err := buildFabricRig(hosts, 0)
+		rig, err := buildFabricRig(cfg.Registry, hosts, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +268,7 @@ func runFabric(cfg Config) ([]*Table, error) {
 	}
 	var ablation []FabricAblation
 	for _, crossPct := range []int{0, 25, 50, 100} {
-		rig, err := buildFabricRig(fabricAblationN, crossPct)
+		rig, err := buildFabricRig(cfg.Registry, fabricAblationN, crossPct)
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +312,7 @@ func runFabric(cfg Config) ([]*Table, error) {
 		Title:   "Degraded trunk: all-cross throughput healthy vs degraded vs post-probation",
 		Headers: []string{"phase", "agg GB/s", "cross-host GB/s", "slowdown", "uplink util", "degraded xfers"},
 	}
-	degraded, err := runDegradedTrunk(rounds, degT)
+	degraded, err := runDegradedTrunk(cfg.Registry, rounds, degT)
 	if err != nil {
 		return nil, err
 	}
@@ -345,11 +344,10 @@ func runFabric(cfg Config) ([]*Table, error) {
 // cxl.fabric.degraded.trunk), and restored through probation — proving
 // degradation is a bandwidth brown-out, not an outage, and that restore
 // recovers the healthy throughput exactly.
-func runDegradedTrunk(rounds int, tbl *Table) ([]*FabricDegraded, error) {
+func runDegradedTrunk(reg *obs.Registry, rounds int, tbl *Table) ([]*FabricDegraded, error) {
 	const degradedHosts = 8
 	// The degraded-traversal counter needs a registry even when the bench
 	// runs without -metrics: fall back to a local one.
-	reg := observer()
 	if reg == nil {
 		reg = obs.New(obs.Options{})
 	}
@@ -359,11 +357,10 @@ func runDegradedTrunk(rounds int, tbl *Table) ([]*FabricDegraded, error) {
 	var out []*FabricDegraded
 	var healthyAgg float64
 	for _, phase := range []string{"healthy", "degraded", "post-probation"} {
-		rig, err := buildFabricRig(degradedHosts, 100)
+		rig, err := buildFabricRig(reg, degradedHosts, 100)
 		if err != nil {
 			return nil, err
 		}
-		rig.topo.SetObserver(reg)
 		switch phase {
 		case "degraded":
 			for i := 0; i < rig.topo.Leaves(); i++ {

@@ -31,14 +31,12 @@ func runMPCrash(cfg Config) ([]*Table, error) {
 	// Rig: fusion server with a CXL-durable lock table and an RPC retry
 	// policy — the full robustness configuration.
 	dbpPages := hotPages + 8
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17) + int64(dbpPages)*8 + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17) + int64(dbpPages)*8 + 4096}, cfg.Registry)
 	dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		return nil, err
 	}
 	fusion := dep.Fusion
-	topo.SetObserver(observer())
-	fusion.SetObserver(observer())
 	lockTab, err := dep.Host.Allocate(clk, "lock-table", int64(dbpPages)*8)
 	if err != nil {
 		return nil, err

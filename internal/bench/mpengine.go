@@ -44,7 +44,7 @@ func newMPEngineRig(cfg Config, isCXL bool, nodes int, rowsPerTable int64) (*mpE
 	dbpPages := int(rowsPerTable/40+64) * (nodes + 1)
 
 	if isCXL {
-		topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nodes+1)*(1<<18)})
+		topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nodes+1)*(1<<18)}, nil)
 		dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 		if err != nil {
 			return nil, err
@@ -72,7 +72,7 @@ func newMPEngineRig(cfg Config, isCXL bool, nodes int, rowsPerTable int64) (*mpE
 			nic := rdma.NewNIC(name, 0, 0)
 			r.nics = append(r.nics, nic)
 			lbp := int(rowsPerTable/40)*30/100 + 8 // LBP-30% of a table
-			pool := sharing.NewRDMASharedPool(name, r.rfusion, nic, lbp)
+			pool := sharing.NewRDMASharedPool(name, r.rfusion, nic, lbp, nil)
 			if i == 0 {
 				eng, err = txn.Bootstrap(clk, pool, log, store)
 			} else {

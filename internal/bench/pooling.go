@@ -39,7 +39,7 @@ func runTable1(cfg Config) ([]*Table, error) {
 		{"CXL w. switch", cxl.SwitchProfile(), cxl.SwitchRemoteProfile(), 549, 651},
 	}
 	measure := func(p simmem.Profile) (int64, error) {
-		dev := simmem.NewDevice("probe", 4096, p, nil)
+		dev := simmem.NewDevice("probe", 4096, p, nil, nil)
 		clk := simclock.New()
 		if _, err := dev.WholeRegion().Load64(clk, 0); err != nil {
 			return 0, err
@@ -70,7 +70,7 @@ func runTable2(cfg Config) ([]*Table, error) {
 	t := &Table{ID: "table2", Title: "Data transfer latency (us): write = local->remote, read = remote->local",
 		Headers: []string{"size", "RDMA write", "CXL write", "RDMA read", "CXL read"}}
 	pool := rdma.NewPool("probe", 1<<20)
-	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 1 << 20}).AttachHost("probe", 0)
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 1 << 20}, nil).AttachHost("probe", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func runFig1(cfg Config) ([]*Table, error) {
 		t := &Table{ID: "fig1", Title: "LBP size sweep, Sysbench " + wl.name + " (1 instance, 16 vCPU)",
 			Headers: []string{"LBP size", "throughput (K-QPS)", "RDMA bandwidth (GB/s)"}}
 		for _, frac := range fracs {
-			rig, err := newPoolingRig(PoolTiered, 1, rows, frac)
+			rig, err := newPoolingRig(cfg, PoolTiered, 1, rows, frac)
 			if err != nil {
 				return nil, err
 			}
@@ -205,7 +205,7 @@ func runFig3(cfg Config) ([]*Table, error) {
 	for _, w := range wls {
 		var systems []sweepSystem
 		for _, kind := range []PoolKind{PoolDRAM, PoolCXL} {
-			rig, err := newPoolingRig(kind, 1, rows, 0)
+			rig, err := newPoolingRig(cfg, kind, 1, rows, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -233,7 +233,7 @@ func poolingCompare(cfg Config, mix func(r *poolingRig, rng *rand.Rand) func() e
 	meas := cfg.ops(1000, 8000)
 	var systems []sweepSystem
 	for _, k := range []PoolKind{PoolTiered, PoolCXL} {
-		rig, err := newPoolingRig(k, 1, rows, 0.30)
+		rig, err := newPoolingRig(cfg, k, 1, rows, 0.30)
 		if err != nil {
 			return nil, err
 		}

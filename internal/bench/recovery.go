@@ -49,7 +49,7 @@ func runTimeline(cfg Config, kind PoolKind, wl string) (*fig10Run, error) {
 	postBuckets := cfg.ops(6, 16)
 	checkpointAfter := preBuckets / 2
 
-	rig, err := newPoolingRig(kind, 1, rows, 0.30)
+	rig, err := newPoolingRig(cfg, kind, 1, rows, 0.30)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func runTimeline(cfg Config, kind PoolKind, wl string) (*fig10Run, error) {
 		if lbp < 8 {
 			lbp = 8
 		}
-		pool2 := buffer.NewTieredPool(rig.store, rig.rem, nic2, lbp, cxl.BufferDRAMProfile())
+		pool2 := buffer.NewTieredPool(rig.store, rig.rem, nic2, lbp, cxl.BufferDRAMProfile(), nil)
 		e, r, rerr := recovery.Recover(clk2, "rdma", pool2, rig.ws, rig.store)
 		if rerr != nil {
 			return nil, rerr
@@ -137,7 +137,7 @@ func runTimeline(cfg Config, kind PoolKind, wl string) (*fig10Run, error) {
 		rig.pool, rig.nic = pool2, nic2
 		eng2, res = e, r
 	default: // vanilla
-		pool2 := buffer.NewDRAMPool(rig.store, rig.datasetPages*2+64, cxl.BufferDRAMProfile())
+		pool2 := buffer.NewDRAMPool(rig.store, rig.datasetPages*2+64, cxl.BufferDRAMProfile(), nil)
 		e, r, rerr := recovery.Recover(clk2, "vanilla", pool2, rig.ws, rig.store)
 		if rerr != nil {
 			return nil, rerr
@@ -145,7 +145,7 @@ func runTimeline(cfg Config, kind PoolKind, wl string) (*fig10Run, error) {
 		rig.pool = pool2
 		eng2, res = e, r
 	}
-	res.Publish(observer())
+	res.Publish(cfg.Registry)
 	run.recoverySec = float64(res.Nanos()) / 1e9
 	run.points = append(run.points, timelinePoint{t: float64(clk2.Now()-start) / 1e9, x: 0})
 

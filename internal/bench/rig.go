@@ -67,7 +67,7 @@ func estimatePages(tables int, rows int64) int {
 
 // newPoolingRig builds the rig. lbpFrac applies to PoolTiered: the local
 // buffer pool size as a fraction of the dataset (the paper's LBP-X%).
-func newPoolingRig(kind PoolKind, tables int, rows int64, lbpFrac float64) (*poolingRig, error) {
+func newPoolingRig(cfg Config, kind PoolKind, tables int, rows int64, lbpFrac float64) (*poolingRig, error) {
 	r := &poolingRig{kind: kind, clk: simclock.New()}
 	r.store = storage.New(storage.Config{})
 	r.ws = wal.NewStore(0, 0)
@@ -76,9 +76,7 @@ func newPoolingRig(kind PoolKind, tables int, rows int64, lbpFrac float64) (*poo
 
 	switch kind {
 	case PoolDRAM:
-		p := buffer.NewDRAMPool(r.store, capPages, cxl.BufferDRAMProfile())
-		p.SetObserver(observer())
-		r.pool = p
+		r.pool = buffer.NewDRAMPool(r.store, capPages, cxl.BufferDRAMProfile(), cfg.Registry)
 	case PoolTiered:
 		r.nic = rdma.NewNIC("host0", 0, 0)
 		r.rem = buffer.NewRemoteMemory("remote", capPages)
@@ -86,12 +84,9 @@ func newPoolingRig(kind PoolKind, tables int, rows int64, lbpFrac float64) (*poo
 		if lbp < 8 {
 			lbp = 8
 		}
-		p := buffer.NewTieredPool(r.store, r.rem, r.nic, lbp, cxl.BufferDRAMProfile())
-		p.SetObserver(observer())
-		r.pool = p
+		r.pool = buffer.NewTieredPool(r.store, r.rem, r.nic, lbp, cxl.BufferDRAMProfile(), cfg.Registry)
 	case PoolCXL:
-		topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(int64(capPages)) + 4096})
-		topo.SetObserver(observer())
+		topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(int64(capPages)) + 4096}, cfg.Registry)
 		host, err := topo.AttachHost("host0", 0)
 		if err != nil {
 			return nil, err
@@ -109,7 +104,6 @@ func newPoolingRig(kind PoolKind, tables int, rows int64, lbpFrac float64) (*poo
 		if err != nil {
 			return nil, err
 		}
-		pool.SetObserver(observer())
 		r.cpool = pool
 		r.pool = pool
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"polarcxlmem/internal/cxl"
+	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/perf"
 	"polarcxlmem/internal/rdma"
@@ -55,16 +56,15 @@ func (r *shRig) nodes() int {
 // newCXLSharingRig builds nnodes CXL nodes over one fusion server with a
 // DBP of dbpPages. coherent puts every node cache in one simcpu.Domain —
 // the CXL 3.0 projection, where the nodes run the hardware-coherent regime.
-func newCXLSharingRig(store *storage.Store, clk *simclock.Clock, dbpPages, nnodes int, coherent bool) (*shRig, error) {
+// reg (nil for none) instruments the fabric and the fusion server.
+func newCXLSharingRig(reg *obs.Registry, store *storage.Store, clk *simclock.Clock, dbpPages, nnodes int, coherent bool) (*shRig, error) {
 	r := &shRig{isCXL: true, store: store, clk: clk}
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17)})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes+1)*(1<<17)}, reg)
 	dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		return nil, err
 	}
 	r.dep = dep
-	topo.SetObserver(observer())
-	dep.Fusion.SetObserver(observer())
 	var dom *simcpu.Domain
 	name := "node-%d"
 	if coherent {
@@ -249,7 +249,7 @@ func sharingPoint(cfg Config, system string, nodes, pagesPerGroup, sharedPct int
 	totalPages := (nodes + 1) * pagesPerGroup
 	var rig *shRig
 	if system != "rdma" {
-		rig, err = newCXLSharingRig(store, clk, totalPages+8, nodes, system == "cxl3")
+		rig, err = newCXLSharingRig(cfg.Registry, store, clk, totalPages+8, nodes, system == "cxl3")
 	} else {
 		accessed := 2 * pagesPerGroup // private group + shared group
 		lbp := int(float64(accessed) * lbpFrac)
@@ -369,7 +369,7 @@ func runTable3(cfg Config) ([]*Table, error) {
 		var err error
 		build := func(dbpPages, lbpPages int) error {
 			if system == "cxl" {
-				rig, err = newCXLSharingRig(store, clk, dbpPages, nodes, false)
+				rig, err = newCXLSharingRig(cfg.Registry, store, clk, dbpPages, nodes, false)
 			} else {
 				rig, err = newRDMASharingRig(store, clk, dbpPages, nodes, lbpPages)
 			}

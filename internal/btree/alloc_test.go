@@ -16,7 +16,7 @@ import (
 // blocks, read through a CPU cache of cacheBytes.
 func newCXLEnv(t testing.TB, nblocks, cacheBytes int64) *env {
 	t.Helper()
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(nblocks) + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(nblocks) + 4096}, nil)
 	host, err := topo.AttachHost("host0", 0)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func newEnv(t *testing.T, capacityPages int) *env {
 	t.Helper()
 	store := storage.New(storage.Config{})
 	return &env{
-		pool:  buffer.NewDRAMPool(store, capacityPages, cxl.DRAMProfile()),
+		pool:  buffer.NewDRAMPool(store, capacityPages, cxl.DRAMProfile(), nil),
 		log:   wal.Attach(wal.NewStore(0, 0)),
 		ids:   &mtr.IDGen{},
 		clk:   simclock.New(),

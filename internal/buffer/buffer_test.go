@@ -33,7 +33,7 @@ func seedPage(t *testing.T, store *storage.Store, key int64, val string) uint64 
 func TestDRAMPoolHitMiss(t *testing.T) {
 	store := storage.New(storage.Config{})
 	id := seedPage(t, store, 42, "value")
-	p := NewDRAMPool(store, 4, cxl.DRAMProfile())
+	p := NewDRAMPool(store, 4, cxl.DRAMProfile(), nil)
 	clk := simclock.New()
 
 	f, err := p.Get(clk, id, Read)
@@ -72,7 +72,7 @@ func TestDRAMPoolEvictionWritesDirty(t *testing.T) {
 	for i := range ids {
 		ids[i] = seedPage(t, store, int64(i), "orig")
 	}
-	p := NewDRAMPool(store, 2, cxl.DRAMProfile())
+	p := NewDRAMPool(store, 2, cxl.DRAMProfile(), nil)
 	clk := simclock.New()
 
 	f, err := p.Get(clk, ids[0], Write)
@@ -110,7 +110,7 @@ func TestDRAMPoolAllPinned(t *testing.T) {
 	store := storage.New(storage.Config{})
 	a := seedPage(t, store, 1, "a")
 	b := seedPage(t, store, 2, "b")
-	p := NewDRAMPool(store, 1, cxl.DRAMProfile())
+	p := NewDRAMPool(store, 1, cxl.DRAMProfile(), nil)
 	clk := simclock.New()
 	f, err := p.Get(clk, a, Read)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestDRAMPoolAllPinned(t *testing.T) {
 func TestFrameDoubleReleaseAndBounds(t *testing.T) {
 	store := storage.New(storage.Config{})
 	id := seedPage(t, store, 1, "x")
-	p := NewDRAMPool(store, 2, cxl.DRAMProfile())
+	p := NewDRAMPool(store, 2, cxl.DRAMProfile(), nil)
 	clk := simclock.New()
 	f, _ := p.Get(clk, id, Write)
 	if err := readAt(f, page.Size-2, make([]byte, 8)); err == nil {
@@ -152,7 +152,7 @@ func TestFrameDoubleReleaseAndBounds(t *testing.T) {
 
 func TestNewPageAndFlushAll(t *testing.T) {
 	store := storage.New(storage.Config{})
-	p := NewDRAMPool(store, 4, cxl.DRAMProfile())
+	p := NewDRAMPool(store, 4, cxl.DRAMProfile(), nil)
 	clk := simclock.New()
 	f, err := p.NewPage(clk)
 	if err != nil {
@@ -193,7 +193,7 @@ func newTiered(t *testing.T, store *storage.Store, localCap int) *TieredPool {
 	t.Helper()
 	remote := NewRemoteMemory("rm", 64)
 	nic := rdma.NewNIC("h0", 0, 0)
-	return NewTieredPool(store, remote, nic, localCap, cxl.DRAMProfile())
+	return NewTieredPool(store, remote, nic, localCap, cxl.DRAMProfile(), nil)
 }
 
 func TestTieredMissPathsAndAmplification(t *testing.T) {

@@ -73,21 +73,21 @@ func BenchmarkPoolParallelGet(b *testing.B) {
 	b.Run("dram", func(b *testing.B) {
 		store := storage.New(storage.Config{})
 		ids := seed(store)
-		run(b, buffer.NewDRAMPool(store, poolPages, cxl.DRAMProfile()), ids)
+		run(b, buffer.NewDRAMPool(store, poolPages, cxl.DRAMProfile(), nil), ids)
 	})
 
 	b.Run("tiered", func(b *testing.B) {
 		store := storage.New(storage.Config{})
 		ids := seed(store)
 		remote := buffer.NewRemoteMemory("rm", poolPages*4)
-		run(b, buffer.NewTieredPool(store, remote, rdma.NewNIC("nic", 0, 0), poolPages, cxl.DRAMProfile()), ids)
+		run(b, buffer.NewTieredPool(store, remote, rdma.NewNIC("nic", 0, 0), poolPages, cxl.DRAMProfile(), nil), ids)
 	})
 
 	b.Run("cxl", func(b *testing.B) {
 		clk := simclock.New()
 		store := storage.New(storage.Config{})
 		ids := seed(store)
-		host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(poolPages) + 4096}).AttachHost("h0", 0)
+		host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(poolPages) + 4096}, nil).AttachHost("h0", 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func TestCheckpointCycleConformance(t *testing.T) {
 
 		ws := wal.NewStore(0, 0)
 		log := wal.Attach(ws)
-		area, err := checkpoint.NewArea(simmem.NewDevice("ckpt", checkpoint.AreaSize, ckptProf, nil).WholeRegion())
+		area, err := checkpoint.NewArea(simmem.NewDevice("ckpt", checkpoint.AreaSize, ckptProf, nil, nil).WholeRegion())
 		if err != nil {
 			t.Fatal(err)
 		}

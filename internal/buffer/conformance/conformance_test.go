@@ -32,9 +32,9 @@ const capacity = 8
 
 // rig is one pool under test. All five pools implement buffer.Creator and
 // expose PinnedFrames, but neither is part of buffer.Pool, so the rig
-// carries them explicitly. setObs attaches (or, with nil, detaches) an
-// observability registry to every instrumented component in the rig;
-// metric is the pool's frame-table metric name (frametab.<metric>.*).
+// carries them explicitly. Every instrumented component in the rig reports
+// into the registry its builder was given; metric is the pool's
+// frame-table metric name (frametab.<metric>.*).
 // cache is the CPU cache the pool's frames load through (nil for the pools
 // that copy pages into local DRAM).
 type rig struct {
@@ -43,7 +43,6 @@ type rig struct {
 	store   *storage.Store
 	pinned  func() int
 	barrier func(fb buffer.FlushBarrier)
-	setObs  func(reg *obs.Registry)
 	cache   *simcpu.Cache
 }
 
@@ -53,7 +52,7 @@ const payloadOff = 100
 
 var builders = []struct {
 	name  string
-	build func(t *testing.T) *rig
+	build func(t *testing.T, reg *obs.Registry) *rig
 }{
 	{"dram", buildDRAM},
 	{"tiered", buildTiered},
@@ -62,26 +61,26 @@ var builders = []struct {
 	{"rdma-shared", buildRDMAShared},
 }
 
-func buildDRAM(t *testing.T) *rig {
+func buildDRAM(t *testing.T, reg *obs.Registry) *rig {
 	t.Helper()
 	store := storage.New(storage.Config{})
-	p := buffer.NewDRAMPool(store, capacity, cxl.DRAMProfile())
-	return &rig{metric: "dram", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
+	p := buffer.NewDRAMPool(store, capacity, cxl.DRAMProfile(), reg)
+	return &rig{metric: "dram", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier}
 }
 
-func buildTiered(t *testing.T) *rig {
+func buildTiered(t *testing.T, reg *obs.Registry) *rig {
 	t.Helper()
 	store := storage.New(storage.Config{})
 	remote := buffer.NewRemoteMemory("rm", 256)
-	p := buffer.NewTieredPool(store, remote, rdma.NewNIC("nic", 0, 0), capacity, cxl.DRAMProfile())
-	return &rig{metric: "tiered", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
+	p := buffer.NewTieredPool(store, remote, rdma.NewNIC("nic", 0, 0), capacity, cxl.DRAMProfile(), reg)
+	return &rig{metric: "tiered", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier}
 }
 
-func buildCXL(t *testing.T) *rig {
+func buildCXL(t *testing.T, reg *obs.Registry) *rig {
 	t.Helper()
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
-	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(capacity) + 4096}).AttachHost("h0", 0)
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(capacity) + 4096}, reg).AttachHost("h0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +93,15 @@ func buildCXL(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{metric: "cxl", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver, cache: cache}
+	return &rig{metric: "cxl", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, cache: cache}
 }
 
-func buildShared(t *testing.T) *rig {
+func buildShared(t *testing.T, reg *obs.Registry) *rig {
 	t.Helper()
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
 	const dbpPages = 64
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: dbpPages*page.Size + 1<<17})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: dbpPages*page.Size + 1<<17}, reg)
 	dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		t.Fatal(err)
@@ -114,19 +113,15 @@ func buildShared(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	p := sharing.NewSharedPool("n0", fusion, n0.Cache, n0.Flags)
-	setObs := func(reg *obs.Registry) {
-		fusion.SetObserver(reg)
-		p.SetObserver(reg)
-	}
-	return &rig{metric: "shared/n0", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: setObs, cache: n0.Cache}
+	return &rig{metric: "shared/n0", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, cache: n0.Cache}
 }
 
-func buildRDMAShared(t *testing.T) *rig {
+func buildRDMAShared(t *testing.T, reg *obs.Registry) *rig {
 	t.Helper()
 	store := storage.New(storage.Config{})
 	fusion := sharing.NewRDMAFusion(64, store)
-	p := sharing.NewRDMASharedPool("n0", fusion, rdma.NewNIC("nic", 0, 0), capacity)
-	return &rig{metric: "rdma/n0", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier, setObs: p.SetObserver}
+	p := sharing.NewRDMASharedPool("n0", fusion, rdma.NewNIC("nic", 0, 0), capacity, reg)
+	return &rig{metric: "rdma/n0", pool: p, store: store, pinned: p.PinnedFrames, barrier: p.SetFlushBarrier}
 }
 
 // seedPage writes a raw page image with lsn and a payload byte to storage.
@@ -155,17 +150,15 @@ func release(t *testing.T, f buffer.Frame) {
 func forEachPool(t *testing.T, fn func(t *testing.T, r *rig)) {
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
-			r := b.build(t)
 			reg := obs.New(obs.Options{})
 			for _, c := range obs.DefaultCheckers() {
 				reg.AddChecker(c)
 			}
-			r.setObs(reg)
+			r := b.build(t, reg)
 			fn(t, r)
 			if n := r.pinned(); n != 0 {
 				t.Fatalf("pin leak: %d frames still pinned after test", n)
 			}
-			r.setObs(nil)
 			for _, v := range reg.Finish() {
 				t.Errorf("invariant violation [%s]: %s", v.Checker, v.Detail)
 			}
@@ -210,9 +203,8 @@ func TestGetReadAndHitAccounting(t *testing.T) {
 func TestPoolMetricNames(t *testing.T) {
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
-			r := b.build(t)
 			reg := obs.New(obs.Options{})
-			r.setObs(reg)
+			r := b.build(t, reg)
 			clk := simclock.New()
 			misses, hits := "frametab."+r.metric+".misses", "frametab."+r.metric+".hits"
 			missThenHit := func(stage string) {

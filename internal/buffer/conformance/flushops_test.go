@@ -66,12 +66,12 @@ func TestCheckpointAndFlusherIssueSameOps(t *testing.T) {
 	}{
 		{"dram", func(t *testing.T) (pool, *storage.Store, func(fault.Injector)) {
 			store := storage.New(storage.Config{})
-			return buffer.NewDRAMPool(store, capacity, cxl.DRAMProfile()), store, store.SetInjector
+			return buffer.NewDRAMPool(store, capacity, cxl.DRAMProfile(), nil), store, store.SetInjector
 		}},
 		{"cxl", func(t *testing.T) (pool, *storage.Store, func(fault.Injector)) {
 			clk := simclock.New()
 			store := storage.New(storage.Config{})
-			topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(capacity) + 4096})
+			topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(capacity) + 4096}, nil)
 			host, err := topo.AttachHost("h0", 0)
 			if err != nil {
 				t.Fatal(err)

@@ -42,10 +42,8 @@ var wordAccesses = []wordAccess{
 func TestLoadStoreMatchReadWrite(t *testing.T) {
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
-			words, spans := b.build(t), b.build(t)
 			wreg, sreg := obs.New(obs.Options{}), obs.New(obs.Options{})
-			words.setObs(wreg)
-			spans.setObs(sreg)
+			words, spans := b.build(t, wreg), b.build(t, sreg)
 			wid, sid := seedPage(t, words.store, 7, 0x5A), seedPage(t, spans.store, 7, 0x5A)
 			wclk, sclk := simclock.New(), simclock.New()
 
@@ -180,8 +178,6 @@ func TestLoadStoreMatchReadWrite(t *testing.T) {
 			}
 			release(t, wf)
 			release(t, sf)
-			words.setObs(nil)
-			spans.setObs(nil)
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"polarcxlmem/internal/frametab"
+	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/simmem"
@@ -29,13 +30,14 @@ type dramStore struct {
 }
 
 // NewDRAMPool returns a pool of capacityPages frames over store, charging
-// prof costs per access.
-func NewDRAMPool(store *storage.Store, capacityPages int, prof simmem.Profile) *DRAMPool {
+// prof costs per access and reporting into reg (nil for none) as
+// frametab.dram.*.
+func NewDRAMPool(store *storage.Store, capacityPages int, prof simmem.Profile, reg *obs.Registry) *DRAMPool {
 	if capacityPages <= 0 {
 		panic(fmt.Sprintf("buffer: DRAM pool needs positive capacity, got %d", capacityPages))
 	}
 	p := &DRAMPool{store: store, prof: prof}
-	p.WritebackPool = NewWritebackPool(frametab.Config{Capacity: capacityPages, Store: &dramStore{pool: p}}, "dram", store, nil)
+	p.WritebackPool = NewWritebackPool(frametab.Config{Capacity: capacityPages, Store: &dramStore{pool: p}, Name: "dram", Registry: reg}, store, nil)
 	return p
 }
 

@@ -4,45 +4,41 @@ import (
 	"sync/atomic"
 
 	"polarcxlmem/internal/frametab"
-	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/storage"
 )
 
 // TablePool is the pool surface every buffer pool in the repo shares. It
-// owns the frametab table over the pool's FrameStore, the page-id source,
-// the write-ahead flush barrier and the observer registration
-// (frametab.<name>.*). A pool embeds it and supplies only its medium: the
-// store behind the table, and the Medium its frames' visits and releases
-// run on.
+// owns the frametab table over the pool's FrameStore, the page-id source
+// and the write-ahead flush barrier. A pool embeds it and supplies only its
+// medium: the store behind the table, and the Medium its frames' visits and
+// releases run on.
 type TablePool struct {
 	tab     *frametab.Table
 	cfg     frametab.Config // what Restart rebuilds the table from
-	name    string
 	ids     *storage.Store
 	medium  Medium
 	barrier FlushBarrier
-	reg     atomic.Pointer[obs.Registry] // survives Restart
-	down    atomic.Pointer[error]        // set by Fail
+	down    atomic.Pointer[error] // set by Fail
 }
 
 // NewTablePool builds the table over cfg.Store (storage.ErrNotFound is the
-// GetOrCreate sentinel), registering metrics under frametab.<name>.* and
-// allocating page ids from ids. m is the pool's Medium; nil means the
-// store's slots are Images, visited in place and released by unlatching
-// and unpinning.
-func NewTablePool(cfg frametab.Config, name string, ids *storage.Store, m Medium) *TablePool {
+// GetOrCreate sentinel), reporting into cfg.Registry under
+// frametab.<cfg.Name>.* and allocating page ids from ids. m is the pool's
+// Medium; nil means the store's slots are Images, visited in place and
+// released by unlatching and unpinning.
+func NewTablePool(cfg frametab.Config, ids *storage.Store, m Medium) *TablePool {
 	c := &TablePool{}
-	c.init(cfg, name, ids, m)
+	c.init(cfg, ids, m)
 	return c
 }
 
-func (c *TablePool) init(cfg frametab.Config, name string, ids *storage.Store, m Medium) {
+func (c *TablePool) init(cfg frametab.Config, ids *storage.Store, m Medium) {
 	cfg.NotFound = storage.ErrNotFound
 	if m == nil {
 		m = imageMedium{c}
 	}
-	c.tab, c.cfg, c.name, c.ids, c.medium = frametab.New(cfg), cfg, name, ids, m
+	c.tab, c.cfg, c.ids, c.medium = frametab.New(cfg), cfg, ids, m
 }
 
 // Table exposes the frame table (store-driven eviction, counters, reopen).
@@ -106,16 +102,6 @@ func (c *TablePool) Barrier(clk *simclock.Clock, lsn uint64) {
 	}
 }
 
-// SetObserver registers the table's metrics (frametab.<name>.*) with reg;
-// the registration survives Restart. A nil reg detaches.
-func (c *TablePool) SetObserver(reg *obs.Registry) {
-	c.reg.Store(reg)
-	c.tab.SetObserver(reg, c.name)
-}
-
-// Observer reports the registry SetObserver installed, or nil.
-func (c *TablePool) Observer() *obs.Registry { return c.reg.Load() }
-
 // Fail makes every later Get, NewPage and GetOrCreate return err (a crashed
 // primary's pool); Fail(nil) brings the pool back up.
 func (c *TablePool) Fail(err error) { c.down.Store(&err) }
@@ -128,13 +114,10 @@ func (c *TablePool) Failed() error {
 	return nil
 }
 
-// Restart replaces the table with an empty one built from the same config
-// and carries the observer registration over. It leaves Fail in place: the
-// caller brings the pool back up once the rest of its state is rebuilt.
-func (c *TablePool) Restart() {
-	c.tab = frametab.New(c.cfg)
-	c.tab.SetObserver(c.reg.Load(), c.name)
-}
+// Restart replaces the table with an empty one built from the same config,
+// registry included. It leaves Fail in place: the caller brings the pool
+// back up once the rest of its state is rebuilt.
+func (c *TablePool) Restart() { c.tab = frametab.New(c.cfg) }
 
 // WritebackPool is a TablePool whose store persists its own dirty pages
 // (a frametab.WritebackStore): the DRAM, tiered and CXL pools. It adds the
@@ -147,9 +130,9 @@ type WritebackPool struct {
 
 // NewWritebackPool is NewTablePool for a store that implements
 // frametab.WritebackStore.
-func NewWritebackPool(cfg frametab.Config, name string, ids *storage.Store, m Medium) *WritebackPool {
+func NewWritebackPool(cfg frametab.Config, ids *storage.Store, m Medium) *WritebackPool {
 	c := &WritebackPool{wb: cfg.Store.(frametab.WritebackStore)}
-	c.init(cfg, name, ids, m)
+	c.init(cfg, ids, m)
 	return c
 }
 

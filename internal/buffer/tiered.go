@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"polarcxlmem/internal/frametab"
+	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/rdma"
 	"polarcxlmem/internal/simclock"
@@ -55,14 +56,14 @@ type tieredStore struct {
 
 // NewTieredPool returns a tiered pool with an LBP of localCapacity pages
 // over remote memory, moving pages through nic. Local accesses charge prof
-// (local DRAM) costs.
-func NewTieredPool(store *storage.Store, remote *RemoteMemory, nic *rdma.NIC, localCapacity int, prof simmem.Profile) *TieredPool {
+// (local DRAM) costs. reg (nil for none) receives frametab.tiered.*.
+func NewTieredPool(store *storage.Store, remote *RemoteMemory, nic *rdma.NIC, localCapacity int, prof simmem.Profile, reg *obs.Registry) *TieredPool {
 	if localCapacity <= 0 {
 		panic(fmt.Sprintf("buffer: tiered pool needs positive local capacity, got %d", localCapacity))
 	}
 	p := &TieredPool{store: store, remote: remote, nic: nic, prof: prof}
 	p.tst = &tieredStore{pool: p, remoteDirty: make(map[uint64]bool)}
-	p.WritebackPool = NewWritebackPool(frametab.Config{Capacity: localCapacity, Store: p.tst}, "tiered", store, nil)
+	p.WritebackPool = NewWritebackPool(frametab.Config{Capacity: localCapacity, Store: p.tst, Name: "tiered", Registry: reg}, store, nil)
 	return p
 }
 

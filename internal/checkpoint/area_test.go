@@ -11,7 +11,7 @@ var testProf = simmem.Profile{Name: "ckpt", ReadLatency: 100, WriteLatency: 150,
 
 func newTestRegion(t *testing.T) *simmem.Region {
 	t.Helper()
-	return simmem.NewDevice("ckpt", AreaSize, testProf, nil).WholeRegion()
+	return simmem.NewDevice("ckpt", AreaSize, testProf, nil, nil).WholeRegion()
 }
 
 func TestAreaPublishReattachAndAlternation(t *testing.T) {
@@ -145,7 +145,7 @@ func TestAreaPublishMustAdvance(t *testing.T) {
 }
 
 func TestAreaRejectsTooSmallRegion(t *testing.T) {
-	dev := simmem.NewDevice("tiny", AreaSize-1, testProf, nil)
+	dev := simmem.NewDevice("tiny", AreaSize-1, testProf, nil, nil)
 	if _, err := NewArea(dev.WholeRegion()); err == nil {
 		t.Fatal("NewArea accepted an undersized region")
 	}

@@ -33,16 +33,17 @@ const lruMoveWindowMult = 4
 // surface are the embedded buffer.WritebackPool; cxlStore below contributes
 // everything CXL-resident — the durable free/in-use lists, lock words, and
 // flags stay exactly where the paper puts them, so PolarRecv and Fsck are
-// behaviorally untouched. The SetObserver registry also receives the tier.*
-// events. The table's capacity policy is disabled (Capacity 0): eviction is
-// driven from inside the store, because victim selection walks the
-// CXL-resident LRU list.
+// behaviorally untouched. The host's registry (HostPort.Observer) receives
+// the table's metrics and the tier.* events. The table's capacity policy
+// is disabled (Capacity 0): eviction is driven from inside the store,
+// because victim selection walks the CXL-resident LRU list.
 type CXLPool struct {
 	*buffer.WritebackPool
 	host   *cxl.HostPort
 	region *simmem.Region
 	cache  *simcpu.Cache
 	store  *storage.Store
+	reg    *obs.Registry // the host's; nil for none
 
 	nblocks int64
 	blocks  []block // block idx's page accessor is blocks[idx-1]
@@ -81,7 +82,7 @@ type cxlStore struct {
 
 // newPool wires an empty pool+store+table over region (Format and Open).
 func newPool(host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache, store *storage.Store, n int64) *CXLPool {
-	p := &CXLPool{host: host, region: region, cache: cache, store: store, nblocks: n, blocks: make([]block, n)}
+	p := &CXLPool{host: host, region: region, cache: cache, store: store, reg: host.Observer(), nblocks: n, blocks: make([]block, n)}
 	for i := range p.blocks {
 		p.blocks[i] = block{p: p, idx: int64(i) + 1}
 	}
@@ -90,7 +91,7 @@ func newPool(host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache, sto
 		w = 1
 	}
 	p.cst = &cxlStore{p: p, ids: make([]uint64, n), stage: make([]byte, page.Size), touch: make([]atomic.Int64, n), window: w}
-	p.WritebackPool = buffer.NewWritebackPool(frametab.Config{Store: p.cst}, "cxl", store, medium{p})
+	p.WritebackPool = buffer.NewWritebackPool(frametab.Config{Store: p.cst, Name: "cxl", Registry: p.reg}, store, medium{p})
 	return p
 }
 

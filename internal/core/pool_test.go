@@ -8,6 +8,7 @@ import (
 
 	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/cxl"
+	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/simcpu"
@@ -25,7 +26,13 @@ type rig struct {
 
 func newRig(t *testing.T, nblocks int64) *rig {
 	t.Helper()
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: RegionSizeFor(nblocks) + 4096})
+	return newObservedRig(t, nblocks, nil)
+}
+
+// newObservedRig is newRig over a topology reporting into reg.
+func newObservedRig(t *testing.T, nblocks int64, reg *obs.Registry) *rig {
+	t.Helper()
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: RegionSizeFor(nblocks) + 4096}, reg)
 	host, err := topo.AttachHost("host0", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +453,7 @@ func TestRepairAndDropPage(t *testing.T) {
 }
 
 func TestOpenRejectsUnformattedRegion(t *testing.T) {
-	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: RegionSizeFor(2) + 4096}).AttachHost("h", 0)
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: RegionSizeFor(2) + 4096}, nil).AttachHost("h", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +509,7 @@ func TestPoolRandomWorkloadProperty(t *testing.T) {
 }
 
 func TestFormatTooSmall(t *testing.T) {
-	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 1 << 16}).AttachHost("h", 0)
+	host, err := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 1 << 16}, nil).AttachHost("h", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,8 +92,8 @@ func (p *CXLPool) FastHits() int64 {
 
 // emitTier publishes one tier.* trace event with this pool as the actor.
 func (p *CXLPool) emitTier(vnanos int64, typ string, id uint64, aux int64) {
-	if reg := p.Observer(); reg != nil {
-		reg.Emit(vnanos, typ, "cxl", id, aux)
+	if p.reg != nil {
+		p.reg.Emit(vnanos, typ, "cxl", id, aux)
 	}
 }
 

@@ -137,8 +137,7 @@ func TestEvictionDemotesMirrorFirst(t *testing.T) {
 	tc := obs.NewTierChecker()
 	reg.AddChecker(tc)
 
-	r := newRig(t, 2)
-	r.pool.SetObserver(reg)
+	r := newObservedRig(t, 2, reg)
 	r.enableTiering()
 	a := r.seed(t, 1, "one1")
 	r.getRelease(t, a)

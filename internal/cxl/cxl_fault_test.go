@@ -8,7 +8,7 @@ import (
 )
 
 func TestHostAttachInjection(t *testing.T) {
-	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20}, nil)
 	host := attach(t, topo, "h0")
 	clk := simclock.New()
 
@@ -42,7 +42,7 @@ func TestHostAttachInjection(t *testing.T) {
 }
 
 func TestHostDetachInjection(t *testing.T) {
-	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20}, nil)
 	host := attach(t, topo, "h0")
 	clk := simclock.New()
 	if _, err := host.Allocate(clk, "db0", 4096); err != nil {

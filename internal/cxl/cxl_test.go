@@ -65,7 +65,7 @@ func attach(t *testing.T, topo *Topology, name string) *HostPort {
 }
 
 func TestAllocateIsolatesClients(t *testing.T) {
-	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20}, nil)
 	h := attach(t, topo, "host0")
 	clk := simclock.New()
 	a, err := h.Allocate(clk, "node-a", 1000)
@@ -94,7 +94,7 @@ func TestAllocateIsolatesClients(t *testing.T) {
 func TestAllocationNonOverlapProperty(t *testing.T) {
 	// Property: any sequence of alloc/free keeps all live leases disjoint.
 	f := func(sizes []uint16, frees []uint8) bool {
-		topo := NewTopology(TopologyConfig{PoolBytes: 1 << 22})
+		topo := NewTopology(TopologyConfig{PoolBytes: 1 << 22}, nil)
 		m := topo.Leaf(0).Box().Manager()
 		names := []string{}
 		for i, sz := range sizes {
@@ -135,7 +135,7 @@ func TestAllocationNonOverlapProperty(t *testing.T) {
 }
 
 func TestReattachAfterCrash(t *testing.T) {
-	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20}, nil)
 	clk := simclock.New()
 	h := attach(t, topo, "host0")
 	r, err := h.Allocate(clk, "db1", 4096)
@@ -165,7 +165,7 @@ func TestReattachAfterCrash(t *testing.T) {
 }
 
 func TestAllocateErrors(t *testing.T) {
-	topo := NewTopology(TopologyConfig{PoolBytes: 4096})
+	topo := NewTopology(TopologyConfig{PoolBytes: 4096}, nil)
 	m := topo.Leaf(0).Box().Manager()
 	if _, err := m.Allocate("x", 0); err == nil {
 		t.Fatal("zero-size allocation accepted")
@@ -188,7 +188,7 @@ func TestAllocateErrors(t *testing.T) {
 }
 
 func TestFirstFitReusesFreedGap(t *testing.T) {
-	topo := NewTopology(TopologyConfig{PoolBytes: 3000})
+	topo := NewTopology(TopologyConfig{PoolBytes: 3000}, nil)
 	m := topo.Leaf(0).Box().Manager()
 	if _, err := m.Allocate("a", 1000); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestFirstFitReusesFreedGap(t *testing.T) {
 }
 
 func TestTransferChargesLinkAndFabric(t *testing.T) {
-	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20}, nil)
 	h := attach(t, topo, "h")
 	clk := simclock.New()
 	h.TransferRead(clk, 16384)
@@ -235,7 +235,7 @@ func TestTransferChargesLinkAndFabric(t *testing.T) {
 }
 
 func TestAttachHostIdempotent(t *testing.T) {
-	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 16})
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 16}, nil)
 	a := attach(t, topo, "h1")
 	b := attach(t, topo, "h1")
 	if a != b {
@@ -247,7 +247,7 @@ func TestAttachHostIdempotent(t *testing.T) {
 }
 
 func TestHostCacheWiredToLink(t *testing.T) {
-	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20})
+	topo := NewTopology(TopologyConfig{PoolBytes: 1 << 20}, nil)
 	h := attach(t, topo, "h")
 	clk := simclock.New()
 	reg, err := h.Allocate(clk, "db", 4096)

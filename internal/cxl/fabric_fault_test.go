@@ -20,7 +20,13 @@ import (
 // threeLeaf builds a 3-leaf fabric with a host on leaf 0 homed on home.
 func threeLeaf(t *testing.T, home int) (*Topology, *HostPort, *simclock.Clock) {
 	t.Helper()
-	topo := NewTopology(TopologyConfig{Leaves: 3, PoolBytes: 1 << 20})
+	return threeLeafObserved(t, home, nil)
+}
+
+// threeLeafObserved is threeLeaf with every component reporting into reg.
+func threeLeafObserved(t *testing.T, home int, reg *obs.Registry) (*Topology, *HostPort, *simclock.Clock) {
+	t.Helper()
+	topo := NewTopology(TopologyConfig{Leaves: 3, PoolBytes: 1 << 20}, reg)
 	clk := simclock.New()
 	h, err := topo.AttachHost("h", 0)
 	if err != nil {
@@ -167,7 +173,7 @@ func TestRouteStageMapping(t *testing.T) {
 // reach the attach/detach port points AND every leaf's box-manager RPC
 // fabric — no silently un-instrumented component.
 func TestInjectorPropagation(t *testing.T) {
-	topo := NewTopology(TopologyConfig{Leaves: 3, PoolBytes: 1 << 20})
+	topo := NewTopology(TopologyConfig{Leaves: 3, PoolBytes: 1 << 20}, nil)
 	rec := &recordingInjector{}
 	topo.SetInjector(rec)
 	clk := simclock.New()
@@ -207,12 +213,12 @@ func TestInjectorPropagation(t *testing.T) {
 	}
 }
 
-// TestObserverPropagation: one SetObserver call instruments every leaf's
-// device and RPC fabric plus the per-tier histograms and degraded counters.
+// TestObserverPropagation: the registry NewTopology takes instruments every
+// leaf's device and RPC fabric plus the per-tier histograms and degraded
+// counters.
 func TestObserverPropagation(t *testing.T) {
-	topo, h, clk := threeLeaf(t, 1)
 	reg := obs.New(obs.Options{})
-	topo.SetObserver(reg)
+	topo, h, clk := threeLeafObserved(t, 1, reg)
 	topo.DegradeTrunk(clk.Now(), 0)
 	if err := h.TransferWrite(clk, 16384); err != nil {
 		t.Fatal(err)

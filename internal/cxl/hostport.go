@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"polarcxlmem/internal/fault"
+	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/simcpu"
 	"polarcxlmem/internal/simmem"
@@ -34,6 +35,10 @@ func (h *HostPort) Link() *simclock.Resource { return h.link }
 
 // Leaf reports the leaf switch the host is attached to.
 func (h *HostPort) Leaf() *Leaf { return h.leaf }
+
+// Observer reports the registry the host's topology was built with (nil
+// for none): pools and servers built on the port report into it.
+func (h *HostPort) Observer() *obs.Registry { return h.leaf.topo.reg }
 
 // HomeLeaf reports the leaf whose memory box holds the host's allocations.
 func (h *HostPort) HomeLeaf() *Leaf { return h.home.Load() }

@@ -131,7 +131,7 @@ func (l *InterSwitchLink) Use(clk *simclock.Clock, n int64) {
 	l.res.Use(clk, n)
 	if l.topo.chaosArmed() && l.health.observe(clk.Now()) == Degraded {
 		l.res.Occupy(clk, l.res.ServiceTime(n)*(l.health.pol.DegradeFactor-1))
-		l.topo.degradedTraversal(tierTrunk)
+		l.topo.degTrunk.Inc()
 	}
 }
 
@@ -152,7 +152,7 @@ func (l *Leaf) useFabric(clk *simclock.Clock, n int64) {
 	l.fabric.Use(clk, n)
 	if l.topo.chaosArmed() && l.health.observe(clk.Now()) == Degraded {
 		l.fabric.Occupy(clk, l.fabric.ServiceTime(n)*(l.health.pol.DegradeFactor-1))
-		l.topo.degradedTraversal(tierLeaf)
+		l.topo.degLeaf.Inc()
 	}
 }
 
@@ -184,14 +184,16 @@ type Topology struct {
 	// fault-free deployments keep the exact pre-fault cost model and replay
 	// sequences.
 	chaos atomic.Bool
-	// degLeaf/degTrunk cache the per-tier cxl.fabric.degraded.* counter
-	// handles so degraded traversals pay one atomic add, not a map lookup.
-	degLeaf, degTrunk atomic.Pointer[obs.Counter]
+
+	// reg is the registry every component reports into, fixed at
+	// construction (nil for none); the handles below come from it.
+	reg               *obs.Registry
+	degLeaf, degTrunk *obs.Counter // cxl.fabric.degraded.{leaf,trunk}
+	linkWait          func(int64)  // cxl.link.host.wait_ns; nil without reg
 
 	mu    sync.Mutex
 	hosts map[string]*HostPort
 	inj   fault.Injector // optional fault injector; may be nil
-	reg   *obs.Registry  // optional metrics sink; re-applied to new hosts
 }
 
 // chaosArmed reports whether any fault machinery is live.
@@ -201,46 +203,43 @@ func (t *Topology) chaosArmed() bool { return t.chaos.Load() }
 // the armed checks are mutex peeks against healthy states).
 func (t *Topology) armChaos() { t.chaos.Store(true) }
 
-// Degraded-traversal tiers.
-type tier int
-
-const (
-	tierLeaf tier = iota
-	tierTrunk
-)
-
-// degradedTraversal counts one traversal of a degraded component.
-func (t *Topology) degradedTraversal(ti tier) {
-	var c *obs.Counter
-	switch ti {
-	case tierLeaf:
-		c = t.degLeaf.Load()
-	case tierTrunk:
-		c = t.degTrunk.Load()
-	}
-	if c != nil {
-		c.Inc()
-	}
-}
-
 // NewTopology builds the fabric declared by cfg (zero fields get calibrated
 // defaults). Single-leaf topologies keep the legacy resource names
 // ("cxl-pool", "cxl-fabric") so existing metrics and replay sequences are
 // unchanged; multi-leaf topologies suffix per-leaf components with /leaf<i>.
-func NewTopology(cfg TopologyConfig) *Topology {
+//
+// reg (nil for none) is threaded through every component as it is built:
+// each memory box's device (mem.cxl-pool*.* counters) and manager RPC
+// fabric (simnet.*), the degraded-traversal counters, and the queueing-wait
+// histograms split by tier — cxl.fabric.leaf.wait_ns (leaf crossbars),
+// cxl.fabric.spine.wait_ns, cxl.link.interswitch.wait_ns (trunks), and
+// cxl.link.host.wait_ns for every host link AttachHost creates — so
+// congestion is attributable to the component that queued. Pools and
+// servers built on a HostPort read it back with HostPort.Observer.
+func NewTopology(cfg TopologyConfig, reg *obs.Registry) *Topology {
 	cfg = cfg.withDefaults()
-	t := &Topology{cfg: cfg, hosts: make(map[string]*HostPort)}
+	t := &Topology{
+		cfg:      cfg,
+		hosts:    make(map[string]*HostPort),
+		reg:      reg,
+		degLeaf:  reg.Counter("cxl.fabric.degraded.leaf"),
+		degTrunk: reg.Counter("cxl.fabric.degraded.trunk"),
+		linkWait: waitObserver(reg, "cxl.link.host.wait_ns"),
+	}
 	if cfg.Leaves > 1 {
 		t.spine = simclock.NewResource("cxl-fabric/spine", cfg.SpineBW)
+		t.spine.SetWaitObserver(waitObserver(reg, "cxl.fabric.spine.wait_ns"))
 	}
+	leafWait := waitObserver(reg, "cxl.fabric.leaf.wait_ns")
 	for i := 0; i < cfg.Leaves; i++ {
 		suffix := ""
 		if cfg.Leaves > 1 {
 			suffix = fmt.Sprintf("/leaf%d", i)
 		}
 		fabric := simclock.NewResource("cxl-fabric"+suffix, cfg.LeafBW)
-		dev := simmem.NewDevice("cxl-pool"+suffix, cfg.PoolBytes, cfg.Profile, fabric)
-		box := &MemoryBox{dev: dev, rpc: simnet.New(cfg.RPCNanos, nil)}
+		fabric.SetWaitObserver(leafWait)
+		dev := simmem.NewDevice("cxl-pool"+suffix, cfg.PoolBytes, cfg.Profile, fabric, reg)
+		box := &MemoryBox{dev: dev, rpc: simnet.New(cfg.RPCNanos, nil, reg)}
 		box.mgr = newManager(dev)
 		box.mgr.register(box.rpc)
 		rp := *cfg.RPCRetry // each fabric gets its own copy
@@ -255,10 +254,20 @@ func NewTopology(cfg TopologyConfig) *Topology {
 				lat:    cfg.InterSwitchNanos,
 				health: newHealth(name, cfg.Health),
 			}
+			leaf.uplink.res.SetWaitObserver(waitObserver(reg, "cxl.link.interswitch.wait_ns"))
 		}
 		t.leaves = append(t.leaves, leaf)
 	}
 	return t
+}
+
+// waitObserver returns reg's histogram name as a resource wait observer, or
+// nil without a registry, so an unobserved resource makes no call.
+func waitObserver(reg *obs.Registry, name string) func(int64) {
+	if reg == nil {
+		return nil
+	}
+	return reg.Histogram(name).Observe
 }
 
 // Leaves reports the number of leaf switches.
@@ -301,10 +310,7 @@ func (t *Topology) AttachHost(name string, leaf int) (*HostPort, error) {
 		link: simclock.NewResource("cxl-link/"+name, t.cfg.HostLinkBW),
 	}
 	h.setHome(l)
-	if t.reg != nil {
-		lh := t.reg.Histogram("cxl.link.host.wait_ns")
-		h.link.SetWaitObserver(func(w int64) { lh.Observe(w) })
-	}
+	h.link.SetWaitObserver(t.linkWait)
 	t.hosts[name] = h
 	return h, nil
 }
@@ -341,60 +347,6 @@ func (t *Topology) portPoint(op fault.Op) error {
 		return inj.Point(op, 0)
 	}
 	return nil
-}
-
-// SetObserver threads reg through every component: each memory box's device
-// (mem.cxl-pool*.* counters) and manager RPC fabric (simnet.*), and the
-// queueing-wait histograms split by tier — cxl.fabric.leaf.wait_ns (leaf
-// crossbars), cxl.fabric.spine.wait_ns, cxl.link.interswitch.wait_ns
-// (trunks), and cxl.link.host.wait_ns for every host link attached now or
-// later — so congestion is attributable to the component that queued. A nil
-// reg detaches device and RPC metrics and stops new hosts being
-// instrumented.
-func (t *Topology) SetObserver(reg *obs.Registry) {
-	t.mu.Lock()
-	t.reg = reg
-	hosts := make([]*HostPort, 0, len(t.hosts))
-	for _, h := range t.hosts {
-		hosts = append(hosts, h)
-	}
-	t.mu.Unlock()
-	if reg == nil {
-		t.degLeaf.Store(nil)
-		t.degTrunk.Store(nil)
-		for _, l := range t.leaves {
-			l.box.dev.SetObserver(nil)
-			l.box.rpc.SetObserver(nil)
-			l.fabric.SetWaitObserver(nil)
-			if l.uplink != nil {
-				l.uplink.res.SetWaitObserver(nil)
-			}
-		}
-		if t.spine != nil {
-			t.spine.SetWaitObserver(nil)
-		}
-		return
-	}
-	t.degLeaf.Store(reg.Counter("cxl.fabric.degraded.leaf"))
-	t.degTrunk.Store(reg.Counter("cxl.fabric.degraded.trunk"))
-	leafH := reg.Histogram("cxl.fabric.leaf.wait_ns")
-	linkH := reg.Histogram("cxl.link.host.wait_ns")
-	for _, l := range t.leaves {
-		l.box.dev.SetObserver(reg)
-		l.box.rpc.SetObserver(reg)
-		l.fabric.SetWaitObserver(func(w int64) { leafH.Observe(w) })
-		if l.uplink != nil {
-			up := reg.Histogram("cxl.link.interswitch.wait_ns")
-			l.uplink.res.SetWaitObserver(func(w int64) { up.Observe(w) })
-		}
-	}
-	if t.spine != nil {
-		sh := reg.Histogram("cxl.fabric.spine.wait_ns")
-		t.spine.SetWaitObserver(func(w int64) { sh.Observe(w) })
-	}
-	for _, h := range hosts {
-		h.link.SetWaitObserver(func(w int64) { linkH.Observe(w) })
-	}
 }
 
 // Chaos APIs: explicit fault-domain control for tests and harnesses. All

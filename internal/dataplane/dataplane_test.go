@@ -27,7 +27,7 @@ type rig struct {
 func newRig(t *testing.T, rows int64) *rig {
 	t.Helper()
 	store := storage.New(storage.Config{})
-	pool := buffer.NewDRAMPool(store, 4096, cxl.DRAMProfile())
+	pool := buffer.NewDRAMPool(store, 4096, cxl.DRAMProfile(), nil)
 	log := wal.Attach(wal.NewStore(0, 0))
 	clk := simclock.New()
 	eng, err := txn.Bootstrap(clk, pool, log, store)

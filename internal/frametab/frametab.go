@@ -5,8 +5,7 @@
 //
 //   - a sharded page-id -> frame index with per-shard (striped) locks, so
 //     parallel Get traffic scales with goroutines instead of serializing on
-//     one pool mutex (Config.Shards, default DefaultShards, rounded up to a
-//     power of two);
+//     one pool mutex (DefaultShards stripes);
 //   - shared pin / latch / LRU-clock machinery (second-chance clock ring,
 //     pin-aware victim selection);
 //   - sync/atomic stats Counters with a torn-read-free Snapshot;
@@ -14,11 +13,11 @@
 //     FrameStore backing interface.
 //
 // One pool core sits on top: buffer.TablePool owns a Table and gives every
-// pool its Get / NewPage / GetOrCreate, statistics, flush barrier and
-// observer registration (buffer.WritebackPool adds the checkpoint walk and
-// FlushBatch). What differs between the pools is only the medium, and that
-// is all a pool supplies — one FrameStore and its frame type: a DRAM slab (buffer.DRAMPool), an
-// RDMA remote tier (buffer.TieredPool), a CXL block with durable metadata
+// pool its Get / NewPage / GetOrCreate, statistics and flush barrier
+// (buffer.WritebackPool adds the checkpoint walk and FlushBatch). What
+// differs between the pools is only the medium, and that is all a pool
+// supplies — one FrameStore and its frame type: a DRAM slab
+// (buffer.DRAMPool), an RDMA remote tier (buffer.TieredPool), a CXL block with durable metadata
 // (core.CXLPool), or shared DBP metadata slots (sharing.SharedPool /
 // sharing.RDMASharedPool). Optional capability interfaces (Toucher,
 // WriteLatchNotifier, Revalidator, Latcher, EvictStore, WritebackStore) are
@@ -66,9 +65,9 @@ import (
 	"polarcxlmem/internal/simclock"
 )
 
-// DefaultShards is the index shard count when Config.Shards is zero. Shard
-// counts are rounded up to a power of two so the page-id hash reduces with
-// a mask.
+// DefaultShards is the index shard count, a power of two so the page-id
+// hash reduces with a mask. More shards = less Get-path contention; the
+// only cost is a few map headers.
 const DefaultShards = 64
 
 // Mode is a latch mode. buffer.Mode aliases this type.
@@ -198,10 +197,6 @@ var ErrNoWriteback = errors.New("frametab: store does not support background wri
 
 // Config configures a Table.
 type Config struct {
-	// Shards is the index shard count (rounded up to a power of two);
-	// zero means DefaultShards. More shards = less Get-path contention;
-	// the only cost is a few map headers.
-	Shards int
 	// Capacity bounds resident frames; the table evicts through
 	// EvictStore to stay under it. Zero disables table-policy eviction
 	// (the store evicts internally, as the CXL pool does).
@@ -212,6 +207,13 @@ type Config struct {
 	// create instead" (pools pass storage.ErrNotFound; frametab does not
 	// import storage to stay below every pool in the layering).
 	NotFound error
+	// Name is the table's metric prefix (frametab.<Name>.*) and the actor
+	// of its frame.* trace events.
+	Name string
+	// Registry (nil for none) receives the table's counters (hits, misses,
+	// evictions, retires, evict_failures) and its frame.* trace events (pin,
+	// unpin, load, evict, retire, evict.error) from the first access on.
+	Registry *obs.Registry
 }
 
 // Frame is one resident page slot. Pools wrap it in their own
@@ -405,8 +407,7 @@ type Table struct {
 	notFound  error
 	capacity  int
 
-	shards []shard
-	mask   uint64
+	shards [DefaultShards]shard
 
 	resident atomic.Int64
 
@@ -423,23 +424,22 @@ type Table struct {
 	ring    []*Frame
 	hand    int
 
-	obsP     atomic.Pointer[tableObs]                      // optional metrics/trace sink; may be empty
 	samplerP atomic.Pointer[func(*simclock.Clock, uint64)] // optional heat sampler; see SetTouchSampler
-}
 
-// tableObs carries the table's registry handles: mirrored counters plus the
-// frame.* trace events consumed by the pin/slot-leak checker.
-type tableObs struct {
-	reg  *obs.Registry
-	name string
-
+	// Registry handles, fixed at construction; nil (a no-op) without one.
+	// The counters mirror the table's own; the frame.* trace events feed
+	// the pin/slot-leak checker.
+	reg                     *obs.Registry
+	name                    string
 	hits, misses, evictions *obs.Counter
 	retires, evictFailures  *obs.Counter
 }
 
 // emit publishes one frame event with this table as the actor.
-func (o *tableObs) emit(vnanos int64, typ string, page uint64, aux int64) {
-	o.reg.Emit(vnanos, typ, o.name, page, aux)
+func (t *Table) emit(vnanos int64, typ string, page uint64, aux int64) {
+	if t.reg != nil {
+		t.reg.Emit(vnanos, typ, t.name, page, aux)
+	}
 }
 
 // New builds a table over cfg.Store.
@@ -447,21 +447,19 @@ func New(cfg Config) *Table {
 	if cfg.Store == nil {
 		panic("frametab: Config.Store is required")
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
+	p := "frametab." + cfg.Name + "."
 	t := &Table{
-		store:    cfg.Store,
-		notFound: cfg.NotFound,
-		capacity: cfg.Capacity,
-		shards:   make([]shard, pow),
-		mask:     uint64(pow - 1),
-		dirty:    make(map[uint64]*Frame),
+		store:         cfg.Store,
+		notFound:      cfg.NotFound,
+		capacity:      cfg.Capacity,
+		dirty:         make(map[uint64]*Frame),
+		reg:           cfg.Registry,
+		name:          cfg.Name,
+		hits:          cfg.Registry.Counter(p + "hits"),
+		misses:        cfg.Registry.Counter(p + "misses"),
+		evictions:     cfg.Registry.Counter(p + "evictions"),
+		retires:       cfg.Registry.Counter(p + "retires"),
+		evictFailures: cfg.Registry.Counter(p + "evict_failures"),
 	}
 	for i := range t.shards {
 		t.shards[i].frames = make(map[uint64]*Frame)
@@ -479,9 +477,9 @@ func New(cfg Config) *Table {
 }
 
 // shardOf hashes a page id to its shard (Fibonacci multiplicative hash so
-// sequential ids still spread when the shard count is small).
+// sequential ids spread over the shards).
 func (t *Table) shardOf(id uint64) *shard {
-	return &t.shards[(id*0x9E3779B97F4A7C15)>>32&t.mask]
+	return &t.shards[(id*0x9E3779B97F4A7C15)>>32&(DefaultShards-1)]
 }
 
 // Stats snapshots the counters: the atomic cold-path Counters plus the
@@ -496,28 +494,6 @@ func (t *Table) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	return s
-}
-
-// SetObserver registers the table's counters (frametab.<name>.hits / misses
-// / evictions / retires / evict_failures) with reg and starts emitting
-// frame.* trace events (pin, unpin, load, evict, retire, evict.error) under
-// the actor name. Pools re-apply this after rebuilding their table on a
-// crash/rejoin path. A nil reg detaches.
-func (t *Table) SetObserver(reg *obs.Registry, name string) {
-	if reg == nil {
-		t.obsP.Store(nil)
-		return
-	}
-	p := "frametab." + name + "."
-	t.obsP.Store(&tableObs{
-		reg:           reg,
-		name:          name,
-		hits:          reg.Counter(p + "hits"),
-		misses:        reg.Counter(p + "misses"),
-		evictions:     reg.Counter(p + "evictions"),
-		retires:       reg.Counter(p + "retires"),
-		evictFailures: reg.Counter(p + "evict_failures"),
-	})
 }
 
 // SetTouchSampler installs a function called once per successful page access
@@ -595,18 +571,14 @@ func (t *Table) TryPin(id uint64) (*Frame, bool) {
 	}
 	f.pins.Add(1)
 	sh.mu.Unlock()
-	if o := t.obsP.Load(); o != nil {
-		o.emit(0, obs.EvFramePin, id, 0)
-	}
+	t.emit(0, obs.EvFramePin, id, 0)
 	return f, true
 }
 
 // Unpin drops one pin (lock-free; see the pins field comment).
 func (t *Table) Unpin(f *Frame) {
 	f.pins.Add(-1)
-	if o := t.obsP.Load(); o != nil {
-		o.emit(0, obs.EvFrameUnpin, f.id, 0)
-	}
+	t.emit(0, obs.EvFrameUnpin, f.id, 0)
 }
 
 // pin takes a pin on f if it is still the registered frame for its page
@@ -622,9 +594,7 @@ func (t *Table) pin(f *Frame) bool {
 	}
 	f.pins.Add(1)
 	sh.mu.Unlock()
-	if o := t.obsP.Load(); o != nil {
-		o.emit(0, obs.EvFramePin, f.id, 0)
-	}
+	t.emit(0, obs.EvFramePin, f.id, 0)
 	return true
 }
 
@@ -748,10 +718,8 @@ func (t *Table) unhit(f *Frame) {
 	sh.mu.Lock()
 	sh.hits--
 	sh.mu.Unlock()
-	if o := t.obsP.Load(); o != nil {
-		o.hits.Add(-1)
-		o.emit(0, obs.EvFrameUnpin, f.id, 0)
-	}
+	t.hits.Add(-1)
+	t.emit(0, obs.EvFrameUnpin, f.id, 0)
 }
 
 // Seed installs an already-materialized frame (pool reopen after a crash:
@@ -911,17 +879,12 @@ func (t *Table) evictOne(clk *simclock.Clock) error {
 	}
 	t.unindex(victim)
 	t.Counters.Evictions.Add(1)
-	o := t.obsP.Load()
-	if o != nil {
-		o.evictions.Inc()
-		o.emit(clk.Now(), obs.EvFrameEvict, victim.id, 0)
-	}
+	t.evictions.Inc()
+	t.emit(clk.Now(), obs.EvFrameEvict, victim.id, 0)
 	if err := t.evictor.Evict(clk, victim.id, victim.slot, victim.dirty.Load()); err != nil {
 		t.Counters.EvictFailures.Add(1)
-		if o != nil {
-			o.evictFailures.Inc()
-			o.emit(clk.Now(), obs.EvEvictError, victim.id, 0)
-		}
+		t.evictFailures.Inc()
+		t.emit(clk.Now(), obs.EvEvictError, victim.id, 0)
 		return err
 	}
 	return nil
@@ -940,10 +903,8 @@ func (t *Table) Get(clk *simclock.Clock, id uint64, mode Mode) (*Frame, error) {
 			f.pins.Add(1)
 			sh.hits++
 			sh.mu.Unlock()
-			if o := t.obsP.Load(); o != nil {
-				o.hits.Inc()
-				o.emit(clk.Now(), obs.EvFramePin, id, 0)
-			}
+			t.hits.Inc()
+			t.emit(clk.Now(), obs.EvFramePin, id, 0)
 			if !f.waitReady() {
 				t.unhit(f) // load failed under us; retry as a miss
 				continue
@@ -991,10 +952,8 @@ func (t *Table) Get(clk *simclock.Clock, id uint64, mode Mode) (*Frame, error) {
 		sh.misses++
 		sh.mu.Unlock()
 		t.resident.Add(1)
-		if o := t.obsP.Load(); o != nil {
-			o.misses.Inc()
-			o.emit(clk.Now(), obs.EvFramePin, id, 0)
-		}
+		t.misses.Inc()
+		t.emit(clk.Now(), obs.EvFramePin, id, 0)
 
 		slot, dirty, err := t.store.Fetch(clk, id)
 		if err != nil {
@@ -1002,9 +961,7 @@ func (t *Table) Get(clk *simclock.Clock, id uint64, mode Mode) (*Frame, error) {
 			return nil, err
 		}
 		t.finishLoad(f, slot, dirty)
-		if o := t.obsP.Load(); o != nil {
-			o.emit(clk.Now(), obs.EvFrameLoad, id, 0)
-		}
+		t.emit(clk.Now(), obs.EvFrameLoad, id, 0)
 		t.sample(clk, id)
 		return t.acquire(clk, f, mode, false)
 	}
@@ -1029,9 +986,7 @@ func (t *Table) Create(clk *simclock.Clock, id uint64) (*Frame, error) {
 	sh.frames[id] = f
 	sh.mu.Unlock()
 	t.resident.Add(1)
-	if o := t.obsP.Load(); o != nil {
-		o.emit(clk.Now(), obs.EvFramePin, id, 0)
-	}
+	t.emit(clk.Now(), obs.EvFramePin, id, 0)
 
 	slot, err := t.store.Create(clk, id)
 	if err != nil {
@@ -1039,9 +994,7 @@ func (t *Table) Create(clk *simclock.Clock, id uint64) (*Frame, error) {
 		return nil, err
 	}
 	t.finishLoad(f, slot, true)
-	if o := t.obsP.Load(); o != nil {
-		o.emit(clk.Now(), obs.EvFrameLoad, id, 0)
-	}
+	t.emit(clk.Now(), obs.EvFrameLoad, id, 0)
 	t.sample(clk, id)
 	return t.acquire(clk, f, Write, true)
 }
@@ -1102,9 +1055,7 @@ func (t *Table) abortLoad(f *Frame) {
 	f.pins.Add(-1)
 	t.resident.Add(-1)
 	close(f.loaded) // ready stays false: waiters retry as a fresh miss
-	if o := t.obsP.Load(); o != nil {
-		o.emit(0, obs.EvFrameUnpin, f.id, 0)
-	}
+	t.emit(0, obs.EvFrameUnpin, f.id, 0)
 }
 
 // retire discards a frame a Revalidator rejected, returning its slot to
@@ -1125,18 +1076,13 @@ func (t *Table) retire(clk *simclock.Clock, f *Frame) error {
 	t.detach(f)
 	// Slot recycling, not a capacity eviction: Retires, not Evictions.
 	t.Counters.Retires.Add(1)
-	o := t.obsP.Load()
-	if o != nil {
-		o.retires.Inc()
-		o.emit(clk.Now(), obs.EvFrameRetire, f.id, 0)
-	}
+	t.retires.Inc()
+	t.emit(clk.Now(), obs.EvFrameRetire, f.id, 0)
 	if t.evictor != nil {
 		if err := t.evictor.Evict(clk, f.id, f.slot, false); err != nil {
 			t.Counters.EvictFailures.Add(1)
-			if o != nil {
-				o.evictFailures.Inc()
-				o.emit(clk.Now(), obs.EvEvictError, f.id, 0)
-			}
+			t.evictFailures.Inc()
+			t.emit(clk.Now(), obs.EvEvictError, f.id, 0)
 			return fmt.Errorf("frametab: retiring stale page %d: %w", f.id, err)
 		}
 	}

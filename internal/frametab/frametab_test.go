@@ -59,16 +59,16 @@ func (s *memStore) Evict(clk *simclock.Clock, id uint64, slot any, dirty bool) e
 	return nil
 }
 
-func newTestTable(t *testing.T, s *memStore, capacity, shards int) *Table {
+func newTestTable(t *testing.T, s *memStore, capacity int) *Table {
 	t.Helper()
-	return New(Config{Shards: shards, Capacity: capacity, Store: s, NotFound: errNoImage})
+	return New(Config{Capacity: capacity, Store: s, NotFound: errNoImage})
 }
 
 func TestHitMissAndStats(t *testing.T) {
 	clk := simclock.New()
 	s := newMemStore()
 	s.durable[7] = []byte("durable!")
-	tab := newTestTable(t, s, 4, 4)
+	tab := newTestTable(t, s, 4)
 
 	f, err := tab.Get(clk, 7, Read)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestHitMissAndStats(t *testing.T) {
 func TestFailedFetchWithdrawsPlaceholder(t *testing.T) {
 	clk := simclock.New()
 	s := newMemStore()
-	tab := newTestTable(t, s, 4, 1)
+	tab := newTestTable(t, s, 4)
 	if _, err := tab.Get(clk, 9, Read); !errors.Is(err, errNoImage) {
 		t.Fatalf("err = %v", err)
 	}
@@ -128,7 +128,7 @@ func TestClockEvictionOrderAndDirtyWriteback(t *testing.T) {
 	for id := uint64(1); id <= 3; id++ {
 		s.durable[id] = []byte{byte(id)}
 	}
-	tab := newTestTable(t, s, 2, 2)
+	tab := newTestTable(t, s, 2)
 	for id := uint64(1); id <= 2; id++ {
 		f, err := tab.Get(clk, id, Write)
 		if err != nil {
@@ -166,7 +166,7 @@ func TestSecondChanceSparesReferencedFrame(t *testing.T) {
 	for id := uint64(1); id <= 3; id++ {
 		s.durable[id] = []byte{byte(id)}
 	}
-	tab := newTestTable(t, s, 2, 1)
+	tab := newTestTable(t, s, 2)
 	for id := uint64(1); id <= 2; id++ {
 		f, _ := tab.Get(clk, id, Read)
 		f.Unlock(Read)
@@ -194,7 +194,7 @@ func TestAllPinnedEvictionError(t *testing.T) {
 	for id := uint64(1); id <= 3; id++ {
 		s.durable[id] = []byte{byte(id)}
 	}
-	tab := newTestTable(t, s, 2, 2)
+	tab := newTestTable(t, s, 2)
 	var held []*Frame
 	for id := uint64(1); id <= 2; id++ {
 		f, err := tab.Get(clk, id, Read)
@@ -218,7 +218,7 @@ func TestAllPinnedEvictionError(t *testing.T) {
 func TestGetOrCreateFallsThroughToCreate(t *testing.T) {
 	clk := simclock.New()
 	s := newMemStore()
-	tab := newTestTable(t, s, 4, 4)
+	tab := newTestTable(t, s, 4)
 	f, err := tab.GetOrCreate(clk, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestDirtyFramesSortedByPageID(t *testing.T) {
 	for _, id := range ids {
 		s.durable[id] = []byte{byte(id)}
 	}
-	tab := newTestTable(t, s, 8, 8)
+	tab := newTestTable(t, s, 8)
 	for _, id := range ids {
 		f, err := tab.Get(clk, id, Write)
 		if err != nil {
@@ -275,7 +275,7 @@ func TestDirtyFramesSortedByPageID(t *testing.T) {
 func TestSeedAndTakeIfIdle(t *testing.T) {
 	clk := simclock.New()
 	s := newMemStore()
-	tab := newTestTable(t, s, 4, 2)
+	tab := newTestTable(t, s, 4)
 	tab.Seed(5, []byte{5}, true)
 	if tab.Resident() != 1 {
 		t.Fatal("seed not resident")
@@ -304,7 +304,7 @@ func TestParallelGetSingleLoad(t *testing.T) {
 	for id := uint64(1); id <= 8; id++ {
 		s.durable[id] = []byte{byte(id)}
 	}
-	tab := newTestTable(t, s, 64, 8)
+	tab := newTestTable(t, s, 64)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -376,7 +376,7 @@ func TestRetireRefetchesAndCounts(t *testing.T) {
 	clk := simclock.New()
 	s := &retireStore{memStore: newMemStore()}
 	s.durable[3] = []byte("v1......")
-	tab := New(Config{Shards: 1, Capacity: 4, Store: s, NotFound: errNoImage})
+	tab := New(Config{Capacity: 4, Store: s, NotFound: errNoImage})
 
 	f, err := tab.Get(clk, 3, Read)
 	if err != nil {
@@ -425,12 +425,10 @@ func TestRetireEvictFailurePropagates(t *testing.T) {
 	clk := simclock.New()
 	s := &retireStore{memStore: newMemStore()}
 	s.durable[5] = []byte("durable!")
-	tab := New(Config{Shards: 1, Capacity: 4, Store: s, NotFound: errNoImage})
-
 	reg := obs.New(obs.Options{})
 	leak := obs.NewFrameLeakChecker()
 	reg.AddChecker(leak)
-	tab.SetObserver(reg, "test")
+	tab := New(Config{Capacity: 4, Store: s, NotFound: errNoImage, Name: "test", Registry: reg})
 
 	f, err := tab.Get(clk, 5, Read)
 	if err != nil {

@@ -10,7 +10,7 @@ func TestTouchSamplerSeesHitsMissesAndCreates(t *testing.T) {
 	clk := simclock.New()
 	s := newMemStore()
 	s.durable[7] = []byte("durable!")
-	tab := newTestTable(t, s, 4, 4)
+	tab := newTestTable(t, s, 4)
 
 	var touched []uint64
 	tab.SetTouchSampler(func(c *simclock.Clock, id uint64) {
@@ -68,7 +68,7 @@ func TestTryPinResidentOnly(t *testing.T) {
 	s := newMemStore()
 	s.durable[1] = []byte("a")
 	s.durable[2] = []byte("b")
-	tab := newTestTable(t, s, 4, 4)
+	tab := newTestTable(t, s, 4)
 
 	// Absent page: TryPin must not fault it in.
 	fetches := s.fetches
@@ -107,7 +107,7 @@ func TestFrameTryLockModes(t *testing.T) {
 	clk := simclock.New()
 	s := newMemStore()
 	s.durable[1] = []byte("a")
-	tab := newTestTable(t, s, 4, 4)
+	tab := newTestTable(t, s, 4)
 
 	f, err := tab.Get(clk, 1, Write)
 	if err != nil {

@@ -34,7 +34,7 @@ func (s *wbStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 func newWBTable(t *testing.T, capacity int) (*Table, *wbStore) {
 	t.Helper()
 	s := &wbStore{memStore: newMemStore()}
-	return New(Config{Shards: 4, Capacity: capacity, Store: s, NotFound: errNoImage}), s
+	return New(Config{Capacity: capacity, Store: s, NotFound: errNoImage}), s
 }
 
 func dirtyPages(t *testing.T, tab *Table, clk *simclock.Clock, ids ...uint64) {
@@ -117,7 +117,7 @@ func TestFlushBatchErrorStopsBatch(t *testing.T) {
 func TestFlushBatchWithoutWritebackStore(t *testing.T) {
 	clk := simclock.New()
 	s := newMemStore() // no Writeback method
-	tab := newTestTable(t, s, 4, 4)
+	tab := newTestTable(t, s, 4)
 	if _, err := tab.FlushBatch(clk, 10); !errors.Is(err, ErrNoWriteback) {
 		t.Fatalf("err = %v, want ErrNoWriteback", err)
 	}

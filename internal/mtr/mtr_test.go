@@ -23,7 +23,7 @@ func newEnv(t *testing.T) *env {
 	t.Helper()
 	ws := wal.NewStore(0, 0)
 	return &env{
-		pool:  buffer.NewDRAMPool(storage.New(storage.Config{}), 16, cxl.DRAMProfile()),
+		pool:  buffer.NewDRAMPool(storage.New(storage.Config{}), 16, cxl.DRAMProfile(), nil),
 		log:   wal.Attach(ws),
 		store: ws,
 		clk:   simclock.New(),

@@ -104,7 +104,7 @@ type Pool struct {
 
 // NewPool allocates a remote memory pool of size bytes.
 func NewPool(name string, size int64) *Pool {
-	return &Pool{dev: simmem.NewDevice(name, size, simmem.Profile{Name: name}, nil)}
+	return &Pool{dev: simmem.NewDevice(name, size, simmem.Profile{Name: name}, nil, nil)}
 }
 
 // Size reports the pool capacity.

@@ -62,7 +62,7 @@ var checkpointSweepPolicy = checkpoint.Policy{
 // checkpointSweepRun is one (seed, crashIndex) experiment with fuzzy
 // checkpointing enabled end to end.
 func checkpointSweepRun(plan *fault.Plan) error {
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096}, nil)
 	host, err := topo.AttachHost("h0", 0)
 	if err != nil {
 		return err

@@ -33,7 +33,7 @@ func newLeafRig(t *testing.T, leaves int, nblocks int64) *leafRig {
 	topo := cxl.NewTopology(cxl.TopologyConfig{
 		Leaves:    leaves,
 		PoolBytes: core.RegionSizeFor(nblocks) + 4096,
-	})
+	}, nil)
 	host, err := topo.AttachHost("h0", 0)
 	if err != nil {
 		t.Fatal(err)

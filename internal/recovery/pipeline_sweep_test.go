@@ -43,7 +43,7 @@ var batchedPipelinePolicy = flusher.Policy{
 // batchedPipelineSweepRun is one (seed, crashIndex) experiment with the
 // commit pipeline enabled end to end.
 func batchedPipelineSweepRun(plan *fault.Plan) error {
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096}, nil)
 	host, err := topo.AttachHost("h0", 0)
 	if err != nil {
 		return err

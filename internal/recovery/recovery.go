@@ -128,25 +128,34 @@ func chargeLogScan(clk *simclock.Clock, ws *wal.Store, fromLSN uint64) (int64, e
 	return bytes, nil
 }
 
-// checkpointFor resolves the LSN recovery scans from: the later of the
-// store-recorded checkpoint and — when a CXL checkpoint area is supplied —
-// the newest durable checkpoint record (costed read of both slots). Taking
-// the max keeps mixed deployments safe: explicit Engine.Checkpoint calls
-// and the fuzzy checkpointer each truncate only behind their own previous
-// checkpoint, and a scan from any later valid checkpoint is always
-// sufficient.
-func checkpointFor(clk *simclock.Clock, ws *wal.Store, ckpt *checkpoint.Area) (uint64, error) {
-	lsn := ws.CheckpointLSN()
+// redoStart resolves the checkpoint recovery starts from and the LSN its
+// scan starts at. The checkpoint is the later of the store-recorded one
+// and — when a CXL checkpoint area is supplied — the newest durable
+// checkpoint record (costed read of both slots). Taking the max keeps mixed
+// deployments safe: explicit Engine.Checkpoint calls and the fuzzy
+// checkpointer each truncate only behind their own previous checkpoint, and
+// a scan from any later valid checkpoint is always sufficient.
+//
+// The scan starts at the later of the checkpoint and the WAL truncation
+// floor: checkpoint truncation guarantees every record below the floor was
+// flushed to storage before being discarded, and the ARIES LSN guard in
+// mtr.Apply makes re-applying any already-flushed record a no-op, so
+// clamping to the floor is always sufficient and never replays stale state.
+// A nil ckpt (the area died with its box, or checkpointing was never
+// enabled) degrades to the store-recorded checkpoint, or to a full redo
+// from the truncation floor when there is none.
+func redoStart(clk *simclock.Clock, ws *wal.Store, ckpt *checkpoint.Area) (ckptLSN, from uint64, err error) {
+	ckptLSN = ws.CheckpointLSN()
 	if ckpt != nil {
 		areaLSN, ok, err := ckpt.Load(clk)
 		if err != nil {
-			return 0, fmt.Errorf("recovery: checkpoint area: %w", err)
+			return 0, 0, fmt.Errorf("recovery: checkpoint area: %w", err)
 		}
-		if ok && areaLSN > lsn {
-			lsn = areaLSN
+		if ok && areaLSN > ckptLSN {
+			ckptLSN = areaLSN
 		}
 	}
-	return lsn, nil
+	return ckptLSN, max(ckptLSN+1, ws.TruncatedBefore()), nil
 }
 
 // redoThroughPool replays every post-checkpoint record through the pool
@@ -291,27 +300,15 @@ func finish(clk *simclock.Clock, pool buffer.Pool, ws *wal.Store, store *storage
 // tail, then uncommitted work is undone. This is the cross-leaf relocation
 // path — the region typically lives on a *different* leaf than the dead
 // pool, and the checkpoint area (when it survived on yet another leaf)
-// bounds the redo scan exactly as it does for an in-place PolarRecv.
-//
-// The scan starts at the later of the checkpoint and the WAL truncation
-// floor: checkpoint truncation guarantees every record below the floor was
-// flushed to storage before being discarded, and the ARIES LSN guard in
-// mtr.Apply makes re-applying any already-flushed record a no-op, so
-// clamping to the floor is always sufficient and never replays stale state.
-// A nil ckpt (the area died with its box, or checkpointing was never
-// enabled) degrades to the store-recorded checkpoint, or to a full redo
-// from the truncation floor when there is none.
+// bounds the redo scan exactly as it does for an in-place PolarRecv; see
+// redoStart for where the scan starts.
 func Failover(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache, ws *wal.Store, store *storage.Store, ckpt *checkpoint.Area) (*core.CXLPool, *txn.Engine, *Result, error) {
 	res := &Result{Scheme: "failover", StartNanos: clk.Now(), DurableLSN: ws.DurableLSN()}
-	ckptLSN, err := checkpointFor(clk, ws, ckpt)
+	ckptLSN, from, err := redoStart(clk, ws, ckpt)
 	if err != nil {
 		return nil, nil, res, err
 	}
 	res.CheckpointLSN = ckptLSN
-	from := ckptLSN + 1
-	if floor := ws.TruncatedBefore(); from < floor {
-		from = floor
-	}
 	pool, err := core.Format(host, region, cache, store)
 	if err != nil {
 		return nil, nil, res, fmt.Errorf("failover: format replacement region: %w", err)
@@ -329,10 +326,11 @@ func Failover(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, ca
 // CXL-durable checkpoint area: redo starts from the newest valid checkpoint
 // record (or the store-recorded checkpoint, whichever is later), so replay
 // is bounded by the checkpoint interval instead of total uptime. A nil ckpt
-// preserves the legacy store-checkpoint behaviour.
+// (the area's box died) starts from the store-recorded checkpoint or the
+// WAL truncation floor, whichever is later; see redoStart.
 func PolarRecv(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache, ws *wal.Store, store *storage.Store, ckpt *checkpoint.Area) (*core.CXLPool, *txn.Engine, *Result, error) {
 	res := &Result{Scheme: "polarrecv", StartNanos: clk.Now(), DurableLSN: ws.DurableLSN()}
-	ckptLSN, err := checkpointFor(clk, ws, ckpt)
+	ckptLSN, from, err := redoStart(clk, ws, ckpt)
 	if err != nil {
 		return nil, nil, res, err
 	}
@@ -353,7 +351,6 @@ func PolarRecv(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, c
 		}
 	}
 	// Undo analysis needs the tail even when nothing is rebuilt.
-	from := ckptLSN + 1
 	if res.LogScanBytes, err = chargeLogScan(clk, ws, from); err != nil {
 		return nil, nil, res, err
 	}

@@ -48,7 +48,7 @@ type cxlRig struct {
 
 func newCXLRig(t *testing.T, nblocks int64) *cxlRig {
 	t.Helper()
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(nblocks) + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(nblocks) + 4096}, nil)
 	host, err := topo.AttachHost("h0", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func TestVanillaRecovery(t *testing.T) {
 	store := storage.New(storage.Config{})
 	ws := wal.NewStore(0, 0)
 	clk := simclock.New()
-	pool := buffer.NewDRAMPool(store, 1024, cxl.DRAMProfile())
+	pool := buffer.NewDRAMPool(store, 1024, cxl.DRAMProfile(), nil)
 	e, err := txn.Bootstrap(clk, pool, wal.Attach(ws), store)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +395,7 @@ func TestVanillaRecovery(t *testing.T) {
 	runWorkload(t, clk, e)
 	// Crash: pool and log handle dropped.
 	clk2 := simclock.NewAt(clk.Now())
-	pool2 := buffer.NewDRAMPool(store, 1024, cxl.DRAMProfile())
+	pool2 := buffer.NewDRAMPool(store, 1024, cxl.DRAMProfile(), nil)
 	e2, res, err := Recover(clk2, "vanilla", pool2, ws, store)
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +416,7 @@ func TestRDMARecoveryUsesSurvivingRemote(t *testing.T) {
 	clk := simclock.New()
 	remote := buffer.NewRemoteMemory("rm", 2048)
 	nic := rdma.NewNIC("h0", 0, 0)
-	pool := buffer.NewTieredPool(store, remote, nic, 64, cxl.DRAMProfile())
+	pool := buffer.NewTieredPool(store, remote, nic, 64, cxl.DRAMProfile(), nil)
 	e, err := txn.Bootstrap(clk, pool, wal.Attach(ws), store)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestRDMARecoveryUsesSurvivingRemote(t *testing.T) {
 	// Crash the database host; the memory node (remote) survives.
 	clk2 := simclock.NewAt(clk.Now())
 	nic2 := rdma.NewNIC("h0-restart", 0, 0)
-	pool2 := buffer.NewTieredPool(store, remote, nic2, 64, cxl.DRAMProfile())
+	pool2 := buffer.NewTieredPool(store, remote, nic2, 64, cxl.DRAMProfile(), nil)
 	e2, res, err := Recover(clk2, "rdma", pool2, ws, store)
 	if err != nil {
 		t.Fatal(err)
@@ -449,11 +449,11 @@ func TestRecoverySpeedShape(t *testing.T) {
 		store := storage.New(storage.Config{})
 		ws := wal.NewStore(0, 0)
 		clk := simclock.New()
-		pool := buffer.NewDRAMPool(store, 1024, cxl.DRAMProfile())
+		pool := buffer.NewDRAMPool(store, 1024, cxl.DRAMProfile(), nil)
 		e, _ := txn.Bootstrap(clk, pool, wal.Attach(ws), store)
 		runWorkload(t, clk, e)
 		clk2 := simclock.NewAt(clk.Now())
-		_, res, err := Recover(clk2, "vanilla", buffer.NewDRAMPool(store, 1024, cxl.DRAMProfile()), ws, store)
+		_, res, err := Recover(clk2, "vanilla", buffer.NewDRAMPool(store, 1024, cxl.DRAMProfile(), nil), ws, store)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,11 +464,11 @@ func TestRecoverySpeedShape(t *testing.T) {
 		ws := wal.NewStore(0, 0)
 		clk := simclock.New()
 		remote := buffer.NewRemoteMemory("rm", 2048)
-		pool := buffer.NewTieredPool(store, remote, rdma.NewNIC("h", 0, 0), 64, cxl.DRAMProfile())
+		pool := buffer.NewTieredPool(store, remote, rdma.NewNIC("h", 0, 0), 64, cxl.DRAMProfile(), nil)
 		e, _ := txn.Bootstrap(clk, pool, wal.Attach(ws), store)
 		runWorkload(t, clk, e)
 		clk2 := simclock.NewAt(clk.Now())
-		pool2 := buffer.NewTieredPool(store, remote, rdma.NewNIC("h2", 0, 0), 64, cxl.DRAMProfile())
+		pool2 := buffer.NewTieredPool(store, remote, rdma.NewNIC("h2", 0, 0), 64, cxl.DRAMProfile(), nil)
 		_, res, err := Recover(clk2, "rdma", pool2, ws, store)
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ import (
 func sloRun(t *testing.T, rounds int, withCkpt bool) (redoRecords int, walBytes int64) {
 	t.Helper()
 	const nblocks = 192
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(nblocks) + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(nblocks) + 4096}, nil)
 	host, err := topo.AttachHost("h0", 0)
 	if err != nil {
 		t.Fatal(err)

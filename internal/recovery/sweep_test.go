@@ -38,7 +38,7 @@ const (
 // workload under the plan, host death, PolarRecv, invariant checks. It
 // returns an error (never t.Fatal) so the harness can attach the repro pair.
 func polarRecvSweepRun(plan *fault.Plan) error {
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(sweepBlocks) + 4096}, nil)
 	host, err := topo.AttachHost("h0", 0)
 	if err != nil {
 		return err

@@ -8,15 +8,15 @@ import (
 
 	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
+	"polarcxlmem/internal/simcpu"
 )
 
 // TestCoherentNodeWithoutSoftwareProtocol: a node whose cache sits in a
 // simcpu.Domain reads a peer's write with no invalid flags, no acks, no
 // publication flush — the trace holds lock events and nothing else.
 func TestCoherentNodeWithoutSoftwareProtocol(t *testing.T) {
-	r := newCoherentRig(t, 8, 2)
 	reg := obs.New(obs.Options{})
-	r.fusion.SetObserver(reg)
+	r := buildRig(t, 8, 2, 64, simcpu.NewDomain(0), reg)
 	pid := r.seedPage(t, 0x11)
 	a, b := r.nodes[0], r.nodes[1]
 	buf := make([]byte, 64)

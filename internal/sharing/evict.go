@@ -51,10 +51,7 @@ func (f *Fusion) EvictNode(clk *simclock.Clock, node string) error {
 	f.leases.markDead(node)
 	f.evictMu.Lock()
 	defer f.evictMu.Unlock()
-	o := f.obsState()
-	if o != nil {
-		o.evictions.Inc()
-	}
+	f.evictions.Inc()
 
 	f.mu.Lock()
 	ids := make([]uint64, 0, len(f.pages))
@@ -104,7 +101,7 @@ func (f *Fusion) EvictNode(clk *simclock.Clock, node string) error {
 		if hit := ps.lk.forceRelease(node); hit || writeHeld {
 			// A reclaim absolves the dead holder: its grants are gone and
 			// any invalidation it owed can never be acked.
-			o.emit(clk.Now(), obs.EvLockReclaim, node, id, 0)
+			f.emit(clk.Now(), obs.EvLockReclaim, node, id, 0)
 		}
 		// Deregister: zero the dead node's flag slots, drop it from the
 		// active set. A survivor slot-scan must never see its stale flags.
@@ -175,7 +172,6 @@ func (f *Fusion) reclaimWriteHeld(clk *simclock.Clock, ps *pageState, node strin
 	if err := f.host.TransferWrite(clk, page.Size); err != nil {
 		return err
 	}
-	o := f.obsState()
 	f.mu.Lock()
 	ps.dirty = dirty
 	for _, other := range f.sortedNodes(ps.active) {
@@ -186,10 +182,8 @@ func (f *Fusion) reclaimWriteHeld(clk *simclock.Clock, ps *pageState, node strin
 			f.mu.Unlock()
 			return err
 		}
-		if o != nil {
-			o.invalidations.Inc()
-		}
-		o.emit(clk.Now(), obs.EvInvalidSet, other, ps.id, 0)
+		f.invalidations.Inc()
+		f.emit(clk.Now(), obs.EvInvalidSet, other, ps.id, 0)
 	}
 	f.mu.Unlock()
 	return nil

@@ -32,7 +32,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"polarcxlmem/internal/cxl"
 	"polarcxlmem/internal/fault"
@@ -107,41 +106,45 @@ type Fusion struct {
 	nodeByI map[uint64]string   // inverse of nodeIDs
 	ws      *wal.Store          // optional redo source for EvictNode; may be nil
 
-	obsP atomic.Pointer[fusionObs] // optional metrics/trace sink; may be empty
+	// Registry handles, fixed at construction; nil (a no-op) without one.
+	// Nodes emit through the server too, so the whole cluster's coherency
+	// trace is one stream.
+	reg              *obs.Registry
+	rpcs, rpcRetries *obs.Counter   // sharing.rpcs, sharing.rpc_retries
+	invalidations    *obs.Counter   // sharing.invalidations
+	recycles         *obs.Counter   // sharing.recycles
+	evictions        *obs.Counter   // sharing.evictions
+	lockTimeouts     *obs.Counter   // sharing.lock_timeouts
+	lockWait         *obs.Histogram // sharing.lock.wait_ns
 }
 
-// fusionObs carries the sharing layer's registry handles. Nodes reach it
-// through Fusion.obsState so one SetObserver covers the whole cluster's
-// coherency trace.
-type fusionObs struct {
-	reg *obs.Registry
-
-	rpcs, rpcRetries *obs.Counter
-	invalidations    *obs.Counter
-	recycles         *obs.Counter
-	evictions        *obs.Counter
-	lockTimeouts     *obs.Counter
-	lockWait         *obs.Histogram
-}
-
-// emit publishes one trace event; safe on a nil observer.
-func (o *fusionObs) emit(vnanos int64, typ, actor string, pageID uint64, aux int64) {
-	if o != nil {
-		o.reg.Emit(vnanos, typ, actor, pageID, aux)
+// emit publishes one trace event when the server has a registry.
+func (f *Fusion) emit(vnanos int64, typ, actor string, pageID uint64, aux int64) {
+	if f.reg != nil {
+		f.reg.Emit(vnanos, typ, actor, pageID, aux)
 	}
 }
 
-// SetObserver registers the fusion server's metrics (sharing.rpcs /
-// rpc_retries / invalidations / recycles / evictions / lock_timeouts
-// counters and the sharing.lock.wait_ns histogram) and starts the coherency
-// trace stream (lock.*, coherency.*) for the server and every attached
-// node. A nil reg detaches.
-func (f *Fusion) SetObserver(reg *obs.Registry) {
-	if reg == nil {
-		f.obsP.Store(nil)
-		return
-	}
-	f.obsP.Store(&fusionObs{
+// newFusion builds a fusion server over a CXL region, backed by store for
+// page load and recycle write-back. host is the fusion server's own switch
+// attachment, charged for its bulk page staging; its registry
+// (HostPort.Observer) receives the server's metrics — sharing.rpcs /
+// rpc_retries / invalidations / recycles / evictions / lock_timeouts and
+// the sharing.lock.wait_ns histogram — and the coherency trace stream
+// (lock.*, coherency.*) of the server and every attached node.
+// NewDeployment is its one caller.
+func newFusion(host *cxl.HostPort, region *simmem.Region, store *storage.Store) *Fusion {
+	reg := host.Observer()
+	return &Fusion{
+		host:          host,
+		region:        region,
+		dev:           region.Device().WholeRegion(),
+		store:         store,
+		pages:         make(map[uint64]*pageState),
+		leases:        newLeaseTable(DefaultLeaseNanos),
+		pol:           LockPolicy{}.withDefaults(),
+		nodeIDs:       make(map[string]uint64),
+		nodeByI:       make(map[uint64]string),
 		reg:           reg,
 		rpcs:          reg.Counter("sharing.rpcs"),
 		rpcRetries:    reg.Counter("sharing.rpc_retries"),
@@ -150,28 +153,6 @@ func (f *Fusion) SetObserver(reg *obs.Registry) {
 		evictions:     reg.Counter("sharing.evictions"),
 		lockTimeouts:  reg.Counter("sharing.lock_timeouts"),
 		lockWait:      reg.Histogram("sharing.lock.wait_ns"),
-	})
-}
-
-// obsState returns the installed observer (nil when detached). Node-side
-// protocol code emits through this so the whole cluster shares one stream.
-func (f *Fusion) obsState() *fusionObs { return f.obsP.Load() }
-
-// newFusion builds a fusion server over a CXL region, backed by store for
-// page load and recycle write-back. host is the fusion server's own switch
-// attachment, charged for its bulk page staging. NewDeployment is its one
-// caller.
-func newFusion(host *cxl.HostPort, region *simmem.Region, store *storage.Store) *Fusion {
-	return &Fusion{
-		host:    host,
-		region:  region,
-		dev:     region.Device().WholeRegion(),
-		store:   store,
-		pages:   make(map[uint64]*pageState),
-		leases:  newLeaseTable(DefaultLeaseNanos),
-		pol:     LockPolicy{}.withDefaults(),
-		nodeIDs: make(map[string]uint64),
-		nodeByI: make(map[uint64]string),
 	}
 }
 
@@ -249,18 +230,15 @@ func (f *Fusion) rpc(clk *simclock.Clock, node string) error {
 	f.rpcSeq++
 	seq := f.rpcSeq
 	f.mu.Unlock()
-	o := f.obsState()
-	if o != nil {
-		o.rpcs.Inc()
-	}
+	f.rpcs.Inc()
 	attempts := 1
 	if rp != nil && rp.MaxAttempts > 1 {
 		attempts = rp.MaxAttempts
 	}
 	var last error
 	for a := 1; a <= attempts; a++ {
-		if a > 1 && o != nil {
-			o.rpcRetries.Inc()
+		if a > 1 {
+			f.rpcRetries.Inc()
 		}
 		var err error
 		if inj != nil {
@@ -437,7 +415,7 @@ func (f *Fusion) unlockWriteClean(clk *simclock.Clock, node string, pageID uint6
 	if err := ps.lk.releaseWrite(node); err != nil {
 		return err
 	}
-	f.obsState().emit(clk.Now(), obs.EvLockRelease, node, pageID, 1)
+	f.emit(clk.Now(), obs.EvLockRelease, node, pageID, 1)
 	return nil
 }
 
@@ -456,12 +434,11 @@ func (f *Fusion) FlushDirty(clk *simclock.Clock, barrier func(*simclock.Clock, u
 	// operation sequence differ run to run, breaking fault-plan replay.
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].id < dirty[j].id })
 	img := make([]byte, page.Size)
-	o := f.obsState()
 	for _, ps := range dirty {
 		if err := acquirePageLock(clk, ps.lk, nil, f.pol, fusionNode, ps.id, false, nil); err != nil {
 			return err
 		}
-		o.emit(clk.Now(), obs.EvLockGrant, fusionNode, ps.id, 0)
+		f.emit(clk.Now(), obs.EvLockGrant, fusionNode, ps.id, 0)
 		err := f.region.ReadRaw(ps.off, img)
 		if err == nil {
 			err = f.host.TransferRead(clk, page.Size)
@@ -480,7 +457,7 @@ func (f *Fusion) FlushDirty(clk *simclock.Clock, barrier func(*simclock.Clock, u
 				err = rerr
 			}
 		} else {
-			o.emit(clk.Now(), obs.EvLockRelease, fusionNode, ps.id, 0)
+			f.emit(clk.Now(), obs.EvLockRelease, fusionNode, ps.id, 0)
 		}
 		if err != nil {
 			return err
@@ -507,17 +484,14 @@ func (f *Fusion) Lock(clk *simclock.Clock, node string, pageID uint64, write boo
 		return fmt.Errorf("sharing: lock of unknown page %d", pageID)
 	}
 	reclaim := func(clk *simclock.Clock, dead string) error { return f.EvictNode(clk, dead) }
-	o := f.obsState()
 	waitStart := clk.Now()
 	if err := acquirePageLock(clk, ps.lk, f.leases, pol, node, pageID, write, reclaim); err != nil {
-		if o != nil && errors.Is(err, ErrLockTimeout) {
-			o.lockTimeouts.Inc()
+		if errors.Is(err, ErrLockTimeout) {
+			f.lockTimeouts.Inc()
 		}
 		return err
 	}
-	if o != nil {
-		o.lockWait.Observe(clk.Now() - waitStart)
-	}
+	f.lockWait.Observe(clk.Now() - waitStart)
 	if write {
 		if err := f.recordLockWord(clk, ps, node); err != nil {
 			ps.lk.releaseWrite(node)
@@ -528,7 +502,7 @@ func (f *Fusion) Lock(clk *simclock.Clock, node string, pageID uint64, write boo
 	if write {
 		aux = 1
 	}
-	o.emit(clk.Now(), obs.EvLockGrant, node, pageID, aux)
+	f.emit(clk.Now(), obs.EvLockGrant, node, pageID, aux)
 	return nil
 }
 
@@ -575,7 +549,7 @@ func (f *Fusion) UnlockRead(clk *simclock.Clock, node string, pageID uint64) err
 	if err := ps.lk.releaseRead(node); err != nil {
 		return err
 	}
-	f.obsState().emit(clk.Now(), obs.EvLockRelease, node, pageID, 0)
+	f.emit(clk.Now(), obs.EvLockRelease, node, pageID, 0)
 	return nil
 }
 
@@ -586,7 +560,6 @@ func (f *Fusion) UnlockWrite(clk *simclock.Clock, node string, pageID uint64) er
 	if err := f.rpc(clk, node); err != nil {
 		return err
 	}
-	o := f.obsState()
 	f.mu.Lock()
 	ps, ok := f.pages[pageID]
 	if ok {
@@ -600,12 +573,10 @@ func (f *Fusion) UnlockWrite(clk *simclock.Clock, node string, pageID uint64) er
 				f.mu.Unlock()
 				return err
 			}
-			if o != nil {
-				o.invalidations.Inc()
-			}
+			f.invalidations.Inc()
 			// Actor is the TARGET: from here until that node flushes and
 			// acks, its cached copy of pageID is suspect.
-			o.emit(clk.Now(), obs.EvInvalidSet, other, pageID, 0)
+			f.emit(clk.Now(), obs.EvInvalidSet, other, pageID, 0)
 		}
 	}
 	f.mu.Unlock()
@@ -618,7 +589,7 @@ func (f *Fusion) UnlockWrite(clk *simclock.Clock, node string, pageID uint64) er
 	if err := ps.lk.releaseWrite(node); err != nil {
 		return err
 	}
-	o.emit(clk.Now(), obs.EvLockRelease, node, pageID, 1)
+	f.emit(clk.Now(), obs.EvLockRelease, node, pageID, 1)
 	return nil
 }
 
@@ -641,11 +612,10 @@ func (f *Fusion) recycleLocked(clk *simclock.Clock) error {
 	if ok, _, _ := victim.lk.tryAcquire(fusionNode, true, clk.Now()); !ok {
 		return fmt.Errorf("sharing: LRU victim %d is locked", victim.id)
 	}
-	o := f.obsState()
-	o.emit(clk.Now(), obs.EvLockGrant, fusionNode, victim.id, 1)
+	f.emit(clk.Now(), obs.EvLockGrant, fusionNode, victim.id, 1)
 	defer func() {
 		victim.lk.releaseWrite(fusionNode)
-		o.emit(clk.Now(), obs.EvLockRelease, fusionNode, victim.id, 1)
+		f.emit(clk.Now(), obs.EvLockRelease, fusionNode, victim.id, 1)
 	}()
 	if victim.dirty {
 		img := make([]byte, page.Size)
@@ -666,9 +636,7 @@ func (f *Fusion) recycleLocked(clk *simclock.Clock) error {
 	}
 	delete(f.pages, victim.id)
 	f.free = append(f.free, victim.off)
-	if o != nil {
-		o.recycles.Inc()
-	}
+	f.recycles.Inc()
 	return nil
 }
 
@@ -716,7 +684,7 @@ func (f *Fusion) unlockWriteHW(clk *simclock.Clock, node string, pageID uint64) 
 	if err := ps.lk.releaseWrite(node); err != nil {
 		return err
 	}
-	f.obsState().emit(clk.Now(), obs.EvLockRelease, node, pageID, 1)
+	f.emit(clk.Now(), obs.EvLockRelease, node, pageID, 1)
 	return nil
 }
 

@@ -191,12 +191,11 @@ func TestLeaseReclaimWithinInterval(t *testing.T) {
 // must also be violation-free (stale reads, leaked locks, leaked frames).
 func rpcSweepWorkload(t *testing.T, plan *fault.Plan, rp *simnet.RetryPolicy) ([][]byte, error) {
 	t.Helper()
-	r := newRig(t, 4, 2, 16)
 	reg := obs.New(obs.Options{})
 	for _, c := range obs.DefaultCheckers() {
 		reg.AddChecker(c)
 	}
-	r.fusion.SetObserver(reg)
+	r := buildRig(t, 4, 2, 16, nil, reg)
 	if rp != nil {
 		r.fusion.SetRetryPolicy(rp)
 	}
@@ -224,7 +223,6 @@ func rpcSweepWorkload(t *testing.T, plan *fault.Plan, rp *simnet.RetryPolicy) ([
 		}
 		out = append(out, buf)
 	}
-	r.fusion.SetObserver(nil)
 	for _, v := range reg.Finish() {
 		t.Errorf("invariant violation [%s]: %s", v.Checker, v.Detail)
 	}

@@ -31,7 +31,7 @@ func newMPRig(t *testing.T, nodes, dbpPages int) *mpRig {
 	t.Helper()
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nodes+1)*(1<<17)})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nodes+1)*(1<<17)}, nil)
 	dep, err := NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func newRDMAMPRig(t *testing.T, nodes, dbpPages, lbpPages int) ([]*txn.Engine, *
 	var engines []*txn.Engine
 	for i := 0; i < nodes; i++ {
 		name := fmt.Sprintf("rmp-%d", i)
-		pool := NewRDMASharedPool(name, fusion, rdma.NewNIC(name, 0, 0), lbpPages)
+		pool := NewRDMASharedPool(name, fusion, rdma.NewNIC(name, 0, 0), lbpPages, nil)
 		var eng *txn.Engine
 		var err error
 		if i == 0 {

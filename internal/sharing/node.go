@@ -266,13 +266,13 @@ func (n *Node) install(clk *simclock.Clock, pageID uint64, create bool) (*pmeta,
 	if err := n.cache.Flush(clk, n.dbp, off, page.Size); err != nil {
 		return nil, err
 	}
-	if o := n.fusion.obsState(); o != nil && !coherent {
+	if n.fusion.reg != nil && !coherent {
 		// The install flush discharges any invalidation this node owed on
 		// the page; Aux carries the lines that survived (nonzero only when
 		// the flush itself was fault-dropped, i.e. the copy is still
 		// suspect).
 		resident, _ := n.cache.LinesInRange(n.dbp, off, page.Size)
-		o.emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
+		n.fusion.emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
 	}
 	return &pmeta{slot: slot, dataOff: off, n: n, id: pageID}, nil
 }
@@ -302,12 +302,12 @@ func (n *Node) honourInvalid(clk *simclock.Clock, pageID uint64, m *pmeta) error
 	n.mu.Lock()
 	n.stats.Invalidations++
 	n.mu.Unlock()
-	if o := n.fusion.obsState(); o != nil {
+	if n.fusion.reg != nil {
 		// Aux = lines still resident after the flush: nonzero means the
 		// flush was dropped and the stale copy survives — the checker
 		// keeps the page suspect in that case.
 		resident, _ := n.cache.LinesInRange(n.dbp, m.dataOff, page.Size)
-		o.emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
+		n.fusion.emit(clk.Now(), obs.EvInvalidAck, n.name, pageID, int64(resident))
 	}
 	return nil
 }
@@ -317,7 +317,7 @@ func (n *Node) honourInvalid(clk *simclock.Clock, pageID uint64, m *pmeta) error
 // nothing.
 func (n *Node) emitRead(clk *simclock.Clock, pageID uint64) {
 	if !n.coherent() {
-		n.fusion.obsState().emit(clk.Now(), obs.EvSharedRead, n.name, pageID, 0)
+		n.fusion.emit(clk.Now(), obs.EvSharedRead, n.name, pageID, 0)
 	}
 }
 
@@ -335,12 +335,12 @@ func (n *Node) publish(clk *simclock.Clock, pageID uint64, m *pmeta) error {
 		n.fusion.UnlockWrite(clk, n.name, pageID)
 		return err
 	}
-	if o := n.fusion.obsState(); o != nil {
+	if n.fusion.reg != nil {
 		// Aux = dirty lines that survived the flush: nonzero means the
 		// publication was torn (fault-dropped), so peers that fetch the
 		// page may see pre-write bytes.
 		_, dirty := n.cache.LinesInRange(n.dbp, m.dataOff, page.Size)
-		o.emit(clk.Now(), obs.EvPublish, n.name, pageID, int64(dirty))
+		n.fusion.emit(clk.Now(), obs.EvPublish, n.name, pageID, int64(dirty))
 	}
 	return n.fusion.UnlockWrite(clk, n.name, pageID)
 }

@@ -15,16 +15,13 @@ import (
 // conformance suite and the RPC sweep) assert zero violations; these tests
 // are the other half — a checker nobody can trip checks nothing.
 
-// watchFusion attaches a fresh registry with one checker to the rig's fusion
-// and returns a finish func that detaches and collects violations.
-func watchFusion(r *rig, c obs.Checker) (finish func() []obs.Violation) {
+// newWatchedRig is newRig reporting into a fresh registry with one checker;
+// finish collects the checker's violations.
+func newWatchedRig(t *testing.T, dbpPages, nnodes, slots int, c obs.Checker) (r *rig, finish func() []obs.Violation) {
+	t.Helper()
 	reg := obs.New(obs.Options{})
 	reg.AddChecker(c)
-	r.fusion.SetObserver(reg)
-	return func() []obs.Violation {
-		r.fusion.SetObserver(nil)
-		return reg.Finish()
-	}
+	return buildRig(t, dbpPages, nnodes, slots, nil, reg), reg.Finish
 }
 
 func hasViolation(vs []obs.Violation, substr string) bool {
@@ -40,8 +37,7 @@ func hasViolation(vs []obs.Violation, substr string) bool {
 // invalid flag and reads its cached copy anyway must be called out — this is
 // the DisableCoherency negative control seen through the trace stream.
 func TestStaleReadCheckerFiresOnDisabledCoherency(t *testing.T) {
-	r := newRig(t, 8, 2, 16)
-	finish := watchFusion(r, obs.NewStaleReadChecker())
+	r, finish := newWatchedRig(t, 8, 2, 16, obs.NewStaleReadChecker())
 	pid := r.seedPage(t, 0x11)
 	a, b := r.nodes[0], r.nodes[1]
 	b.DisableCoherency = true
@@ -70,8 +66,7 @@ func TestStaleReadCheckerFiresOnDisabledCoherency(t *testing.T) {
 func TestStaleReadCheckerFiresOnTornPublish(t *testing.T) {
 	found := false
 	for k := int64(1); k <= 4 && !found; k++ {
-		r := newRig(t, 8, 2, 16)
-		finish := watchFusion(r, obs.NewStaleReadChecker())
+		r, finish := newWatchedRig(t, 8, 2, 16, obs.NewStaleReadChecker())
 		pid := r.seedPage(t, 0x11)
 		a, b := r.nodes[0], r.nodes[1]
 
@@ -100,8 +95,7 @@ func TestStaleReadCheckerFiresOnTornPublish(t *testing.T) {
 // lock and walks away (no release, no crash declaration) must show up as a
 // leak at Finish.
 func TestLockLeakCheckerFiresOnUnreleasedGrant(t *testing.T) {
-	r := newRig(t, 4, 1, 16)
-	finish := watchFusion(r, obs.NewLockLeakChecker())
+	r, finish := newWatchedRig(t, 4, 1, 16, obs.NewLockLeakChecker())
 	pid := r.seedPage(t, 0)
 	buf := make([]byte, 8)
 	if err := r.nodes[0].Read(r.clk, pid, page.HeaderSize, buf); err != nil {
@@ -120,8 +114,7 @@ func TestLockLeakCheckerFiresOnUnreleasedGrant(t *testing.T) {
 // orphaned grant is NOT a leak when the cluster formally reclaims it
 // (crash + EvictNode absolve the holder).
 func TestLockLeakCheckerIgnoresReclaimedGrant(t *testing.T) {
-	r := newRig(t, 4, 2, 16)
-	finish := watchFusion(r, obs.NewLockLeakChecker())
+	r, finish := newWatchedRig(t, 4, 2, 16, obs.NewLockLeakChecker())
 	pid := r.seedPage(t, 0)
 	buf := make([]byte, 8)
 	if err := r.nodes[1].Read(r.clk, pid, page.HeaderSize, buf); err != nil {

@@ -7,6 +7,7 @@ import (
 	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/cxl"
 	"polarcxlmem/internal/frametab"
+	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/rdma"
 	"polarcxlmem/internal/simclock"
@@ -49,10 +50,11 @@ type rdmaStore struct {
 
 // NewRDMASharedPool builds one node's engine-facing view of the RDMA DBP
 // with an LBP of capacityPages local copies, reporting its metrics as
-// frametab.rdma/<node>.*.
-func NewRDMASharedPool(node string, fusion *RDMAFusion, nic *rdma.NIC, capacityPages int) *RDMASharedPool {
+// frametab.rdma/<node>.* into reg (nil for none).
+func NewRDMASharedPool(node string, fusion *RDMAFusion, nic *rdma.NIC, capacityPages int, reg *obs.Registry) *RDMASharedPool {
 	p := &RDMASharedPool{node: node, fusion: fusion, nic: nic, prof: cxl.BufferDRAMProfile()}
-	p.TablePool = buffer.NewTablePool(frametab.Config{Capacity: capacityPages, Store: &rdmaStore{p: p}}, "rdma/"+node, fusion.store, rdmaMedium{p})
+	cfg := frametab.Config{Capacity: capacityPages, Store: &rdmaStore{p: p}, Name: "rdma/" + node, Registry: reg}
+	p.TablePool = buffer.NewTablePool(cfg, fusion.store, rdmaMedium{p})
 	fusion.mu.Lock()
 	fusion.nodes[node] = p
 	fusion.mu.Unlock()

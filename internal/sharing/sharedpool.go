@@ -64,11 +64,11 @@ type sharedStore struct{ p *SharedPool }
 
 // NewSharedPool builds one node's view of the distributed buffer pool. Its
 // metadata table holds one entry per flag slot and reports its metrics as
-// frametab.shared/<node>.*; the fusion server's cluster-wide metrics are
-// registered separately via Fusion.SetObserver.
+// frametab.shared/<node>.* into the fusion server's registry.
 func NewSharedPool(node string, fusion *Fusion, cache *simcpu.Cache, flagRegion *simmem.Region) *SharedPool {
 	p := &SharedPool{n: NewNode(node, fusion, cache, flagRegion)}
-	p.TablePool = buffer.NewTablePool(frametab.Config{Capacity: p.n.nslots, Store: &sharedStore{p: p}}, "shared/"+node, fusion.store, sharedMedium{p})
+	cfg := frametab.Config{Capacity: p.n.nslots, Store: &sharedStore{p: p}, Name: "shared/" + node, Registry: fusion.reg}
+	p.TablePool = buffer.NewTablePool(cfg, fusion.store, sharedMedium{p})
 	return p
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"polarcxlmem/internal/cxl"
+	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/rdma"
 	"polarcxlmem/internal/simclock"
@@ -25,22 +26,23 @@ type rig struct {
 
 func newRig(t *testing.T, dbpPages, nnodes, slots int) *rig {
 	t.Helper()
-	return buildRig(t, dbpPages, nnodes, slots, nil)
+	return buildRig(t, dbpPages, nnodes, slots, nil, nil)
 }
 
 // newCoherentRig is newRig with every node cache in one simcpu.Domain, so
 // the nodes run the hardware-coherent (CXL 3.0) regime.
 func newCoherentRig(t *testing.T, dbpPages, nnodes int) *rig {
 	t.Helper()
-	return buildRig(t, dbpPages, nnodes, 64, simcpu.NewDomain(0))
+	return buildRig(t, dbpPages, nnodes, 64, simcpu.NewDomain(0), nil)
 }
 
-// buildRig builds the rig; a non-nil dom gets every node cache.
-func buildRig(t *testing.T, dbpPages, nnodes, slots int, dom *simcpu.Domain) *rig {
+// buildRig builds the rig; a non-nil dom gets every node cache, and the
+// fabric, fusion server and nodes report into reg (nil for none).
+func buildRig(t *testing.T, dbpPages, nnodes, slots int, dom *simcpu.Domain, reg *obs.Registry) *rig {
 	t.Helper()
 	dbpBytes := int64(dbpPages) * page.Size
 	flagBytes := int64(slots) * flagEntrySize
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: dbpBytes + int64(nnodes)*flagBytes + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: dbpBytes + int64(nnodes)*flagBytes + 4096}, reg)
 	clk := simclock.New()
 	store := storage.New(storage.Config{})
 
@@ -270,7 +272,7 @@ func TestMetadataBufferReclaim(t *testing.T) {
 					if regime.coherent {
 						dom = simcpu.NewDomain(0)
 					}
-					r := buildRig(t, dbp, 1, 2, dom)
+					r := buildRig(t, dbp, 1, 2, dom, nil)
 					n := r.nodes[0]
 					pids := []uint64{r.seedPage(t, 1), r.seedPage(t, 2), r.seedPage(t, 3)}
 					var gets []uint64

@@ -14,7 +14,7 @@ const benchCacheBytes = 8 << 20
 // hold, after warm loads that bring the cache to its steady state, and
 // returns the cache's stats over the timed loads.
 func benchLoads(b *testing.B, devBytes int64, warm int, next func() int64) Stats {
-	r := simmem.NewDevice("cxl", devBytes, prof, nil).WholeRegion()
+	r := simmem.NewDevice("cxl", devBytes, prof, nil, nil).WholeRegion()
 	c := New("bench", benchCacheBytes, 5)
 	clk := simclock.New()
 	c.Hold()

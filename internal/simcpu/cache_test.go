@@ -13,7 +13,7 @@ var prof = simmem.Profile{Name: "cxl", ReadLatency: 549, WriteLatency: 549, Read
 
 func newDev(t *testing.T, size int64) *simmem.Device {
 	t.Helper()
-	return simmem.NewDevice("cxl", size, prof, nil)
+	return simmem.NewDevice("cxl", size, prof, nil, nil)
 }
 
 // dirtyLines reports how many of c's cached lines are dirty.

@@ -42,7 +42,7 @@ func newDiffWorld(t *testing.T, seed int64) *diffWorld {
 	t.Helper()
 	w := &diffWorld{clk: simclock.New(), link: simclock.NewResource("link", 2e9), plan: diffPlan(seed)}
 	for i, size := range []int64{11 * blockSize, 13*blockSize + 1000, corePageBase + corePages*coreStride} {
-		d := simmem.NewDevice("cxl", size, prof, nil)
+		d := simmem.NewDevice("cxl", size, prof, nil, nil)
 		raw := make([]byte, size)
 		rand.New(rand.NewSource(seed + int64(i))).Read(raw)
 		if err := d.WholeRegion().WriteRaw(0, raw); err != nil {

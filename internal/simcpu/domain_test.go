@@ -10,7 +10,7 @@ import (
 )
 
 func TestDomainBackInvalidationOnStore(t *testing.T) {
-	d := simmem.NewDevice("cxl", 4096, prof, nil)
+	d := simmem.NewDevice("cxl", 4096, prof, nil, nil)
 	r := d.WholeRegion()
 	r.WriteRaw(0, []byte("v1......"))
 	dom := NewDomain(0)
@@ -38,7 +38,7 @@ func TestDomainBackInvalidationOnStore(t *testing.T) {
 func TestDomainSuppliesDirtyPeerLine(t *testing.T) {
 	// A writes (dirty, NOT flushed); B's read miss must still see A's data:
 	// the domain writes the dirty line back before the fill.
-	d := simmem.NewDevice("cxl", 4096, prof, nil)
+	d := simmem.NewDevice("cxl", 4096, prof, nil, nil)
 	r := d.WholeRegion()
 	dom := NewDomain(0)
 	a := New("nodeA", 1<<20, 5)
@@ -68,7 +68,7 @@ func TestDomainSuppliesDirtyPeerLine(t *testing.T) {
 }
 
 func TestDomainChargesSnoopLatency(t *testing.T) {
-	d := simmem.NewDevice("cxl", 4096, prof, nil)
+	d := simmem.NewDevice("cxl", 4096, prof, nil, nil)
 	r := d.WholeRegion()
 	dom := NewDomain(1000)
 	a := New("a", 1<<20, 5)
@@ -98,7 +98,7 @@ func TestDomainChargesSnoopLatency(t *testing.T) {
 
 func TestDomainUnattachedCacheUnaffected(t *testing.T) {
 	// A cache outside the domain keeps CXL 2.0 semantics (stale reads).
-	d := simmem.NewDevice("cxl", 4096, prof, nil)
+	d := simmem.NewDevice("cxl", 4096, prof, nil, nil)
 	r := d.WholeRegion()
 	r.WriteRaw(0, []byte("v1......"))
 	dom := NewDomain(0)
@@ -119,7 +119,7 @@ func TestDomainUnattachedCacheUnaffected(t *testing.T) {
 func TestDomainThreeWaySharing(t *testing.T) {
 	// Three caches ping-pong a counter line; every increment must observe
 	// the previous one with no software protocol at all.
-	d := simmem.NewDevice("cxl", 4096, prof, nil)
+	d := simmem.NewDevice("cxl", 4096, prof, nil, nil)
 	r := d.WholeRegion()
 	dom := NewDomain(0)
 	caches := []*Cache{New("a", 1<<20, 5), New("b", 1<<20, 5), New("c", 1<<20, 5)}
@@ -152,7 +152,7 @@ func TestDomainThreeWaySharing(t *testing.T) {
 // while it waits for a peer that is doing the same.
 func TestDomainConcurrentFillsDoNotDeadlock(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	d := simmem.NewDevice("cxl", 4096, prof, nil)
+	d := simmem.NewDevice("cxl", 4096, prof, nil, nil)
 	r := d.WholeRegion()
 	dom := NewDomain(0)
 	caches := []*Cache{New("a", 1<<20, 5), New("b", 1<<20, 5)}

@@ -70,7 +70,7 @@ func TestLatencyTablePanics(t *testing.T) {
 }
 
 func TestRegionDeviceAccessor(t *testing.T) {
-	d := NewDevice("x", 128, Profile{}, nil)
+	d := NewDevice("x", 128, Profile{}, nil, nil)
 	if d.WholeRegion().Device() != d {
 		t.Fatal("Device accessor broken")
 	}

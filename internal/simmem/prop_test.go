@@ -14,7 +14,7 @@ import (
 
 func propDevice(t *testing.T, size int64) *Device {
 	t.Helper()
-	return NewDevice("prop", size, Profile{}, nil)
+	return NewDevice("prop", size, Profile{}, nil, nil)
 }
 
 func TestRegionBoundsEdges(t *testing.T) {

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"polarcxlmem/internal/fault"
 	"polarcxlmem/internal/obs"
@@ -76,28 +75,38 @@ type Device struct {
 	mu   sync.RWMutex
 	data []byte
 	prof Profile
-	off  bool                      // powered off: every access fails
-	bw   *simclock.Resource        // optional shared bandwidth; may be nil
-	inj  fault.Injector            // optional fault injector; may be nil
-	obsP atomic.Pointer[deviceObs] // optional metrics sink; may be empty
-}
+	off  bool               // powered off: every access fails
+	bw   *simclock.Resource // optional shared bandwidth; may be nil
+	inj  fault.Injector     // optional fault injector; may be nil
 
-// deviceObs caches the device's counter handles so the raw-access hot path
-// pays four atomic adds, not four map lookups.
-type deviceObs struct {
+	// Registry handles, fixed at construction; nil (a no-op) without one.
 	reads, writes         *obs.Counter
 	readBytes, writeBytes *obs.Counter
 }
 
 // NewDevice allocates a device of size bytes with the given timing profile.
 // bw, if non-nil, is a shared bandwidth resource every costed access queues
-// on (e.g., the per-host CXL link). It panics on non-positive size, because a
-// memory device without capacity is always a configuration bug.
-func NewDevice(name string, size int64, prof Profile, bw *simclock.Resource) *Device {
+// on (e.g., the per-host CXL link). reg (nil for none) receives the access
+// counters mem.<name>.reads / writes / read_bytes / write_bytes: every
+// accessor — costed or raw, including CPU-cache fills and write-backs —
+// funnels through the raw paths, so they see all device traffic. It panics
+// on non-positive size, because a memory device without capacity is always
+// a configuration bug.
+func NewDevice(name string, size int64, prof Profile, bw *simclock.Resource, reg *obs.Registry) *Device {
 	if size <= 0 {
 		panic(fmt.Sprintf("simmem: device %q must have positive size, got %d", name, size))
 	}
-	return &Device{name: name, data: make([]byte, size), prof: prof, bw: bw}
+	p := "mem." + name + "."
+	return &Device{
+		name:       name,
+		data:       make([]byte, size),
+		prof:       prof,
+		bw:         bw,
+		reads:      reg.Counter(p + "reads"),
+		writes:     reg.Counter(p + "writes"),
+		readBytes:  reg.Counter(p + "read_bytes"),
+		writeBytes: reg.Counter(p + "write_bytes"),
+	}
 }
 
 // Name reports the device name.
@@ -117,24 +126,6 @@ func (d *Device) SetInjector(inj fault.Injector) {
 	d.mu.Lock()
 	d.inj = inj
 	d.mu.Unlock()
-}
-
-// SetObserver registers the device's access counters with reg
-// (mem.<name>.reads / writes / read_bytes / write_bytes). Every accessor —
-// costed or raw, including CPU-cache fills and write-backs — funnels through
-// the raw paths, so the counters see all device traffic. A nil reg detaches.
-func (d *Device) SetObserver(reg *obs.Registry) {
-	if reg == nil {
-		d.obsP.Store(nil)
-		return
-	}
-	p := "mem." + d.name + "."
-	d.obsP.Store(&deviceObs{
-		reads:      reg.Counter(p + "reads"),
-		writes:     reg.Counter(p + "writes"),
-		readBytes:  reg.Counter(p + "read_bytes"),
-		writeBytes: reg.Counter(p + "write_bytes"),
-	})
 }
 
 // PowerOff kills the device: every subsequent access, raw or costed, fails
@@ -245,10 +236,8 @@ func (r *Region) ReadRaw(off int64, buf []byte) error {
 	}
 	copy(buf, d.data[r.off+off:])
 	d.mu.RUnlock()
-	if o := d.obsP.Load(); o != nil {
-		o.reads.Inc()
-		o.readBytes.Add(int64(len(buf)))
-	}
+	d.reads.Inc()
+	d.readBytes.Add(int64(len(buf)))
 	return nil
 }
 
@@ -277,10 +266,8 @@ func (r *Region) WriteRaw(off int64, data []byte) error {
 	}
 	copy(d.data[r.off+off:], data)
 	d.mu.Unlock()
-	if o := d.obsP.Load(); o != nil {
-		o.writes.Inc()
-		o.writeBytes.Add(int64(len(data)))
-	}
+	d.writes.Inc()
+	d.writeBytes.Add(int64(len(data)))
 	return nil
 }
 

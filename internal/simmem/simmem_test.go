@@ -14,7 +14,7 @@ import (
 var testProf = Profile{Name: "test", ReadLatency: 100, WriteLatency: 150, ReadStream: 1e9, WriteStream: 1e9}
 
 func TestDeviceBasics(t *testing.T) {
-	d := NewDevice("dram", 4096, testProf, nil)
+	d := NewDevice("dram", 4096, testProf, nil, nil)
 	if d.Size() != 4096 || d.Name() != "dram" {
 		t.Fatalf("size=%d name=%q", d.Size(), d.Name())
 	}
@@ -29,11 +29,11 @@ func TestDevicePanicsOnBadSize(t *testing.T) {
 			t.Fatal("NewDevice(size=0) did not panic")
 		}
 	}()
-	NewDevice("bad", 0, testProf, nil)
+	NewDevice("bad", 0, testProf, nil, nil)
 }
 
 func TestRegionBounds(t *testing.T) {
-	d := NewDevice("d", 1024, testProf, nil)
+	d := NewDevice("d", 1024, testProf, nil, nil)
 	if _, err := d.Region(512, 1024); err == nil {
 		t.Fatal("overflowing region accepted")
 	}
@@ -58,7 +58,7 @@ func TestRegionBounds(t *testing.T) {
 func TestRegionIsolation(t *testing.T) {
 	// Two disjoint regions must not observe each other's writes, and a write
 	// through one region lands at the right absolute device offset.
-	d := NewDevice("cxl", 1024, testProf, nil)
+	d := NewDevice("cxl", 1024, testProf, nil, nil)
 	a, _ := d.Region(0, 512)
 	b, _ := d.Region(512, 512)
 	if err := a.WriteRaw(0, []byte("hello")); err != nil {
@@ -81,7 +81,7 @@ func TestRegionIsolation(t *testing.T) {
 }
 
 func TestSubRegion(t *testing.T) {
-	d := NewDevice("d", 1024, testProf, nil)
+	d := NewDevice("d", 1024, testProf, nil, nil)
 	r, _ := d.Region(100, 800)
 	s, err := r.SubRegion(50, 100)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestSubRegion(t *testing.T) {
 }
 
 func TestCostedReadWriteChargesClock(t *testing.T) {
-	d := NewDevice("d", 4096, testProf, nil)
+	d := NewDevice("d", 4096, testProf, nil, nil)
 	r := d.WholeRegion()
 	clk := simclock.New()
 	data := make([]byte, 1000)
@@ -127,7 +127,7 @@ func TestCostedReadWriteChargesClock(t *testing.T) {
 
 func TestCostedAccessQueuesOnBandwidth(t *testing.T) {
 	bw := simclock.NewResource("link", 1e9)
-	d := NewDevice("d", 4096, Profile{ReadLatency: 0, WriteLatency: 0}, bw)
+	d := NewDevice("d", 4096, Profile{ReadLatency: 0, WriteLatency: 0}, bw, nil)
 	r := d.WholeRegion()
 	a, b := simclock.New(), simclock.New()
 	if err := r.WriteAt(a, 0, make([]byte, 1000)); err != nil {
@@ -142,7 +142,7 @@ func TestCostedAccessQueuesOnBandwidth(t *testing.T) {
 }
 
 func TestLoadStore64(t *testing.T) {
-	d := NewDevice("d", 128, testProf, nil)
+	d := NewDevice("d", 128, testProf, nil, nil)
 	r := d.WholeRegion()
 	clk := simclock.New()
 	if err := r.Store64(clk, 8, 0xDEADBEEF); err != nil {
@@ -192,7 +192,7 @@ func TestProfileCosts(t *testing.T) {
 
 func TestRoundTripProperty(t *testing.T) {
 	// Property: any write within bounds reads back identically.
-	d := NewDevice("p", 1<<16, testProf, nil)
+	d := NewDevice("p", 1<<16, testProf, nil, nil)
 	r := d.WholeRegion()
 	f := func(off uint16, data []byte) bool {
 		o := int64(off)
@@ -219,7 +219,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestDataSurvivesRegionDrop(t *testing.T) {
 	// The crash-survival property: contents belong to the device, not to the
 	// view a host held.
-	d := NewDevice("cxlbox", 256, testProf, nil)
+	d := NewDevice("cxlbox", 256, testProf, nil, nil)
 	{
 		host, _ := d.Region(64, 64)
 		if err := host.WriteRaw(0, []byte("durable")); err != nil {
@@ -237,7 +237,7 @@ func TestDataSurvivesRegionDrop(t *testing.T) {
 }
 
 func TestPowerLossFailsEveryAccess(t *testing.T) {
-	d := NewDevice("box", 256, testProf, nil)
+	d := NewDevice("box", 256, testProf, nil, nil)
 	r := d.WholeRegion()
 	if err := r.WriteRaw(0, []byte("live")); err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestPowerLossFailsEveryAccess(t *testing.T) {
 }
 
 func TestPowerOnIsReplacementHardware(t *testing.T) {
-	d := NewDevice("box", 64, testProf, nil)
+	d := NewDevice("box", 64, testProf, nil, nil)
 	r := d.WholeRegion()
 	if err := r.WriteRaw(0, []byte("gone")); err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestPowerOnIsReplacementHardware(t *testing.T) {
 func TestPowerLossDoesNotAdvanceFaultCounters(t *testing.T) {
 	// A dead device receives no operations, so fault-plan op indices must
 	// not move while it is off — (seed, index) repro pairs stay stable.
-	d := NewDevice("box", 64, testProf, nil)
+	d := NewDevice("box", 64, testProf, nil, nil)
 	p := fault.NewPlan(1)
 	p.FailAt(fault.OpMemWrite, 2, fault.ErrInjected)
 	d.SetInjector(p)
@@ -321,7 +321,7 @@ func TestPowerLossDoesNotAdvanceFaultCounters(t *testing.T) {
 // and PowerOn zeroes under the same lock.
 func TestPowerCycleRacesAccesses(t *testing.T) {
 	for _, withInjector := range []bool{false, true} {
-		d := NewDevice("box", 16*LineSize, testProf, nil)
+		d := NewDevice("box", 16*LineSize, testProf, nil, nil)
 		if withInjector {
 			d.SetInjector(fault.NewPlan(1)) // armed with nothing: every point passes
 		}

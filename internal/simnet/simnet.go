@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"polarcxlmem/internal/fault"
 	"polarcxlmem/internal/obs"
@@ -141,11 +140,11 @@ type Fabric struct {
 	replies  map[uint64]cachedReply // reply cache by request ID
 	replyLog []uint64               // FIFO eviction order
 
-	obsP atomic.Pointer[fabricObs] // optional metrics sink; may be empty
+	metrics fabricObs
 }
 
-// fabricObs caches the fabric's metric handles so Call pays atomic adds, not
-// registry map lookups, per RPC.
+// fabricObs holds the fabric's registry handles, fixed at construction;
+// each is nil (a no-op) without a registry.
 type fabricObs struct {
 	calls         *obs.Counter // Call invocations
 	attempts      *obs.Counter // send attempts (>= calls under retries)
@@ -157,13 +156,24 @@ type fabricObs struct {
 
 // New returns a fabric whose calls cost rttNanos round-trip latency. bw, if
 // non-nil, is charged reqBytes per call (invalidation fan-out, page pushes
-// accounted separately by callers that move bulk data).
-func New(rttNanos int64, bw *simclock.Resource) *Fabric {
+// accounted separately by callers that move bulk data). reg (nil for none)
+// receives the RPC metrics: simnet.calls / attempts / retries /
+// deadline_exceeded / replycache_hits counters and the simnet.call_ns
+// virtual-latency histogram.
+func New(rttNanos int64, bw *simclock.Resource, reg *obs.Registry) *Fabric {
 	return &Fabric{
 		rtt:       rttNanos,
 		bw:        bw,
 		endpoints: make(map[string]map[string]Handler),
 		replies:   make(map[uint64]cachedReply),
+		metrics: fabricObs{
+			calls:         reg.Counter("simnet.calls"),
+			attempts:      reg.Counter("simnet.attempts"),
+			retries:       reg.Counter("simnet.retries"),
+			deadlines:     reg.Counter("simnet.deadline_exceeded"),
+			replyCacheHit: reg.Counter("simnet.replycache_hits"),
+			callNanos:     reg.Histogram("simnet.call_ns"),
+		},
 	}
 }
 
@@ -211,24 +221,6 @@ func (f *Fabric) SetRetryPolicy(rp *RetryPolicy) {
 	f.mu.Unlock()
 }
 
-// SetObserver registers the fabric's RPC metrics with reg (simnet.calls /
-// attempts / retries / deadline_exceeded / replycache_hits counters and the
-// simnet.call_ns virtual-latency histogram). A nil reg detaches.
-func (f *Fabric) SetObserver(reg *obs.Registry) {
-	if reg == nil {
-		f.obsP.Store(nil)
-		return
-	}
-	f.obsP.Store(&fabricObs{
-		calls:         reg.Counter("simnet.calls"),
-		attempts:      reg.Counter("simnet.attempts"),
-		retries:       reg.Counter("simnet.retries"),
-		deadlines:     reg.Counter("simnet.deadline_exceeded"),
-		replyCacheHit: reg.Counter("simnet.replycache_hits"),
-		callNanos:     reg.Histogram("simnet.call_ns"),
-	})
-}
-
 // cacheReply records the reply for reqID so a retried request after a lost
 // reply is answered without re-running the handler.
 func (f *Fabric) cacheReply(reqID uint64, resp any, err error) {
@@ -272,20 +264,18 @@ func (f *Fabric) Call(clk *simclock.Clock, endpoint, method string, reqBytes int
 		}
 	}
 	start := clk.Now()
-	o := f.obsP.Load()
-	if o != nil {
-		o.calls.Inc()
+	o := &f.metrics
+	o.calls.Inc()
+	if o.callNanos != nil {
 		defer func() { o.callNanos.Observe(clk.Now() - start) }()
 	}
 	var last error
 	for attempt := 1; attempt <= attempts; attempt++ {
-		if o != nil {
-			o.attempts.Inc()
-			if attempt > 1 {
-				o.retries.Inc()
-			}
+		o.attempts.Inc()
+		if attempt > 1 {
+			o.retries.Inc()
 		}
-		resp, herr, ferr := f.attempt(clk, endpoint, method, reqBytes, req, reqID, o)
+		resp, herr, ferr := f.attempt(clk, endpoint, method, reqBytes, req, reqID)
 		if ferr == nil {
 			return resp, herr
 		}
@@ -297,9 +287,7 @@ func (f *Fabric) Call(clk *simclock.Clock, endpoint, method string, reqBytes int
 		}
 		clk.Advance(rp.Backoff(reqID, attempt))
 		if deadline > 0 && clk.Now()-start >= deadline {
-			if o != nil {
-				o.deadlines.Inc()
-			}
+			o.deadlines.Inc()
 			return nil, &DeadlineError{
 				Endpoint: endpoint, Method: method,
 				Attempts: attempt, Elapsed: clk.Now() - start, Last: last,
@@ -307,9 +295,7 @@ func (f *Fabric) Call(clk *simclock.Clock, endpoint, method string, reqBytes int
 		}
 	}
 	if rp != nil && !fault.IsCrash(last) && !errors.Is(last, ErrNoEndpoint) {
-		if o != nil {
-			o.deadlines.Inc()
-		}
+		o.deadlines.Inc()
 		return nil, &DeadlineError{
 			Endpoint: endpoint, Method: method,
 			Attempts: attempts, Elapsed: clk.Now() - start, Last: last,
@@ -320,7 +306,7 @@ func (f *Fabric) Call(clk *simclock.Clock, endpoint, method string, reqBytes int
 
 // attempt performs one send/serve/reply round. ferr is the fabric-level
 // (retryable) failure; herr is the handler's own result, never retried.
-func (f *Fabric) attempt(clk *simclock.Clock, endpoint, method string, reqBytes int64, req any, reqID uint64, o *fabricObs) (resp any, herr, ferr error) {
+func (f *Fabric) attempt(clk *simclock.Clock, endpoint, method string, reqBytes int64, req any, reqID uint64) (resp any, herr, ferr error) {
 	f.mu.RLock()
 	ep, ok := f.endpoints[endpoint]
 	var h Handler
@@ -348,9 +334,7 @@ func (f *Fabric) attempt(clk *simclock.Clock, endpoint, method string, reqBytes 
 	// the reply was lost in flight — answer from the reply cache without
 	// re-running the handler.
 	if cached, okc := f.takeCached(reqID); okc {
-		if o != nil {
-			o.replyCacheHit.Inc()
-		}
+		f.metrics.replyCacheHit.Inc()
 		resp, herr = cached.resp, cached.err
 	} else {
 		resp, herr = h(clk, req)

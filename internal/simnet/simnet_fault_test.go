@@ -10,7 +10,7 @@ import (
 )
 
 func TestInjectedSendFailureAfterBytes(t *testing.T) {
-	f := New(100, nil)
+	f := New(100, nil, nil)
 	f.Register("svc", "echo", func(clk *simclock.Clock, req any) (any, error) {
 		return req, nil
 	})
@@ -44,7 +44,7 @@ func TestInjectedSendFailureAfterBytes(t *testing.T) {
 }
 
 func TestInjectedSendDrop(t *testing.T) {
-	f := New(100, nil)
+	f := New(100, nil, nil)
 	f.Register("svc", "echo", func(clk *simclock.Clock, req any) (any, error) {
 		return req, nil
 	})

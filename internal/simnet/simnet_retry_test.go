@@ -12,7 +12,7 @@ import (
 // handlers never run twice, and exhaustion surfaces as a typed deadline.
 
 func retryFabric(rp *RetryPolicy) (*Fabric, *int) {
-	f := New(10_000, nil)
+	f := New(10_000, nil, nil)
 	served := 0
 	f.Register("svc", "inc", func(clk *simclock.Clock, req any) (any, error) {
 		served++

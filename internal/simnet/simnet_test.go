@@ -8,7 +8,7 @@ import (
 )
 
 func TestCallChargesRTTAndRunsHandler(t *testing.T) {
-	f := New(10_000, nil)
+	f := New(10_000, nil, nil)
 	if f.RTT() != 10_000 {
 		t.Fatalf("rtt = %d", f.RTT())
 	}
@@ -29,7 +29,7 @@ func TestCallChargesRTTAndRunsHandler(t *testing.T) {
 }
 
 func TestCallUnknownEndpointOrMethod(t *testing.T) {
-	f := New(100, nil)
+	f := New(100, nil, nil)
 	clk := simclock.New()
 	if _, err := f.Call(clk, "ghost", "m", 0, nil); err == nil {
 		t.Fatal("call to unknown endpoint succeeded")
@@ -44,7 +44,7 @@ func TestCallUnknownEndpointOrMethod(t *testing.T) {
 }
 
 func TestDeregisterSimulatesCrashedServer(t *testing.T) {
-	f := New(100, nil)
+	f := New(100, nil, nil)
 	f.Register("svc", "m", func(clk *simclock.Clock, req any) (any, error) { return 1, nil })
 	clk := simclock.New()
 	if _, err := f.Call(clk, "svc", "m", 0, nil); err != nil {
@@ -57,7 +57,7 @@ func TestDeregisterSimulatesCrashedServer(t *testing.T) {
 }
 
 func TestHandlerErrorsPropagate(t *testing.T) {
-	f := New(100, nil)
+	f := New(100, nil, nil)
 	boom := errors.New("server-side failure")
 	f.Register("svc", "fail", func(clk *simclock.Clock, req any) (any, error) { return nil, boom })
 	clk := simclock.New()
@@ -68,7 +68,7 @@ func TestHandlerErrorsPropagate(t *testing.T) {
 
 func TestBandwidthChargedForPayload(t *testing.T) {
 	bw := simclock.NewResource("net", 1e9) // 1 B/ns
-	f := New(1_000, bw)
+	f := New(1_000, bw, nil)
 	f.Register("svc", "put", func(clk *simclock.Clock, req any) (any, error) { return nil, nil })
 	a, b := simclock.New(), simclock.New()
 	if _, err := f.Call(a, "svc", "put", 4096, nil); err != nil {
@@ -88,7 +88,7 @@ func TestBandwidthChargedForPayload(t *testing.T) {
 
 func TestHandlerRunsOnCallerClock(t *testing.T) {
 	// Server-side work during the call extends the caller's timeline.
-	f := New(500, nil)
+	f := New(500, nil, nil)
 	f.Register("svc", "work", func(clk *simclock.Clock, req any) (any, error) {
 		clk.Advance(7_000)
 		return nil, nil
@@ -103,7 +103,7 @@ func TestHandlerRunsOnCallerClock(t *testing.T) {
 }
 
 func TestReRegisterReplacesHandler(t *testing.T) {
-	f := New(1, nil)
+	f := New(1, nil, nil)
 	f.Register("svc", "v", func(clk *simclock.Clock, req any) (any, error) { return 1, nil })
 	f.Register("svc", "v", func(clk *simclock.Clock, req any) (any, error) { return 2, nil })
 	clk := simclock.New()

@@ -39,7 +39,7 @@ func TestConcurrentWorkersOnCXLPool(t *testing.T) {
 		workers   = 4
 		perWorker = 250
 	)
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(nblocks) + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: core.RegionSizeFor(nblocks) + 4096}, nil)
 	host, err := topo.AttachHost("host0", 0)
 	if err != nil {
 		t.Fatal(err)

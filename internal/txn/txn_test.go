@@ -26,7 +26,7 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	store := storage.New(storage.Config{})
-	pool := buffer.NewDRAMPool(store, 1024, cxl.DRAMProfile())
+	pool := buffer.NewDRAMPool(store, 1024, cxl.DRAMProfile(), nil)
 	ws := wal.NewStore(0, 0)
 	log := wal.Attach(ws)
 	clk := simclock.New()
@@ -177,7 +177,7 @@ func TestCheckpointFlushesAndRecordsLSN(t *testing.T) {
 	}
 	// All table pages must be durable now: a fresh DRAM pool over the same
 	// storage can read everything without the log.
-	pool2 := buffer.NewDRAMPool(ev.store, 1024, cxl.DRAMProfile())
+	pool2 := buffer.NewDRAMPool(ev.store, 1024, cxl.DRAMProfile(), nil)
 	e2, err := Attach(ev.clk, pool2, wal.Attach(ev.ws), ev.store)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestWriteAheadRuleOnEviction(t *testing.T) {
 	// must make the log durable up to the page LSN before the page image
 	// lands on storage.
 	store := storage.New(storage.Config{})
-	pool := buffer.NewDRAMPool(store, 6, cxl.DRAMProfile())
+	pool := buffer.NewDRAMPool(store, 6, cxl.DRAMProfile(), nil)
 	ws := wal.NewStore(0, 0)
 	log := wal.Attach(ws)
 	clk := simclock.New()

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -201,5 +202,96 @@ func TestBytesFromMatchesScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPersistAfterTruncateAllocatesNothing: TruncateBefore keeps the
+// durable tail's backing arrays, so persisting after a truncation appends in
+// place while capacity remains instead of regrowing a fresh copy.
+func TestPersistAfterTruncateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	store := NewStore(0, 0)
+	clk := simclock.New()
+	var lsn uint64
+	batch := func() []Record {
+		recs := make([]Record, 4)
+		for i := range recs {
+			lsn++
+			recs[i] = Record{LSN: lsn, Kind: KInsert, Page: lsn}
+		}
+		return recs
+	}
+	// Grow the tail until both arrays have room for 16 more batches.
+	for cap(store.records)-len(store.records) < 64 || cap(store.ends)-len(store.ends) < 64 {
+		store.persist(clk, batch())
+	}
+	store.TruncateBefore(lsn - 7) // keep the last 8 records
+	batches := make([][]Record, 16)
+	for i := range batches {
+		batches[i] = batch()
+	}
+	next := 0
+	// AllocsPerRun makes one warm-up call, then the measured one: each
+	// persists half the batches.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for _, b := range batches[next : next+8] {
+			store.persist(clk, b)
+		}
+		next += 8
+	}); allocs != 0 {
+		t.Fatalf("8 persists after TruncateBefore allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestIterateSnapshotSurvivesTruncateAndPersist: a scan that took its
+// snapshot before a truncation keeps reading its own records, in order and
+// unchanged, while the truncation and further persists run concurrently.
+func TestIterateSnapshotSurvivesTruncateAndPersist(t *testing.T) {
+	store := NewStore(0, 0)
+	clk := simclock.New()
+	var lsn uint64
+	persist := func(n int) {
+		recs := make([]Record, n)
+		for i := range recs {
+			lsn++
+			recs[i] = Record{LSN: lsn, Kind: KInsert, Page: lsn}
+		}
+		store.persist(clk, recs)
+	}
+	persist(200)
+	started, resume := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		want := uint64(1)
+		err := store.Iterate(1, func(r Record) bool {
+			if want == 1 {
+				close(started)
+				<-resume
+			}
+			if r.LSN != want || r.Page != want {
+				done <- fmt.Errorf("snapshot record %d = LSN %d page %d", want, r.LSN, r.Page)
+				return false
+			}
+			want++
+			return true
+		})
+		if err == nil && want != 201 {
+			err = fmt.Errorf("snapshot ended at LSN %d, want 200", want-1)
+		}
+		done <- err
+	}()
+	<-started
+	store.TruncateBefore(150)
+	for i := 0; i < 20; i++ {
+		persist(10)
+	}
+	close(resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Iterate(150, func(Record) bool { return true }); err != nil {
+		t.Fatalf("scan from the truncation point: %v", err)
 	}
 }

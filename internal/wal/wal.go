@@ -281,6 +281,12 @@ func (s *Store) BytesFrom(from uint64) (int64, error) {
 // TruncateBefore discards records below lsn (checkpoint garbage collection)
 // and advances the truncation point; reads below it fail with ErrTruncated
 // from then on. The point is monotone — re-truncating lower is a no-op.
+//
+// The kept tail is resliced, not copied, so persist keeps appending into
+// the same backing array until it is full (the dropped prefix is freed when
+// append next moves the tail). This is safe for concurrent scans: Iterate
+// reads a snapshot slice, and persist only writes past the end of every
+// slice handed out so far.
 func (s *Store) TruncateBefore(lsn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -288,8 +294,8 @@ func (s *Store) TruncateBefore(lsn uint64) {
 		s.truncatedBefore = lsn
 	}
 	i := sort.Search(len(s.records), func(i int) bool { return s.records[i].LSN >= lsn })
-	s.records = append([]Record(nil), s.records[i:]...)
-	s.ends = append([]int64(nil), s.ends[i:]...)
+	s.records = s.records[i:]
+	s.ends = s.ends[i:]
 }
 
 // TruncatedBefore reports the lowest LSN still readable (1 when nothing was

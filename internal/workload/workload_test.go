@@ -19,7 +19,7 @@ import (
 func newEngine(t *testing.T) (*txn.Engine, *simclock.Clock) {
 	t.Helper()
 	store := storage.New(storage.Config{})
-	pool := buffer.NewDRAMPool(store, 4096, cxl.DRAMProfile())
+	pool := buffer.NewDRAMPool(store, 4096, cxl.DRAMProfile(), nil)
 	clk := simclock.New()
 	e, err := txn.Bootstrap(clk, pool, wal.Attach(wal.NewStore(0, 0)), store)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestSysbenchCPUAccounting(t *testing.T) {
 func sharedRig(t *testing.T, store *storage.Store, dbpPages, nnodes int) []*sharing.Node {
 	t.Helper()
 	clk := simclock.New()
-	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes)*(1<<16) + 4096})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: int64(dbpPages)*page.Size + int64(nnodes)*(1<<16) + 4096}, nil)
 	dep, err := sharing.NewDeployment(clk, topo, "fusion", dbpPages, store)
 	if err != nil {
 		t.Fatal(err)

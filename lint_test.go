@@ -231,7 +231,7 @@ func TestPageWrapOnlyInBuffer(t *testing.T) {
 // maxWiringSetters bounds the SetObserver/SetInjector methods product code
 // may declare. Components take their registry (nil for none) in their
 // constructor instead; the count only goes down.
-const maxWiringSetters = 12
+const maxWiringSetters = 6
 
 // TestWiringSetterRatchet is the wiring ratchet: it counts the SetObserver
 // and SetInjector methods declared in non-test code and fails when there

@@ -320,12 +320,10 @@ func newOptions(opts []Option) clusterOptions {
 }
 
 // newTopology builds a fabric with the observer and injector wired through
-// every switch domain and memory device.
+// every switch domain and memory device. Pools and fusion servers built on
+// its host ports report into the same registry from their first access.
 func (o clusterOptions) newTopology(tc cxl.TopologyConfig) *cxl.Topology {
-	topo := cxl.NewTopology(tc)
-	if o.reg != nil {
-		topo.SetObserver(o.reg)
-	}
+	topo := cxl.NewTopology(tc, o.reg)
 	if o.inj != nil {
 		topo.SetInjector(o.inj)
 		for i := 0; i < topo.Leaves(); i++ {
@@ -499,13 +497,10 @@ func (c *Cluster) boot(m *member, leaf int, reattach bool, open func(*Instance, 
 	return inst, res, nil
 }
 
-// applyInstanceOptions wires an incarnation's observability and commit
-// pipeline per cfg: the group committer, then the commit-path stages in
-// tick order — flusher, checkpointer, and last applyPolicy's tier daemon.
+// applyInstanceOptions wires an incarnation's commit pipeline per cfg: the
+// group committer, then the commit-path stages in tick order — flusher,
+// checkpointer, and last applyPolicy's tier daemon.
 func (c *Cluster) applyInstanceOptions(inst *Instance, cfg InstanceConfig) error {
-	if c.reg != nil {
-		inst.pool.SetObserver(c.reg)
-	}
 	if cfg.GroupCommit != nil {
 		inst.eng.EnableGroupCommit(*cfg.GroupCommit, c.reg)
 	}
@@ -569,15 +564,14 @@ func (c *Cluster) Router(name string) *dataplane.Router {
 // on leaf through rebuild: recovery.PolarRecv over the surviving region
 // when leaf is unchanged, recovery.Failover over a fresh one otherwise.
 func (c *Cluster) restart(m *member, leaf int, rebuild func(*simclock.Clock, *cxl.HostPort, *simmem.Region, *simcpu.Cache, *wal.Store, *storage.Store, *checkpoint.Area) (*core.CXLPool, *txn.Engine, *recovery.Result, error)) (*Instance, *recovery.Result, error) {
-	inPlace := leaf == m.poolLeaf
-	return c.boot(m, leaf, inPlace, func(inst *Instance, host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache) (res *recovery.Result, err error) {
-		// The checkpoint area is reattached in place, and on Failover when
-		// its box survived, so it bounds redo. One that died with the pool
-		// box is replaced next to the new pool, and redo starts from the
+	return c.boot(m, leaf, leaf == m.poolLeaf, func(inst *Instance, host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache) (res *recovery.Result, err error) {
+		// The checkpoint area is reattached when its box is up, so it
+		// bounds redo. One whose box died — with the pool's or on its own
+		// leaf — is replaced next to the pool, and redo starts from the
 		// WAL truncation floor.
 		var survived *checkpoint.Area
 		if m.cfg.Checkpoint != nil {
-			reattach := inPlace || !c.topo.BoxFailed(m.ckptLeaf)
+			reattach := !c.topo.BoxFailed(m.ckptLeaf)
 			if !reattach {
 				m.ckptLeaf = leaf
 			}
@@ -611,18 +605,19 @@ func (c *Cluster) Recover(name string) (*Instance, *recovery.Result, error) {
 
 // FailBox simulates whole-memory-box power loss on a leaf: the box's device
 // refuses all access, its manager's lease table is gone, and its control
-// endpoint deregisters. Every instance whose buffer pool lives on that box
-// is crashed (the pool image is unreachable, which to the host is
-// indistinguishable from losing it). Restart those instances with Failover
-// — their pool image did NOT survive, so Recover's PolarRecv path does not
-// apply.
+// endpoint deregisters. Every instance whose buffer pool or checkpoint area
+// lives on that box is crashed (the image is unreachable, which to the host
+// is indistinguishable from losing it). Restart those whose pool lived
+// there with Failover — their pool image did NOT survive, so Recover's
+// PolarRecv path does not apply; those that lost only their checkpoint
+// area restart with Recover, over a fresh area next to the pool.
 func (c *Cluster) FailBox(leaf int) error {
 	if leaf < 0 || leaf >= c.topo.Leaves() {
 		return fmt.Errorf("polarcxlmem: no leaf %d (topology has %d)", leaf, c.topo.Leaves())
 	}
 	c.topo.FailBox(leaf)
 	for _, m := range c.members {
-		if m.poolLeaf == leaf {
+		if m.poolLeaf == leaf || (m.cfg.Checkpoint != nil && m.ckptLeaf == leaf) {
 			m.inst.Crash()
 		}
 	}

@@ -74,7 +74,6 @@ func NewSharingCluster(cfg SharingConfig, opts ...Option) (*SharingCluster, erro
 		return nil, err
 	}
 	fusion := dep.Fusion
-	fusion.SetObserver(o.reg) // nil for none, as for the injector
 	fusion.SetInjector(o.inj)
 	sc := &SharingCluster{topo: topo, fusion: fusion, store: store, clk: clk}
 	for i := 0; i < cfg.Nodes; i++ {
