@@ -333,7 +333,7 @@ func runAblateMeta(cfg Config) ([]*Table, error) {
 		tx.Commit()
 		rig.cpool.Crash()
 		clk2 := simclock.NewAt(rig.clk.Now())
-		pool2 := buffer.NewDRAMPool(rig.store, rig.datasetPages*2+64, cxl.BufferDRAMProfile(), nil)
+		pool2 := buffer.NewDRAMPool(rig.store, rig.datasetPages*2+64, cxl.BufferDRAMProfile(), cfg.Registry)
 		_, res, err := recovery.Recover(clk2, "dram-metadata", pool2, rig.ws, rig.store)
 		if err != nil {
 			return nil, err

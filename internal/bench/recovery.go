@@ -129,7 +129,7 @@ func runTimeline(cfg Config, kind PoolKind, wl string) (*fig10Run, error) {
 		if lbp < 8 {
 			lbp = 8
 		}
-		pool2 := buffer.NewTieredPool(rig.store, rig.rem, nic2, lbp, cxl.BufferDRAMProfile(), nil)
+		pool2 := buffer.NewTieredPool(rig.store, rig.rem, nic2, lbp, cxl.BufferDRAMProfile(), cfg.Registry)
 		e, r, rerr := recovery.Recover(clk2, "rdma", pool2, rig.ws, rig.store)
 		if rerr != nil {
 			return nil, rerr
@@ -137,7 +137,7 @@ func runTimeline(cfg Config, kind PoolKind, wl string) (*fig10Run, error) {
 		rig.pool, rig.nic = pool2, nic2
 		eng2, res = e, r
 	default: // vanilla
-		pool2 := buffer.NewDRAMPool(rig.store, rig.datasetPages*2+64, cxl.BufferDRAMProfile(), nil)
+		pool2 := buffer.NewDRAMPool(rig.store, rig.datasetPages*2+64, cxl.BufferDRAMProfile(), cfg.Registry)
 		e, r, rerr := recovery.Recover(clk2, "vanilla", pool2, rig.ws, rig.store)
 		if rerr != nil {
 			return nil, rerr

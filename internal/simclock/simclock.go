@@ -168,6 +168,44 @@ func (r *Resource) Use(c *Clock, units int64) {
 	c.AdvanceTo(r.UseAt(c.Now(), units))
 }
 
+// UseRun charges n requests of units each to clock c, each issued gap
+// nanoseconds after the previous one completes: by definition n times
+// c.Advance(gap) then Use(c, units), with every counter and the wait
+// observer (called n times) as those calls would leave them. It takes the
+// lock once, so no other request queues between the run's: only the
+// first can wait, since each later one arrives after its predecessor
+// completes.
+func (r *Resource) UseRun(c *Clock, units int64, n int, gap int64) {
+	if n <= 0 {
+		return
+	}
+	gap = max(gap, 0)
+	if units <= 0 {
+		c.Advance(int64(n) * gap)
+		return
+	}
+	dur := r.ServiceTime(units)
+	now := c.now + gap
+	r.mu.Lock()
+	start := max(now, r.nextFree)
+	done := start + dur + int64(n-1)*(gap+dur)
+	r.nextFree = done
+	r.stats.Requests += int64(n)
+	r.stats.Units += int64(n) * units
+	r.stats.BusyNanos += int64(n) * dur
+	r.stats.QueueNanos += start - now
+	r.stats.LastFree = done
+	wait := r.wait
+	r.mu.Unlock()
+	c.AdvanceTo(done)
+	if wait != nil {
+		wait(start - now)
+		for range n - 1 {
+			wait(0)
+		}
+	}
+}
+
 // OccupyAt queues a fixed-duration occupancy of the server (a device-side
 // fsync, a fixed per-request setup phase) starting no earlier than virtual
 // time now, and returns the virtual completion time. It differs from UseAt

@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -164,6 +165,84 @@ func TestResourceConcurrentUseConservesWork(t *testing.T) {
 	}
 	if st.LastFree < wantBusy {
 		t.Fatalf("lastFree %d < total busy %d: overlapping service", st.LastFree, wantBusy)
+	}
+}
+
+// TestUseRunIsRepeatedUse checks UseRun against its definition, n times
+// Advance(gap) then Use, on a second resource in the same state: the clock,
+// every stats field and the sequence of waits the observer sees must agree,
+// over random server backlogs, clock positions, units (zero and negative
+// included), run lengths and gaps (negative included).
+func TestUseRunIsRepeatedUse(t *testing.T) {
+	f := func(backlog, at uint32, units int16, n uint8, gap int16) bool {
+		var waits [2][]int64
+		var rs [2]*Resource
+		var cs [2]*Clock
+		for i := range rs {
+			rs[i] = NewResource("r", 3e9)
+			rs[i].SetWaitObserver(func(w int64) { waits[i] = append(waits[i], w) })
+			rs[i].UseAt(0, int64(backlog)) // the server is busy until its backlog clears
+			cs[i] = NewAt(int64(at) % (2 * Millisecond))
+		}
+		k := int(n % 40)
+		rs[0].UseRun(cs[0], int64(units), k, int64(gap))
+		for range k {
+			cs[1].Advance(int64(gap))
+			rs[1].Use(cs[1], int64(units))
+		}
+		if cs[0].Now() != cs[1].Now() || rs[0].Stats() != rs[1].Stats() || len(waits[0]) != len(waits[1]) {
+			return false
+		}
+		for j := range waits[0] {
+			if waits[0][j] != waits[1][j] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUseRunRacesUse books runs and single requests on one resource from
+// several goroutines at once: the stats must sum every request, its units
+// and service time, the observer must see every request once, and the
+// queueing it was told of must sum to the resource's.
+func TestUseRunRacesUse(t *testing.T) {
+	r := NewResource("shared", 1e9) // 100 units = 100 ns
+	var seen, waited atomic.Int64
+	r.SetWaitObserver(func(w int64) {
+		seen.Add(1)
+		waited.Add(w)
+	})
+	const workers, per, run = 8, 40, 7
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := New()
+			for range per {
+				if w%2 == 0 {
+					r.UseRun(c, 100, run, 3)
+				} else {
+					r.Use(c, 100)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := r.Stats()
+	reqs := int64(workers/2*per*run + workers/2*per)
+	if st.Requests != reqs || st.Units != 100*reqs || st.BusyNanos != 100*reqs {
+		t.Fatalf("stats %+v, want %d requests of 100 units and 100 ns", st, reqs)
+	}
+	if seen.Load() != reqs || waited.Load() != st.QueueNanos {
+		t.Fatalf("observer saw %d requests waiting %d ns, want %d and %d", seen.Load(), waited.Load(), reqs, st.QueueNanos)
+	}
+	if st.LastFree < st.BusyNanos {
+		t.Fatalf("lastFree %d < total busy %d: overlapping service", st.LastFree, st.BusyNanos)
 	}
 }
 

@@ -76,3 +76,37 @@ func BenchmarkHotSetColdStream(b *testing.B) {
 		b.Fatalf("%d misses in %d loads, want %d: a hot line was evicted", st.Misses, b.N, want)
 	}
 }
+
+// BenchmarkSpanRefetchPage is the sharing protocol's publish-then-refetch
+// pattern: Flush a 16 KiB page image laid out as in a core pool (off a 4
+// KiB boundary, so it spans five blocks), then read all of it back in one
+// held span, with a link charged per line: every line misses, in runs.
+func BenchmarkSpanRefetchPage(b *testing.B) {
+	const pageOff, pageSize = corePageBase, corePageSize
+	r := simmem.NewDevice("cxl", 1<<20, prof, nil, nil).WholeRegion()
+	c := New("bench", benchCacheBytes, 5)
+	c.SetInterconnect(simclock.NewResource("link", 64e9))
+	clk := simclock.New()
+	buf := make([]byte, pageSize)
+	refetch := func() {
+		if err := c.Flush(clk, r, pageOff, pageSize); err != nil {
+			b.Fatal(err)
+		}
+		c.Hold()
+		defer c.Unhold()
+		if err := c.ReadHeld(clk, r, pageOff, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	refetch() // fills: slab chunks and block index entries
+	refetch() // flushes: the slab's free list
+	c.stats = Stats{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		refetch()
+	}
+	if want := int64(b.N) * pageSize / LineSize; c.stats.Misses != want || c.stats.Hits != 0 {
+		b.Fatalf("%d misses and %d hits in %d refetches, want %d misses", c.stats.Misses, c.stats.Hits, b.N, want)
+	}
+}
