@@ -5,6 +5,7 @@ package cxl
 // power loss, and control-plane retry absorption.
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"polarcxlmem/internal/fault"
 	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/simclock"
+	"polarcxlmem/internal/simcpu"
 	"polarcxlmem/internal/simmem"
 	"polarcxlmem/internal/simnet"
 )
@@ -494,6 +496,62 @@ func TestBoxPowerLoss(t *testing.T) {
 	}
 	if string(buf) == "precious" {
 		t.Fatal("box contents survived power loss — replacement hardware must be zeroed")
+	}
+}
+
+// TestRouteBoxPowerLossMidRun reads a page through a CPU cache on a host
+// whose route injector powers its home box off at the fifth line's
+// booking, with no injector on the device. The line after it must fail
+// with the box's power loss, as when each line is read by itself (the
+// device given an injector that fires nothing), and both runs must leave
+// the same clock, cache and link stats, read counts and bytes.
+func TestRouteBoxPowerLossMidRun(t *testing.T) {
+	type result struct {
+		err         error
+		now         int64
+		cache       simcpu.Stats
+		link        simclock.ResourceStats
+		reads       int64
+		buf         []byte
+		boxPowerOff bool
+	}
+	read := func(lineByLine bool) result {
+		reg := obs.New(obs.Options{})
+		topo, h, clk := threeLeafObserved(t, 0, reg)
+		region, err := topo.Leaf(0).Box().Manager().Region("db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		page := make([]byte, region.Size())
+		for i := range page {
+			page[i] = byte(i*13 + 1)
+		}
+		if err := region.WriteRaw(0, page); err != nil {
+			t.Fatal(err)
+		}
+		if lineByLine {
+			topo.Leaf(0).Box().Device().SetInjector(fault.NewPlan(1))
+		}
+		topo.SetInjector(fault.NewPlan(2).FailAt(fault.OpBoxAccess, 5, fault.ErrBoxPower))
+		cache := h.NewCache("db", 1<<16)
+		res := result{buf: make([]byte, len(page))}
+		cache.Hold()
+		res.err = cache.ReadHeld(clk, region, 0, res.buf)
+		cache.Unhold()
+		res.now, res.cache, res.link = clk.Now(), cache.Stats(), h.Link().Stats()
+		res.reads, res.boxPowerOff = reg.Counter("mem."+region.Device().Name()+".reads").Value(), topo.BoxFailed(0)
+		return res
+	}
+	run, lines := read(false), read(true)
+	if !errors.Is(run.err, simmem.ErrPoweredOff) || !errors.Is(lines.err, simmem.ErrPoweredOff) {
+		t.Fatalf("reads across the box's power loss returned %v and, line by line, %v; want %v", run.err, lines.err, simmem.ErrPoweredOff)
+	}
+	if !run.boxPowerOff || run.cache.Misses != 5 {
+		t.Fatalf("box failed %v after %d fills, want true after 5", run.boxPowerOff, run.cache.Misses)
+	}
+	if run.now != lines.now || run.cache != lines.cache || run.link != lines.link || run.reads != lines.reads || !bytes.Equal(run.buf, lines.buf) {
+		t.Fatalf("run fill left clock %d, cache %+v, link %+v, %d reads; line by line %d, %+v, %+v, %d",
+			run.now, run.cache, run.link, run.reads, lines.now, lines.cache, lines.link, lines.reads)
 	}
 }
 
