@@ -27,7 +27,7 @@ func init() {
 type mpEngineRig struct {
 	isCXL   bool
 	dep     *sharing.Deployment
-	rfusion *sharing.RDMAFusion
+	rfusion *sharing.Fusion
 	nics    []*rdma.NIC
 	engines []*txn.Engine
 	private []*btree.Tree // per node

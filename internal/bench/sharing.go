@@ -30,7 +30,7 @@ const sharingThreadsPerNode = 32
 type shRig struct {
 	isCXL  bool
 	dep    *sharing.Deployment
-	rfus   *sharing.RDMAFusion
+	rfus   *sharing.Fusion
 	cnodes []*sharing.Node
 	rnodes []*sharing.RDMANode
 	rnics  []*rdma.NIC

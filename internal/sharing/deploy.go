@@ -30,7 +30,8 @@ func NewDeployment(clk *simclock.Clock, topo *cxl.Topology, host string, dbpPage
 	if err != nil {
 		return nil, err
 	}
-	return &Deployment{Host: h, Fusion: newFusion(h, dbp, store), topo: topo}, nil
+	m := &cxlDBP{host: h, region: dbp, dev: dbp.Device().WholeRegion()}
+	return &Deployment{Host: h, Fusion: newFusion(m, dbp.Size(), store, h.Observer()), topo: topo}, nil
 }
 
 // Primary is one primary's attachment to a Deployment. Callers wrap it as a

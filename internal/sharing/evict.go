@@ -6,18 +6,23 @@ package sharing
 // debris: stranded lock grants, flag-word registrations (its invalid /
 // removal slots), and — for write-held pages — a possibly-torn CXL frame
 // (the dead writer's CPU cache may have leaked partial line write-backs
-// before the crash, and its final clflush never ran). EvictNode walks the
-// DBP once, page-id order, and for every page the dead node touched:
+// before the crash, and its final clflush never ran). On the RDMA DBP a
+// frame is never torn: the baseline's full-page push is atomic, so the
+// frame holds the pre-image or the whole pushed image, and an unpushed
+// update died with the node's local copy. EvictNode walks the DBP once,
+// page-id order, and for every page the dead node touched:
 //
 //  1. decides write-held from the UNION of the in-memory grant and the
 //     CXL-durable lock word (the word survives even a fusion restart, and a
 //     re-run of an interrupted eviction must still see the evidence);
-//  2. rebuilds write-held frames PolarRecv-style — storage base + committed
-//     durable redo via internal/recovery — so no torn or uncommitted bytes
-//     are ever served; a page with no durable history at all (born inside
-//     the dead node's in-flight unit) is dropped like a recycle;
-//  3. fans invalid flags to every surviving node where the page is active
-//     (their caches may hold the dead writer's leaked lines);
+//  2. rebuilds write-held CXL frames PolarRecv-style — storage base +
+//     committed durable redo via internal/recovery — so no torn or
+//     uncommitted bytes are ever served; a page with no durable history at
+//     all (born inside the dead node's in-flight unit) is dropped like a
+//     recycle. An RDMA frame keeps its image and is marked dirty;
+//  3. fans invalidations to every surviving node where the page is active
+//     (their caches may hold the dead writer's leaked lines, their local
+//     copies may predate its push);
 //  4. clears the durable lock word, then force-releases the grant — in that
 //     order, so a crash mid-eviction leaves evidence, never a freed lock
 //     over a suspect frame;
@@ -73,7 +78,7 @@ func (f *Fusion) EvictNode(clk *simclock.Clock, node string) error {
 		}
 		writeHeld := ps.lk.writerIs(node)
 		if !writeHeld && lt != nil {
-			w, err := f.dev.Load64(clk, f.lockWordOff(lt, ps.off))
+			w, err := lt.Load64(clk, lockWordOff(ps.off))
 			if err != nil {
 				return err
 			}
@@ -83,7 +88,7 @@ func (f *Fusion) EvictNode(clk *simclock.Clock, node string) error {
 			writeHeld = w != 0 && holder == node
 		}
 		if writeHeld {
-			if rs == nil && ws != nil {
+			if rs == nil && ws != nil && f.dbp.tornOnCrash() {
 				var serr error
 				if rs, serr = recovery.ScanRedo(clk, ws); serr != nil {
 					return serr
@@ -93,7 +98,7 @@ func (f *Fusion) EvictNode(clk *simclock.Clock, node string) error {
 				return err
 			}
 			if lt != nil {
-				if err := f.dev.Store64(clk, f.lockWordOff(lt, ps.off), 0); err != nil {
+				if err := lt.Store64(clk, lockWordOff(ps.off), 0); err != nil {
 					return err
 				}
 			}
@@ -109,10 +114,10 @@ func (f *Fusion) EvictNode(clk *simclock.Clock, node string) error {
 		fa, wasActive := ps.active[node]
 		f.mu.Unlock()
 		if wasActive {
-			if err := f.dev.Store64(clk, fa.invalid, 0); err != nil {
+			if err := f.dbp.signal(clk, node, fa.invalid, 0, id); err != nil {
 				return err
 			}
-			if err := f.dev.Store64(clk, fa.removal, 0); err != nil {
+			if err := f.dbp.signal(clk, node, fa.removal, 0, id); err != nil {
 				return err
 			}
 			f.mu.Lock()
@@ -123,70 +128,49 @@ func (f *Fusion) EvictNode(clk *simclock.Clock, node string) error {
 	return nil
 }
 
-// reclaimWriteHeld rebuilds (or drops) one page the dead node held
-// write-locked and invalidates every survivor's cached copy.
+// reclaimWriteHeld settles one page the dead node held write-locked and
+// invalidates every survivor's cached copy. A frame the medium can leave
+// torn is rebuilt from the page's durable truth, or dropped when the page
+// has none; an atomic frame keeps what the dead writer pushed, which may
+// differ from storage.
 func (f *Fusion) reclaimWriteHeld(clk *simclock.Clock, ps *pageState, node string, rs *recovery.RedoSet) error {
-	var (
-		img   []byte
-		known bool
-		dirty bool
-	)
-	if rs != nil {
-		var err error
-		img, known, dirty, err = rs.RebuildPage(clk, f.store, ps.id)
+	dirty := true
+	if f.dbp.tornOnCrash() {
+		img, known, d, err := f.durableImage(clk, ps.id, rs)
 		if err != nil {
 			return err
 		}
-	} else {
-		// No WAL attached: the last checkpointed storage image is the best
-		// durable truth available.
-		img = make([]byte, page.Size)
-		err := f.store.ReadPage(clk, ps.id, img)
-		if err == nil {
-			known = true
-		} else if !errors.Is(err, storage.ErrNotFound) {
+		if !known {
+			// Born inside the dead node's in-flight unit: no durable
+			// history, nothing to serve. Drop it exactly like a recycle.
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			return f.dropLocked(clk, ps, node)
+		}
+		if err := f.dbp.writeFrame(clk, ps.off, img); err != nil {
 			return err
 		}
-	}
-	if !known {
-		// Born inside the dead node's in-flight unit: no durable history,
-		// nothing to serve. Drop it exactly like a recycle.
-		f.mu.Lock()
-		for _, n := range f.sortedNodes(ps.active) {
-			if n == node {
-				continue
-			}
-			if err := f.dev.Store64(clk, ps.active[n].removal, 1); err != nil {
-				f.mu.Unlock()
-				return err
-			}
-		}
-		delete(f.pages, ps.id)
-		f.free = append(f.free, ps.off)
-		f.mu.Unlock()
-		return nil
-	}
-	if err := f.region.WriteRaw(ps.off, img); err != nil {
-		return err
-	}
-	if err := f.host.TransferWrite(clk, page.Size); err != nil {
-		return err
+		dirty = d
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	ps.dirty = dirty
-	for _, other := range f.sortedNodes(ps.active) {
-		if other == node {
-			continue
-		}
-		if err := f.dev.Store64(clk, ps.active[other].invalid, 1); err != nil {
-			f.mu.Unlock()
-			return err
-		}
-		f.invalidations.Inc()
-		f.emit(clk.Now(), obs.EvInvalidSet, other, ps.id, 0)
+	return f.invalidateLocked(clk, ps, node)
+}
+
+// durableImage is page id's durable truth: its storage base plus the
+// committed redo in rs, or without rs (no WAL attached) the last
+// checkpointed image. known is false for a page with no durable history;
+// dirty reports that the image differs from storage.
+func (f *Fusion) durableImage(clk *simclock.Clock, id uint64, rs *recovery.RedoSet) (img []byte, known, dirty bool, err error) {
+	if rs != nil {
+		return rs.RebuildPage(clk, f.store, id)
 	}
-	f.mu.Unlock()
-	return nil
+	img = make([]byte, page.Size)
+	if err = f.store.ReadPage(clk, id, img); errors.Is(err, storage.ErrNotFound) {
+		return img, false, false, nil
+	}
+	return img, err == nil, false, err
 }
 
 // FsckReport lists the cluster-consistency violations Fsck found.
@@ -212,7 +196,7 @@ func (f *Fusion) Fsck() FsckReport {
 	defer f.mu.Unlock()
 	seen := make(map[int64]uint64)
 	for id, ps := range f.pages {
-		if ps.off < 0 || ps.off%page.Size != 0 || ps.off+page.Size > f.region.Size() {
+		if ps.off < 0 || ps.off%page.Size != 0 || ps.off+page.Size > f.size {
 			rep.addf("page %d: frame offset %d out of range or unaligned", id, ps.off)
 		}
 		if prev, dup := seen[ps.off]; dup {
@@ -234,7 +218,7 @@ func (f *Fusion) Fsck() FsckReport {
 			}
 		}
 		if f.lockTab != nil {
-			w, err := f.dev.Load64Raw(f.lockWordOff(f.lockTab, ps.off))
+			w, err := f.lockTab.Load64Raw(lockWordOff(ps.off))
 			if err != nil {
 				rep.addf("page %d: lock word unreadable: %v", id, err)
 				continue
@@ -252,7 +236,7 @@ func (f *Fusion) Fsck() FsckReport {
 		}
 	}
 	for _, off := range f.free {
-		if off < 0 || off%page.Size != 0 || off+page.Size > f.region.Size() {
+		if off < 0 || off%page.Size != 0 || off+page.Size > f.size {
 			rep.addf("free list: offset %d out of range or unaligned", off)
 		}
 		if id, used := seen[off]; used {

@@ -97,7 +97,7 @@ func TestEnginesSurvivePrimaryCrashMidWriteLock(t *testing.T) {
 		if err := writeAt(fr, page.HeaderSize+32, garbage); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.fusion.region.WriteRaw(r.fusion.pages[id].off+page.HeaderSize+32, garbage); err != nil {
+		if err := r.fusion.dbp.(*cxlDBP).region.WriteRaw(r.fusion.pages[id].off+page.HeaderSize+32, garbage); err != nil {
 			t.Fatal(err)
 		}
 		scribbled = append(scribbled, id)
@@ -130,7 +130,7 @@ func TestEnginesSurvivePrimaryCrashMidWriteLock(t *testing.T) {
 	// The reclaimed pages carry no fabricated bytes: every lock word is zero.
 	for _, id := range scribbled {
 		if ps := r.fusion.pages[id]; ps != nil {
-			w, err := r.fusion.dev.Load64Raw(r.fusion.lockWordOff(lt, ps.off))
+			w, err := lt.Load64Raw(lockWordOff(ps.off))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +212,7 @@ func newEvictSweepState(t *testing.T) *evictSweepState {
 		if err := r.fusion.Lock(r.clk, "node-1", pid, true); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.fusion.region.WriteRaw(r.fusion.pages[pid].off+page.HeaderSize, garbage); err != nil {
+		if err := r.fusion.dbp.(*cxlDBP).region.WriteRaw(r.fusion.pages[pid].off+page.HeaderSize, garbage); err != nil {
 			t.Fatal(err)
 		}
 		st.locked = append(st.locked, pid)
@@ -235,7 +235,7 @@ func (st *evictSweepState) verify(t *testing.T, tag string) {
 		if ps == nil {
 			t.Fatalf("%s: page %d dropped despite having a durable image", tag, pid)
 		}
-		w, err := r.fusion.dev.Load64Raw(r.fusion.lockWordOff(r.fusion.lockTab, ps.off))
+		w, err := r.fusion.lockTab.Load64Raw(lockWordOff(ps.off))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func flushDropRun(t *testing.T, plan *fault.Plan) error {
 	// republish now, after which no cache holds hidden state.
 	plan.Disarm()
 	for _, n := range r.nodes {
-		if err := n.cache.Flush(r.clk, n.dbp, 0, int(r.fusion.Region().Size())); err != nil {
+		if err := n.cache.Flush(r.clk, n.dbp, 0, int(n.dbp.Size())); err != nil {
 			return fmt.Errorf("post-fault cache flush: %w", err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestFlushReorderWithDropConvergence(t *testing.T) {
 	// dropped line is still dirty in the writer's cache and republishes).
 	plan.Disarm()
 	for _, n := range r.nodes {
-		if err := n.cache.Flush(r.clk, n.dbp, 0, int(r.fusion.Region().Size())); err != nil {
+		if err := n.cache.Flush(r.clk, n.dbp, 0, int(n.dbp.Size())); err != nil {
 			t.Fatal(err)
 		}
 	}

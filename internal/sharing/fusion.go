@@ -21,9 +21,11 @@
 //     its own lock) clflushes the page range — the lines are clean, so this
 //     just invalidates them — and re-reads from CXL.
 //
-// The RDMA baseline (rdmamp.go) must instead move whole 16 KB pages on
-// every miss and every write-lock release, plus invalidation messages over
-// the network — the read/write amplification the paper quantifies.
+// The RDMA baseline runs on the same server, lock service and page
+// directory; only its DBP medium differs (rdmamp.go). Its nodes keep local
+// page copies and must move whole 16 KB pages on every miss and every
+// write-lock release, plus invalidation messages over the network — the
+// read/write amplification the paper quantifies.
 package sharing
 
 import (
@@ -58,12 +60,13 @@ const rpcMsgBytes = 64
 // the RPC round trip, holds no lease, and writes no durable lock word.
 const fusionNode = "@fusion"
 
-// FlagStoreNanos is the paper's "few hundred nanoseconds" CXL store that
-// sets a remote node's invalid/removal flag.
-const flagEntrySize = 16 // invalid u64 + removal u64
+// flagEntrySize is one node's flag words for one page: invalid u64 +
+// removal u64.
+const flagEntrySize = 16
 
 // flagAddrs locates one node's flag words for one page (absolute offsets in
-// the shared CXL device).
+// the shared CXL device). Baseline nodes poll no flag words and register
+// the zero value.
 type flagAddrs struct {
 	invalid int64
 	removal int64
@@ -72,20 +75,70 @@ type flagAddrs struct {
 // pageState is the fusion-side metadata for one DBP page.
 type pageState struct {
 	id     uint64
-	off    int64 // offset of the frame within the DBP region
+	off    int64 // offset of the frame within the DBP
 	active map[string]flagAddrs
 	dirty  bool // diverged from the storage image
 	lk     *pageLock
 	elem   int64 // LRU tick
 }
 
-// Fusion is the buffer-fusion server plus the distributed page-lock
-// service, co-located as in PolarDB-MP.
-type Fusion struct {
+// dbpMedium is what the two deployments do differently; the page
+// directory, frame allocator, lock service, checkpoint and eviction walk
+// above it are one. A medium moves page images into and out of frames,
+// delivers invalidations and removals to nodes, and says whether a writer
+// that dies mid-update can leave its frame torn.
+type dbpMedium interface {
+	// readFrame and writeFrame move one page image out of and into the
+	// frame at off, charged to clk as the fusion server's own transfer.
+	readFrame(clk *simclock.Clock, off int64, img []byte) error
+	writeFrame(clk *simclock.Clock, off int64, img []byte) error
+	// signal sets (v = 1) or clears (v = 0) the flag word at addr, one of
+	// node's flag words for pageID: its invalid or its removal flag.
+	signal(clk *simclock.Clock, node string, addr int64, v uint64, pageID uint64) error
+	// tornOnCrash reports whether a writer that dies holding a page's write
+	// lock can leave the page's frame torn, so eviction must rebuild it.
+	tornOnCrash() bool
+}
+
+// cxlDBP is the paper's DBP: frames in a CXL region the fusion server
+// stages through its switch attachment, and flag words the nodes poll on
+// the same device. A dead writer's CPU cache may have leaked part of its
+// update into a frame, so a frame it held is torn until rebuilt.
+type cxlDBP struct {
 	host   *cxl.HostPort  // the fusion server's own switch attachment
-	region *simmem.Region // the DBP: page frames in CXL
-	dev    *simmem.Region // whole-device view for flag stores
-	store  *storage.Store
+	region *simmem.Region // the page frames
+	dev    *simmem.Region // whole-device view: flag words at device offsets
+}
+
+func (m *cxlDBP) readFrame(clk *simclock.Clock, off int64, img []byte) error {
+	if err := m.region.ReadRaw(off, img); err != nil {
+		return err
+	}
+	return m.host.TransferRead(clk, page.Size)
+}
+
+func (m *cxlDBP) writeFrame(clk *simclock.Clock, off int64, img []byte) error {
+	if err := m.region.WriteRaw(off, img); err != nil {
+		return err
+	}
+	return m.host.TransferWrite(clk, page.Size)
+}
+
+// signal is the paper's "single memory store operation on CXL memory", a
+// few hundred nanoseconds.
+func (m *cxlDBP) signal(clk *simclock.Clock, _ string, addr int64, v uint64, _ uint64) error {
+	return m.dev.Store64(clk, addr, v)
+}
+
+func (*cxlDBP) tornOnCrash() bool { return true }
+
+// Fusion is the buffer-fusion server plus the distributed page-lock
+// service, co-located as in PolarDB-MP. NewDeployment builds it over a CXL
+// DBP, NewRDMAFusion over the baseline's RDMA memory node.
+type Fusion struct {
+	dbp   dbpMedium
+	size  int64 // DBP bytes
+	store *storage.Store
 
 	mu       sync.Mutex
 	pages    map[uint64]*pageState
@@ -125,20 +178,16 @@ func (f *Fusion) emit(vnanos int64, typ, actor string, pageID uint64, aux int64)
 	}
 }
 
-// newFusion builds a fusion server over a CXL region, backed by store for
-// page load and recycle write-back. host is the fusion server's own switch
-// attachment, charged for its bulk page staging; its registry
-// (HostPort.Observer) receives the server's metrics — sharing.rpcs /
-// rpc_retries / invalidations / recycles / evictions / lock_timeouts and
-// the sharing.lock.wait_ns histogram — and the coherency trace stream
-// (lock.*, coherency.*) of the server and every attached node.
-// NewDeployment is its one caller.
-func newFusion(host *cxl.HostPort, region *simmem.Region, store *storage.Store) *Fusion {
-	reg := host.Observer()
+// newFusion builds a fusion server over a DBP of size bytes on dbp, backed
+// by store for page load and recycle write-back. reg (nil for none)
+// receives the server's metrics — sharing.rpcs / rpc_retries /
+// invalidations / recycles / evictions / lock_timeouts and the
+// sharing.lock.wait_ns histogram — and the coherency trace stream (lock.*,
+// coherency.*) of the server and every attached node.
+func newFusion(dbp dbpMedium, size int64, store *storage.Store, reg *obs.Registry) *Fusion {
 	return &Fusion{
-		host:          host,
-		region:        region,
-		dev:           region.Device().WholeRegion(),
+		dbp:           dbp,
+		size:          size,
 		store:         store,
 		pages:         make(map[uint64]*pageState),
 		leases:        newLeaseTable(DefaultLeaseNanos),
@@ -211,11 +260,9 @@ func (f *Fusion) nodeIDLocked(node string) uint64 {
 	return id
 }
 
-// lockWordOff locates the durable lock word covering frame offset off.
-// Caller must have checked f.lockTab != nil.
-func (f *Fusion) lockWordOff(lockTab *simmem.Region, off int64) int64 {
-	return lockTab.Base() + (off/page.Size)*8
-}
+// lockWordOff locates, within the lock table, the durable lock word
+// covering frame offset off.
+func lockWordOff(off int64) int64 { return (off / page.Size) * 8 }
 
 // rpc charges one node->fusion control round trip: reject evicted callers,
 // consult the fault injector (with retry/backoff when a policy is
@@ -262,7 +309,7 @@ func (f *Fusion) rpc(clk *simclock.Clock, node string) error {
 }
 
 // CapacityPages reports how many frames fit in the DBP region.
-func (f *Fusion) CapacityPages() int { return int(f.region.Size() / page.Size) }
+func (f *Fusion) CapacityPages() int { return int(f.size / page.Size) }
 
 // ResidentPages reports the in-use frame count.
 func (f *Fusion) ResidentPages() int {
@@ -278,9 +325,6 @@ func (f *Fusion) GetCalls() int64 {
 	defer f.mu.Unlock()
 	return f.getCalls
 }
-
-// Region exposes the DBP region (nodes map it read/write).
-func (f *Fusion) Region() *simmem.Region { return f.region }
 
 // SetInjector installs (or, with nil, removes) the fault injector consulted
 // on every DBP frame allocation. Arm fault.OpFrameAlloc with ErrNoSpace to
@@ -304,7 +348,7 @@ func (f *Fusion) allocFrame(clk *simclock.Clock) (int64, error) {
 		f.free = f.free[:n-1]
 		return off, nil
 	}
-	if f.nextOff+page.Size <= f.region.Size() {
+	if f.nextOff+page.Size <= f.size {
 		off := f.nextOff
 		f.nextOff += page.Size
 		return off, nil
@@ -322,7 +366,7 @@ func (f *Fusion) allocFrame(clk *simclock.Clock) (int64, error) {
 	return off, nil
 }
 
-// GetPage serves the node RPC: return the CXL address of pageID, loading
+// GetPage serves the node RPC: return the DBP offset of pageID, loading
 // the page from storage on first use, and register the caller's flag-word
 // addresses. Charges the RPC round trip.
 func (f *Fusion) GetPage(clk *simclock.Clock, node string, pageID uint64, fa flagAddrs) (int64, error) {
@@ -341,7 +385,7 @@ func (f *Fusion) GetPage(clk *simclock.Clock, node string, pageID uint64, fa fla
 		ps = &pageState{id: pageID, off: off, active: make(map[string]flagAddrs), lk: newPageLock()}
 		f.pages[pageID] = ps
 		f.mu.Unlock()
-		// Load the page image from storage into the CXL frame.
+		// Load the page image from storage into the DBP frame.
 		img := make([]byte, page.Size)
 		if err := f.store.ReadPage(clk, pageID, img); err != nil {
 			f.mu.Lock()
@@ -350,10 +394,7 @@ func (f *Fusion) GetPage(clk *simclock.Clock, node string, pageID uint64, fa fla
 			f.mu.Unlock()
 			return 0, err
 		}
-		if err := f.region.WriteRaw(off, img); err != nil {
-			return 0, err
-		}
-		if err := f.host.TransferWrite(clk, page.Size); err != nil {
+		if err := f.dbp.writeFrame(clk, off, img); err != nil {
 			return 0, err
 		}
 		f.mu.Lock()
@@ -388,39 +429,15 @@ func (f *Fusion) CreatePage(clk *simclock.Clock, node string, pageID uint64, fa 
 	f.pages[pageID] = ps
 	f.getCalls++
 	f.mu.Unlock()
-	if err := f.region.WriteRaw(off, make([]byte, page.Size)); err != nil {
-		return 0, err
-	}
-	if err := f.host.TransferWrite(clk, page.Size); err != nil {
+	if err := f.dbp.writeFrame(clk, off, make([]byte, page.Size)); err != nil {
 		return 0, err
 	}
 	return off, nil
 }
 
-// unlockWriteClean releases node's write lock whose holder modified
-// nothing: no publication, no invalidation fan-out.
-func (f *Fusion) unlockWriteClean(clk *simclock.Clock, node string, pageID uint64) error {
-	if err := f.rpc(clk, node); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	ps := f.pages[pageID]
-	f.mu.Unlock()
-	if ps == nil {
-		return fmt.Errorf("sharing: clean write-unlock of unknown page %d", pageID)
-	}
-	if err := f.clearLockWord(clk, ps, node); err != nil {
-		return err
-	}
-	if err := ps.lk.releaseWrite(node); err != nil {
-		return err
-	}
-	f.emit(clk.Now(), obs.EvLockRelease, node, pageID, 1)
-	return nil
-}
-
-// FlushDirty checkpoints the DBP: every dirty frame is staged out of CXL
-// and written to storage (after the write-ahead barrier, when installed).
+// FlushDirty checkpoints the DBP: every dirty frame is staged out of the
+// DBP and written to storage (after the write-ahead barrier, when
+// installed).
 func (f *Fusion) FlushDirty(clk *simclock.Clock, barrier func(*simclock.Clock, uint64)) error {
 	f.mu.Lock()
 	var dirty []*pageState
@@ -439,10 +456,7 @@ func (f *Fusion) FlushDirty(clk *simclock.Clock, barrier func(*simclock.Clock, u
 			return err
 		}
 		f.emit(clk.Now(), obs.EvLockGrant, fusionNode, ps.id, 0)
-		err := f.region.ReadRaw(ps.off, img)
-		if err == nil {
-			err = f.host.TransferRead(clk, page.Size)
-		}
+		err := f.dbp.readFrame(clk, ps.off, img)
 		if err == nil {
 			if barrier != nil {
 				barrier(clk, page.RawLSN(img))
@@ -518,7 +532,7 @@ func (f *Fusion) recordLockWord(clk *simclock.Clock, ps *pageState, node string)
 	if lt == nil || node == fusionNode {
 		return nil
 	}
-	return f.dev.Store64(clk, f.lockWordOff(lt, ps.off), id)
+	return lt.Store64(clk, lockWordOff(ps.off), id)
 }
 
 // clearLockWord erases the durable write-lock word of ps. It must run
@@ -532,7 +546,7 @@ func (f *Fusion) clearLockWord(clk *simclock.Clock, ps *pageState, node string) 
 	if lt == nil || node == fusionNode {
 		return nil
 	}
-	return f.dev.Store64(clk, f.lockWordOff(lt, ps.off), 0)
+	return lt.Store64(clk, lockWordOff(ps.off), 0)
 }
 
 // UnlockRead releases node's read lock.
@@ -553,30 +567,39 @@ func (f *Fusion) UnlockRead(clk *simclock.Clock, node string, pageID uint64) err
 	return nil
 }
 
-// UnlockWrite releases node's write lock after it flushed its dirty lines,
-// then sets the invalid flag of every OTHER node where the page is active —
-// one CXL store per node, before the lock becomes available again.
+// UnlockWrite releases node's write lock after it published its update —
+// flushed its dirty lines to CXL, or pushed the whole page over RDMA — and
+// first invalidates every OTHER node where the page is active: one CXL flag
+// store, or one network message, per node. The releasing worker bears the
+// fan-out latency: the paper notes the RDMA full-page flush plus
+// invalidation "prolong[s] the lock release time".
 func (f *Fusion) UnlockWrite(clk *simclock.Clock, node string, pageID uint64) error {
+	return f.unlockWrite(clk, node, pageID, true, true)
+}
+
+// unlockWriteClean releases node's write lock whose holder modified
+// nothing: no publication, no invalidation fan-out.
+func (f *Fusion) unlockWriteClean(clk *simclock.Clock, node string, pageID uint64) error {
+	return f.unlockWrite(clk, node, pageID, false, false)
+}
+
+// unlockWrite releases node's write lock. changed marks the page diverged
+// from storage; invalidate first fans invalidations out to the other
+// active nodes (a hardware-coherent cluster changes pages without: the
+// fabric kept every cache coherent).
+func (f *Fusion) unlockWrite(clk *simclock.Clock, node string, pageID uint64, changed, invalidate bool) error {
 	if err := f.rpc(clk, node); err != nil {
 		return err
 	}
 	f.mu.Lock()
 	ps, ok := f.pages[pageID]
-	if ok {
+	if ok && changed {
 		ps.dirty = true
-		for _, other := range f.sortedNodes(ps.active) {
-			if other == node {
-				continue
-			}
-			// The paper's "single memory store operation on CXL memory".
-			if err := f.dev.Store64(clk, ps.active[other].invalid, 1); err != nil {
+		if invalidate {
+			if err := f.invalidateLocked(clk, ps, node); err != nil {
 				f.mu.Unlock()
 				return err
 			}
-			f.invalidations.Inc()
-			// Actor is the TARGET: from here until that node flushes and
-			// acks, its cached copy of pageID is suspect.
-			f.emit(clk.Now(), obs.EvInvalidSet, other, pageID, 0)
 		}
 	}
 	f.mu.Unlock()
@@ -590,6 +613,40 @@ func (f *Fusion) UnlockWrite(clk *simclock.Clock, node string, pageID uint64) er
 		return err
 	}
 	f.emit(clk.Now(), obs.EvLockRelease, node, pageID, 1)
+	return nil
+}
+
+// invalidateLocked sets the invalid flag of every node but skip where ps
+// is active. Caller holds f.mu.
+func (f *Fusion) invalidateLocked(clk *simclock.Clock, ps *pageState, skip string) error {
+	for _, n := range f.sortedNodes(ps.active) {
+		if n == skip {
+			continue
+		}
+		if err := f.dbp.signal(clk, n, ps.active[n].invalid, 1, ps.id); err != nil {
+			return err
+		}
+		f.invalidations.Inc()
+		// Actor is the TARGET: from here until that node flushes and acks,
+		// its cached copy of the page is suspect.
+		f.emit(clk.Now(), obs.EvInvalidSet, n, ps.id, 0)
+	}
+	return nil
+}
+
+// dropLocked removes ps from the DBP: every node but skip where it is
+// active gets its removal flag, then the frame is freed. Caller holds f.mu.
+func (f *Fusion) dropLocked(clk *simclock.Clock, ps *pageState, skip string) error {
+	for _, n := range f.sortedNodes(ps.active) {
+		if n == skip {
+			continue
+		}
+		if err := f.dbp.signal(clk, n, ps.active[n].removal, 1, ps.id); err != nil {
+			return err
+		}
+	}
+	delete(f.pages, ps.id)
+	f.free = append(f.free, ps.off)
 	return nil
 }
 
@@ -619,23 +676,16 @@ func (f *Fusion) recycleLocked(clk *simclock.Clock) error {
 	}()
 	if victim.dirty {
 		img := make([]byte, page.Size)
-		if err := f.region.ReadRaw(victim.off, img); err != nil {
-			return err
-		}
-		if err := f.host.TransferRead(clk, page.Size); err != nil {
+		if err := f.dbp.readFrame(clk, victim.off, img); err != nil {
 			return err
 		}
 		if err := f.store.WritePage(clk, victim.id, img); err != nil {
 			return err
 		}
 	}
-	for _, node := range f.sortedNodes(victim.active) {
-		if err := f.dev.Store64(clk, victim.active[node].removal, 1); err != nil {
-			return err
-		}
+	if err := f.dropLocked(clk, victim, ""); err != nil {
+		return err
 	}
-	delete(f.pages, victim.id)
-	f.free = append(f.free, victim.off)
 	f.recycles.Inc()
 	return nil
 }
@@ -660,32 +710,6 @@ func (f *Fusion) Recycle(clk *simclock.Clock) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.recycleLocked(clk)
-}
-
-// unlockWriteHW releases node's write lock on a hardware-coherent (CXL 3.0)
-// cluster: the page diverged from storage, but no flag fan-out and no
-// clflush publication are needed — the fabric kept every cache coherent.
-func (f *Fusion) unlockWriteHW(clk *simclock.Clock, node string, pageID uint64) error {
-	if err := f.rpc(clk, node); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	ps := f.pages[pageID]
-	if ps != nil {
-		ps.dirty = true
-	}
-	f.mu.Unlock()
-	if ps == nil {
-		return fmt.Errorf("sharing: write-unlock of unknown page %d", pageID)
-	}
-	if err := f.clearLockWord(clk, ps, node); err != nil {
-		return err
-	}
-	if err := ps.lk.releaseWrite(node); err != nil {
-		return err
-	}
-	f.emit(clk.Now(), obs.EvLockRelease, node, pageID, 1)
-	return nil
 }
 
 // CrashNode declares node dead: its RPCs are rejected from now on, and its

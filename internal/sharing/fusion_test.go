@@ -52,7 +52,7 @@ func flagWord(t *testing.T, r *rig, n *Node, pid uint64, removal bool) uint64 {
 	if removal {
 		off = fa.removal
 	}
-	v, err := r.fusion.dev.Load64Raw(off)
+	v, err := n.dev.Load64Raw(off)
 	if err != nil {
 		t.Fatal(err)
 	}

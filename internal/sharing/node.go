@@ -50,6 +50,7 @@ type Node struct {
 	cache  *simcpu.Cache
 	flags  *simmem.Region // this node's flag array in CXL
 	dbp    *simmem.Region // the shared DBP region (same device)
+	dev    *simmem.Region // whole-device view: flag words at device offsets
 	ic     Interconnect   // optional cross-switch route for flag accesses
 
 	mu        sync.Mutex
@@ -73,17 +74,19 @@ type NodeStats struct {
 	Writes        int64
 }
 
-// NewNode builds a node over the fusion server's DBP. flagRegion is the
-// node's own CXL allocation for flag words; its capacity bounds the page
-// metadata buffer. A cache attached to a simcpu.Domain selects the
-// hardware-coherent regime.
+// NewNode builds a node over the fusion server's CXL DBP (a Deployment's
+// Fusion). flagRegion is the node's own CXL allocation for flag words; its
+// capacity bounds the page metadata buffer. A cache attached to a
+// simcpu.Domain selects the hardware-coherent regime.
 func NewNode(name string, fusion *Fusion, cache *simcpu.Cache, flagRegion *simmem.Region) *Node {
+	m := fusion.dbp.(*cxlDBP)
 	n := &Node{
 		name:   name,
 		fusion: fusion,
 		cache:  cache,
 		flags:  flagRegion,
-		dbp:    fusion.Region(),
+		dbp:    m.region,
+		dev:    m.dev,
 		meta:   make(map[uint64]*pmeta),
 		nslots: int(flagRegion.Size() / flagEntrySize),
 	}
@@ -116,7 +119,7 @@ func (n *Node) SetInterconnect(ic Interconnect) { n.ic = ic }
 // loadFlag reads one 8-byte flag word, paying the cross-switch route (if
 // any) on top of the device access.
 func (n *Node) loadFlag(clk *simclock.Clock, off int64) (uint64, error) {
-	v, err := n.fusion.dev.Load64(clk, off)
+	v, err := n.dev.Load64(clk, off)
 	if err == nil && n.ic != nil {
 		n.ic.Use(clk, 8)
 	}
@@ -126,7 +129,7 @@ func (n *Node) loadFlag(clk *simclock.Clock, off int64) (uint64, error) {
 // storeFlag writes one 8-byte flag word, paying the cross-switch route (if
 // any) on top of the device access.
 func (n *Node) storeFlag(clk *simclock.Clock, off int64, v uint64) error {
-	err := n.fusion.dev.Store64(clk, off, v)
+	err := n.dev.Store64(clk, off, v)
 	if err == nil && n.ic != nil {
 		n.ic.Use(clk, 8)
 	}
@@ -209,7 +212,7 @@ func (n *Node) reclaimLocked() {
 	}
 	victim := ids[0]
 	for _, id := range ids {
-		if rm, _ := n.fusion.dev.Load64Raw(n.flagOffsets(n.meta[id].slot).removal); rm != 0 {
+		if rm, _ := n.dev.Load64Raw(n.flagOffsets(n.meta[id].slot).removal); rm != 0 {
 			victim = id
 			break
 		}
@@ -329,7 +332,7 @@ func (n *Node) emitRead(clk *simclock.Clock, pageID uint64) {
 // back-invalidated the peers at store time.
 func (n *Node) publish(clk *simclock.Clock, pageID uint64, m *pmeta) error {
 	if n.coherent() {
-		return n.fusion.unlockWriteHW(clk, n.name, pageID)
+		return n.fusion.unlockWrite(clk, n.name, pageID, true, false)
 	}
 	if err := n.cache.Flush(clk, n.dbp, m.dataOff, page.Size); err != nil {
 		n.fusion.UnlockWrite(clk, n.name, pageID)
@@ -348,6 +351,9 @@ func (n *Node) publish(clk *simclock.Clock, pageID uint64, m *pmeta) error {
 // Read copies len(buf) bytes at off within the shared page, under the
 // page's read lock, through this node's CPU cache.
 func (n *Node) Read(clk *simclock.Clock, pageID uint64, off int64, buf []byte) error {
+	if err := inPage(int(off), len(buf), "read"); err != nil {
+		return err
+	}
 	m, err := n.ensurePage(clk, pageID)
 	if err != nil {
 		return err
@@ -386,6 +392,9 @@ func (n *Node) write(clk *simclock.Clock, m *pmeta, off int64, data []byte) erro
 // Write stores data at off within the shared page under the page's write
 // lock: update in place through the cache, then publish.
 func (n *Node) Write(clk *simclock.Clock, pageID uint64, off int64, data []byte) error {
+	if err := inPage(int(off), len(data), "write"); err != nil {
+		return err
+	}
 	return n.update(clk, pageID, func(m *pmeta) error {
 		return n.write(clk, m, off, data)
 	})
@@ -396,6 +405,9 @@ func (n *Node) Write(clk *simclock.Clock, pageID uint64, off int64, data []byte)
 // point-update (read the column, compute, store). buf is the caller's
 // scratch.
 func (n *Node) ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64, buf []byte, fn func([]byte)) error {
+	if err := inPage(int(off), len(buf), "read-modify-write"); err != nil {
+		return err
+	}
 	return n.update(clk, pageID, func(m *pmeta) error {
 		if err := n.read(clk, m, off, buf); err != nil {
 			return err

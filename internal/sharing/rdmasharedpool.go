@@ -32,7 +32,7 @@ import (
 type RDMASharedPool struct {
 	*buffer.TablePool
 	node   string
-	fusion *RDMAFusion
+	fusion *Fusion
 	nic    *rdma.NIC
 	prof   simmem.Profile // local-copy access cost (host DRAM)
 }
@@ -49,15 +49,16 @@ type rdmaStore struct {
 }
 
 // NewRDMASharedPool builds one node's engine-facing view of the RDMA DBP
-// with an LBP of capacityPages local copies, reporting its metrics as
-// frametab.rdma/<node>.* into reg (nil for none).
-func NewRDMASharedPool(node string, fusion *RDMAFusion, nic *rdma.NIC, capacityPages int, reg *obs.Registry) *RDMASharedPool {
+// of fusion (built by NewRDMAFusion) with an LBP of capacityPages local
+// copies, reporting its metrics as frametab.rdma/<node>.* into reg (nil
+// for none).
+func NewRDMASharedPool(node string, fusion *Fusion, nic *rdma.NIC, capacityPages int, reg *obs.Registry) *RDMASharedPool {
 	p := &RDMASharedPool{node: node, fusion: fusion, nic: nic, prof: cxl.BufferDRAMProfile()}
 	cfg := frametab.Config{Capacity: capacityPages, Store: &rdmaStore{p: p}, Name: "rdma/" + node, Registry: reg}
-	p.TablePool = buffer.NewTablePool(cfg, fusion.store, rdmaMedium{p})
-	fusion.mu.Lock()
-	fusion.nodes[node] = p
-	fusion.mu.Unlock()
+	// No page-id source: only the core's NewPage draws one, and it must not
+	// be called; the pool's own NewPage asks the fusion server.
+	p.TablePool = buffer.NewTablePool(cfg, nil, rdmaMedium{p})
+	fusion.attachRDMA(node, p)
 	return p
 }
 
@@ -69,17 +70,15 @@ func (p *RDMASharedPool) CrashPrimary() {
 	p.fusion.CrashNode(p.node)
 }
 
-// RejoinPrimary restarts the crashed primary with an empty LBP: the fusion
-// server evicts its stale state, then the node re-registers for invalidation
-// delivery.
+// RejoinPrimary restarts the crashed primary with an empty LBP once the
+// fusion server has evicted its stale state. Its delivery endpoint stays
+// registered: eviction took it out of every page's active set, so nothing
+// is delivered to it before its next fetch.
 func (p *RDMASharedPool) RejoinPrimary(clk *simclock.Clock) error {
 	if err := p.fusion.RejoinNode(clk, p.node); err != nil {
 		return err
 	}
 	p.Restart()
-	p.fusion.mu.Lock()
-	p.fusion.nodes[p.node] = p
-	p.fusion.mu.Unlock()
 	p.Fail(nil)
 	return nil
 }
@@ -89,14 +88,8 @@ func (p *RDMASharedPool) RejoinPrimary(clk *simclock.Clock) error {
 func (s *rdmaStore) fetch(clk *simclock.Clock, id uint64) (*buffer.Image, error) {
 	p := s.p
 	p.Table().Counters.RemoteReads.Add(1)
-	p.fusion.mu.Lock()
-	ps := p.fusion.pages[id]
-	p.fusion.mu.Unlock()
-	if ps == nil {
-		return nil, fmt.Errorf("sharing: frame for unregistered page %d", id)
-	}
 	img := buffer.NewImage(&p.prof)
-	if err := p.fusion.dbp.Read(clk, p.nic, ps.off, img.Buf); err != nil {
+	if err := p.fusion.rdmaPage(clk, p.nic, id, img.Buf, false); err != nil {
 		return nil, err
 	}
 	return img, nil
@@ -146,7 +139,7 @@ func (p *RDMASharedPool) Get(clk *simclock.Clock, id uint64, mode buffer.Mode) (
 	if err := p.Failed(); err != nil {
 		return buffer.Frame{}, err
 	}
-	if _, err := p.fusion.getPage(clk, p.node, id); err != nil {
+	if _, err := p.fusion.GetPage(clk, p.node, id, flagAddrs{}); err != nil {
 		return buffer.Frame{}, err
 	}
 	return p.lockAndBind(clk, id, mode)
@@ -157,8 +150,8 @@ func (p *RDMASharedPool) NewPage(clk *simclock.Clock) (buffer.Frame, error) {
 	if err := p.Failed(); err != nil {
 		return buffer.Frame{}, err
 	}
-	id := p.fusion.store.AllocPageID()
-	if _, err := p.fusion.createPage(clk, p.node, id); err != nil {
+	id := p.fusion.allocPageID()
+	if _, err := p.fusion.CreatePage(clk, p.node, id, flagAddrs{}); err != nil {
 		return buffer.Frame{}, err
 	}
 	return p.lockAndBind(clk, id, buffer.Write)
@@ -174,7 +167,7 @@ func (p *RDMASharedPool) GetOrCreate(clk *simclock.Clock, id uint64) (buffer.Fra
 	if !errors.Is(err, storage.ErrNotFound) {
 		return buffer.Frame{}, err
 	}
-	if _, cerr := p.fusion.createPage(clk, p.node, id); cerr != nil {
+	if _, cerr := p.fusion.CreatePage(clk, p.node, id, flagAddrs{}); cerr != nil {
 		return buffer.Frame{}, cerr
 	}
 	return p.lockAndBind(clk, id, buffer.Write)
@@ -232,19 +225,13 @@ func (m rdmaMedium) Release(f buffer.Frame) error {
 	id := fr.ID()
 	if f.Mode() == buffer.Write {
 		if wrote {
-			p.fusion.mu.Lock()
-			ps := p.fusion.pages[id]
-			p.fusion.mu.Unlock()
-			if ps == nil {
-				return fmt.Errorf("sharing: release of unregistered page %d", id)
-			}
 			p.Table().Counters.RemoteWrites.Add(1)
-			if err := p.fusion.dbp.Write(clk, p.nic, ps.off, img.Buf); err != nil {
+			if err := p.fusion.rdmaPage(clk, p.nic, id, img.Buf, true); err != nil {
 				return err
 			}
 			return p.fusion.UnlockWrite(clk, p.node, id)
 		}
-		return p.fusion.unlockWriteCleanRDMA(clk, p.node, id)
+		return p.fusion.unlockWriteClean(clk, p.node, id)
 	}
 	return p.fusion.UnlockRead(clk, p.node, id)
 }

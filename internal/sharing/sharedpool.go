@@ -198,10 +198,11 @@ func (m sharedMedium) Release(f buffer.Frame) error {
 	return p.n.fusion.UnlockRead(clk, p.n.name, fr.ID())
 }
 
-// inPage refuses a non-empty span [off, off+n) that leaves the page: the
-// DBP holds the pages back to back, so the cache would serve a neighbour.
+// inPage refuses a span [off, off+n) that leaves the page: the DBP holds
+// the pages back to back, so an access past one page's end would reach a
+// neighbour's frame without that page's lock.
 func inPage(off, n int, op string) error {
-	if n > 0 && (off < 0 || off+n > page.Size) {
+	if off < 0 || off > page.Size-n {
 		return fmt.Errorf("sharing: %s [%d,%d) out of page bounds [0,%d)", op, off, off+n, page.Size)
 	}
 	return nil

@@ -153,7 +153,7 @@ func TestWriterSeesOwnWritesAndPublishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := make([]byte, len(data))
-	if err := r.fusion.Region().ReadRaw(m.dataOff+1000, raw); err != nil {
+	if err := n.dbp.ReadRaw(m.dataOff+1000, raw); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, data) {
@@ -320,7 +320,7 @@ func TestMetadataBufferReclaim(t *testing.T) {
 // --- RDMA-MP baseline --------------------------------------------------------
 
 type rdmaRig struct {
-	fusion *RDMAFusion
+	fusion *Fusion
 	nodes  []*RDMANode
 	store  *storage.Store
 	clk    *simclock.Clock
@@ -375,7 +375,7 @@ func TestRDMAMPInvalidationPreventsStaleReads(t *testing.T) {
 
 func TestRDMAMPWithoutInvalidationReadsStale(t *testing.T) {
 	r := newRDMARig(t, 8, 2, 4)
-	r.fusion.DisableInvalidation = true
+	r.fusion.dbp.(*rdmaDBP).disableInvalidation = true
 	pid := r.seedPage(t, 0x11)
 	a, b := r.nodes[0], r.nodes[1]
 	buf := make([]byte, 64)
