@@ -6,9 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"polarcxlmem/internal/buffer"
+	"polarcxlmem/internal/cxl"
 	"polarcxlmem/internal/fault"
+	"polarcxlmem/internal/obs"
 	"polarcxlmem/internal/page"
+	"polarcxlmem/internal/rdma"
 	"polarcxlmem/internal/simclock"
+	"polarcxlmem/internal/simcpu"
+	"polarcxlmem/internal/storage"
 )
 
 // Direct unit coverage for the fusion server's lock/unlock protocol paths
@@ -213,4 +219,176 @@ func TestFrameAllocENOSPCInjection(t *testing.T) {
 		t.Fatalf("retried page contents %#x", buf[0])
 	}
 	r.fusion.SetInjector(nil)
+}
+
+// pageDirty reports whether the fusion server holds pid dirty.
+func pageDirty(f *Fusion, pid uint64) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.pages[pid].dirty
+}
+
+// failNextFlush makes the next Flush of c fail outright.
+func failNextFlush(c *simcpu.Cache) {
+	c.SetInjector(fault.NewPlan(1).FailAt(fault.OpFlushRange, 1, fault.ErrInjected))
+}
+
+// TestUpdateFailedInvalidCheckReleasesClean: a Write whose invalid-flag
+// flush fails under its fresh write lock has changed nothing, so the lock
+// is released clean: the page stays clean, no peer is invalidated, and the
+// lock is free.
+func TestUpdateFailedInvalidCheckReleasesClean(t *testing.T) {
+	reg := obs.New(obs.Options{})
+	r := buildRig(t, 4, 3, 16, nil, reg)
+	pid := r.seedPage(t, 0x01)
+	a, b, c := r.nodes[0], r.nodes[1], r.nodes[2]
+	buf := make([]byte, 8)
+	for _, n := range r.nodes {
+		if err := n.Read(r.clk, pid, 4096, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Write(r.clk, pid, 4096, buf); err != nil { // sets a's and c's invalid flags
+		t.Fatal(err)
+	}
+	if err := r.fusion.FlushDirty(r.clk, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Read(r.clk, pid, 4096, buf); err != nil { // c honours its flag
+		t.Fatal(err)
+	}
+	sent := reg.Counter("sharing.invalidations").Value()
+	failNextFlush(a.cache)
+	if err := a.Write(r.clk, pid, 4096, buf); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("write with a failing invalid-flag flush: %v, want the injected failure", err)
+	}
+	if pageDirty(r.fusion, pid) {
+		t.Fatal("a write that changed nothing left the page dirty")
+	}
+	if got := reg.Counter("sharing.invalidations").Value(); got != sent {
+		t.Fatalf("a write that changed nothing sent %d invalidations", got-sent)
+	}
+	for _, n := range []*Node{b, c} {
+		if got := flagWord(t, r, n, pid, false); got != 0 {
+			t.Fatalf("%s invalid flag = %d after a write that changed nothing", n.name, got)
+		}
+	}
+	if flagWord(t, r, a, pid, false) != 1 {
+		t.Fatal("the failed check cleared the writer's own invalid flag")
+	}
+	if r.fusion.pages[pid].lk.holds(a.name) {
+		t.Fatal("the failed write kept its write lock")
+	}
+}
+
+// TestSharedLatchFailedInvalidCheckReleasesClean: a SharedPool write latch
+// whose invalid-flag flush fails is released clean: the page stays clean
+// and no peer is invalidated.
+func TestSharedLatchFailedInvalidCheckReleasesClean(t *testing.T) {
+	reg := obs.New(obs.Options{})
+	clk := simclock.New()
+	store := storage.New(storage.Config{})
+	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: 8*page.Size + 3<<17}, reg)
+	dep, err := NewDeployment(clk, topo, "fusion", 8, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pools []*SharedPool
+	for i := range 3 {
+		p, err := dep.AttachPrimary(clk, fmt.Sprintf("p%d", i), 0, 1<<16, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pools = append(pools, NewSharedPool(p.Name, dep.Fusion, p.Cache, p.Flags))
+	}
+	pid := store.AllocPageID()
+	if err := store.WritePage(clk, pid, make([]byte, page.Size)); err != nil {
+		t.Fatal(err)
+	}
+	visit := func(p *SharedPool, mode buffer.Mode, data []byte) error {
+		f, err := p.Get(clk, pid, mode)
+		if err != nil {
+			return err
+		}
+		if data != nil {
+			if err := writeAt(f, 4096, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f.Release()
+	}
+	for _, p := range pools {
+		if err := visit(p, buffer.Read, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := visit(pools[1], buffer.Write, []byte{7}); err != nil { // invalidates p0 and p2
+		t.Fatal(err)
+	}
+	if err := dep.Fusion.FlushDirty(clk, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := visit(pools[2], buffer.Read, nil); err != nil { // p2 honours its flag
+		t.Fatal(err)
+	}
+	sent := reg.Counter("sharing.invalidations").Value()
+	failNextFlush(pools[0].n.cache)
+	if err := visit(pools[0], buffer.Write, nil); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("write latch with a failing invalid-flag flush: %v, want the injected failure", err)
+	}
+	if pageDirty(dep.Fusion, pid) {
+		t.Fatal("a write latch that changed nothing left the page dirty")
+	}
+	if got := reg.Counter("sharing.invalidations").Value(); got != sent {
+		t.Fatalf("a write latch that changed nothing sent %d invalidations", got-sent)
+	}
+	if dep.Fusion.pages[pid].lk.holds("p0") {
+		t.Fatal("the failed latch kept its write lock")
+	}
+}
+
+// TestRDMALockAndBindFailedGetReleasesClean: an RDMA pool whose local copy
+// cannot be made after it took the write lock (its one LBP frame is
+// pinned) releases the lock clean: the page stays clean and the peer's
+// copy is not invalidated.
+func TestRDMALockAndBindFailedGetReleasesClean(t *testing.T) {
+	clk := simclock.New()
+	store := storage.New(storage.Config{})
+	fusion := NewRDMAFusion(8, store)
+	p0 := NewRDMASharedPool("p0", fusion, rdma.NewNIC("p0", 0, 0), 1, nil)
+	p1 := NewRDMASharedPool("p1", fusion, rdma.NewNIC("p1", 0, 0), 4, nil)
+	var ids [2]uint64
+	for i := range ids {
+		ids[i] = store.AllocPageID()
+		if err := store.WritePage(clk, ids[i], make([]byte, page.Size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned, target := ids[0], ids[1]
+	f, err := p1.Get(clk, target, buffer.Read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Release(); err != nil {
+		t.Fatal(err)
+	}
+	held, err := p0.Get(clk, pinned, buffer.Read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p0.Get(clk, target, buffer.Write); err == nil {
+		t.Fatal("a write Get with every LBP frame pinned succeeded")
+	}
+	if pageDirty(fusion, target) {
+		t.Fatal("a write Get that changed nothing left the page dirty")
+	}
+	if p1.Table().Lookup(target) == nil {
+		t.Fatal("a write Get that changed nothing invalidated the peer's copy")
+	}
+	if fusion.pages[target].lk.holds("p0") {
+		t.Fatal("the failed Get kept its write lock")
+	}
+	if err := held.Release(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -419,7 +419,8 @@ func (n *Node) ReadModifyWrite(clk *simclock.Clock, pageID uint64, off int64, bu
 }
 
 // update runs access on pageID under its write lock and publishes the
-// result; a failed access releases the lock unpublished.
+// result. A failed access releases the lock unpublished (it may have
+// written); a failed invalid-flag check releases it clean (nothing was).
 func (n *Node) update(clk *simclock.Clock, pageID uint64, access func(m *pmeta) error) error {
 	m, err := n.ensurePage(clk, pageID)
 	if err != nil {
@@ -429,7 +430,7 @@ func (n *Node) update(clk *simclock.Clock, pageID uint64, access func(m *pmeta) 
 		return err
 	}
 	if err := n.honourInvalid(clk, pageID, m); err != nil {
-		n.fusion.UnlockWrite(clk, n.name, pageID)
+		n.fusion.unlockWriteClean(clk, n.name, pageID)
 		return err
 	}
 	if err := access(m); err != nil {

@@ -182,8 +182,9 @@ func (p *RDMASharedPool) lockAndBind(clk *simclock.Clock, id uint64, mode buffer
 	}
 	f, err := p.TablePool.Get(clk, id, mode)
 	if err != nil {
+		// Nothing was written under the lock: release it clean.
 		if mode == buffer.Write {
-			p.fusion.UnlockWrite(clk, p.node, id)
+			p.fusion.unlockWriteClean(clk, p.node, id)
 		} else {
 			p.fusion.UnlockRead(clk, p.node, id)
 		}

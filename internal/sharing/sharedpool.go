@@ -154,8 +154,9 @@ func (s *sharedStore) Latch(clk *simclock.Clock, id uint64, slot any, write, fre
 		return nil
 	}
 	if err := n.honourInvalid(clk, id, slot.(*pmeta)); err != nil {
+		// Nothing was written under the lock: release it clean.
 		if write {
-			n.fusion.UnlockWrite(clk, n.name, id)
+			n.fusion.unlockWriteClean(clk, n.name, id)
 		} else {
 			n.fusion.UnlockRead(clk, n.name, id)
 		}

@@ -7,8 +7,8 @@ import (
 )
 
 // TestHotPathsAllocateNothing gates the cache's steady state at zero heap
-// allocations: hits, held word accesses, a page-wide clflush, and misses
-// that evict.
+// allocations: hits, held word accesses, a page-wide clflush of written
+// lines and of a resident page with dirty lines, and misses that evict.
 func TestHotPathsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -57,6 +57,21 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 			}
 		}
 		if err := c.Flush(clk, r, pageSize, pageSize); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	page := make([]byte, pageSize)
+	gate("flush of a resident page with dirty lines", func() {
+		if err := read(c, clk, r, 3*pageSize-200, page); err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range []int64{0, 5000, 9000, pageSize - 8} {
+			if err := write(c, clk, r, 3*pageSize-200+off, buf[:8]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(clk, r, 3*pageSize-200, pageSize); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package simcpu
 
 import (
+	"fmt"
 	"testing"
 
 	"polarcxlmem/internal/simclock"
@@ -108,5 +109,54 @@ func BenchmarkSpanRefetchPage(b *testing.B) {
 	}
 	if want := int64(b.N) * pageSize / LineSize; c.stats.Misses != want || c.stats.Hits != 0 {
 		b.Fatalf("%d misses and %d hits in %d refetches, want %d misses", c.stats.Misses, c.stats.Hits, b.N, want)
+	}
+}
+
+// BenchmarkFlushPage flushes a resident 16 KiB page image laid out as in a
+// core pool (five blocks), as a publish or an invalidation does: clean, and
+// holding 8 dirty lines spread over its blocks. Only the Flush is timed;
+// each iteration first reads the whole page back in (and dirties its
+// lines) with the timer stopped.
+func BenchmarkFlushPage(b *testing.B) {
+	const pageOff, pageSize = corePageBase, corePageSize
+	for _, dirty := range []int{0, 8} {
+		b.Run(fmt.Sprintf("dirty=%d", dirty), func(b *testing.B) {
+			r := simmem.NewDevice("cxl", 1<<20, prof, nil, nil).WholeRegion()
+			c := New("bench", benchCacheBytes, 5)
+			c.SetInterconnect(simclock.NewResource("link", 64e9))
+			clk := simclock.New()
+			buf := make([]byte, pageSize)
+			fill := func() {
+				c.Hold()
+				defer c.Unhold()
+				if err := c.ReadHeld(clk, r, pageOff, buf); err != nil {
+					b.Fatal(err)
+				}
+				for k := range dirty {
+					if err := c.StoreHeld(clk, r, pageOff+int64(k)*pageSize/int64(dirty), 8, uint64(k)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			flush := func() {
+				if err := c.Flush(clk, r, pageOff, pageSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fill() // slab chunks and block index entries
+			flush()
+			c.stats = Stats{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				fill()
+				b.StartTimer()
+				flush()
+			}
+			if c.stats.Flushed != int64(b.N)*pageSize/LineSize || c.stats.WriteBacks != int64(b.N*dirty) {
+				b.Fatalf("%d flushes flushed %d lines and wrote back %d", b.N, c.stats.Flushed, c.stats.WriteBacks)
+			}
+		})
 	}
 }

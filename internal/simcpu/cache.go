@@ -18,11 +18,12 @@
 //
 // Representation: lines live by value in a slab that grows in fixed-size
 // chunks and recycles freed lines; a block index maps each (device, 4
-// KiB-aligned offset) to a residency mask plus the slab index of each of
-// its 64 lines. The LRU is kept lazily: a hit or fill stamps its line from
-// a per-cache counter, and only an eviction orders lines, from a sorted
-// snapshot of (stamp, slab index) keys built when the previous one runs
-// out. A steady-state hit, miss or flush allocates nothing.
+// KiB-aligned offset) to a residency mask, a dirty mask and the slab index of
+// each of its 64 lines; Flush walks the masks, so clean lines leave unloaded
+// while charges stay per line. The LRU is kept lazily: a hit or fill stamps
+// its line from a per-cache counter, and only an eviction orders lines, from
+// a sorted snapshot of (stamp, slab index) keys built when the previous one
+// runs out. A steady-state hit, miss or flush allocates nothing.
 //
 // A span walks its lines one block at a time: one block probe gives the
 // residency of the block's lines, resident lines are hits, and each run of
@@ -42,7 +43,6 @@ package simcpu
 import (
 	"encoding/binary"
 	"fmt"
-	"iter"
 	"math/bits"
 	"slices"
 	"sync"
@@ -74,10 +74,9 @@ const (
 // line is one resident cache line, held by value in the line slab.
 type line struct {
 	data  [LineSize]byte
-	stamp uint64 // counter value of the last use; 0: not resident
+	stamp uint64 // counter value of the last use; 0: not installed since allocated
 	blk   int32  // owning block's slab index
 	slot  uint8  // line number within the block
-	dirty bool
 }
 
 // maxStamp is the largest stamp an eviction key packs above a 32-bit slab
@@ -100,10 +99,11 @@ type memoEntry struct {
 func memoSlot(base int64) int { return int(base/blockSize) & (memoSize - 1) }
 
 // block is one block-index entry: which of the span's 64 lines are
-// resident, and where each resident line lives in the line slab.
+// resident and dirty, and where each resident line lives in the line slab.
 type block struct {
 	key   blockKey
 	mask  uint64            // bit s set: line s is resident
+	dirty uint64            // bit s set: line s is resident and dirty
 	slots [blockLines]int32 // slab index of each resident line
 }
 
@@ -301,6 +301,23 @@ func (c *Cache) lookup(dev *simmem.Device, addr int64) int32 {
 	return b.slots[s]
 }
 
+// holds reports whether slab entry i, whose stamp is nonzero, is resident:
+// a freed entry keeps its stamp, so residency is read from its block.
+func (c *Cache) holds(i int32) bool {
+	ln := c.lines.at(i)
+	b := c.blocks.at(ln.blk)
+	return b.mask&(1<<ln.slot) != 0 && b.slots[ln.slot] == i
+}
+
+// dirty reports whether the resident line i is dirty.
+func (c *Cache) dirty(i int32) bool {
+	ln := c.lines.at(i)
+	return c.blocks.at(ln.blk).dirty&(1<<ln.slot) != 0
+}
+
+// markDirty records a store into the resident line ln.
+func (c *Cache) markDirty(ln *line) { c.blocks.at(ln.blk).dirty |= 1 << ln.slot }
+
 // touch makes ln the most recently used line.
 func (c *Cache) touch(ln *line) {
 	if c.tick == maxStamp {
@@ -310,7 +327,8 @@ func (c *Cache) touch(ln *line) {
 	ln.stamp = c.tick
 }
 
-// buildOrder makes order the eviction order of the resident lines.
+// buildOrder makes order the eviction order of the resident lines (and of
+// freed entries, which keep their stamps, while any is free).
 func (c *Cache) buildOrder() {
 	if c.next == len(c.order) && c.tick-c.built == uint64(len(c.fresh)) {
 		// No entry of the last order is left, and every stamp since went
@@ -335,17 +353,18 @@ func (c *Cache) renumber() {
 	c.buildOrder()
 	n := uint64(0)
 	for _, k := range c.order {
-		if ln := c.lines.at(int32(uint32(k))); ln.stamp == k>>32 {
+		if i := int32(uint32(k)); c.lines.at(i).stamp == k>>32 && c.holds(i) {
 			n++
-			ln.stamp = n
-			c.order[n-1] = n<<32 | uint64(uint32(k))
+			c.lines.at(i).stamp = n
+			c.order[n-1] = n<<32 | uint64(i)
 		}
 	}
 	c.order, c.tick, c.built = c.order[:n], n, n
 }
 
 // lru returns the least recently used line without taking it out of the
-// eviction order, rebuilding the order when no valid entry is left.
+// eviction order, rebuilding the order when no valid entry is left. The cache
+// is full, so every freed entry has been reused and restamped since.
 func (c *Cache) lru() int32 {
 	for {
 		for ; c.next < len(c.order); c.next++ {
@@ -366,7 +385,7 @@ func (c *Cache) install(i int32, dev *simmem.Device, addr int64) {
 	if !ok {
 		bi = c.blocks.alloc()
 		nb := c.blocks.at(bi)
-		nb.key, nb.mask = key, 0
+		nb.key, nb.mask, nb.dirty = key, 0, 0
 		c.index[key] = bi
 		c.memo[memoSlot(key.base)] = memoEntry{key, bi}
 	}
@@ -383,23 +402,27 @@ func (c *Cache) install(i int32, dev *simmem.Device, addr int64) {
 	c.resident++
 }
 
-// remove invalidates line i: it leaves the block index, and its slab
-// entry is released.
-func (c *Cache) remove(i int32) {
-	ln := c.lines.at(i)
-	ln.stamp = 0
-	b := c.blocks.at(ln.blk)
-	b.mask &^= 1 << ln.slot
+// remove invalidates the resident line i.
+func (c *Cache) remove(i int32) { ln := c.lines.at(i); c.drop(ln.blk, 1<<ln.slot) }
+
+// drop invalidates the resident lines m (maybe none) of block bi unloaded:
+// they leave its masks, their entries are freed, and so is an empty block.
+func (c *Cache) drop(bi int32, m uint64) {
+	b := c.blocks.at(bi)
+	for r := m; r != 0; r &= r - 1 {
+		c.lines.release(b.slots[bits.TrailingZeros64(r)])
+	}
+	c.resident -= bits.OnesCount64(m)
+	b.mask &^= m
+	b.dirty &^= m
 	if b.mask == 0 {
 		delete(c.index, b.key)
-		if m := &c.memo[memoSlot(b.key.base)]; m.key == b.key {
-			*m = memoEntry{}
+		if me := &c.memo[memoSlot(b.key.base)]; me.key == b.key {
+			*me = memoEntry{}
 		}
 		b.key = blockKey{}
-		c.blocks.release(ln.blk)
+		c.blocks.release(bi)
 	}
-	c.lines.release(i)
-	c.resident--
 }
 
 // writeBack writes dirty line i to its device, charging clk.
@@ -412,7 +435,7 @@ func (c *Cache) writeBack(clk *simclock.Clock, i int32) error {
 	if c.link != nil {
 		c.link.Use(clk, LineSize)
 	}
-	ln.dirty = false
+	b.dirty &^= 1 << ln.slot
 	c.stats.WriteBacks++
 	c.stats.BytesWritten += LineSize
 	return nil
@@ -422,7 +445,7 @@ func (c *Cache) writeBack(clk *simclock.Clock, i int32) error {
 func (c *Cache) evictIfFull(clk *simclock.Clock) error {
 	for c.resident >= c.capacity {
 		victim := c.lru()
-		if c.lines.at(victim).dirty {
+		if c.dirty(victim) {
 			var err error
 			if c.inj != nil {
 				err = c.inj.Point(fault.OpWriteBack, LineSize)
@@ -480,7 +503,7 @@ func (c *Cache) fill(clk *simclock.Clock, dev *simmem.Device, la int64, n int, s
 		r.ReadLines(la+int64(from)*LineSize, c.runBuf[:(n-from)*LineSize])
 	owed := 0
 	for ; k < n; k++ {
-		if owed > 0 && c.resident >= c.capacity && c.lines.at(c.lru()).dirty {
+		if owed > 0 && c.resident >= c.capacity && c.dirty(c.lru()) {
 			c.book(clk, owed, gap)
 			owed = 0
 		}
@@ -497,7 +520,7 @@ func (c *Cache) fill(clk *simclock.Clock, dev *simmem.Device, la int64, n int, s
 		}
 		i := c.lines.alloc()
 		ln := c.lines.at(i)
-		ln.dirty, ln.stamp = false, 0
+		ln.stamp = 0
 		if bulk && k >= from {
 			ln.data = [LineSize]byte(c.runBuf[(k-from)*LineSize:])
 			owed++
@@ -579,42 +602,6 @@ func spanMask(base, first, last int64) uint64 {
 	return (^uint64(0) >> (blockLines - 1 - hi)) & (^uint64(0) << lo)
 }
 
-// spanLines yields the slab index of every resident line of dev in the
-// line-aligned span [first, last], in ascending address order or, with rev,
-// descending. It probes one block per 4 KiB and visits only resident lines.
-// The loop body may remove the line it is given, and no other.
-func (c *Cache) spanLines(dev *simmem.Device, first, last int64, rev bool) iter.Seq[int32] {
-	return func(yield func(int32) bool) {
-		lo, hi := first&^(blockSize-1), last&^(blockSize-1)
-		base, end, step := lo, hi+blockSize, int64(blockSize)
-		if rev {
-			base, end, step = hi, lo-blockSize, -blockSize
-		}
-		for ; base != end; base += step {
-			bi, ok := c.block(blockKey{dev, base})
-			if !ok {
-				continue
-			}
-			b := c.blocks.at(bi)
-			for m := b.mask & spanMask(base, first, last); m != 0; {
-				s := bits.TrailingZeros64(m)
-				if rev {
-					s = blockLines - 1 - bits.LeadingZeros64(m)
-				}
-				m &^= 1 << s
-				if !yield(b.slots[s]) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// clip returns the part of [addr, addr+n) that falls in the line at la.
-func clip(la, addr int64, n int) (lo, hi int64) {
-	return max(addr, la), min(addr+int64(n), la+LineSize)
-}
-
 // Hold takes the cache's lock — after its coherency domain's, when it has
 // one — for a run of *Held accesses. Until Unhold, every other access to the cache (and, in a
 // domain, to its peers) waits, so the holder must call nothing but *Held
@@ -683,11 +670,15 @@ func (c *Cache) span(clk *simclock.Clock, region *simmem.Region, off int64, buf 
 		for ; la <= end && mask&(1<<((la-base)/LineSize)) != 0; la += LineSize {
 			// get's hit, written out: a helper holding touch's renumber
 			// call is over the compiler's inlining budget.
-			ln := c.lines.at(b.slots[(la-base)/LineSize])
+			s := (la - base) / LineSize
+			ln := c.lines.at(b.slots[s])
 			c.touch(ln)
 			c.stats.Hits++
 			clk.Advance(c.hitLatency)
 			copyLine(ln, la, addr, buf, store)
+			if store {
+				b.dirty |= 1 << s
+			}
 			streamed = false
 		}
 		if la > end {
@@ -702,7 +693,11 @@ func (c *Cache) span(clk *simclock.Clock, region *simmem.Region, off int64, buf 
 		}
 		k, err := c.fill(clk, dev, la, n, streamed)
 		for j := range k {
-			copyLine(c.lines.at(c.filled[j]), la+int64(j)*LineSize, addr, buf, store)
+			ln := c.lines.at(c.filled[j])
+			copyLine(ln, la+int64(j)*LineSize, addr, buf, store)
+			if store {
+				c.markDirty(ln)
+			}
 		}
 		if err != nil {
 			return err
@@ -720,15 +715,22 @@ func (c *Cache) span(clk *simclock.Clock, region *simmem.Region, off int64, buf 
 }
 
 // copyLine moves the part of the span buf at addr that falls in the line ln
-// at la: out of the line, or, for a store, into it, dirtying it.
+// at la: out of the line, or, for a store, into it. A whole line moves by
+// array assignment: inline moves, not a memmove call.
 func copyLine(ln *line, la, addr int64, buf []byte, store bool) {
-	lo, hi := clip(la, addr, len(buf))
-	if store {
-		copy(ln.data[lo-la:hi-la], buf[lo-addr:hi-addr])
-		ln.dirty = true
-		return
+	d, l := buf[max(addr, la)-addr:], ln.data[max(addr-la, 0):]
+	switch {
+	case len(l) < LineSize || len(d) < LineSize: // part of the line
+		if store {
+			copy(l, d)
+		} else {
+			copy(d, l)
+		}
+	case store:
+		ln.data = [LineSize]byte(d)
+	default:
+		*(*[LineSize]byte)(d) = ln.data
 	}
-	copy(buf[lo-addr:hi-addr], ln.data[lo-la:hi-la])
 }
 
 // wordLine returns the line-aligned address of the line holding all of the
@@ -817,7 +819,7 @@ func (c *Cache) StoreHeld(clk *simclock.Clock, region *simmem.Region, off int64,
 			d[j] = byte(v >> (8 * j))
 		}
 	}
-	ln.dirty = true
+	c.markDirty(ln)
 	if c.domain != nil {
 		return c.domain.invalidatePeers(clk, c, dev, la)
 	}
@@ -829,6 +831,11 @@ func (c *Cache) StoreHeld(clk *simclock.Clock, region *simmem.Region, off int64,
 // Subsequent reads fetch fresh data from the device. This is the primitive
 // the paper's protocol issues on write-lock release (publish) and on
 // observing a set invalid flag (discard possibly-stale lines).
+//
+// It walks the range's block masks in address order (reversed when the
+// injector's fault.Orderer asks), visiting the dirty lines (with an injector,
+// every line, at its OpFlushLine point); the rest leave by mask, unloaded.
+// Each line's hit latency (clflush issue cost) is owed until a write-back or return.
 func (c *Cache) Flush(clk *simclock.Clock, region *simmem.Region, off int64, n int) error {
 	if n <= 0 {
 		return nil
@@ -839,7 +846,7 @@ func (c *Cache) Flush(clk *simclock.Clock, region *simmem.Region, off int64, n i
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	first, last := lineRange(region.Base()+off, n)
-	rev := false
+	rev, every := false, uint64(0) // every: the lines visited whether dirty or not
 	if c.inj != nil {
 		if err := c.inj.Point(fault.OpFlushRange, int64(n)); err != nil {
 			if fault.IsDrop(err) {
@@ -847,27 +854,57 @@ func (c *Cache) Flush(clk *simclock.Clock, region *simmem.Region, off int64, n i
 			}
 			return err
 		}
+		every = ^every
 		if ord, ok := c.inj.(fault.Orderer); ok {
 			rev = ord.ReverseFlush()
 		}
 	}
-	for i := range c.spanLines(region.Device(), first, last, rev) {
-		if c.inj != nil {
-			if err := c.inj.Point(fault.OpFlushLine, LineSize); err != nil {
-				if fault.IsDrop(err) {
-					continue // lost clflush: the line stays cached and dirty
+	base, end, step := first&^(blockSize-1), last&^(blockSize-1)+blockSize, int64(blockSize)
+	if rev {
+		base, end, step = end-blockSize, base-blockSize, -blockSize
+	}
+	dev, was, paid := region.Device(), c.resident, c.resident // paid: resident lines when the owed latency was last paid
+	defer func() {
+		clk.Advance(int64(paid-c.resident) * c.hitLatency)
+		c.stats.Flushed += int64(was - c.resident)
+	}()
+	for ; base != end; base += step {
+		bi, ok := c.block(blockKey{dev, base})
+		if !ok {
+			continue
+		}
+		b := c.blocks.at(bi)
+		rest := b.mask & spanMask(base, first, last) // lines left to flush
+		visit := rest & (b.dirty | every)            // lines left to visit
+		for visit != 0 {
+			// The lines ahead of the next one to visit, in flush order, are
+			// clean (a visited line is, once written back): they leave now.
+			s := bits.TrailingZeros64(visit)
+			ahead := rest & (1<<s - 1)
+			if rev {
+				s = blockLines - 1 - bits.LeadingZeros64(visit)
+				ahead = rest &^ (2<<s - 1)
+			}
+			c.drop(bi, ahead)
+			rest, visit = rest&^ahead, visit&^(1<<s)
+			if c.inj != nil {
+				if err := c.inj.Point(fault.OpFlushLine, LineSize); err != nil {
+					if fault.IsDrop(err) {
+						rest &^= 1 << s // lost clflush: the line stays cached and dirty
+						continue
+					}
+					return err
 				}
-				return err
+			}
+			if b.dirty&(1<<s) != 0 {
+				clk.Advance(int64(paid-c.resident) * c.hitLatency)
+				paid = c.resident
+				if err := c.writeBack(clk, b.slots[s]); err != nil {
+					return err
+				}
 			}
 		}
-		if c.lines.at(i).dirty {
-			if err := c.writeBack(clk, i); err != nil {
-				return err
-			}
-		}
-		c.remove(i)
-		c.stats.Flushed++
-		clk.Advance(c.hitLatency) // clflush issue cost per resident line
+		c.drop(bi, rest)
 	}
 	return nil
 }
@@ -897,10 +934,11 @@ func (c *Cache) LinesInRange(region *simmem.Region, off int64, n int) (resident,
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	first, last := lineRange(region.Base()+off, n)
-	for i := range c.spanLines(region.Device(), first, last, false) {
-		resident++
-		if c.lines.at(i).dirty {
-			dirty++
+	for base := first &^ (blockSize - 1); base <= last; base += blockSize {
+		if bi, ok := c.block(blockKey{region.Device(), base}); ok {
+			b, m := c.blocks.at(bi), spanMask(base, first, last)
+			resident += bits.OnesCount64(b.mask & m)
+			dirty += bits.OnesCount64(b.dirty & m)
 		}
 	}
 	return resident, dirty

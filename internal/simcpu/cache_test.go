@@ -22,7 +22,7 @@ func dirtyLines(c *Cache) int {
 	defer c.mu.Unlock()
 	n := 0
 	for i := range c.lines.used {
-		if ln := c.lines.at(i); ln.stamp != 0 && ln.dirty {
+		if c.lines.at(i).stamp != 0 && c.holds(i) && c.dirty(i) {
 			n++
 		}
 	}

@@ -132,12 +132,12 @@ func diffPlan(seed int64) *fault.Plan {
 // again and again, mid-order included.
 func TestCacheMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runDiff(t, seed, 1, false)
+		runDiff(t, seed, 1, false, true)
 	}
 	defer func(m uint64) { maxStamp = m }(maxStamp)
 	maxStamp = 50
 	for seed := int64(7); seed <= 8; seed++ {
-		runDiff(t, seed, 1, false)
+		runDiff(t, seed, 1, false, true)
 	}
 }
 
@@ -153,11 +153,23 @@ func TestCacheMatchesReference(t *testing.T) {
 // seeds run two caches in a coherency domain, where runs are one line.
 func TestRunFillsMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		runDiff(t, seed, 1, true)
+		runDiff(t, seed, 1, true, true)
 	}
 	for seed := int64(5); seed <= 6; seed++ {
-		runDiff(t, seed, 2, true)
+		runDiff(t, seed, 2, true, true)
 	}
+}
+
+// TestMaskFlushMatchesReference is TestRunFillsMatchReference with no
+// injector on the caches either, so every Flush visits only the dirty
+// lines of its range and lets the clean ones go by their block's mask,
+// while the reference flushes line by line. The last seed runs two caches
+// in a coherency domain.
+func TestMaskFlushMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		runDiff(t, seed, 1, true, false)
+	}
+	runDiff(t, 5, 2, true, false)
 }
 
 // TestCoherentCacheMatchesReference is TestCacheMatchesReference for two
@@ -166,7 +178,7 @@ func TestRunFillsMatchReference(t *testing.T) {
 // cache and in the reference alike.
 func TestCoherentCacheMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		runDiff(t, seed, 2, false)
+		runDiff(t, seed, 2, false, true)
 	}
 }
 
@@ -186,7 +198,9 @@ type diffCase struct {
 	failedVictims int
 }
 
-func runDiff(t *testing.T, seed int64, members int, runs bool) {
+// runDiff runs one seed of the differential test: in a run world when runs
+// is set, and with the fault plan on the caches when faults is set.
+func runDiff(t *testing.T, seed int64, members int, runs, faults bool) {
 	t.Helper()
 	dc := &diffCase{t: t, seed: seed, wg: newDiffWorld(t, seed, runs), wr: newDiffWorld(t, seed, runs)}
 	var dom *Domain
@@ -196,10 +210,12 @@ func runDiff(t *testing.T, seed int64, members int, runs bool) {
 	for m := range members {
 		got := New(fmt.Sprintf("slab%d", m), diffLines*LineSize, 5)
 		got.SetInterconnect(dc.wg.link)
-		got.SetInjector(dc.wg.plan)
 		ref := newRefCache(diffLines*LineSize, 5)
 		ref.link = dc.wr.link
-		ref.inj = dc.wr.plan
+		if faults {
+			got.SetInjector(dc.wg.plan)
+			ref.inj = dc.wr.plan
+		}
 		if dom != nil {
 			dom.Attach(got)
 		}
@@ -302,6 +318,9 @@ func runDiff(t *testing.T, seed int64, members int, runs bool) {
 		}
 	}
 	compareDevices(t, wg, wr)
+	if !faults {
+		return
+	}
 	if len(wg.plan.Firings()) == 0 || len(wg.plan.Firings()) != len(wr.plan.Firings()) {
 		t.Fatalf("seed %d: %d faults fired, reference %d", seed, len(wg.plan.Firings()), len(wr.plan.Firings()))
 	}
@@ -405,7 +424,7 @@ func (dc *diffCase) checkMembers() {
 func lruOrder(c *Cache) []refKey {
 	var idx []int32
 	for i := range c.lines.used {
-		if c.lines.at(i).stamp != 0 {
+		if c.lines.at(i).stamp != 0 && c.holds(i) {
 			idx = append(idx, i)
 		}
 	}
@@ -662,4 +681,95 @@ func TestRunFillCases(t *testing.T) {
 	if st := got.Stats(); st.WriteBacks < 2+lines {
 		t.Fatalf("the runs wrote back %d lines, want dirty victims mid-run", st.WriteBacks-2)
 	}
+}
+
+// TestMaskFlushCases steps a cache with no injector, whose flushes let
+// clean lines go by their block's mask, and the reference through the
+// mask flush's edges on the paged device, with a 320-line cache that holds
+// a whole page: LinesInRange before and after a page-wide flush of a page
+// with dirty lines in three of its five blocks; misses that then evict, so
+// the eviction order built before the flush must skip the entries it
+// freed; a renumber of the stamps while a flush's entries sit freed with
+// their stamps; and a Drop after a flush. After each step the bytes,
+// error, clock, stats, link and bandwidth stats, device counters, LRU
+// order and device contents must agree.
+func TestMaskFlushCases(t *testing.T) {
+	const lines = 320
+	dc := &diffCase{t: t, seed: 1, wg: newDiffWorld(t, 1, true), wr: newDiffWorld(t, 1, true)}
+	wg, wr := dc.wg, dc.wr
+	got := New("mask", lines*LineSize, 5)
+	got.SetInterconnect(wg.link)
+	ref := newRefCache(lines*LineSize, 5)
+	ref.link = wr.link
+	dc.got, dc.ref = []*Cache{got}, []*refCache{ref}
+	rng := rand.New(rand.NewSource(1))
+	rg, rr := wg.regions[pagedRegion], wr.regions[pagedRegion]
+	page := func(k int) int64 { return corePageBase + int64(k)*coreStride }
+	step := func(what string, off int64, n int) {
+		t.Helper()
+		dc.op++
+		dc.start(what)
+		var gerr, rerr error
+		switch what {
+		case "read":
+			gb, rb := make([]byte, n), make([]byte, n)
+			gerr, rerr = read(got, wg.clk, rg, off, gb), ref.access(wr.clk, rr, off, rb, false)
+			if !bytes.Equal(gb, rb) {
+				t.Fatalf("op %d: read [%d,+%d) returned different bytes", dc.op, off, n)
+			}
+		case "write":
+			data := make([]byte, n)
+			rng.Read(data)
+			gerr, rerr = write(got, wg.clk, rg, off, data), ref.access(wr.clk, rr, off, data, true)
+		case "flush":
+			gerr, rerr = got.Flush(wg.clk, rg, off, n), ref.Flush(wr.clk, rr, off, n)
+		case "lines":
+			gres, gdirty := got.LinesInRange(rg, off, n)
+			if rres, rdirty := ref.LinesInRange(rr, off, n); gres != rres || gdirty != rdirty {
+				t.Fatalf("op %d: LinesInRange(%d, %d) = %d/%d, reference %d/%d", dc.op, off, n, gres, gdirty, rres, rdirty)
+			}
+		case "drop":
+			got.Drop()
+			ref.Drop()
+		}
+		dc.check(gerr, rerr)
+		dc.checkMembers()
+		compareDevices(t, wg, wr)
+	}
+
+	step("read", page(1), corePageSize)
+	for _, off := range []int64{10, 8000, corePageSize - 90} { // blocks 0, 2 and 4 of the page's 5
+		step("write", page(1)+off, 8)
+	}
+	step("read", page(2), 100*LineSize) // 36 evictions: the eviction order is built
+	step("lines", page(1), corePageSize)
+	if res, dirty := got.LinesInRange(rg, page(1), corePageSize); res != 220 || dirty != 3 {
+		t.Fatalf("before the flush the page has %d lines, %d dirty; want 220, 3", res, dirty)
+	}
+	step("lines", page(1)+3000, 6000) // a part of three blocks
+	st := got.Stats()
+	step("flush", page(1), corePageSize)
+	if d := got.Stats(); d.Flushed-st.Flushed != 220 || d.WriteBacks-st.WriteBacks != 3 {
+		t.Fatalf("the flush flushed %d lines and wrote back %d, want 220 and 3", d.Flushed-st.Flushed, d.WriteBacks-st.WriteBacks)
+	}
+	step("lines", page(1), corePageSize)
+	step("lines", page(1)+3000, 6000)
+	step("read", page(3), corePageSize) // 36 more evictions, past the flushed page's entries
+
+	step("write", page(3)+5000, 300)
+	step("flush", page(3), corePageSize)
+	defer func(m uint64) { maxStamp = m }(maxStamp)
+	maxStamp = got.tick + 8
+	step("read", page(4), 20*LineSize)    // renumbers at its ninth line
+	if got.tick != uint64(got.resident) { // the read's 20 lines all missed
+		t.Fatalf("tick %d after the renumber, want %d: the renumber restamps the resident lines alone", got.tick, got.resident)
+	}
+	step("read", page(5), corePageSize)
+
+	step("write", page(5)+100, 200)
+	step("flush", page(5), corePageSize/2)
+	step("drop", 0, 0)
+	step("lines", page(5), corePageSize)
+	step("read", page(5), corePageSize)
+	step("flush", page(5), corePageSize)
 }

@@ -65,7 +65,7 @@ func (d *Domain) invalidatePeers(clk *simclock.Clock, owner *Cache, dev *simmem.
 			peer.mu.Unlock()
 			continue
 		}
-		if peer.lines.at(i).dirty {
+		if peer.dirty(i) {
 			if err := peer.writeBack(clk, i); err != nil {
 				peer.mu.Unlock()
 				return err
@@ -89,7 +89,7 @@ func (d *Domain) supplyLatest(clk *simclock.Clock, owner *Cache, dev *simmem.Dev
 		}
 		peer.mu.Lock()
 		i := peer.lookup(dev, addr)
-		if i != nilIdx && peer.lines.at(i).dirty {
+		if i != nilIdx && peer.dirty(i) {
 			err := peer.writeBack(clk, i)
 			peer.mu.Unlock()
 			if err != nil {
