@@ -75,10 +75,10 @@ func TestTickPublishesAndTruncatesBehindPrevious(t *testing.T) {
 	if tb := log.Store().TruncatedBefore(); tb != d1+1 {
 		t.Fatalf("truncatedBefore = %d, want %d", tb, d1+1)
 	}
-	if err := log.Store().Iterate(1, func(wal.Record) bool { return true }); !errors.Is(err, wal.ErrTruncated) {
+	if err := log.Store().Iterate(1, func(*wal.Record) bool { return true }); !errors.Is(err, wal.ErrTruncated) {
 		t.Fatalf("scan from 1 after truncation: %v, want ErrTruncated", err)
 	}
-	if err := log.Store().Iterate(d1+1, func(wal.Record) bool { return true }); err != nil {
+	if err := log.Store().Iterate(d1+1, func(*wal.Record) bool { return true }); err != nil {
 		t.Fatalf("scan from previous checkpoint failed: %v", err)
 	}
 }

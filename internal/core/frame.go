@@ -109,7 +109,7 @@ func (m medium) Open(f buffer.Frame) page.Accessor {
 		}
 	}
 	p.cache.Hold()
-	return &p.blocks[f.Entry().Slot().(int64)-1]
+	return f.Entry().Slot().(*block)
 }
 
 // Close implements buffer.Medium.
@@ -128,7 +128,7 @@ func (m medium) MarkDirty(f buffer.Frame) {
 		return
 	}
 	fr.MarkDirty()
-	m.p.metaStore(f.Clock(), fr.Slot().(int64), mFlags, flagInUse|flagDirty)
+	m.p.metaStore(f.Clock(), fr.Slot().(*block).idx, mFlags, flagInUse|flagDirty)
 }
 
 // Release implements buffer.Medium. For a write latch this runs the
@@ -138,7 +138,7 @@ func (m medium) MarkDirty(f buffer.Frame) {
 // redo-rebuilt) page to PolarRecv.
 func (m medium) Release(f buffer.Frame) error {
 	p, fr, clk := m.p, f.Entry(), f.Clock()
-	idx := fr.Slot().(int64)
+	idx := fr.Slot().(*block).idx
 	if f.Mode() == buffer.Write {
 		if b := &p.blocks[idx-1]; b.wrote {
 			b.wrote = false

@@ -34,9 +34,9 @@ func (r *FsckReport) problemf(format string, args ...any) {
 //     (unless the block is write-locked: a torn page is expected there);
 //   - the lruLock word is clear (no splice in flight).
 //
-// Fsck reads raw (uncosted) state: it is a diagnostic, not a workload. Run
-// it on a quiesced or crashed pool; concurrent mutation gives false
-// positives.
+// Fsck reads raw (uncosted) state, one access per metadata line: it is a
+// diagnostic, not a workload. Run it on a quiesced or crashed pool;
+// concurrent mutation gives false positives.
 func (p *CXLPool) Fsck() FsckReport {
 	rep := FsckReport{Blocks: p.nblocks}
 	magic, err := p.region.Load64Raw(hMagic)
@@ -52,101 +52,103 @@ func (p *CXLPool) Fsck() FsckReport {
 		rep.problemf("lruLock held (%d): splice in flight or crash residue", lru)
 	}
 
-	inUse := make(map[int64]uint64) // block idx -> page id
+	lines, err := readMetaLines(p.region, p.nblocks)
+	if err != nil {
+		rep.problemf("metadata scan: %v", err)
+		return rep
+	}
 	pageOwners := make(map[uint64]int64)
-	for i := int64(1); i <= p.nblocks; i++ {
-		off := blockOff(i)
-		flags, _ := p.region.Load64Raw(off + mFlags)
-		if flags&flagInUse == 0 {
+	for i, m := range lines {
+		if !m.inUse() {
 			continue
 		}
-		id, _ := p.region.Load64Raw(off + mPageID)
-		if id == 0 {
-			rep.problemf("block %d in-use with page id 0", i)
+		idx := int64(i) + 1
+		if m.pageID == 0 {
+			rep.problemf("block %d in-use with page id 0", idx)
 			continue
 		}
-		if prev, dup := pageOwners[id]; dup {
-			rep.problemf("page %d owned by blocks %d and %d", id, prev, i)
+		if prev, dup := pageOwners[m.pageID]; dup {
+			rep.problemf("page %d owned by blocks %d and %d", m.pageID, prev, idx)
 		}
-		pageOwners[id] = i
-		inUse[i] = id
-		lock, _ := p.region.Load64Raw(off + mLock)
-		if lock != lockFree {
-			rep.LockedPages = append(rep.LockedPages, id)
+		pageOwners[m.pageID] = idx
+		rep.InUse++
+		if m.lock != lockFree {
+			rep.LockedPages = append(rep.LockedPages, m.pageID)
 		} else {
 			// Unlocked pages must have a coherent image: the id in the page
 			// header matches the metadata (zero-LSN fresh pages excepted).
 			img := make([]byte, 16)
-			if err := p.region.ReadRaw(dataOff(i), img); err == nil {
-				if hdrID := page.RawID(img); hdrID != 0 && hdrID != id {
-					rep.problemf("block %d: metadata says page %d, image header says %d", i, id, hdrID)
+			if err := p.region.ReadRaw(dataOff(idx), img); err == nil {
+				if hdrID := page.RawID(img); hdrID != 0 && hdrID != m.pageID {
+					rep.problemf("block %d: metadata says page %d, image header says %d", idx, m.pageID, hdrID)
 				}
 			}
 		}
 	}
-	rep.InUse = len(inUse)
-
-	// Walk the in-use list.
-	head, _ := p.region.Load64Raw(hInuseHead)
-	seen := make(map[int64]bool)
-	var prev int64
-	cur := int64(head)
-	for cur != 0 {
-		if cur < 1 || cur > p.nblocks {
-			rep.problemf("in-use list points at invalid block %d", cur)
-			break
-		}
-		if seen[cur] {
-			rep.problemf("in-use list cycles at block %d", cur)
-			break
-		}
-		seen[cur] = true
-		if _, ok := inUse[cur]; !ok {
-			rep.problemf("in-use list visits block %d whose flags say free", cur)
-		}
-		bp, _ := p.region.Load64Raw(blockOff(cur) + mPrev)
-		if int64(bp) != prev {
-			rep.problemf("block %d back-pointer %d, want %d", cur, bp, prev)
-		}
-		prev = cur
-		nx, _ := p.region.Load64Raw(blockOff(cur) + mNext)
-		cur = int64(nx)
-	}
-	tail, _ := p.region.Load64Raw(hInuseTail)
-	if int64(tail) != prev {
-		rep.problemf("in-use tail %d, want %d", tail, prev)
-	}
-	cnt, _ := p.region.Load64Raw(hInuseCount)
-	if int(cnt) != len(seen) {
-		rep.problemf("in-use count %d, list has %d", cnt, len(seen))
-	}
-	if len(seen) != len(inUse) {
-		rep.problemf("in-use list visits %d blocks, flags mark %d", len(seen), len(inUse))
-	}
+	// The list walks take a block flagged in-use with page id 0 as free.
+	inUse := func(idx int64) bool { m := lines[idx-1]; return m.inUse() && m.pageID != 0 }
+	p.walkInUse(lines, inUse, rep.InUse, rep.problemf)
 
 	// Walk the free list.
 	fhead, _ := p.region.Load64Raw(hFreeHead)
-	fseen := make(map[int64]bool)
-	cur = int64(fhead)
-	for cur != 0 {
+	seen := make([]bool, p.nblocks)
+	for cur := int64(fhead); cur != 0; cur = int64(lines[cur-1].next) {
 		if cur < 1 || cur > p.nblocks {
 			rep.problemf("free list points at invalid block %d", cur)
 			break
 		}
-		if fseen[cur] {
+		if seen[cur-1] {
 			rep.problemf("free list cycles at block %d", cur)
 			break
 		}
-		if _, used := inUse[cur]; used {
+		if inUse(cur) {
 			rep.problemf("free list visits in-use block %d", cur)
 		}
-		fseen[cur] = true
-		nx, _ := p.region.Load64Raw(blockOff(cur) + mNext)
-		cur = int64(nx)
+		seen[cur-1] = true
+		rep.Free++
 	}
-	rep.Free = len(fseen)
-	if int64(len(fseen)+len(inUse)) != p.nblocks {
-		rep.problemf("block accounting: %d free + %d in-use != %d blocks", len(fseen), len(inUse), p.nblocks)
+	if int64(rep.Free+rep.InUse) != p.nblocks {
+		rep.problemf("block accounting: %d free + %d in-use != %d blocks", rep.Free, rep.InUse, p.nblocks)
 	}
 	return rep
+}
+
+// walkInUse walks the in-use list over the scanned lines, reporting each way
+// it fails to visit the nInUse blocks inUse accepts once each, with
+// consistent back-pointers, tail and count. Open rebuilds on any report.
+func (p *CXLPool) walkInUse(lines []metaLine, inUse func(idx int64) bool, nInUse int, problemf func(format string, args ...any)) {
+	head, _ := p.region.Load64Raw(hInuseHead)
+	seen := make([]bool, p.nblocks)
+	visited := 0
+	var prev int64
+	for cur := int64(head); cur != 0; cur = int64(lines[cur-1].next) {
+		if cur < 1 || cur > p.nblocks {
+			problemf("in-use list points at invalid block %d", cur)
+			break
+		}
+		if seen[cur-1] {
+			problemf("in-use list cycles at block %d", cur)
+			break
+		}
+		seen[cur-1] = true
+		visited++
+		if !inUse(cur) {
+			problemf("in-use list visits block %d whose flags say free", cur)
+		}
+		if bp := lines[cur-1].prev; int64(bp) != prev {
+			problemf("block %d back-pointer %d, want %d", cur, bp, prev)
+		}
+		prev = cur
+	}
+	tail, _ := p.region.Load64Raw(hInuseTail)
+	if int64(tail) != prev {
+		problemf("in-use tail %d, want %d", tail, prev)
+	}
+	cnt, _ := p.region.Load64Raw(hInuseCount)
+	if int(cnt) != visited {
+		problemf("in-use count %d, list has %d", cnt, visited)
+	}
+	if visited != nInUse {
+		problemf("in-use list visits %d blocks, flags mark %d", visited, nInUse)
+	}
 }

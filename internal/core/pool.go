@@ -105,30 +105,15 @@ func Format(host *cxl.HostPort, region *simmem.Region, cache *simcpu.Cache, stor
 	}
 	p := newPool(host, region, cache, store, n)
 	// Formatting is a one-time startup action; charge nothing (raw writes).
-	w := func(off int64, v uint64) error { return region.Store64Raw(off, v) }
-	if err := w(hMagic, Magic); err != nil {
-		return nil, err
-	}
-	if err := w(hNBlocks, uint64(n)); err != nil {
-		return nil, err
+	header := [][2]uint64{{hMagic, Magic}, {hNBlocks, uint64(n)}, {hFreeHead, 1}, {hInuseHead, 0}, {hInuseTail, 0}, {hLRULock, 0}, {hInuseCount, 0}}
+	for _, kv := range header {
+		if err := region.Store64Raw(int64(kv[0]), kv[1]); err != nil {
+			return nil, err
+		}
 	}
 	for i := int64(1); i <= n; i++ {
-		off := blockOff(i)
-		next := uint64(i + 1)
-		if i == n {
-			next = 0
-		}
-		for _, kv := range [][2]uint64{{mPageID, 0}, {mLock, lockFree}, {mPrev, 0}, {mNext, next}, {mLSN, 0}, {mFlags, 0}} {
-			if err := w(off+int64(kv[0]), kv[1]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := w(hFreeHead, 1); err != nil {
-		return nil, err
-	}
-	for _, o := range []int64{hInuseHead, hInuseTail, hLRULock, hInuseCount} {
-		if err := w(o, 0); err != nil {
+		next := uint64(i+1) % uint64(n+1) // the last block's next is nil
+		if err := writeMeta(region, i, metaLine{lock: lockFree, next: next}); err != nil {
 			return nil, err
 		}
 	}
@@ -396,7 +381,7 @@ func (s *cxlStore) Fetch(clk *simclock.Clock, id uint64) (any, bool, error) {
 	if err := s.install(clk, idx, id, img, page.RawLSN(img), flagInUse, true); err != nil {
 		return nil, false, err
 	}
-	return idx, false, nil
+	return &s.p.blocks[idx-1], false, nil
 }
 
 // zeroPage is the image a created block is installed from; never written.
@@ -413,14 +398,14 @@ func (s *cxlStore) Create(clk *simclock.Clock, id uint64) (any, error) {
 	if err := s.install(clk, idx, id, zeroPage, 0, flagInUse|flagDirty, false); err != nil {
 		return nil, err
 	}
-	return idx, nil
+	return &s.p.blocks[idx-1], nil
 }
 
 // Touched implements frametab.Toucher: move the block to MRU unless it was
 // touched recently (the lruMoveWindowMult window).
 func (s *cxlStore) Touched(clk *simclock.Clock, id uint64, slot any) error {
 	p := s.p
-	idx := slot.(int64)
+	idx := slot.(*block).idx
 	e := s.epoch.Add(1)
 	if lt := s.touch[idx-1].Load(); e-lt <= s.window && lt != 0 {
 		return nil // still young: skip the CXL pointer stores
@@ -458,7 +443,7 @@ func (s *cxlStore) Touched(clk *simclock.Clock, id uint64, slot any) error {
 // write), so a mirror can never serve bytes a writer is about to change.
 func (s *cxlStore) WriteLatched(clk *simclock.Clock, id uint64, slot any) error {
 	s.p.Demote(clk, id, tier.DemoteWrite)
-	s.p.metaStore(clk, slot.(int64), mLock, lockWritten)
+	s.p.metaStore(clk, slot.(*block).idx, mLock, lockWritten)
 	return s.p.step("write-locked")
 }
 
@@ -471,7 +456,7 @@ func (s *cxlStore) WriteLatched(clk *simclock.Clock, id uint64, slot any) error 
 // it, so eviction cannot take the block; the checkpoint walk does not pin.
 func (s *cxlStore) Writeback(clk *simclock.Clock, id uint64, slot any) error {
 	p := s.p
-	idx := slot.(int64)
+	idx := slot.(*block).idx
 	if err := p.cache.Flush(clk, p.region, dataOff(idx), page.Size); err != nil {
 		return err
 	}

@@ -24,13 +24,13 @@ type rig struct {
 	clk   *simclock.Clock
 }
 
-func newRig(t *testing.T, nblocks int64) *rig {
+func newRig(t testing.TB, nblocks int64) *rig {
 	t.Helper()
 	return newObservedRig(t, nblocks, nil)
 }
 
 // newObservedRig is newRig over a topology reporting into reg.
-func newObservedRig(t *testing.T, nblocks int64, reg *obs.Registry) *rig {
+func newObservedRig(t testing.TB, nblocks int64, reg *obs.Registry) *rig {
 	t.Helper()
 	topo := cxl.NewTopology(cxl.TopologyConfig{PoolBytes: RegionSizeFor(nblocks) + 4096}, reg)
 	host, err := topo.AttachHost("host0", 0)
@@ -53,7 +53,7 @@ func newObservedRig(t *testing.T, nblocks int64, reg *obs.Registry) *rig {
 
 // reconnect re-attaches host0 after a crash: the restarted process gets
 // the surviving port back.
-func (r *rig) reconnect(t *testing.T) *cxl.HostPort {
+func (r *rig) reconnect(t testing.TB) *cxl.HostPort {
 	t.Helper()
 	h, err := r.topo.AttachHost("host0", 0)
 	if err != nil {
@@ -558,7 +558,7 @@ func rawPage(p *CXLPool, id uint64, buf []byte) error {
 	if fr == nil {
 		return fmt.Errorf("core: page %d not resident", id)
 	}
-	return p.rawImage(fr.Slot().(int64), buf)
+	return p.rawImage(fr.Slot().(*block).idx, buf)
 }
 
 // pageLSN reports resident page id's metadata LSN.
@@ -567,6 +567,6 @@ func pageLSN(p *CXLPool, id uint64) (uint64, bool) {
 	if fr == nil {
 		return 0, false
 	}
-	v, _ := p.region.Load64Raw(blockOff(fr.Slot().(int64)) + mLSN)
+	v, _ := p.region.Load64Raw(blockOff(fr.Slot().(*block).idx) + mLSN)
 	return v, true
 }

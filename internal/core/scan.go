@@ -1,9 +1,13 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"polarcxlmem/internal/cxl"
+	"polarcxlmem/internal/frametab"
 	"polarcxlmem/internal/page"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/simcpu"
@@ -29,6 +33,43 @@ type ScanReport struct {
 	LRURebuilt   bool // the in-use list failed validation and was rebuilt
 	FreeRebuilt  int  // blocks returned to the rebuilt free list
 	ScannedBytes int64
+}
+
+// metaLine is one block's metadata line, decoded.
+type metaLine struct{ pageID, lock, prev, next, lsn, flags uint64 }
+
+const metaWords = mFlags + 8 // the part of a metadata line its six words occupy
+var le = binary.LittleEndian
+
+func (m metaLine) inUse() bool { return m.flags&flagInUse != 0 }
+
+// writeMeta writes block idx's whole metadata line with one raw access.
+func writeMeta(region *simmem.Region, idx int64, m metaLine) error {
+	var b [metaWords]byte
+	le.PutUint64(b[mPageID:], m.pageID)
+	le.PutUint64(b[mLock:], m.lock)
+	le.PutUint64(b[mPrev:], m.prev)
+	le.PutUint64(b[mNext:], m.next)
+	le.PutUint64(b[mLSN:], m.lsn)
+	le.PutUint64(b[mFlags:], m.flags)
+	return region.WriteRaw(blockOff(idx), b[:])
+}
+
+// readMetaLines is the one metadata decoder: it reads each block's line
+// with one raw access; lines[i-1] is block i's. A dropped read decodes as
+// a zero (free) line, as dropped word loads did.
+func readMetaLines(region *simmem.Region, n int64) ([]metaLine, error) {
+	lines := make([]metaLine, n)
+	var b [metaWords]byte
+	for i := range lines {
+		b = [metaWords]byte{}
+		if err := region.ReadRaw(blockOff(int64(i)+1), b[:]); err != nil {
+			return nil, err
+		}
+		lines[i] = metaLine{pageID: le.Uint64(b[mPageID:]), lock: le.Uint64(b[mLock:]), prev: le.Uint64(b[mPrev:]),
+			next: le.Uint64(b[mNext:]), lsn: le.Uint64(b[mLSN:]), flags: le.Uint64(b[mFlags:])}
+	}
+	return lines, nil
 }
 
 // Open attaches to a formatted PolarCXLMem region after a crash (or clean
@@ -64,34 +105,38 @@ func Open(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, cache 
 	if err := host.TransferRead(clk, rep.ScannedBytes); err != nil {
 		return nil, nil, err
 	}
-
-	inUse := make(map[int64]BlockInfo)
-	for i := int64(1); i <= n; i++ {
-		off := blockOff(i)
-		flags, err := region.Load64Raw(off + mFlags)
-		if err != nil {
-			return nil, nil, err
+	lines, err := readMetaLines(region, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	used := 0
+	for _, m := range lines {
+		if m.inUse() {
+			used++
 		}
-		if flags&flagInUse == 0 {
+	}
+	rep.Blocks = make([]BlockInfo, 0, used)
+	seeds := make([]frametab.SeedFrame, 0, used)
+	for i, m := range lines {
+		if !m.inUse() {
 			continue
 		}
-		id, _ := region.Load64Raw(off + mPageID)
-		lock, _ := region.Load64Raw(off + mLock)
-		lsn, _ := region.Load64Raw(off + mLSN)
-		bi := BlockInfo{Index: i, PageID: id, Locked: lock != lockFree, Dirty: flags&flagDirty != 0, LSN: lsn}
-		inUse[i] = bi
+		idx := int64(i) + 1
+		bi := BlockInfo{Index: idx, PageID: m.pageID, Locked: m.lock != lockFree, Dirty: m.flags&flagDirty != 0, LSN: m.lsn}
 		rep.Blocks = append(rep.Blocks, bi)
-		p.Table().Seed(id, i, bi.Dirty)
-		p.cst.ids[i-1] = id
+		seeds = append(seeds, frametab.SeedFrame{ID: m.pageID, Slot: &p.blocks[i], Dirty: bi.Dirty})
+		p.cst.ids[i] = m.pageID
 	}
+	p.Table().Seed(seeds)
 
 	lruLock, _ := region.Load64Raw(hLRULock)
 	rep.LRULock = lruLock != 0
 	if !rep.LRULock {
-		rep.LRURebuilt = !p.validateList(inUse)
+		inUse := func(idx int64) bool { return lines[idx-1].inUse() }
+		p.walkInUse(lines, inUse, len(rep.Blocks), func(string, ...any) { rep.LRURebuilt = true })
 	}
 	if rep.LRULock || rep.LRURebuilt {
-		if err := p.rebuildInUseList(rep.Blocks); err != nil {
+		if err := p.rebuildInUseList(lines, rep.Blocks); err != nil {
 			return nil, nil, err
 		}
 		rep.LRURebuilt = true
@@ -100,20 +145,17 @@ func Open(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, cache 
 		}
 	}
 
-	// The free list is always rebuilt from flags: a crash mid-pop can orphan
-	// a block, and rebuilding is one raw pass.
+	// The free list is always rebuilt from flags (a crash mid-pop can orphan
+	// a block): one raw write per free line, which keeps only its LSN word.
 	free := 0
 	prevFree := uint64(0)
 	for i := n; i >= 1; i-- {
-		if _, used := inUse[i]; used {
+		if lines[i-1].inUse() {
 			continue
 		}
-		off := blockOff(i)
-		region.Store64Raw(off+mPageID, 0)
-		region.Store64Raw(off+mLock, lockFree)
-		region.Store64Raw(off+mFlags, 0)
-		region.Store64Raw(off+mNext, prevFree)
-		region.Store64Raw(off+mPrev, 0)
+		if err := writeMeta(region, i, metaLine{next: prevFree, lsn: lines[i-1].lsn}); err != nil {
+			return nil, nil, err
+		}
 		prevFree = uint64(i)
 		free++
 	}
@@ -127,76 +169,32 @@ func Open(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, cache 
 	return p, rep, nil
 }
 
-// validateList walks the CXL in-use list and checks it visits exactly the
-// flagged blocks with consistent back-pointers.
-func (p *CXLPool) validateList(inUse map[int64]BlockInfo) bool {
-	head, _ := p.region.Load64Raw(hInuseHead)
-	seen := make(map[int64]bool)
-	prev := int64(0)
-	cur := int64(head)
-	for cur != 0 {
-		if cur < 1 || cur > p.nblocks || seen[cur] {
-			return false
-		}
-		if _, ok := inUse[cur]; !ok {
-			return false
-		}
-		bp, _ := p.region.Load64Raw(blockOff(cur) + mPrev)
-		if int64(bp) != prev {
-			return false
-		}
-		seen[cur] = true
-		prev = cur
-		nx, _ := p.region.Load64Raw(blockOff(cur) + mNext)
-		cur = int64(nx)
-	}
-	tail, _ := p.region.Load64Raw(hInuseTail)
-	if int64(tail) != prev {
-		return false
-	}
-	cnt, _ := p.region.Load64Raw(hInuseCount)
-	return len(seen) == len(inUse) && int(cnt) == len(inUse)
-}
-
 // rebuildInUseList relinks every in-use block, ordered by metadata LSN
 // descending (recently-updated pages are the best MRU approximation the
-// surviving metadata offers).
-func (p *CXLPool) rebuildInUseList(blocks []BlockInfo) error {
-	ordered := append([]BlockInfo(nil), blocks...)
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && ordered[j].LSN > ordered[j-1].LSN; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
+// surviving metadata offers), rewriting each block's scanned line whole.
+func (p *CXLPool) rebuildInUseList(lines []metaLine, blocks []BlockInfo) error {
+	ordered := slices.Clone(blocks)
+	slices.SortStableFunc(ordered, func(a, b BlockInfo) int { return cmp.Compare(b.LSN, a.LSN) })
+	var head, tail uint64
+	for i, b := range ordered {
+		m := lines[b.Index-1]
+		m.prev, m.next, tail = tail, 0, uint64(b.Index)
+		if i+1 < len(ordered) {
+			m.next = uint64(ordered[i+1].Index)
 		}
-	}
-	var prev int64
-	for _, b := range ordered {
-		off := blockOff(b.Index)
-		if err := p.region.Store64Raw(off+mPrev, uint64(prev)); err != nil {
-			return err
-		}
-		if prev != 0 {
-			if err := p.region.Store64Raw(blockOff(prev)+mNext, uint64(b.Index)); err != nil {
-				return err
-			}
-		} else {
-			if err := p.region.Store64Raw(hInuseHead, uint64(b.Index)); err != nil {
-				return err
-			}
-		}
-		if err := p.region.Store64Raw(off+mNext, 0); err != nil {
-			return err
-		}
-		prev = b.Index
-	}
-	if err := p.region.Store64Raw(hInuseTail, uint64(prev)); err != nil {
-		return err
-	}
-	if len(ordered) == 0 {
-		if err := p.region.Store64Raw(hInuseHead, 0); err != nil {
+		if err := writeMeta(p.region, b.Index, m); err != nil {
 			return err
 		}
 	}
-	return p.region.Store64Raw(hInuseCount, uint64(len(ordered)))
+	if len(ordered) > 0 {
+		head = uint64(ordered[0].Index)
+	}
+	for _, kv := range [][2]uint64{{hInuseHead, head}, {hInuseTail, tail}, {hInuseCount, uint64(len(ordered))}} {
+		if err := p.region.Store64Raw(int64(kv[0]), kv[1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RepairPage overwrites page id's block with img (a redo-rebuilt image),
@@ -210,7 +208,7 @@ func (p *CXLPool) RepairPage(clk *simclock.Clock, id uint64, img []byte, dirty b
 	if fr == nil {
 		return fmt.Errorf("core: repair of unknown page %d", id)
 	}
-	idx := fr.Slot().(int64)
+	idx := fr.Slot().(*block).idx
 	if err := p.region.WriteRaw(dataOff(idx), img); err != nil {
 		return err
 	}
@@ -245,7 +243,7 @@ func (p *CXLPool) DropPage(clk *simclock.Clock, id uint64) error {
 	}
 	// Like eviction: a fast-tier mirror must not outlive its CXL home.
 	p.Demote(clk, id, tier.DemoteEvict)
-	idx := fr.Slot().(int64)
+	idx := fr.Slot().(*block).idx
 	// The block may or may not be on the (possibly rebuilt) in-use list;
 	// remove it if linked.
 	if err := p.lruLockSet(clk); err != nil {

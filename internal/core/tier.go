@@ -122,7 +122,7 @@ func (p *CXLPool) Promote(clk *simclock.Clock, id uint64) (bool, error) {
 		return false, nil
 	}
 	defer fr.Unlock(frametab.Read)
-	idx := fr.Slot().(int64)
+	idx := fr.Slot().(*block).idx
 	m := &mirror{Image: buffer.NewImage(&ft.prof), hits: &ft.hits}
 	if err := p.rawImage(idx, m.Buf); err != nil {
 		return false, err

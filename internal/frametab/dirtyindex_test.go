@@ -122,7 +122,7 @@ func TestDirtyIndexMatchesWalk(t *testing.T) {
 			case 7:
 				op = "Seed"
 				if tab.Lookup(id) == nil {
-					tab.Seed(id, make([]byte, 8), rng.Intn(2) == 0)
+					tab.Seed([]SeedFrame{{ID: id, Slot: make([]byte, 8), Dirty: rng.Intn(2) == 0}})
 				}
 			case 8:
 				op = "dirty Fetch"

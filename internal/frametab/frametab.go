@@ -57,6 +57,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -478,9 +479,9 @@ func New(cfg Config) *Table {
 
 // shardOf hashes a page id to its shard (Fibonacci multiplicative hash so
 // sequential ids spread over the shards).
-func (t *Table) shardOf(id uint64) *shard {
-	return &t.shards[(id*0x9E3779B97F4A7C15)>>32&(DefaultShards-1)]
-}
+func (t *Table) shardOf(id uint64) *shard { return &t.shards[shardIndex(id)] }
+
+func shardIndex(id uint64) uint64 { return (id * 0x9E3779B97F4A7C15) >> 32 & (DefaultShards - 1) }
 
 // Stats snapshots the counters: the atomic cold-path Counters plus the
 // per-shard hit/miss tallies.
@@ -722,22 +723,64 @@ func (t *Table) unhit(f *Frame) {
 	t.emit(0, obs.EvFrameUnpin, f.id, 0)
 }
 
-// Seed installs an already-materialized frame (pool reopen after a crash:
-// core.Open rebuilds the table from surviving CXL metadata).
-func (t *Table) Seed(id uint64, slot any, dirty bool) *Frame {
-	f := t.newFrame(id)
-	f.slot = slot
-	if dirty {
-		t.setDirty(f)
+// SeedFrame is one already-materialized frame for Seed.
+type SeedFrame struct {
+	ID    uint64
+	Slot  any
+	Dirty bool
+}
+
+// Seed installs already-materialized frames (pool reopen after a crash:
+// core.Open rebuilds the table from surviving CXL metadata). The frames
+// come from one allocation, and the dirty index and each shard map grow
+// once, to their final size: the shards, then the dirty index, are held
+// across the inserts, the shards taken in index order with no other lock
+// held (no other path holds two shards, or a shard and the dirty index).
+func (t *Table) Seed(seeds []SeedFrame) {
+	frames := make([]Frame, len(seeds))
+	var counts [DefaultShards]int
+	dirty := 0
+	for i, sd := range seeds {
+		f := &frames[i]
+		f.id, f.slot, f.ringIdx, f.tab = sd.ID, sd.Slot, -1, t
+		f.dirty.Store(sd.Dirty)
+		f.ready.Store(true)
+		counts[shardIndex(sd.ID)]++
+		if sd.Dirty {
+			dirty++
+		}
 	}
-	f.ready.Store(true)
-	sh := t.shardOf(id)
-	sh.mu.Lock()
-	sh.frames[id] = f
-	sh.mu.Unlock()
-	t.resident.Add(1)
-	t.ringAdd(f)
-	return f
+	for i := range t.shards {
+		t.shards[i].mu.Lock()
+		t.shards[i].frames = grown(t.shards[i].frames, counts[i])
+	}
+	t.dirtyMu.Lock()
+	t.dirty = grown(t.dirty, dirty)
+	for i := range frames {
+		f := &frames[i]
+		t.shardOf(f.id).frames[f.id] = f
+		if seeds[i].Dirty {
+			t.dirty[f.id] = f
+		}
+	}
+	t.dirtyMu.Unlock()
+	for i := range t.shards {
+		t.shards[i].mu.Unlock()
+	}
+	t.resident.Add(int64(len(frames)))
+	for i := range frames {
+		t.ringAdd(&frames[i])
+	}
+}
+
+// grown returns m, or a copy of it with room for n more entries.
+func grown(m map[uint64]*Frame, n int) map[uint64]*Frame {
+	if n == 0 {
+		return m
+	}
+	g := make(map[uint64]*Frame, len(m)+n)
+	maps.Copy(g, m)
+	return g
 }
 
 // TakeIfIdle atomically removes page id when it has no pins, returning its

@@ -3,6 +3,7 @@ package frametab
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -276,7 +277,7 @@ func TestSeedAndTakeIfIdle(t *testing.T) {
 	clk := simclock.New()
 	s := newMemStore()
 	tab := newTestTable(t, s, 4)
-	tab.Seed(5, []byte{5}, true)
+	tab.Seed([]SeedFrame{{ID: 5, Slot: []byte{5}, Dirty: true}})
 	if tab.Resident() != 1 {
 		t.Fatal("seed not resident")
 	}
@@ -294,6 +295,52 @@ func TestSeedAndTakeIfIdle(t *testing.T) {
 	}
 	if tab.Resident() != 0 {
 		t.Fatal("resident after take")
+	}
+}
+
+// TestSeedBatch: one Seed of many frames, into a table already holding a
+// loaded frame, installs each with its slot and dirty bit, indexes the dirty
+// ones, counts them resident, puts them on the eviction ring, and leaves the
+// loaded frame in place.
+func TestSeedBatch(t *testing.T) {
+	clk := simclock.New()
+	s := newMemStore()
+	s.durable[1000] = []byte("loaded")
+	tab := newTestTable(t, s, 300)
+	f, err := tab.Get(clk, 1000, Read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Unlock(Read)
+	tab.Unpin(f)
+	seeds := make([]SeedFrame, 200)
+	var wantDirty []uint64
+	for i := range seeds {
+		id := uint64(i) + 1
+		seeds[i] = SeedFrame{ID: id, Slot: []byte{byte(i)}, Dirty: i%3 == 0}
+		if seeds[i].Dirty {
+			wantDirty = append(wantDirty, id)
+		}
+	}
+	tab.Seed(seeds)
+	if tab.Resident() != 201 || len(tab.ring) != 201 {
+		t.Fatalf("resident %d, ring %d, want 201", tab.Resident(), len(tab.ring))
+	}
+	for i, sd := range seeds {
+		fr := tab.Lookup(sd.ID)
+		if fr == nil || fr.Slot().([]byte)[0] != byte(i) || fr.Dirty() != sd.Dirty || fr.ringIdx < 0 {
+			t.Fatalf("seeded frame %d: %+v", sd.ID, fr)
+		}
+	}
+	var gotDirty []uint64
+	for _, fr := range tab.DirtyFrames() {
+		gotDirty = append(gotDirty, fr.ID())
+	}
+	if !slices.Equal(gotDirty, wantDirty) {
+		t.Fatalf("dirty index %v, want %v", gotDirty, wantDirty)
+	}
+	if fr := tab.Lookup(1000); fr == nil || string(fr.Slot().([]byte)) != "loaded" {
+		t.Fatal("seeding dropped the loaded frame")
 	}
 }
 

@@ -184,7 +184,7 @@ func TestFlushBatchAfterCleanWalk(t *testing.T) {
 			tab.Unpin(f)
 		}},
 		{"Seed", func(t *testing.T, tab *Table, s *wbStore, clk *simclock.Clock, id uint64) {
-			tab.Seed(id+100, make([]byte, 8), true)
+			tab.Seed([]SeedFrame{{ID: id + 100, Slot: make([]byte, 8), Dirty: true}})
 		}},
 		{"Fetch", func(t *testing.T, tab *Table, s *wbStore, clk *simclock.Clock, id uint64) {
 			s.mu.Lock()

@@ -63,7 +63,7 @@ func TestMTRLogsAndStampsLSN(t *testing.T) {
 	}
 	e.log.Flush(e.clk)
 	var kinds []wal.Kind
-	e.store.Iterate(1, func(r wal.Record) bool {
+	e.store.Iterate(1, func(r *wal.Record) bool {
 		kinds = append(kinds, r.Kind)
 		return true
 	})
@@ -84,7 +84,7 @@ func TestDurableCommitAppendsMarkerAndFlushes(t *testing.T) {
 		t.Fatal("durable commit did not flush")
 	}
 	found := false
-	e.store.Iterate(1, func(r wal.Record) bool {
+	e.store.Iterate(1, func(r *wal.Record) bool {
 		if r.Kind == wal.KMTRCommit && r.Txn == 7 {
 			found = true
 		}
@@ -138,7 +138,7 @@ func TestDMLRecordsCarryTag(t *testing.T) {
 	m.Delete(f, 1)
 	m.Commit(false)
 	e.log.Flush(e.clk)
-	e.store.Iterate(1, func(r wal.Record) bool {
+	e.store.Iterate(1, func(r *wal.Record) bool {
 		switch r.Kind {
 		case wal.KInsert, wal.KUpdate, wal.KDelete:
 			if r.Ref != 42 {
@@ -168,7 +168,7 @@ func TestApplyRedoRoundTrip(t *testing.T) {
 
 	// Replay everything onto a blank image: must reproduce the final page.
 	pg := page.Image(make([]byte, page.Size))
-	e.store.Iterate(1, func(r wal.Record) bool {
+	e.store.Iterate(1, func(r *wal.Record) bool {
 		if r.Page == id {
 			if err := Apply(pg, r); err != nil {
 				t.Fatalf("apply %v: %v", r.Kind, err)
@@ -185,7 +185,7 @@ func TestApplyRedoRoundTrip(t *testing.T) {
 	}
 	// Replaying again is a no-op (LSN test).
 	lsnBefore, _ := pg.LSN()
-	e.store.Iterate(1, func(r wal.Record) bool {
+	e.store.Iterate(1, func(r *wal.Record) bool {
 		if r.Page == id {
 			Apply(pg, r)
 		}
@@ -201,7 +201,7 @@ func TestApplyControlRecordsAreNoOps(t *testing.T) {
 	pg := page.Image(make([]byte, page.Size))
 	pg.Init(1, page.TypeLeaf, 0)
 	for _, k := range []wal.Kind{wal.KTxnCommit, wal.KMTRCommit, wal.KCheckpoint} {
-		if err := Apply(pg, wal.Record{LSN: 99, Kind: k}); err != nil {
+		if err := Apply(pg, &wal.Record{LSN: 99, Kind: k}); err != nil {
 			t.Fatalf("apply %v: %v", k, err)
 		}
 	}
@@ -209,7 +209,7 @@ func TestApplyControlRecordsAreNoOps(t *testing.T) {
 	if lsn != 0 {
 		t.Fatal("control record stamped the page")
 	}
-	if err := Apply(pg, wal.Record{LSN: 1, Kind: wal.Kind(99)}); err == nil {
+	if err := Apply(pg, &wal.Record{LSN: 1, Kind: wal.Kind(99)}); err == nil {
 		t.Fatal("unknown kind applied")
 	}
 }
@@ -278,7 +278,7 @@ func TestStructureOpsLogged(t *testing.T) {
 	}
 	m.Commit(true)
 	var sib, aux bool
-	e.store.Iterate(1, func(r wal.Record) bool {
+	e.store.Iterate(1, func(r *wal.Record) bool {
 		switch r.Kind {
 		case wal.KSetRightSib:
 			sib = r.Ref == 77
@@ -292,7 +292,7 @@ func TestStructureOpsLogged(t *testing.T) {
 	}
 	// And they replay.
 	pg := page.Image(make([]byte, page.Size))
-	e.store.Iterate(1, func(r wal.Record) bool {
+	e.store.Iterate(1, func(r *wal.Record) bool {
 		if r.Page == f.ID() {
 			if err := Apply(pg, r); err != nil {
 				t.Fatalf("apply %v: %v", r.Kind, err)
@@ -338,7 +338,7 @@ func TestApplySkipsOldRecords(t *testing.T) {
 	pg.SetLSN(100)
 	// A record older than the page LSN must be skipped.
 	rec := wal.Record{LSN: 50, Page: 5, Kind: wal.KUpdate, Key: 1, Value: []byte("stale!!")}
-	if err := Apply(pg, rec); err != nil {
+	if err := Apply(pg, &rec); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := pg.Find(1)
@@ -346,7 +346,7 @@ func TestApplySkipsOldRecords(t *testing.T) {
 		t.Fatalf("old record applied: %q", v)
 	}
 	// An init older than the page LSN must also be skipped.
-	if err := Apply(pg, wal.Record{LSN: 60, Page: 5, Kind: wal.KPageInit, PType: page.TypeInternal}); err != nil {
+	if err := Apply(pg, &wal.Record{LSN: 60, Page: 5, Kind: wal.KPageInit, PType: page.TypeInternal}); err != nil {
 		t.Fatal(err)
 	}
 	if typ, _ := pg.Type(); typ != page.TypeLeaf {

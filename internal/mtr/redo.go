@@ -12,7 +12,7 @@ import (
 // recovery scheme — on a pool page inside a buffer.Visit, or on an off-pool
 // page.Image — and by the undo pass (compensation records are ordinary
 // records).
-func Apply(pg page.Page, rec wal.Record) error {
+func Apply(pg page.Page, rec *wal.Record) error {
 	if rec.Kind == wal.KPageInit {
 		// Init replaces the page wholesale; LSN test against the raw header
 		// still applies (a later init wins over an earlier image).

@@ -356,7 +356,7 @@ func TestFailoverScanNeverReadsBelowFloor(t *testing.T) {
 	if r.ws.CheckpointLSN() >= floor {
 		t.Fatalf("store checkpoint %d not below floor %d; test underpowered", r.ws.CheckpointLSN(), floor)
 	}
-	if err := r.ws.Iterate(1, func(wal.Record) bool { return false }); !errors.Is(err, wal.ErrTruncated) {
+	if err := r.ws.Iterate(1, func(*wal.Record) bool { return false }); !errors.Is(err, wal.ErrTruncated) {
 		t.Fatalf("Iterate(1) = %v, want ErrTruncated (naive scan would fail)", err)
 	}
 	tx2 := r.eng.Begin(r.clk)

@@ -82,8 +82,8 @@ func (r Result) Publish(reg *obs.Registry) {
 // analysis is the ARIES analysis pass over the durable log.
 type analysis struct {
 	committed map[uint64]bool
-	perPage   map[uint64][]wal.Record
-	dml       []wal.Record // page DML records in LSN order (undo candidates)
+	perPage   map[uint64][]*wal.Record // records of the durable tail, not copies
+	dml       []*wal.Record            // page DML records in LSN order (undo candidates)
 	records   int
 	maxPageID uint64
 }
@@ -93,8 +93,8 @@ type analysis struct {
 // truncation bookkeeping is broken, and a silently shortened redo pass
 // would corrupt the database.
 func analyze(ws *wal.Store, fromLSN uint64) (*analysis, error) {
-	a := &analysis{committed: make(map[uint64]bool), perPage: make(map[uint64][]wal.Record)}
-	if err := ws.Iterate(fromLSN, func(r wal.Record) bool {
+	a := &analysis{committed: make(map[uint64]bool), perPage: make(map[uint64][]*wal.Record)}
+	if err := ws.Iterate(fromLSN, func(r *wal.Record) bool {
 		switch r.Kind {
 		case wal.KTxnCommit, wal.KMTRCommit:
 			a.committed[r.Txn] = true
@@ -343,7 +343,9 @@ func PolarRecv(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, c
 
 	durable := ws.DurableLSN()
 	var suspects []core.BlockInfo
+	var maxPage uint64
 	for _, b := range rep.Blocks {
+		maxPage = max(maxPage, b.PageID)
 		if b.Locked || b.LSN > durable {
 			suspects = append(suspects, b)
 		} else {
@@ -392,16 +394,7 @@ func PolarRecv(clk *simclock.Clock, host *cxl.HostPort, region *simmem.Region, c
 		}
 		res.PagesRebuilt++
 	}
-	var maxPage uint64
-	for _, b := range rep.Blocks {
-		if b.PageID > maxPage {
-			maxPage = b.PageID
-		}
-	}
-	if a.maxPageID > maxPage {
-		maxPage = a.maxPageID
-	}
-	engine, err := finish(clk, pool, ws, store, a, maxPage, res)
+	engine, err := finish(clk, pool, ws, store, a, max(maxPage, a.maxPageID), res)
 	if err != nil {
 		return nil, nil, res, err
 	}

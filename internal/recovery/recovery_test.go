@@ -576,7 +576,7 @@ func TestRecoveryAfterLogTruncation(t *testing.T) {
 	if tb := r.ws.TruncatedBefore(); tb <= 1 {
 		t.Fatalf("log never truncated: truncation point %d", tb)
 	}
-	if err := r.ws.Iterate(1, func(wal.Record) bool { return false }); !errors.Is(err, wal.ErrTruncated) {
+	if err := r.ws.Iterate(1, func(*wal.Record) bool { return false }); !errors.Is(err, wal.ErrTruncated) {
 		t.Fatalf("Iterate(1) after truncation: %v, want ErrTruncated", err)
 	}
 	// Post-checkpoint committed work, uncommitted tail, crash, recover.

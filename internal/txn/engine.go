@@ -94,20 +94,9 @@ func Attach(clk *simclock.Clock, pool buffer.Pool, log *wal.Log, store *storage.
 	}
 	e.catalog = cat
 	// Unit ids restart above anything in the durable log so compensation
-	// units never collide with logged ones. Scan from the truncation point:
-	// checkpoint GC may have discarded the log's oldest history, and unit
-	// ids only grow, so the surviving tail holds the maximum.
-	var maxUnit uint64
-	st := log.Store()
-	if err := st.Iterate(st.TruncatedBefore(), func(r wal.Record) bool {
-		if r.Txn > maxUnit {
-			maxUnit = r.Txn
-		}
-		return true
-	}); err != nil {
-		return nil, fmt.Errorf("txn: attach log scan: %w", err)
-	}
-	e.ids.Bump(maxUnit)
+	// units never collide with logged ones. Ids only grow, so the largest
+	// among the records checkpoint GC left is the maximum.
+	e.ids.Bump(log.Store().MaxUnit())
 	return e, nil
 }
 

@@ -45,7 +45,7 @@ func newModeEnv(t *testing.T, group bool, rows int64) (*env, *btree.Tree) {
 // hasMarker reports whether unit has a durable KTxnCommit record.
 func hasMarker(ws *wal.Store, unit uint64) bool {
 	found := false
-	ws.Iterate(ws.TruncatedBefore(), func(r wal.Record) bool {
+	ws.Iterate(ws.TruncatedBefore(), func(r *wal.Record) bool {
 		if r.Kind == wal.KTxnCommit && r.Txn == unit {
 			found = true
 			return false

@@ -9,6 +9,7 @@ import (
 	"polarcxlmem/internal/btree"
 	"polarcxlmem/internal/buffer"
 	"polarcxlmem/internal/cxl"
+	"polarcxlmem/internal/mtr"
 	"polarcxlmem/internal/simclock"
 	"polarcxlmem/internal/storage"
 	"polarcxlmem/internal/wal"
@@ -86,7 +87,7 @@ func TestCommitForcesLog(t *testing.T) {
 	}
 	// Commit marker is durable.
 	found := false
-	ev.ws.Iterate(1, func(r wal.Record) bool {
+	ev.ws.Iterate(1, func(r *wal.Record) bool {
 		if r.Kind == wal.KTxnCommit && r.Txn == tx.ID() {
 			found = true
 		}
@@ -228,4 +229,54 @@ func TestWriteAheadRuleOnEviction(t *testing.T) {
 		t.Fatal("test did not force evictions")
 	}
 	tx.Commit()
+}
+
+// TestAttachBumpsIDsLikeALogScan: Attach moves the unit-id generator
+// exactly where a scan of the readable log for its largest unit id would,
+// after checkpoints truncated the log and with a transaction left open on
+// the durable tail.
+func TestAttachBumpsIDsLikeALogScan(t *testing.T) {
+	ev := newEnv(t)
+	tr, err := ev.e.CreateTable(ev.clk, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		for k := int64(0); k < 10; k++ {
+			tx := ev.e.Begin(ev.clk)
+			if err := tx.Insert(tr, int64(round)*100+k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ev.e.Checkpoint(ev.clk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := ev.e.Begin(ev.clk)
+	if err := open.Insert(tr, 999, []byte("open")); err != nil {
+		t.Fatal(err)
+	}
+	ev.log.Flush(ev.clk)
+	var scanned uint64
+	if err := ev.ws.Iterate(ev.ws.TruncatedBefore(), func(r *wal.Record) bool {
+		scanned = max(scanned, r.Txn)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ev.ws.TruncatedBefore() == 1 || scanned != open.ID() {
+		t.Fatalf("truncation point %d, largest surviving unit %d, open unit %d", ev.ws.TruncatedBefore(), scanned, open.ID())
+	}
+	e2, err := Attach(ev.clk, ev.pool, wal.Attach(ev.ws), ev.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref mtr.IDGen
+	ref.Bump(scanned)
+	if got, want := e2.IDs().Next(), ref.Next(); got != want {
+		t.Fatalf("first unit id after Attach = %d, a log scan gives %d", got, want)
+	}
 }

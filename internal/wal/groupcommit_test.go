@@ -36,7 +36,7 @@ func TestConcurrentAppendFlushKeepsStoreSorted(t *testing.T) {
 	log.Flush(clk) // drain any records buffered behind the last flushes
 
 	var lsns []uint64
-	ws.Iterate(1, func(r Record) bool {
+	ws.Iterate(1, func(r *Record) bool {
 		lsns = append(lsns, r.LSN)
 		return true
 	})
@@ -124,7 +124,7 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 		t.Fatalf("Batches = %d out of range (commits %d)", gc.Batches(), gc.Commits())
 	}
 	seen := make(map[uint64]bool)
-	ws.Iterate(1, func(r Record) bool {
+	ws.Iterate(1, func(r *Record) bool {
 		seen[r.Txn] = true
 		return true
 	})

@@ -49,7 +49,7 @@ func TestTruncatePrefixProperty(t *testing.T) {
 			// durable LSN (or empty when everything durable was truncated).
 			want := tb
 			ok := true
-			if err := store.Iterate(tb, func(r Record) bool {
+			if err := store.Iterate(tb, func(r *Record) bool {
 				if r.LSN != want {
 					ok = false
 					return false
@@ -66,7 +66,7 @@ func TestTruncatePrefixProperty(t *testing.T) {
 			if tb > 1 {
 				below := uint64(1 + rng.Int63n(int64(tb)-1))
 				touched := false
-				err := store.Iterate(below, func(Record) bool { touched = true; return true })
+				err := store.Iterate(below, func(*Record) bool { touched = true; return true })
 				if !errors.Is(err, ErrTruncated) || touched {
 					return false
 				}
@@ -134,7 +134,7 @@ func TestConcurrentTruncateAndAppend(t *testing.T) {
 						return
 					}
 					lastTB = tb
-					if err := store.Iterate(tb, func(r Record) bool {
+					if err := store.Iterate(tb, func(r *Record) bool {
 						if r.LSN < tb {
 							errs <- errors.New("scan returned record below its from-LSN")
 							return false
@@ -147,7 +147,7 @@ func TestConcurrentTruncateAndAppend(t *testing.T) {
 						return
 					}
 					if tb > 1 {
-						if err := store.Iterate(tb-1, func(Record) bool { return true }); !errors.Is(err, ErrTruncated) {
+						if err := store.Iterate(tb-1, func(*Record) bool { return true }); !errors.Is(err, ErrTruncated) {
 							errs <- errors.New("scan below truncation point did not return ErrTruncated")
 							return
 						}
@@ -189,7 +189,7 @@ func TestBytesFromMatchesScan(t *testing.T) {
 			}
 			for from := uint64(0); from <= appended+2; from++ {
 				var want int64
-				werr := store.Iterate(from, func(r Record) bool {
+				werr := store.Iterate(from, func(r *Record) bool {
 					want += r.EncodedSize()
 					return true
 				})
@@ -265,7 +265,7 @@ func TestIterateSnapshotSurvivesTruncateAndPersist(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		want := uint64(1)
-		err := store.Iterate(1, func(r Record) bool {
+		err := store.Iterate(1, func(r *Record) bool {
 			if want == 1 {
 				close(started)
 				<-resume
@@ -291,7 +291,103 @@ func TestIterateSnapshotSurvivesTruncateAndPersist(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Iterate(150, func(Record) bool { return true }); err != nil {
+	if err := store.Iterate(150, func(*Record) bool { return true }); err != nil {
 		t.Fatalf("scan from the truncation point: %v", err)
+	}
+}
+
+// TestMaxUnitMatchesScan: under random persists — unit ids in no order,
+// control records with no unit — and truncations, including ones past every
+// record, MaxUnit equals the largest unit id a scan of the readable records
+// finds. The log grows long enough that some truncations are bulk cuts,
+// which copy the tail.
+func TestMaxUnitMatchesScan(t *testing.T) {
+	kinds := []Kind{KInsert, KUpdate, KTxnCommit, KMTRCommit, KCheckpoint}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		store := NewStore(0, 0)
+		clk := simclock.New()
+		var lsn uint64
+		for op := 0; op < 400; op++ {
+			switch rng.Intn(8) {
+			case 0, 1, 2, 3, 4:
+				recs := make([]Record, 1+rng.Intn(40))
+				for i := range recs {
+					lsn++
+					recs[i] = Record{LSN: lsn, Kind: kinds[rng.Intn(len(kinds))], Txn: uint64(rng.Intn(60))}
+					if recs[i].Kind == KCheckpoint {
+						recs[i].Txn = 0
+					}
+				}
+				store.persist(clk, recs)
+			case 5, 6:
+				store.TruncateBefore(uint64(rng.Int63n(int64(lsn) + 2)))
+			default:
+				store.TruncateBefore(lsn + 1 + uint64(rng.Intn(3)))
+			}
+			var want uint64
+			if err := store.Iterate(store.TruncatedBefore(), func(r *Record) bool {
+				want = max(want, r.Txn)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := store.MaxUnit(); got != want {
+				t.Fatalf("seed %d op %d: MaxUnit %d, scan of the readable records %d", seed, op, got, want)
+			}
+		}
+	}
+}
+
+// TestTruncateCompactsBulkCut: a truncation that drops compactMin records
+// or more, and at least a quarter of the tail it keeps, copies the tail to
+// an array of its own size, while a scan that took its snapshot before
+// keeps reading the old one; a smaller cut, absolutely or against the
+// tail, only reslices.
+func TestTruncateCompactsBulkCut(t *testing.T) {
+	const n = 6 * compactMin
+	store := NewStore(0, 0)
+	clk := simclock.New()
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{LSN: uint64(i) + 1, Kind: KInsert, Txn: uint64(i%7) + 1}
+	}
+	store.persist(clk, recs)
+	c0 := cap(store.records)
+	store.TruncateBefore(50)
+	if c := cap(store.records); c != c0-49 {
+		t.Fatalf("a cut of 49 records copied the tail (cap %d, want %d)", c, c0-49)
+	}
+	store.TruncateBefore(compactMin + 50) // a tail of more than 4 × compactMin
+	if c := cap(store.records); c != c0-49-compactMin {
+		t.Fatalf("a cut of under a quarter of the tail copied it (cap %d, want %d)", c, c0-49-compactMin)
+	}
+	started, resume, done := make(chan struct{}), make(chan struct{}), make(chan uint64)
+	go func() {
+		var last uint64
+		store.Iterate(compactMin+50, func(r *Record) bool {
+			if last == 0 {
+				close(started)
+				<-resume
+			}
+			last = r.LSN
+			return true
+		})
+		done <- last
+	}()
+	<-started
+	store.TruncateBefore(n - 9) // leaves 10 records
+	close(resume)
+	if last := <-done; last != n {
+		t.Fatalf("snapshot scan ended at LSN %d, want %d", last, n)
+	}
+	if len(store.records) != 10 || cap(store.records) > 16 || cap(store.ends) > 16 {
+		t.Fatalf("tail of %d records kept in an array of %d", len(store.records), cap(store.records))
+	}
+	if got, want := store.MaxUnit(), uint64(7); got != want {
+		t.Fatalf("MaxUnit after compaction = %d, want %d", got, want)
+	}
+	if b, err := store.BytesFrom(n - 9); err != nil || b != 10*recs[0].EncodedSize() {
+		t.Fatalf("BytesFrom after compaction = %d, %v", b, err)
 	}
 }

@@ -107,6 +107,10 @@ type Store struct {
 	// "nothing ever truncated".
 	truncatedBefore uint64
 
+	// units is a monotonic queue of the readable records whose unit id no
+	// later record's reaches: the front holds the largest id (MaxUnit).
+	units []unitMark
+
 	// open maps durable units (transactions and mini-transactions) that have
 	// records on the durable tail but no durable commit marker yet to the
 	// first LSN they logged. The fuzzy checkpointer's candidate LSN must stay
@@ -114,6 +118,12 @@ type Store struct {
 	// truncated away.
 	open map[uint64]uint64
 }
+
+// unitMark is one entry of Store.units.
+type unitMark struct{ lsn, unit uint64 }
+
+// compactMin is the least cut TruncateBefore copies the tail away from.
+const compactMin = 1024
 
 // Default log-device parameters: a PolarFS-class replicated log store.
 const (
@@ -168,10 +178,17 @@ func (s *Store) persist(clk *simclock.Clock, recs []Record) {
 	}
 	// Open-unit bookkeeping: a unit opens at its first durable record and
 	// closes at its durable commit marker. Control records with no unit
-	// (checkpoints) are ignored.
+	// (checkpoints) are ignored, here and by units.
 	for _, r := range recs {
 		if r.Txn == 0 {
 			continue
+		}
+		if r.LSN >= s.truncatedBefore { // units: pop what r's id reaches, push r
+			n := len(s.units)
+			for n > 0 && s.units[n-1].unit <= r.Txn {
+				n--
+			}
+			s.units = append(s.units[:n], unitMark{r.LSN, r.Txn})
 		}
 		switch r.Kind {
 		case KTxnCommit, KMTRCommit:
@@ -211,6 +228,17 @@ func (s *Store) SetCheckpoint(clk *simclock.Clock, lsn uint64) {
 	s.mu.Unlock()
 }
 
+// MaxUnit reports the largest unit (transaction or mini-transaction) id
+// among the records still readable, or 0 when none carries one.
+func (s *Store) MaxUnit() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.units) == 0 {
+		return 0
+	}
+	return s.units[0].unit
+}
+
 // OldestOpenLSN reports the first LSN of the oldest durable unit that has no
 // durable commit marker yet, and whether any such unit exists. The fuzzy
 // checkpointer caps its candidate LSN at (oldest open − 1): truncating at or
@@ -229,11 +257,12 @@ func (s *Store) OldestOpenLSN() (uint64, bool) {
 }
 
 // Iterate calls fn for every durable record with LSN >= from, in LSN order,
-// stopping early if fn returns false. The caller charges scan I/O costs.
+// stopping early if fn returns false. fn gets the stored record itself, not
+// a copy, and must not modify it. The caller charges scan I/O costs.
 // A from below the truncation point returns ErrTruncated (wrapped) without
 // calling fn: the requested prefix no longer exists, and serving a silently
 // shortened scan would corrupt recovery.
-func (s *Store) Iterate(from uint64, fn func(Record) bool) error {
+func (s *Store) Iterate(from uint64, fn func(*Record) bool) error {
 	if from < 1 {
 		from = 1
 	}
@@ -246,7 +275,7 @@ func (s *Store) Iterate(from uint64, fn func(Record) bool) error {
 	}
 	i := sort.Search(len(recs), func(i int) bool { return recs[i].LSN >= from })
 	for ; i < len(recs); i++ {
-		if !fn(recs[i]) {
+		if !fn(&recs[i]) {
 			return nil
 		}
 	}
@@ -282,11 +311,12 @@ func (s *Store) BytesFrom(from uint64) (int64, error) {
 // and advances the truncation point; reads below it fail with ErrTruncated
 // from then on. The point is monotone — re-truncating lower is a no-op.
 //
-// The kept tail is resliced, not copied, so persist keeps appending into
-// the same backing array until it is full (the dropped prefix is freed when
-// append next moves the tail). This is safe for concurrent scans: Iterate
-// reads a snapshot slice, and persist only writes past the end of every
-// slice handed out so far.
+// The kept tail is resliced, and persist appends into the same array until
+// it regrows it, freeing the prefix; a cut of compactMin records or more
+// and a quarter of the tail (a checkpoint dropping a bulk load, which a
+// read-mostly run may never regrow past) copies the tail to a new array at
+// once. Both are safe for concurrent scans: Iterate reads a snapshot
+// slice, and persist only writes past the end of every slice handed out.
 func (s *Store) TruncateBefore(lsn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,8 +324,14 @@ func (s *Store) TruncateBefore(lsn uint64) {
 		s.truncatedBefore = lsn
 	}
 	i := sort.Search(len(s.records), func(i int) bool { return s.records[i].LSN >= lsn })
-	s.records = s.records[i:]
-	s.ends = s.ends[i:]
+	u := sort.Search(len(s.units), func(u int) bool { return s.units[u].lsn >= lsn })
+	s.records, s.ends, s.units = s.records[i:], s.ends[i:], s.units[u:]
+	if i >= compactMin && 4*i >= len(s.records) {
+		// Not slices.Clone: an empty clone keeps pointing into the old array.
+		s.records = append([]Record(nil), s.records...)
+		s.ends = append([]int64(nil), s.ends...)
+		s.units = append([]unitMark(nil), s.units...)
+	}
 }
 
 // TruncatedBefore reports the lowest LSN still readable (1 when nothing was

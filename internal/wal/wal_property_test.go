@@ -49,7 +49,7 @@ func TestDurablePrefixProperty(t *testing.T) {
 		// Iterate must see exactly 1..durableLSN in order.
 		want := uint64(1)
 		ok := true
-		store.Iterate(1, func(r Record) bool {
+		store.Iterate(1, func(r *Record) bool {
 			if r.LSN != want {
 				ok = false
 				return false

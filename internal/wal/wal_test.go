@@ -36,7 +36,7 @@ func TestFlushMakesDurable(t *testing.T) {
 		t.Fatalf("flush charged %d ns", clk.Now())
 	}
 	var kinds []Kind
-	s.Iterate(1, func(r Record) bool {
+	s.Iterate(1, func(r *Record) bool {
 		kinds = append(kinds, r.Kind)
 		return true
 	})
@@ -72,7 +72,7 @@ func TestIterateFromMidpointAndBytes(t *testing.T) {
 	}
 	l.Flush(clk)
 	var got []uint64
-	s.Iterate(6, func(r Record) bool {
+	s.Iterate(6, func(r *Record) bool {
 		got = append(got, r.LSN)
 		return true
 	})
@@ -85,7 +85,7 @@ func TestIterateFromMidpointAndBytes(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	s.Iterate(1, func(r Record) bool {
+	s.Iterate(1, func(r *Record) bool {
 		count++
 		return count < 3
 	})
@@ -115,14 +115,14 @@ func TestCheckpointAndTruncate(t *testing.T) {
 		t.Fatalf("truncatedBefore = %d, want 5", tb)
 	}
 	// Reads below the truncation point are loud, not silently shortened.
-	if err := s.Iterate(1, func(Record) bool { return true }); !errors.Is(err, ErrTruncated) {
+	if err := s.Iterate(1, func(*Record) bool { return true }); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("iterate below truncation: err = %v, want ErrTruncated", err)
 	}
 	if _, err := s.BytesFrom(4); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("bytesFrom below truncation: err = %v, want ErrTruncated", err)
 	}
 	count := 0
-	if err := s.Iterate(5, func(r Record) bool {
+	if err := s.Iterate(5, func(r *Record) bool {
 		if r.LSN < 5 {
 			t.Fatalf("truncated record %d survived", r.LSN)
 		}
